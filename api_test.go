@@ -2,7 +2,6 @@ package conflux
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -10,44 +9,14 @@ import (
 	"repro/internal/trisolve"
 )
 
-func residual(a, lu *Matrix, perm []int) float64 {
-	return testutil.ResidualLUPerm(a, lu, perm)
-}
-
-func TestFactorizeAllAlgorithms(t *testing.T) {
-	a := RandomMatrix(64, 7)
-	for _, algo := range []Algorithm{COnfLUX, CANDMC, LibSci, SLATE} {
-		res, err := Factorize(a, Options{Ranks: 8, Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if r := residual(a, res.LU, res.Perm); r > 1e-11 {
-			t.Fatalf("%s residual %v", algo, r)
-		}
-		if res.Volume == nil || res.Volume.TotalBytes() == 0 {
-			t.Fatalf("%s: no volume report", algo)
-		}
-	}
-}
-
-func TestFactorizeDefaults(t *testing.T) {
-	a := RandomMatrix(32, 3)
-	res, err := Factorize(a, Options{})
+// mustNew builds a session or fails the test.
+func mustNew(t *testing.T, opts ...Option) *Session {
+	t.Helper()
+	s, err := New(opts...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("New: %v", err)
 	}
-	if r := residual(a, res.LU, res.Perm); r > 1e-11 {
-		t.Fatalf("residual %v", r)
-	}
-}
-
-func TestFactorizeRejectsNonSquare(t *testing.T) {
-	if _, err := Factorize(NewMatrix(3, 4), Options{}); err == nil {
-		t.Fatal("expected shape error")
-	}
-	if _, err := Factorize(nil, Options{}); err == nil {
-		t.Fatal("expected nil error")
-	}
+	return s
 }
 
 func TestSolveRoundTrip(t *testing.T) {
@@ -65,7 +34,7 @@ func TestSolveRoundTrip(t *testing.T) {
 		}
 		b[i] = s
 	}
-	got, err := Solve(a, b, Options{Ranks: 4})
+	got, err := mustNew(t, WithRanks(4)).Solve(t.Context(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +48,7 @@ func TestSolveRoundTrip(t *testing.T) {
 func TestSolveFactoredReuse(t *testing.T) {
 	n := 32
 	a := RandomMatrix(n, 5)
-	res, err := Factorize(a, Options{Ranks: 4})
+	res, err := mustNew(t, WithRanks(4)).Factorize(t.Context(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +58,7 @@ func TestSolveFactoredReuse(t *testing.T) {
 		for i := range b {
 			b[i] = float64((i*7+seed)%5) - 2
 		}
-		x, err := res.SolveFactored(b)
+		x, err := res.SolveFactoredContext(t.Context(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +81,7 @@ func TestSolveManyPropertyAndDeterminism(t *testing.T) {
 	n, nrhs := 96, 5
 	a := mat.Random(n, n, 71) // general matrix: the factors carry real pivoting
 	b := mat.Random(n, nrhs, 72)
-	x, res, err := SolveMany(a, b, Options{Ranks: 6, SolveRanks: 6})
+	x, res, err := mustNew(t, WithRanks(6), WithSolveRanks(6)).SolveMany(t.Context(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +99,7 @@ func TestSolveManyPropertyAndDeterminism(t *testing.T) {
 	// Repeat the identical solve: metered bytes and simulated makespan must
 	// accumulate by bit-identical increments.
 	bytes1, time1 := res.SolveBytes, res.SolveTime
-	if _, err := res.SolveManyFactored(b); err != nil {
+	if _, err := res.SolveManyFactoredContext(t.Context(), b); err != nil {
 		t.Fatal(err)
 	}
 	if res.SolveBytes != 2*bytes1 || res.SolveTime != 2*time1 {
@@ -145,7 +114,7 @@ func TestSolveRanksIndependentOfFactorRanks(t *testing.T) {
 	n := 64
 	a := RandomMatrix(n, 9)
 	b := mat.Random(n, 2, 10)
-	x, res, err := SolveMany(a, b, Options{Ranks: 4, SolveRanks: 9})
+	x, res, err := mustNew(t, WithRanks(4), WithSolveRanks(9)).SolveMany(t.Context(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +132,11 @@ func TestSolveRefinement(t *testing.T) {
 	n := 80
 	a := mat.Random(n, n, 33)
 	b := mat.Random(n, 3, 34)
-	direct, dres, err := SolveMany(a, b, Options{Ranks: 4})
+	direct, dres, err := mustNew(t, WithRanks(4)).SolveMany(t.Context(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, rres, err := SolveMany(a, b, Options{Ranks: 4, RefineSweeps: 2})
+	refined, rres, err := mustNew(t, WithRanks(4), WithRefineSweeps(2)).SolveMany(t.Context(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,44 +150,16 @@ func TestSolveRefinement(t *testing.T) {
 	}
 }
 
-// TestSolveFactoredSingular pins the zero-pivot satellite on both solve
-// paths: the sequential fallback and the distributed engine must report a
-// singular factor instead of silently producing Inf/NaN.
-func TestSolveFactoredSingular(t *testing.T) {
-	n := 8
-	lu := NewMatrix(n, n)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-		lu.Set(i, i, 1)
-	}
-	lu.Set(5, 5, 0) // singular U
-	hand := &Result{LU: lu, Perm: perm}
-	if _, err := hand.SolveFactored(make([]float64, n)); err == nil || !strings.Contains(err.Error(), "singular factor") {
-		t.Fatalf("sequential path: err = %v", err)
-	}
-
-	a := RandomMatrix(32, 13)
-	res, err := Factorize(a, Options{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.LU.Set(17, 17, 0) // corrupt one U pivot
-	if _, err := res.SolveFactored(make([]float64, 32)); err == nil || !strings.Contains(err.Error(), "singular factor") {
-		t.Fatalf("distributed path: err = %v", err)
-	}
-}
-
 // TestCommVolumeSolveEndToEnd: one volume-mode world replays factorization
 // plus the distributed solve; the report carries both phase families, scales
-// linearly in Options.RHS, and is deterministic.
+// linearly in WithRHS, and is deterministic.
 func TestCommVolumeSolveEndToEnd(t *testing.T) {
 	n := 128
-	one, err := CommVolumeSolve(n, Options{Ranks: 8, RHS: 1})
+	one, err := mustNew(t, WithRanks(8), WithRHS(1)).CommVolumeSolve(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := CommVolumeSolve(n, Options{Ranks: 8, RHS: 4})
+	four, err := mustNew(t, WithRanks(8), WithRHS(4)).CommVolumeSolve(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +175,7 @@ func TestCommVolumeSolveEndToEnd(t *testing.T) {
 	if AlgorithmBytes(one) <= solveBytes(one) {
 		t.Fatal("factorization phases missing from the end-to-end report")
 	}
-	again, err := CommVolumeSolve(n, Options{Ranks: 8, RHS: 1})
+	again, err := mustNew(t, WithRanks(8), WithRHS(1)).CommVolumeSolve(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +185,11 @@ func TestCommVolumeSolveEndToEnd(t *testing.T) {
 }
 
 // TestCommVolumeSolveHonorsSolveRanks: the volume replay must put the solve
-// phase on Options.SolveRanks like the numeric path, not on Ranks. At
+// phase on WithSolveRanks like the numeric path, not on WithRanks. At
 // SolveRanks=4 (2x2 grid) each pass moves (2+2-2)·N·NRHS elements.
 func TestCommVolumeSolveHonorsSolveRanks(t *testing.T) {
 	n, nrhs := 128, 2
-	rep, err := CommVolumeSolve(n, Options{Ranks: 8, SolveRanks: 4, RHS: nrhs})
+	rep, err := mustNew(t, WithRanks(8), WithSolveRanks(4), WithRHS(nrhs)).CommVolumeSolve(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +198,7 @@ func TestCommVolumeSolveHonorsSolveRanks(t *testing.T) {
 		t.Fatalf("fwd=%d back=%d want %d", rep.ByPhase[trisolve.PhaseFwd], rep.ByPhase[trisolve.PhaseBack], want)
 	}
 	// SolveRanks larger than Ranks grows the world to fit both phases.
-	big, err := CommVolumeSolve(n, Options{Ranks: 4, SolveRanks: 9, RHS: nrhs})
+	big, err := mustNew(t, WithRanks(4), WithSolveRanks(9), WithRHS(nrhs)).CommVolumeSolve(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +215,11 @@ func TestCommVolumeOrdering(t *testing.T) {
 	// The paper's claim at API level: COnfLUX communicates less than the 2D
 	// codes at moderate scale.
 	n, p := 256, 16
-	cfx, err := CommVolume(COnfLUX, n, p, 0)
+	cfx, err := mustNew(t, WithRanks(p), WithAlgorithm(COnfLUX)).CommVolume(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := CommVolume(LibSci, n, p, 0)
+	lib, err := mustNew(t, WithRanks(p), WithAlgorithm(LibSci)).CommVolume(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +230,7 @@ func TestCommVolumeOrdering(t *testing.T) {
 
 func TestResultExposesSimulatedTime(t *testing.T) {
 	a := RandomMatrix(48, 5)
-	res, err := Factorize(a, Options{Ranks: 4})
+	res, err := mustNew(t, WithRanks(4)).Factorize(t.Context(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +245,13 @@ func TestResultExposesSimulatedTime(t *testing.T) {
 	}
 }
 
-func TestCommVolumeMachineScalesTime(t *testing.T) {
+func TestMachineScalesTime(t *testing.T) {
 	n, p := 128, 8
-	slow, err := CommVolumeMachine(COnfLUX, n, p, 0, Machine{Alpha: 1e-5, Beta: 1e-9})
+	slow, err := mustNew(t, WithRanks(p), WithMachine(Machine{Alpha: 1e-5, Beta: 1e-9})).CommVolume(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := CommVolumeMachine(COnfLUX, n, p, 0, Machine{Alpha: 1e-7, Beta: 1e-11})
+	fast, err := mustNew(t, WithRanks(p), WithMachine(Machine{Alpha: 1e-7, Beta: 1e-11})).CommVolume(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +297,7 @@ func TestFactorizeSPD(t *testing.T) {
 		}
 		a.Add(i, i, float64(n))
 	}
-	l, rep, err := FactorizeSPD(a, Options{Ranks: 4})
+	l, rep, err := mustNew(t, WithRanks(4)).FactorizeSPD(t.Context(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,21 +306,6 @@ func TestFactorizeSPD(t *testing.T) {
 	}
 	if r := testutil.ResidualCholesky(a, l); r > 1e-10 {
 		t.Fatalf("Cholesky residual %v", r)
-	}
-}
-
-func TestFactorizeOutOfCore(t *testing.T) {
-	n, m := 64, 3*16*16
-	a := RandomMatrix(n, 4)
-	loads, stores, err := FactorizeOutOfCore(a, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loads <= 0 || stores <= 0 {
-		t.Fatalf("no traffic: %d/%d", loads, stores)
-	}
-	if float64(loads+stores) < LowerBoundLU(n, 1, float64(m)) {
-		t.Fatal("measured sequential I/O below the lower bound")
 	}
 }
 

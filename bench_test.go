@@ -1,4 +1,4 @@
-package conflux
+package conflux_test
 
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (§8–§9), plus ablation and kernel micro-benchmarks. Each bench
@@ -9,12 +9,14 @@ package conflux
 // for both scales are recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	conflux "repro"
 	"repro/internal/bench"
 	"repro/internal/blas"
 	"repro/internal/cholesky"
@@ -22,16 +24,18 @@ import (
 	"repro/internal/daap"
 	"repro/internal/lapack"
 	"repro/internal/mat"
+	"repro/internal/oocore"
 	"repro/internal/pebble"
 	"repro/internal/smpi"
 	"repro/internal/trace"
 	"repro/internal/xpart"
 )
 
-// smpiVolumeCholesky replays the 2.5D Cholesky schedule in volume mode.
-func smpiVolumeCholesky(n int, o Options) (*VolumeReport, error) {
-	opt := cholesky.DefaultOptions(n, o.Ranks, o.Memory)
-	return smpi.RunTimeout(o.Ranks, false, 10*time.Minute, func(c *smpi.Comm) error {
+// smpiVolumeCholesky replays the 2.5D Cholesky schedule in volume mode at
+// the paper's maximum-replication memory.
+func smpiVolumeCholesky(n, p int) (*conflux.VolumeReport, error) {
+	opt := cholesky.DefaultOptions(n, p, costMaxMem(n, p))
+	return smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: 10 * time.Minute}, func(c *smpi.Comm) error {
 		_, err := cholesky.Run(c, nil, opt)
 		return err
 	})
@@ -194,19 +198,15 @@ func BenchmarkPebbleGreedy(b *testing.B) {
 // BenchmarkExtensionCholesky meters the 2.5D Cholesky extension (the
 // conclusions' future-work kernel) against the derived lower bound.
 func BenchmarkExtensionCholesky(b *testing.B) {
-	var rep *VolumeReport
+	var rep *conflux.VolumeReport
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = func() (*VolumeReport, error) {
-			o := Options{Ranks: 16}.withDefaults(256)
-			return smpiVolumeCholesky(256, o)
-		}()
-		if err != nil {
+		if rep, err = smpiVolumeCholesky(256, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(AlgorithmBytes(rep))/1e3, "KB")
-	b.ReportMetric(LowerBoundCholesky(256, 16, costMaxMem(256, 16))*8*16/1e3, "lower-KB")
+	b.ReportMetric(float64(conflux.AlgorithmBytes(rep))/1e3, "KB")
+	b.ReportMetric(conflux.LowerBoundCholesky(256, 16, costMaxMem(256, 16))*8*16/1e3, "lower-KB")
 }
 
 // BenchmarkExtensionOutOfCore meters the sequential software-cache LU
@@ -216,14 +216,14 @@ func BenchmarkExtensionOutOfCore(b *testing.B) {
 	var total int64
 	for i := 0; i < b.N; i++ {
 		a := mat.RandomDiagDominant(n, 7)
-		loads, stores, err := FactorizeOutOfCore(a, m)
+		st, err := oocore.FactorizeOOC(a, m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		total = loads + stores
+		total = st.Loads + st.Stores
 	}
 	b.ReportMetric(float64(total), "elements")
-	b.ReportMetric(float64(total)/LowerBoundLU(n, 1, float64(m)), "x-over-bound")
+	b.ReportMetric(float64(total)/conflux.LowerBoundLU(n, 1, float64(m)), "x-over-bound")
 }
 
 // BenchmarkGemm and BenchmarkGetrf are substrate micro-benchmarks.
@@ -261,12 +261,16 @@ func BenchmarkGetrf(b *testing.B) {
 // BenchmarkFactorizeNumeric measures the end-to-end numeric distributed
 // factorization through the public API.
 func BenchmarkFactorizeNumeric(b *testing.B) {
-	a := RandomMatrix(128, 9)
-	for _, algo := range []Algorithm{COnfLUX, LibSci} {
+	a := conflux.RandomMatrix(128, 9)
+	for _, algo := range []conflux.Algorithm{conflux.COnfLUX, conflux.LibSci} {
 		b.Run(string(algo), func(b *testing.B) {
+			s, err := conflux.New(conflux.WithRanks(4), conflux.WithAlgorithm(algo))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factorize(a, Options{Ranks: 4, Algorithm: algo}); err != nil {
+				if _, err := s.Factorize(b.Context(), a); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -103,7 +103,7 @@ func realMain() (code int) {
 	beta := flag.Float64("beta", bench.Machine.Beta, "β: per-byte transfer cost of the simulated machine (seconds/byte)")
 	jsonOut := flag.String("json", "", "with -exp smoke|perf|sched|topology|kernels: write the machine-readable record to this path")
 	solveNRHS := flag.Int("nrhs", 0, "with -exp solve: override the scale preset's right-hand-side count")
-	executor := flag.String("executor", "auto", "smpi executor for replayed worlds: auto | goroutines | events")
+	executor := flag.String("executor", "goroutines", "smpi executor for replayed worlds: goroutines | events")
 	execWorkers := flag.Int("workers", 0, "event-executor window width: ranks of one world run concurrently (0|1 = serial, -1 = NumCPU)")
 	workers := flag.Int("parallel", 0, "independent simulated worlds to run concurrently (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -115,9 +115,9 @@ func realMain() (code int) {
 	if bench.ExecWorkers < 0 {
 		bench.ExecWorkers = runtime.NumCPU()
 	}
-	bench.Executor = smpi.Executor(*executor)
-	if !bench.Executor.Valid() {
-		fmt.Fprintf(os.Stderr, "unknown executor %q (want auto, goroutines, or events)\n", *executor)
+	var err error
+	if bench.Executor, err = smpi.ResolveExecutor(smpi.Executor(*executor)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if *cpuprofile != "" {

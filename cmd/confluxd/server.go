@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -147,6 +149,19 @@ func (s *server) writeError(w http.ResponseWriter, e httpError) {
 	json.NewEncoder(w).Encode(map[string]string{"error": e.msg})
 }
 
+// writeJSON encodes v completely before touching the response: an encode
+// failure (a non-finite float in a result) becomes a 500 with an error body
+// instead of a 200 header followed by nothing.
+func (s *server) writeJSON(w http.ResponseWriter, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		s.writeError(w, httpError{http.StatusInternalServerError, 0, "encoding response: " + err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body.Bytes())
+}
+
 // shedError maps the planner's typed shedding errors onto HTTP:
 // ErrOverloaded (rejected at the door, queue full) → 429 Too Many
 // Requests; ErrQueueTimeout (queued, capacity never freed) → 503 Service
@@ -176,12 +191,18 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 		}
 		return strconv.Atoi(v)
 	}
+	// floatParam admits finite non-negative values only: ParseFloat accepts
+	// "NaN" and "Inf", and NaN passes any `x < 0` guard.
 	floatParam := func(name string, def float64) (float64, error) {
 		v := q.Get(name)
 		if v == "" {
 			return def, nil
 		}
-		return strconv.ParseFloat(v, 64)
+		x, err := strconv.ParseFloat(v, 64)
+		if err == nil && (!(x >= 0) || math.IsInf(x, 1)) {
+			err = strconv.ErrRange
+		}
+		return x, err
 	}
 	n, err := intParam("n", 0)
 	if err != nil || n <= 0 {
@@ -196,16 +217,16 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 	}
 	def := conflux.DefaultMachine()
 	alpha, err := floatParam("alpha", def.Alpha)
-	if err != nil || alpha < 0 {
-		return bad("parameter alpha must be a non-negative float (seconds per message)")
+	if err != nil {
+		return bad("parameter alpha must be a finite non-negative float (seconds per message)")
 	}
 	beta, err := floatParam("beta", def.Beta)
-	if err != nil || beta < 0 {
-		return bad("parameter beta must be a non-negative float (seconds per byte)")
+	if err != nil {
+		return bad("parameter beta must be a finite non-negative float (seconds per byte)")
 	}
 	memory, err := floatParam("memory", 0)
-	if err != nil || memory < 0 {
-		return bad("parameter memory must be a non-negative float (elements per rank; 0 = paper default)")
+	if err != nil {
+		return bad("parameter memory must be a finite non-negative float (elements per rank; 0 = paper default)")
 	}
 	nb, err := intParam("nb", 0)
 	if err != nil || nb < 0 {
@@ -337,8 +358,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pickBest(&resp)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.writeJSON(w, resp)
 }
 
 // pickBest selects the winner under the objective, preferring exact
@@ -380,8 +400,7 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(statsResponse{
+	s.writeJSON(w, statsResponse{
 		Stats:         s.pl.Stats(),
 		Topologies:    s.topologyCounts(),
 		UptimeSeconds: time.Since(s.start).Seconds(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,7 +55,7 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 // TestPlanParamValidation: malformed or out-of-policy queries are rejected
 // with 400 and a JSON error body, before any simulation is admitted.
 func TestPlanParamValidation(t *testing.T) {
-	_, ts := testServer(t, nil, nil)
+	srv, ts := testServer(t, nil, nil)
 	for name, query := range map[string]string{
 		"missing n":        "p=4",
 		"missing p":        "n=64",
@@ -65,6 +66,9 @@ func TestPlanParamValidation(t *testing.T) {
 		"negative alpha":   "n=64&p=4&alpha=-1",
 		"negative beta":    "n=64&p=4&beta=-1e-10",
 		"negative memory":  "n=64&p=4&memory=-5",
+		"NaN alpha":        "n=64&p=4&alpha=NaN",
+		"Inf beta":         "n=64&p=4&beta=Inf",
+		"NaN memory":       "n=64&p=4&memory=NaN",
 		"bad nb":           "n=64&p=4&nb=-1",
 		"bad job":          "n=64&p=4&job=fastest",
 		"bad objective":    "n=64&p=4&objective=carbon",
@@ -84,6 +88,23 @@ func TestPlanParamValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 			t.Errorf("%s: error body not JSON {error: ...}: %s", name, body)
 		}
+	}
+	if st := srv.pl.Stats(); st.Simulations != 0 {
+		t.Errorf("rejected queries admitted %d simulations", st.Simulations)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a response that cannot be encoded is a 500
+// with a JSON error body, never a 200 header followed by nothing.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&server{}).writeJSON(rec, map[string]float64{"makespan": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+		t.Fatalf("error body not JSON {error: ...}: %s", rec.Body)
 	}
 }
 

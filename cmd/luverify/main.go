@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +34,7 @@ func main() {
 	fail := false
 	fmt.Printf("luverify: N=%d P=%d seed=%d general=%v\n", *n, *p, *seed, *general)
 	for _, algo := range []repro.Algorithm{repro.COnfLUX, repro.CANDMC, repro.LibSci, repro.SLATE} {
-		res, err := repro.Factorize(a, repro.Options{Ranks: *p, Algorithm: algo})
+		res, err := factorize(a, *p, algo)
 		if err != nil {
 			fmt.Printf("  %-8s ERROR: %v\n", algo, err)
 			fail = true
@@ -51,6 +52,14 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+func factorize(a *mat.Matrix, p int, algo repro.Algorithm) (*repro.Result, error) {
+	s, err := repro.New(repro.WithRanks(p), repro.WithAlgorithm(algo))
+	if err != nil {
+		return nil, err
+	}
+	return s.Factorize(context.Background(), a)
 }
 
 func residual(a, lu *mat.Matrix, perm []int) float64 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/mat"
 	"repro/internal/testutil"
 )
@@ -17,17 +16,18 @@ import (
 // including non-powers-of-two (p ∈ {3, 5, 6}) and dimensions not divisible
 // by any engine's block size. This is the cross-engine contract the
 // end-to-end solver relies on: factors from any engine feed the same
-// distributed triangular solve. The suite runs on the v2 Session surface,
-// so it also pins the registry dispatch path every engine self-registers
-// into.
+// distributed triangular solve. The suite runs on the Session surface, so
+// it also pins the registry dispatch path every engine self-registers into.
 
 const conformanceTol = 1e-9
 
-var conformanceRanks = []int{3, 4, 5, 6}
+// conformanceRanks: non-powers-of-two plus the power-of-two grids (4, 8).
+var conformanceRanks = []int{3, 4, 5, 6, 8}
 
 // conformanceDims: 33 and 45 are divisible by neither the 2D engines' block
-// sizes (32 and 16) nor the typical 2.5D blocking parameters.
-var conformanceDims = []int{33, 45}
+// sizes (32 and 16) nor the typical 2.5D blocking parameters; 64 divides
+// evenly by all of them.
+var conformanceDims = []int{33, 45, 64}
 
 // conformanceLU lists the paper's four measured LU implementations.
 var conformanceLU = []Algorithm{COnfLUX, CANDMC, LibSci, SLATE}
@@ -37,11 +37,7 @@ func conformanceSeed(n, p int) uint64 { return uint64(n)*1009 + uint64(p)*31 }
 // conformanceSession builds the one-algorithm session each case runs on.
 func conformanceSession(t *testing.T, algo Algorithm, p int) *Session {
 	t.Helper()
-	s, err := New(WithRanks(p), WithAlgorithm(algo))
-	if err != nil {
-		t.Fatalf("New(%s, p=%d): %v", algo, p, err)
-	}
-	return s
+	return mustNew(t, WithRanks(p), WithAlgorithm(algo))
 }
 
 func TestConformanceLUEngines(t *testing.T) {
@@ -66,6 +62,9 @@ func TestConformanceLUEngines(t *testing.T) {
 					}
 					if r := testutil.ResidualLUPerm(a, res.LU, res.Perm); r > conformanceTol {
 						t.Fatalf("residual %v > %v", r, conformanceTol)
+					}
+					if res.Volume == nil || res.Volume.TotalBytes() == 0 {
+						t.Fatal("no volume report")
 					}
 				})
 			}
@@ -126,38 +125,32 @@ func TestConformanceSolveAcrossEngines(t *testing.T) {
 // a Table-2 point of the paper — made tractable by the cache-blocked
 // level-3 kernels (DESIGN.md §15), where the suite's previous numeric
 // ceiling was n=45. It also pins the §15 determinism contract at scale:
-// the same factorization on sessions configured with kernel worker counts
-// 1 and 2, and across reps, must agree to the last bit of every LU entry
-// and pivot. Behind -short: the run budgets ~3¼ minutes bare and about
+// the same factorization run twice must agree to the last bit of every LU
+// entry and pivot. Behind -short: the run budgets ~3¼ minutes bare and about
 // an hour under the race detector (make conformance raises go test's
 // timeout accordingly).
 func TestConformanceNumericPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale numeric conformance skipped in -short mode")
 	}
-	defer blas.SetKernelWorkers(1)
 	n, p, nrhs := 4096, 64, 2
 	a := mat.Random(n, n, conformanceSeed(n, p))
 	b := mat.Random(n, nrhs, conformanceSeed(n, p)+1)
 
-	factor := func(kernelWorkers int) *Result {
+	factor := func() *Result {
 		t.Helper()
 		// One factorization runs ~1.5 min bare but far outruns the 10 min
 		// session safety default under the race detector's instrumented
 		// generic/packing paths; the harness timeout still bounds the test.
-		s, err := New(WithRanks(p), WithAlgorithm(COnfLUX), WithKernelWorkers(kernelWorkers),
-			WithTimeout(80*time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustNew(t, WithRanks(p), WithAlgorithm(COnfLUX), WithTimeout(80*time.Minute))
 		res, err := s.Factorize(t.Context(), a)
 		if err != nil {
-			t.Fatalf("factorize (kernel workers %d): %v", kernelWorkers, err)
+			t.Fatalf("factorize: %v", err)
 		}
 		return res
 	}
 
-	ref := factor(1)
+	ref := factor()
 	if err := testutil.IsPermutation(ref.Perm, n); err != nil {
 		t.Fatalf("perm: %v", err)
 	}
@@ -165,18 +158,18 @@ func TestConformanceNumericPaperScale(t *testing.T) {
 		t.Fatalf("residual %v > %v", r, conformanceTol)
 	}
 
-	// Rep 2 on a wider-kernel session: bit-identical factors and pivots.
-	rep := factor(2)
+	// Rep 2: bit-identical factors and pivots.
+	rep := factor()
 	for i := range ref.Perm {
 		if ref.Perm[i] != rep.Perm[i] {
-			t.Fatalf("pivot %d differs across kernel worker counts: %d != %d", i, ref.Perm[i], rep.Perm[i])
+			t.Fatalf("pivot %d differs across reps: %d != %d", i, ref.Perm[i], rep.Perm[i])
 		}
 	}
 	for i := 0; i < n; i++ {
 		r1, r2 := ref.LU.Row(i), rep.LU.Row(i)
 		for j := range r1 {
 			if math.Float64bits(r1[j]) != math.Float64bits(r2[j]) {
-				t.Fatalf("LU(%d,%d) differs across kernel worker counts: %x != %x",
+				t.Fatalf("LU(%d,%d) differs across reps: %x != %x",
 					i, j, math.Float64bits(r1[j]), math.Float64bits(r2[j]))
 			}
 		}

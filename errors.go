@@ -29,8 +29,8 @@ var (
 	ErrSingular = errors.New("conflux: singular factor")
 	// ErrUnknownAlgorithm marks an Algorithm with no registered engine.
 	ErrUnknownAlgorithm = errors.New("conflux: unknown algorithm")
-	// ErrUnknownExecutor marks a WithExecutor name that is neither a
-	// concrete executor ("goroutines", "events") nor "auto".
+	// ErrUnknownExecutor marks a WithExecutor name that is neither
+	// "goroutines" nor "events".
 	ErrUnknownExecutor = errors.New("conflux: unknown executor")
 	// ErrCanceled marks a simulation interrupted by its context
 	// (cancellation or deadline, including the session safety timeout).

@@ -7,7 +7,7 @@ import (
 	conflux "repro"
 )
 
-// Construct a v2 Session: one simulated machine configuration, reused
+// Construct a Session: one simulated machine configuration, reused
 // across jobs. Options validate eagerly — an unregistered algorithm fails
 // at New with ErrUnknownAlgorithm, not mid-run.
 func ExampleNew() {
@@ -36,6 +36,8 @@ func ExampleSession_Factorize() {
 	if err != nil {
 		panic(err)
 	}
+	// Row 0 of the factors corresponds to row res.Perm[0] of A, and
+	// L(0,:)·U(:,0) = U(0,0) because L has a unit diagonal.
 	diff := res.LU.At(0, 0) - a.At(res.Perm[0], 0)
 	fmt.Printf("|LU(0,0) - A[perm[0],0]| < 1e-12: %v\n", diff*diff < 1e-24)
 	if _, err := s.CommVolume(ctx, 32); err != nil {
@@ -47,26 +49,20 @@ func ExampleSession_Factorize() {
 	// jobs completed on one session: 2
 }
 
-// Factorize a small matrix with COnfLUX on four simulated ranks and verify
-// one reconstructed entry.
-func ExampleFactorize() {
-	a := conflux.RandomMatrix(32, 7)
-	res, err := conflux.Factorize(a, conflux.Options{Ranks: 4})
-	if err != nil {
-		panic(err)
-	}
-	// Row 0 of the factors corresponds to row res.Perm[0] of A, and
-	// L(0,:)·U(:,0) = U(0,0) because L has a unit diagonal.
-	diff := res.LU.At(0, 0) - a.At(res.Perm[0], 0)
-	fmt.Printf("|LU(0,0) - A[perm[0],0]| < 1e-12: %v\n", diff*diff < 1e-24)
-	// Output:
-	// |LU(0,0) - A[perm[0],0]| < 1e-12: true
-}
-
 // Meter an algorithm's communication schedule without doing arithmetic.
-func ExampleCommVolume() {
-	cfx, _ := conflux.CommVolume(conflux.COnfLUX, 256, 16, 0)
-	lib, _ := conflux.CommVolume(conflux.LibSci, 256, 16, 0)
+func ExampleSession_CommVolume() {
+	volume := func(algo conflux.Algorithm) *conflux.VolumeReport {
+		s, err := conflux.New(conflux.WithRanks(16), conflux.WithAlgorithm(algo))
+		if err != nil {
+			panic(err)
+		}
+		rep, err := s.CommVolume(context.Background(), 256)
+		if err != nil {
+			panic(err)
+		}
+		return rep
+	}
+	cfx, lib := volume(conflux.COnfLUX), volume(conflux.LibSci)
 	fmt.Printf("COnfLUX moves less than ScaLAPACK-style 2D: %v\n",
 		conflux.AlgorithmBytes(cfx) < conflux.AlgorithmBytes(lib))
 	// Output:

@@ -1,6 +1,7 @@
 package conflux
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func TestAllAlgorithmsSolveConsistently(t *testing.T) {
 	}
 	var ref []float64
 	for _, algo := range []Algorithm{COnfLUX, CANDMC, LibSci, SLATE} {
-		x, err := Solve(a, b, Options{Ranks: 8, Algorithm: algo})
+		x, err := mustNew(t, WithRanks(8), WithAlgorithm(algo)).Solve(t.Context(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -47,7 +48,7 @@ func TestAllAlgorithmsSolveConsistently(t *testing.T) {
 func TestSameVolumeEveryRun(t *testing.T) {
 	var prev int64 = -1
 	for i := 0; i < 3; i++ {
-		rep, err := CommVolume(COnfLUX, 192, 8, 0)
+		rep, err := mustNew(t, WithRanks(8)).CommVolume(t.Context(), 192)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestLinkFailureSurfacesAsError(t *testing.T) {
 	}
 	opt := conflux.DefaultOptions(n, p, 0.25*float64(n*n))
 	start := time.Now()
-	_, err := smpi.RunWorld(w, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{World: w}, func(c *smpi.Comm) error {
 		_, err := conflux.Run(c, nil, opt)
 		return err
 	})
@@ -98,11 +99,12 @@ func TestVolumeVsNumericParityAllAlgorithms(t *testing.T) {
 	n, p := 96, 8
 	a := mat.Random(n, n, 17) // general matrix: realistic pivot movement
 	for _, algo := range []Algorithm{COnfLUX, CANDMC, LibSci, SLATE} {
-		res, err := Factorize(a, Options{Ranks: p, Algorithm: algo})
+		s := mustNew(t, WithRanks(p), WithAlgorithm(algo))
+		res, err := s.Factorize(t.Context(), a)
 		if err != nil {
 			t.Fatalf("%s numeric: %v", algo, err)
 		}
-		vol, err := CommVolume(algo, n, p, 0)
+		vol, err := s.CommVolume(t.Context(), n)
 		if err != nil {
 			t.Fatalf("%s volume: %v", algo, err)
 		}

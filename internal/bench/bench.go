@@ -71,10 +71,9 @@ var Timeout = 30 * time.Minute
 var Machine = costmodel.DefaultMachine()
 
 // Executor selects how replayed worlds schedule their ranks (goroutines,
-// events, or the empty string for auto — events for these volume-mode
-// replays). cmd/confluxbench wires -executor here; the sched experiment
-// sweeps it. Results are executor-independent — this switches only the
-// host-side wall-clock/allocation profile.
+// also the empty string, or events). cmd/confluxbench wires -executor
+// here; the sched experiment sweeps it. Results are executor-independent —
+// this switches only the host-side wall-clock/allocation profile.
 var Executor smpi.Executor
 
 // ExecWorkers is the event executor's concurrent-window width for replayed

@@ -83,18 +83,6 @@ func kernelCases() []kernelCase {
 		gemmCase("gemm-blocked/N=512", 512, 10, blas.Gemm),
 		gemmCase("gemm-blocked/N=1024", 1024, 3, blas.Gemm),
 	}
-	for _, w := range []int{2, 4} {
-		w := w
-		kc := gemmCase(fmt.Sprintf("gemm-blocked/N=512,workers=%d", w), 512, 10, blas.Gemm)
-		inner := kc.run
-		kc.run = func() {
-			blas.SetKernelWorkers(w)
-			defer blas.SetKernelWorkers(1)
-			inner()
-		}
-		cases = append(cases, kc)
-	}
-
 	n := 512
 	g := mat.NewRNG(3)
 	l := mat.New(n, n)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/conflux"
@@ -16,7 +17,7 @@ import (
 func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float64) *smpi.World {
 	t.Helper()
 	w := smpi.NewWorldMachine(p, false, trace.DefaultMachine())
-	_, err := smpi.RunWorld(w, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{World: w}, func(c *smpi.Comm) error {
 		var err error
 		switch algo {
 		case costmodel.LibSci:

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"time"
 
+	repro "repro"
 	"repro/internal/costmodel"
+	"repro/internal/mat"
 	"repro/internal/smpi"
 	"repro/internal/trace"
 )
@@ -80,13 +82,19 @@ func solveCase(n, p, nrhs, iters int) PerfCase {
 	}
 }
 
-// numericCase runs a real (payload-carrying) factorization end to end.
+// numericCase runs a real (payload-carrying) factorization end to end
+// through the public Session surface.
 func numericCase(n, p, iters int) PerfCase {
+	a := mat.RandomDiagDominant(n, 1)
 	return PerfCase{
 		Name:  fmt.Sprintf("factorize-numeric/conflux/N=%d,P=%d", n, p),
 		Iters: iters,
 		Run: func(ctx context.Context) error {
-			_, err := Measure(ctx, costmodel.COnfLUX, n, p, costmodel.MaxMemoryParams(n, p).M)
+			s, err := repro.New(repro.WithRanks(p), repro.WithAlgorithm(repro.COnfLUX))
+			if err != nil {
+				return err
+			}
+			_, err = s.Factorize(ctx, a)
 			return err
 		},
 	}

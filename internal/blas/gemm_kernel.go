@@ -1,57 +1,24 @@
 package blas
 
-import (
-	"sync"
-	"sync/atomic"
+import "repro/internal/mat"
 
-	"repro/internal/mat"
-)
-
-// kernelWorkersN is the process-wide kernel worker count, configured via
-// conflux.WithKernelWorkers. It is deliberately a knob and not a key
-// input: results are bit-identical at every width (see gemmBlocked), so a
-// concurrent session racing the setter can only change how fast the
-// answer arrives, never the answer.
-var kernelWorkersN atomic.Int32
-
-func init() { kernelWorkersN.Store(1) }
-
-// SetKernelWorkers sets the number of goroutines the blocked level-3
-// kernels may use for the outer loop over C row-blocks. n < 1 is clamped
-// to 1 (serial).
-func SetKernelWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	kernelWorkersN.Store(int32(n))
-}
-
-// KernelWorkers reports the current kernel worker count.
-func KernelWorkers() int { return int(kernelWorkersN.Load()) }
-
-// Thresholds for choosing the blocked path and for spawning workers.
-// Below blockedFlopCutoff the packing traffic costs more than it saves;
-// below parallelFlopCutoff a (jc,pc) step is too small to amortize
-// goroutine handoff. Both compare against 2·m·n·k, the multiply-add count.
-const (
-	blockedFlopCutoff  = 1 << 18 // ~2·64³
-	parallelFlopCutoff = 1 << 23
-)
+// blockedFlopCutoff is the multiply-add count 2·m·n·k below which the
+// packing traffic of the blocked path costs more than it saves.
+const blockedFlopCutoff = 1 << 18 // ~2·64³
 
 // gemmBlocked computes C += alpha·A·B with the cache-blocked,
 // register-tiled kernel (DESIGN.md §15). Loop structure, outermost first:
 //
 //	jc over N by nc: pack B(kc×nc) once per (jc,pc), shared read-only;
 //	pc over K by kc: depth blocks, applied in increasing-p order;
-//	ic over M by mc: pack A(mc×kc) per block — the parallel loop;
+//	ic over M by mc: pack A(mc×kc) per block;
 //	jr/ir over the block by nr/mr: micro-tiles of C.
 //
-// Determinism: each C element belongs to exactly one (ic, ir, jr) tile,
-// fixed by its coordinates because mc/mr/nr are constants. Worker
-// parallelism only partitions the ic loop, and a WaitGroup barrier closes
-// every (jc,pc) step, so each element's partial products accumulate in
-// the same (pc, p) order — in the same registers — at every worker count.
-// Bit-identical results across reps and widths follow.
+// Determinism: the kernel is serial and mc/mr/nr are constants, so each C
+// element belongs to one fixed (ic, ir, jr) tile and accumulates its
+// partial products in the same (pc, p) order — in the same registers — on
+// every call. Callers parallelise above it: a numeric run has one rank
+// goroutine per simulated processor, each calling Gemm on its own tiles.
 func gemmBlocked(alpha float64, a, b, c *mat.Matrix) {
 	m, n, k := a.Rows, b.Cols, a.Cols
 	for jcb := 0; jcb < n; jcb += nc {
@@ -61,39 +28,16 @@ func gemmBlocked(alpha float64, a, b, c *mat.Matrix) {
 		for pcb := 0; pcb < k; pcb += kc {
 			kb := min(kc, k-pcb)
 			packB(b.Data, b.Stride, pcb, jcb, kb, nb, bp[:bStrips*nr*kb])
-			mBlocks := (m + mc - 1) / mc
-			w := KernelWorkers()
-			if w > mBlocks {
-				w = mBlocks
+			for icb := 0; icb < m; icb += mc {
+				macroBlock(alpha, a, c, icb, jcb, min(mc, m-icb), nb, pcb, kb, bp)
 			}
-			if w <= 1 || 2*m*nb*kb < parallelFlopCutoff {
-				for bi := 0; bi < mBlocks; bi++ {
-					macroBlock(alpha, a, c, bi*mc, jcb, min(mc, m-bi*mc), nb, pcb, kb, bp)
-				}
-				continue
-			}
-			var wg sync.WaitGroup
-			chunk := (mBlocks + w - 1) / w
-			for lo := 0; lo < mBlocks; lo += chunk {
-				hi := min(lo+chunk, mBlocks)
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for bi := lo; bi < hi; bi++ {
-						macroBlock(alpha, a, c, bi*mc, jcb, min(mc, m-bi*mc), nb, pcb, kb, bp)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
 		}
 		putPack(bp)
 	}
 }
 
 // macroBlock multiplies one packed mb×kb block of A against the resident
-// packed B block, updating the mb×nb region of C at (icb, jcb). Exactly
-// one goroutine runs each block per (jc,pc) step, and blocks own disjoint
-// C rows, so no C element is ever written concurrently.
+// packed B block, updating the mb×nb region of C at (icb, jcb).
 func macroBlock(alpha float64, a, c *mat.Matrix, icb, jcb, mb, nb, pcb, kb int, bp []float64) {
 	ap := getPack(((mb + mr - 1) / mr) * mr * kb)
 	packA(a.Data, a.Stride, icb, pcb, mb, kb, ap)

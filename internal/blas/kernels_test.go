@@ -1,9 +1,7 @@
 package blas
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/mat"
@@ -222,46 +220,30 @@ func TestTrsmBlockedMatchesUnblocked(t *testing.T) {
 	}
 }
 
-// Determinism: the blocked kernel must produce bit-identical results
-// across reps and kernel worker counts (DESIGN.md §15). Run under -race
-// this also proves no C element is written concurrently.
-func TestGemmKernelWorkerDeterminism(t *testing.T) {
-	defer SetKernelWorkers(1)
-	m, n, k := 300, 260, 300 // several mc-blocks, clears parallelFlopCutoff
+// Determinism: the blocked kernel must produce bit-identical results on
+// every call, whatever the recycled pack buffers held before (DESIGN.md
+// §15).
+func TestGemmBlockedRepeatable(t *testing.T) {
+	m, n, k := 300, 260, 300 // several mc-blocks, edge tiles on both sides
 	a := mat.Random(m, k, 5)
 	b := mat.Random(k, n, 6)
 	var ref []uint64
-	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-		SetKernelWorkers(w)
-		for rep := 0; rep < 2; rep++ {
-			c := mat.Random(m, n, 7)
-			gemmBlocked(-1.5, a, b, c)
-			bits := make([]uint64, len(c.Data))
-			for i, v := range c.Data {
-				bits[i] = math.Float64bits(v)
-			}
-			if ref == nil {
-				ref = bits
-				continue
-			}
-			for i := range bits {
-				if bits[i] != ref[i] {
-					t.Fatalf("workers=%d rep=%d: bit mismatch at %d", w, rep, i)
-				}
+	for rep := 0; rep < 3; rep++ {
+		c := mat.Random(m, n, 7)
+		gemmBlocked(-1.5, a, b, c)
+		bits := make([]uint64, len(c.Data))
+		for i, v := range c.Data {
+			bits[i] = math.Float64bits(v)
+		}
+		if ref == nil {
+			ref = bits
+			continue
+		}
+		for i := range bits {
+			if bits[i] != ref[i] {
+				t.Fatalf("rep=%d: bit mismatch at %d", rep, i)
 			}
 		}
-	}
-}
-
-func TestSetKernelWorkersClamps(t *testing.T) {
-	defer SetKernelWorkers(1)
-	SetKernelWorkers(-3)
-	if got := KernelWorkers(); got != 1 {
-		t.Fatalf("clamp: got %d", got)
-	}
-	SetKernelWorkers(4)
-	if got := KernelWorkers(); got != 4 {
-		t.Fatalf("set: got %d", got)
 	}
 }
 
@@ -328,16 +310,6 @@ func BenchmarkKernelGemmRef512(b *testing.B)      { benchGemm(b, 512, GemmRef) }
 func BenchmarkKernelGemmBlocked256(b *testing.B)  { benchGemm(b, 256, Gemm) }
 func BenchmarkKernelGemmBlocked512(b *testing.B)  { benchGemm(b, 512, Gemm) }
 func BenchmarkKernelGemmBlocked1024(b *testing.B) { benchGemm(b, 1024, Gemm) }
-
-func BenchmarkKernelGemmBlocked512Workers(b *testing.B) {
-	for _, w := range []int{2, 4} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			SetKernelWorkers(w)
-			defer SetKernelWorkers(1)
-			benchGemm(b, 512, Gemm)
-		})
-	}
-}
 
 func BenchmarkKernelTrsmLowerLeft512(b *testing.B) {
 	n := 512

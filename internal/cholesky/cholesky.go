@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
@@ -217,28 +218,6 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	return res, nil
 }
 
-// rowsInGridRow lists rows >= lo in grid row gr (tile-based iteration).
-func (e *engine) rowsInGridRow(gr, lo int) []int {
-	var out []int
-	v := e.opt.V
-	for ti := lo / v; ti*v < e.opt.N; ti++ {
-		if ti%e.g.Pr != gr {
-			continue
-		}
-		start, end := ti*v, (ti+1)*v
-		if start < lo {
-			start = lo
-		}
-		if end > e.opt.N {
-			end = e.opt.N
-		}
-		for r := start; r < end; r++ {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // panelStep reduces block column t across layers, factors the diagonal
 // block, broadcasts L00, and solves the sub-diagonal panel rows.
 func (e *engine) panelStep(t int) (*mat.Matrix, []int, error) {
@@ -247,22 +226,12 @@ func (e *engine) panelStep(t int) (*mat.Matrix, []int, error) {
 	var stack *mat.Matrix
 	var rows []int
 	if e.col == e.bc.OwnerCol(t) {
-		rows = e.rowsInGridRow(e.row, t*e.opt.V)
+		rows = e.bc.RowsInGridRow(e.row, t*e.opt.V)
 		if len(rows) > 0 {
-			stack = e.store.NewBuffer(len(rows), w)
-			if e.store.Payload() {
-				for i, r := range rows {
-					ti := r / e.opt.V
-					stack.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-				}
-			}
+			stack = e.store.StackColumnRows(t, rows)
 			e.fiber.ReduceMatSum(0, stack)
 			if e.layer != 0 && e.store.Payload() {
-				zero := mat.New(1, w)
-				for _, r := range rows {
-					ti := r / e.opt.V
-					e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(zero)
-				}
+				e.store.UnstackColumnRows(t, rows, mat.New(len(rows), w))
 			}
 		}
 	}
@@ -318,20 +287,20 @@ func (e *engine) distributePanel(t int, stack *mat.Matrix, rows []int) {
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
 	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.rowsInGridRow(gr, lo)
+		grRows := e.bc.RowsInGridRow(gr, lo)
 		owner := e.g.Rank(gr, ownerCol, 0)
 		members := []int{owner}
 		for y := 0; y < e.g.Pc; y++ {
-			if r := e.g.Rank(gr, y, lstar); r != owner && !member(members, r) {
+			if r := e.g.Rank(gr, y, lstar); r != owner && !slices.Contains(members, r) {
 				members = append(members, r)
 			}
 		}
 		for x := 0; x < e.g.Pr; x++ {
-			if r := e.g.Rank(x, gr, lstar); r != owner && !member(members, r) {
+			if r := e.g.Rank(x, gr, lstar); r != owner && !slices.Contains(members, r) {
 				members = append(members, r)
 			}
 		}
-		if !member(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("chol.%d.%d", t, gr), members)
@@ -425,13 +394,4 @@ func gemmNT(alpha float64, a, b, c *mat.Matrix) {
 			cr[j] += alpha * blas.Dot(ar, b.Row(j))
 		}
 	}
-}
-
-func member(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package cholesky
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,7 +84,7 @@ func factorNumeric(t *testing.T, n, v int, g grid.Grid, seed uint64) (*mat.Matri
 	t.Helper()
 	a := spd(n, seed)
 	var res *Result
-	rep, err := smpi.RunTimeout(g.Total, true, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -129,7 +130,7 @@ func TestNumericDistributed(t *testing.T) {
 }
 
 func TestNonSquareLayerRejected(t *testing.T) {
-	_, err := smpi.RunTimeout(6, false, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 6, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, Options{N: 16, V: 4, Grid: grid.Grid{Pr: 2, Pc: 3, Layers: 1, Total: 6}})
 		return err
 	})
@@ -141,7 +142,7 @@ func TestNonSquareLayerRejected(t *testing.T) {
 func TestNotPDReported(t *testing.T) {
 	n := 16
 	a := mat.New(n, n) // zero matrix, not PD
-	_, err := smpi.RunTimeout(4, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 4, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -157,7 +158,7 @@ func TestNotPDReported(t *testing.T) {
 func TestVolumeModeAndBound(t *testing.T) {
 	n, p := 128, 8
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 2, Total: p}
-	rep, err := smpi.RunTimeout(p, false, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, Options{N: n, V: 4, Grid: g})
 		return err
 	})

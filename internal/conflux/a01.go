@@ -2,6 +2,7 @@ package conflux
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/grid"
@@ -159,7 +160,7 @@ func (e *engine) factorizeA01(t int) {
 
 	// Step 10: broadcast the solved panel to the assigned layer's consumers.
 	members, rootIdx := a01Members(e.g, e.col, lstar)
-	if !contains(members, e.world.Rank()) {
+	if !slices.Contains(members, e.world.Rank()) {
 		return
 	}
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)

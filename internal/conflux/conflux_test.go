@@ -1,6 +1,7 @@
 package conflux
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func factorNumeric(t *testing.T, n, v int, g grid.Grid, seed uint64) (*mat.Matri
 	t.Helper()
 	a := mat.RandomDiagDominant(n, seed)
 	var res *Result
-	rep, err := smpi.RunTimeout(g.Total, true, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -99,7 +100,7 @@ func TestNumericGeneralMatrixNeedsPivoting(t *testing.T) {
 	g := gridFor(2, 2, 2, 8)
 	a := mat.Random(n, n, 1234) // no diagonal dominance
 	var res *Result
-	_, err := smpi.RunTimeout(g.Total, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -125,7 +126,7 @@ func TestDisabledRanksIdle(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 5}
 	a := mat.RandomDiagDominant(n, 3)
 	var res *Result
-	_, err := smpi.RunTimeout(5, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 5, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = a
@@ -156,7 +157,7 @@ func TestRowMaskingNeverMovesRows(t *testing.T) {
 
 func runVolume(t *testing.T, n, v int, g grid.Grid) *trace.Report {
 	t.Helper()
-	rep, err := smpi.RunTimeout(g.Total, false, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, Options{N: n, V: v, Grid: g})
 		return err
 	})
@@ -211,7 +212,7 @@ func TestVolumeNearFittedModel(t *testing.T) {
 func TestSingularReported(t *testing.T) {
 	n, v := 16, 4
 	g := gridFor(2, 2, 1, 4)
-	_, err := smpi.RunTimeout(4, true, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 4, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var in *mat.Matrix
 		if c.Rank() == 0 {
 			in = mat.New(n, n) // zero matrix
@@ -242,7 +243,7 @@ func TestDefaultOptionsRespectConstraints(t *testing.T) {
 }
 
 func TestVBelowLayersPanics(t *testing.T) {
-	_, err := smpi.RunTimeout(8, false, testTimeout, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 8, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		_, err := Run(c, nil, Options{N: 32, V: 1, Grid: gridFor(2, 2, 2, 8)})
 		return err
 	})

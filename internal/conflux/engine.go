@@ -2,10 +2,12 @@ package conflux
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
 	"repro/internal/grid"
+	"repro/internal/lapack"
 	"repro/internal/mat"
 	"repro/internal/smpi"
 )
@@ -156,32 +158,6 @@ func (e *engine) activeRowsInGridRow(gr int) []int {
 	return e.activeByRow[gr]
 }
 
-// stackColumnRows copies the given physical rows of tile column t out of the
-// local store into a dense stack.
-func (e *engine) stackColumnRows(t int, rows []int) *mat.Matrix {
-	_, w := e.bc.TileDims(t, t)
-	stack := e.store.NewBuffer(len(rows), w)
-	if e.store.Payload() {
-		for i, r := range rows {
-			ti := r / e.opt.V
-			stack.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-		}
-	}
-	return stack
-}
-
-// unstackColumnRows writes a stack back into tile column t.
-func (e *engine) unstackColumnRows(t int, rows []int, stack *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	_, w := e.bc.TileDims(t, t)
-	for i, r := range rows {
-		ti := r / e.opt.V
-		e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(stack.View(i, 0, 1, w))
-	}
-}
-
 // reduceColumn implements Algorithm 1 step 1 ("Reduce next block column"):
 // the active rows of tile column t are summed across the c layers onto the
 // layer-0 owners. Non-root layers zero their consumed contributions.
@@ -197,17 +173,16 @@ func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
 	if len(rows) == 0 {
 		return nil, rows
 	}
-	stack := e.stackColumnRows(t, rows)
+	stack := e.store.StackColumnRows(t, rows)
 	e.fiber.ReduceMatSum(0, stack)
 	if e.layer == 0 {
-		e.unstackColumnRows(t, rows, stack)
+		e.store.UnstackColumnRows(t, rows, stack)
 		return stack, rows
 	}
 	// Contributions consumed: zero the accumulator entries.
 	if e.store.Payload() {
 		_, w := e.bc.TileDims(t, t)
-		zero := mat.New(len(rows), w)
-		e.unstackColumnRows(t, rows, zero)
+		e.store.UnstackColumnRows(t, rows, mat.New(len(rows), w))
 	}
 	return nil, nil
 }
@@ -224,24 +199,23 @@ func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
 	}
 	e.ac.SetPhase(e.opt.Name + ".pivot")
 	_, w := e.bc.TileDims(t, t)
-	local := lapackCandidates(stack, rows)
-	win, err := selectCands(local, w)
+	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, rows), w)
 	if err != nil {
 		return err
 	}
-	res := e.tourn.Butterfly(encodeCands(win, w), func(mine, theirs smpi.Msg) smpi.Msg {
-		merged := mergeCands(decodeCands(mine, w), decodeCands(theirs, w))
-		next, err := selectCands(merged, w)
+	res := e.tourn.Butterfly(win.Msg(w), func(mine, theirs smpi.Msg) smpi.Msg {
+		merged := lapack.MergeCandidates(lapack.CandidatesFromMsg(mine, w), lapack.CandidatesFromMsg(theirs, w))
+		next, err := lapack.SelectCandidates(merged, w)
 		if err != nil {
 			panic(err) // converted to a run error by the runtime
 		}
-		return encodeCands(next, w)
+		return next.Msg(w)
 	})
-	winners := decodeCands(res, w)
+	winners := lapack.CandidatesFromMsg(res, w)
 	if len(winners.IDs) < w {
 		return fmt.Errorf("conflux: only %d active rows for a %d-wide panel", len(winners.IDs), w)
 	}
-	a00, ids, err := factorA00(winners)
+	a00, ids, err := lapack.FactorA00(winners)
 	if err != nil {
 		return err
 	}
@@ -302,7 +276,7 @@ func (e *engine) factorizeA10(t int, stack *mat.Matrix, rows []int) {
 	for gr := 0; gr < e.g.Pr; gr++ {
 		grRows := e.activeRowsInGridRow(gr)
 		members, rootIdx := a10Members(e.g, gr, ownerCol, lstar)
-		if !contains(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
@@ -317,7 +291,7 @@ func (e *engine) factorizeA10(t int, stack *mat.Matrix, rows []int) {
 				}
 			}
 			blas.TrsmUpperRight(e.a00, buf)
-			e.unstackColumnRows(t, grRows, buf)
+			e.store.UnstackColumnRows(t, grRows, buf)
 		}
 		if len(grRows) > 0 {
 			comm.BcastMat(rootIdx, buf)
@@ -340,15 +314,6 @@ func a10Members(g grid.Grid, gr, ownerCol, lstar int) (members []int, rootIdx in
 		}
 	}
 	return members, 0
-}
-
-func contains(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func indexOf(rows []int) map[int]int {

@@ -109,6 +109,34 @@ func (s *Store) NewBuffer(rows, cols int) *mat.Matrix {
 	return mat.NewPhantom(rows, cols)
 }
 
+// StackColumnRows copies the given global rows of tile column tj out of the
+// store into a dense len(rows)×w stack (w the column's width; a phantom
+// buffer in volume mode). Every row must lie in a tile this rank owns.
+func (s *Store) StackColumnRows(tj int, rows []int) *mat.Matrix {
+	_, w := s.bc.TileDims(tj, tj)
+	stack := s.NewBuffer(len(rows), w)
+	if s.payload {
+		for i, r := range rows {
+			ti := r / s.bc.V
+			stack.View(i, 0, 1, w).CopyFrom(s.Tile(ti, tj).View(r-ti*s.bc.V, 0, 1, w))
+		}
+	}
+	return stack
+}
+
+// UnstackColumnRows writes a stack taken by StackColumnRows back into tile
+// column tj (a no-op in volume mode).
+func (s *Store) UnstackColumnRows(tj int, rows []int, stack *mat.Matrix) {
+	if !s.payload {
+		return
+	}
+	_, w := s.bc.TileDims(tj, tj)
+	for i, r := range rows {
+		ti := r / s.bc.V
+		s.Tile(ti, tj).View(r-ti*s.bc.V, 0, 1, w).CopyFrom(stack.View(i, 0, 1, w))
+	}
+}
+
 // Allocated returns the number of tiles materialized so far (test hook).
 func (s *Store) Allocated() int { return s.allocated }
 

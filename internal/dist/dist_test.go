@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report
 	if payload {
 		src = mat.Random(n, n, 0xD157)
 	}
-	rep, err := smpi.Run(g.Total, payload, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: payload}, func(c *smpi.Comm) error {
 		if c.Rank() >= g.Used() {
 			return nil
 		}
@@ -275,6 +276,48 @@ func TestNewBufferRespectsPayloadMode(t *testing.T) {
 	}
 }
 
+// TestStackColumnRowsRoundTrip: stacking rows of a tile column copies them
+// out in list order, and unstacking writes them back in place — the pair
+// the 2.5D engines reduce panel columns through.
+func TestStackColumnRowsRoundTrip(t *testing.T) {
+	bc := grid.BlockCyclic{G: grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: 1}, V: 4, N: 10}
+	s := dist.NewStore(bc, 0, 0, 0, true)
+	for ti := 0; ti < bc.Tiles(); ti++ {
+		tile := s.Tile(ti, 2) // the ragged 2-wide edge column
+		for i := 0; i < tile.Rows; i++ {
+			for j := 0; j < tile.Cols; j++ {
+				tile.Set(i, j, float64(100*(ti*4+i)+j))
+			}
+		}
+	}
+	rows := []int{9, 1, 6}
+	stack := s.StackColumnRows(2, rows)
+	if stack.Rows != 3 || stack.Cols != 2 {
+		t.Fatalf("stack is %dx%d, want 3x2", stack.Rows, stack.Cols)
+	}
+	for i, r := range rows {
+		if stack.At(i, 1) != float64(100*r+1) {
+			t.Fatalf("stack row %d holds %v, want row %d", i, stack.At(i, 1), r)
+		}
+		stack.Set(i, 0, -float64(r))
+	}
+	s.UnstackColumnRows(2, rows, stack)
+	if got := s.Tile(1, 2).At(2, 0); got != -6 {
+		t.Fatalf("row 6 not written back: %v", got)
+	}
+	if got := s.Tile(1, 2).At(3, 0); got != 700 {
+		t.Fatalf("row 7 disturbed: %v", got)
+	}
+	vol := dist.NewStore(bc, 0, 0, 0, false)
+	if st := vol.StackColumnRows(2, rows); !st.Phantom() || st.Rows != 3 || st.Cols != 2 {
+		t.Fatal("volume-mode stack must be a 3x2 phantom")
+	}
+	vol.UnstackColumnRows(2, rows, stack)
+	if vol.Allocated() != 0 {
+		t.Fatal("volume-mode unstack touched tiles")
+	}
+}
+
 func TestForeignTilePanics(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 16}
@@ -300,7 +343,7 @@ func TestGridMismatchPanics(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 8}
 	other := grid.Grid{Pr: 4, Pc: 1, Layers: 1, Total: 4}
-	_, err := smpi.Run(1, true, func(c *smpi.Comm) error {
+	_, err := smpi.Exec(context.Background(), smpi.Config{P: 1, Payload: true}, func(c *smpi.Comm) error {
 		defer func() {
 			if recover() == nil {
 				t.Error("Scatter with a mismatched grid did not panic")

@@ -169,3 +169,19 @@ func (b BlockCyclic) LocalTileRows(row, from int) []int {
 func (b BlockCyclic) LocalTileCols(col, from int) []int {
 	return localIndices(b.Tiles(), col, b.G.Pc, from)
 }
+
+// RowsInGridRow lists (ascending) the global rows >= lo owned by grid row
+// gr, iterating by tile (O(result + tiles/Pr), not O(N)).
+func (b BlockCyclic) RowsInGridRow(gr, lo int) []int {
+	// Exact-size hint: ~1/Pr of the remaining rows live in each grid row;
+	// the +V slack absorbs tile-boundary rounding so growth never reallocs.
+	out := make([]int, 0, (b.N-lo)/b.G.Pr+b.V)
+	first := lo / b.V
+	first += ((gr-first)%b.G.Pr + b.G.Pr) % b.G.Pr // first tile row >= lo/V owned by gr
+	for ti := first; ti*b.V < b.N; ti += b.G.Pr {
+		for r := max(ti*b.V, lo); r < min((ti+1)*b.V, b.N); r++ {
+			out = append(out, r)
+		}
+	}
+	return out
+}

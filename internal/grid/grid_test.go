@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,28 @@ func TestLocalTileRows(t *testing.T) {
 	cols := b.LocalTileCols(0, 0)
 	if len(cols) != 3 || cols[0] != 0 || cols[2] != 4 {
 		t.Fatalf("cols %v", cols)
+	}
+}
+
+// TestRowsInGridRow checks the tile-stepping row lister against the
+// definition (row r belongs to grid row (r/V) mod Pr) at ragged sizes, cut
+// points inside tiles, and grid rows that own nothing past the cut.
+func TestRowsInGridRow(t *testing.T) {
+	for _, tc := range []struct{ n, v, pr int }{{12, 2, 2}, {45, 4, 3}, {33, 16, 2}, {7, 8, 3}, {64, 8, 1}} {
+		b := BlockCyclic{G: Grid{Pr: tc.pr, Pc: 1, Layers: 1, Total: tc.pr}, V: tc.v, N: tc.n}
+		for gr := 0; gr < tc.pr; gr++ {
+			for lo := 0; lo <= tc.n; lo++ {
+				var want []int
+				for r := lo; r < tc.n; r++ {
+					if (r/tc.v)%tc.pr == gr {
+						want = append(want, r)
+					}
+				}
+				if got := b.RowsInGridRow(gr, lo); !slices.Equal(got, want) {
+					t.Fatalf("n=%d v=%d pr=%d gr=%d lo=%d: got %v want %v", tc.n, tc.v, tc.pr, gr, lo, got, want)
+				}
+			}
+		}
 	}
 }
 

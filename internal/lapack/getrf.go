@@ -1,7 +1,8 @@
 // Package lapack provides sequential LAPACK-style factorization kernels:
 // unblocked and blocked LU with partial pivoting, triangular solves, row
 // interchanges, and the local candidate-selection kernel used by tournament
-// pivoting (paper §7.3).
+// pivoting (paper §7.3), with the message form the engines exchange
+// candidate sets in.
 package lapack
 
 import (

@@ -2,6 +2,7 @@ package lapack
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -257,6 +258,37 @@ func TestMergeCandidatesPhantom(t *testing.T) {
 	}
 	if len(win.IDs) != 2 || !win.Rows.Phantom() {
 		t.Fatal("phantom select wrong")
+	}
+}
+
+// TestCandidatesEmptySetAndWire pins the tournament plumbing the engines
+// share: a rank with no rows contributes the empty set, which selection and
+// merging pass through, and the wire form round-trips block and IDs in both
+// payload modes at the metered rows·w + len(IDs) elements.
+func TestCandidatesEmptySetAndWire(t *testing.T) {
+	empty := StackCandidates(nil, nil)
+	if sel, err := SelectCandidates(empty, 3); err != nil || sel.Rows.Rows != 0 {
+		t.Fatalf("empty select: %v rows, err %v", sel.Rows.Rows, err)
+	}
+	full := StackCandidates(mat.Random(2, 3, 1), []int{4, 9})
+	if m := MergeCandidates(empty, full); m.Rows != full.Rows {
+		t.Fatal("empty ⊔ full must be full")
+	}
+	if m := MergeCandidates(full, empty); m.Rows != full.Rows {
+		t.Fatal("full ⊔ empty must be full")
+	}
+	for _, c := range []Candidates{full, {Rows: mat.NewPhantom(2, 3), IDs: []int{4, 9}}, empty} {
+		msg := c.Msg(3)
+		if want := c.Rows.Rows*3 + len(c.IDs); msg.N != want {
+			t.Fatalf("metered %d elements, want %d", msg.N, want)
+		}
+		back := CandidatesFromMsg(msg, 3)
+		if !slices.Equal(back.IDs, c.IDs) || back.Rows.Rows != c.Rows.Rows || back.Rows.Phantom() != c.Rows.Phantom() {
+			t.Fatalf("round trip lost the set: %+v -> %+v", c, back)
+		}
+		if !c.Rows.Phantom() && c.Rows.Rows > 0 && mat.MaxAbsDiff(back.Rows, c.Rows) != 0 {
+			t.Fatal("round trip changed the row block")
+		}
 	}
 }
 

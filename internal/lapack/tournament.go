@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
+	"repro/internal/smpi"
 )
 
 // Candidates is a stack of pivot-candidate rows flowing through a tournament
@@ -15,13 +16,43 @@ type Candidates struct {
 	IDs  []int       // global row index of each stacked row
 }
 
+// StackCandidates wraps a rank's local row stack and its global row IDs for
+// the tournament; a nil stack (the rank holds no candidate rows) is the
+// empty set, which SelectCandidates and MergeCandidates pass through.
+func StackCandidates(stack *mat.Matrix, ids []int) Candidates {
+	if stack == nil {
+		return Candidates{Rows: mat.New(0, 0)}
+	}
+	return Candidates{Rows: stack, IDs: ids}
+}
+
+// Msg encodes the set for a tournament exchange: the row block plus the
+// IDs, metered at rows·w + len(IDs) elements (the paper's "exchange v×v
+// blocks" plus pivot indices, §7.3).
+func (c Candidates) Msg(w int) smpi.Msg {
+	return smpi.Msg{F: c.Rows.Pack(), I: append([]int(nil), c.IDs...), N: c.Rows.Rows*w + len(c.IDs)}
+}
+
+// CandidatesFromMsg decodes a set encoded by Msg at block width w; a
+// message without payload (volume mode) yields a phantom block.
+func CandidatesFromMsg(m smpi.Msg, w int) Candidates {
+	rows := len(m.I)
+	if m.F == nil {
+		return Candidates{Rows: mat.NewPhantom(rows, w), IDs: m.I}
+	}
+	return Candidates{Rows: mat.FromSlice(rows, w, m.F), IDs: m.I}
+}
+
 // SelectCandidates picks the (up to) v best pivot rows from the stack by LU
 // factorization with partial pivoting, mirroring the local step of
 // tournament pivoting (Grigori, Demmel, Xiang — CALU). It returns the
 // winning rows (in tournament order) with their IDs. The input is not
-// modified.
+// modified; the empty set selects itself.
 func SelectCandidates(c Candidates, v int) (Candidates, error) {
 	m := c.Rows.Rows
+	if m == 0 {
+		return c, nil
+	}
 	if len(c.IDs) != m {
 		panic(fmt.Sprintf("lapack: SelectCandidates %d IDs for %d rows", len(c.IDs), m))
 	}
@@ -58,8 +89,15 @@ func SelectCandidates(c Candidates, v int) (Candidates, error) {
 	return Candidates{Rows: out, IDs: ids[:take]}, nil
 }
 
-// MergeCandidates stacks two candidate sets (a tournament "playoff" game).
+// MergeCandidates stacks two candidate sets (a tournament "playoff" game);
+// merging with the empty set returns the other side.
 func MergeCandidates(a, b Candidates) Candidates {
+	if a.Rows.Rows == 0 {
+		return b
+	}
+	if b.Rows.Rows == 0 {
+		return a
+	}
 	if a.Rows.Cols != b.Rows.Cols {
 		panic("lapack: MergeCandidates width mismatch")
 	}

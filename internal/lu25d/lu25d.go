@@ -145,55 +145,6 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	return res, nil
 }
 
-// rowsInGridRow lists global rows >= lo owned by grid row gr, iterating by
-// tile (O(result + tiles/Pr), not O(N)).
-func (e *engine) rowsInGridRow(gr, lo int) []int {
-	// Exact-size hint: ~1/Pr of the remaining rows live in each grid row;
-	// the +V slack absorbs tile-boundary rounding so growth never reallocs.
-	out := make([]int, 0, (e.opt.N-lo)/e.g.Pr+e.opt.V)
-	v := e.opt.V
-	for ti := lo / v; ti*v < e.opt.N; ti++ {
-		if ti%e.g.Pr != gr {
-			continue
-		}
-		start := ti * v
-		if start < lo {
-			start = lo
-		}
-		end := (ti + 1) * v
-		if end > e.opt.N {
-			end = e.opt.N
-		}
-		for r := start; r < end; r++ {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (e *engine) stackColumnRows(t int, rows []int) *mat.Matrix {
-	_, w := e.bc.TileDims(t, t)
-	stack := e.store.NewBuffer(len(rows), w)
-	if e.store.Payload() {
-		for i, r := range rows {
-			ti := r / e.opt.V
-			stack.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-		}
-	}
-	return stack
-}
-
-func (e *engine) unstackColumnRows(t int, rows []int, stack *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	_, w := e.bc.TileDims(t, t)
-	for i, r := range rows {
-		ti := r / e.opt.V
-		e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(stack.View(i, 0, 1, w))
-	}
-}
-
 // reduceColumn sums the trailing rows (>= t·v) of block column t across the
 // replication layers onto the layer-0 owners.
 func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
@@ -201,19 +152,19 @@ func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
 		return nil, nil
 	}
 	e.ac.SetPhase(e.opt.Name + ".reduce-col")
-	rows := e.rowsInGridRow(e.row, t*e.opt.V)
+	rows := e.bc.RowsInGridRow(e.row, t*e.opt.V)
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	stack := e.stackColumnRows(t, rows)
+	stack := e.store.StackColumnRows(t, rows)
 	e.fiber.ReduceMatSum(0, stack)
 	if e.layer == 0 {
-		e.unstackColumnRows(t, rows, stack)
+		e.store.UnstackColumnRows(t, rows, stack)
 		return stack, rows
 	}
 	if e.store.Payload() {
 		_, w := e.bc.TileDims(t, t)
-		e.unstackColumnRows(t, rows, mat.New(len(rows), w))
+		e.store.UnstackColumnRows(t, rows, mat.New(len(rows), w))
 	}
 	return nil, nil
 }
@@ -228,23 +179,19 @@ func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
 	}
 	e.ac.SetPhase(e.opt.Name + ".pivot")
 	_, w := e.bc.TileDims(t, t)
-	local := lapack.Candidates{Rows: mat.New(0, 0)}
-	if stack != nil {
-		local = lapack.Candidates{Rows: stack, IDs: rows}
-	}
-	win, err := sel(local, w)
+	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, rows), w)
 	if err != nil {
 		return err
 	}
-	res := e.tourn.Butterfly(enc(win, w), func(mine, theirs smpi.Msg) smpi.Msg {
-		m := merge(dec(mine, w), dec(theirs, w))
-		nxt, err := sel(m, w)
+	res := e.tourn.Butterfly(win.Msg(w), func(mine, theirs smpi.Msg) smpi.Msg {
+		m := lapack.MergeCandidates(lapack.CandidatesFromMsg(mine, w), lapack.CandidatesFromMsg(theirs, w))
+		nxt, err := lapack.SelectCandidates(m, w)
 		if err != nil {
-			panic(err)
+			panic(err) // converted to a run error by the runtime
 		}
-		return enc(nxt, w)
+		return nxt.Msg(w)
 	})
-	winners := dec(res, w)
+	winners := lapack.CandidatesFromMsg(res, w)
 	if len(winners.IDs) < w {
 		return fmt.Errorf("lu25d: only %d rows available for a %d-wide panel", len(winners.IDs), w)
 	}
@@ -267,36 +214,4 @@ func (e *engine) broadcastA00(t int) {
 	e.pivIDs = e.ac.BcastInts(root, e.pivIDs)
 	// The factored A00 is written into the diagonal tile AFTER the swaps
 	// bring the pivot rows into place (see applySwaps).
-}
-
-func sel(c lapack.Candidates, w int) (lapack.Candidates, error) {
-	if c.Rows.Rows == 0 {
-		return c, nil
-	}
-	return lapack.SelectCandidates(c, w)
-}
-
-func merge(a, b lapack.Candidates) lapack.Candidates {
-	if a.Rows.Rows == 0 {
-		return b
-	}
-	if b.Rows.Rows == 0 {
-		return a
-	}
-	return lapack.MergeCandidates(a, b)
-}
-
-func enc(c lapack.Candidates, w int) smpi.Msg {
-	return smpi.Msg{F: c.Rows.Pack(), I: append([]int(nil), c.IDs...), N: c.Rows.Rows*w + len(c.IDs)}
-}
-
-func dec(m smpi.Msg, w int) lapack.Candidates {
-	rows := len(m.I)
-	var block *mat.Matrix
-	if m.F != nil {
-		block = mat.FromSlice(rows, w, m.F)
-	} else {
-		block = mat.NewPhantom(rows, w)
-	}
-	return lapack.Candidates{Rows: block, IDs: m.I}
 }

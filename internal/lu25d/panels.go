@@ -2,6 +2,7 @@ package lu25d
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/mat"
@@ -140,7 +141,7 @@ func (e *engine) factorizeA10(t int) {
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
 	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.rowsBelow(gr, lo)
+		grRows := e.bc.RowsInGridRow(gr, lo)
 		owner := e.g.Rank(gr, ownerCol, 0)
 		members := []int{owner}
 		for y := 0; y < e.g.Pc; y++ {
@@ -148,7 +149,7 @@ func (e *engine) factorizeA10(t int) {
 				members = append(members, r)
 			}
 		}
-		if !memberOf(members, e.world.Rank()) {
+		if !slices.Contains(members, e.world.Rank()) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
@@ -175,17 +176,6 @@ func (e *engine) factorizeA10(t int) {
 			e.a10, e.a10Lo = buf, lo
 		}
 	}
-}
-
-func (e *engine) rowsBelow(gr, lo int) []int { return e.rowsInGridRow(gr, lo) }
-
-func memberOf(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // factorizeA01 reduces the (now contiguous, tile row t) pivot rows across
@@ -234,7 +224,7 @@ func (e *engine) factorizeA01(t int) {
 			members = append(members, r)
 		}
 	}
-	if !memberOf(members, e.world.Rank()) {
+	if !slices.Contains(members, e.world.Rank()) {
 		return
 	}
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
@@ -260,7 +250,7 @@ func (e *engine) update(t int) {
 	}
 	w := len(e.pivIDs)
 	cl := e.colsFrom(t + 1)
-	rows := e.rowsBelow(e.row, e.a10Lo)
+	rows := e.bc.RowsInGridRow(e.row, e.a10Lo)
 	idx := make(map[int]int, len(rows))
 	for i, r := range rows {
 		idx[r] = i

@@ -50,10 +50,9 @@ func (j Job) Valid() bool { return j == "" || j == JobVolume || j == JobSolve }
 //
 //   - key fields determine simulation outputs (the canonical tuple);
 //   - excluded fields are pinned by the parity suites to change nothing
-//     observable (Executor: DESIGN.md §11; Workers: §12; KernelWorkers:
-//     §15 — numeric factors are bit-identical at every kernel width) or
-//     bound only wall-clock execution (Timeout), so keying on them would
-//     fragment the cache into byte-identical copies.
+//     observable (Executor: DESIGN.md §11; Workers: §12) or bound only
+//     wall-clock execution (Timeout), so keying on them would fragment
+//     the cache into byte-identical copies.
 var (
 	KeyFields = []string{
 		"Ranks", "Memory", "Algorithm", "Machine.Alpha", "Machine.Beta",
@@ -70,7 +69,7 @@ var (
 		"Topology.Global.Alpha", "Topology.Global.Beta",
 		"Topology.Contention", "Faults",
 	}
-	ExcludedFields = []string{"Timeout", "Executor", "Workers", "KernelWorkers"}
+	ExcludedFields = []string{"Timeout", "Executor", "Workers"}
 )
 
 // Request is one canonical planner evaluation: a single (engine, problem,

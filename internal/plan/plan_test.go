@@ -79,11 +79,10 @@ func baseConfig() conflux.Config {
 			Global:     conflux.Machine{Alpha: 2.7e-6, Beta: 2e-10},
 			Contention: 1,
 		},
-		Faults:        "L0:1:0x1p+03,S3:0x1p+01",
-		Timeout:       time.Minute,
-		Executor:      "auto",
-		Workers:       1,
-		KernelWorkers: 1,
+		Faults:   "L0:1:0x1p+03,S3:0x1p+01",
+		Timeout:  time.Minute,
+		Executor: "goroutines",
+		Workers:  1,
 	}
 }
 

@@ -3,12 +3,13 @@
 // earliest ready ranks when workers > 1 (see DESIGN.md §11–§12).
 //
 // The goroutine executor gives every rank a live goroutine parked on a
-// mailbox condvar; at P = 1024 that is a thousand stacks and a kernel-level
-// scheduler handoff per matched receive, and beyond-paper scales
-// (P ≥ 4096) thrash. The event executor keeps the rank bodies exactly as
+// mailbox condvar. The event executor keeps the rank bodies exactly as
 // written — ordinary imperative RankFuncs — but turns the goroutines into
 // coroutines: a baton-passing discipline guarantees at most `workers` ranks
-// execute at any instant, and control moves by explicit yields.
+// execute at any instant, and control moves by explicit yields. It is not
+// the default: every recorded replay, up to P = 4096, runs faster on
+// goroutines (EXPERIMENTS.md, "Executors"); it stays as the second,
+// independently scheduled implementation the parity suites compare against.
 //
 //   - A rank runs until its Recv blocks on an empty queue. It then yields:
 //     it registers the key it awaits on its mailbox, sends evBlocked to the

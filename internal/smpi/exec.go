@@ -11,63 +11,52 @@ import (
 	"repro/internal/trace"
 )
 
+// ErrCanceled is the sentinel wrapped by every run that was interrupted by
+// its context (cancellation or deadline). Callers test for it with
+// errors.Is; the returned error additionally wraps the context's cause, so
+// errors.Is(err, context.Canceled) / context.DeadlineExceeded also work.
+var ErrCanceled = errors.New("smpi: run canceled")
+
+// RankFunc is the body executed by every rank of a simulated run.
+type RankFunc func(c *Comm) error
+
 // Executor selects how a run schedules its ranks. Both executors produce
-// byte-identical volume reports and bit-identical simulated clocks — the
-// results are pure functions of per-rank program order plus FIFO message
-// matching, independent of scheduling — so the choice is purely a
-// performance/scale tradeoff.
+// byte-identical volume reports and bit-identical simulated clocks (the
+// determinism argument is DESIGN.md §1), so the choice affects host time
+// and memory only. The zero value means ExecGoroutines, the faster of the
+// two on every recorded point (EXPERIMENTS.md, "Executors").
 type Executor string
 
 const (
-	// ExecAuto picks per run: events for volume-mode (phantom) worlds,
-	// goroutines for numeric ones. Volume replays are pure metering
-	// bookkeeping, so the single-threaded event loop wins by eliminating
-	// P stacks and a condvar handoff per matched receive; numeric runs do
-	// real arithmetic per rank, which the goroutine executor spreads
-	// across cores.
-	ExecAuto Executor = "auto"
 	// ExecGoroutines runs one live goroutine per rank, parked on mailbox
 	// condvars when blocked — the classic CSP execution.
 	ExecGoroutines Executor = "goroutines"
 	// ExecEvents runs the discrete-event scheduler (see events.go): ranks
-	// are coroutines yielding to a clock-ordered event loop, at most one
-	// executing at a time.
+	// are coroutines yielding to a clock-ordered event loop, at most
+	// Config.Workers executing at a time.
 	ExecEvents Executor = "events"
 )
 
 // ErrUnknownExecutor is wrapped by Exec (and ResolveExecutor) when the
-// configured executor names neither a concrete executor nor auto.
+// configured executor is neither empty nor a concrete executor's name.
 var ErrUnknownExecutor = errors.New("smpi: unknown executor")
 
-// Valid reports whether e names a concrete executor or auto (the empty
-// string counts as auto).
-func (e Executor) Valid() bool {
+// ResolveExecutor maps an executor choice to a concrete executor: the empty
+// string means ExecGoroutines, anything but a concrete name is an error.
+func ResolveExecutor(e Executor) (Executor, error) {
 	switch e {
-	case "", ExecAuto, ExecGoroutines, ExecEvents:
-		return true
-	}
-	return false
-}
-
-// ResolveExecutor maps an executor choice to a concrete executor for a run
-// with the given payload mode. The empty string means auto.
-func ResolveExecutor(e Executor, payload bool) (Executor, error) {
-	switch e {
-	case "", ExecAuto:
-		if payload {
-			return ExecGoroutines, nil
-		}
-		return ExecEvents, nil
-	case ExecGoroutines, ExecEvents:
+	case "", ExecGoroutines:
+		return ExecGoroutines, nil
+	case ExecEvents:
 		return e, nil
 	}
-	return "", fmt.Errorf("%w: %q (want %q, %q, or %q)",
-		ErrUnknownExecutor, string(e), ExecAuto, ExecGoroutines, ExecEvents)
+	return "", fmt.Errorf("%w: %q (want %q or %q)",
+		ErrUnknownExecutor, string(e), ExecGoroutines, ExecEvents)
 }
 
 // Config describes one simulated run for Exec. The zero value is not
 // runnable (P must be positive unless World is set); every other field has
-// a useful zero: volume mode, default α-β machine, auto executor, no
+// a useful zero: volume mode, default α-β machine, goroutine executor, no
 // deadline.
 type Config struct {
 	// P is the world size. Ignored when World is set.
@@ -87,8 +76,7 @@ type Config struct {
 	// applies to caller-supplied Worlds too — the one Config field World
 	// does not override — so fault-scenario worlds compose with it.
 	Topology trace.Topology
-	// Executor picks the scheduling strategy; zero/auto resolves by
-	// payload mode (see ExecAuto).
+	// Executor picks the scheduling strategy; zero means ExecGoroutines.
 	Executor Executor
 	// Workers, for the event executor, is the concurrent-window width:
 	// how many of the earliest ready ranks run simultaneously between
@@ -110,8 +98,7 @@ type Config struct {
 
 // Exec is the single entrypoint of the runtime: it executes fn on every
 // rank of the configured world and returns the run's trace report (volume +
-// simulated time, stamped with the resolved executor). The eight historical
-// Run* variants are thin wrappers over it.
+// simulated time, stamped with the resolved executor).
 //
 // Error contract: the first rank error — or panic, converted — wins, with
 // secondary ErrAborted unwinds filtered out. When ctx is canceled (or the
@@ -133,7 +120,7 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	if cfg.Topology != nil {
 		w.Trace.SetTopology(cfg.Topology)
 	}
-	ex, err := ResolveExecutor(cfg.Executor, w.Payload)
+	ex, err := ResolveExecutor(cfg.Executor)
 	if err != nil {
 		return nil, err
 	}
@@ -204,6 +191,16 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 		return rep, canceledErr(ctx)
 	}
 	return rep, runErr
+}
+
+func canceledErr(ctx context.Context) error {
+	cause := context.Cause(ctx)
+	if err := ctx.Err(); !errors.Is(cause, err) {
+		// A custom cause (e.g. a timeout explanation) replaces ctx.Err()
+		// in the chain; keep both so errors.Is works against either.
+		return fmt.Errorf("%w: %w (%w)", ErrCanceled, cause, err)
+	}
+	return fmt.Errorf("%w: %w", ErrCanceled, cause)
 }
 
 // runGoroutines is the classic executor: one goroutine per rank, with rank

@@ -16,26 +16,21 @@ import (
 )
 
 func TestResolveExecutor(t *testing.T) {
-	cases := []struct {
-		in      Executor
-		payload bool
-		want    Executor
-	}{
-		{"", false, ExecEvents},
-		{"", true, ExecGoroutines},
-		{ExecAuto, false, ExecEvents},
-		{ExecAuto, true, ExecGoroutines},
-		{ExecEvents, true, ExecEvents},
-		{ExecGoroutines, false, ExecGoroutines},
+	cases := []struct{ in, want Executor }{
+		{"", ExecGoroutines},
+		{ExecGoroutines, ExecGoroutines},
+		{ExecEvents, ExecEvents},
 	}
 	for _, c := range cases {
-		got, err := ResolveExecutor(c.in, c.payload)
+		got, err := ResolveExecutor(c.in)
 		if err != nil || got != c.want {
-			t.Fatalf("ResolveExecutor(%q, %v) = %q, %v; want %q", c.in, c.payload, got, err, c.want)
+			t.Fatalf("ResolveExecutor(%q) = %q, %v; want %q", c.in, got, err, c.want)
 		}
 	}
-	if _, err := ResolveExecutor("fibers", false); !errors.Is(err, ErrUnknownExecutor) {
-		t.Fatalf("bad name: got %v, want ErrUnknownExecutor", err)
+	for _, bad := range []Executor{"fibers", "auto"} {
+		if _, err := ResolveExecutor(bad); !errors.Is(err, ErrUnknownExecutor) {
+			t.Fatalf("ResolveExecutor(%q): got %v, want ErrUnknownExecutor", bad, err)
+		}
 	}
 }
 
@@ -222,8 +217,7 @@ func TestAbortReclaimsPooledWireBuffers(t *testing.T) {
 	}
 }
 
-// TestCancelReclaimsPools covers the RunContextWorld-style cancellation
-// path: a canceled run must unwind blocked ranks promptly and sweep the
+// TestCancelReclaimsPools covers the cancellation path: a canceled run must unwind blocked ranks promptly and sweep the
 // stranded pooled payloads, under both executors, serial and concurrent.
 func TestCancelReclaimsPools(t *testing.T) {
 	for _, cfg := range abortConfigs() {
@@ -423,8 +417,5 @@ func TestExecWorldOverridesScalars(t *testing.T) {
 	}
 	if rep.P != 3 {
 		t.Fatalf("report P = %d, want 3", rep.P)
-	}
-	if rep.Executor != string(ExecEvents) {
-		t.Fatalf("volume-mode auto resolved to %q, want events", rep.Executor)
 	}
 }

@@ -1,6 +1,7 @@
 package smpi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func TestMailboxSteadyStateMapSize(t *testing.T) {
 	const p, rounds = 4, 2000
 	w := NewWorld(p, false)
-	_, err := RunWorld(w, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
 		me := c.Rank()
 		next, prev := (me+1)%p, (me-1+p)%p
 		for r := 0; r < rounds; r++ {
@@ -56,7 +57,7 @@ func TestMailboxSteadyStateMapSize(t *testing.T) {
 // when the world aborts.
 func TestMailboxAbortReclaimsWaiterQueue(t *testing.T) {
 	w := NewWorld(2, false)
-	_, err := RunWorld(w, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return fmt.Errorf("rank 0 fails") // aborts the world
 		}

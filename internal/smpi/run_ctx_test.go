@@ -9,17 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRunContextCancelInterruptsBlockedRanks proves cancellation is prompt:
+// TestExecCancelInterruptsBlockedRanks proves cancellation is prompt:
 // ranks locked in an endless ping-pong (a run that never completes on its
 // own) unwind as soon as the context fires.
-func TestRunContextCancelInterruptsBlockedRanks(t *testing.T) {
+func TestExecCancelInterruptsBlockedRanks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	_, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		for {
 			if c.Rank() == 0 {
@@ -42,12 +42,12 @@ func TestRunContextCancelInterruptsBlockedRanks(t *testing.T) {
 	}
 }
 
-// TestRunContextPreCanceled: a context already done never starts the run.
-func TestRunContextPreCanceled(t *testing.T) {
+// TestExecPreCanceled: a context already done never starts the run.
+func TestExecPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	_, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		ran = true
 		return nil
 	})
@@ -59,12 +59,12 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestRunContextCompletedRunWins: a run that finishes is a success even if
+// TestExecCompletedRunWins: a run that finishes is a success even if
 // the context is canceled immediately afterwards.
-func TestRunContextCompletedRunWins(t *testing.T) {
+func TestExecCompletedRunWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rep, err := RunContext(ctx, 2, false, func(c *Comm) error {
+	rep, err := Exec(ctx, Config{P: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, Msg{N: 8})
 		} else {
@@ -80,10 +80,10 @@ func TestRunContextCompletedRunWins(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutDeadlineSurfacesAsCanceled: the timeout runner now aborts
+// TestExecTimeoutSurfacesAsCanceled: Config.Timeout aborts
 // the world (no leaked goroutines) and reports through the same sentinel.
-func TestRunTimeoutDeadlineSurfacesAsCanceled(t *testing.T) {
-	_, err := RunTimeout(2, false, 20*time.Millisecond, func(c *Comm) error {
+func TestExecTimeoutSurfacesAsCanceled(t *testing.T) {
+	_, err := Exec(context.Background(), Config{P: 2, Timeout: 20 * time.Millisecond}, func(c *Comm) error {
 		c.Recv(1-c.Rank(), 1) // both ranks wait forever: schedule deadlock
 		return nil
 	})

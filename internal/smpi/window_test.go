@@ -1,6 +1,7 @@
 package smpi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestWindowLocalAccessNotMetered(t *testing.T) {
 }
 
 func TestWindowDuplicateIDPanics(t *testing.T) {
-	_, err := Run(1, true, func(c *Comm) error {
+	_, err := Exec(context.Background(), Config{P: 1, Payload: true}, func(c *Comm) error {
 		NewWindow(c, 5, mat.New(1, 1))
 		NewWindow(c, 5, mat.New(1, 1)) // same id, same rank: panic
 		return nil

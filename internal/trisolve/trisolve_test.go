@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func combinedLU(n int, seed uint64) *mat.Matrix {
 func runSolve(t *testing.T, p int, lu, b *mat.Matrix, opt Options) (*mat.Matrix, *trace.Report, error) {
 	t.Helper()
 	var x *mat.Matrix
-	rep, err := smpi.RunTimeout(p, lu != nil, testTimeout, func(c *smpi.Comm) error {
+	rep, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: lu != nil, Timeout: testTimeout}, func(c *smpi.Comm) error {
 		var l, rhs *mat.Matrix
 		if c.Rank() == 0 {
 			l, rhs = lu, b

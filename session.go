@@ -3,7 +3,7 @@ package conflux
 import (
 	"context"
 	"fmt"
-	"maps"
+	"math"
 	"sync"
 	"time"
 
@@ -20,7 +20,7 @@ import (
 	_ "repro/internal/engine/all"
 )
 
-// Session is the v2 entry point: a handle on one simulated machine
+// Session is the entry point: a handle on one simulated machine
 // configuration — the P-rank world size, the α-β Machine, the selected
 // engine, and the solve-phase geometry — that runs any number of jobs
 // (factorizations, solves, volume replays) and accumulates their trace
@@ -59,39 +59,27 @@ type SessionStats struct {
 	Bytes int64
 	// SimTime is the sum of the simulated α-β makespans, in seconds.
 	SimTime float64
-	// Executor is the resolved executor ("goroutines" or "events") of the
-	// most recent completed run. Under the default "auto" selection it
-	// varies by job kind — numeric jobs (Factorize, Solve) run on
-	// goroutines, volume replays on the event loop — so it reports what
-	// actually ran, not the configured choice. Under concurrent
-	// mixed-executor use "most recent" means completion order (the field
-	// is last-writer-wins, though always a value some run actually
-	// resolved to); RunsByExecutor is the order-independent view.
+	// Executor is the executor ("goroutines" or "events") the session's
+	// runs execute on; empty until the first run completes.
 	Executor string
-	// RunsByExecutor counts completed runs per resolved executor. Unlike
-	// Executor it is stable under concurrent mixed-executor runs: the
-	// per-executor counts always sum to Runs, whatever order the runs
-	// completed in.
-	RunsByExecutor map[string]int
 }
 
 // sessionConfig is the resolved, immutable configuration of a Session.
 type sessionConfig struct {
-	ranks         int
-	memory        float64 // 0: paper's max-replication default, per n
-	algorithm     Algorithm
-	machine       Machine
-	machineSet    bool
-	solveRanks    int // 0: ranks
-	rhs           int
-	refineSweeps  int
-	nb            int
-	timeout       time.Duration
-	executor      smpi.Executor // "" = auto
-	workers       int           // 0 = 1: serial event schedule
-	kernelWorkers int           // 0 = 1: serial level-3 kernels
-	topology      topo.Spec     // zero = plain machine path
-	faults        topo.FaultPlan
+	ranks        int
+	memory       float64 // 0: paper's max-replication default, per n
+	algorithm    Algorithm
+	machine      Machine
+	machineSet   bool
+	solveRanks   int // 0: ranks
+	rhs          int
+	refineSweeps int
+	nb           int
+	timeout      time.Duration
+	executor     smpi.Executor
+	workers      int       // 0 = 1: serial event schedule
+	topology     topo.Spec // zero = plain machine path
+	faults       topo.FaultPlan
 }
 
 func defaultSessionConfig() sessionConfig {
@@ -100,6 +88,7 @@ func defaultSessionConfig() sessionConfig {
 		algorithm: COnfLUX,
 		rhs:       1,
 		timeout:   10 * time.Minute,
+		executor:  smpi.ExecGoroutines,
 	}
 }
 
@@ -117,15 +106,18 @@ func WithRanks(p int) Option {
 	}
 }
 
+// finiteNonNeg is the range check on float options; NaN fails it, which a
+// plain `v < 0` guard would let through.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // WithMemory sets the per-rank fast memory M in elements. WithMemory(0)
 // selects the paper's maximum-replication default M = N²/P^(2/3), resolved
-// per job from its matrix dimension; a negative m is rejected like every
-// other out-of-range option value (it used to be silently coerced to the
-// default, hiding sign bugs in callers).
+// per job from its matrix dimension; a negative or non-finite m is rejected
+// like every other out-of-range option value.
 func WithMemory(m float64) Option {
 	return func(c *sessionConfig) error {
-		if m < 0 {
-			return fmt.Errorf("conflux: WithMemory requires m >= 0 (0 selects the paper default), got %v", m)
+		if !finiteNonNeg(m) {
+			return fmt.Errorf("conflux: WithMemory requires finite m >= 0 (0 selects the paper default), got %v", m)
 		}
 		c.memory = m
 		return nil
@@ -144,9 +136,13 @@ func WithAlgorithm(a Algorithm) Option {
 
 // WithMachine sets the α-β machine parameters exactly as given — including
 // the all-free zero Machine, which WithFreeMachine names explicitly. The
-// default (option absent) is DefaultMachine().
+// default (option absent) is DefaultMachine(). A negative or non-finite α or
+// β is rejected: no report computed under one means anything.
 func WithMachine(m Machine) Option {
 	return func(c *sessionConfig) error {
+		if !finiteNonNeg(m.Alpha) || !finiteNonNeg(m.Beta) {
+			return fmt.Errorf("conflux: WithMachine requires finite alpha, beta >= 0, got %+v", m)
+		}
 		c.machine = m
 		c.machineSet = true
 		return nil
@@ -154,8 +150,7 @@ func WithMachine(m Machine) Option {
 }
 
 // WithFreeMachine selects the all-free machine (α = 0, β = 0): traffic is
-// metered but simulated time stays zero. This is the configuration the
-// zero-value wart of the v1 Options.Machine field could not express.
+// metered but simulated time stays zero.
 func WithFreeMachine() Option { return WithMachine(Machine{}) }
 
 // WithSolveRanks sets the number of simulated ranks the distributed
@@ -210,20 +205,18 @@ func WithBlockSize(nb int) Option {
 }
 
 // WithExecutor selects how simulations schedule their ranks: "goroutines"
-// (one live goroutine per rank), "events" (the discrete-event loop — ranks
-// are coroutines driven by a clock-ordered scheduler, which is what makes
-// beyond-paper scales like P = 4096 tractable), or "auto" (the default:
-// events for volume replays, goroutines for numeric runs). Both executors
-// produce byte-identical volume and bit-identical simulated time; see
-// DESIGN.md §11. An unknown name fails New with ErrUnknownExecutor. The
-// resolved choice of each run is reported in Stats().Executor,
+// (the default: one live goroutine per rank) or "events" (the discrete-event
+// loop — ranks are coroutines driven by a clock-ordered scheduler). Both
+// executors produce byte-identical volume and bit-identical simulated time
+// (DESIGN.md §1); goroutines is the faster on every recorded point
+// (EXPERIMENTS.md, "Executors"). An unknown name fails New with
+// ErrUnknownExecutor. The choice is stamped on Stats().Executor,
 // Result.Executor, and VolumeReport.Executor.
 func WithExecutor(name string) Option {
 	return func(c *sessionConfig) error {
-		e := smpi.Executor(name)
-		if !e.Valid() {
-			return fmt.Errorf("%w: %q (want %q, %q, or %q)",
-				ErrUnknownExecutor, name, smpi.ExecAuto, smpi.ExecGoroutines, smpi.ExecEvents)
+		e, err := smpi.ResolveExecutor(smpi.Executor(name))
+		if err != nil {
+			return publicErr(err)
 		}
 		c.executor = e
 		return nil
@@ -244,26 +237,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("conflux: WithWorkers requires n >= 1, got %d", n)
 		}
 		c.workers = n
-		return nil
-	}
-}
-
-// WithKernelWorkers sets the number of goroutines the local level-3
-// kernels (blocked GEMM/TRSM, internal/blas) may use for their outer loop
-// over C row-blocks during numeric runs (default 1: serial). Like
-// WithWorkers, the knob is pinned to change nothing observable: every C
-// element is owned by exactly one goroutine and accumulated in a fixed
-// k-order, so numeric factors are bit-identical at every width (DESIGN.md
-// §15) and the option is excluded from result cache keys. The setting is
-// process-wide while the session's runs execute — kernels have no
-// per-call context — so concurrent sessions with different widths race
-// harmlessly: either width computes the same bits.
-func WithKernelWorkers(n int) Option {
-	return func(c *sessionConfig) error {
-		if n < 1 {
-			return fmt.Errorf("conflux: WithKernelWorkers requires n >= 1, got %d", n)
-		}
-		c.kernelWorkers = n
 		return nil
 	}
 }
@@ -320,20 +293,16 @@ func (s *Session) Ranks() int { return s.cfg.ranks }
 func (s *Session) Machine() Machine { return s.cfg.machine }
 
 // Stats returns the accumulated trace totals of every simulation this
-// session has completed so far. The returned value is a snapshot: the
-// RunsByExecutor map is copied, so it never aliases the session's live
-// accounting.
+// session has completed so far.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.RunsByExecutor = maps.Clone(s.stats.RunsByExecutor)
-	return st
+	return s.stats
 }
 
 // Config is the resolved, immutable configuration of a Session — the full
 // canonical parameter tuple. Every simulation output (volume, simulated
-// time, factors) is a pure function of the tuple's first nine fields; the
+// time, factors) is a pure function of the tuple's first ten fields; the
 // last three (Timeout, Executor, Workers) are pinned by the parity suites
 // to change nothing observable, which is what makes results cacheable by
 // key: internal/plan derives its deterministic cache keys from exactly
@@ -375,8 +344,8 @@ type Config struct {
 	// Timeout is the session safety timeout. It bounds wall-clock
 	// execution only and cannot change a completed run's outputs.
 	Timeout time.Duration
-	// Executor is the configured scheduling strategy ("auto",
-	// "goroutines", or "events"). Reports are pinned byte/bit-identical
+	// Executor is the configured scheduling strategy ("goroutines" or
+	// "events"). Reports are pinned byte/bit-identical
 	// across executors (DESIGN.md §11), so it must never enter a result
 	// cache key.
 	Executor string
@@ -384,10 +353,6 @@ type Config struct {
 	// minimum 1). Reports are bit-identical at every width (DESIGN.md
 	// §12), so like Executor it is cache-key-irrelevant.
 	Workers int
-	// KernelWorkers is the local level-3 kernels' goroutine count
-	// (resolved; minimum 1). Numeric factors are bit-identical at every
-	// width (DESIGN.md §15), so like Workers it is cache-key-irrelevant.
-	KernelWorkers int
 }
 
 // Config returns the session's resolved configuration — the canonical
@@ -397,29 +362,20 @@ func (s *Session) Config() Config {
 	if workers < 1 {
 		workers = 1
 	}
-	kworkers := s.cfg.kernelWorkers
-	if kworkers < 1 {
-		kworkers = 1
-	}
-	exec := string(s.cfg.executor)
-	if exec == "" {
-		exec = string(smpi.ExecAuto)
-	}
 	return Config{
-		Ranks:         s.cfg.ranks,
-		Memory:        s.cfg.memory,
-		Algorithm:     s.cfg.algorithm,
-		Machine:       s.cfg.machine,
-		SolveRanks:    s.cfg.solveRanks,
-		RHS:           s.cfg.rhs,
-		RefineSweeps:  s.cfg.refineSweeps,
-		BlockSize:     s.cfg.nb,
-		Topology:      s.cfg.topology,
-		Faults:        s.cfg.faults.Canonical(),
-		Timeout:       s.cfg.timeout,
-		Executor:      exec,
-		Workers:       workers,
-		KernelWorkers: kworkers,
+		Ranks:        s.cfg.ranks,
+		Memory:       s.cfg.memory,
+		Algorithm:    s.cfg.algorithm,
+		Machine:      s.cfg.machine,
+		SolveRanks:   s.cfg.solveRanks,
+		RHS:          s.cfg.rhs,
+		RefineSweeps: s.cfg.refineSweeps,
+		BlockSize:    s.cfg.nb,
+		Topology:     s.cfg.topology,
+		Faults:       s.cfg.faults.Canonical(),
+		Timeout:      s.cfg.timeout,
+		Executor:     string(s.cfg.executor),
+		Workers:      workers,
 	}
 }
 
@@ -441,12 +397,6 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.timeout,
 			fmt.Errorf("conflux: simulation exceeded the session safety timeout %v", s.cfg.timeout))
 		defer cancel()
-	}
-	// The kernel worker count is process-wide (see WithKernelWorkers):
-	// re-asserted at the start of every configured run so the session's
-	// numeric kernels execute at the configured width.
-	if s.cfg.kernelWorkers > 0 {
-		blas.SetKernelWorkers(s.cfg.kernelWorkers)
 	}
 	// The topology is built per run: fault plans and fat-tree heights are
 	// sized to the world actually simulated (which can exceed Ranks when
@@ -476,10 +426,6 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 	s.stats.Bytes += rep.TotalBytes()
 	s.stats.SimTime += rep.Time.Makespan
 	s.stats.Executor = rep.Executor
-	if s.stats.RunsByExecutor == nil {
-		s.stats.RunsByExecutor = make(map[string]int, 2)
-	}
-	s.stats.RunsByExecutor[rep.Executor]++
 	s.mu.Unlock()
 	return rep, nil
 }

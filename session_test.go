@@ -3,6 +3,7 @@ package conflux
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,82 +11,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/testutil"
 )
-
-// TestV1V2ParityAllEngines is the acceptance pin of the API redesign: for
-// every LU engine, the deprecated v1 free functions must produce
-// byte-identical VolumeReport totals and bit-identical simulated makespans
-// to the v2 Session path, numeric and volume mode both.
-func TestV1V2ParityAllEngines(t *testing.T) {
-	n, p := 96, 8
-	a := mat.Random(n, n, 41)
-	for _, algo := range []Algorithm{COnfLUX, CANDMC, LibSci, SLATE} {
-		v1, err := Factorize(a, Options{Ranks: p, Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%s v1: %v", algo, err)
-		}
-		s, err := New(WithRanks(p), WithAlgorithm(algo))
-		if err != nil {
-			t.Fatalf("%s New: %v", algo, err)
-		}
-		v2, err := s.Factorize(t.Context(), a)
-		if err != nil {
-			t.Fatalf("%s v2: %v", algo, err)
-		}
-		if v1.Volume.TotalBytes() != v2.Volume.TotalBytes() {
-			t.Fatalf("%s: v1 %d bytes != v2 %d bytes", algo, v1.Volume.TotalBytes(), v2.Volume.TotalBytes())
-		}
-		if AlgorithmBytes(v1.Volume) != AlgorithmBytes(v2.Volume) {
-			t.Fatalf("%s: algorithm bytes differ", algo)
-		}
-		if v1.Time != v2.Time || v1.CommTime != v2.CommTime {
-			t.Fatalf("%s: makespan v1 %v/%v != v2 %v/%v", algo, v1.Time, v1.CommTime, v2.Time, v2.CommTime)
-		}
-
-		vol1, err := CommVolume(algo, n, p, 0)
-		if err != nil {
-			t.Fatalf("%s v1 volume: %v", algo, err)
-		}
-		vol2, err := s.CommVolume(t.Context(), n)
-		if err != nil {
-			t.Fatalf("%s v2 volume: %v", algo, err)
-		}
-		if vol1.TotalBytes() != vol2.TotalBytes() || vol1.Time.Makespan != vol2.Time.Makespan {
-			t.Fatalf("%s: volume replay diverged: %d/%v vs %d/%v", algo,
-				vol1.TotalBytes(), vol1.Time.Makespan, vol2.TotalBytes(), vol2.Time.Makespan)
-		}
-	}
-}
-
-// TestV1V2ParitySolve extends the parity pin through the solve path: same
-// solutions, same solve-phase accounting.
-func TestV1V2ParitySolve(t *testing.T) {
-	n, nrhs := 64, 3
-	a := mat.Random(n, n, 43)
-	b := mat.Random(n, nrhs, 44)
-	x1, r1, err := SolveMany(a, b, Options{Ranks: 5, SolveRanks: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(WithRanks(5), WithSolveRanks(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, r2, err := s.SolveMany(t.Context(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < nrhs; j++ {
-			if x1.At(i, j) != x2.At(i, j) {
-				t.Fatalf("x[%d,%d]: %v vs %v", i, j, x1.At(i, j), x2.At(i, j))
-			}
-		}
-	}
-	if r1.SolveBytes != r2.SolveBytes || r1.SolveTime != r2.SolveTime {
-		t.Fatalf("solve accounting diverged: %d/%v vs %d/%v",
-			r1.SolveBytes, r1.SolveTime, r2.SolveBytes, r2.SolveTime)
-	}
-}
 
 // TestSessionCancellation proves an in-flight simulation is interrupted:
 // the volume replay below runs for several seconds uncanceled, but returns
@@ -138,11 +63,6 @@ func TestNewUnknownAlgorithm(t *testing.T) {
 	if err == nil || !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
 	}
-	// The v1 wrapper path reports the same sentinel.
-	_, err = Factorize(RandomMatrix(16, 1), Options{Algorithm: "HPL"})
-	if !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("v1 err = %v, want ErrUnknownAlgorithm", err)
-	}
 }
 
 func TestNewRejectsBadOptions(t *testing.T) {
@@ -153,6 +73,11 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		"refine":     WithRefineSweeps(-2),
 		"timeout":    WithTimeout(-time.Second),
 		"blocksize":  WithBlockSize(-1),
+		"alphaNaN":   WithMachine(Machine{Alpha: math.NaN(), Beta: 1e-10}),
+		"betaInf":    WithMachine(Machine{Alpha: 1e-6, Beta: math.Inf(1)}),
+		"betaNeg":    WithMachine(Machine{Alpha: 1e-6, Beta: -1e-10}),
+		"memoryNaN":  WithMemory(math.NaN()),
+		"memoryInf":  WithMemory(math.Inf(1)),
 	} {
 		if _, err := New(opt); err == nil {
 			t.Fatalf("%s: invalid option accepted", name)
@@ -177,10 +102,6 @@ func TestShapeErrorsTyped(t *testing.T) {
 	if _, err := s.CommVolume(t.Context(), 0); !errors.Is(err, ErrShape) {
 		t.Fatalf("CommVolume: %v", err)
 	}
-	// v1 wrappers wrap the same sentinel.
-	if _, err := Factorize(NewMatrix(3, 4), Options{}); !errors.Is(err, ErrShape) {
-		t.Fatalf("v1 Factorize: %v", err)
-	}
 }
 
 // TestSingularTyped: both solve paths (sequential fallback and the
@@ -195,7 +116,7 @@ func TestSingularTyped(t *testing.T) {
 	}
 	lu.Set(5, 5, 0)
 	hand := &Result{LU: lu, Perm: perm}
-	if _, err := hand.SolveFactored(make([]float64, n)); !errors.Is(err, ErrSingular) {
+	if _, err := hand.SolveFactoredContext(t.Context(), make([]float64, n)); !errors.Is(err, ErrSingular) {
 		t.Fatalf("sequential path: %v", err)
 	}
 
@@ -214,8 +135,8 @@ func TestSingularTyped(t *testing.T) {
 }
 
 // TestWithFreeMachine pins the zero-value satellite: the all-free machine
-// is now expressible (volume metered, simulated time exactly zero), while
-// the v1 Options zero value still means DefaultMachine.
+// is expressible (volume metered, simulated time exactly zero), while a
+// session with no machine option runs under DefaultMachine.
 func TestWithFreeMachine(t *testing.T) {
 	n, p := 64, 4
 	free, err := New(WithRanks(p), WithFreeMachine())
@@ -244,14 +165,14 @@ func TestWithFreeMachine(t *testing.T) {
 	if rep2.Time.Makespan != 0 {
 		t.Fatalf("explicit zero machine makespan = %v, want 0", rep2.Time.Makespan)
 	}
-	// v1 compatibility: the zero Options.Machine still selects the default
-	// (nonzero α-β), and Machine.IsZero tells the two cases apart.
-	v1, err := CommVolume(COnfLUX, n, p, 0)
+	// No machine option selects the default (nonzero α-β), and
+	// Machine.IsZero tells the two cases apart.
+	def, err := mustNew(t, WithRanks(p)).CommVolume(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Time.Makespan == 0 {
-		t.Fatal("v1 zero Machine must mean DefaultMachine, not all-free")
+	if def.Time.Makespan == 0 {
+		t.Fatal("an absent machine option must mean DefaultMachine, not all-free")
 	}
 	if !(Machine{}).IsZero() || DefaultMachine().IsZero() {
 		t.Fatal("Machine.IsZero misclassifies")
@@ -362,8 +283,21 @@ func TestWithMemoryValidation(t *testing.T) {
 }
 
 // TestSessionConfigResolved: Config() reports the canonical tuple with the
-// construction-time defaults already applied.
+// construction-time defaults already applied, and a session built from no
+// options at all (COnfLUX on 4 ranks) factorizes.
 func TestSessionConfigResolved(t *testing.T) {
+	def := mustNew(t)
+	if cfg := def.Config(); cfg.Ranks != 4 || cfg.Algorithm != COnfLUX || cfg.RHS != 1 {
+		t.Fatalf("default Config() = %+v, want COnfLUX on 4 ranks, 1 RHS", cfg)
+	}
+	a := RandomMatrix(32, 3)
+	res, err := def.Factorize(t.Context(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := testutil.ResidualLUPerm(a, res.LU, res.Perm); r > 1e-11 {
+		t.Fatalf("default session residual %v", r)
+	}
 	s, err := New(WithRanks(9), WithAlgorithm(SLATE), WithRHS(3))
 	if err != nil {
 		t.Fatal(err)
@@ -378,8 +312,8 @@ func TestSessionConfigResolved(t *testing.T) {
 	if cfg.Machine != DefaultMachine() {
 		t.Fatalf("Config().Machine = %+v, want resolved DefaultMachine", cfg.Machine)
 	}
-	if cfg.Executor != "auto" || cfg.Workers != 1 {
-		t.Fatalf("Config() executor/workers = %q/%d, want auto/1", cfg.Executor, cfg.Workers)
+	if cfg.Executor != "goroutines" || cfg.Workers != 1 {
+		t.Fatalf("Config() executor/workers = %q/%d, want goroutines/1", cfg.Executor, cfg.Workers)
 	}
 	free, err := New(WithFreeMachine())
 	if err != nil {
@@ -387,64 +321,5 @@ func TestSessionConfigResolved(t *testing.T) {
 	}
 	if !free.Config().Machine.IsZero() {
 		t.Fatalf("Config().Machine = %+v after WithFreeMachine, want zero", free.Config().Machine)
-	}
-}
-
-// TestSessionStatsRunsByExecutor pins the concurrent mixed-executor
-// accounting: under auto selection a session runs numeric jobs on
-// goroutines and volume replays on the event loop concurrently, and while
-// SessionStats.Executor is documented last-completed-writer-wins, the
-// RunsByExecutor counts must be exact and sum to Runs.
-func TestSessionStatsRunsByExecutor(t *testing.T) {
-	s, err := New(WithRanks(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 4
-	a := mat.Random(24, 24, 7)
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.Factorize(context.Background(), a) // auto -> goroutines
-			errs <- err
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.CommVolume(context.Background(), 24) // auto -> events
-			errs <- err
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Runs != 2*k {
-		t.Fatalf("Runs = %d, want %d", st.Runs, 2*k)
-	}
-	if st.RunsByExecutor["goroutines"] != k || st.RunsByExecutor["events"] != k {
-		t.Fatalf("RunsByExecutor = %v, want %d each", st.RunsByExecutor, k)
-	}
-	sum := 0
-	for _, c := range st.RunsByExecutor {
-		sum += c
-	}
-	if sum != st.Runs {
-		t.Fatalf("RunsByExecutor sums to %d, Runs = %d", sum, st.Runs)
-	}
-	if st.RunsByExecutor[st.Executor] == 0 {
-		t.Fatalf("Executor = %q not present in RunsByExecutor %v", st.Executor, st.RunsByExecutor)
-	}
-	// The snapshot must not alias the live accounting.
-	st.RunsByExecutor["goroutines"] = -1
-	if s.Stats().RunsByExecutor["goroutines"] != k {
-		t.Fatal("Stats() returned an aliased RunsByExecutor map")
 	}
 }
