@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest ci
+.PHONY: all build test test-purego test-full vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest ci
 
 all: ci
 
@@ -13,6 +13,13 @@ build:
 # Fast gate: -short skips the exhaustive internal/xpart searches (~16s).
 test:
 	$(GO) test -race -short ./...
+
+# The `purego` build tag drops the AVX2+FMA assembly micro-kernel, so the
+# portable one computes every full 8×4 tile of the blocked GEMM/TRSM/LU paths
+# on the amd64 CI host too (the default build reaches it only on edge tiles)
+# — ROADMAP 4f. The tag is test-only: no shipped binary is built with it.
+test-purego:
+	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:
@@ -40,10 +47,12 @@ fmt-check:
 # profile of that registry is written to conformance_engine.out and
 # uploaded by CI. Also runs inside `make test`; kept addressable so CI
 # gates on it explicitly.
-# -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15)
-# far outruns go test's default 10m budget under the race detector.
+# -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15) takes
+# ~6 min under the race detector on a 2-core host (50 s bare) since the
+# engines' Schur update became one kernel call per step — it was ~56 min —
+# so 30m leaves 5× headroom over go test's default 10m for slower CI hosts.
 conformance:
-	$(GO) test -race -timeout 90m -run 'TestConformance' -v \
+	$(GO) test -race -timeout 30m -run 'TestConformance' -v \
 		-coverprofile=conformance_engine.out -coverpkg=repro/internal/engine .
 	$(GO) tool cover -func=conformance_engine.out
 
@@ -115,4 +124,4 @@ kernels:
 loadtest:
 	$(GO) test -race -count=1 -run 'TestConfluxdLoad' -v ./cmd/confluxd
 
-ci: fmt-check vet build test
+ci: fmt-check vet build test test-purego

@@ -44,6 +44,8 @@ type KernelReport struct {
 	Kind       string      `json:"kind"`
 	ISA        string      `json:"isa"`
 	GoMaxProcs int         `json:"gomaxprocs"`
+	Cores      int         `json:"cores"`
+	GoVersion  string      `json:"go_version"`
 	Speedup512 float64     `json:"speedup_512"`
 	Rows       []KernelRow `json:"rows"`
 }
@@ -138,7 +140,26 @@ func kernelCases() []kernelCase {
 			}
 		},
 	})
-	return cases
+	return append(cases, gemmRowsCase())
+}
+
+// gemmRowsCase is the 2.5D engines' Schur update at the shape they call it
+// with: a rank-4 update (v = 4, the default at c ≤ 2) scattered to every
+// other row of a 1,024×512 trailing block — non-adjacent active rows, a few
+// hundred wide, as on a rank of an N = 1,024…4,096 run.
+func gemmRowsCase() kernelCase {
+	const m, n, k = 512, 512, 4
+	a, b, c := mat.Random(m, k, 6), mat.Random(k, n, 7), mat.New(2*m, n)
+	rows := make([]int, m)
+	for i := range rows {
+		rows[i] = 2*i + 1
+	}
+	return kernelCase{
+		name:  "gemm-rows/m=512,n=512,k=4",
+		iters: 400,
+		flops: 2 * m * n * k,
+		run:   func() { blas.GemmRows(-1, a, b, c, rows) },
+	}
 }
 
 // RunKernels measures the suite and derives the headline 512×512 speedup.
@@ -149,6 +170,8 @@ func RunKernels(ctx context.Context, progress io.Writer) (*KernelReport, error) 
 		Kind:       "kernels",
 		ISA:        blas.KernelISA(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Cores:      runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
 	}
 	var refNs, blockedNs int64
 	for _, kc := range kernelCases() {

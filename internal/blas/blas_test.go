@@ -91,25 +91,6 @@ func TestGemmPhantomNoop(t *testing.T) {
 	}
 }
 
-func TestGemmMaskedRows(t *testing.T) {
-	a := mat.Random(4, 3, 1)
-	b := mat.Random(3, 5, 2)
-	c := mat.Random(4, 5, 3)
-	active := []bool{true, false, true, false}
-	want := c.Clone()
-	full := c.Clone()
-	Gemm(-1, a, b, 1, full)
-	for i, on := range active {
-		if on {
-			want.View(i, 0, 1, 5).CopyFrom(full.View(i, 0, 1, 5))
-		}
-	}
-	GemmMaskedRows(-1, a, b, 1, c, active)
-	if d := mat.MaxAbsDiff(c, want); d > 1e-12 {
-		t.Fatalf("masked gemm diff %v", d)
-	}
-}
-
 func TestTrsmLowerLeft(t *testing.T) {
 	n := 6
 	l := mat.New(n, n)
@@ -189,29 +170,6 @@ func TestTrsmUpperRight(t *testing.T) {
 	TrsmUpperRight(u, b)
 	if d := mat.MaxAbsDiff(b, x); d > 1e-10 {
 		t.Fatalf("trsm diff %v", d)
-	}
-}
-
-func TestTrsmUpperRightMasked(t *testing.T) {
-	n := 4
-	u := mat.Eye(n)
-	u.Set(0, 1, 2)
-	b := mat.Random(3, n, 7)
-	orig := b.Clone()
-	active := []bool{true, false, true}
-	full := orig.Clone()
-	TrsmUpperRight(u, full)
-	TrsmUpperRightMasked(u, b, active)
-	for i, on := range active {
-		for j := 0; j < n; j++ {
-			want := orig.At(i, j)
-			if on {
-				want = full.At(i, j)
-			}
-			if !almostEq(b.At(i, j), want, 1e-12) {
-				t.Fatalf("row %d col %d: got %v want %v", i, j, b.At(i, j), want)
-			}
-		}
 	}
 }
 

@@ -1,0 +1,154 @@
+package blas
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/mat"
+)
+
+// strided returns an r×c random matrix that is a view into a wider, offset
+// backing matrix, so Stride != Cols and Data does not start at element 0.
+func strided(r, c int, seed uint64) *mat.Matrix {
+	return mat.Random(r+2, c+5, seed).View(1, 3, r, c)
+}
+
+// gemmRowsRef is the oracle: GemmRef on the 1×k / 1×n row views, one call
+// per indexed row, in list order.
+func gemmRowsRef(alpha float64, a, b, c *mat.Matrix, rows []int) {
+	for i, r := range rows {
+		GemmRef(alpha, a.View(i, 0, 1, a.Cols), b, 1, c.View(r, 0, 1, c.Cols))
+	}
+}
+
+func bitEqual(t *testing.T, got, want *mat.Matrix, what string) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j := range w {
+			if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+				t.Fatalf("%s: C(%d,%d) = %x, reference %x", what, i, j, math.Float64bits(g[j]), math.Float64bits(w[j]))
+			}
+		}
+	}
+}
+
+// The property the engines' golden digests rest on: GemmRows is bit-equal to
+// the straight-loop reference applied row by row — across k around the
+// four-at-a-time unroll, n from one element to a ragged 517, strided
+// operands, and row lists that are empty, a permuted subset, or repeat a row.
+func TestGemmRowsMatchesRefBitwise(t *testing.T) {
+	const m = 9 // rows of C
+	lists := map[string][]int{
+		"empty":      {},
+		"all":        {0, 1, 2, 3, 4, 5, 6, 7, 8},
+		"scattered":  {7, 2, 5},
+		"descending": {8, 6, 4, 2, 0},
+		"repeated":   {3, 3, 1},
+	}
+	seed := uint64(40)
+	for _, k := range []int{1, 3, 4, 5, 8, 9} {
+		for _, n := range []int{1, 3, 4, 517} {
+			for name, rows := range lists {
+				for _, view := range []bool{false, true} {
+					seed++
+					newMat := mat.Random
+					if view {
+						newMat = strided
+					}
+					a, b, c := newMat(len(rows), k, seed), newMat(k, n, seed+1000), newMat(m, n, seed+2000)
+					want := c.Clone()
+					gemmRowsRef(-1.25, a, b, want, rows)
+					GemmRows(-1.25, a, b, c, rows)
+					bitEqual(t, c, want, name)
+				}
+			}
+		}
+	}
+}
+
+// Rows not in the list are not read-modified-written at all: NaN poison in
+// them survives bit for bit, and the padding around a strided C stays clean.
+func TestGemmRowsLeavesOtherRowsUntouched(t *testing.T) {
+	backing := mat.New(8, 12)
+	for i := range backing.Data {
+		backing.Data[i] = math.NaN()
+	}
+	c := backing.View(1, 2, 6, 7)
+	active := []int{4, 1}
+	for _, r := range active {
+		for j := range c.Row(r) {
+			c.Row(r)[j] = float64(r + j)
+		}
+	}
+	GemmRows(1, mat.Random(2, 5, 1), mat.Random(5, 7, 2), c, active)
+	for i := 0; i < backing.Rows; i++ {
+		for j := 0; j < backing.Cols; j++ {
+			inActive := (i == 5 || i == 2) && j >= 2 && j < 9
+			if got := math.IsNaN(backing.At(i, j)); got == inActive {
+				t.Fatalf("backing(%d,%d): NaN=%v, active=%v", i, j, got, inActive)
+			}
+		}
+	}
+}
+
+// No zero-skip, in either the unrolled or the remainder loop: a NaN or Inf in
+// B reaches every listed row of C even where the matching A entry is zero,
+// and only the column it sits in.
+func TestGemmRowsPropagatesNaNInf(t *testing.T) {
+	for _, k := range []int{4, 6} { // 6: B row 5 is consumed by the remainder loop
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			a := mat.Random(3, k, 3)
+			b := mat.Random(k, 5, 4)
+			for i := 0; i < a.Rows; i++ {
+				a.Set(i, k-1, 0)
+			}
+			b.Set(k-1, 2, bad) // 0·NaN and 0·Inf are both NaN
+			c := mat.New(4, 5)
+			GemmRows(1, a, b, c, []int{0, 1, 3})
+			for _, r := range []int{0, 1, 3} {
+				if !math.IsNaN(c.At(r, 2)) {
+					t.Fatalf("k=%d: 0*%v dropped in row %d", k, bad, r)
+				}
+				if math.IsNaN(c.At(r, 1)) {
+					t.Fatalf("k=%d: NaN leaked to column 1 of row %d", k, r)
+				}
+			}
+			if c.At(2, 2) != 0 {
+				t.Fatalf("k=%d: unlisted row 2 was touched", k)
+			}
+		}
+	}
+}
+
+func TestGemmRowsPhantomIsNoOp(t *testing.T) {
+	rows := []int{0, 2}
+	a, b, c := mat.Random(2, 4, 1), mat.Random(4, 3, 2), mat.Random(3, 3, 3)
+	orig := c.Clone()
+	GemmRows(1, mat.NewPhantom(2, 4), b, c, rows)
+	GemmRows(1, a, mat.NewPhantom(4, 3), c, rows)
+	bitEqual(t, c, orig, "phantom A or B")
+	GemmRows(1, a, b, mat.NewPhantom(3, 3), rows) // must not panic
+}
+
+func TestGemmRowsPanics(t *testing.T) {
+	a, b, c := mat.Random(2, 4, 1), mat.Random(4, 3, 2), mat.Random(3, 3, 3)
+	cases := map[string]func(){
+		"row index too large": func() { GemmRows(1, a, b, c, []int{0, 3}) },
+		"negative row index":  func() { GemmRows(1, a, b, c, []int{-1, 0}) },
+		"row list length":     func() { GemmRows(1, a, b, c, []int{0}) },
+		"inner dimension":     func() { GemmRows(1, a, mat.Random(5, 3, 4), c, []int{0, 1}) },
+		"C width":             func() { GemmRows(1, a, b, mat.Random(3, 4, 5), []int{0, 1}) },
+		"phantom, bad shape":  func() { GemmRows(1, mat.NewPhantom(2, 5), b, c, []int{0, 1}) },
+	}
+	for name, call := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			call()
+		})
+	}
+}

@@ -1,13 +1,15 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package blas
 
 // hasAVX2FMA reports whether the vectorized micro-kernel is available.
-// Only the amd64 build carries one.
+// Only the amd64 build carries one, and the `purego` build tag leaves it out
+// there too: `make test-purego` runs the portable kernel on full tiles on
+// the CI host, where the default build reaches it only on edge tiles.
 const hasAVX2FMA = false
 
 // microKernel computes one full mr×nr tile: C += alpha·Ap·Bp with C at
-// row stride ldc. On non-amd64 hosts this is the portable kernel.
+// row stride ldc. In this build it is the portable kernel.
 func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, ldc int) {
 	microGeneric(kb, alpha, ap, bp, c, ldc, mr, nr)
 }

@@ -93,45 +93,46 @@ func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 	}
 }
 
-// GemmMaskedRows is Gemm restricted to the rows i of A and C for which
-// active[i] is true. COnfLUX's row masking (paper §7.3) updates only
-// not-yet-pivoted rows in place of physically swapping them out. The
-// beta == 0 overwrite and no-zero-skip conventions match Gemm; inactive
-// rows are untouched (not even scaled), as before.
-func GemmMaskedRows(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix, active []bool) {
-	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
-		panic("blas: GemmMaskedRows shape mismatch")
-	}
-	if len(active) != a.Rows {
-		panic("blas: GemmMaskedRows mask length mismatch")
+// GemmRows computes C[rows[i], :] += alpha·A[i, :]·B for every row i of A:
+// a rank-k update scattered to an indexed subset of C's rows, every other
+// row of C untouched. This is the local "FactorizeA11" of the 2.5D engines
+// (paper §7.3, "we use masks to update remaining rows"): A is the compacted
+// L10 panel of the still-active rows, B the U01 panel, C the rank's whole
+// trailing sub-matrix and rows the active rows' positions in it — one call
+// per elimination step. rows need not be sorted or distinct.
+//
+// Each C element accumulates its partial products in increasing-k order,
+// one rounding per product and per sum — exactly gemmAccum's order, so the
+// result is bit-identical to Gemm/GemmRef applied row by row (DESIGN.md §1).
+// k is consumed four at a time only to pass over the C row once per four
+// rank-1 terms instead of once per term. No zero-skip: 0·NaN stays NaN.
+// Phantom operands make the call a no-op (shape checks still apply).
+func GemmRows(alpha float64, a, b, c *mat.Matrix, rows []int) {
+	if a.Cols != b.Rows || b.Cols != c.Cols || a.Rows != len(rows) {
+		panic(fmt.Sprintf("blas: GemmRows shapes %dx%d * %dx%d -> %d rows of %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, len(rows), c.Rows, c.Cols))
 	}
 	if a.Phantom() || b.Phantom() || c.Phantom() {
 		return
 	}
-	for i := 0; i < a.Rows; i++ {
-		if !active[i] {
-			continue
+	n, k := b.Cols, a.Cols
+	for i, r := range rows {
+		if r < 0 || r >= c.Rows {
+			panic("blas: GemmRows row index out of range")
 		}
-		arow, crow := a.Row(i), c.Row(i)
-		switch beta {
-		case 1:
-		case 0:
+		arow, crow := a.Row(i), c.Row(r)[:n] // [:n] everywhere: one length for the compiler to prove
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := alpha*arow[p], alpha*arow[p+1], alpha*arow[p+2], alpha*arow[p+3]
+			b0, b1, b2, b3 := b.Row(p)[:n], b.Row(p + 1)[:n], b.Row(p + 2)[:n], b.Row(p + 3)[:n]
 			for j := range crow {
-				crow[j] = 0
-			}
-		default:
-			for j := range crow {
-				crow[j] *= beta
+				crow[j] = crow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 			}
 		}
-		if alpha == 0 {
-			continue
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := alpha * arow[k]
-			brow := b.Row(k)
+		for ; p < k; p++ {
+			ap, bp := alpha*arow[p], b.Row(p)[:n]
 			for j := range crow {
-				crow[j] += aik * brow[j]
+				crow[j] += ap * bp[j]
 			}
 		}
 	}
@@ -234,33 +235,6 @@ func TrsmUpperRight(u *mat.Matrix, b *mat.Matrix) {
 func trsmUpperRightUnb(u *mat.Matrix, b *mat.Matrix) {
 	n := u.Cols
 	for i := 0; i < b.Rows; i++ {
-		bi := b.Row(i)
-		for j := 0; j < n; j++ {
-			s := bi[j]
-			for k := 0; k < j; k++ {
-				s -= bi[k] * u.At(k, j)
-			}
-			bi[j] = s / u.At(j, j)
-		}
-	}
-}
-
-// TrsmUpperRightMasked applies TrsmUpperRight only to rows with active[i].
-func TrsmUpperRightMasked(u *mat.Matrix, b *mat.Matrix, active []bool) {
-	if len(active) != b.Rows {
-		panic("blas: TrsmUpperRightMasked mask length mismatch")
-	}
-	if u.Phantom() || b.Phantom() {
-		return
-	}
-	n := u.Cols
-	if u.Rows != u.Cols || n != b.Cols {
-		panic("blas: TrsmUpperRightMasked shape mismatch")
-	}
-	for i := 0; i < b.Rows; i++ {
-		if !active[i] {
-			continue
-		}
 		bi := b.Row(i)
 		for j := 0; j < n; j++ {
 			s := bi[j]

@@ -9,27 +9,6 @@ import (
 	"repro/internal/mat"
 )
 
-// colLayout describes the tile columns tj > t owned by one grid column,
-// with their offsets in the concatenated A01 stack.
-type colLayout struct {
-	tjs    []int
-	offs   []int
-	widths []int
-	total  int
-}
-
-func (e *engine) colsAfter(y, t int) colLayout {
-	tjs := e.bc.LocalTileCols(y, t+1)
-	cl := colLayout{tjs: tjs, offs: make([]int, len(tjs)), widths: make([]int, len(tjs))}
-	for i, tj := range tjs {
-		_, w := e.bc.TileDims(tj, tj)
-		cl.offs[i] = cl.total
-		cl.widths[i] = w
-		cl.total += w
-	}
-	return cl
-}
-
 // pivotGroups buckets this step's pivot rows by owning grid row, keeping the
 // factor order within each bucket. Every rank computes the same grouping.
 func (e *engine) pivotGroups() map[int][]int {
@@ -41,39 +20,6 @@ func (e *engine) pivotGroups() map[int][]int {
 	return groups
 }
 
-// stackPivotSegments extracts the given pivot rows across the columns of cl
-// from the local store.
-func (e *engine) stackPivotSegments(rows []int, cl colLayout) *mat.Matrix {
-	stack := e.store.NewBuffer(len(rows), cl.total)
-	if !e.store.Payload() {
-		return stack
-	}
-	for i, r := range rows {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			stack.View(i, cl.offs[k], 1, cl.widths[k]).
-				CopyFrom(e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]))
-		}
-	}
-	return stack
-}
-
-// writePivotSegments stores a stack of pivot-row segments back into tiles.
-func (e *engine) writePivotSegments(rows []int, cl colLayout, stack *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	for i, r := range rows {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]).
-				CopyFrom(stack.View(i, cl.offs[k], 1, cl.widths[k]))
-		}
-	}
-}
-
 // factorizeA01 implements Algorithm 1 steps 5/6/9/10 for the pivot-row
 // panel: reduce the w pivot rows across layers (step 5), assemble them per
 // grid column, solve L00·U01 = A01 (step 9), write the U values back to
@@ -81,25 +27,26 @@ func (e *engine) writePivotSegments(rows []int, cl colLayout, stack *mat.Matrix)
 // layer's consumer column (step 10).
 func (e *engine) factorizeA01(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a01")
-	e.a01, e.a01Tjs = nil, nil
+	e.a01 = nil
 	w := len(e.pivIDs)
-	cl := e.colsAfter(e.col, t)
+	// My tile columns > t, concatenated: the panel's (and Trailing's) width.
+	total := e.store.Trailing(t + 1).Cols
 	groups := e.pivotGroups()
 	lstar := t % e.g.Layers
 
 	// Step 5: fiber reduction of my grid row's pivot segments.
 	myRows := groups[e.row]
 	var reduced *mat.Matrix
-	if len(myRows) > 0 && cl.total > 0 {
-		stack := e.stackPivotSegments(myRows, cl)
+	if len(myRows) > 0 && total > 0 {
+		stack := e.store.StackTrailingRows(t+1, myRows)
 		e.fiber.ReduceMatSum(0, stack)
 		if e.layer == 0 {
 			reduced = stack
 		} else if e.store.Payload() {
-			e.writePivotSegments(myRows, cl, mat.New(len(myRows), cl.total))
+			e.store.UnstackTrailingRows(t+1, myRows, mat.New(len(myRows), total))
 		}
 	}
-	if cl.total == 0 {
+	if total == 0 {
 		return
 	}
 
@@ -109,14 +56,14 @@ func (e *engine) factorizeA01(t int) {
 	const gatherTag, backTag = 101, 102
 	if e.layer == 0 {
 		if e.world.Rank() == asmRank {
-			asm = e.store.NewBuffer(w, cl.total)
+			asm = e.store.NewBuffer(w, total)
 			idx := indexOf(e.pivIDs)
 			for gr := 0; gr < e.g.Pr; gr++ {
 				rows := groups[gr]
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), cl.total)
+				part := e.store.NewBuffer(len(rows), total)
 				if e.g.Rank(gr, e.col, 0) == asmRank {
 					if reduced != nil {
 						part = reduced
@@ -126,7 +73,7 @@ func (e *engine) factorizeA01(t int) {
 				}
 				if e.store.Payload() {
 					for i, r := range rows {
-						asm.View(idx[r], 0, 1, cl.total).CopyFrom(part.View(i, 0, 1, cl.total))
+						asm.View(idx[r], 0, 1, total).CopyFrom(part.View(i, 0, 1, total))
 					}
 				}
 			}
@@ -138,23 +85,23 @@ func (e *engine) factorizeA01(t int) {
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), cl.total)
+				part := e.store.NewBuffer(len(rows), total)
 				if e.store.Payload() {
 					for i, r := range rows {
-						part.View(i, 0, 1, cl.total).CopyFrom(asm.View(idx[r], 0, 1, cl.total))
+						part.View(i, 0, 1, total).CopyFrom(asm.View(idx[r], 0, 1, total))
 					}
 				}
 				if e.g.Rank(gr, e.col, 0) == asmRank {
-					e.writePivotSegments(rows, cl, part)
+					e.store.UnstackTrailingRows(t+1, rows, part)
 				} else {
 					e.ac.SendMat(acIndex(e.g, gr, e.col, 0), backTag+gr, part)
 				}
 			}
 		} else if len(myRows) > 0 {
 			e.ac.SendMat(acIndex(e.g, 0, e.col, 0), gatherTag+e.row, reduced)
-			back := e.store.NewBuffer(len(myRows), cl.total)
+			back := e.store.NewBuffer(len(myRows), total)
 			e.ac.RecvMat(acIndex(e.g, 0, e.col, 0), backTag+e.row, back)
-			e.writePivotSegments(myRows, cl, back)
+			e.store.UnstackTrailingRows(t+1, myRows, back)
 		}
 	}
 
@@ -166,11 +113,11 @@ func (e *engine) factorizeA01(t int) {
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := asm
 	if buf == nil {
-		buf = e.store.NewBuffer(w, cl.total)
+		buf = e.store.NewBuffer(w, total)
 	}
 	comm.BcastMat(rootIdx, buf)
 	if e.layer == lstar {
-		e.a01, e.a01Tjs = buf, cl.tjs
+		e.a01 = buf
 	}
 }
 
@@ -196,37 +143,13 @@ func acIndex(g grid.Grid, row, col, layer int) int {
 }
 
 // update implements step 11 (FactorizeA11): the assigned layer applies the
-// Schur-complement update to its accumulator tiles, masked to active rows.
+// Schur-complement update to its accumulator, masked to active rows — one
+// rank-w update of the whole trailing sub-matrix, fed with the compacted A10
+// and A01 panels as they arrived.
 func (e *engine) update(t int) {
 	e.ac.SetPhase(e.opt.Name + ".update")
-	if e.layer != t%e.g.Layers || e.a01 == nil || e.a10 == nil || len(e.a10IDs) == 0 {
+	if !e.store.Payload() || e.layer != t%e.g.Layers || e.a01 == nil || e.a10 == nil {
 		return
 	}
-	w := len(e.pivIDs)
-	cl := e.colsAfter(e.col, t)
-	idx := indexOf(e.a10IDs)
-	for _, ti := range e.bc.LocalTileRows(e.row, 0) {
-		h, _ := e.bc.TileDims(ti, ti)
-		tileL := e.store.NewBuffer(h, w)
-		any := false
-		for lr := 0; lr < h; lr++ {
-			r := ti*e.opt.V + lr
-			if r >= e.opt.N {
-				break
-			}
-			if i, ok := idx[r]; ok {
-				any = true
-				if e.store.Payload() {
-					tileL.View(lr, 0, 1, w).CopyFrom(e.a10.View(i, 0, 1, w))
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		for k, tj := range cl.tjs {
-			a01seg := e.a01.View(0, cl.offs[k], w, cl.widths[k])
-			blas.Gemm(-1, tileL, a01seg, 1, e.store.Tile(ti, tj))
-		}
-	}
+	blas.GemmRows(-1, e.a10, e.a01, e.store.Trailing(t+1), e.store.LocalRows(e.a10IDs))
 }

@@ -65,7 +65,6 @@ type engine struct {
 	a10    *mat.Matrix // consumer copy: L10 rows for my grid row
 	a10IDs []int
 	a01    *mat.Matrix // consumer copy: U01 for my grid-column tile cols
-	a01Tjs []int
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {

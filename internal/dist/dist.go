@@ -22,22 +22,28 @@ import (
 )
 
 // Store holds the tiles of one rank — grid position (row, col, layer) — under
-// the block-cyclic mapping bc. The rank's tiles live in a flat slice over its
-// local tile grid: tile (ti, tj) with ti ≡ row (mod Pr) and tj ≡ col (mod Pc)
-// sits at local coordinates (ti/Pr, tj/Pc), row-major — an index computation
-// instead of a map hash on every access. Tiles still materialize lazily on
-// first access (the slice holds nil until then), so a store created on a
-// non-zero replication layer starts as an all-zero accumulator without
-// touching payload memory it never uses. A Store belongs to one rank (one
-// goroutine) and is not safe for concurrent use.
+// the block-cyclic mapping bc, as ONE contiguous row-major local matrix: the
+// rank's local tile rows × local tile columns laid side by side, the ragged
+// last tile trimmed. Tile (ti, tj) with ti ≡ row (mod Pr) and tj ≡ col
+// (mod Pc) is the strided view at local tile coordinates (ti/Pr, tj/Pc); a
+// global row maps to exactly one local row (LocalRow), and because ownership
+// is cyclic the owned tile columns ≥ t are a suffix of the local columns, so a
+// rank's whole trailing sub-matrix of an elimination step is a single view
+// (Trailing). That is what lets the 2.5D engines apply a step's Schur update
+// as one kernel call and copy a panel row as one contiguous segment.
+//
+// The panel materializes lazily, zeroed, on the first tile or view
+// access of a numeric store — laziness is per store, so a store that is never
+// touched holds no payload memory — and a volume-mode store never
+// materializes: every view it hands out is phantom with the right shape. A
+// Store belongs to one rank (one goroutine) and is not safe for concurrent
+// use.
 type Store struct {
 	bc              grid.BlockCyclic
 	row, col, layer int
 	payload         bool
 
-	localCols int           // tile columns this rank owns (tj ≡ col mod Pc)
-	tiles     []*mat.Matrix // localRows × localCols, row-major, nil = not yet materialized
-	allocated int           // non-nil entries, kept so Allocated() is O(1)
+	panel mat.Matrix // local rows × local cols; Data nil until first touch (always nil in volume mode)
 }
 
 // localCount returns how many indices in [0, tiles) map to grid position
@@ -49,21 +55,29 @@ func localCount(tiles, pos, stride int) int {
 	return (tiles - pos + stride - 1) / stride
 }
 
+// localExtent returns how many of the n global rows (or columns) fall in
+// tiles owned by grid position pos: v per owned tile, less what the global
+// last tile is cut short by when pos owns it.
+func localExtent(bc grid.BlockCyclic, pos, stride int) int {
+	nt := bc.Tiles()
+	ext := localCount(nt, pos, stride) * bc.V
+	if nt > 0 && (nt-1)%stride == pos {
+		ext -= nt*bc.V - bc.N
+	}
+	return ext
+}
+
 // NewStore creates the tile store for the rank at grid position (row, col,
 // layer). payload=false selects volume mode: every tile and buffer the store
-// hands out is phantom, and the store allocates no payload memory — only the
-// flat pointer grid over its local tiles.
+// hands out is phantom, and the store never allocates payload memory.
 func NewStore(bc grid.BlockCyclic, row, col, layer int, payload bool) *Store {
 	if row < 0 || row >= bc.G.Pr || col < 0 || col >= bc.G.Pc || layer < 0 || layer >= bc.G.Layers {
 		panic(fmt.Sprintf("dist: position (%d,%d,%d) outside %dx%dx%d grid", row, col, layer, bc.G.Pr, bc.G.Pc, bc.G.Layers))
 	}
-	nt := bc.Tiles()
-	localRows := localCount(nt, row, bc.G.Pr)
-	localCols := localCount(nt, col, bc.G.Pc)
+	rows, cols := localExtent(bc, row, bc.G.Pr), localExtent(bc, col, bc.G.Pc)
 	return &Store{
 		bc: bc, row: row, col: col, layer: layer, payload: payload,
-		localCols: localCols,
-		tiles:     make([]*mat.Matrix, localRows*localCols),
+		panel: mat.Matrix{Rows: rows, Cols: cols, Stride: cols},
 	}
 }
 
@@ -75,11 +89,27 @@ func (s *Store) Owns(ti, tj int) bool {
 	return s.bc.OwnerRow(ti) == s.row && s.bc.OwnerCol(tj) == s.col
 }
 
-// Tile returns the local tile (ti, tj), allocating it zeroed (or phantom) on
-// first access. It panics if the tile is out of range or owned by another
-// rank — engines indexing a foreign tile is always a schedule bug. The hot
-// path is a flat-slice index over the local tile grid: (ti/Pr, tj/Pc).
+// touch materializes the panel of a numeric store on first access.
+func (s *Store) touch() {
+	if s.payload && s.panel.Data == nil {
+		s.panel.Data = make([]float64, s.panel.Rows*s.panel.Cols)
+	}
+}
+
+// Tile returns the local tile (ti, tj): a view of the panel (phantom in
+// volume mode), so writes through it are writes to the store. It panics if
+// the tile is out of range or owned by another rank — engines indexing a
+// foreign tile is always a schedule bug. The work lives in locate so that
+// Tile itself inlines and a tile consumed in-statement (CopyFrom, SendMat, a
+// kernel call) never reaches the heap.
 func (s *Store) Tile(ti, tj int) *mat.Matrix {
+	t := s.locate(ti, tj)
+	return &t
+}
+
+// locate bounds- and ownership-checks tile (ti, tj), materializes the panel
+// and returns the tile's view of it.
+func (s *Store) locate(ti, tj int) mat.Matrix {
 	nt := s.bc.Tiles()
 	if ti < 0 || ti >= nt || tj < 0 || tj >= nt {
 		panic(fmt.Sprintf("dist: tile (%d,%d) outside %dx%d tile grid", ti, tj, nt, nt))
@@ -88,14 +118,48 @@ func (s *Store) Tile(ti, tj int) *mat.Matrix {
 		panic(fmt.Sprintf("dist: tile (%d,%d) belongs to grid position (%d,%d), not (%d,%d)",
 			ti, tj, s.bc.OwnerRow(ti), s.bc.OwnerCol(tj), s.row, s.col))
 	}
-	idx := (ti/s.bc.G.Pr)*s.localCols + tj/s.bc.G.Pc
-	t := s.tiles[idx]
-	if t == nil {
-		t = s.NewBuffer(s.bc.TileDims(ti, tj))
-		s.tiles[idx] = t
-		s.allocated++
+	s.touch()
+	h, w := s.bc.TileDims(ti, tj)
+	return *s.panel.View(ti/s.bc.G.Pr*s.bc.V, tj/s.bc.G.Pc*s.bc.V, h, w)
+}
+
+// LocalRow maps global row r to its row of the panel (and of every Trailing
+// view). It panics if r lies in a tile row of another grid row.
+func (s *Store) LocalRow(r int) int {
+	ti := r / s.bc.V
+	if r < 0 || r >= s.bc.N || s.bc.OwnerRow(ti) != s.row {
+		panic(fmt.Sprintf("dist: row %d is not local to grid row %d", r, s.row))
 	}
-	return t
+	return ti/s.bc.G.Pr*s.bc.V + r - ti*s.bc.V
+}
+
+// LocalRows maps a list of global rows to their panel rows.
+func (s *Store) LocalRows(rows []int) []int {
+	local := make([]int, len(rows))
+	for i, r := range rows {
+		local[i] = s.LocalRow(r)
+	}
+	return local
+}
+
+// column returns every local row of the owned tile column tj as one view.
+func (s *Store) column(tj int) *mat.Matrix {
+	if tj < 0 || tj >= s.bc.Tiles() || s.bc.OwnerCol(tj) != s.col {
+		panic(fmt.Sprintf("dist: tile column %d is not local to grid column %d", tj, s.col))
+	}
+	s.touch()
+	_, w := s.bc.TileDims(tj, tj)
+	return s.panel.View(0, tj/s.bc.G.Pc*s.bc.V, s.panel.Rows, w)
+}
+
+// Trailing returns every local row of the owned tile columns ≥ from as one
+// view: ownership is cyclic, so those columns are a suffix of the panel's.
+// Its column layout is the concatenation of bc.LocalTileCols(col, from) — the
+// layout of the engines' A01 panels.
+func (s *Store) Trailing(from int) *mat.Matrix {
+	s.touch()
+	j := min(localCount(from, s.col, s.bc.G.Pc)*s.bc.V, s.panel.Cols)
+	return s.panel.View(0, j, s.panel.Rows, s.panel.Cols-j)
 }
 
 // NewBuffer allocates a rows×cols scratch matrix in the store's payload mode
@@ -113,32 +177,51 @@ func (s *Store) NewBuffer(rows, cols int) *mat.Matrix {
 // store into a dense len(rows)×w stack (w the column's width; a phantom
 // buffer in volume mode). Every row must lie in a tile this rank owns.
 func (s *Store) StackColumnRows(tj int, rows []int) *mat.Matrix {
-	_, w := s.bc.TileDims(tj, tj)
-	stack := s.NewBuffer(len(rows), w)
-	if s.payload {
-		for i, r := range rows {
-			ti := r / s.bc.V
-			stack.View(i, 0, 1, w).CopyFrom(s.Tile(ti, tj).View(r-ti*s.bc.V, 0, 1, w))
-		}
-	}
-	return stack
+	return s.stackRows(s.column(tj), rows)
 }
 
 // UnstackColumnRows writes a stack taken by StackColumnRows back into tile
 // column tj (a no-op in volume mode).
 func (s *Store) UnstackColumnRows(tj int, rows []int, stack *mat.Matrix) {
+	s.unstackRows(s.column(tj), rows, stack)
+}
+
+// StackTrailingRows is StackColumnRows over Trailing(from): the given global
+// rows across every owned tile column ≥ from, one contiguous segment each.
+func (s *Store) StackTrailingRows(from int, rows []int) *mat.Matrix {
+	return s.stackRows(s.Trailing(from), rows)
+}
+
+// UnstackTrailingRows writes a stack taken by StackTrailingRows back.
+func (s *Store) UnstackTrailingRows(from int, rows []int, stack *mat.Matrix) {
+	s.unstackRows(s.Trailing(from), rows, stack)
+}
+
+func (s *Store) stackRows(view *mat.Matrix, rows []int) *mat.Matrix {
+	stack := s.NewBuffer(len(rows), view.Cols)
+	if s.payload {
+		for i, r := range rows {
+			copy(stack.Row(i), view.Row(s.LocalRow(r)))
+		}
+	}
+	return stack
+}
+
+func (s *Store) unstackRows(view *mat.Matrix, rows []int, stack *mat.Matrix) {
+	if stack.Rows != len(rows) || stack.Cols != view.Cols {
+		panic(fmt.Sprintf("dist: %dx%d stack for %d rows of a %d-wide view", stack.Rows, stack.Cols, len(rows), view.Cols))
+	}
 	if !s.payload {
 		return
 	}
-	_, w := s.bc.TileDims(tj, tj)
 	for i, r := range rows {
-		ti := r / s.bc.V
-		s.Tile(ti, tj).View(r-ti*s.bc.V, 0, 1, w).CopyFrom(stack.View(i, 0, 1, w))
+		copy(view.Row(s.LocalRow(r)), stack.Row(i))
 	}
 }
 
-// Allocated returns the number of tiles materialized so far (test hook).
-func (s *Store) Allocated() int { return s.allocated }
+// Allocated returns the number of payload elements the store holds: 0 until
+// the first tile access, the whole local panel after (test hook).
+func (s *Store) Allocated() int { return len(s.panel.Data) }
 
 // eachOwnedTile visits this rank's tiles in deterministic (ti, tj) ascending
 // order — the iteration order both collectives rely on.

@@ -117,6 +117,9 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 		{"2x2x3-25d-uneven", grid.Grid{Pr: 2, Pc: 2, Layers: 3, Total: 12}, 17, 5},
 		{"3x3-disabled-ranks", grid.Grid{Pr: 3, Pc: 3, Layers: 1, Total: 11}, 10, 3},
 		{"tile-larger-than-n", grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, 3, 8},
+		// Every tile is a strided view of its rank's panel: both collectives
+		// pack from and unpack into rows that are not adjacent in memory.
+		{"3x2-ragged-517", grid.Grid{Pr: 3, Pc: 2, Layers: 1, Total: 6}, 517, 4},
 	}
 	for _, tc := range cases {
 		for _, payload := range []bool{true, false} {
@@ -158,27 +161,32 @@ func TestVolumeNumericParity(t *testing.T) {
 	}
 }
 
-func TestTileLazyAllocation(t *testing.T) {
+// Laziness is per store: a fresh numeric store holds no payload, the first
+// tile access materializes the whole zeroed local panel (ragged edge tiles
+// trimmed), and tiles are views of it, so writes through one handle are seen
+// through the next.
+func TestStoreLazyAllocation(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 2, Total: 8}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 13}
 	s := dist.NewStore(bc, 0, 1, 1, true)
 	if s.Allocated() != 0 {
-		t.Fatalf("fresh store allocated %d tiles", s.Allocated())
+		t.Fatalf("fresh store holds %d elements", s.Allocated())
 	}
 	tile := s.Tile(0, 1)
 	if r, w := tile.Rows, tile.Cols; r != 4 || w != 4 {
 		t.Fatalf("tile (0,1) is %dx%d, want 4x4", r, w)
 	}
-	// Edge tile: column 3 is cut short by N=13 (13 - 3·4 = 1).
+	// Grid row 0 owns tile rows {0, 2} (8 rows); grid column 1 owns tile
+	// columns {1, 3}, column 3 cut to 13 - 3·4 = 1 wide (5 columns).
+	if got := s.Allocated(); got != 8*5 {
+		t.Fatalf("panel holds %d elements, want %d", got, 8*5)
+	}
 	edge := s.Tile(2, 3)
 	if r, w := edge.Rows, edge.Cols; r != 4 || w != 1 {
 		t.Fatalf("edge tile (2,3) is %dx%d, want 4x1", r, w)
 	}
-	if got := s.Allocated(); got != 2 {
-		t.Fatalf("allocated %d tiles, want 2", got)
-	}
-	if s.Tile(0, 1) != tile {
-		t.Fatal("second access did not return the same tile")
+	if got := s.Allocated(); got != 8*5 {
+		t.Fatalf("second tile changed the allocation to %d", got)
 	}
 	if tile.At(1, 2) != 0 {
 		t.Fatal("lazily allocated tile is not zeroed")
@@ -189,75 +197,122 @@ func TestTileLazyAllocation(t *testing.T) {
 	}
 }
 
-// TestFlatStoreIndexBijective pins the flat-slice index math of the store:
-// across every grid position, materializing all owned tiles yields exactly
-// ceil-distributed counts, pairwise-distinct tile objects with the right
-// dimensions, and stable identity on re-access. Any collision in the
-// (ti/Pr, tj/Pc) flattening would surface here as shared or misshapen tiles.
-func TestFlatStoreIndexBijective(t *testing.T) {
+// TestPanelIndexBijective pins the panel's index math: across every grid
+// position, at even and ragged N (517 = 129·4 + 1), every owned tile has the
+// block-cyclic dimensions, tiles partition the panel exactly (a distinct
+// value written to every element through Tile fills the panel with no
+// collision and no gap), LocalRow agrees with the tile a row lives in, and
+// the trailing view aliases the same memory in both directions.
+func TestPanelIndexBijective(t *testing.T) {
 	for _, g := range []grid.Grid{
 		{Pr: 2, Pc: 3, Layers: 1, Total: 6},
 		{Pr: 3, Pc: 2, Layers: 2, Total: 12},
 		{Pr: 1, Pc: 1, Layers: 1, Total: 1},
 		{Pr: 5, Pc: 4, Layers: 1, Total: 20}, // more grid rows than edge tiles
 	} {
-		for _, n := range []int{1, 7, 13, 16} {
+		for _, n := range []int{1, 7, 13, 16, 517} {
 			bc := grid.BlockCyclic{G: g, V: 4, N: n}
 			for row := 0; row < g.Pr; row++ {
 				for col := 0; col < g.Pc; col++ {
-					s := dist.NewStore(bc, row, col, 0, true)
-					seen := map[*mat.Matrix]bool{}
-					count := 0
-					for _, ti := range bc.LocalTileRows(row, 0) {
-						for _, tj := range bc.LocalTileCols(col, 0) {
-							tile := s.Tile(ti, tj)
-							if seen[tile] {
-								t.Fatalf("grid %+v n=%d pos (%d,%d): tile (%d,%d) aliases another tile", g, n, row, col, ti, tj)
-							}
-							seen[tile] = true
-							wr, wc := bc.TileDims(ti, tj)
-							if tile.Rows != wr || tile.Cols != wc {
-								t.Fatalf("tile (%d,%d) is %dx%d, want %dx%d", ti, tj, tile.Rows, tile.Cols, wr, wc)
-							}
-							if s.Tile(ti, tj) != tile {
-								t.Fatalf("tile (%d,%d) identity not stable", ti, tj)
-							}
-							count++
-						}
-					}
-					if got := s.Allocated(); got != count {
-						t.Fatalf("grid %+v n=%d pos (%d,%d): Allocated() = %d, want %d", g, n, row, col, got, count)
-					}
+					checkPanel(t, bc, row, col)
 				}
 			}
 		}
 	}
 }
 
-// TestPhantomStoreAllocatesNoPayload re-pins the lazy/volume-mode contract
-// after the flat-slice change: a fresh volume-mode store reports zero
-// materialized tiles, materialization is per-tile (not whole-grid), and no
-// tile it ever hands out carries backing data.
+func checkPanel(t *testing.T, bc grid.BlockCyclic, row, col int) {
+	t.Helper()
+	s := dist.NewStore(bc, row, col, 0, true)
+	tis, tjs := bc.LocalTileRows(row, 0), bc.LocalTileCols(col, 0)
+	// code(r, c) is unique per global element and never zero.
+	code := func(r, c int) float64 { return float64(r*bc.N + c + 1) }
+	elems := 0
+	for _, ti := range tis {
+		for _, tj := range tjs {
+			tile := s.Tile(ti, tj)
+			if wr, wc := bc.TileDims(ti, tj); tile.Rows != wr || tile.Cols != wc {
+				t.Fatalf("n=%d pos (%d,%d): tile (%d,%d) is %dx%d, want %dx%d", bc.N, row, col, ti, tj, tile.Rows, tile.Cols, wr, wc)
+			}
+			for i := 0; i < tile.Rows; i++ {
+				for j := 0; j < tile.Cols; j++ {
+					if tile.At(i, j) != 0 {
+						t.Fatalf("n=%d pos (%d,%d): tile (%d,%d) overlaps an earlier tile", bc.N, row, col, ti, tj)
+					}
+					tile.Set(i, j, code(ti*bc.V+i, tj*bc.V+j))
+					elems++
+				}
+			}
+		}
+	}
+	if got := s.Allocated(); got != elems {
+		t.Fatalf("n=%d pos (%d,%d): panel holds %d elements, tiles cover %d", bc.N, row, col, got, elems)
+	}
+	// Read back through the trailing views: local row of global row r, and
+	// the columns of the owned tile columns ≥ from laid side by side.
+	for fi, from := range tjs {
+		view := s.Trailing(from)
+		wantCols := 0
+		for _, tj := range tjs[fi:] {
+			_, w := bc.TileDims(tj, tj)
+			wantCols += w
+		}
+		if view.Cols != wantCols {
+			t.Fatalf("n=%d pos (%d,%d): Trailing(%d) is %d wide, want %d", bc.N, row, col, from, view.Cols, wantCols)
+		}
+		if len(tis) == 0 {
+			continue
+		}
+		for _, r := range bc.RowsInGridRow(row, 0) {
+			c := 0
+			for _, tj := range tjs[fi:] {
+				_, w := bc.TileDims(tj, tj)
+				for j := 0; j < w; j++ {
+					if got := view.At(s.LocalRow(r), c); got != code(r, tj*bc.V+j) {
+						t.Fatalf("n=%d pos (%d,%d): Trailing(%d)(row %d, col %d) = %v, want element (%d,%d)",
+							bc.N, row, col, from, r, c, got, r, tj*bc.V+j)
+					}
+					c++
+				}
+			}
+		}
+	}
+	// And the other direction: a write through the view lands in the tile.
+	if len(tis) > 0 && len(tjs) > 0 {
+		ti, tj := tis[len(tis)-1], tjs[len(tjs)-1]
+		view := s.Trailing(tj)
+		view.Set(s.LocalRow(ti*bc.V), 0, -1)
+		if got := s.Tile(ti, tj).At(0, 0); got != -1 {
+			t.Fatalf("n=%d pos (%d,%d): write through Trailing(%d) not visible in tile (%d,%d): %v", bc.N, row, col, tj, ti, tj, got)
+		}
+	}
+	// Past the last owned column the trailing view is empty, not a panic.
+	if v := s.Trailing(bc.Tiles()); v.Cols != 0 {
+		t.Fatalf("Trailing past the last tile column is %d wide", v.Cols)
+	}
+}
+
+// TestPhantomStoreAllocatesNoPayload pins the volume-mode contract: a
+// volume-mode store never materializes, whatever is asked of it, and every
+// tile and view it hands out is phantom with the numeric store's shape.
 func TestPhantomStoreAllocatesNoPayload(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 19} // 5 tiles: uneven local grids
 	s := dist.NewStore(bc, 1, 0, 0, false)
-	if s.Allocated() != 0 {
-		t.Fatalf("fresh store allocated %d tiles", s.Allocated())
-	}
-	first := s.Tile(1, 0)
-	if !first.Phantom() {
-		t.Fatal("volume-mode tile carries payload")
-	}
-	if s.Allocated() != 1 {
-		t.Fatalf("one access materialized %d tiles, want exactly 1 (lazy per tile)", s.Allocated())
-	}
+	numeric := dist.NewStore(bc, 1, 0, 0, true)
 	for _, ti := range bc.LocalTileRows(1, 0) {
 		for _, tj := range bc.LocalTileCols(0, 0) {
-			if !s.Tile(ti, tj).Phantom() {
-				t.Fatalf("tile (%d,%d) carries payload in volume mode", ti, tj)
+			tile, want := s.Tile(ti, tj), numeric.Tile(ti, tj)
+			if !tile.Phantom() || tile.Rows != want.Rows || tile.Cols != want.Cols {
+				t.Fatalf("tile (%d,%d): phantom=%v %dx%d, want phantom %dx%d", ti, tj, tile.Phantom(), tile.Rows, tile.Cols, want.Rows, want.Cols)
 			}
 		}
+	}
+	if v, want := s.Trailing(1), numeric.Trailing(1); !v.Phantom() || v.Rows != want.Rows || v.Cols != want.Cols {
+		t.Fatalf("trailing view: phantom=%v %dx%d, want phantom %dx%d", v.Phantom(), v.Rows, v.Cols, want.Rows, want.Cols)
+	}
+	if s.Allocated() != 0 {
+		t.Fatalf("volume-mode store holds %d elements", s.Allocated())
 	}
 }
 
@@ -314,7 +369,68 @@ func TestStackColumnRowsRoundTrip(t *testing.T) {
 	}
 	vol.UnstackColumnRows(2, rows, stack)
 	if vol.Allocated() != 0 {
-		t.Fatal("volume-mode unstack touched tiles")
+		t.Fatal("volume-mode unstack materialized the store")
+	}
+}
+
+// TestStackTrailingRowsRoundTrip: the trailing stack is the given rows across
+// every owned tile column ≥ from, side by side, and unstacking restores them.
+func TestStackTrailingRowsRoundTrip(t *testing.T) {
+	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
+	bc := grid.BlockCyclic{G: g, V: 4, N: 17} // 5 tiles, the last 1 wide
+	s := dist.NewStore(bc, 1, 0, 0, true)     // tile rows {1, 3}, tile columns {0, 2, 4}
+	for _, ti := range bc.LocalTileRows(1, 0) {
+		for _, tj := range bc.LocalTileCols(0, 0) {
+			tile := s.Tile(ti, tj)
+			for i := 0; i < tile.Rows; i++ {
+				for j := 0; j < tile.Cols; j++ {
+					tile.Set(i, j, float64(100*(ti*4+i)+tj*4+j))
+				}
+			}
+		}
+	}
+	rows := []int{13, 4, 15}
+	stack := s.StackTrailingRows(1, rows) // tile columns {2, 4}: global columns 8..11, 16
+	if stack.Rows != 3 || stack.Cols != 5 {
+		t.Fatalf("stack is %dx%d, want 3x5", stack.Rows, stack.Cols)
+	}
+	for i, r := range rows {
+		for j, gc := range []int{8, 9, 10, 11, 16} {
+			if got := stack.At(i, j); got != float64(100*r+gc) {
+				t.Fatalf("stack(%d,%d) = %v, want element (%d,%d)", i, j, got, r, gc)
+			}
+		}
+	}
+	s.UnstackTrailingRows(1, []int{4}, mat.New(1, 5))
+	if got := s.Tile(1, 4).At(0, 0); got != 0 {
+		t.Fatalf("row 4 not zeroed in the edge tile: %v", got)
+	}
+	if got := s.Tile(1, 0).At(0, 3); got != 403 {
+		t.Fatalf("row 4 disturbed left of the trailing columns: %v", got)
+	}
+	if got := s.Tile(1, 2).At(1, 0); got != 508 {
+		t.Fatalf("row 5 disturbed: %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stacking a row of another grid row did not panic")
+		}
+	}()
+	s.StackTrailingRows(1, []int{0}) // row 0 lives in tile row 0, grid row 0
+}
+
+func TestOutOfRangeTilePanics(t *testing.T) {
+	bc := grid.BlockCyclic{G: grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, V: 4, N: 16}
+	s := dist.NewStore(bc, 0, 0, 0, true)
+	for _, tc := range [][2]int{{-2, 0}, {0, -2}, {4, 0}, {0, 4}} {
+		func() {
+			defer func() {
+				if msg, ok := recover().(string); !ok || !strings.Contains(msg, "outside") {
+					t.Fatalf("Tile(%d,%d): panic %q, want an out-of-range panic", tc[0], tc[1], msg)
+				}
+			}()
+			s.Tile(tc[0], tc[1])
+		}()
 	}
 }
 

@@ -8,51 +8,6 @@ import (
 	"repro/internal/mat"
 )
 
-// rowLayout concatenates a rank's tile columns tj >= from.
-type rowLayout struct {
-	tjs    []int
-	offs   []int
-	widths []int
-	total  int
-}
-
-func (e *engine) colsFrom(from int) rowLayout {
-	tjs := e.bc.LocalTileCols(e.col, from)
-	cl := rowLayout{tjs: tjs, offs: make([]int, len(tjs)), widths: make([]int, len(tjs))}
-	for i, tj := range tjs {
-		_, w := e.bc.TileDims(tj, tj)
-		cl.offs[i] = cl.total
-		cl.widths[i] = w
-		cl.total += w
-	}
-	return cl
-}
-
-func (e *engine) packRow(r int, cl rowLayout) *mat.Matrix {
-	buf := e.store.NewBuffer(1, cl.total)
-	if e.store.Payload() {
-		ti := r / e.opt.V
-		lr := r - ti*e.opt.V
-		for k, tj := range cl.tjs {
-			buf.View(0, cl.offs[k], 1, cl.widths[k]).
-				CopyFrom(e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]))
-		}
-	}
-	return buf
-}
-
-func (e *engine) unpackRow(r int, cl rowLayout, buf *mat.Matrix) {
-	if !e.store.Payload() {
-		return
-	}
-	ti := r / e.opt.V
-	lr := r - ti*e.opt.V
-	for k, tj := range cl.tjs {
-		e.store.Tile(ti, tj).View(lr, 0, 1, cl.widths[k]).
-			CopyFrom(buf.View(0, cl.offs[k], 1, cl.widths[k]))
-	}
-}
-
 // planSwaps converts this step's tournament pivots into a sequence of row
 // interchanges that bring pivot i to slot t·v+i, LAPACK style. Every rank
 // computes the identical plan from the broadcast pivot IDs.
@@ -96,8 +51,8 @@ func (e *engine) applySwaps(t int) {
 	for _, sw := range swaps {
 		e.perm[sw[0]], e.perm[sw[1]] = e.perm[sw[1]], e.perm[sw[0]]
 	}
-	cl := e.colsFrom(0)
-	if cl.total > 0 {
+	// A swapped row travels whole: every tile column this rank owns.
+	if total := e.store.Trailing(0).Cols; total > 0 {
 		for si, sw := range swaps {
 			a, b := sw[0], sw[1]
 			o1 := e.bc.OwnerRow(a / e.opt.V)
@@ -105,21 +60,11 @@ func (e *engine) applySwaps(t int) {
 			tag := 7000 + si
 			switch {
 			case o1 == e.row && o2 == e.row:
-				if e.store.Payload() {
-					ra, rb := e.packRow(a, cl), e.packRow(b, cl)
-					e.unpackRow(a, cl, rb)
-					e.unpackRow(b, cl, ra)
-				}
+				e.store.UnstackTrailingRows(0, []int{b, a}, e.store.StackTrailingRows(0, []int{a, b}))
 			case o1 == e.row:
-				e.colc.SendMat(o2, tag, e.packRow(a, cl))
-				buf := e.store.NewBuffer(1, cl.total)
-				e.colc.RecvMat(o2, tag, buf)
-				e.unpackRow(a, cl, buf)
+				e.exchangeRow(a, o2, tag, total)
 			case o2 == e.row:
-				e.colc.SendMat(o1, tag, e.packRow(b, cl))
-				buf := e.store.NewBuffer(1, cl.total)
-				e.colc.RecvMat(o1, tag, buf)
-				e.unpackRow(b, cl, buf)
+				e.exchangeRow(b, o1, tag, total)
 			}
 		}
 	}
@@ -129,6 +74,15 @@ func (e *engine) applySwaps(t int) {
 		w := len(e.pivIDs)
 		e.store.Tile(t, t).View(0, 0, w, w).CopyFrom(e.a00)
 	}
+}
+
+// exchangeRow sends local row r to grid row peer of my column communicator
+// and replaces it with the row received back.
+func (e *engine) exchangeRow(r, peer, tag, total int) {
+	e.colc.SendMat(peer, tag, e.store.StackTrailingRows(0, []int{r}))
+	buf := e.store.NewBuffer(1, total)
+	e.colc.RecvMat(peer, tag, buf)
+	e.store.UnstackTrailingRows(0, []int{r}, buf)
 }
 
 // factorizeA10 solves the sub-diagonal panel rows against U00 at the layer-0
@@ -153,21 +107,13 @@ func (e *engine) factorizeA10(t int) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		buf := e.store.NewBuffer(len(grRows), w)
+		var buf *mat.Matrix
 		if owner == e.world.Rank() && len(grRows) > 0 {
-			if e.store.Payload() {
-				for i, r := range grRows {
-					ti := r / e.opt.V
-					buf.View(i, 0, 1, w).CopyFrom(e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w))
-				}
-			}
+			buf = e.store.StackColumnRows(t, grRows)
 			blas.TrsmUpperRight(e.a00, buf)
-			if e.store.Payload() {
-				for i, r := range grRows {
-					ti := r / e.opt.V
-					e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(buf.View(i, 0, 1, w))
-				}
-			}
+			e.store.UnstackColumnRows(t, grRows, buf)
+		} else {
+			buf = e.store.NewBuffer(len(grRows), w)
 		}
 		if len(grRows) > 0 {
 			comm.BcastMat(0, buf)
@@ -185,8 +131,8 @@ func (e *engine) factorizeA01(t int) {
 	e.ac.SetPhase(e.opt.Name + ".panel-a01")
 	e.a01 = nil
 	w := len(e.pivIDs)
-	cl := e.colsFrom(t + 1)
-	if cl.total == 0 {
+	total := e.store.Trailing(t + 1).Cols
+	if total == 0 {
 		return
 	}
 	tr := e.bc.OwnerRow(t)
@@ -194,26 +140,18 @@ func (e *engine) factorizeA01(t int) {
 
 	var solved *mat.Matrix
 	if e.row == tr {
-		stack := e.store.NewBuffer(w, cl.total)
-		if e.store.Payload() {
-			for i := 0; i < w; i++ {
-				r := t*e.opt.V + i
-				stack.View(i, 0, 1, cl.total).CopyFrom(e.packRowCols(r, cl))
-			}
+		pivRows := make([]int, w) // swapped into place: rows t·v .. t·v+w-1
+		for i := range pivRows {
+			pivRows[i] = t*e.opt.V + i
 		}
+		stack := e.store.StackTrailingRows(t+1, pivRows)
 		e.fiber.ReduceMatSum(0, stack)
 		if e.layer == 0 {
 			blas.TrsmLowerLeft(e.a00, stack, true)
-			if e.store.Payload() {
-				for i := 0; i < w; i++ {
-					e.unpackRow(t*e.opt.V+i, cl, stack.View(i, 0, 1, cl.total))
-				}
-			}
+			e.store.UnstackTrailingRows(t+1, pivRows, stack)
 			solved = stack
 		} else if e.store.Payload() {
-			for i := 0; i < w; i++ {
-				e.unpackRow(t*e.opt.V+i, cl, mat.New(1, cl.total))
-			}
+			e.store.UnstackTrailingRows(t+1, pivRows, mat.New(w, total))
 		}
 	}
 
@@ -230,7 +168,7 @@ func (e *engine) factorizeA01(t int) {
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := solved
 	if buf == nil {
-		buf = e.store.NewBuffer(w, cl.total)
+		buf = e.store.NewBuffer(w, total)
 	}
 	comm.BcastMat(0, buf)
 	if e.layer == lstar {
@@ -238,41 +176,13 @@ func (e *engine) factorizeA01(t int) {
 	}
 }
 
-func (e *engine) packRowCols(r int, cl rowLayout) *mat.Matrix {
-	return e.packRow(r, cl)
-}
-
-// update applies the Schur update into the assigned layer's accumulators.
+// update applies the Schur update into the assigned layer's accumulator: one
+// rank-w update of every trailing row below the diagonal block.
 func (e *engine) update(t int) {
 	e.ac.SetPhase(e.opt.Name + ".update")
-	if e.layer != t%e.g.Layers || e.a10 == nil || e.a01 == nil {
+	if !e.store.Payload() || e.layer != t%e.g.Layers || e.a10 == nil || e.a01 == nil {
 		return
 	}
-	w := len(e.pivIDs)
-	cl := e.colsFrom(t + 1)
-	rows := e.bc.RowsInGridRow(e.row, e.a10Lo)
-	idx := make(map[int]int, len(rows))
-	for i, r := range rows {
-		idx[r] = i
-	}
-	for _, ti := range e.bc.LocalTileRows(e.row, t) {
-		h, _ := e.bc.TileDims(ti, ti)
-		tileL := e.store.NewBuffer(h, w)
-		any := false
-		for lr := 0; lr < h; lr++ {
-			r := ti*e.opt.V + lr
-			if i, ok := idx[r]; ok {
-				any = true
-				if e.store.Payload() {
-					tileL.View(lr, 0, 1, w).CopyFrom(e.a10.View(i, 0, 1, w))
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		for k, tj := range cl.tjs {
-			blas.Gemm(-1, tileL, e.a01.View(0, cl.offs[k], w, cl.widths[k]), 1, e.store.Tile(ti, tj))
-		}
-	}
+	rows := e.store.LocalRows(e.bc.RowsInGridRow(e.row, e.a10Lo))
+	blas.GemmRows(-1, e.a10, e.a01, e.store.Trailing(t+1), rows)
 }

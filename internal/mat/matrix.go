@@ -79,19 +79,22 @@ func (m *Matrix) Add(i, j int, v float64) {
 	m.Data[i*m.Stride+j] += v
 }
 
+// check bounds-checks an element index. Constant panic message: see View.
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
+		panic("mat: index out of range")
 	}
 }
 
-// Row returns a slice aliasing row i. Panics on phantom matrices.
+// Row returns a slice aliasing row i. Panics on phantom matrices. Constant
+// panic messages keep it inlinable (see View): it opens every kernel inner
+// loop.
 func (m *Matrix) Row(i int) []float64 {
 	if m.Data == nil {
 		panic("mat: Row on phantom matrix")
 	}
 	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.Rows))
+		panic("mat: row out of range")
 	}
 	return m.Data[i*m.Stride : i*m.Stride+m.Cols]
 }
@@ -104,14 +107,20 @@ func (m *Matrix) Row(i int) []float64 {
 // engines take views on both sides of nearly every tile copy, and when the
 // view is consumed in-statement (CopyFrom, SendMat, a kernel call) escape
 // analysis keeps the header on the caller's stack — at paper scale that
-// removes the single largest allocation source of a schedule replay.
+// removes the single largest allocation source of a schedule replay. Row and
+// At/Set/Add follow the same rule for the same reason: with formatted
+// messages they were opaque calls inside every kernel's inner loop (Row alone
+// was a fifth of a numeric run's samples); `go build -gcflags=-m` must keep
+// reporting "can inline" for all of them.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
 	if i|j|r|c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic("mat: view out of range")
 	}
 	stride, data := c, []float64(nil)
 	if m.Data != nil {
-		stride, data = m.Stride, m.Data[i*m.Stride+j:]
+		// min: an empty view may start past the last element (row Rows of
+		// any matrix, column j > 0 of a matrix with no rows).
+		stride, data = m.Stride, m.Data[min(i*m.Stride+j, len(m.Data)):]
 	}
 	return &Matrix{Rows: r, Cols: c, Stride: stride, Data: data}
 }

@@ -58,6 +58,26 @@ func TestViewAliases(t *testing.T) {
 	}
 }
 
+// An empty view is legal wherever its origin is in range, including past the
+// last element: row Rows of a matrix, or column j > 0 of a matrix without
+// rows (a rank's local panel when it owns no tile row).
+func TestEmptyViewsAtTheEdge(t *testing.T) {
+	m := New(3, 4)
+	if v := m.View(3, 2, 0, 2); v.Rows != 0 || v.Cols != 2 || v.Phantom() {
+		t.Fatalf("view below the last row: %+v", v)
+	}
+	if v := New(0, 5).View(0, 3, 0, 2); v.Rows != 0 || v.Cols != 2 || v.Phantom() {
+		t.Fatalf("view into a matrix without rows: %+v", v)
+	}
+	// A non-empty view out of range still panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range view did not panic")
+		}
+	}()
+	m.View(3, 0, 1, 1)
+}
+
 func TestPhantomSemantics(t *testing.T) {
 	p := NewPhantom(3, 3)
 	if !p.Phantom() {
