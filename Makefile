@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-full vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest ci
+.PHONY: all build test test-purego test-full fuzz-smoke vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest ci
 
 all: ci
 
@@ -20,6 +20,13 @@ test:
 # — ROADMAP 4f. The tag is test-only: no shipped binary is built with it.
 test-purego:
 	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux
+
+# Ten seconds of coverage-guided fuzzing of the layout/collect round trip
+# (shape × grid × layer × payload mode against the closed-form volume), on
+# top of the checked-in seed corpus every plain `go test` run replays.
+# -fuzz takes one target in one package per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:
@@ -48,9 +55,10 @@ fmt-check:
 # uploaded by CI. Also runs inside `make test`; kept addressable so CI
 # gates on it explicitly.
 # -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15) takes
-# ~6 min under the race detector on a 2-core host (50 s bare) since the
-# engines' Schur update became one kernel call per step — it was ~56 min —
-# so 30m leaves 5× headroom over go test's default 10m for slower CI hosts.
+# ~6 min under the race detector on a 2-core host since the engines' Schur
+# update became one kernel call per step — it was ~56 min — so 30m leaves 5×
+# headroom over go test's default 10m for slower CI hosts. Bare it takes 33 s
+# (39 s before layout and collect moved one batch per owner, 2026-09-28).
 conformance:
 	$(GO) test -race -timeout 30m -run 'TestConformance' -v \
 		-coverprofile=conformance_engine.out -coverpkg=repro/internal/engine .
@@ -124,4 +132,4 @@ kernels:
 loadtest:
 	$(GO) test -race -count=1 -run 'TestConfluxdLoad' -v ./cmd/confluxd
 
-ci: fmt-check vet build test test-purego
+ci: fmt-check vet build test fuzz-smoke test-purego

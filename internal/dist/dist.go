@@ -222,13 +222,3 @@ func (s *Store) unstackRows(view *mat.Matrix, rows []int, stack *mat.Matrix) {
 // Allocated returns the number of payload elements the store holds: 0 until
 // the first tile access, the whole local panel after (test hook).
 func (s *Store) Allocated() int { return len(s.panel.Data) }
-
-// eachOwnedTile visits this rank's tiles in deterministic (ti, tj) ascending
-// order — the iteration order both collectives rely on.
-func (s *Store) eachOwnedTile(fn func(ti, tj int)) {
-	for _, ti := range s.bc.LocalTileRows(s.row, 0) {
-		for _, tj := range s.bc.LocalTileCols(s.col, 0) {
-			fn(ti, tj)
-		}
-	}
-}

@@ -2,6 +2,8 @@ package dist_test
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,36 +14,134 @@ import (
 	"repro/internal/trace"
 )
 
+// layout is how a round trip moves the tiles: the package's batched
+// collectives, or the per-tile reference they replaced.
+type layout struct {
+	scatter, gather func(c *smpi.Comm, root int, m *mat.Matrix, g grid.Grid, s *dist.Store)
+}
+
+var batched = layout{dist.Scatter, dist.Gather}
+
+// perTile is the test-only parity oracle: Scatter and Gather as they were
+// before the batch — one tagged SendMat/RecvMat per tile, in (ti, tj) order.
+// It takes the map and the target layer because a Store exports neither.
+func perTile(bc grid.BlockCyclic, layer int) layout {
+	each := func(c *smpi.Comm, root int, m *mat.Matrix, g grid.Grid, s *dist.Store, phase string,
+		remote func(owner, tag int, tile, view *mat.Matrix), local func(tile, view *mat.Matrix)) {
+		prev := c.Phase()
+		defer c.SetPhase(prev)
+		c.SetPhase(phase)
+		nt := bc.Tiles()
+		for ti := 0; ti < nt; ti++ {
+			for tj := 0; tj < nt; tj++ {
+				owner := bc.Owner(ti, tj, layer)
+				if c.Rank() != root && c.Rank() != owner {
+					continue
+				}
+				h, w := bc.TileDims(ti, tj)
+				view := mat.NewPhantom(h, w)
+				if c.Rank() == root && m != nil {
+					view = m.View(ti*bc.V, tj*bc.V, h, w)
+				}
+				var tile *mat.Matrix
+				if c.Rank() == owner {
+					tile = s.Tile(ti, tj)
+				}
+				if owner == root {
+					local(tile, view)
+				} else {
+					remote(owner, ti*nt+tj+1, tile, view)
+				}
+			}
+		}
+	}
+	return layout{
+		scatter: func(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *dist.Store) {
+			each(c, root, a, g, s, trace.PhaseLayout, func(owner, tag int, tile, view *mat.Matrix) {
+				if c.Rank() == root {
+					c.SendMat(owner, tag, view)
+				} else {
+					c.RecvMat(root, tag, tile)
+				}
+			}, func(tile, view *mat.Matrix) { tile.CopyFrom(view) })
+		},
+		gather: func(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *dist.Store) {
+			each(c, root, dst, g, s, trace.PhaseCollect, func(owner, tag int, tile, view *mat.Matrix) {
+				if c.Rank() == root {
+					c.RecvMat(owner, tag, view)
+				} else {
+					c.SendMat(root, tag, tile)
+				}
+			}, func(tile, view *mat.Matrix) { view.CopyFrom(tile) })
+		},
+	}
+}
+
+// trip is one scatter→gather round trip: the matrix shape, the grid and the
+// layer whose stores take the tiles, the payload mode, the executor, and
+// which implementation moves them.
+type trip struct {
+	g        grid.Grid
+	n, v     int
+	layer    int
+	payload  bool
+	executor smpi.Executor
+	perTile  bool // move the tiles with the per-tile reference, not the package's collectives
+}
+
 // roundTrip scatters a (random in payload mode, nil in volume mode) matrix
-// from rank 0 across the layer-0 stores of g and gathers it back, returning
-// the volume report and the gathered matrix. Non-zero layers and disabled
-// ranks sit out, exactly as the engines use the collectives.
-func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report, *mat.Matrix) {
+// from rank 0 across the stores of tr.layer and gathers it back, returning
+// the run's report, its retained events and the gathered matrix. Other
+// layers and disabled ranks sit out, exactly as the engines use the
+// collectives; every active rank first takes part in a timed ring exchange,
+// and the participants in a second one between the two collectives, so the
+// clocks the untimed phases must leave alone differ from rank to rank.
+func roundTrip(t testing.TB, tr trip) (*trace.Report, []trace.Event, *mat.Matrix) {
 	t.Helper()
-	bc := grid.BlockCyclic{G: g, V: v, N: n}
+	g, n := tr.g, tr.n
+	bc := grid.BlockCyclic{G: g, V: tr.v, N: n}
 	var src, got *mat.Matrix
-	if payload {
+	if tr.payload {
 		src = mat.Random(n, n, 0xD157)
 	}
-	rep, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: payload}, func(c *smpi.Comm) error {
+	via := batched
+	if tr.perTile {
+		via = perTile(bc, tr.layer)
+	}
+	// ring passes a rank-sized message around members (ascending world ranks).
+	ring := func(c *smpi.Comm, tag int, members []int) {
+		if p := len(members); p > 1 {
+			me := slices.Index(members, c.Rank())
+			c.SendMat(members[(me+1)%p], tag, mat.NewPhantom(1, c.Rank()+1))
+			c.Recv(members[(me+p-1)%p], tag)
+		}
+	}
+	participants := g.LayerComm(tr.layer)
+	if tr.layer != 0 {
+		participants = append([]int{0}, participants...)
+	}
+	w := smpi.NewWorld(g.Total, tr.payload)
+	rep, err := smpi.Exec(context.Background(), smpi.Config{World: w, Executor: tr.executor}, func(c *smpi.Comm) error {
 		if c.Rank() >= g.Used() {
 			return nil
 		}
+		c.SetPhase("caller-phase")
+		ring(c, 1<<20, g.ActiveComm())
 		row, col, layer := g.Coords(c.Rank())
-		s := dist.NewStore(bc, row, col, layer, c.Payload())
-		if layer != 0 {
+		if layer != tr.layer && c.Rank() != 0 {
 			return nil
 		}
+		// Rank 0 routes by the target layer even when it does not sit on it.
+		s := dist.NewStore(bc, row, col, tr.layer, c.Payload())
 		var a *mat.Matrix
 		if c.Rank() == 0 {
 			a = src
 		}
-		c.SetPhase("caller-phase")
-		dist.Scatter(c, 0, a, g, s)
+		via.scatter(c, 0, a, g, s)
 		if ph := c.Phase(); ph != "caller-phase" {
 			t.Errorf("rank %d: Scatter left phase %q, want caller's restored", c.Rank(), ph)
 		}
-		if !payload {
+		if !tr.payload && layer == tr.layer {
 			// Volume mode must allocate no payload: every tile is phantom.
 			for _, ti := range bc.LocalTileRows(row, 0) {
 				for _, tj := range bc.LocalTileCols(col, 0) {
@@ -51,15 +151,16 @@ func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report
 				}
 			}
 		}
+		ring(c, 1<<21, participants)
 		var dst *mat.Matrix
 		if c.Rank() == 0 {
-			if payload {
+			if tr.payload {
 				dst = mat.New(n, n)
 			} else {
 				dst = mat.NewPhantom(n, n)
 			}
 		}
-		dist.Gather(c, 0, dst, g, s)
+		via.gather(c, 0, dst, g, s)
 		if ph := c.Phase(); ph != "caller-phase" {
 			t.Errorf("rank %d: Gather left phase %q, want caller's restored", c.Rank(), ph)
 		}
@@ -71,7 +172,7 @@ func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if payload {
+	if tr.payload {
 		if got == nil {
 			t.Fatal("no matrix gathered at rank 0")
 		}
@@ -79,65 +180,86 @@ func roundTrip(t *testing.T, g grid.Grid, n, v int, payload bool) (*trace.Report
 			t.Fatalf("round trip not exact: max |diff| = %v", d)
 		}
 	}
-	return rep, got
+	return rep, w.Trace.Events(), got
 }
 
-// housekeepingBytes returns the bytes Scatter (and, symmetrically, Gather)
-// must meter: every tile whose layer-0 owner is not rank 0, at 8 bytes per
-// element.
-func housekeepingBytes(bc grid.BlockCyclic, g grid.Grid) int64 {
-	var total int64
+// roundTripCases is the shape table of the round-trip, parity and fuzz tests
+// (the fuzz seed corpus under testdata/fuzz repeats it): 2D grids, 2.5D grids
+// (Layers > 1), grids with disabled ranks, uneven edge tiles.
+var roundTripCases = []struct {
+	name string
+	g    grid.Grid
+	n, v int
+}{
+	{"2x2-even", grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, 16, 4},
+	{"2x3-uneven-edge", grid.Grid{Pr: 2, Pc: 3, Layers: 1, Total: 6}, 13, 4},
+	{"1x1-single", grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: 1}, 7, 3},
+	{"2x2x2-25d", grid.Grid{Pr: 2, Pc: 2, Layers: 2, Total: 8}, 12, 4},
+	{"2x2x3-25d-uneven", grid.Grid{Pr: 2, Pc: 2, Layers: 3, Total: 12}, 17, 5},
+	{"3x3-disabled-ranks", grid.Grid{Pr: 3, Pc: 3, Layers: 1, Total: 11}, 10, 3},
+	{"tile-larger-than-n", grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, 3, 8},
+	// Every tile is a strided view of its rank's panel: both collectives
+	// pack from and unpack into rows that are not adjacent in memory.
+	{"3x2-ragged-517", grid.Grid{Pr: 3, Pc: 2, Layers: 1, Total: 6}, 517, 4},
+}
+
+func modeName(payload bool) string {
+	if payload {
+		return "numeric"
+	}
+	return "volume"
+}
+
+// housekeeping returns what Scatter (and, symmetrically, Gather) onto the
+// given layer must meter, in closed form: every tile rank 0 does not itself
+// own there is one message, at 8 bytes per element. Rank 0 sits at grid
+// position (0, 0) of layer 0, so on that layer it keeps ⌈nt/Pr⌉·⌈nt/Pc⌉ tiles
+// — v rows (columns) each, less what the global last tile is cut short by
+// when it is one of them — and on any other layer nothing.
+func housekeeping(bc grid.BlockCyclic, layer int) (bytes, msgs int64) {
 	nt := bc.Tiles()
-	for ti := 0; ti < nt; ti++ {
-		for tj := 0; tj < nt; tj++ {
-			if g.Rank(bc.OwnerRow(ti), bc.OwnerCol(tj), 0) == 0 {
-				continue
-			}
-			r, w := bc.TileDims(ti, tj)
-			total += int64(r*w) * trace.BytesPerElement
+	kept := func(stride int) (tiles, extent int) {
+		tiles = (nt + stride - 1) / stride
+		extent = tiles * bc.V
+		if (nt-1)%stride == 0 {
+			extent -= nt*bc.V - bc.N
+		}
+		return tiles, extent
+	}
+	tr, rows := kept(bc.G.Pr)
+	tc, cols := kept(bc.G.Pc)
+	if layer != 0 {
+		tr, rows, tc, cols = 0, 0, 0, 0
+	}
+	return int64(bc.N*bc.N-rows*cols) * trace.BytesPerElement, int64(nt*nt - tr*tc)
+}
+
+// checkHousekeeping asserts that a round trip's report meters exactly the
+// closed-form layout and collect traffic.
+func checkHousekeeping(t testing.TB, rep *trace.Report, bc grid.BlockCyclic, layer int) {
+	t.Helper()
+	bytes, msgs := housekeeping(bc, layer)
+	for _, ph := range []string{trace.PhaseLayout, trace.PhaseCollect} {
+		if got := rep.ByPhase[ph]; got != bytes {
+			t.Errorf("%s bytes = %d, want %d", ph, got, bytes)
+		}
+		if got := rep.PhaseMsgs[ph]; got != msgs {
+			t.Errorf("%s messages = %d, want %d (one per off-root tile)", ph, got, msgs)
 		}
 	}
-	return total
 }
 
 // The property: Scatter→Gather is the identity at rank 0 and meters exactly
-// the off-root tile bytes under PhaseLayout/PhaseCollect, across 2D grids,
-// 2.5D grids (Layers > 1), grids with disabled ranks, uneven edge tiles, and
-// both payload modes.
+// the off-root tiles — bytes and one message each — under
+// PhaseLayout/PhaseCollect, across the shape table and both payload modes.
 func TestScatterGatherRoundTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		g    grid.Grid
-		n, v int
-	}{
-		{"2x2-even", grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, 16, 4},
-		{"2x3-uneven-edge", grid.Grid{Pr: 2, Pc: 3, Layers: 1, Total: 6}, 13, 4},
-		{"1x1-single", grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: 1}, 7, 3},
-		{"2x2x2-25d", grid.Grid{Pr: 2, Pc: 2, Layers: 2, Total: 8}, 12, 4},
-		{"2x2x3-25d-uneven", grid.Grid{Pr: 2, Pc: 2, Layers: 3, Total: 12}, 17, 5},
-		{"3x3-disabled-ranks", grid.Grid{Pr: 3, Pc: 3, Layers: 1, Total: 11}, 10, 3},
-		{"tile-larger-than-n", grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}, 3, 8},
-		// Every tile is a strided view of its rank's panel: both collectives
-		// pack from and unpack into rows that are not adjacent in memory.
-		{"3x2-ragged-517", grid.Grid{Pr: 3, Pc: 2, Layers: 1, Total: 6}, 517, 4},
-	}
-	for _, tc := range cases {
+	for _, tc := range roundTripCases {
 		for _, payload := range []bool{true, false} {
-			name := tc.name + "/volume"
-			if payload {
-				name = tc.name + "/numeric"
-			}
-			t.Run(name, func(t *testing.T) {
-				rep, _ := roundTrip(t, tc.g, tc.n, tc.v, payload)
+			t.Run(tc.name+"/"+modeName(payload), func(t *testing.T) {
+				rep, _, _ := roundTrip(t, trip{g: tc.g, n: tc.n, v: tc.v, payload: payload})
 				bc := grid.BlockCyclic{G: tc.g, V: tc.v, N: tc.n}
-				want := housekeepingBytes(bc, tc.g)
-				if got := rep.ByPhase[trace.PhaseLayout]; got != want {
-					t.Errorf("layout bytes = %d, want %d", got, want)
-				}
-				if got := rep.ByPhase[trace.PhaseCollect]; got != want {
-					t.Errorf("collect bytes = %d, want %d", got, want)
-				}
-				if tc.g.Used() > 1 && bc.Tiles() > 1 && want == 0 {
+				checkHousekeeping(t, rep, bc, 0)
+				if bytes, _ := housekeeping(bc, 0); tc.g.Used() > 1 && bc.Tiles() > 1 && bytes == 0 {
 					t.Fatalf("degenerate case: no off-root tiles to meter")
 				}
 			})
@@ -145,12 +267,78 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchedLayoutMatchesPerTile is the parity oracle of the batched
+// transport: over the whole shape table, in both payload modes and under
+// both executors, moving each owner's tiles as one batch must leave what
+// moving them one message at a time left — the same gathered matrix, the
+// same report field for field (per-rank Sent/Recv/Msgs, ByPhase, PhaseMsgs,
+// every clock bit), and the same retained events element by element, the
+// root's collect deliveries in (ti, tj) order included.
+func TestBatchedLayoutMatchesPerTile(t *testing.T) {
+	for _, tc := range roundTripCases {
+		for _, payload := range []bool{true, false} {
+			for _, ex := range []smpi.Executor{smpi.ExecGoroutines, smpi.ExecEvents} {
+				t.Run(tc.name+"/"+modeName(payload)+"/"+string(ex), func(t *testing.T) {
+					tr := trip{g: tc.g, n: tc.n, v: tc.v, payload: payload, executor: ex}
+					rep, events, got := roundTrip(t, tr)
+					tr.perTile = true
+					wantRep, wantEvents, want := roundTrip(t, tr)
+					if payload && mat.MaxAbsDiff(got, want) != 0 {
+						t.Errorf("gathered matrices differ")
+					}
+					for _, f := range []struct {
+						name      string
+						got, want any
+					}{
+						{"Sent", rep.Sent, wantRep.Sent}, {"Recv", rep.Recv, wantRep.Recv}, {"Msgs", rep.Msgs, wantRep.Msgs},
+						{"ByPhase", rep.ByPhase, wantRep.ByPhase}, {"PhaseMsgs", rep.PhaseMsgs, wantRep.PhaseMsgs},
+						{"Time.Clock", rep.Time.Clock, wantRep.Time.Clock}, {"report", rep, wantRep},
+					} {
+						if !reflect.DeepEqual(f.got, f.want) {
+							t.Errorf("%s: batched %+v, per tile %+v", f.name, f.got, f.want)
+						}
+					}
+					if len(events) != len(wantEvents) {
+						t.Fatalf("%d events retained, per tile %d", len(events), len(wantEvents))
+					}
+					for i := range events {
+						if events[i] != wantEvents[i] {
+							t.Fatalf("event %d: batched %+v, per tile %+v", i, events[i], wantEvents[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzScatterGather drives the round trip over arbitrary shapes — matrix and
+// tile size, grid, replication depth, which layer takes the tiles (rank 0
+// routes to a layer it does not sit on), disabled spare ranks — in both
+// payload modes: the gathered matrix is the scattered one (checked inside
+// roundTrip) and layout/collect meter the closed form.
+func FuzzScatterGather(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n, v, pr, pc, layers, layer, spare int) {
+		// Fold every argument into its legal range; values already inside it
+		// (the seed corpus) mean themselves.
+		fold := func(x, m int) int { return int(uint(x) % uint(m)) }
+		g := grid.Grid{Pr: 1 + fold(pr-1, 4), Pc: 1 + fold(pc-1, 4), Layers: 1 + fold(layers-1, 3)}
+		g.Total = g.Used() + fold(spare, 3)
+		bc := grid.BlockCyclic{G: g, V: 1 + fold(v-1, 40), N: 1 + fold(n-1, 600)}
+		layer = fold(layer, g.Layers)
+		for _, payload := range []bool{true, false} {
+			rep, _, _ := roundTrip(t, trip{g: g, n: bc.N, v: bc.V, layer: layer, payload: payload})
+			checkHousekeeping(t, rep, bc, layer)
+		}
+	})
+}
+
 // Volume mode and numeric mode must meter identical housekeeping bytes — the
 // central phantom-payload invariant, at the dist layer.
 func TestVolumeNumericParity(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 3, Layers: 2, Total: 12}
-	numeric, _ := roundTrip(t, g, 19, 4, true)
-	volume, _ := roundTrip(t, g, 19, 4, false)
+	numeric, _, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: true})
+	volume, _, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: false})
 	for _, ph := range []string{trace.PhaseLayout, trace.PhaseCollect} {
 		if numeric.ByPhase[ph] != volume.ByPhase[ph] {
 			t.Errorf("%s: numeric %d bytes vs volume %d", ph, numeric.ByPhase[ph], volume.ByPhase[ph])

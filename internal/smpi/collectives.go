@@ -1,10 +1,6 @@
 package smpi
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
+import "repro/internal/mat"
 
 // BcastMat broadcasts root's matrix to every rank (binomial tree, log₂(p)
 // rounds; total volume (p-1)·len, matching an MPI tree broadcast).
@@ -167,65 +163,6 @@ func (c *Comm) Butterfly(in Msg, combine func(mine, theirs Msg) Msg) Msg {
 		cur = c.Recv(c.me-pow2, tag)
 	}
 	return cur
-}
-
-// ScatterMats sends parts[i] from root to rank i (linear, as in MPI_Scatterv
-// for modest communicator sizes). Each rank passes its receive buffer; root
-// passes the full parts slice.
-func (c *Comm) ScatterMats(root int, parts []*mat.Matrix, recv *mat.Matrix) {
-	tag := c.nextCollTag()
-	if c.me == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("smpi: ScatterMats %d parts for %d ranks", len(parts), c.Size()))
-		}
-		for i, part := range parts {
-			if i == root {
-				recv.CopyFrom(part)
-				continue
-			}
-			c.SendMat(i, tag, part)
-		}
-		return
-	}
-	c.RecvMat(root, tag, recv)
-}
-
-// GatherMats collects each rank's matrix at root: root receives into
-// dst[i] for every i (dst ignored elsewhere).
-func (c *Comm) GatherMats(root int, send *mat.Matrix, dst []*mat.Matrix) {
-	tag := c.nextCollTag()
-	if c.me == root {
-		if len(dst) != c.Size() {
-			panic(fmt.Sprintf("smpi: GatherMats %d buffers for %d ranks", len(dst), c.Size()))
-		}
-		for i := range dst {
-			if i == root {
-				dst[i].CopyFrom(send)
-				continue
-			}
-			c.RecvMat(i, tag, dst[i])
-		}
-		return
-	}
-	c.SendMat(root, tag, send)
-}
-
-// AllgatherMats is a ring allgather: after p-1 rounds every rank holds every
-// rank's block in out[i] (out[me] is filled from send).
-func (c *Comm) AllgatherMats(send *mat.Matrix, out []*mat.Matrix) {
-	tag := c.nextCollTag()
-	p := c.Size()
-	if len(out) != p {
-		panic(fmt.Sprintf("smpi: AllgatherMats %d buffers for %d ranks", len(out), p))
-	}
-	out[c.me].CopyFrom(send)
-	next, prev := (c.me+1)%p, (c.me-1+p)%p
-	cur := c.me
-	for round := 0; round < p-1; round++ {
-		c.SendMat(next, tag+round, out[cur])
-		cur = (cur - 1 + p) % p
-		c.RecvMat(prev, tag+round, out[cur])
-	}
 }
 
 // Barrier synchronizes the communicator with zero metered volume (control

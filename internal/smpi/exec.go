@@ -252,11 +252,11 @@ func firstRunError(errs []error) error {
 }
 
 // reclaim sweeps the world after every rank has unwound: undelivered pooled
-// payloads (SendMat wire buffers, MaxLoc reduction pairs stranded by an
-// abort) go back to their pools, drained queue carcasses and the mailbox
-// free-slot caches are recycled, and the world's RMA window registry entry
-// is dropped so the world itself is collectable. Counts land in
-// w.reclaimed for the regression tests. The mailbox locks are held against
+// payloads (SendMat and SendBatch wire buffers, MaxLoc reduction pairs
+// stranded by an abort) go back to their pools, drained queue carcasses and
+// the mailbox free-slot caches are recycled, and the world's RMA window
+// registry entry is dropped so the world itself is collectable. Counts land
+// in w.reclaimed for the regression tests. The mailbox locks are held against
 // a late watcher Abort broadcast.
 func (w *World) reclaim() {
 	for _, mb := range w.boxes {
@@ -266,7 +266,9 @@ func (w *World) reclaim() {
 				m := &q.buf[i]
 				if m.pooled {
 					putFloats(m.F)
-					putInts1(m.I)
+					if !m.batch { // a batch's I is its sender's part list, not a lease
+						putInts1(m.I)
+					}
 					w.reclaimed.bufs++
 				}
 				*m = Msg{}

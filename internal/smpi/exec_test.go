@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,5 +419,166 @@ func TestExecWorldOverridesScalars(t *testing.T) {
 	}
 	if rep.P != 3 {
 		t.Fatalf("report P = %d, want 3", rep.P)
+	}
+}
+
+// settledGoroutines polls until the goroutine count is back at (or under)
+// the baseline: Exec joins every rank, but a joined goroutine can still be
+// between its last statement and its exit.
+func settledGoroutines(baseline int) int {
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestBatchAbortPaths injects the three ways a batched layout/collect can
+// die — FailSend firing on a message in the middle of a batch, the context
+// canceled while the root is blocked on a batch that never comes, and a
+// failing rank stranding delivered batches — and checks the runtime's side of
+// the bargain each time: the originating error surfaces, every stranded wire
+// buffer is swept (and none that was already recycled is counted), the
+// sender-owned part list never reaches the MaxLoc metadata pool, mailboxes
+// end empty and the goroutines are gone.
+func TestBatchAbortPaths(t *testing.T) {
+	fill := func(wire []float64) {
+		for i := range wire {
+			wire[i] = float64(i)
+		}
+	}
+	for _, cfg := range abortConfigs() {
+		name := abortConfigName(cfg)
+		baseline := runtime.NumGoroutine()
+		check := func(step string, w *World, wantBufs int) {
+			t.Helper()
+			if w.reclaimed.bufs != wantBufs {
+				t.Fatalf("%s %s: reclaimed %d pooled buffers, want %d", name, step, w.reclaimed.bufs, wantBufs)
+			}
+			for r, mb := range w.boxes {
+				if len(mb.q) != 0 {
+					t.Fatalf("%s %s: rank %d mailbox still holds %d keys", name, step, r, len(mb.q))
+				}
+			}
+			if n := settledGoroutines(baseline); n > baseline {
+				t.Fatalf("%s %s: %d goroutines, %d before the run", name, step, n, baseline)
+			}
+		}
+
+		// FailSend is consulted once per booked message, in order: the third
+		// part of the first batch fails, so nothing of it is ever enqueued.
+		w := NewWorld(2, true)
+		w.Trace.ExcludeFromTiming("housekeeping")
+		var calls atomic.Int64
+		w.FailSend = func(from, to int, bytes int64) error {
+			if n := calls.Add(1); n == 3 {
+				return fmt.Errorf("link %d->%d failed on message %d (%d bytes)", from, to, n, bytes)
+			}
+			return nil
+		}
+		cfg.World = w
+		_, err := Exec(context.Background(), cfg, func(c *Comm) error {
+			c.SetPhase("housekeeping")
+			parts := []int{4, 4, 6, 4}
+			if c.Rank() == 0 {
+				c.SendBatch(1, 0, parts, fill)
+				return nil
+			}
+			c.RecvBatches([]int{0}, 0, [][]int{parts}, make([]int, len(parts)), func(int, []float64) {})
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "failed on message 3 (48 bytes)") {
+			t.Fatalf("%s: want the injected link failure, got %v", name, err)
+		}
+		if got := calls.Load(); got != 3 {
+			t.Fatalf("%s: FailSend consulted %d times, want 3", name, got)
+		}
+		check("fail-send", w, 0)
+
+		// Cancel while the root is blocked in the middle of a gather: the
+		// batch it already took was recycled by the receive itself, the one
+		// parked on a tag nobody awaits is the sweep's.
+		w = NewWorld(3, true)
+		w.Trace.ExcludeFromTiming("housekeeping")
+		cfg.World = w
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = Exec(ctx, cfg, func(c *Comm) error {
+			c.SetPhase("housekeeping")
+			switch c.Rank() {
+			case 0:
+				c.RecvBatches([]int{1, 2}, 0, [][]int{{4, 4}, {4}}, []int{0, 1, 0}, func(i int, wire []float64) {
+					c.Send(2, 5, Msg{}) // past rank 1's batch, about to block on rank 2's
+				})
+			case 1:
+				c.SendBatch(0, 0, []int{4, 4}, fill)
+				c.SendBatch(0, 9, []int{4, 4}, fill) // stranded: tag 9 is never awaited
+				c.Recv(2, 7)
+			case 2:
+				c.Recv(0, 5)
+				cancel()
+				c.Recv(1, 7)
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want ErrCanceled wrapping context.Canceled", name, err)
+		}
+		check("cancel", w, 1)
+
+		// A rank fails with batches delivered but never received. The
+		// one-part list has capacity 1 — exactly what putInts1 accepts — so
+		// were the sweep to treat a batch like a MaxLoc pair, the pool would
+		// hand the sender's list out for overwriting.
+		w = NewWorld(3, true)
+		w.Trace.ExcludeFromTiming("housekeeping")
+		cfg.World = w
+		one := []int{5}
+		_, err = Exec(context.Background(), cfg, func(c *Comm) error {
+			c.SetPhase("housekeeping")
+			switch c.Rank() {
+			case 0:
+				c.SendBatch(2, 0, one, fill)
+				c.SendBatch(2, 0, []int{4, 4}, fill)
+				c.SendBatch(2, 0, []int{3}, nil) // count-only: no buffer to strand
+				return nil
+			case 1:
+				return fmt.Errorf("injected failure")
+			default:
+				c.Recv(1, 9) // blocks until the abort unwinds it
+				return nil
+			}
+		})
+		if err == nil || errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: want the injected failure, got %v", name, err)
+		}
+		check("abort", w, 2)
+		for i := 0; i < 64; i++ {
+			if s := getInts1(-1); &s[0] == &one[0] {
+				t.Fatalf("%s: the sweep filed a batch's part list into ints1Pool", name)
+			}
+		}
+		if one[0] != 5 {
+			t.Fatalf("%s: part list overwritten: %v", name, one)
+		}
+	}
+}
+
+// A batch books k messages under one stamp, which is only exact where no
+// clock moves: in a timed phase SendBatch refuses before leasing or
+// enqueueing anything.
+func TestSendBatchInTimedPhasePanics(t *testing.T) {
+	w := NewWorld(2, true)
+	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.SetPhase("panel") // timed: only layout and collect are excluded
+			c.SendBatch(1, 0, []int{4, 4}, func([]float64) { t.Error("payload packed for a refused batch") })
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "trace: batched booking in a timed phase") {
+		t.Fatalf("want the timed-phase panic, got %v", err)
+	}
+	if w.reclaimed.bufs != 0 || w.Trace.Report().TotalMsgs() != 0 {
+		t.Fatalf("refused batch left %d buffers and %d booked messages", w.reclaimed.bufs, w.Trace.Report().TotalMsgs())
 	}
 }

@@ -11,16 +11,17 @@
 //   - queue storage: emptied msgQueue carcasses (struct + backing array)
 //     are recycled through a sync.Pool instead of being re-grown from nil
 //     for every (src, comm, tag) stream;
-//   - payload storage: SendMat/RecvMat lease wire buffers from size-classed
-//     sync.Pools (see pool.go); phantom messages carry no payload at all —
+//   - payload storage: SendMat/RecvMat and the batches lease wire buffers from
+//     size-classed sync.Pools (see pool.go); phantom messages carry none —
 //     the volume-mode fast path enqueues a plain Msg value, allocating
 //     nothing in steady state.
 //
 // Ownership rule: a payload slice handed to Send belongs to the runtime
 // until the matching Recv returns it to the receiving rank; only
-// SendMat/RecvMat — which pack on send and copy out on receive — recycle
-// wire buffers, so raw Send/Recv callers (collectives carrying metadata,
-// RecvInts callers that retain the slice) keep ordinary Go ownership.
+// SendMat/RecvMat and SendBatch/RecvBatches — which pack on send and copy
+// out on receive — recycle wire buffers, so raw Send/Recv callers
+// (collectives carrying metadata, RecvInts callers that retain the slice)
+// keep ordinary Go ownership.
 package smpi
 
 import "sync"

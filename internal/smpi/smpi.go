@@ -12,11 +12,22 @@
 // element counts — the schedule, the message pattern, and the metered bytes
 // are identical by construction, which is what lets the harness replay the
 // paper-scale runs (N = 16,384, P = 1,024) cheaply.
+//
+// One transport operation is normally one metered message. The exception is
+// the batch (SendBatch/RecvBatches), the runtime's only scatter/gather-shaped
+// primitive: many messages between one pair of ranks moved as one mailbox
+// entry and one wire buffer, but still booked on the timeline one by one —
+// legal only in phases excluded from timing, where that is exact. Ownership
+// of a batch: the wire buffer is a pool lease the runtime holds from
+// SendBatch until RecvBatches (or the abort sweep) recycles it, seen by the
+// caller only inside the pack/unpack callbacks; the part list stays the
+// sender's, read-only for everyone once sent.
 package smpi
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -109,6 +120,12 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 // reduction pairs): an aborted run returns those — and only those — to
 // their pools when it sweeps undelivered messages, so caller-owned payloads
 // handed to raw Send are never aliased into the pool behind the caller.
+//
+// batch marks the one Msg a SendBatch enqueues for its whole part list: F is
+// the packed payload of every part (a pool lease, so pooled is set with it;
+// nil in volume mode), I the per-part element counts and N their sum. The
+// part list stays the sender's — the runtime and the receiver only read it,
+// and the sweep never files it into the MaxLoc metadata pool.
 type Msg struct {
 	F []float64
 	I []int
@@ -117,6 +134,7 @@ type Msg struct {
 	sendTime  float64
 	sendPhase string
 	pooled    bool
+	batch     bool
 }
 
 // msgKey identifies one point-to-point stream. The communicator component
@@ -334,6 +352,96 @@ func (c *Comm) RecvMat(from, tag int, dst *mat.Matrix) {
 	}
 	dst.Unpack(msg.F)
 	putFloats(msg.F)
+}
+
+// SendBatch sends len(parts) messages to communicator rank `to` as ONE
+// transport operation: parts[i] is the element count of the i-th message,
+// and pack — nil for a count-only (volume mode) batch — fills the single
+// wire buffer, sum(parts) long, that carries all their payloads in whatever
+// layout sender and receiver agree on. The timeline still books one message
+// per part (World.FailSend is consulted once per part, in order, before
+// anything is booked), which is only exact where no clock moves: the current
+// phase must be excluded from timing, or the booking panics. Ownership: the
+// wire buffer is the runtime's from lease until the matching RecvBatches
+// recycles it (or the abort sweep does); parts stays the caller's and must
+// not be modified after the call.
+func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
+	if to < 0 || to >= len(c.members) {
+		panic(fmt.Sprintf("smpi: SendBatch to rank %d of %d", to, len(c.members)))
+	}
+	src, dst := c.WorldRank(), c.members[to]
+	if dst == src {
+		panic("smpi: SendBatch to self")
+	}
+	msg := Msg{I: parts, batch: true, sendPhase: *c.phase}
+	bytes := make([]int64, len(parts))
+	for i, n := range parts {
+		bytes[i] = int64(n) * trace.BytesPerElement
+		msg.N += n
+		if f := c.w.FailSend; f != nil {
+			if err := f(src, dst, bytes[i]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	msg.sendTime = c.w.Trace.RecordSendBatch(src, dst, bytes, msg.sendPhase)
+	if pack != nil {
+		msg.F, msg.pooled = getFloats(msg.N), true
+		pack(msg.F)
+	}
+	c.w.boxes[dst].put(c.w, msgKey{src: src, comm: c.id, tag: tag}, msg)
+}
+
+// RecvBatches takes one SendBatch from each communicator rank of froms, in
+// that order, and then books every part as its own delivery. Batch i must
+// carry exactly the part list parts[i] — anything else panics, as RecvMat's
+// length check does — and, when it has a payload, is handed to unpack, after
+// which the wire buffer goes back to the pool (no reference may survive the
+// callback). seq fixes the order of the receiver's timeline events across
+// senders: seq[k] indexes froms and names the sender whose next unbooked
+// part is the k-th delivery; it must consume every part of every batch.
+// Like the sends, the deliveries are legal only in a phase excluded from
+// timing, and all batches must have been sent under the same one.
+func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, seq []int, unpack func(i int, wire []float64)) {
+	if len(froms) == 0 {
+		return // nothing to take, and no send-side phase to book under
+	}
+	me := c.WorldRank()
+	stamps := make([]float64, len(froms))
+	var phase string
+	for i, from := range froms {
+		if from < 0 || from >= len(c.members) || c.members[from] == me {
+			panic(fmt.Sprintf("smpi: RecvBatches from rank %d of %d", from, len(c.members)))
+		}
+		msg := c.w.boxes[me].take(c.w, msgKey{src: c.members[from], comm: c.id, tag: tag})
+		if !msg.batch || !slices.Equal(msg.I, parts[i]) {
+			panic(fmt.Sprintf("smpi: RecvBatches from rank %d expected %d parts, got a different list of %d", from, len(parts[i]), len(msg.I)))
+		}
+		if i > 0 && msg.sendPhase != phase {
+			panic(fmt.Sprintf("smpi: RecvBatches across phases %q and %q", phase, msg.sendPhase))
+		}
+		stamps[i], phase = msg.sendTime, msg.sendPhase
+		if msg.F != nil {
+			unpack(i, msg.F)
+			putFloats(msg.F)
+		}
+	}
+	next := make([]int, len(froms))
+	ds := make([]trace.Delivery, len(seq))
+	for k, i := range seq {
+		ds[k] = trace.Delivery{
+			From:     c.members[froms[i]],
+			Bytes:    int64(parts[i][next[i]]) * trace.BytesPerElement,
+			SendTime: stamps[i],
+		}
+		next[i]++
+	}
+	for i := range next {
+		if next[i] != len(parts[i]) {
+			panic(fmt.Sprintf("smpi: RecvBatches order books %d of batch %d's %d parts", next[i], i, len(parts[i])))
+		}
+	}
+	c.w.Trace.RecordRecvBatch(me, phase, ds)
 }
 
 // SendInts sends integer metadata (metered at 8 bytes per value).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,115 @@ func TestVolumeCountingP2P(t *testing.T) {
 	}
 	if rep.ByPhase["a"] != 160 || rep.ByPhase["b"] != 24 {
 		t.Fatalf("phases wrong: %v", rep.ByPhase)
+	}
+}
+
+// A batch is one transport operation booked as one message per part: two
+// senders' batches, delivered in an interleaved order the receiver chooses,
+// must leave exactly the report and the retained events that sending every
+// part with SendMat and receiving them in that order leaves — in numeric and
+// volume mode, under both executors.
+func TestBatchBooksOneMessagePerPart(t *testing.T) {
+	parts := [][]int{{4, 6, 4}, {2, 2}} // from ranks 1 and 2
+	seq := []int{0, 1, 0, 0, 1}
+	body := func(batched bool) RankFunc {
+		return func(c *Comm) error {
+			c.SetPhase("work")
+			c.Barrier() // timed traffic first, so the frozen clocks are not zero
+			if c.Rank() == 2 {
+				c.SendInts(1, 3, []int{1, 2, 3}) // and rank 1's runs ahead of rank 0's
+			} else if c.Rank() == 1 {
+				c.RecvInts(2, 3)
+			}
+			c.SetPhase(trace.PhaseCollect)
+			if me := c.Rank(); me > 0 {
+				mine := parts[me-1]
+				pack := func(wire []float64) {
+					for i := range wire {
+						wire[i] = float64(100*me + i)
+					}
+				}
+				if !c.Payload() {
+					pack = nil
+				}
+				if batched {
+					c.SendBatch(0, 1, mine, pack)
+					return nil
+				}
+				off := 0
+				for _, n := range mine {
+					m := mat.NewPhantom(1, n)
+					if pack != nil {
+						m = mat.New(1, n)
+						for j := 0; j < n; j++ {
+							m.Set(0, j, float64(100*me+off+j))
+						}
+					}
+					c.SendMat(0, 1, m)
+					off += n
+				}
+				return nil
+			}
+			if !batched {
+				for _, i := range seq {
+					c.Recv(i+1, 1)
+				}
+				return nil
+			}
+			unpacked := 0
+			c.RecvBatches([]int{1, 2}, 1, parts, seq, func(i int, wire []float64) {
+				unpacked++
+				for j, v := range wire {
+					if v != float64(100*(i+1)+j) {
+						t.Errorf("batch %d element %d = %v", i, j, v)
+					}
+				}
+			})
+			if want := map[bool]int{true: 2, false: 0}[c.Payload()]; unpacked != want {
+				t.Errorf("unpack ran %d times, want %d", unpacked, want)
+			}
+			return nil
+		}
+	}
+	for _, ex := range []Executor{ExecGoroutines, ExecEvents} {
+		for _, payload := range []bool{true, false} {
+			var reps [2]*trace.Report
+			var events [2][]trace.Event
+			for i, batched := range []bool{false, true} {
+				w := NewWorld(3, payload)
+				rep, err := Exec(context.Background(), Config{World: w, Executor: ex, Timeout: testTimeout}, body(batched))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reps[i], events[i] = rep, w.Trace.Events()
+			}
+			if !reflect.DeepEqual(reps[0], reps[1]) {
+				t.Errorf("%s payload=%v: reports differ:\nper part %+v\nbatched  %+v", ex, payload, reps[0], reps[1])
+			}
+			if !reflect.DeepEqual(events[0], events[1]) {
+				t.Errorf("%s payload=%v: events differ:\nper part %+v\nbatched  %+v", ex, payload, events[0], events[1])
+			}
+			if got := reps[1].PhaseMsgs[trace.PhaseCollect]; got != 5 {
+				t.Errorf("%s payload=%v: %d collect messages booked, want 5", ex, payload, got)
+			}
+		}
+	}
+}
+
+// A received batch must carry exactly the part list the receiver expects —
+// the batched counterpart of RecvMat's length check.
+func TestRecvBatchesPartListMismatchPanics(t *testing.T) {
+	_, err := Exec(context.Background(), Config{P: 2, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
+		c.SetPhase(trace.PhaseLayout)
+		if c.Rank() == 0 {
+			c.SendBatch(1, 0, []int{4, 4}, func([]float64) {})
+			return nil
+		}
+		c.RecvBatches([]int{0}, 0, [][]int{{4, 2, 2}}, []int{0, 0, 0}, func(int, []float64) {})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "expected 3 parts, got a different list of 2") {
+		t.Fatalf("want the part-list panic, got %v", err)
 	}
 }
 
@@ -212,66 +322,6 @@ func TestButterflySumNonPow2(t *testing.T) {
 			}
 			return nil
 		})
-	}
-}
-
-func TestScatterGather(t *testing.T) {
-	p := 4
-	run(t, p, true, func(c *Comm) error {
-		recv := mat.New(1, 2)
-		var parts []*mat.Matrix
-		if c.Rank() == 1 {
-			parts = make([]*mat.Matrix, p)
-			for i := range parts {
-				parts[i] = mat.New(1, 2)
-				parts[i].Set(0, 0, float64(i))
-			}
-		}
-		c.ScatterMats(1, parts, recv)
-		if recv.At(0, 0) != float64(c.Rank()) {
-			return fmt.Errorf("scatter wrong on %d: %v", c.Rank(), recv.At(0, 0))
-		}
-		recv.Set(0, 1, float64(c.Rank()*c.Rank()))
-		var dst []*mat.Matrix
-		if c.Rank() == 2 {
-			dst = make([]*mat.Matrix, p)
-			for i := range dst {
-				dst[i] = mat.New(1, 2)
-			}
-		}
-		c.GatherMats(2, recv, dst)
-		if c.Rank() == 2 {
-			for i := 0; i < p; i++ {
-				if dst[i].At(0, 1) != float64(i*i) {
-					return fmt.Errorf("gather wrong at %d", i)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	p := 5
-	rep := run(t, p, true, func(c *Comm) error {
-		send := mat.New(1, 1)
-		send.Set(0, 0, float64(c.Rank()))
-		out := make([]*mat.Matrix, p)
-		for i := range out {
-			out[i] = mat.New(1, 1)
-		}
-		c.AllgatherMats(send, out)
-		for i := 0; i < p; i++ {
-			if out[i].At(0, 0) != float64(i) {
-				return fmt.Errorf("rank %d slot %d wrong", c.Rank(), i)
-			}
-		}
-		return nil
-	})
-	// Ring: every rank sends (p-1) blocks of 1 element.
-	want := int64(p * (p - 1) * 8)
-	if rep.TotalBytes() != want {
-		t.Fatalf("volume %d want %d", rep.TotalBytes(), want)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -352,6 +353,81 @@ func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime 
 	t.appendEvent(s, Event{From: from, To: to, Bytes: bytes, Phase: phase,
 		SendTime: sendTime, RecvTime: rt})
 	s.mu.Unlock()
+}
+
+// Delivery is one message of a batched receive: who sent it, its size, and
+// the stamp the sender's RecordSendBatch returned for it.
+type Delivery struct {
+	From     int
+	Bytes    int64
+	SendTime float64
+}
+
+// errTimedBatch is the panic value of a batched booking in a timed phase.
+const errTimedBatch = "trace: batched booking in a timed phase"
+
+// untimedPhase is s.phase for the batched bookings, which are legal only
+// where no clock moves: with the clock frozen every message of a batch gets
+// the stamp, and every delivery the completion time, that booking them one
+// by one would have produced, so one lock acquisition stands in for
+// len(batch) of them bit for bit. Anywhere else the k-th message's cost
+// depends on the k−1 before it and the batch would have to replay them; it
+// panics instead. Caller holds s.mu.
+func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
+	ps := s.phase(name, untimed)
+	if ps.timed {
+		panic(errTimedBatch)
+	}
+	return ps
+}
+
+// RecordSendBatch books len(bytes) messages from → to, one per entry, under
+// a single acquisition of the sender's shard — the volume aggregates end up
+// exactly where len(bytes) RecordSend calls would leave them. phase must be
+// excluded from timing (see untimedPhase); the returned stamp is the
+// sender's unmoved clock, shared by every message of the batch.
+func (t *Timeline) RecordSendBatch(from, to int, bytes []int64, phase string) float64 {
+	var total int64
+	for _, b := range bytes {
+		total += b
+	}
+	s := &t.shards[from]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ps := s.untimedPhase(phase, t.untimed)
+	s.sent.Add(total)
+	s.msgs.Add(int64(len(bytes)))
+	ps.bytes += total
+	ps.msgs += int64(len(bytes))
+	t.shards[to].recv.Add(total)
+	return s.clock
+}
+
+// RecordRecvBatch completes len(parts) matched deliveries on rank to, in
+// slice order, under a single acquisition of its shard: one Event each,
+// identical to what a RecordRecv per part would retain. The parts may come
+// from different senders; phase (their common send-side label) must be
+// excluded from timing.
+func (t *Timeline) RecordRecvBatch(to int, phase string, parts []Delivery) {
+	s := &t.shards[to]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.untimedPhase(phase, t.untimed)
+	// One exact allocation for what the cap still admits, not a doubling
+	// chain: a root's collect batch is its whole event list.
+	if room := t.eventCap.Load() - t.nEvents.Load(); room > 0 {
+		s.events = slices.Grow(s.events, int(min(room, int64(len(parts)))))
+	}
+	for _, p := range parts {
+		// The receiver's clock can sit behind the send stamp; clamp as
+		// RecordRecv does so the event interval is never negative.
+		rt := s.clock
+		if rt < p.SendTime {
+			rt = p.SendTime
+		}
+		t.appendEvent(s, Event{From: p.From, To: to, Bytes: p.Bytes, Phase: phase,
+			SendTime: p.SendTime, RecvTime: rt})
+	}
 }
 
 // RecordOneSided meters an RMA transfer of bytes from → to whose time cost

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,82 @@ func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	if tl.Report().Time.Makespan == 0 {
 		t.Fatal("timed phase did not advance clocks")
 	}
+}
+
+// A batched booking is k single bookings under one lock: same report, same
+// retained events, bit for bit — with timed traffic before it so the frozen
+// clocks are not simply zero, deliveries from two senders interleaved, and an
+// event cap that cuts the batch short.
+func TestBatchBookingEqualsSingles(t *testing.T) {
+	sizes := []int64{128, 128, 8, 64}
+	build := func(batched bool) *Timeline {
+		tl := NewTimeline(3, Machine{Alpha: 1, Beta: 0.5})
+		tl.ExcludeFromTiming("collect")
+		tl.SetEventCap(6)
+		tl.RecordRecv(1, 0, 16, "work", tl.RecordSend(1, 0, 16, "work"))
+		tl.RecordSend(2, 1, 100, "work") // rank 2's clock (51) now sits ahead of rank 0's (18)
+		if !batched {
+			var parts []Delivery
+			for _, b := range sizes {
+				parts = append(parts,
+					Delivery{From: 1, Bytes: b, SendTime: tl.RecordSend(1, 0, b, "collect")},
+					Delivery{From: 2, Bytes: b, SendTime: tl.RecordSend(2, 0, b, "collect")})
+			}
+			for _, p := range parts {
+				tl.RecordRecv(p.From, 0, p.Bytes, "collect", p.SendTime)
+			}
+			return tl
+		}
+		st1 := tl.RecordSendBatch(1, 0, sizes, "collect")
+		st2 := tl.RecordSendBatch(2, 0, sizes, "collect")
+		var parts []Delivery
+		for _, b := range sizes {
+			parts = append(parts, Delivery{From: 1, Bytes: b, SendTime: st1}, Delivery{From: 2, Bytes: b, SendTime: st2})
+		}
+		tl.RecordRecvBatch(0, "collect", parts)
+		return tl
+	}
+	single, batch := build(false), build(true)
+	if !reflect.DeepEqual(single.Report(), batch.Report()) {
+		t.Fatalf("reports differ:\nsingle %+v\nbatch  %+v", single.Report(), batch.Report())
+	}
+	if !reflect.DeepEqual(single.Events(), batch.Events()) {
+		t.Fatalf("events differ:\nsingle %+v\nbatch  %+v", single.Events(), batch.Events())
+	}
+	if got := batch.Report().PhaseMsgs["collect"]; got != int64(2*len(sizes)) {
+		t.Fatalf("batch booked %d collect messages, want %d", got, 2*len(sizes))
+	}
+	// Events 1 and 2 are the first collect deliveries: rank 1's stamp is behind
+	// the receiver's clock, rank 2's ahead of it and clamps the interval.
+	if ev := batch.Events(); ev[1].RecvTime != 18 || ev[2].RecvTime != 51 {
+		t.Fatalf("completion times %v and %v, want 18 and 51", ev[1].RecvTime, ev[2].RecvTime)
+	}
+	if n, d := len(batch.Events()), batch.EventsDropped(); n != 6 || d != 3 {
+		t.Fatalf("cap 6 retained %d events and dropped %d, want 6 and 3", n, d)
+	}
+}
+
+// In a timed phase the k-th message's stamp depends on the k−1 before it, so
+// a batch cannot stand in for them: both bookings refuse, and leave the shard
+// usable.
+func TestBatchBookingInTimedPhasePanics(t *testing.T) {
+	tl := NewTimeline(2, DefaultMachine())
+	tl.ExcludeFromTiming("layout")
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if rec := recover(); rec != errTimedBatch {
+				t.Fatalf("%s: panic %v, want %q", name, rec, errTimedBatch)
+			}
+		}()
+		fn()
+	}
+	mustPanic("send", func() { tl.RecordSendBatch(0, 1, []int64{8, 8}, "work") })
+	mustPanic("recv", func() { tl.RecordRecvBatch(1, "work", []Delivery{{From: 0, Bytes: 8}}) })
+	if r := tl.Report(); r.TotalBytes() != 0 || len(tl.Events()) != 0 {
+		t.Fatalf("a refused batch was booked: %d bytes, %d events", r.TotalBytes(), len(tl.Events()))
+	}
+	tl.RecordSendBatch(0, 1, []int64{8, 8}, "layout") // the shard's lock was released
 }
 
 func TestMakespanMonotoneInAlphaBeta(t *testing.T) {

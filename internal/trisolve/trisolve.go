@@ -106,6 +106,10 @@ func Run(c *smpi.Comm, lu, b *mat.Matrix, opt Options) (*Result, error) {
 	return e.run(lu, b)
 }
 
+// rhsTag is the first point-to-point tag of the solve's own traffic on the
+// world communicator.
+const rhsTag = dist.Tag + 1
+
 type engine struct {
 	c   *smpi.Comm
 	opt Options
@@ -123,8 +127,9 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	e.row, e.col, _ = e.g.Coords(e.c.Rank())
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
 	nt := e.bc.Tiles()
-	// RHS/solution tags sit directly above dist's tile-tag block [0, nt²).
-	if nt*nt+2*nt >= 1<<30 {
+	// RHS tags [rhsTag, rhsTag+nt) and solution tags [rhsTag+nt, rhsTag+2nt)
+	// sit directly above the one tag dist's factor scatter uses.
+	if rhsTag+2*nt >= 1<<30 {
 		panic(fmt.Sprintf("trisolve: %d tiles exhaust the point-to-point tag space", nt))
 	}
 	dist.Scatter(e.c, 0, lu, e.g, e.store)
@@ -146,7 +151,6 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 	defer e.c.SetPhase(prev)
 	e.c.SetPhase(trace.PhaseLayout)
 	nt := e.bc.Tiles()
-	base := nt * nt
 	e.bTiles = map[int]*mat.Matrix{}
 	if e.c.Rank() == 0 {
 		if b != nil && (b.Rows != e.opt.N || b.Cols != e.opt.NRHS) {
@@ -161,7 +165,7 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 				src = mat.NewPhantom(rows, e.opt.NRHS)
 			}
 			if owner := e.bc.Owner(k, k, 0); owner != 0 {
-				e.c.SendMat(owner, base+k, src)
+				e.c.SendMat(owner, rhsTag+k, src)
 			} else {
 				t := e.store.NewBuffer(rows, e.opt.NRHS)
 				t.CopyFrom(src)
@@ -176,7 +180,7 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 		}
 		rows, _ := e.bc.TileDims(k, k)
 		t := e.store.NewBuffer(rows, e.opt.NRHS)
-		e.c.RecvMat(0, base+k, t)
+		e.c.RecvMat(0, rhsTag+k, t)
 		e.bTiles[k] = t
 	}
 }
@@ -279,7 +283,7 @@ func (e *engine) gather() *Result {
 	defer e.c.SetPhase(prev)
 	e.c.SetPhase(trace.PhaseCollect)
 	nt := e.bc.Tiles()
-	base := nt*nt + nt
+	base := rhsTag + nt
 	if e.c.Rank() != 0 {
 		for k := 0; k < nt; k++ {
 			if e.bc.Owner(k, k, 0) == e.c.Rank() {
