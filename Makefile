@@ -18,8 +18,12 @@ test:
 # portable one computes every full 8×4 tile of the blocked GEMM/TRSM/LU paths
 # on the amd64 CI host too (the default build reaches it only on edge tiles)
 # — ROADMAP 4f. The tag is test-only: no shipped binary is built with it.
+# The golden-digest test rides along: the one digest that depends on the
+# micro-kernel's rounding (COnfLUX at v = 16) must skip on the portable
+# kernel, and every other recorded shape must still match bit for bit.
 test-purego:
 	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux
+	$(GO) test -tags purego -run 'TestConformanceGoldenDigests' .
 
 # Ten seconds of coverage-guided fuzzing of the layout/collect round trip
 # (shape × grid × layer × payload mode against the closed-form volume), on
@@ -55,10 +59,12 @@ fmt-check:
 # uploaded by CI. Also runs inside `make test`; kept addressable so CI
 # gates on it explicitly.
 # -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15) takes
-# ~6 min under the race detector on a 2-core host since the engines' Schur
-# update became one kernel call per step — it was ~56 min — so 30m leaves 5×
-# headroom over go test's default 10m for slower CI hosts. Bare it takes 33 s
-# (39 s before layout and collect moved one batch per owner, 2026-09-28).
+# ~1½ min under the race detector on a 2-core host at the volume-bounded
+# default v = 16 (2026-10-01) — ~6 min at v = 4 since the engines' Schur
+# update became one kernel call per step, ~56 min before that — so 30m is
+# ample headroom for slower CI hosts. Bare it takes 16 s (29 s at v = 4 on
+# the same host and day; 39 s before layout and collect moved one batch per
+# owner).
 conformance:
 	$(GO) test -race -timeout 30m -run 'TestConformance' -v \
 		-coverprofile=conformance_engine.out -coverpkg=repro/internal/engine .

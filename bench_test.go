@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -160,7 +159,7 @@ func BenchmarkAblationGridOptimization(b *testing.B) {
 
 // BenchmarkAblationBlockSize sweeps the §7.2 blocking parameter v.
 func BenchmarkAblationBlockSize(b *testing.B) {
-	var ms []bench.Measurement
+	var ms []bench.BlockSizeRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		ms, err = bench.BlockSizeSweep(b.Context(), 128, 4, float64(128*128), []int{4, 8, 16, 32})
@@ -169,8 +168,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		}
 	}
 	for _, m := range ms {
-		unit := strings.ReplaceAll(m.GridDesc, " ", "") + "-KB"
-		b.ReportMetric(float64(m.MeasuredBytes)/1e3, unit)
+		b.ReportMetric(float64(m.MeasuredBytes)/1e3, fmt.Sprintf("v=%d%s-KB", m.V, m.GridDesc))
 	}
 }
 

@@ -368,16 +368,17 @@ func realMain() (code int) {
 		return writeCSV("solve.csv", func(w *os.File) error { return res.WriteCSV(w) })
 	})
 	run("sweep", func(s scale) error {
-		mem := float64(s.ablN) * float64(s.ablN) / 4
-		ms, err := bench.BlockSizeSweep(ctx, s.ablN, s.ablP, mem, []int{4, 8, 16, 32, 64})
-		if err != nil {
-			return err
+		// The scale's Table 2 grid plus the benchmark's two COnfLUX points
+		// (numeric_solve, replay_conflux).
+		var points [][2]int
+		for _, n := range s.table2N {
+			for _, p := range s.table2P {
+				points = append(points, [2]int{n, p})
+			}
 		}
-		fmt.Println("COnfLUX blocking-parameter sweep (paper §7.2):")
-		for _, m := range ms {
-			fmt.Printf("  %-18s %12d bytes %10d msgs\n", m.GridDesc, m.MeasuredBytes, m.Msgs)
-		}
-		return nil
+		points = append(points, [2]int{1024, 16}, [2]int{1024, 256})
+		fmt.Println("COnfLUX blocking-parameter sweep (paper §7.2), maximum memory:")
+		return bench.RunBlockSizeSweep(ctx, points, os.Stdout)
 	})
 	return code
 }

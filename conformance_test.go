@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/mat"
 	"repro/internal/testutil"
 )
@@ -207,31 +208,46 @@ func factorDigest(res *Result) string {
 
 // TestConformanceGoldenDigests pins the numeric factors of the two 2.5D
 // engines to fixed artifacts (ROADMAP 4a): LU and pivots of
-// Factorize(mat.Random(n, n, seed)) must hash to the values recorded before
-// the engines' local Schur update moved from per-tile GEMMs to one
-// indexed-row kernel call per step. A kernel or layout change that alters a
-// single bit of a factor — a different summation order, a fused
-// multiply-add — fails here. amd64 only: the Go compiler fuses x*y+z on
-// arm64, ppc64le, s390x and riscv64, which legitimately changes the bits.
+// Factorize(mat.Random(n, n, seed)) must hash to the recorded values. A
+// kernel or layout change that alters a single bit of a factor — a different
+// summation order, a fused multiply-add — fails here. amd64 only: the Go
+// compiler fuses x*y+z on arm64, ppc64le, s390x and riscv64, which
+// legitimately changes the bits. Where the engine's blocking parameter
+// reaches blas.GemmRows' packed path (v ≥ 16: COnfLUX at N=1,024/P=16) the
+// factors pass through the micro-kernel, whose AVX2+FMA assembly and portable
+// fallback round differently, so that digest names the kernel it was recorded
+// on and is skipped on any other (`make test-purego` runs this test to prove
+// the skip is clean and every other shape still matches). The COnfLUX digests
+// at (517, 12, 3) and (1,024, 16, 1) were re-recorded when the default v
+// moved 4 → 8 and 4 → 16 there (costmodel.COnfLUXBlockSize); the rest date
+// from before the Schur update became one indexed-row kernel call per step.
 func TestConformanceGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are recorded on amd64 (no fused multiply-add in compiled Go)")
+	}
+	type golden struct {
+		digest string
+		isa    string // blas.KernelISA() the digest depends on; "" = none
 	}
 	cases := []struct {
 		n, p    int
 		seed    uint64
 		long    bool
-		digests map[Algorithm]string
+		digests map[Algorithm]golden
 	}{
-		{256, 8, 5, false, map[Algorithm]string{COnfLUX: "4696b57ee06ff163", CANDMC: "238c6a075c0898dc"}},
-		{517, 12, 3, false, map[Algorithm]string{COnfLUX: "68a90180792c4c3d", CANDMC: "e7abca20d45e8861"}},
-		{1024, 16, 1, true, map[Algorithm]string{COnfLUX: "74bbe94aa4f1d9b6", CANDMC: "36e8ec37fefe591e"}},
+		{256, 8, 5, false, map[Algorithm]golden{COnfLUX: {digest: "4696b57ee06ff163"}, CANDMC: {digest: "238c6a075c0898dc"}}},
+		{517, 12, 3, false, map[Algorithm]golden{COnfLUX: {digest: "68a90180792c4c3d"}, CANDMC: {digest: "e7abca20d45e8861"}}},
+		{1024, 16, 1, true, map[Algorithm]golden{COnfLUX: {digest: "74bbe94aa4f1d9b6", isa: "avx2+fma"}, CANDMC: {digest: "36e8ec37fefe591e"}}},
 	}
 	for _, tc := range cases {
 		for _, algo := range []Algorithm{COnfLUX, CANDMC} {
 			t.Run(fmt.Sprintf("%s/n=%d/p=%d/seed=%d", algo, tc.n, tc.p, tc.seed), func(t *testing.T) {
+				want := tc.digests[algo]
 				if tc.long && testing.Short() {
 					t.Skip("N=1024 digest skipped in -short mode")
+				}
+				if want.isa != "" && want.isa != blas.KernelISA() {
+					t.Skipf("digest recorded on the %s micro-kernel, this build runs %s", want.isa, blas.KernelISA())
 				}
 				t.Parallel()
 				s := conformanceSession(t, algo, tc.p)
@@ -239,8 +255,8 @@ func TestConformanceGoldenDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := factorDigest(res); got != tc.digests[algo] {
-					t.Fatalf("digest %s, recorded %s", got, tc.digests[algo])
+				if got := factorDigest(res); got != want.digest {
+					t.Fatalf("digest %s, recorded %s", got, want.digest)
 				}
 			})
 		}

@@ -55,10 +55,7 @@ func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResu
 	}
 	layer := grid.Square2D(p / c)
 	g := grid.Grid{Pr: layer.Pr, Pc: layer.Pc, Layers: c, Total: p}
-	v := 2 * c
-	if v < 4 {
-		v = 4
-	}
+	v := costmodel.BaselineBlockSize(n, c)
 	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, conflux.Options{N: n, V: v, Grid: g})
 		return err
@@ -157,36 +154,6 @@ func GridOptimizationOnOff(ctx context.Context, n, p int, mem float64) (Ablation
 		BTime:  repB.Time.Makespan,
 		Note:   "paper §8: greedy grids cause the Fig. 6a outliers for difficult rank counts",
 	}, nil
-}
-
-// BlockSizeSweep measures COnfLUX volume across blocking parameters v —
-// the §7.2 tunable ("adjusted to hardware parameters").
-func BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]Measurement, error) {
-	base := conflux.DefaultOptions(n, p, mem)
-	var out []Measurement
-	for _, v := range vs {
-		if v < base.Grid.Layers || v > n {
-			continue
-		}
-		opt := base
-		opt.V = v
-		rep, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
-			_, err := conflux.Run(cm, nil, opt)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Measurement{
-			Algo: costmodel.COnfLUX, N: n, P: p, M: mem,
-			MeasuredBytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
-			Msgs:          rep.TotalMsgs(),
-			MaxRankMsgs:   rep.Time.MaxRankMsgs(),
-			SimTime:       rep.Time.Makespan,
-			GridDesc:      fmt.Sprintf("v=%d %s", v, describe(opt.Grid)),
-		})
-	}
-	return out, nil
 }
 
 func describe(g grid.Grid) string {

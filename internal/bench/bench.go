@@ -90,10 +90,15 @@ var ExecWorkers int
 // Session runs can never diverge on the block size.
 const LibSciNB = lu2d.DefaultLibSciNB
 
-// runVolume replays one volume-mode schedule on p ranks under ctx, bounded
-// by the harness Timeout. Cancellation aborts the simulated world, so a
-// paper-scale sweep stops promptly on SIGINT.
+// runVolume replays one volume-mode schedule on p ranks of the flat α-β
+// machine under ctx, bounded by the harness Timeout. Cancellation aborts the
+// simulated world, so a paper-scale sweep stops promptly on SIGINT.
 func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, error) {
+	return runVolumeOn(ctx, p, nil, fn)
+}
+
+// runVolumeOn is runVolume with the clocks priced by tp (nil = flat).
+func runVolumeOn(ctx context.Context, p int, tp trace.Topology, fn smpi.RankFunc) (*trace.Report, error) {
 	ctx, cancel := context.WithTimeout(ctx, Timeout)
 	defer cancel()
 	return smpi.Exec(ctx, smpi.Config{
@@ -102,6 +107,7 @@ func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, err
 		MachineSet: true,
 		Executor:   Executor,
 		Workers:    ExecWorkers,
+		Topology:   tp,
 	}, fn)
 }
 

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/conflux"
 	"repro/internal/costmodel"
 )
 
@@ -188,18 +190,60 @@ func TestTournamentVsPartialPivotingLatency(t *testing.T) {
 	}
 }
 
+// TestBlockSizeSweep holds the blocking-parameter rule to the record it was
+// chosen by (EXPERIMENTS.md "Blocking parameter"): volume only grows with v
+// (the N·v lower-order terms), the latency-critical message count falls as
+// N/v — each of the N/v steps costs a rank at least one message and at most
+// a tournament butterfly plus a handful of binomial-tree broadcasts, 4 +
+// 3·log₂P — and wherever costmodel.COnfLUXBlockSize raises v above the
+// floor max(2c, 4) on the Table 2 grids of the three scale presets, it pays
+// at most 8% more bytes than the floor would.
 func TestBlockSizeSweep(t *testing.T) {
-	ms, err := BlockSizeSweep(t.Context(), 128, 4, float64(128*128), []int{4, 8, 16})
+	const n, p = 256, 16
+	rows, err := BlockSizeSweep(t.Context(), n, p, costmodel.MaxMemoryParams(n, p).M, blockSizeVs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 3 {
-		t.Fatalf("points %d", len(ms))
+	if len(rows) != len(blockSizeVs) {
+		t.Fatalf("%d rows for %v", len(rows), blockSizeVs)
 	}
-	for _, m := range ms {
-		if m.MeasuredBytes <= 0 {
-			t.Fatalf("empty measurement %+v", m)
+	for i, r := range rows {
+		if r.MeasuredBytes <= 0 {
+			t.Fatalf("v=%d: empty measurement %+v", r.V, r)
 		}
+		if i > 0 && r.MeasuredBytes < rows[i-1].MeasuredBytes {
+			t.Fatalf("v=%d: %d bytes after %d at v=%d: volume must not fall as v grows", r.V, r.MeasuredBytes, rows[i-1].MeasuredBytes, rows[i-1].V)
+		}
+		steps := float64((n + r.V - 1) / r.V)
+		if msgs := float64(r.MaxRankMsgs); msgs < steps || msgs > (4+3*math.Log2(p))*steps {
+			t.Fatalf("v=%d: %v max per-rank messages over %v steps, want within [1, %v] per step", r.V, msgs, steps, 4+3*math.Log2(p))
+		}
+	}
+
+	points := [][2]int{{128, 4}, {128, 16}, {256, 4}, {256, 16}, {512, 16}, {512, 64}, {1024, 16}, {1024, 64}}
+	if !testing.Short() {
+		points = append(points, [][2]int{{4096, 64}, {4096, 1024}, {16384, 64}, {16384, 1024}}...)
+	}
+	raised := 0
+	for _, pt := range points {
+		n, p := pt[0], pt[1]
+		mem := costmodel.MaxMemoryParams(n, p).M
+		opt := conflux.DefaultOptions(n, p, mem)
+		floor := costmodel.BaselineBlockSize(n, opt.Grid.Layers)
+		if opt.V == floor {
+			continue // the rule left v alone: nothing to pay
+		}
+		raised++
+		rows, err := BlockSizeSweep(t.Context(), n, p, mem, []int{floor, opt.V})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if over := float64(rows[1].MeasuredBytes)/float64(rows[0].MeasuredBytes) - 1; over > 0.08 {
+			t.Errorf("N=%d P=%d %s: default v=%d moves %.1f%% more bytes than the floor v=%d (bound 8%%)", n, p, rows[1].GridDesc, opt.V, 100*over, floor)
+		}
+	}
+	if raised == 0 {
+		t.Fatal("the rule raised v at none of the points: the bound was not exercised")
 	}
 }
 

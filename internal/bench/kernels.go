@@ -140,24 +140,26 @@ func kernelCases() []kernelCase {
 			}
 		},
 	})
-	return append(cases, gemmRowsCase())
+	return append(cases, gemmRowsCase(4, 400), gemmRowsCase(16, 200), gemmRowsCase(32, 100))
 }
 
 // gemmRowsCase is the 2.5D engines' Schur update at the shape they call it
-// with: a rank-4 update (v = 4, the default at c ≤ 2) scattered to every
-// other row of a 1,024×512 trailing block — non-adjacent active rows, a few
-// hundred wide, as on a rank of an N = 1,024…4,096 run.
-func gemmRowsCase() kernelCase {
-	const m, n, k = 512, 512, 4
+// with: a rank-k update scattered to every other row of a 1,024×512 trailing
+// block — non-adjacent active rows, a few hundred wide, as on a rank of an
+// N = 1,024…4,096 run. k = 4 is the blocking-parameter floor at c ≤ 2 (the
+// streaming loop); 16 and 32 are what costmodel.COnfLUXBlockSize raises v to
+// where the matrix is large against the grid (the packed micro-kernel).
+func gemmRowsCase(k, iters int) kernelCase {
+	const m, n = 512, 512
 	a, b, c := mat.Random(m, k, 6), mat.Random(k, n, 7), mat.New(2*m, n)
 	rows := make([]int, m)
 	for i := range rows {
 		rows[i] = 2*i + 1
 	}
 	return kernelCase{
-		name:  "gemm-rows/m=512,n=512,k=4",
-		iters: 400,
-		flops: 2 * m * n * k,
+		name:  fmt.Sprintf("gemm-rows/m=512,n=512,k=%d", k),
+		iters: iters,
+		flops: 2 * m * n * float64(k),
 		run:   func() { blas.GemmRows(-1, a, b, c, rows) },
 	}
 }

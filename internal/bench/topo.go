@@ -116,16 +116,7 @@ func measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem fl
 	}
 	cfg := engine.Config{Ranks: p, Memory: mem, NB: LibSciNB}
 	row.Grid = engine.GridDesc(eng, n, cfg)
-	runCtx, cancel := context.WithTimeout(ctx, Timeout)
-	defer cancel()
-	rep, err := smpi.Exec(runCtx, smpi.Config{
-		P:          p,
-		Machine:    Machine,
-		MachineSet: true,
-		Executor:   Executor,
-		Workers:    ExecWorkers,
-		Topology:   tp,
-	}, func(c *smpi.Comm) error {
+	rep, err := runVolumeOn(ctx, p, tp, func(c *smpi.Comm) error {
 		_, _, err := eng.Run(c, nil, n, cfg)
 		return err
 	})

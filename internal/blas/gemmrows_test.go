@@ -33,10 +33,11 @@ func bitEqual(t *testing.T, got, want *mat.Matrix, what string) {
 	}
 }
 
-// The property the engines' golden digests rest on: GemmRows is bit-equal to
-// the straight-loop reference applied row by row — across k around the
-// four-at-a-time unroll, n from one element to a ragged 517, strided
-// operands, and row lists that are empty, a permuted subset, or repeat a row.
+// The property the engines' golden digests rest on below gemmRowsPackedK:
+// GemmRows is bit-equal to the straight-loop reference applied row by row —
+// across k around the four-at-a-time unroll and up to the last streamed
+// depth, n from one element to a ragged 517, strided operands, and row lists
+// that are empty, a permuted subset, or repeat a row.
 func TestGemmRowsMatchesRefBitwise(t *testing.T) {
 	const m = 9 // rows of C
 	lists := map[string][]int{
@@ -47,7 +48,7 @@ func TestGemmRowsMatchesRefBitwise(t *testing.T) {
 		"repeated":   {3, 3, 1},
 	}
 	seed := uint64(40)
-	for _, k := range []int{1, 3, 4, 5, 8, 9} {
+	for _, k := range []int{1, 3, 4, 5, 8, 9, gemmRowsPackedK - 1} {
 		for _, n := range []int{1, 3, 4, 517} {
 			for name, rows := range lists {
 				for _, view := range []bool{false, true} {
@@ -61,6 +62,97 @@ func TestGemmRowsMatchesRefBitwise(t *testing.T) {
 					gemmRowsRef(-1.25, a, b, want, rows)
 					GemmRows(-1.25, a, b, c, rows)
 					bitEqual(t, c, want, name)
+				}
+			}
+		}
+	}
+}
+
+// From gemmRowsPackedK up the update runs on the packed micro-kernel, which
+// sums a C element's k products in registers (fused, on the assembly kernel)
+// before adding them to C once. Against the reference that is a different
+// rounding of the same sum, so the contract is a bound, not bit-equality:
+// both results lie within (k+2)·ε·(|c| + |alpha|·Σ|a||b|) of the exact value,
+// hence within twice that of each other. What stays exact: a repetition
+// reproduces every bit; rows not listed and the padding around a strided C
+// are never written (they hold NaN throughout). The shapes cross every
+// blocking edge — full and ragged 8×4 micro-tiles, A blocks beyond mc rows,
+// depth beyond kc — and the lists leave C rows out, run backwards and name a
+// row twice.
+func TestGemmRowsPackedMatchesRef(t *testing.T) {
+	const m = 140 // rows of C, more than one mc block of A when all are listed
+	all, descending := make([]int, m), make([]int, 0, m/2)
+	for i := range all {
+		all[i] = i
+	}
+	for i := m - 1; i >= 0; i -= 2 {
+		descending = append(descending, i)
+	}
+	lists := map[string][]int{
+		"all":        all,
+		"scattered":  {7, 2, 131, 5, 64, 99, 12, 0, 77, 3, 139},
+		"descending": descending,
+		"repeated":   {3, 3, 1, 9, 8, 7, 6, 5, 3, 130, 1},
+	}
+	abs := func(x *mat.Matrix) *mat.Matrix {
+		out := x.Clone()
+		for i := range out.Data {
+			out.Data[i] = math.Abs(out.Data[i])
+		}
+		return out
+	}
+	seed := uint64(900)
+	for _, k := range []int{16, 17, 32, 64, kc + 3} {
+		for _, n := range []int{1, 3, 4, 517} {
+			for name, rows := range lists {
+				for _, view := range []bool{false, true} {
+					seed++
+					newMat, pad := mat.Random, 0
+					if view {
+						newMat, pad = strided, 2
+					}
+					a, b := newMat(len(rows), k, seed), newMat(k, n, seed+1000)
+					// C sits in a NaN-filled backing; only listed rows get values.
+					backing := mat.New(m+2*pad, n+2*pad)
+					for i := range backing.Data {
+						backing.Data[i] = math.NaN()
+					}
+					c := backing.View(pad, pad, m, n)
+					listed := make([]bool, m)
+					for _, r := range rows {
+						listed[r] = true
+						copy(c.Row(r), mat.Random(1, n, seed+2000+uint64(r)).Data)
+					}
+					start := backing.Clone()
+
+					want, bound := c.Clone(), abs(c)
+					gemmRowsRef(-1.25, a, b, want, rows)
+					gemmRowsRef(1.25, abs(a), abs(b), bound, rows)
+					GemmRows(-1.25, a, b, c, rows)
+
+					tol := 2 * float64(k+2) * 0x1p-52
+					for i := 0; i < backing.Rows; i++ {
+						for j := 0; j < backing.Cols; j++ {
+							ci, cj := i-pad, j-pad
+							got := backing.At(i, j)
+							if ci < 0 || ci >= m || cj < 0 || cj >= n || !listed[ci] {
+								if !math.IsNaN(got) {
+									t.Fatalf("k=%d n=%d %s view=%v: backing(%d,%d) outside the listed rows was written: %v", k, n, name, view, i, j, got)
+								}
+								continue
+							}
+							if d := math.Abs(got - want.At(ci, cj)); !(d <= tol*bound.At(ci, cj)) {
+								t.Fatalf("k=%d n=%d %s view=%v: C(%d,%d) = %v, reference %v: off by %g, bound %g",
+									k, n, name, view, ci, cj, got, want.At(ci, cj), d, tol*bound.At(ci, cj))
+							}
+						}
+					}
+
+					again := start.View(pad, pad, m, n)
+					GemmRows(-1.25, a, b, again, rows)
+					for _, r := range rows {
+						bitEqual(t, again.View(r, 0, 1, n), c.View(r, 0, 1, n), name+": repetition")
+					}
 				}
 			}
 		}
@@ -92,11 +184,11 @@ func TestGemmRowsLeavesOtherRowsUntouched(t *testing.T) {
 	}
 }
 
-// No zero-skip, in either the unrolled or the remainder loop: a NaN or Inf in
-// B reaches every listed row of C even where the matching A entry is zero,
-// and only the column it sits in.
+// No zero-skip, in the unrolled loop, the remainder loop or the packed
+// kernel: a NaN or Inf in B reaches every listed row of C even where the
+// matching A entry is zero, and only the column it sits in.
 func TestGemmRowsPropagatesNaNInf(t *testing.T) {
-	for _, k := range []int{4, 6} { // 6: B row 5 is consumed by the remainder loop
+	for _, k := range []int{4, 6, 16, 19} { // 6: B row 5 is consumed by the remainder loop; 16, 19: packed
 		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 			a := mat.Random(3, k, 3)
 			b := mat.Random(k, 5, 4)
@@ -140,6 +232,9 @@ func TestGemmRowsPanics(t *testing.T) {
 		"inner dimension":     func() { GemmRows(1, a, mat.Random(5, 3, 4), c, []int{0, 1}) },
 		"C width":             func() { GemmRows(1, a, b, mat.Random(3, 4, 5), []int{0, 1}) },
 		"phantom, bad shape":  func() { GemmRows(1, mat.NewPhantom(2, 5), b, c, []int{0, 1}) },
+		"row index, packed": func() {
+			GemmRows(1, mat.Random(2, gemmRowsPackedK, 6), mat.Random(gemmRowsPackedK, 3, 7), c, []int{0, 3})
+		},
 	}
 	for name, call := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -2,8 +2,11 @@
 
 package blas
 
-// Implemented in kernel_amd64.s.
-func micro8x4ASM(kb int, alpha float64, ap, bp, c *float64, ldc int)
+// Implemented in kernel_amd64.s. The kernel keeps none of its pointers, which
+// is what lets macroBlock's row-offset table live on the stack.
+//
+//go:noescape
+func micro8x4ASM(kb int, alpha float64, ap, bp, c *float64, offs *int)
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
@@ -31,16 +34,41 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// microKernel computes one full mr×nr tile: C += alpha·Ap·Bp with C at
-// row stride ldc.
-func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, ldc int) {
+// microKernel computes one full mr×nr tile: C += alpha·Ap·Bp, tile row r
+// at c[offs[r]]. The assembly stores all mr rows unchecked: the caller
+// (macroBlock) has bounds-checked every row it passes.
+func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, offs []int) {
 	if hasAVX2FMA && kb > 0 {
-		_ = c[(mr-1)*ldc+nr-1] // the asm writes the full 8×4 tile
-		micro8x4ASM(kb, alpha, &ap[0], &bp[0], &c[0], ldc)
+		_ = offs[mr-1]
+		micro8x4ASM(kb, alpha, &ap[0], &bp[0], &c[0], &offs[0])
 		return
 	}
-	microGeneric(kb, alpha, ap, bp, c, ldc, mr, nr)
+	microGeneric(kb, alpha, ap, bp, c, offs, nr)
 }
+
+// microEdge computes a ragged tile — the first nrb columns of len(offs) ≤ mr
+// rows. With the vector kernel it multiplies the full (zero-padded) strips
+// into a local tile and adds the valid cells to C, so a row count that is
+// not a multiple of mr — the rule for GemmRows' active-row lists — does not
+// cost a scalar pass over the whole last strip. Which tiles are ragged is a
+// function of the shapes, so the evaluation order stays one.
+func microEdge(kb int, alpha float64, ap, bp []float64, c []float64, offs []int, nrb int) {
+	if !hasAVX2FMA || kb == 0 {
+		microGeneric(kb, alpha, ap, bp, c, offs, nrb)
+		return
+	}
+	var tile [mr * nr]float64
+	micro8x4ASM(kb, alpha, &ap[0], &bp[0], &tile[0], &tileOffs[0])
+	for r, off := range offs {
+		row, t := c[off:off+nrb], tile[r*nr:]
+		for j := range row {
+			row[j] += t[j]
+		}
+	}
+}
+
+// tileOffs are the row offsets of a dense mr×nr tile.
+var tileOffs = [mr]int{0, nr, 2 * nr, 3 * nr, 4 * nr, 5 * nr, 6 * nr, 7 * nr}
 
 // KernelISA names the micro-kernel implementation in use, for benchmark
 // reports.

@@ -2,24 +2,32 @@
 
 #include "textflag.h"
 
-// func micro8x4ASM(kb int, alpha float64, ap, bp, c *float64, ldc int)
+// func micro8x4ASM(kb int, alpha float64, ap, bp, c *float64, offs *int)
 //
-// C[8][4] += alpha * Apack(8×kb) * Bpack(kb×4), with C at row stride ldc
-// (in float64s). Apack is depth-major mr-strips: ap[p*8+i] = A[i][p];
-// Bpack is depth-major nr-strips: bp[p*4+j] = B[p][j] (pack.go).
+// C[offs[r]..+4] += alpha * (Apack(8×kb) * Bpack(kb×4))[r] for r = 0..7:
+// tile row r lives at element offset offs[r] from c, so the rows of a tile
+// need not be equidistant (GemmRows) — dense GEMM passes r·ldc. Apack is
+// depth-major mr-strips: ap[p*8+i] = A[i][p]; Bpack is depth-major
+// nr-strips: bp[p*4+j] = B[p][j] (pack.go).
 //
 // Eight YMM accumulators Y2..Y9 hold one 4-wide row of the tile each; the
 // depth loop does one 4-lane load of B, then eight broadcast+FMA steps.
 // alpha is folded in at writeback (one extra FMA per row), so the
 // accumulation itself is a pure fixed-order sum over p — the evaluation
-// order every determinism test pins.
+// order every determinism test pins. Rows are written back one after the
+// other, load-FMA-store, so two tile rows naming the same C row compose.
+#define WRITEBACK(i, acc) \
+	MOVQ i*8(R8), R9 \
+	VMOVUPD (DX)(R9*8), Y0 \
+	VFMADD231PD acc, Y1, Y0 \
+	VMOVUPD Y0, (DX)(R9*8)
+
 TEXT ·micro8x4ASM(SB), NOSPLIT, $0-48
 	MOVQ kb+0(FP), CX
 	MOVQ ap+16(FP), SI
 	MOVQ bp+24(FP), DI
 	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $3, R8            // row stride in bytes
+	MOVQ offs+40(FP), R8
 
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
@@ -59,37 +67,14 @@ loop:
 done:
 	// C row r (+)= alpha * acc_r
 	VBROADCASTSD alpha+8(FP), Y1
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y2, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y3, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y4, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y5, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y6, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y7, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y8, Y1, Y0
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD (DX), Y0
-	VFMADD231PD Y9, Y1, Y0
-	VMOVUPD Y0, (DX)
+	WRITEBACK(0, Y2)
+	WRITEBACK(1, Y3)
+	WRITEBACK(2, Y4)
+	WRITEBACK(3, Y5)
+	WRITEBACK(4, Y6)
+	WRITEBACK(5, Y7)
+	WRITEBACK(6, Y8)
+	WRITEBACK(7, Y9)
 	VZEROUPPER
 	RET
 

@@ -8,10 +8,16 @@ package blas
 // the CI host, where the default build reaches it only on edge tiles.
 const hasAVX2FMA = false
 
-// microKernel computes one full mr×nr tile: C += alpha·Ap·Bp with C at
-// row stride ldc. In this build it is the portable kernel.
-func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, ldc int) {
-	microGeneric(kb, alpha, ap, bp, c, ldc, mr, nr)
+// microKernel computes one full mr×nr tile: C += alpha·Ap·Bp, tile row r
+// at c[offs[r]]. In this build it is the portable kernel.
+func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, offs []int) {
+	microGeneric(kb, alpha, ap, bp, c, offs, nr)
+}
+
+// microEdge computes a ragged tile: the first nrb columns of len(offs) ≤ mr
+// rows. In this build it is the portable kernel too.
+func microEdge(kb int, alpha float64, ap, bp []float64, c []float64, offs []int, nrb int) {
+	microGeneric(kb, alpha, ap, bp, c, offs, nrb)
 }
 
 // KernelISA names the micro-kernel implementation in use, for benchmark

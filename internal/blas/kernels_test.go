@@ -101,7 +101,7 @@ func TestGemmBlockedMatchesRefAwkwardShapes(t *testing.T) {
 		c := mat.Random(m, n, seed+9000)
 		want := c.Clone()
 		GemmRef(-1.3, a, b, 1, want)
-		gemmBlocked(-1.3, a, b, c)
+		gemmBlocked(-1.3, a, b, c, nil)
 		if d := maxRelDiff(c, want); d > 1e-11 {
 			t.Fatalf("blocked gemm %v: rel diff %v", s, d)
 		}
@@ -118,7 +118,7 @@ func TestGemmBlockedStridedViews(t *testing.T) {
 	c := cParent.View(13, 17, 100, 110)
 	want := c.Clone()
 	GemmRef(0.7, a, b, 1, want)
-	gemmBlocked(0.7, a, b, c)
+	gemmBlocked(0.7, a, b, c, nil)
 	if d := maxRelDiff(c, want); d > 1e-11 {
 		t.Fatalf("strided blocked gemm: rel diff %v", d)
 	}
@@ -199,7 +199,7 @@ func TestGemmBlockedRepeatable(t *testing.T) {
 	var ref []uint64
 	for rep := 0; rep < 3; rep++ {
 		c := mat.Random(m, n, 7)
-		gemmBlocked(-1.5, a, b, c)
+		gemmBlocked(-1.5, a, b, c, nil)
 		bits := make([]uint64, len(c.Data))
 		for i, v := range c.Data {
 			bits[i] = math.Float64bits(v)

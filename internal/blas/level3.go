@@ -30,7 +30,7 @@ func Gemm(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 		return
 	}
 	if 2*a.Rows*b.Cols*a.Cols >= blockedFlopCutoff {
-		gemmBlocked(alpha, a, b, c)
+		gemmBlocked(alpha, a, b, c, nil)
 		return
 	}
 	gemmAccum(alpha, a, b, c)
@@ -101,12 +101,19 @@ func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 // trailing sub-matrix and rows the active rows' positions in it — one call
 // per elimination step. rows need not be sorted or distinct.
 //
-// Each C element accumulates its partial products in increasing-k order,
-// one rounding per product and per sum — exactly gemmAccum's order, so the
-// result is bit-identical to Gemm/GemmRef applied row by row (DESIGN.md §1).
-// k is consumed four at a time only to pass over the C row once per four
-// rank-1 terms instead of once per term. No zero-skip: 0·NaN stays NaN.
-// Phantom operands make the call a no-op (shape checks still apply).
+// Like Gemm it dispatches on shape alone, at gemmRowsPackedK: a shallower
+// update streams — each C element accumulates its partial products in
+// increasing-k order, one rounding per product and per sum, exactly
+// gemmAccum's order, so the result is bit-identical to Gemm/GemmRef applied
+// row by row (DESIGN.md §1); k is consumed four at a time only to pass over
+// the C row once per four rank-1 terms instead of once per term. A deeper one
+// runs on the packed micro-kernel (gemmBlocked, the listed C rows updated in
+// place): each element's sum over k is formed in registers — fused on the
+// AVX2+FMA kernel — and added to C once, which agrees with the reference
+// within 2(k+2)·ε·(|c| + |alpha|·Σ|a||b|) and is itself bit-reproducible, its
+// order being fixed by the shapes (DESIGN.md §15). On both paths: no zero-skip (0·NaN stays NaN),
+// unlisted rows neither read nor written, and a row listed twice takes both
+// updates. Phantom operands make the call a no-op (shape checks still apply).
 func GemmRows(alpha float64, a, b, c *mat.Matrix, rows []int) {
 	if a.Cols != b.Rows || b.Cols != c.Cols || a.Rows != len(rows) {
 		panic(fmt.Sprintf("blas: GemmRows shapes %dx%d * %dx%d -> %d rows of %dx%d",
@@ -115,11 +122,17 @@ func GemmRows(alpha float64, a, b, c *mat.Matrix, rows []int) {
 	if a.Phantom() || b.Phantom() || c.Phantom() {
 		return
 	}
-	n, k := b.Cols, a.Cols
-	for i, r := range rows {
+	for _, r := range rows {
 		if r < 0 || r >= c.Rows {
 			panic("blas: GemmRows row index out of range")
 		}
+	}
+	n, k := b.Cols, a.Cols
+	if k >= gemmRowsPackedK {
+		gemmBlocked(alpha, a, b, c, rows)
+		return
+	}
+	for i, r := range rows {
 		arow, crow := a.Row(i), c.Row(r)[:n] // [:n] everywhere: one length for the compiler to prove
 		p := 0
 		for ; p+4 <= k; p += 4 {

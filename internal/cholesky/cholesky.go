@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"repro/internal/blas"
+	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/mat"
@@ -40,7 +41,8 @@ type Options struct {
 }
 
 // DefaultOptions picks the best square-layer 2.5D grid for p ranks with
-// per-rank memory mem (elements), and the blocking parameter v = 2c.
+// per-rank memory mem (elements), and the blocking parameter
+// costmodel.BaselineBlockSize (v = 2c, floored at 4).
 func DefaultOptions(n, p int, mem float64) Options {
 	maxC := grid.MaxReplication(p, mem, n)
 	best := grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: p}
@@ -60,14 +62,7 @@ func DefaultOptions(n, p int, mem float64) Options {
 			break // largest square for this c
 		}
 	}
-	v := 2 * best.Layers
-	if v < 4 {
-		v = 4
-	}
-	if v > n {
-		v = n
-	}
-	return Options{Name: "Cholesky25D", N: n, V: v, Grid: best}
+	return Options{Name: "Cholesky25D", N: n, V: costmodel.BaselineBlockSize(n, best.Layers), Grid: best}
 }
 
 // Result carries the factor: at world rank 0 (numeric mode), L is the lower

@@ -38,12 +38,13 @@ func (e *engine) factorizeA01(t int) {
 	myRows := groups[e.row]
 	var reduced *mat.Matrix
 	if len(myRows) > 0 && total > 0 {
-		stack := e.store.StackTrailingRows(t+1, myRows)
+		stack := e.stackRows(e.store.Trailing(t+1), myRows)
 		e.fiber.ReduceMatSum(0, stack)
 		if e.layer == 0 {
 			reduced = stack
 		} else if e.store.Payload() {
-			e.store.UnstackTrailingRows(t+1, myRows, mat.New(len(myRows), total))
+			stack.Zero() // contributions consumed
+			e.store.UnstackTrailingRows(t+1, myRows, stack)
 		}
 	}
 	if total == 0 {
@@ -56,19 +57,16 @@ func (e *engine) factorizeA01(t int) {
 	const gatherTag, backTag = 101, 102
 	if e.layer == 0 {
 		if e.world.Rank() == asmRank {
-			asm = e.store.NewBuffer(w, total)
+			asm = e.buffer(w, total)
 			idx := indexOf(e.pivIDs)
 			for gr := 0; gr < e.g.Pr; gr++ {
 				rows := groups[gr]
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), total)
-				if e.g.Rank(gr, e.col, 0) == asmRank {
-					if reduced != nil {
-						part = reduced
-					}
-				} else {
+				part := reduced // my own grid row's segment, non-nil: rows is not empty
+				if e.g.Rank(gr, e.col, 0) != asmRank {
+					part = e.buffer(len(rows), total)
 					e.ac.RecvMat(acIndex(e.g, gr, e.col, 0), gatherTag+gr, part)
 				}
 				if e.store.Payload() {
@@ -85,7 +83,7 @@ func (e *engine) factorizeA01(t int) {
 				if len(rows) == 0 {
 					continue
 				}
-				part := e.store.NewBuffer(len(rows), total)
+				part := e.buffer(len(rows), total)
 				if e.store.Payload() {
 					for i, r := range rows {
 						part.View(i, 0, 1, total).CopyFrom(asm.View(idx[r], 0, 1, total))
@@ -99,7 +97,7 @@ func (e *engine) factorizeA01(t int) {
 			}
 		} else if len(myRows) > 0 {
 			e.ac.SendMat(acIndex(e.g, 0, e.col, 0), gatherTag+e.row, reduced)
-			back := e.store.NewBuffer(len(myRows), total)
+			back := e.buffer(len(myRows), total)
 			e.ac.RecvMat(acIndex(e.g, 0, e.col, 0), backTag+e.row, back)
 			e.store.UnstackTrailingRows(t+1, myRows, back)
 		}
@@ -113,7 +111,7 @@ func (e *engine) factorizeA01(t int) {
 	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := asm
 	if buf == nil {
-		buf = e.store.NewBuffer(w, total)
+		buf = e.buffer(w, total)
 	}
 	comm.BcastMat(rootIdx, buf)
 	if e.layer == lstar {

@@ -84,7 +84,9 @@ func TestNumericLayered25D(t *testing.T) {
 		{48, 4, 2, 2, 3},
 		{64, 8, 2, 2, 2},
 		{64, 4, 2, 2, 4},
-		{60, 4, 2, 3, 2}, // ragged + rectangular layers
+		{60, 4, 2, 3, 2},   // ragged + rectangular layers
+		{100, 16, 2, 2, 2}, // v ≥ 16: the Schur update runs on the packed kernel
+		{96, 32, 1, 2, 2},
 	}
 	for _, tc := range cases {
 		g := gridFor(tc.pr, tc.pc, tc.cc, tc.pr*tc.pc*tc.cc)
@@ -238,6 +240,34 @@ func TestDefaultOptionsRespectConstraints(t *testing.T) {
 		}
 		if used := opt.Grid.Used(); float64(used) < 0.85*float64(p) {
 			t.Fatalf("p=%d: grid wastes too much (%d used)", p, used)
+		}
+	}
+}
+
+// One rule, one place: the planner's closed-form message count is N over the
+// v the engine actually runs with, at every (N, P) the harness reaches.
+func TestApproxMsgsUseEngineBlockSize(t *testing.T) {
+	for n := 128; n <= 16384; n *= 2 {
+		for p := 4; p <= 1024; p *= 2 {
+			params := costmodel.MaxMemoryParams(n, p)
+			v := DefaultOptions(n, p, params.M).V
+			if got, want := costmodel.ApproxPerRankMsgs(costmodel.COnfLUX, params, 0), float64((n+v-1)/v); got != want {
+				t.Fatalf("N=%d P=%d: ApproxPerRankMsgs = %v, ⌈N/v⌉ = %v at the engine's v=%d", n, p, got, want, v)
+			}
+		}
+	}
+}
+
+func TestPermuteRowsInPlace(t *testing.T) {
+	g := mat.NewRNG(11)
+	for _, n := range []int{1, 2, 7, 64} {
+		perm := g.RandomPerm(n)
+		perm[n/2], perm[indexOf(perm)[n/2]] = n/2, perm[n/2] // at least one fixed point
+		a := mat.Random(n, 5, uint64(n)).View(0, 1, n, 3)    // strided
+		want := mat.PermuteRows(a, perm)
+		permuteRowsInPlace(a, perm)
+		if d := mat.MaxAbsDiff(a, want); d != 0 {
+			t.Fatalf("n=%d perm=%v: differs from mat.PermuteRows by %v", n, perm, d)
 		}
 	}
 }

@@ -59,6 +59,10 @@ type engine struct {
 	perm        []int
 	activeByRow [][]int // per-step cache: active rows per grid row
 
+	// Per-step panels are carved from slab (see buffer); used is the mark.
+	slab []float64
+	used int
+
 	// Per-step caches.
 	a00    *mat.Matrix // factored w×w diagonal block (L00\U00)
 	pivIDs []int       // this step's pivot rows in factor order
@@ -88,6 +92,7 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 
 	nt := e.bc.Tiles()
 	for t := 0; t < nt; t++ {
+		e.used = 0 // every panel of step t−1 has had its last reader
 		e.refreshActive()
 		stack, rows := e.reduceColumn(t)
 		if err := e.tournament(t, stack, rows); err != nil {
@@ -111,16 +116,37 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 			}
 			dist.Gather(e.world, 0, phys, e.g, e.store)
 			if e.world.Payload() {
-				lu = mat.PermuteRows(phys, e.perm)
-			} else {
-				lu = phys
+				permuteRowsInPlace(phys, e.perm)
 			}
+			lu = phys
 		} else {
 			dist.Gather(e.world, 0, nil, e.g, e.store)
 		}
 		res.LU = lu
 	}
 	return res, nil
+}
+
+// permuteRowsInPlace reorders m so that row k is the old row perm[k] — the
+// gathered physical rows into pivot order — by walking perm's cycles with one
+// spare row, where a copy would allocate (and zero, and fault in) a second
+// N×N matrix per factorization.
+func permuteRowsInPlace(m *mat.Matrix, perm []int) {
+	done := make([]bool, len(perm))
+	spare := make([]float64, m.Cols)
+	for start := range perm {
+		if done[start] {
+			continue
+		}
+		copy(spare, m.Row(start))
+		k := start
+		for ; perm[k] != start; k = perm[k] {
+			copy(m.Row(k), m.Row(perm[k]))
+			done[k] = true
+		}
+		copy(m.Row(k), spare)
+		done[k] = true
+	}
 }
 
 // refreshActive maintains the per-grid-row active lists; every consumer
@@ -151,6 +177,40 @@ func (e *engine) refreshActive() {
 	}
 }
 
+// buffer hands out a rows×cols panel of the current elimination step
+// (phantom in volume mode) from the engine's slab, which run rewinds at the
+// top of every step: a panel's last reader — the step's solve or update, or
+// the send that copies it onto the wire — is always inside the step that
+// made it, so a factorization allocates (and the runtime zeroes and collects)
+// its panels once instead of once per step. Contents are undefined: every
+// caller overwrites the whole panel, by a receive or a copy per row, before
+// anything reads it.
+func (e *engine) buffer(rows, cols int) *mat.Matrix {
+	if !e.store.Payload() {
+		return mat.NewPhantom(rows, cols)
+	}
+	n := rows * cols
+	if e.slab == nil || e.used+n > len(e.slab) {
+		// Outgrown: the step's earlier panels keep the old slab alive.
+		e.slab, e.used = make([]float64, max(2*len(e.slab), n)), 0
+	}
+	e.used += n
+	return mat.FromSlice(rows, cols, e.slab[e.used-n:e.used:e.used])
+}
+
+// stackRows is dist's StackColumnRows/StackTrailingRows into a step panel:
+// the given global rows of view — a Trailing view of the store, or its
+// leading tile column — copied out as a dense len(rows)×view.Cols stack.
+func (e *engine) stackRows(view *mat.Matrix, rows []int) *mat.Matrix {
+	stack := e.buffer(len(rows), view.Cols)
+	if e.store.Payload() {
+		for i, r := range rows {
+			copy(stack.Row(i), view.Row(e.store.LocalRow(r)))
+		}
+	}
+	return stack
+}
+
 // activeRowsInGridRow lists (ascending) the physical rows still active that
 // live in grid row gr under the cyclic tile distribution.
 func (e *engine) activeRowsInGridRow(gr int) []int {
@@ -172,7 +232,10 @@ func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
 	if len(rows) == 0 {
 		return nil, rows
 	}
-	stack := e.store.StackColumnRows(t, rows)
+	// Tile column t is mine, so it leads my trailing view.
+	_, w := e.bc.TileDims(t, t)
+	trailing := e.store.Trailing(t)
+	stack := e.stackRows(trailing.View(0, 0, trailing.Rows, w), rows)
 	e.fiber.ReduceMatSum(0, stack)
 	if e.layer == 0 {
 		e.store.UnstackColumnRows(t, rows, stack)
@@ -180,8 +243,8 @@ func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
 	}
 	// Contributions consumed: zero the accumulator entries.
 	if e.store.Payload() {
-		_, w := e.bc.TileDims(t, t)
-		e.store.UnstackColumnRows(t, rows, mat.New(len(rows), w))
+		stack.Zero()
+		e.store.UnstackColumnRows(t, rows, stack)
 	}
 	return nil, nil
 }
@@ -229,7 +292,7 @@ func (e *engine) broadcastA00(t int) {
 	_, w := e.bc.TileDims(t, t)
 	root := e.g.Rank(0, e.bc.OwnerCol(t), 0)
 	if e.a00 == nil {
-		e.a00 = e.store.NewBuffer(w, w)
+		e.a00 = e.buffer(w, w)
 	}
 	e.ac.BcastMat(root, e.a00)
 	e.pivIDs = e.ac.BcastInts(root, e.pivIDs)
@@ -279,7 +342,7 @@ func (e *engine) factorizeA10(t int, stack *mat.Matrix, rows []int) {
 			continue
 		}
 		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		buf := e.store.NewBuffer(len(grRows), w)
+		buf := e.buffer(len(grRows), w)
 		if e.g.Rank(gr, ownerCol, 0) == e.world.Rank() {
 			// I am the owner: extract the active rows from the reduced
 			// stack, solve, store the L values, and broadcast.

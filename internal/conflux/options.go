@@ -36,34 +36,15 @@ type Options struct {
 // DefaultOptions mirrors the paper's setup: local memory M elements per
 // rank, replication c = min(PM/N², P^{1/3}), and the Processor Grid
 // Optimization of §8, which may disable a minor fraction of ranks. The
-// blocking parameter is v = a·c with a small constant a (paper §7.2),
-// floored at 4 for kernel efficiency.
+// blocking parameter is the volume-bounded rule of
+// costmodel.COnfLUXBlockSize: §7.2's v = a·c as the floor, raised to a power
+// of two ≤ 32 wherever N is large enough against the grid that the O(N·v)
+// lower-order traffic stays within about 1/16 of the leading term — the
+// Schur update then runs at rank v ≥ 16 on the packed micro-kernel
+// (blas.GemmRows) instead of rank 4 on the streaming loop.
 func DefaultOptions(n, p int, mem float64) Options {
-	maxC := grid.MaxReplication(p, mem, n)
-	g := grid.Optimize25D(p, maxC, 0.15, func(cand grid.Grid) float64 {
-		return gridModelCost(n, cand)
-	})
-	v := 2 * g.Layers
-	if v < 4 {
-		v = 4
-	}
-	if v > n {
-		v = n
-	}
-	return Options{Name: "COnfLUX", N: n, V: v, Grid: g}
-}
-
-// gridModelCost evaluates the COnfLUX per-rank cost model on a candidate
-// grid: panel distribution N²/√(P'·c) scaled by layer squareness, plus the
-// cross-layer reduction term (c−1)N²/P'.
-func gridModelCost(n int, g grid.Grid) float64 {
-	used := float64(g.Used())
-	nn := float64(n) * float64(n)
-	// Panel term: each consumer receives (N−tv)v/Pr + (N−tv)v/Pc per
-	// assigned step; summing over steps gives N²/(2c)·(1/Pr+1/Pc).
-	panel := nn / (2 * float64(g.Layers)) * (1/float64(g.Pr) + 1/float64(g.Pc))
-	reduce := float64(g.Layers-1) * nn / used
-	return panel + reduce
+	g := costmodel.COnfLUXGrid(n, p, mem)
+	return Options{Name: "COnfLUX", N: n, V: costmodel.COnfLUXBlockSize(n, g), Grid: g}
 }
 
 // ModelPerRankElements is the fitted cost model for THIS implementation

@@ -8,6 +8,7 @@ package costmodel
 import (
 	"math"
 
+	"repro/internal/grid"
 	"repro/internal/trace"
 )
 
@@ -45,28 +46,86 @@ func PredictedTime(a Algorithm, p Params, m Machine, perRankMsgs float64) float6
 // partial-pivoting 2D codes (LibSci, SLATE) inject O(N) messages — one
 // pivot-exchange round per column — while the tournament-pivoting codes
 // (COnfLUX, CANDMC) batch columns into v-wide panels for O(N/v) rounds.
-// nb > 0 overrides the blocking parameter; otherwise COnfLUX's default
-// v = 2c (floored at 4, internal/conflux.DefaultOptions) is used. The
-// constant factor is 1 — an order-of-magnitude latency estimate, which is
-// all the α term needs at paper-scale β·bytes dominance.
+// nb > 0 overrides the blocking parameter; otherwise COnfLUX's is the one
+// its engine runs with (COnfLUXBlockSize on COnfLUXGrid — the same two calls
+// internal/conflux.DefaultOptions makes) and CANDMC's the baseline's
+// max(2c, 4) at the model's replication. The constant factor is 1 — an
+// order-of-magnitude latency estimate, which is all the α term needs at
+// paper-scale β·bytes dominance.
 func ApproxPerRankMsgs(a Algorithm, p Params, nb int) float64 {
 	n := float64(p.N)
 	switch a {
 	case LibSci, SLATE:
 		return n
-	case COnfLUX, CANDMC:
+	case COnfLUX:
+		if nb <= 0 {
+			nb = COnfLUXBlockSize(p.N, COnfLUXGrid(p.N, p.P, p.M))
+		}
+		return math.Ceil(n / float64(nb))
+	case CANDMC:
 		v := float64(nb)
 		if v <= 0 {
-			v = 2 * p.Replication()
-			if v < 4 {
-				v = 4
-			}
+			v = math.Max(2*p.Replication(), 4)
 		}
 		return math.Ceil(n / v)
 	default:
 		panic("costmodel: unknown algorithm " + string(a))
 	}
 }
+
+// COnfLUXGrid is the paper's Processor Grid Optimization (§8) for COnfLUX:
+// replication c = min(PM/N², P^{1/3}) at most, and the [Pr, Pc, c] grid in a
+// world of p ranks that minimizes the per-rank model below, disabling up to
+// 15% of the ranks where that pays.
+func COnfLUXGrid(n, p int, mem float64) grid.Grid {
+	nn := float64(n) * float64(n)
+	return grid.Optimize25D(p, grid.MaxReplication(p, mem, n), 0.15, func(g grid.Grid) float64 {
+		// Panel term: each consumer receives (N−tv)v/Pr + (N−tv)v/Pc per
+		// assigned step; summing over steps gives N²/(2c)·(1/Pr+1/Pc).
+		panel := nn / (2 * float64(g.Layers)) * (1/float64(g.Pr) + 1/float64(g.Pc))
+		// Cross-layer reduction term (c−1)N²/P'.
+		reduce := float64(g.Layers-1) * nn / float64(g.Used())
+		return panel + reduce
+	})
+}
+
+// BaselineBlockSize is the 2.5D engines' blocking parameter floor: v = a·c
+// with a = 2 (paper §7.2), at least 4 so a panel is worth a kernel call, at
+// most n. CANDMC and the Cholesky extension run at exactly this — CANDMC's
+// block size is the baseline's choice, not ours to tune.
+func BaselineBlockSize(n, c int) int {
+	return min(max(2*c, 4), n)
+}
+
+// COnfLUXBlockSize is COnfLUX's blocking parameter v on grid g — the single
+// home of the rule, shared by the engine's defaults and ApproxPerRankMsgs.
+// §7.2 leaves v = a·c "adjusted to hardware", and Lemma 10's N³/(P√M)
+// leading term leaves only O(N·v) lower-order traffic to pay for it: per
+// rank, v costs about v·c·max(Pr,Pc)/N of the leading term in extra bytes
+// (A00 broadcasts and tournament rounds grow as v², the panels' ragged
+// first tile as v) and divides the message count by v/4. So v is the
+// largest power of two ≤ blockSizeCap that keeps that share within
+// 1/blockSizeShare — never below BaselineBlockSize, so the rule only ever
+// raises v, and only where the matrix is large against the grid. The
+// recorded sweep (EXPERIMENTS.md "Blocking parameter") holds the measured
+// bytes at the default within 8% of the bytes at the floor over Table 2; a
+// larger a would be the wrong lever: at N=1,024/P=256 v = 32 measures
+// 1.48× the fitted model where the floor's v = 8 measures 1.02×.
+func COnfLUXBlockSize(n int, g grid.Grid) int {
+	v := BaselineBlockSize(n, g.Layers)
+	budget := n / (blockSizeShare * g.Layers * max(g.Pr, g.Pc))
+	for w := blockSizeCap; w > v; w /= 2 {
+		if w <= budget {
+			return w
+		}
+	}
+	return v
+}
+
+const (
+	blockSizeShare = 16 // the N·v term may cost 1/16 of the leading term
+	blockSizeCap   = 32 // past it the panel work, which grows as v, eats the kernel's gain at N ≈ 1,024 (EXPERIMENTS.md)
+)
 
 // MaxMemoryParams returns the paper's evaluation setting: "enough memory
 // M ≥ N²/P^{2/3} was present to allow the maximum number of replications

@@ -192,18 +192,56 @@ func TestApproxPerRankMsgs(t *testing.T) {
 			t.Fatalf("%s: %v msgs, want N=%d", a, got, p.N)
 		}
 	}
-	for _, a := range []Algorithm{COnfLUX, CANDMC} {
-		got := ApproxPerRankMsgs(a, p, 0)
-		if got <= 0 || got >= float64(p.N) {
-			t.Fatalf("%s: %v msgs, want within (0, N)", a, got)
-		}
-		// v = 2c floored at 4; at max replication c = P^(1/3) = ~10.08.
-		v := 2 * p.Replication()
-		if want := math.Ceil(float64(p.N) / v); got != want {
-			t.Fatalf("%s: %v msgs, want %v", a, got, want)
+	// CANDMC: the baseline's v = 2c floored at 4; at max replication
+	// c = P^(1/3) = ~10.08. COnfLUX: the engine's own rule on its own grid.
+	want := map[Algorithm]float64{
+		CANDMC:  math.Ceil(float64(p.N) / (2 * p.Replication())),
+		COnfLUX: math.Ceil(float64(p.N) / float64(COnfLUXBlockSize(p.N, COnfLUXGrid(p.N, p.P, p.M)))),
+	}
+	for a, w := range want {
+		if got := ApproxPerRankMsgs(a, p, 0); got != w || got <= 0 || got >= float64(p.N) {
+			t.Fatalf("%s: %v msgs, want %v, within (0, N)", a, got, w)
 		}
 	}
 	if got, want := ApproxPerRankMsgs(COnfLUX, p, 128), math.Ceil(float64(p.N)/128); got != want {
 		t.Fatalf("explicit nb: %v msgs, want %v", got, want)
+	}
+}
+
+// TestCOnfLUXBlockSize pins the volume-bounded rule at the points the
+// records were taken at, and its two guard rails everywhere: it never goes
+// below the baseline's max(2c, 4), and it raises v only to a power of two
+// ≤ 32 whose N·v traffic share v·c·max(Pr,Pc)/N stays within 1/16.
+func TestCOnfLUXBlockSize(t *testing.T) {
+	for _, tc := range []struct {
+		n, p, want int
+		what       string
+	}{
+		{1024, 16, 16, "numeric_solve (4x4x1)"},
+		{4096, 64, 16, "TestConformanceNumericPaperScale"},
+		{16384, 1024, 12, "Table 2 headline (13x13x6): floor"},
+		{1024, 256, 8, "replay_conflux (8x8x4): floor"},
+		{512, 64, 4, "BENCH_topo.json (5x6x2): floor"},
+		{256, 64, 4, "largest plan_* point: floor"},
+		{256, 8, 4, "golden digest (256, 8, 5)"},
+		{517, 12, 8, "golden digest (517, 12, 3)"},
+		{3, 4, 3, "matrix smaller than one tile"},
+	} {
+		g := COnfLUXGrid(tc.n, tc.p, MaxMemoryParams(tc.n, tc.p).M)
+		if got := COnfLUXBlockSize(tc.n, g); got != tc.want {
+			t.Errorf("%s: N=%d P=%d on %dx%dx%d: v=%d, want %d", tc.what, tc.n, tc.p, g.Pr, g.Pc, g.Layers, got, tc.want)
+		}
+	}
+	for n := 1; n <= 1<<15; n = n*3/2 + 1 {
+		for p := 1; p <= 2048; p = p*3/2 + 1 {
+			g := COnfLUXGrid(n, p, MaxMemoryParams(n, p).M)
+			v, floor := COnfLUXBlockSize(n, g), BaselineBlockSize(n, g.Layers)
+			if v < floor || v > max(floor, 32) {
+				t.Fatalf("N=%d P=%d: v=%d outside [floor %d, 32]", n, p, v, floor)
+			}
+			if v > floor && (v&(v-1) != 0 || 16*v*g.Layers*max(g.Pr, g.Pc) > n) {
+				t.Fatalf("N=%d P=%d on %dx%dx%d: raised v=%d is not a power of two within the 1/16 share", n, p, g.Pr, g.Pc, g.Layers, v)
+			}
+		}
 	}
 }

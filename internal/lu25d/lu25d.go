@@ -12,6 +12,7 @@ package lu25d
 import (
 	"fmt"
 
+	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/lapack"
@@ -39,14 +40,7 @@ func CANDMCOptions(n, p int, mem float64) Options {
 	}
 	layer := grid.Square2D(p / c)
 	g := grid.Grid{Pr: layer.Pr, Pc: layer.Pc, Layers: c, Total: p}
-	v := 2 * c
-	if v < 4 {
-		v = 4
-	}
-	if v > n {
-		v = n
-	}
-	return Options{Name: "CANDMC", N: n, V: v, Grid: g}
+	return Options{Name: "CANDMC", N: n, V: costmodel.BaselineBlockSize(n, c), Grid: g}
 }
 
 // Result mirrors lu2d: LU (at world rank 0, numeric mode) holds the in-place

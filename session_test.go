@@ -12,11 +12,17 @@ import (
 	"repro/internal/testutil"
 )
 
+// slowReplayN sizes the replay the cancellation tests interrupt: LibSci's
+// partial pivoting runs one message round per column whatever any engine's
+// blocking parameter is, so CommVolume(slowReplayN) at P=16 takes ~9 s on the
+// 2-core CI host (2026-10-01) — 180× the 50 ms the tests allow it.
+const slowReplayN = 16384
+
 // TestSessionCancellation proves an in-flight simulation is interrupted:
 // the volume replay below runs for several seconds uncanceled, but returns
 // ErrCanceled well under that once the context fires.
 func TestSessionCancellation(t *testing.T) {
-	s, err := New(WithRanks(16))
+	s, err := New(WithRanks(16), WithAlgorithm(LibSci))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func TestSessionCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = s.CommVolume(ctx, 2048) // ~6 s to completion when not canceled
+	_, err = s.CommVolume(ctx, slowReplayN)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -45,11 +51,11 @@ func TestSessionCancellation(t *testing.T) {
 // TestSessionSafetyTimeout: WithTimeout is a deadline even when the caller
 // context has none.
 func TestSessionSafetyTimeout(t *testing.T) {
-	s, err := New(WithRanks(16), WithTimeout(50*time.Millisecond))
+	s, err := New(WithRanks(16), WithAlgorithm(LibSci), WithTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.CommVolume(context.Background(), 2048)
+	_, err = s.CommVolume(context.Background(), slowReplayN)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
