@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -259,6 +260,91 @@ func TestConformanceGoldenDigests(t *testing.T) {
 					t.Fatalf("digest %s, recorded %s", got, want.digest)
 				}
 			})
+		}
+	}
+}
+
+// volumeDigest is the FNV-64a hash of a volume replay's report: the world
+// size, every rank's sent bytes, received bytes, message count and final
+// simulated clock, every phase's bytes and message count in label order, and
+// the makespan — floats as their bit patterns, everything little-endian.
+func volumeDigest(rep *VolumeReport) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(rep.P))
+	for r := 0; r < rep.P; r++ {
+		put(uint64(rep.Sent[r]))
+		put(uint64(rep.Recv[r]))
+		put(uint64(rep.Msgs[r]))
+		put(math.Float64bits(rep.Time.Clock[r]))
+	}
+	phases := make([]string, 0, len(rep.ByPhase))
+	for ph := range rep.ByPhase {
+		phases = append(phases, ph)
+	}
+	sort.Strings(phases)
+	for _, ph := range phases {
+		h.Write([]byte(ph))
+		put(uint64(rep.ByPhase[ph]))
+		put(uint64(rep.PhaseMsgs[ph]))
+	}
+	put(math.Float64bits(rep.Time.Makespan))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestConformanceVolumeDigests pins the volume replays of the two 2.5D
+// engines to fixed artifacts (ROADMAP 3a, first instalment): the report of
+// CommVolume(n) on p ranks must hash to the recorded value under the flat
+// α-β machine and under the dragonfly-contended topology. A control-flow
+// change in an engine that adds, drops, resizes, relabels or reorders a single
+// message on any rank's timeline fails here. Volume mode runs no kernel and
+// no floating-point arithmetic outside the clock sums, so unlike the factor
+// digests these carry no architecture or ISA gate. The shapes cover c = 1 on
+// a non-square grid with a ragged last tile (COnfLUX runs N=517/P=12 on
+// 3×4×1 at v=8, CANDMC on 2×3×2), c > 1 (2×2×2 at P=8, CANDMC 4×4×4 at
+// P=64), a grid with disabled ranks (COnfLUX takes 5×6×2 = 60 of 64 ranks)
+// and the benchmark's replay point (8×8×4 at v=8 for both). Recorded at
+// d0a2788, before the engines' per-step control flow was rewritten.
+func TestConformanceVolumeDigests(t *testing.T) {
+	cases := []struct {
+		n, p    int
+		long    bool
+		digests map[Algorithm][2]string // flat, dragonfly-contended
+	}{
+		{256, 8, false, map[Algorithm][2]string{
+			COnfLUX: {"d0bb2e11b7109260", "4f346d17f9668f29"}, CANDMC: {"2d0d6386bc627de7", "8e6bb4a0443e8e2b"}}},
+		{517, 12, false, map[Algorithm][2]string{
+			COnfLUX: {"7da8cea1956711d2", "612185f6333b726a"}, CANDMC: {"fe227ebbd6dc83e0", "e61c8abfb9d8747c"}}},
+		{512, 64, false, map[Algorithm][2]string{
+			COnfLUX: {"ab26a5ab8517f1e3", "8f36cef1f1f8d5b7"}, CANDMC: {"c63e18e79a201018", "5175250c85e0ebb4"}}},
+		{1024, 256, true, map[Algorithm][2]string{
+			COnfLUX: {"ba5b21ed3c34779f", "dbd3480b5a1a3d2f"}, CANDMC: {"59d061a177379997", "3559efb0cd98efb1"}}},
+	}
+	for _, tc := range cases {
+		for _, algo := range []Algorithm{COnfLUX, CANDMC} {
+			for i, preset := range []string{"flat", "dragonfly-contended"} {
+				t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s", algo, tc.n, tc.p, preset), func(t *testing.T) {
+					if tc.long && testing.Short() {
+						t.Skip("P=256 digest skipped in -short mode")
+					}
+					t.Parallel()
+					opts := []Option{WithRanks(tc.p), WithAlgorithm(algo)}
+					if preset != "flat" {
+						opts = append(opts, WithTopologyPreset(preset))
+					}
+					rep, err := mustNew(t, opts...).CommVolume(t.Context(), tc.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := volumeDigest(rep), tc.digests[algo][i]; got != want {
+						t.Fatalf("digest %s, recorded %s", got, want)
+					}
+				})
+			}
 		}
 	}
 }
