@@ -77,10 +77,14 @@ cover:
 	$(GO) tool cover -func=coverage.out | tee coverage.txt
 
 # Compile and run every benchmark once — catches rotted benchmark code
-# without paying for real measurements. -short skips the paper-scale
-# (N=16384, P=1024) replay benchmark, which budgets a minute on its own.
+# without paying for real measurements; -benchmem puts each one-shot replay's
+# allocs/op in the CI log, where a per-step loop over the whole grid shows as
+# a jump in objects long before it shows in seconds. -short skips the two
+# paper-scale (N=16384, P=1024) replay benchmarks, which take 6 s (COnfLUX)
+# and 7 s (CANDMC) on a 2-core host (2026-10-01; 49 s and 42 s before the
+# engines' per-step control flow was cut down to what a rank owns).
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' -short ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' -short ./...
 
 # Machine-readable measurements, uploaded by CI so the perf trajectory is
 # recorded run over run:

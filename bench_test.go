@@ -281,9 +281,9 @@ func BenchmarkFactorizeNumeric(b *testing.B) {
 // `go test -bench` counterparts of `confluxbench -exp perf` (whose JSON
 // records BENCH_baseline.json / BENCH_scale.json track the trajectory);
 // allocations per op are the refactor's second headline metric, so every
-// benchmark reports them. The paper-scale case (N=16,384, P=1,024 — the
-// §8 headline run) takes on the order of a minute and is skipped under
-// -short so smoke runs stay fast.
+// benchmark reports them. The paper-scale cases (N=16,384, P=1,024 — the
+// §8 headline run, COnfLUX and CANDMC) take 6–7 s each on a 2-core host
+// and are skipped under -short so smoke runs stay fast.
 
 func benchFactorizeVolume(b *testing.B, algo costmodel.Algorithm, n, p int) {
 	b.ReportAllocs()
@@ -305,6 +305,46 @@ func BenchmarkFactorizeVolumePaper(b *testing.B) {
 		b.Skip("paper-scale replay (N=16384, P=1024) skipped under -short")
 	}
 	benchFactorizeVolume(b, costmodel.COnfLUX, 16384, 1024)
+}
+
+func BenchmarkFactorizeVolumePaperCANDMC(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale replay (N=16384, P=1024) skipped under -short")
+	}
+	benchFactorizeVolume(b, costmodel.CANDMC, 16384, 1024)
+}
+
+// TestReplayAllocBudget holds the 2.5D engines' control flow to a heap-object
+// budget per simulated message, so a per-step loop over the whole grid — each
+// one costs a few objects per rank-step — shows up in `go test`, not in a
+// profile. Measured at CommVolume(512), P=64: COnfLUX (5×6×2, v=4) 0.60
+// objects per message (0.72 under -race), CANDMC (4×4×4, v=8) 1.69 (1.90);
+// they were 3.85 and 7.68 when every rank rebuilt every grid row's broadcast
+// group each step (7.6 for COnfLUX at P=256, where there are more grid rows).
+// The ceilings leave ~25% headroom over the -race figures; what is left is
+// the transport's (smpi clones, trace events), the tournament's candidate
+// sets, CANDMC's row exchanges and the one-time communicator set-up.
+func TestReplayAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		algo    conflux.Algorithm
+		ceiling float64
+	}{{conflux.COnfLUX, 0.9}, {conflux.CANDMC, 2.4}} {
+		s, err := conflux.New(conflux.WithRanks(64), conflux.WithAlgorithm(tc.algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msgs int64
+		allocs := testing.AllocsPerRun(3, func() {
+			rep, err := s.CommVolume(t.Context(), 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs = rep.TotalMsgs()
+		})
+		if perMsg := allocs / float64(msgs); perMsg > tc.ceiling {
+			t.Errorf("%s: %.0f objects over %d messages = %.2f per message, budget %.2f", tc.algo, allocs, msgs, perMsg, tc.ceiling)
+		}
+	}
 }
 
 func BenchmarkSolveVolume(b *testing.B) {

@@ -2,6 +2,8 @@ package conflux
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -262,8 +264,8 @@ func TestPermuteRowsInPlace(t *testing.T) {
 	g := mat.NewRNG(11)
 	for _, n := range []int{1, 2, 7, 64} {
 		perm := g.RandomPerm(n)
-		perm[n/2], perm[indexOf(perm)[n/2]] = n/2, perm[n/2] // at least one fixed point
-		a := mat.Random(n, 5, uint64(n)).View(0, 1, n, 3)    // strided
+		perm[n/2], perm[slices.Index(perm, n/2)] = n/2, perm[n/2] // at least one fixed point
+		a := mat.Random(n, 5, uint64(n)).View(0, 1, n, 3)         // strided
 		want := mat.PermuteRows(a, perm)
 		permuteRowsInPlace(a, perm)
 		if d := mat.MaxAbsDiff(a, want); d != 0 {
@@ -317,6 +319,61 @@ func TestPhaseBreakdownPresent(t *testing.T) {
 	for _, ph := range []string{"COnfLUX.pivot", "COnfLUX.bcast-a00", "COnfLUX.panel-a10", "COnfLUX.panel-a01"} {
 		if rep.ByPhase[ph] == 0 {
 			t.Fatalf("phase %s not metered: %v", ph, rep.ByPhase)
+		}
+	}
+}
+
+// The engine's per-step cost rests on two facts, checked here on every rank of
+// a volume world with a ragged last tile on a non-square grid (517 on 3×4×1)
+// and of a layered one (256 on 2×2×2): after every step the own-row active
+// list, maintained by deleting the step's pivots, is exactly what a scan of
+// the mask finds in this rank's grid row; and the slot tables a rank builds
+// for its own row and column hold a communicator exactly where the rank is in
+// the group (grid's TestPanelGroupsStayInOwnRowAndColumn shows no group of
+// another row or column can contain it).
+func TestOwnRowInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		n, v int
+		g    grid.Grid
+	}{
+		{517, 8, gridFor(3, 4, 1, 12)},
+		{256, 4, gridFor(2, 2, 2, 8)},
+	} {
+		g, c := tc.g, tc.g.Layers
+		_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
+			e := &engine{world: cm, opt: Options{Name: "COnfLUX", N: tc.n, V: tc.v, Grid: g}}
+			e.setup(nil)
+			for lstar := 0; lstar < c; lstar++ {
+				for ownerCol := 0; ownerCol < g.Pc; ownerCol++ {
+					member := slices.Contains(g.PanelRowGroup(e.row, ownerCol, lstar), cm.Rank())
+					if built := e.a10Comms[ownerCol*c+lstar] != nil; built != member {
+						return fmt.Errorf("rank %d: A10 slot (%d, %d) built=%v, member=%v", cm.Rank(), ownerCol, lstar, built, member)
+					}
+				}
+				member := slices.Contains(g.PanelColGroup(e.col, 0, lstar), cm.Rank())
+				if built := e.a01Comms[lstar] != nil; built != member {
+					return fmt.Errorf("rank %d: A01 slot %d built=%v, member=%v", cm.Rank(), lstar, built, member)
+				}
+			}
+			for step := 0; step < e.bc.Tiles(); step++ {
+				if err := e.step(step); err != nil {
+					return err
+				}
+				var scan []int
+				for r, live := range e.mask {
+					if live && e.bc.OwnerRow(r/tc.v) == e.row {
+						scan = append(scan, r)
+					}
+				}
+				if !slices.Equal(e.active, scan) {
+					return fmt.Errorf("rank %d after step %d: active list %v, mask scan %v", cm.Rank(), step, e.active, scan)
+				}
+			}
+			e.collect()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d %+v: %v", tc.n, g, err)
 		}
 	}
 }

@@ -54,24 +54,47 @@ type engine struct {
 	fiber           *smpi.Comm // my (row, col) fiber across layers
 	tourn           *smpi.Comm // layer-0 column communicator (nil off layer 0)
 	store           *dist.Store
+	phase           struct{ reduceCol, pivot, bcastA00, panelA10, panelA01, update string }
 
-	mask        []bool // mask[r]: physical row r not yet chosen as pivot
-	perm        []int
-	activeByRow [][]int // per-step cache: active rows per grid row
+	// Panel broadcast communicators (see panelComms); nil where this rank is
+	// outside the group.
+	a10Comms []*smpi.Comm // by ownerCol·c + assigned layer, for my grid row
+	a01Comms []*smpi.Comm // by assigned layer, for my grid column
 
-	// Per-step panels are carved from slab (see buffer); used is the mark.
+	mask   []bool // mask[r]: physical row r not yet chosen as pivot
+	perm   []int
+	active []int // ascending: the unmasked rows of MY grid row (see retirePivots)
+
+	// Per-step panels are carved from slab, their headers from hdrs (see
+	// buffer); used and nhdr are the marks.
 	slab []float64
 	used int
+	hdrs []mat.Matrix
+	nhdr int
 
 	// Per-step caches.
-	a00    *mat.Matrix // factored w×w diagonal block (L00\U00)
-	pivIDs []int       // this step's pivot rows in factor order
-	a10    *mat.Matrix // consumer copy: L10 rows for my grid row
-	a10IDs []int
-	a01    *mat.Matrix // consumer copy: U01 for my grid-column tile cols
+	a00     *mat.Matrix // factored w×w diagonal block (L00\U00)
+	pivIDs  []int       // this step's pivot rows in factor order
+	pivRows [][]int     // pivIDs bucketed by owning grid row, factor order kept
+	pivPos  [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
+	colRows []int       // reduceColumn's row list: active before the step's pivots left
+	a10     *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
+	a01     *mat.Matrix // consumer copy: U01 for my grid-column tile cols
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {
+	e.setup(a)
+	for t := 0; t < e.bc.Tiles(); t++ {
+		if err := e.step(t); err != nil {
+			return nil, err
+		}
+	}
+	return e.collect(), nil
+}
+
+// setup builds what a rank keeps for the whole factorization — communicators,
+// store, mask, its own grid row's active list — and scatters the input.
+func (e *engine) setup(a *mat.Matrix) {
 	e.g = e.opt.Grid
 	e.bc = grid.BlockCyclic{G: e.g, V: e.opt.V, N: e.opt.N}
 	e.row, e.col, e.layer = e.g.Coords(e.world.Rank())
@@ -80,51 +103,83 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	if e.layer == 0 {
 		e.tourn = e.ac.Sub(fmt.Sprintf("tourn.%d", e.col), e.g.ColComm(e.col, 0))
 	}
+	e.panelComms()
+	name := e.opt.Name
+	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00 = name+".reduce-col", name+".pivot", name+".bcast-a00"
+	e.phase.panelA10, e.phase.panelA01, e.phase.update = name+".panel-a10", name+".panel-a01", name+".update"
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
 	e.mask = make([]bool, e.opt.N)
 	for i := range e.mask {
 		e.mask[i] = true
 	}
-	e.activeByRow = nil // rebuilt from the fresh mask on first refresh
+	e.perm = make([]int, 0, e.opt.N)
+	e.active = e.bc.RowsInGridRow(e.row, 0)
+	e.pivRows, e.pivPos = make([][]int, e.g.Pr), make([][]int, e.g.Pr)
 	if e.layer == 0 {
 		dist.Scatter(e.world, 0, a, e.g, e.store)
 	}
+}
 
-	nt := e.bc.Tiles()
-	for t := 0; t < nt; t++ {
-		e.used = 0 // every panel of step t−1 has had its last reader
-		e.refreshActive()
-		stack, rows := e.reduceColumn(t)
-		if err := e.tournament(t, stack, rows); err != nil {
-			return nil, err
-		}
-		e.broadcastA00(t)
-		e.retirePivots()
-		e.refreshActive() // pivot rows left the active set
-		e.factorizeA10(t, stack, rows)
-		e.factorizeA01(t)
-		e.update(t)
+// step runs elimination step t of Algorithm 1.
+func (e *engine) step(t int) error {
+	e.used, e.nhdr = 0, 0 // every panel of step t−1 has had its last reader
+	stack := e.reduceColumn(t)
+	if err := e.tournament(t, stack); err != nil {
+		return err
 	}
+	e.broadcastA00(t)
+	e.retirePivots()
+	e.factorizeA10(t, stack)
+	e.factorizeA01(t)
+	e.update(t)
+	return nil
+}
 
+// collect gathers the factors onto world rank 0 in pivot order.
+func (e *engine) collect() *Result {
 	res := &Result{Perm: e.perm}
-	if e.layer == 0 {
-		var lu *mat.Matrix
-		if e.world.Rank() == 0 {
-			phys := mat.NewPhantom(e.opt.N, e.opt.N)
-			if e.world.Payload() {
-				phys = mat.New(e.opt.N, e.opt.N)
-			}
-			dist.Gather(e.world, 0, phys, e.g, e.store)
-			if e.world.Payload() {
-				permuteRowsInPlace(phys, e.perm)
-			}
-			lu = phys
-		} else {
-			dist.Gather(e.world, 0, nil, e.g, e.store)
-		}
-		res.LU = lu
+	if e.layer != 0 {
+		return res
 	}
-	return res, nil
+	if e.world.Rank() != 0 {
+		dist.Gather(e.world, 0, nil, e.g, e.store)
+		return res
+	}
+	res.LU = mat.NewPhantom(e.opt.N, e.opt.N)
+	if e.world.Payload() {
+		res.LU = mat.New(e.opt.N, e.opt.N)
+	}
+	dist.Gather(e.world, 0, res.LU, e.g, e.store)
+	if e.world.Payload() {
+		permuteRowsInPlace(res.LU, e.perm)
+	}
+	return res
+}
+
+// panelComms builds the A10 and A01 broadcast communicators this rank will
+// ever use. The A10 group of a step depends only on (grid row, owner column,
+// assigned layer) and the A01 group on (grid column, assigned layer), and every
+// member of either has this rank's grid row (column) — so a rank belongs to at
+// most Pc·c + c groups, all of its own row and column, however many steps
+// there are. Reusing one communicator across the steps that share a slot is
+// sound because each collective takes a fresh tag from the communicator's own
+// sequence (smpi's nextCollTag), which all members advance in lockstep: they
+// run the slot's broadcasts in the same step order, and whether a step
+// broadcasts at all (a non-empty row list, a non-zero width) is decided from
+// state every member holds identically.
+func (e *engine) panelComms() {
+	c, me := e.g.Layers, e.world.Rank()
+	e.a10Comms, e.a01Comms = make([]*smpi.Comm, e.g.Pc*c), make([]*smpi.Comm, c)
+	for lstar := 0; lstar < c; lstar++ {
+		for ownerCol := 0; ownerCol < e.g.Pc; ownerCol++ {
+			if m := e.g.PanelRowGroup(e.row, ownerCol, lstar); slices.Contains(m, me) {
+				e.a10Comms[ownerCol*c+lstar] = e.ac.Sub(fmt.Sprintf("a10.%d.%d.%d", e.row, ownerCol, lstar), m)
+			}
+		}
+		if m := e.g.PanelColGroup(e.col, 0, lstar); slices.Contains(m, me) {
+			e.a01Comms[lstar] = e.ac.Sub(fmt.Sprintf("a01.%d.%d", e.col, lstar), m)
+		}
+	}
 }
 
 // permuteRowsInPlace reorders m so that row k is the old row perm[k] — the
@@ -149,45 +204,25 @@ func permuteRowsInPlace(m *mat.Matrix, perm []int) {
 	}
 }
 
-// refreshActive maintains the per-grid-row active lists; every consumer
-// within a step reads the cache (the naive per-call scan was O(N·Pr) per
-// step and dominated paper-scale volume runs). The mask only ever clears
-// (rows retire as pivots, none return), so after the initial O(N) build
-// each refresh just filters the surviving entries in place — O(active),
-// which shrinks to nothing as the factorization drains the row set.
-func (e *engine) refreshActive() {
-	if e.activeByRow == nil {
-		e.activeByRow = make([][]int, e.g.Pr)
-		for r := 0; r < e.opt.N; r++ {
-			if e.mask[r] {
-				gr := (r / e.opt.V) % e.g.Pr
-				e.activeByRow[gr] = append(e.activeByRow[gr], r)
-			}
-		}
-		return
-	}
-	for gr, rows := range e.activeByRow {
-		live := rows[:0]
-		for _, r := range rows {
-			if e.mask[r] {
-				live = append(live, r)
-			}
-		}
-		e.activeByRow[gr] = live
-	}
-}
-
 // buffer hands out a rows×cols panel of the current elimination step
-// (phantom in volume mode) from the engine's slab, which run rewinds at the
-// top of every step: a panel's last reader — the step's solve or update, or
-// the send that copies it onto the wire — is always inside the step that
-// made it, so a factorization allocates (and the runtime zeroes and collects)
-// its panels once instead of once per step. Contents are undefined: every
-// caller overwrites the whole panel, by a receive or a copy per row, before
-// anything reads it.
+// (phantom in volume mode) from the engine's slabs — one of matrix headers,
+// one of floats — which step rewinds on entry: a panel's last reader — the
+// step's solve or update, or the send that copies it onto the wire — is always
+// inside the step that made it, so a factorization allocates (and the runtime
+// zeroes and collects) its panels once instead of once per step, and a volume
+// replay, whose panels are headers only, allocates none. Contents are
+// undefined: every caller overwrites the whole panel, by a receive or a copy
+// per row, before anything reads it.
 func (e *engine) buffer(rows, cols int) *mat.Matrix {
+	if e.nhdr == len(e.hdrs) {
+		// Outgrown, like the slab: the step's earlier headers keep the old one.
+		e.hdrs, e.nhdr = make([]mat.Matrix, max(2*len(e.hdrs), 16)), 0
+	}
+	m := &e.hdrs[e.nhdr]
+	e.nhdr++
+	*m = mat.Matrix{Rows: rows, Cols: cols, Stride: cols}
 	if !e.store.Payload() {
-		return mat.NewPhantom(rows, cols)
+		return m
 	}
 	n := rows * cols
 	if e.slab == nil || e.used+n > len(e.slab) {
@@ -195,15 +230,17 @@ func (e *engine) buffer(rows, cols int) *mat.Matrix {
 		e.slab, e.used = make([]float64, max(2*len(e.slab), n)), 0
 	}
 	e.used += n
-	return mat.FromSlice(rows, cols, e.slab[e.used-n:e.used:e.used])
+	m.Data = e.slab[e.used-n : e.used : e.used]
+	return m
 }
 
 // stackRows is dist's StackColumnRows/StackTrailingRows into a step panel:
-// the given global rows of view — a Trailing view of the store, or its
-// leading tile column — copied out as a dense len(rows)×view.Cols stack.
-func (e *engine) stackRows(view *mat.Matrix, rows []int) *mat.Matrix {
-	stack := e.buffer(len(rows), view.Cols)
+// the given global rows of the leading cols columns of the store's
+// Trailing(from) view, copied out as a dense len(rows)×cols stack.
+func (e *engine) stackRows(from, cols int, rows []int) *mat.Matrix {
+	stack := e.buffer(len(rows), cols)
 	if e.store.Payload() {
+		view := e.store.Trailing(from)
 		for i, r := range rows {
 			copy(stack.Row(i), view.Row(e.store.LocalRow(r)))
 		}
@@ -211,57 +248,52 @@ func (e *engine) stackRows(view *mat.Matrix, rows []int) *mat.Matrix {
 	return stack
 }
 
-// activeRowsInGridRow lists (ascending) the physical rows still active that
-// live in grid row gr under the cyclic tile distribution.
-func (e *engine) activeRowsInGridRow(gr int) []int {
-	return e.activeByRow[gr]
-}
-
 // reduceColumn implements Algorithm 1 step 1 ("Reduce next block column"):
 // the active rows of tile column t are summed across the c layers onto the
 // layer-0 owners. Non-root layers zero their consumed contributions.
-// Returns the reduced stack and its row list (meaningful on layer-0 owners).
-func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
+// Returns the reduced stack (non-nil on layer-0 owners with active rows); its
+// row list is e.colRows.
+func (e *engine) reduceColumn(t int) *mat.Matrix {
+	e.colRows = e.colRows[:0]
 	if e.col != e.bc.OwnerCol(t) {
-		return nil, nil
+		return nil
 	}
-	e.ac.SetPhase(e.opt.Name + ".reduce-col")
-	// Copy: the cache backing array is rewritten by the post-retire refresh,
-	// but this list must stay valid through factorizeA10.
-	rows := append([]int(nil), e.activeRowsInGridRow(e.row)...)
+	e.ac.SetPhase(e.phase.reduceCol)
+	// Copy: retirePivots compacts the active list in place, but this list
+	// must stay valid through factorizeA10.
+	rows := append(e.colRows, e.active...)
+	e.colRows = rows
 	if len(rows) == 0 {
-		return nil, rows
+		return nil
 	}
 	// Tile column t is mine, so it leads my trailing view.
 	_, w := e.bc.TileDims(t, t)
-	trailing := e.store.Trailing(t)
-	stack := e.stackRows(trailing.View(0, 0, trailing.Rows, w), rows)
+	stack := e.stackRows(t, w, rows)
 	e.fiber.ReduceMatSum(0, stack)
 	if e.layer == 0 {
 		e.store.UnstackColumnRows(t, rows, stack)
-		return stack, rows
+		return stack
 	}
 	// Contributions consumed: zero the accumulator entries.
 	if e.store.Payload() {
 		stack.Zero()
 		e.store.UnstackColumnRows(t, rows, stack)
 	}
-	return nil, nil
+	return nil
 }
 
 // tournament implements step 2 (TournPivot): local candidate selection by
 // LU, then ⌈log₂ Pr⌉ butterfly "playoff" rounds exchanging w×w candidate
 // blocks (paper §7.3), after which every participant holds the w winners and
 // the factored A00.
-func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
-	e.pivIDs = nil
-	e.a00 = nil
+func (e *engine) tournament(t int, stack *mat.Matrix) error {
+	e.pivIDs, e.a00 = nil, nil
 	if e.layer != 0 || e.col != e.bc.OwnerCol(t) {
 		return nil
 	}
-	e.ac.SetPhase(e.opt.Name + ".pivot")
+	e.ac.SetPhase(e.phase.pivot)
 	_, w := e.bc.TileDims(t, t)
-	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, rows), w)
+	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, e.colRows), w)
 	if err != nil {
 		return err
 	}
@@ -288,7 +320,7 @@ func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
 // broadcastA00 implements step 3: the factored A00 and the w pivot row
 // indices are broadcast to all active ranks (cost v²+v per rank).
 func (e *engine) broadcastA00(t int) {
-	e.ac.SetPhase(e.opt.Name + ".bcast-a00")
+	e.ac.SetPhase(e.phase.bcastA00)
 	_, w := e.bc.TileDims(t, t)
 	root := e.g.Rank(0, e.bc.OwnerCol(t), 0)
 	if e.a00 == nil {
@@ -310,78 +342,67 @@ func (e *engine) broadcastA00(t int) {
 }
 
 // retirePivots applies the row mask (§7.3: "we keep track which rows were
-// chosen as pivots and we use masks to update remaining rows").
+// chosen as pivots and we use masks to update remaining rows"): the step's
+// pivots are bucketed by owning grid row — every rank computes the same
+// buckets — and those of this rank's own row leave its active list. That
+// list is all a rank ever reads of the mask: the rows it stacks, solves and
+// updates are its own grid row's, so maintaining it costs the ≤ v deletions
+// of a step, not a pass over the N rows of the grid.
 func (e *engine) retirePivots() {
-	for _, r := range e.pivIDs {
+	for gr := range e.pivRows {
+		e.pivRows[gr], e.pivPos[gr] = e.pivRows[gr][:0], e.pivPos[gr][:0]
+	}
+	for i, r := range e.pivIDs {
 		if !e.mask[r] {
 			panic(fmt.Sprintf("conflux: row %d pivoted twice", r))
 		}
 		e.mask[r] = false
+		gr := e.bc.OwnerRow(r / e.opt.V)
+		e.pivRows[gr], e.pivPos[gr] = append(e.pivRows[gr], r), append(e.pivPos[gr], i)
 	}
 	e.perm = append(e.perm, e.pivIDs...)
+	for _, r := range e.pivRows[e.row] {
+		i, _ := slices.BinarySearch(e.active, r) // found: r was unmasked and is mine
+		e.active = slices.Delete(e.active, i, i+1)
+	}
 }
 
 // factorizeA10 implements steps 4/7/8 for the column panel: the still-active
 // rows of the reduced block column are triangular-solved against U00 at the
 // panel owners (see DESIGN.md: the 1D-parallel solve is volume-equivalent),
 // written back as final L values, and sent to the assigned layer's consumer
-// row (one broadcast per grid row).
-func (e *engine) factorizeA10(t int, stack *mat.Matrix, rows []int) {
-	e.ac.SetPhase(e.opt.Name + ".panel-a10")
-	e.a10, e.a10IDs = nil, nil
+// row (one broadcast per grid row — a rank takes part in its own row's).
+func (e *engine) factorizeA10(t int, stack *mat.Matrix) {
+	e.ac.SetPhase(e.phase.panelA10)
+	e.a10 = nil
 	_, w := e.bc.TileDims(t, t)
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
-
-	// Every rank can compute every grid row's active list from the shared
-	// mask; pivots were already retired above.
-	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.activeRowsInGridRow(gr)
-		members, rootIdx := a10Members(e.g, gr, ownerCol, lstar)
-		if !slices.Contains(members, e.world.Rank()) {
-			continue
-		}
-		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		buf := e.buffer(len(grRows), w)
-		if e.g.Rank(gr, ownerCol, 0) == e.world.Rank() {
-			// I am the owner: extract the active rows from the reduced
-			// stack, solve, store the L values, and broadcast.
-			if e.store.Payload() && stack != nil {
-				idx := indexOf(rows)
-				for i, r := range grRows {
-					buf.View(i, 0, 1, w).CopyFrom(stack.View(idx[r], 0, 1, w))
+	comm := e.a10Comms[ownerCol*e.g.Layers+lstar]
+	if comm == nil {
+		return
+	}
+	rows := e.active // pivots were already retired above
+	buf := e.buffer(len(rows), w)
+	if e.layer == 0 && e.col == ownerCol {
+		// I am the owner: extract the active rows from the reduced stack,
+		// solve, store the L values, and broadcast.
+		if e.store.Payload() && stack != nil {
+			j := 0 // rows is colRows less the retired pivots, both ascending
+			for i, r := range rows {
+				for e.colRows[j] != r {
+					j++
 				}
+				copy(buf.Row(i), stack.Row(j))
 			}
-			blas.TrsmUpperRight(e.a00, buf)
-			e.store.UnstackColumnRows(t, grRows, buf)
 		}
-		if len(grRows) > 0 {
-			comm.BcastMat(rootIdx, buf)
-		}
-		if e.layer == lstar && e.row == gr {
-			e.a10, e.a10IDs = buf, grRows
-		}
+		blas.TrsmUpperRight(e.a00, buf)
+		e.store.UnstackColumnRows(t, rows, buf)
 	}
-}
-
-// a10Members returns the broadcast group for grid row gr: the layer-0 panel
-// owner plus the assigned layer's consumer row, deduplicated, owner first.
-func a10Members(g grid.Grid, gr, ownerCol, lstar int) (members []int, rootIdx int) {
-	owner := g.Rank(gr, ownerCol, 0)
-	members = append(make([]int, 0, g.Pc+1), owner)
-	for y := 0; y < g.Pc; y++ {
-		r := g.Rank(gr, y, lstar)
-		if r != owner {
-			members = append(members, r)
-		}
+	if len(rows) > 0 {
+		comm.BcastMat(0, buf)
 	}
-	return members, 0
-}
-
-func indexOf(rows []int) map[int]int {
-	m := make(map[int]int, len(rows))
-	for i, r := range rows {
-		m[r] = i
+	if e.layer == lstar {
+		e.a10 = buf
 	}
-	return m
 }

@@ -142,24 +142,37 @@ func (s *Store) LocalRows(rows []int) []int {
 	return local
 }
 
-// column returns every local row of the owned tile column tj as one view.
-func (s *Store) column(tj int) *mat.Matrix {
+// column returns every local row of the owned tile column tj as one view —
+// by value, like locate, so the stack helpers' views stay off the heap.
+func (s *Store) column(tj int) mat.Matrix {
 	if tj < 0 || tj >= s.bc.Tiles() || s.bc.OwnerCol(tj) != s.col {
 		panic(fmt.Sprintf("dist: tile column %d is not local to grid column %d", tj, s.col))
 	}
 	s.touch()
 	_, w := s.bc.TileDims(tj, tj)
-	return s.panel.View(0, tj/s.bc.G.Pc*s.bc.V, s.panel.Rows, w)
+	return *s.panel.View(0, tj/s.bc.G.Pc*s.bc.V, s.panel.Rows, w)
 }
 
 // Trailing returns every local row of the owned tile columns ≥ from as one
 // view: ownership is cyclic, so those columns are a suffix of the panel's.
 // Its column layout is the concatenation of bc.LocalTileCols(col, from) — the
-// layout of the engines' A01 panels.
+// layout of the engines' A01 panels. Inlinable for the same reason as Tile:
+// the work lives in trailing.
 func (s *Store) Trailing(from int) *mat.Matrix {
+	t := s.trailing(from)
+	return &t
+}
+
+func (s *Store) trailing(from int) mat.Matrix {
 	s.touch()
-	j := min(localCount(from, s.col, s.bc.G.Pc)*s.bc.V, s.panel.Cols)
-	return s.panel.View(0, j, s.panel.Rows, s.panel.Cols-j)
+	w := s.TrailingCols(from)
+	return *s.panel.View(0, s.panel.Cols-w, s.panel.Rows, w)
+}
+
+// TrailingCols returns Trailing(from).Cols — the width of the engines' A01
+// panels — without building the view.
+func (s *Store) TrailingCols(from int) int {
+	return s.panel.Cols - min(localCount(from, s.col, s.bc.G.Pc)*s.bc.V, s.panel.Cols)
 }
 
 // NewBuffer allocates a rows×cols scratch matrix in the store's payload mode
@@ -177,13 +190,15 @@ func (s *Store) NewBuffer(rows, cols int) *mat.Matrix {
 // store into a dense len(rows)×w stack (w the column's width; a phantom
 // buffer in volume mode). Every row must lie in a tile this rank owns.
 func (s *Store) StackColumnRows(tj int, rows []int) *mat.Matrix {
-	return s.stackRows(s.column(tj), rows)
+	col := s.column(tj)
+	return s.stackRows(&col, rows)
 }
 
 // UnstackColumnRows writes a stack taken by StackColumnRows back into tile
 // column tj (a no-op in volume mode).
 func (s *Store) UnstackColumnRows(tj int, rows []int, stack *mat.Matrix) {
-	s.unstackRows(s.column(tj), rows, stack)
+	col := s.column(tj)
+	s.unstackRows(&col, rows, stack)
 }
 
 // StackTrailingRows is StackColumnRows over Trailing(from): the given global

@@ -83,6 +83,32 @@ func (g Grid) FiberComm(row, col int) []int {
 	return out
 }
 
+// PanelRowGroup returns the A10 broadcast group of a 2.5D elimination step in
+// grid row `row`: the layer-0 rank in ownerCol that solved the panel rows,
+// then the assigned layer's consumer row. Every member has grid row `row`.
+func (g Grid) PanelRowGroup(row, ownerCol, layer int) []int {
+	return rooted(g.Rank(row, ownerCol, 0), g.RowComm(row, layer))
+}
+
+// PanelColGroup is the A01 counterpart in grid column col: the layer-0 rank in
+// ownerRow that solved the pivot rows, then the assigned layer's consumer
+// column. Every member has grid column col.
+func (g Grid) PanelColGroup(col, ownerRow, layer int) []int {
+	return rooted(g.Rank(ownerRow, col, 0), g.ColComm(col, layer))
+}
+
+// rooted returns root followed by the ranks of comm other than root (comm
+// contains the root exactly when the assigned layer is layer 0).
+func rooted(root int, comm []int) []int {
+	out := append(make([]int, 0, len(comm)+1), root)
+	for _, r := range comm {
+		if r != root {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // ActiveComm returns all active ranks.
 func (g Grid) ActiveComm() []int {
 	out := make([]int, g.Used())

@@ -213,3 +213,39 @@ func TestQuickBlockCyclicPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The 2.5D engines (conflux, lu25d) take part only in the panel broadcasts of
+// their own grid row and column. That is every group a rank can be in because
+// every rank of a row (column) group has that grid row (column) — for any
+// owner and assigned layer, with the root listed first and once.
+func TestPanelGroupsStayInOwnRowAndColumn(t *testing.T) {
+	for _, g := range []Grid{{Pr: 2, Pc: 3, Layers: 2, Total: 12}, {Pr: 4, Pc: 4, Layers: 4, Total: 64}, {Pr: 3, Pc: 4, Layers: 1, Total: 12}, {Pr: 5, Pc: 6, Layers: 2, Total: 64}} {
+		for layer := 0; layer < g.Layers; layer++ {
+			for x := 0; x < g.Pr; x++ {
+				for y := 0; y < g.Pc; y++ {
+					rowGroup, colGroup := g.PanelRowGroup(x, y, layer), g.PanelColGroup(y, x, layer)
+					if rowGroup[0] != g.Rank(x, y, 0) || colGroup[0] != g.Rank(x, y, 0) {
+						t.Fatalf("%+v: groups of owner (%d,%d) rooted at %d and %d", g, x, y, rowGroup[0], colGroup[0])
+					}
+					want := g.Pc + 1
+					if layer == 0 {
+						want = g.Pc
+					}
+					if len(rowGroup) != want || len(colGroup) != want-g.Pc+g.Pr {
+						t.Fatalf("%+v layer %d: group sizes %d and %d", g, layer, len(rowGroup), len(colGroup))
+					}
+					for _, r := range rowGroup {
+						if row, _, _ := g.Coords(r); row != x {
+							t.Fatalf("%+v: rank %d of grid row %d in a row group of row %d", g, r, row, x)
+						}
+					}
+					for _, r := range colGroup {
+						if _, col, _ := g.Coords(r); col != y {
+							t.Fatalf("%+v: rank %d of grid column %d in a column group of column %d", g, r, col, y)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ package lu25d
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/dist"
@@ -81,6 +82,12 @@ type engine struct {
 	tourn           *smpi.Comm
 	colc            *smpi.Comm // my (col, layer) column communicator, for swaps
 	store           *dist.Store
+	phase           struct{ reduceCol, pivot, bcastA00, swap, panelA10, panelA01, update string }
+
+	// Panel broadcast communicators (see panelComms); nil where this rank is
+	// outside the group.
+	a10Comms []*smpi.Comm // by ownerCol·c + assigned layer, for my grid row
+	a01Comms []*smpi.Comm // by ownerRow·c + assigned layer, for my grid column
 
 	perm []int
 
@@ -101,6 +108,10 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 		e.tourn = e.ac.Sub(fmt.Sprintf("tourn.%d", e.col), e.g.ColComm(e.col, 0))
 	}
 	e.colc = e.ac.Sub(fmt.Sprintf("colc.%d.%d", e.col, e.layer), e.g.ColComm(e.col, e.layer))
+	e.panelComms()
+	name := e.opt.Name
+	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00, e.phase.swap = name+".reduce-col", name+".pivot", name+".bcast-a00", name+".swap"
+	e.phase.panelA10, e.phase.panelA01, e.phase.update = name+".panel-a10", name+".panel-a01", name+".update"
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
 	e.perm = make([]int, e.opt.N)
 	for i := range e.perm {
@@ -139,13 +150,34 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	return res, nil
 }
 
+// panelComms builds, once, the A10 and A01 broadcast communicators of this
+// rank's grid row and column: one per (owner column, assigned layer) and per
+// (owner row, assigned layer). conflux's panelComms says why the steps that
+// map to one slot may share its communicator.
+func (e *engine) panelComms() {
+	c, me := e.g.Layers, e.world.Rank()
+	e.a10Comms, e.a01Comms = make([]*smpi.Comm, e.g.Pc*c), make([]*smpi.Comm, e.g.Pr*c)
+	for lstar := 0; lstar < c; lstar++ {
+		for ownerCol := 0; ownerCol < e.g.Pc; ownerCol++ {
+			if m := e.g.PanelRowGroup(e.row, ownerCol, lstar); slices.Contains(m, me) {
+				e.a10Comms[ownerCol*c+lstar] = e.ac.Sub(fmt.Sprintf("a10.%d.%d.%d", e.row, ownerCol, lstar), m)
+			}
+		}
+		for ownerRow := 0; ownerRow < e.g.Pr; ownerRow++ {
+			if m := e.g.PanelColGroup(e.col, ownerRow, lstar); slices.Contains(m, me) {
+				e.a01Comms[ownerRow*c+lstar] = e.ac.Sub(fmt.Sprintf("a01.%d.%d.%d", e.col, ownerRow, lstar), m)
+			}
+		}
+	}
+}
+
 // reduceColumn sums the trailing rows (>= t·v) of block column t across the
 // replication layers onto the layer-0 owners.
 func (e *engine) reduceColumn(t int) (*mat.Matrix, []int) {
 	if e.col != e.bc.OwnerCol(t) {
 		return nil, nil
 	}
-	e.ac.SetPhase(e.opt.Name + ".reduce-col")
+	e.ac.SetPhase(e.phase.reduceCol)
 	rows := e.bc.RowsInGridRow(e.row, t*e.opt.V)
 	if len(rows) == 0 {
 		return nil, nil
@@ -171,7 +203,7 @@ func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
 	if e.layer != 0 || e.col != e.bc.OwnerCol(t) {
 		return nil
 	}
-	e.ac.SetPhase(e.opt.Name + ".pivot")
+	e.ac.SetPhase(e.phase.pivot)
 	_, w := e.bc.TileDims(t, t)
 	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, rows), w)
 	if err != nil {
@@ -198,7 +230,7 @@ func (e *engine) tournament(t int, stack *mat.Matrix, rows []int) error {
 }
 
 func (e *engine) broadcastA00(t int) {
-	e.ac.SetPhase(e.opt.Name + ".bcast-a00")
+	e.ac.SetPhase(e.phase.bcastA00)
 	_, w := e.bc.TileDims(t, t)
 	root := e.g.Rank(0, e.bc.OwnerCol(t), 0)
 	if e.a00 == nil {

@@ -1,9 +1,6 @@
 package lu25d
 
 import (
-	"fmt"
-	"slices"
-
 	"repro/internal/blas"
 	"repro/internal/mat"
 )
@@ -12,31 +9,35 @@ import (
 // interchanges that bring pivot i to slot t·v+i, LAPACK style. Every rank
 // computes the identical plan from the broadcast pivot IDs.
 func planSwaps(pivIDs []int, t, v int) [][2]int {
-	where := map[int]int{} // row -> current slot
-	at := map[int]int{}    // slot -> row currently there
-	slotOf := func(r int) int {
-		if s, ok := where[r]; ok {
-			return s
-		}
-		return r
-	}
-	rowAt := func(s int) int {
-		if r, ok := at[s]; ok {
-			return r
-		}
-		return s
-	}
-	var swaps [][2]int
+	// moved lists the slots that no longer hold the row the step began with
+	// there, and that row's name — at most two per swap, so a scan of it
+	// costs less than the hashing of a map.
+	type entry struct{ slot, row int }
+	moved := make([]entry, 0, 2*len(pivIDs))
+	swaps := make([][2]int, 0, len(pivIDs))
 	for i, p := range pivIDs {
 		q := t*v + i
-		cur := slotOf(p)
+		cur, rq := p, q // p's current slot, the row now in slot q
+		iq, ic := -1, -1
+		for k, m := range moved {
+			if m.row == p {
+				cur, ic = m.slot, k
+			}
+			if m.slot == q {
+				rq, iq = m.row, k
+			}
+		}
 		if cur == q {
 			continue
 		}
 		swaps = append(swaps, [2]int{q, cur})
-		rq := rowAt(q)
-		at[q], at[cur] = p, rq
-		where[p], where[rq] = q, cur
+		if iq < 0 {
+			iq, moved = len(moved), append(moved, entry{slot: q})
+		}
+		if ic < 0 {
+			ic, moved = len(moved), append(moved, entry{slot: cur})
+		}
+		moved[iq].row, moved[ic].row = p, rq
 	}
 	return swaps
 }
@@ -46,13 +47,13 @@ func planSwaps(pivIDs []int, t, v int) [][2]int {
 // masking avoids. Segments are batched per rank pair (one message per swap
 // per grid column per layer).
 func (e *engine) applySwaps(t int) {
-	e.ac.SetPhase(e.opt.Name + ".swap")
+	e.ac.SetPhase(e.phase.swap)
 	swaps := planSwaps(e.pivIDs, t, e.opt.V)
 	for _, sw := range swaps {
 		e.perm[sw[0]], e.perm[sw[1]] = e.perm[sw[1]], e.perm[sw[0]]
 	}
 	// A swapped row travels whole: every tile column this rank owns.
-	if total := e.store.Trailing(0).Cols; total > 0 {
+	if total := e.store.TrailingCols(0); total > 0 {
 		for si, sw := range swaps {
 			a, b := sw[0], sw[1]
 			o1 := e.bc.OwnerRow(a / e.opt.V)
@@ -86,41 +87,33 @@ func (e *engine) exchangeRow(r, peer, tag, total int) {
 }
 
 // factorizeA10 solves the sub-diagonal panel rows against U00 at the layer-0
-// column owners and broadcasts them to the assigned layer's consumer rows.
+// column owners and broadcasts them to the assigned layer's consumer rows —
+// one broadcast per grid row, and a rank takes part in its own row's.
 func (e *engine) factorizeA10(t int) {
-	e.ac.SetPhase(e.opt.Name + ".panel-a10")
+	e.ac.SetPhase(e.phase.panelA10)
 	e.a10, e.a10Lo = nil, 0
 	w := len(e.pivIDs)
 	lo := t*e.opt.V + w
 	lstar := t % e.g.Layers
 	ownerCol := e.bc.OwnerCol(t)
-	for gr := 0; gr < e.g.Pr; gr++ {
-		grRows := e.bc.RowsInGridRow(gr, lo)
-		owner := e.g.Rank(gr, ownerCol, 0)
-		members := []int{owner}
-		for y := 0; y < e.g.Pc; y++ {
-			if r := e.g.Rank(gr, y, lstar); r != owner {
-				members = append(members, r)
-			}
-		}
-		if !slices.Contains(members, e.world.Rank()) {
-			continue
-		}
-		comm := e.ac.Sub(fmt.Sprintf("a10.%d.%d", t, gr), members)
-		var buf *mat.Matrix
-		if owner == e.world.Rank() && len(grRows) > 0 {
-			buf = e.store.StackColumnRows(t, grRows)
-			blas.TrsmUpperRight(e.a00, buf)
-			e.store.UnstackColumnRows(t, grRows, buf)
-		} else {
-			buf = e.store.NewBuffer(len(grRows), w)
-		}
-		if len(grRows) > 0 {
-			comm.BcastMat(0, buf)
-		}
-		if e.layer == lstar && e.row == gr {
-			e.a10, e.a10Lo = buf, lo
-		}
+	comm := e.a10Comms[ownerCol*e.g.Layers+lstar]
+	if comm == nil {
+		return
+	}
+	rows := e.bc.RowsInGridRow(e.row, lo)
+	var buf *mat.Matrix
+	if e.layer == 0 && e.col == ownerCol && len(rows) > 0 {
+		buf = e.store.StackColumnRows(t, rows)
+		blas.TrsmUpperRight(e.a00, buf)
+		e.store.UnstackColumnRows(t, rows, buf)
+	} else {
+		buf = e.store.NewBuffer(len(rows), w)
+	}
+	if len(rows) > 0 {
+		comm.BcastMat(0, buf)
+	}
+	if e.layer == lstar {
+		e.a10, e.a10Lo = buf, lo
 	}
 }
 
@@ -128,10 +121,10 @@ func (e *engine) factorizeA10(t int) {
 // layers, solves them against unit L00, and broadcasts to the assigned
 // layer's consumer columns.
 func (e *engine) factorizeA01(t int) {
-	e.ac.SetPhase(e.opt.Name + ".panel-a01")
+	e.ac.SetPhase(e.phase.panelA01)
 	e.a01 = nil
 	w := len(e.pivIDs)
-	total := e.store.Trailing(t + 1).Cols
+	total := e.store.TrailingCols(t + 1)
 	if total == 0 {
 		return
 	}
@@ -155,17 +148,10 @@ func (e *engine) factorizeA01(t int) {
 		}
 	}
 
-	root := e.g.Rank(tr, e.col, 0)
-	members := []int{root}
-	for x := 0; x < e.g.Pr; x++ {
-		if r := e.g.Rank(x, e.col, lstar); r != root {
-			members = append(members, r)
-		}
-	}
-	if !slices.Contains(members, e.world.Rank()) {
+	comm := e.a01Comms[tr*e.g.Layers+lstar]
+	if comm == nil {
 		return
 	}
-	comm := e.ac.Sub(fmt.Sprintf("a01.%d.%d", t, e.col), members)
 	buf := solved
 	if buf == nil {
 		buf = e.store.NewBuffer(w, total)
@@ -179,7 +165,7 @@ func (e *engine) factorizeA01(t int) {
 // update applies the Schur update into the assigned layer's accumulator: one
 // rank-w update of every trailing row below the diagonal block.
 func (e *engine) update(t int) {
-	e.ac.SetPhase(e.opt.Name + ".update")
+	e.ac.SetPhase(e.phase.update)
 	if !e.store.Payload() || e.layer != t%e.g.Layers || e.a10 == nil || e.a01 == nil {
 		return
 	}
