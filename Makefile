@@ -28,9 +28,12 @@ test-purego:
 # Ten seconds of coverage-guided fuzzing of the layout/collect round trip
 # (shape × grid × layer × payload mode against the closed-form volume), on
 # top of the checked-in seed corpus every plain `go test` run replays.
-# -fuzz takes one target in one package per invocation.
+# -fuzz takes one target in one package per invocation. The second line does
+# the same for mailbox matching: byte-string programs of puts and takes on a
+# 2–5 rank world, under each executor, against a sequential per-stream model.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:

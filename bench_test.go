@@ -314,21 +314,52 @@ func BenchmarkFactorizeVolumePaperCANDMC(b *testing.B) {
 	benchFactorizeVolume(b, costmodel.CANDMC, 16384, 1024)
 }
 
-// TestReplayAllocBudget holds the 2.5D engines' control flow to a heap-object
+// BenchmarkReplayLibSciFaulted is the benchmark module's replay_2d_faulted
+// point — LibSci, CommVolume(2048), P = 256, dragonfly-contended with two 4×
+// stragglers and one 8× inter-node link — as a root benchmark, so the 2D
+// replay can be profiled with `go test -bench` instead of through the nested
+// module. 487 k messages, ~0.3 s per replay on a 2-core host; skipped under
+// -short like the paper-scale pair.
+func BenchmarkReplayLibSciFaulted(b *testing.B) {
+	if testing.Short() {
+		b.Skip("faulted LibSci replay (N=2048, P=256) skipped under -short")
+	}
+	s, err := conflux.New(conflux.WithRanks(256), conflux.WithAlgorithm(conflux.LibSci),
+		conflux.WithTopologyPreset("dragonfly-contended"),
+		conflux.WithFaults(conflux.FaultPlan{
+			Stragglers: []conflux.Straggler{{Rank: 37, Factor: 4}, {Rank: 170, Factor: 4}},
+			Links:      []conflux.LinkFault{{FromNode: 5, ToNode: 41, Factor: 8}},
+		}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.CommVolume(b.Context(), 2048); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReplayAllocBudget holds the engines' control flow to a heap-object
 // budget per simulated message, so a per-step loop over the whole grid — each
 // one costs a few objects per rank-step — shows up in `go test`, not in a
-// profile. Measured at CommVolume(512), P=64: COnfLUX (5×6×2, v=4) 0.60
-// objects per message (0.72 under -race), CANDMC (4×4×4, v=8) 1.69 (1.90);
-// they were 3.85 and 7.68 when every rank rebuilt every grid row's broadcast
-// group each step (7.6 for COnfLUX at P=256, where there are more grid rows).
-// The ceilings leave ~25% headroom over the -race figures; what is left is
-// the transport's (smpi clones, trace events), the tournament's candidate
-// sets, CANDMC's row exchanges and the one-time communicator set-up.
+// profile. Measured at CommVolume(512), P=64, bare and under -race alike now
+// that the transport allocates nothing per message: COnfLUX (5×6×2, v=4) 0.60
+// objects per message, CANDMC (4×4×4, v=8) 1.69, LibSci (8×8, nb=32) 1.25.
+// COnfLUX and CANDMC were 3.85 and 7.68 when every rank rebuilt every grid
+// row's broadcast group each step (7.6 for COnfLUX at P=256, where there are
+// more grid rows); LibSci was 1.70 when every rank-step rebuilt its tile
+// lists, panel maps and phase labels and the pivot search "pooled" its
+// one-element slices. The ceilings are those figures + 25%; what is left is
+// the tournament's candidate sets, CANDMC's row exchanges, LibSci's two
+// 8-byte slices per pivot-search message and one receive buffer per
+// broadcast tile, and the one-time communicator set-up.
 func TestReplayAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		algo    conflux.Algorithm
 		ceiling float64
-	}{{conflux.COnfLUX, 0.9}, {conflux.CANDMC, 2.4}} {
+	}{{conflux.COnfLUX, 0.75}, {conflux.CANDMC, 2.1}, {conflux.LibSci, 1.55}} {
 		s, err := conflux.New(conflux.WithRanks(64), conflux.WithAlgorithm(tc.algo))
 		if err != nil {
 			t.Fatal(err)

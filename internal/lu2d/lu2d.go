@@ -14,13 +14,13 @@ package lu2d
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/mat"
 	"repro/internal/smpi"
-	"repro/internal/trace"
 )
 
 // Options configures the 2D engine.
@@ -86,10 +86,22 @@ type engine struct {
 	rowComm  *smpi.Comm
 	colComm  *smpi.Comm
 	store    *dist.Store
+	phase    struct{ panel, swap, lpanel, trsm, upanel, update string }
 
-	// Per-step caches of received panel tiles, keyed by tile index.
-	lPanel map[int]*mat.Matrix // tiles (ti, k) for local tile rows
-	uPanel map[int]*mat.Matrix // tiles (k, tj) for local tile cols
+	// The tile rows and columns this rank owns, ascending, fixed for the
+	// run; every step works on the suffix from its k.
+	myRows, myCols []int
+	// Per-step caches of received panel tiles, indexed by position in
+	// myRows/myCols (nil before the step's k) and reset every step.
+	lPanel []*mat.Matrix // tiles (ti, k) for local tile rows
+	uPanel []*mat.Matrix // tiles (k, tj) for local tile cols
+}
+
+// suffix returns the part of an ascending local tile list with indices >= k,
+// and its position in the list.
+func suffix(local []int, k int) (int, []int) {
+	i, _ := slices.BinarySearch(local, k)
+	return i, local[i:]
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {
@@ -99,6 +111,12 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	e.rowComm = e.c.Sub(fmt.Sprintf("row.%d", e.row), e.g.RowComm(e.row, 0))
 	e.colComm = e.c.Sub(fmt.Sprintf("col.%d", e.col), e.g.ColComm(e.col, 0))
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
+	name := e.opt.Name
+	e.phase.panel, e.phase.swap, e.phase.lpanel = name+".panel", name+".swap", name+".lpanel"
+	e.phase.trsm, e.phase.upanel, e.phase.update = name+".trsm", name+".upanel", name+".update"
+	e.myRows, e.myCols = e.bc.LocalTileRows(e.row, 0), e.bc.LocalTileCols(e.col, 0)
+	e.lPanel = make([]*mat.Matrix, len(e.myRows))
+	e.uPanel = make([]*mat.Matrix, len(e.myCols))
 	dist.Scatter(e.c, 0, a, e.g, e.store)
 
 	n := e.opt.N
@@ -145,12 +163,12 @@ func pseudoPriority(col, row int) float64 {
 // panel factorizes tile column k with distributed partial pivoting and
 // returns the global pivot row chosen for each panel column (LAPACK style).
 func (e *engine) panel(k int) ([]int, error) {
-	e.c.SetPhase(e.opt.Name + ".panel")
+	e.c.SetPhase(e.phase.panel)
 	_, b := e.bc.TileDims(k, k)
 	j0 := k * e.opt.NB
 	piv := make([]int, b)
 	inCol := e.bc.OwnerCol(k) == e.col
-	myTiles := e.bc.LocalTileRows(e.row, k) // tile rows >= k in this column
+	_, myTiles := suffix(e.myRows, k) // tile rows >= k in this column
 
 	for j := 0; j < b; j++ {
 		kk := j0 + j
@@ -185,7 +203,7 @@ func (e *engine) panel(k int) ([]int, error) {
 		p := got.Loc
 		piv[j] = p
 		e.swapPanelRows(k, j, kk, p, b)
-		e.eliminateColumn(k, j, kk, b)
+		e.eliminateColumn(k, j, kk, b, myTiles)
 	}
 	// Everyone learns the pivots (the paper's "pivot rows are broadcast to
 	// all processors").
@@ -223,8 +241,9 @@ func (e *engine) swapPanelRows(k, j, kk, p int, b int) {
 }
 
 // eliminateColumn broadcasts the pivot row remainder down the grid column
-// and applies the rank-1 elimination to local rows below kk.
-func (e *engine) eliminateColumn(k, j, kk int, b int) {
+// and applies the rank-1 elimination to local rows below kk (myTiles: the
+// local tile rows >= k).
+func (e *engine) eliminateColumn(k, j, kk int, b int, myTiles []int) {
 	ti1 := kk / e.opt.NB
 	rowOwner := e.bc.OwnerRow(ti1)
 	pivRow := e.store.NewBuffer(1, b-j)
@@ -237,7 +256,7 @@ func (e *engine) eliminateColumn(k, j, kk int, b int) {
 		return
 	}
 	pv := pivRow.At(0, 0)
-	for _, ti := range e.bc.LocalTileRows(e.row, k) {
+	for _, ti := range myTiles {
 		t := e.store.Tile(ti, k)
 		for r := 0; r < t.Rows; r++ {
 			gr := ti*e.opt.NB + r
@@ -256,9 +275,8 @@ func (e *engine) eliminateColumn(k, j, kk int, b int) {
 // applySwaps applies the panel's pivots to all other tile columns (physical
 // row swapping — the design choice COnfLUX's row masking removes).
 func (e *engine) applySwaps(k int, piv []int) {
-	e.c.SetPhase(e.opt.Name + ".swap")
+	e.c.SetPhase(e.phase.swap)
 	nb := e.opt.NB
-	myCols := e.bc.LocalTileCols(e.col, 0)
 	for j, p := range piv {
 		kk := k*nb + j
 		if p == kk {
@@ -266,7 +284,7 @@ func (e *engine) applySwaps(k int, piv []int) {
 		}
 		ti1, ti2 := kk/nb, p/nb
 		o1, o2 := e.bc.OwnerRow(ti1), e.bc.OwnerRow(ti2)
-		for _, tj := range myCols {
+		for _, tj := range e.myCols {
 			if tj == k {
 				continue // panel columns already swapped
 			}
@@ -297,10 +315,11 @@ func (e *engine) applySwaps(k int, piv []int) {
 // broadcastLPanel sends the factored panel tiles along each grid row; after
 // it, every rank holds the L tiles matching its local tile rows.
 func (e *engine) broadcastLPanel(k int) {
-	e.c.SetPhase(e.opt.Name + ".lpanel")
+	e.c.SetPhase(e.phase.lpanel)
 	root := e.bc.OwnerCol(k)
-	e.lPanel = map[int]*mat.Matrix{}
-	for _, ti := range e.bc.LocalTileRows(e.row, k) {
+	clear(e.lPanel)
+	i0, rows := suffix(e.myRows, k)
+	for i, ti := range rows {
 		r, c := e.bc.TileDims(ti, k)
 		var buf *mat.Matrix
 		if e.col == root {
@@ -309,31 +328,34 @@ func (e *engine) broadcastLPanel(k int) {
 			buf = e.store.NewBuffer(r, c)
 		}
 		e.bcastRow(root, buf)
-		e.lPanel[ti] = buf
+		e.lPanel[i0+i] = buf
 	}
 }
 
 // trsmU solves L00·U01 = A01 on the pivot grid row.
 func (e *engine) trsmU(k int) {
-	e.c.SetPhase(e.opt.Name + ".trsm")
+	e.c.SetPhase(e.phase.trsm)
 	if e.bc.OwnerRow(k) != e.row {
 		return
 	}
-	l00, ok := e.lPanel[k]
-	if !ok {
+	i, _ := suffix(e.myRows, k) // tile row k is local: myRows[i] == k
+	l00 := e.lPanel[i]
+	if l00 == nil {
 		panic("lu2d: missing diagonal tile after panel broadcast")
 	}
-	for _, tj := range e.bc.LocalTileCols(e.col, k+1) {
+	_, cols := suffix(e.myCols, k+1)
+	for _, tj := range cols {
 		blas.TrsmLowerLeft(l00, e.store.Tile(k, tj), true)
 	}
 }
 
 // broadcastUPanel sends the solved U tiles down each grid column.
 func (e *engine) broadcastUPanel(k int) {
-	e.c.SetPhase(e.opt.Name + ".upanel")
+	e.c.SetPhase(e.phase.upanel)
 	root := e.bc.OwnerRow(k)
-	e.uPanel = map[int]*mat.Matrix{}
-	for _, tj := range e.bc.LocalTileCols(e.col, k+1) {
+	clear(e.uPanel)
+	j0, cols := suffix(e.myCols, k+1)
+	for j, tj := range cols {
 		r, c := e.bc.TileDims(k, tj)
 		var buf *mat.Matrix
 		if e.row == root {
@@ -342,17 +364,19 @@ func (e *engine) broadcastUPanel(k int) {
 			buf = e.store.NewBuffer(r, c)
 		}
 		e.bcastCol(root, buf)
-		e.uPanel[tj] = buf
+		e.uPanel[j0+j] = buf
 	}
 }
 
 // update applies the local trailing GEMM A11 -= L10·U01.
 func (e *engine) update(k int) {
-	e.c.SetPhase(e.opt.Name + ".update")
-	for _, ti := range e.bc.LocalTileRows(e.row, k+1) {
-		l := e.lPanel[ti]
-		for _, tj := range e.bc.LocalTileCols(e.col, k+1) {
-			blas.Gemm(-1, l, e.uPanel[tj], 1, e.store.Tile(ti, tj))
+	e.c.SetPhase(e.phase.update)
+	i0, rows := suffix(e.myRows, k+1)
+	j0, cols := suffix(e.myCols, k+1)
+	for i, ti := range rows {
+		l := e.lPanel[i0+i]
+		for j, tj := range cols {
+			blas.Gemm(-1, l, e.uPanel[j0+j], 1, e.store.Tile(ti, tj))
 		}
 	}
 }
@@ -398,5 +422,3 @@ func absf(v float64) float64 {
 	}
 	return v
 }
-
-var _ = trace.BytesPerElement // trace is part of this package's contract via dist

@@ -102,12 +102,10 @@ func (c *Comm) AllreduceMaxLoc(in MaxLoc) MaxLoc {
 		}
 		return a
 	}
+	// Two plain 8-byte slices per message: pooling them cost a 24-byte
+	// slice header per Put, three times what it saved.
 	enc := func(m MaxLoc) Msg {
-		f := getFloats(1)
-		f[0] = m.Val
-		// pooled: both slices are pool leases; an aborted run's sweep may
-		// return stranded in-flight pairs (see World.reclaim).
-		return Msg{F: f, I: getInts1(m.Loc), N: 2, pooled: true}
+		return Msg{F: []float64{m.Val}, I: []int{m.Loc}, N: 2}
 	}
 	dec := func(msg Msg) MaxLoc {
 		out := MaxLoc{Loc: msg.I[0]}
@@ -116,18 +114,9 @@ func (c *Comm) AllreduceMaxLoc(in MaxLoc) MaxLoc {
 		}
 		return out
 	}
-	// The running value is tracked decoded (cur) rather than re-read from
-	// the in-flight Msg: a sent wire pair belongs to its receiver, who
-	// recycles it below — reading `mine` after the send would race with
-	// the peer reusing the buffer.
-	cur := in
-	res := c.Butterfly(enc(in), func(_, theirs Msg) Msg {
-		cur = combine(cur, dec(theirs))
-		putFloats(theirs.F)
-		putInts1(theirs.I)
-		return enc(cur)
-	})
-	return dec(res)
+	return dec(c.Butterfly(enc(in), func(mine, theirs Msg) Msg {
+		return enc(combine(dec(mine), dec(theirs)))
+	}))
 }
 
 // Butterfly runs a hypercube all-exchange: every rank ends with

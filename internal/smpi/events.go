@@ -11,7 +11,7 @@
 // goroutines (EXPERIMENTS.md, "Executors"); it stays as the second,
 // independently scheduled implementation the parity suites compare against.
 //
-//   - A rank runs until its Recv blocks on an empty queue. It then yields:
+//   - A rank runs until its Recv finds nothing on its stream. It then yields:
 //     it registers the key it awaits on its mailbox, sends evBlocked to the
 //     scheduler, and parks on its private resume channel.
 //   - The scheduler pops the ready ranks with the smallest (logical clock,
@@ -28,7 +28,7 @@
 //     mailboxes is shared. Sends never block, so a sender keeps its baton.
 //
 // With workers == 1 only the baton holder touches world state, so mailbox
-// queue access needs no mutex in event mode and every handoff crosses a
+// access needs no mutex in event mode and every handoff crosses a
 // channel — the channel's happens-before edge is what makes the lock-free
 // access sound (and race-detector clean). With workers > 1 the ranks of a
 // window run truly concurrently and mailbox access takes the per-mailbox
@@ -44,7 +44,7 @@
 // A window resume may be spurious: a rank woken by a put while it was
 // being resumed anyway consumes the message during its window, parks on a
 // later key, and its stale wake entry resumes it once more with nothing
-// matched. The rank rechecks its queue, finds it empty, and re-parks — a
+// matched. The rank rescans its mailbox, finds no match, and re-parks — a
 // wasted handoff, never a wrong result. Entries for ranks that are not
 // parked (still running — impossible between windows — or done) are
 // dropped at pop time.

@@ -106,8 +106,12 @@ type Config struct {
 // the returned error wraps ErrCanceled plus the context's cause; a run that
 // completes before cancellation lands is returned as a success. A partial
 // report is returned alongside every error. After the ranks unwind —
-// normally or not — undelivered pooled wire buffers and emptied queue
-// carcasses are returned to their pools, so aborted runs leak nothing.
+// normally or not — undelivered pooled wire buffers are returned to their
+// pools, so aborted runs leak nothing.
+//
+// A world Exec builds itself retains no trace events: nothing outside this
+// call can reach its timeline, so nobody could read them. Pass a World to
+// ask for Trace.Events() afterwards (it keeps trace.DefaultEventCap).
 func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	w := cfg.World
 	if w == nil {
@@ -116,6 +120,7 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 			m = trace.DefaultMachine()
 		}
 		w = NewWorldMachine(cfg.P, cfg.Payload, m)
+		w.Trace.SetEventCap(0)
 	}
 	if cfg.Topology != nil {
 		w.Trace.SetTopology(cfg.Topology)
@@ -251,38 +256,23 @@ func firstRunError(errs []error) error {
 	return nil
 }
 
-// reclaim sweeps the world after every rank has unwound: undelivered pooled
-// payloads (SendMat and SendBatch wire buffers, MaxLoc reduction pairs
-// stranded by an abort) go back to their pools, drained queue carcasses and
-// the mailbox free-slot caches are recycled, and the world's RMA window
-// registry entry is dropped so the world itself is collectable. Counts land
-// in w.reclaimed for the regression tests. The mailbox locks are held against
-// a late watcher Abort broadcast.
+// reclaim sweeps the world after every rank has unwound: the pooled wire
+// buffers of undelivered messages (SendMat and SendBatch payloads stranded by
+// an abort) go back to their pools, counted in w.reclaimed for the regression
+// tests, every mailbox is left empty, and the world's RMA window registry
+// entry is dropped so the world itself is collectable. The mailbox locks are
+// held against a late watcher Abort broadcast.
 func (w *World) reclaim() {
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
-		for k, q := range mb.q {
-			for i := q.head; i < len(q.buf); i++ {
-				m := &q.buf[i]
-				if m.pooled {
-					putFloats(m.F)
-					if !m.batch { // a batch's I is its sender's part list, not a lease
-						putInts1(m.I)
-					}
-					w.reclaimed.bufs++
-				}
-				*m = Msg{}
+		for i := range mb.pend {
+			if m := &mb.pend[i].msg; m.pooled {
+				putFloats(m.F)
+				w.reclaimed.bufs++
 			}
-			delete(mb.q, k)
-			q.buf = q.buf[:0]
-			q.head = 0
-			queuePool.Put(q)
-			w.reclaimed.queues++
 		}
-		if mb.free != nil {
-			queuePool.Put(mb.free)
-			mb.free = nil
-		}
+		clear(mb.pend)
+		mb.pend = mb.pend[:0]
 		mb.mu.Unlock()
 	}
 	dropWindowRegistry(w)

@@ -165,7 +165,8 @@ func TestEventExecutorNumericCorrect(t *testing.T) {
 }
 
 // abortConfigs enumerates the executor × window-width matrix the abort and
-// cancel reclaim tests cover (Workers is ignored by the goroutine executor).
+// cancel reclaim tests and the mailbox tests cover (Workers is ignored by the
+// goroutine executor and clamped to the world size by the event executor).
 func abortConfigs() []Config {
 	return []Config{
 		{Executor: ExecGoroutines},
@@ -180,8 +181,8 @@ func abortConfigName(cfg Config) string {
 
 // TestAbortReclaimsPooledWireBuffers is the pool-reclaim regression test:
 // when a run aborts with pooled wire buffers still undelivered (numeric
-// SendMat traffic nobody received), the post-run sweep must return them and
-// their queue carcasses to the pools — under both executors, serial and
+// SendMat traffic nobody received), the post-run sweep must return them to
+// the pools and leave every mailbox empty — under both executors, serial and
 // concurrent-window.
 func TestAbortReclaimsPooledWireBuffers(t *testing.T) {
 	for _, cfg := range abortConfigs() {
@@ -208,12 +209,9 @@ func TestAbortReclaimsPooledWireBuffers(t *testing.T) {
 		if w.reclaimed.bufs != 2 {
 			t.Fatalf("%s: reclaimed %d pooled buffers, want 2", name, w.reclaimed.bufs)
 		}
-		if w.reclaimed.queues == 0 {
-			t.Fatalf("%s: no queue carcasses reclaimed", name)
-		}
 		for r, mb := range w.boxes {
-			if len(mb.q) != 0 {
-				t.Fatalf("%s: rank %d mailbox still holds %d keys after reclaim", name, r, len(mb.q))
+			if len(mb.pend) != 0 {
+				t.Fatalf("%s: rank %d mailbox still holds %d messages after reclaim", name, r, len(mb.pend))
 			}
 		}
 	}
@@ -244,8 +242,8 @@ func TestCancelReclaimsPools(t *testing.T) {
 			t.Fatalf("%s: reclaimed %d pooled buffers, want 1", name, w.reclaimed.bufs)
 		}
 		for r, mb := range w.boxes {
-			if len(mb.q) != 0 {
-				t.Fatalf("%s: rank %d mailbox still holds %d keys", name, r, len(mb.q))
+			if len(mb.pend) != 0 {
+				t.Fatalf("%s: rank %d mailbox still holds %d messages", name, r, len(mb.pend))
 			}
 		}
 	}
@@ -277,8 +275,8 @@ func TestAbortMidConcurrentWindow(t *testing.T) {
 		t.Fatalf("reclaimed %d pooled buffers, want %d", w.reclaimed.bufs, p-1)
 	}
 	for r, mb := range w.boxes {
-		if len(mb.q) != 0 {
-			t.Fatalf("rank %d mailbox still holds %d keys after reclaim", r, len(mb.q))
+		if len(mb.pend) != 0 {
+			t.Fatalf("rank %d mailbox still holds %d messages after reclaim", r, len(mb.pend))
 		}
 	}
 }
@@ -319,8 +317,8 @@ func TestAbortFaultedTopologyReclaims(t *testing.T) {
 		t.Fatalf("reclaimed %d pooled buffers, want %d", w.reclaimed.bufs, p-1)
 	}
 	for r, mb := range w.boxes {
-		if len(mb.q) != 0 {
-			t.Fatalf("rank %d mailbox still holds %d keys after reclaim", r, len(mb.q))
+		if len(mb.pend) != 0 {
+			t.Fatalf("rank %d mailbox still holds %d messages after reclaim", r, len(mb.pend))
 		}
 	}
 	if got := w.Trace.Report().Time.Topology; got != "hier+contention+faults" {
@@ -438,8 +436,8 @@ func settledGoroutines(baseline int) int {
 // failing rank stranding delivered batches — and checks the runtime's side of
 // the bargain each time: the originating error surfaces, every stranded wire
 // buffer is swept (and none that was already recycled is counted), the
-// sender-owned part list never reaches the MaxLoc metadata pool, mailboxes
-// end empty and the goroutines are gone.
+// sender-owned part list is left alone, mailboxes end empty and the
+// goroutines are gone.
 func TestBatchAbortPaths(t *testing.T) {
 	fill := func(wire []float64) {
 		for i := range wire {
@@ -455,8 +453,8 @@ func TestBatchAbortPaths(t *testing.T) {
 				t.Fatalf("%s %s: reclaimed %d pooled buffers, want %d", name, step, w.reclaimed.bufs, wantBufs)
 			}
 			for r, mb := range w.boxes {
-				if len(mb.q) != 0 {
-					t.Fatalf("%s %s: rank %d mailbox still holds %d keys", name, step, r, len(mb.q))
+				if len(mb.pend) != 0 {
+					t.Fatalf("%s %s: rank %d mailbox still holds %d messages", name, step, r, len(mb.pend))
 				}
 			}
 			if n := settledGoroutines(baseline); n > baseline {
@@ -525,10 +523,9 @@ func TestBatchAbortPaths(t *testing.T) {
 		}
 		check("cancel", w, 1)
 
-		// A rank fails with batches delivered but never received. The
-		// one-part list has capacity 1 — exactly what putInts1 accepts — so
-		// were the sweep to treat a batch like a MaxLoc pair, the pool would
-		// hand the sender's list out for overwriting.
+		// A rank fails with batches delivered but never received; the
+		// sweep must return their wire buffers and nothing else — the part
+		// lists are the sender's.
 		w = NewWorld(3, true)
 		w.Trace.ExcludeFromTiming("housekeeping")
 		cfg.World = w
@@ -552,11 +549,6 @@ func TestBatchAbortPaths(t *testing.T) {
 			t.Fatalf("%s: want the injected failure, got %v", name, err)
 		}
 		check("abort", w, 2)
-		for i := 0; i < 64; i++ {
-			if s := getInts1(-1); &s[0] == &one[0] {
-				t.Fatalf("%s: the sweep filed a batch's part list into ints1Pool", name)
-			}
-		}
 		if one[0] != 5 {
 			t.Fatalf("%s: part list overwritten: %v", name, one)
 		}

@@ -1,238 +1,148 @@
-// Mailboxes and buffer pools: the allocation-conscious core of the runtime.
+// Mailboxes: one short list per rank, shaped by what the traffic is.
 //
-// Delivery cost at paper scale (P = 1,024 ranks, tens of millions of
-// messages) is dominated by three churn sources this file eliminates:
+// Measured on the benchmark's two replays (LibSci / COnfLUX at P = 256,
+// 479 k + 125 k takes; EXPERIMENTS.md, "Where a replay's time goes"): no
+// stream — one (src, comm, tag) triple — ever held two messages at a take,
+// the whole mailbox was empty at 54% / 54% of takes and held at most 7
+// entries at 99.9% / 99.6% of them, the receiver arrived before its message
+// 75% / 59% of the time, and a match sat at the head of the list 68% / 84% of
+// the time. So a mailbox is ONE slice of (key, message) pairs in arrival
+// order. A take scans it oldest-first for its key — which is per-stream FIFO
+// by construction — and a put appends; no map, no hashing, no per-stream
+// queue to lease and recycle, nothing that outlives the message. The one long
+// list a replay builds is the collect root's, one batch per owner: ≈ 250
+// deep at P = 256, 170 at the paper-scale P = 1,024 (the root drains while
+// the owners finish), taken once.
 //
-//   - map traffic: the queue map is hashed once per put and once per take —
-//     the matched-receive wait loop holds the *msgQueue pointer across
-//     wakeups instead of re-indexing the map, and a drained key is deleted
-//     immediately (empty-queue reclamation), so a long-lived world's maps
-//     stay at the size of its in-flight traffic, not its history;
-//   - queue storage: emptied msgQueue carcasses (struct + backing array)
-//     are recycled through a sync.Pool instead of being re-grown from nil
-//     for every (src, comm, tag) stream;
-//   - payload storage: SendMat/RecvMat and the batches lease wire buffers from
-//     size-classed sync.Pools (see pool.go); phantom messages carry none —
-//     the volume-mode fast path enqueues a plain Msg value, allocating
-//     nothing in steady state.
+// A mailbox has exactly one owner rank, so at most one receiver is ever
+// parked on it. It registers the stream it awaits (waiting/want) and the put
+// that matches wakes it — a put on any other stream leaves it asleep, where a
+// broadcast made one wake-up in ten spurious.
 //
-// Ownership rule: a payload slice handed to Send belongs to the runtime
-// until the matching Recv returns it to the receiving rank; only
-// SendMat/RecvMat and SendBatch/RecvBatches — which pack on send and copy
-// out on receive — recycle wire buffers, so raw Send/Recv callers
-// (collectives carrying metadata, RecvInts callers that retain the slice)
-// keep ordinary Go ownership.
+// Payload ownership: a slice handed to Send belongs to the runtime until the
+// matching Recv returns it to the receiving rank; only SendMat/RecvMat and
+// SendBatch/RecvBatches — which pack on send and copy out on receive — lease
+// and recycle wire buffers (pool.go), and phantom messages carry none, so a
+// volume-mode delivery allocates nothing once the list has grown to the
+// mailbox's working depth. Raw Send/Recv callers (collectives carrying
+// metadata, RecvInts callers that retain the slice) keep ordinary Go
+// ownership.
 package smpi
 
 import "sync"
 
-// msgQueue is one (src, comm, tag) FIFO: messages in buf[head:]. The struct
-// and its backing array are pooled; see take for the recycle point.
-type msgQueue struct {
-	buf  []Msg
-	head int
+// pending is one delivered, not yet received message.
+type pending struct {
+	key msgKey
+	msg Msg
 }
-
-var queuePool = sync.Pool{New: func() any { return new(msgQueue) }}
 
 type mailbox struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	q    map[msgKey]*msgQueue
-	// waiters counts goroutines blocked in take (at most one in practice:
-	// a mailbox belongs to one rank). put only signals when someone waits,
-	// so the common deliver-before-receive case never touches the cond.
-	waiters int
-	// free is a one-slot queue cache in front of queuePool: a mailbox
-	// cycles through one hot key at a time, and unlike the shared pool
-	// this slot survives GC cycles (allocation-heavy replays collect
-	// often enough to wipe sync.Pools mid-run).
-	free *msgQueue
+	cond sync.Cond // on mu; goroutine executor only
+
+	// pend holds the in-flight messages in arrival order.
+	pend []pending
 
 	// rank is the owning world rank (a mailbox belongs to exactly one).
 	rank int
-	// Event-executor wait registration: when the owner is parked in the
-	// scheduler awaiting a message, evWaiting is true and evKey names the
-	// stream it awaits; the put that matches evKey re-arms the owner. With
-	// one worker these fields are written by the owner before yielding and
-	// read by the sender after taking the baton — the scheduler's channel
-	// handoffs provide the happens-before edges, so no lock is needed.
-	// With a concurrent window (workers > 1) the owner and its senders can
-	// run simultaneously, so every access goes under mb.mu — the ownership
-	// rule is: one mailbox, one owner rank, and a sender touches nothing
-	// of the owner's but this mailbox (see events.go and DESIGN.md §12).
-	evWaiting bool
-	evKey     msgKey
+	// Wait registration: while the owner is parked awaiting a message,
+	// waiting is true and want names the stream; the put that matches it
+	// clears waiting and wakes the owner — the condvar under the goroutine
+	// executor, the scheduler's ready heap under the event executor.
+	//
+	// Locking rule for everything above. Goroutine executor, and event
+	// executor with a concurrent window (workers > 1): the owner and its
+	// senders run simultaneously, so every access holds mu — a sender
+	// touches nothing of the owner's but this mailbox. Event executor with
+	// one worker: only the baton holder runs, the scheduler's channel
+	// handoffs are the happens-before edges, and no lock is taken (see
+	// events.go and DESIGN.md §12).
+	waiting bool
+	want    msgKey
 }
 
 func newMailbox(rank int) *mailbox {
-	mb := &mailbox{q: make(map[msgKey]*msgQueue), rank: rank}
-	mb.cond = sync.NewCond(&mb.mu)
+	mb := &mailbox{rank: rank}
+	mb.cond.L = &mb.mu
 	return mb
 }
 
-// queueLocked returns the FIFO for k, leasing a recycled one if the key is
-// new. Caller holds mb.mu — or holds the event scheduler's baton, which
-// serializes all mailbox access in that mode.
-func (mb *mailbox) queueLocked(k msgKey) *msgQueue {
-	q := mb.q[k]
-	if q == nil {
-		if q = mb.free; q != nil {
-			mb.free = nil
-		} else {
-			q = queuePool.Get().(*msgQueue)
-		}
-		mb.q[k] = q
-	}
-	return q
-}
+// locks reports whether mailbox access under w's executor takes mu.
+func (w *World) locks() bool { return w.sched == nil || w.sched.workers > 1 }
 
-// reclaimLocked deletes a drained key and recycles its queue. Caller holds
-// mb.mu (or the event baton) and guarantees q is empty.
-func (mb *mailbox) reclaimLocked(k msgKey, q *msgQueue) {
-	delete(mb.q, k)
-	q.buf = q.buf[:0]
-	q.head = 0
-	if mb.free == nil {
-		mb.free = q
-	} else {
-		queuePool.Put(q)
-	}
-}
-
+// put appends m to the list and, if the owner is parked on exactly this
+// stream, wakes it (once — later deliveries find waiting cleared). Sends
+// never block.
 func (mb *mailbox) put(w *World, k msgKey, m Msg) {
-	if s := w.sched; s != nil {
-		if s.workers > 1 {
-			// Concurrent window: the owner (or another sender in the same
-			// window) may be touching this mailbox right now.
-			mb.mu.Lock()
-			q := mb.queueLocked(k)
-			q.buf = append(q.buf, m)
-			if mb.evWaiting && mb.evKey == k {
-				mb.evWaiting = false
-				s.makeReady(mb.rank)
-			}
-			mb.mu.Unlock()
-			return
-		}
-		// Serial event mode: the caller holds the sole baton, so access is
-		// exclusive and lock-free. If the owner is parked awaiting exactly
-		// this stream, re-arm it on the ready heap (once — further
-		// deliveries find evWaiting already cleared).
-		q := mb.queueLocked(k)
-		q.buf = append(q.buf, m)
-		if mb.evWaiting && mb.evKey == k {
-			mb.evWaiting = false
-			s.makeReady(mb.rank)
-		}
-		return
-	}
-	mb.mu.Lock()
-	q := mb.queueLocked(k)
-	q.buf = append(q.buf, m)
-	if mb.waiters > 0 {
-		mb.cond.Broadcast()
-	}
-	mb.mu.Unlock()
-}
-
-// take blocks until a message under k is available and pops it. The queue
-// pointer is resolved once; the wait loop re-checks only its length. On
-// abort the pending take panics with ErrAborted (see World.Abort for why
-// the goroutine-mode wake-up broadcast must hold this mutex).
-func (mb *mailbox) take(w *World, k msgKey) Msg {
-	if s := w.sched; s != nil {
-		return mb.takeEvent(w, s, k)
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	q := mb.queueLocked(k)
-	for q.head >= len(q.buf) {
-		if w.aborted.Load() {
-			// Don't strand the just-leased empty queue on the dead world.
-			mb.reclaimLocked(k, q)
-			panic(ErrAborted)
-		}
-		mb.waiters++
-		mb.cond.Wait()
-		mb.waiters--
-	}
-	return mb.popLocked(k, q)
-}
-
-// takeEvent is take under the event executor: instead of parking on the
-// condvar, the rank registers the awaited key and yields the baton; the
-// matching put re-arms it. The abort flag is rechecked before every yield
-// so an unwinding world never re-parks a rank. On the abort paths the
-// just-leased queue is recycled only if it is still empty — a wake can
-// race an abort, and a non-empty queue must stay in the map for the
-// post-run reclaim sweep to return its pooled payloads.
-func (mb *mailbox) takeEvent(w *World, s *eventScheduler, k msgKey) Msg {
-	if s.workers > 1 {
-		return mb.takeEventConcurrent(w, s, k)
-	}
-	q := mb.queueLocked(k)
-	for q.head >= len(q.buf) {
-		if w.aborted.Load() {
-			mb.reclaimLocked(k, q)
-			panic(ErrAborted)
-		}
-		mb.evWaiting = true
-		mb.evKey = k
-		ok := s.yieldBlocked(mb.rank)
-		mb.evWaiting = false
-		if !ok {
-			if q.head >= len(q.buf) {
-				mb.reclaimLocked(k, q)
-			}
-			panic(ErrAborted)
-		}
-	}
-	return mb.popLocked(k, q)
-}
-
-// takeEventConcurrent is takeEvent for a concurrent window: identical
-// protocol, but the wait registration and queue access interleave with
-// same-window senders, so each step holds mb.mu. The yield itself must
-// not: the scheduler may be mid-barrier and a sender of this window could
-// need the lock to complete (and thereby to yield) first.
-func (mb *mailbox) takeEventConcurrent(w *World, s *eventScheduler, k msgKey) Msg {
-	mb.mu.Lock()
-	q := mb.queueLocked(k)
-	for q.head >= len(q.buf) {
-		if w.aborted.Load() {
-			mb.reclaimLocked(k, q)
-			mb.mu.Unlock()
-			panic(ErrAborted)
-		}
-		mb.evWaiting = true
-		mb.evKey = k
-		mb.mu.Unlock()
-		ok := s.yieldBlocked(mb.rank)
+	locks := w.locks()
+	if locks {
 		mb.mu.Lock()
-		mb.evWaiting = false
-		if !ok {
-			if q.head >= len(q.buf) {
-				mb.reclaimLocked(k, q)
+	}
+	mb.pend = append(mb.pend, pending{key: k, msg: m})
+	if mb.waiting && mb.want == k {
+		mb.waiting = false
+		if s := w.sched; s != nil {
+			s.makeReady(mb.rank)
+		} else {
+			mb.cond.Signal()
+		}
+	}
+	if locks {
+		mb.mu.Unlock()
+	}
+}
+
+// take blocks until a message on stream k is pending and removes the oldest.
+// An empty-handed receiver registers k and parks: on the condvar, or — event
+// executor — by yielding its baton to the scheduler, with mu released across
+// the yield (the scheduler may be mid-barrier, and a sender of this window
+// could need the lock to complete, and thereby to yield, first). The abort
+// flag is checked before every park, so an unwinding world never re-parks a
+// rank, and a false baton unwinds at once even if a message raced the abort
+// in: it stays on the list for the post-run sweep to return its buffer.
+// World.Abort explains why its broadcast must hold mu.
+func (mb *mailbox) take(w *World, k msgKey) Msg {
+	s, locks := w.sched, w.locks()
+	if locks {
+		mb.mu.Lock()
+		defer mb.mu.Unlock()
+	}
+	for {
+		for i := range mb.pend {
+			if mb.pend[i].key == k {
+				return mb.pop(i)
 			}
+		}
+		if w.aborted.Load() {
+			panic(ErrAborted)
+		}
+		mb.waiting, mb.want = true, k
+		resumed := true
+		switch {
+		case s == nil:
+			mb.cond.Wait()
+		case locks:
 			mb.mu.Unlock()
+			resumed = s.yieldBlocked(mb.rank)
+			mb.mu.Lock()
+		default:
+			resumed = s.yieldBlocked(mb.rank)
+		}
+		mb.waiting = false
+		if !resumed {
 			panic(ErrAborted)
 		}
 	}
-	m := mb.popLocked(k, q)
-	mb.mu.Unlock()
-	return m
 }
 
-// popLocked removes the head message, reclaiming the queue if that drained
-// it. Caller holds mb.mu (or the event baton) and guarantees q is
-// non-empty.
-func (mb *mailbox) popLocked(k msgKey, q *msgQueue) Msg {
-	m := q.buf[q.head]
-	q.buf[q.head] = Msg{} // release payload references to the GC
-	q.head++
-	if q.head == len(q.buf) {
-		mb.reclaimLocked(k, q)
-	}
+// pop removes pend[i], keeping the rest in arrival order. Caller holds mu
+// (or the sole baton).
+func (mb *mailbox) pop(i int) Msg {
+	m := mb.pend[i].msg
+	last := len(mb.pend) - 1
+	copy(mb.pend[i:], mb.pend[i+1:])
+	mb.pend[last] = pending{} // release payload references to the GC
+	mb.pend = mb.pend[:last]
 	return m
 }

@@ -2,18 +2,20 @@ package smpi
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
 )
 
 // TestMailboxSteadyStateMapSize is the regression test for the mailbox
-// memory-growth bug: per-key queue entries must be reclaimed when drained,
-// so a long-lived world (one session running many solves) holds map entries
-// only for in-flight traffic, never for its whole tag history. Every round
-// uses fresh tags — without drained-key deletion the maps would grow by
-// 2·rounds entries; with it they stay at zero between rounds and end empty.
+// memory-growth bug: a mailbox holds in-flight traffic only, never anything
+// per stream it has seen, so a long-lived world (one session running many
+// solves) does not grow with its tag history. Every round uses fresh tags;
+// the list must stay within the ring's slack between rounds and end empty.
 func TestMailboxSteadyStateMapSize(t *testing.T) {
 	const p, rounds = 4, 2000
 	w := NewWorld(p, false)
@@ -21,19 +23,18 @@ func TestMailboxSteadyStateMapSize(t *testing.T) {
 		me := c.Rank()
 		next, prev := (me+1)%p, (me-1+p)%p
 		for r := 0; r < rounds; r++ {
-			c.Send(next, r, Msg{N: 8}) // tag r: a fresh key every round
+			c.Send(next, r, Msg{N: 8}) // tag r: a fresh stream every round
 			c.Recv(prev, r)
 			if r%100 == 0 {
-				// The rank owns its mailbox; between matched rounds only
-				// not-yet-taken deliveries may occupy the map. With p-1
-				// possible senders that bounds the size at p-1, tag
-				// history must contribute nothing.
+				// Only not-yet-taken deliveries may be pending, and the
+				// one sender can run at most p-1 rounds ahead of its
+				// receiver around the ring.
 				mb := w.boxes[c.WorldRank()]
 				mb.mu.Lock()
-				size := len(mb.q)
+				size := len(mb.pend)
 				mb.mu.Unlock()
 				if size >= p {
-					return fmt.Errorf("rank %d: mailbox map holds %d keys at round %d (leak)", me, size, r)
+					return fmt.Errorf("rank %d: mailbox holds %d messages at round %d (leak)", me, size, r)
 				}
 			}
 		}
@@ -43,18 +44,15 @@ func TestMailboxSteadyStateMapSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, mb := range w.boxes {
-		mb.mu.Lock()
-		size := len(mb.q)
-		mb.mu.Unlock()
-		if size != 0 {
-			t.Fatalf("rank %d: %d undrained mailbox keys after the run", r, size)
+		if size := len(mb.pend); size != 0 {
+			t.Fatalf("rank %d: %d undrained messages after the run", r, size)
 		}
 	}
 }
 
-// TestMailboxAbortReclaimsWaiterQueue: a receiver parked on a key it
-// created (receive-before-send) must not strand that empty queue in the map
-// when the world aborts.
+// TestMailboxAbortReclaimsWaiterQueue: a receiver parked before anything was
+// sent to it (receive-before-send) leaves nothing behind in its mailbox when
+// the world aborts — no entry, no wait registration.
 func TestMailboxAbortReclaimsWaiterQueue(t *testing.T) {
 	w := NewWorld(2, false)
 	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
@@ -67,12 +65,87 @@ func TestMailboxAbortReclaimsWaiterQueue(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected the injected failure")
 	}
-	mb := w.boxes[1]
-	mb.mu.Lock()
-	size := len(mb.q)
-	mb.mu.Unlock()
-	if size != 0 {
-		t.Fatalf("aborted waiter left %d keys in its mailbox map", size)
+	if mb := w.boxes[1]; len(mb.pend) != 0 || mb.waiting {
+		t.Fatalf("aborted waiter left %d messages, waiting=%v", len(mb.pend), mb.waiting)
+	}
+}
+
+// TestMailboxFIFOAcrossStreams: two streams interleaved into one mailbox
+// come out in per-stream send order whichever stream is taken first — the
+// oldest-first scan of the one list is FIFO per stream, not per mailbox.
+func TestMailboxFIFOAcrossStreams(t *testing.T) {
+	const a, b = 1, 2 // tags: two streams from the same source
+	sent := []int{a, b, b, a, b, a, a, b}
+	for name, order := range map[string][]int{
+		"a-first":     {a, a, a, a, b, b, b, b},
+		"b-first":     {b, b, b, b, a, a, a, a},
+		"alternating": {b, a, b, a, b, a, b, a},
+		"as-sent":     sent,
+	} {
+		w := NewWorld(2, false)
+		src, dst := WorldComm(w, 0), WorldComm(w, 1)
+		for i, tag := range sent { // sends never block: one goroutine suffices
+			src.Send(1, tag, Msg{N: i})
+		}
+		want := map[int][]int{a: {0, 3, 5, 6}, b: {1, 2, 4, 7}}
+		got := map[int][]int{}
+		for _, tag := range order {
+			got[tag] = append(got[tag], dst.Recv(0, tag).N)
+		}
+		if !slices.Equal(got[a], want[a]) || !slices.Equal(got[b], want[b]) {
+			t.Errorf("%s: received a=%v b=%v, want a=%v b=%v", name, got[a], got[b], want[a], want[b])
+		}
+		if n := len(w.boxes[1].pend); n != 0 {
+			t.Errorf("%s: %d messages left pending", name, n)
+		}
+	}
+}
+
+// TestAbortWakesKeyedWaiter: a put wakes only the receiver parked on its
+// stream, so Abort's own wake-up must reach a receiver whatever it awaits.
+// Rank 0 parks on a stream nobody sends on, rank 1 delivers to it on another
+// stream (which must leave it parked), and rank 2 fails the world once rank 0
+// is registered as waiting: rank 0 has to unwind with ErrAborted under every
+// executor. A lost wake-up shows as this test hanging.
+func TestAbortWakesKeyedWaiter(t *testing.T) {
+	for _, cfg := range abortConfigs() {
+		name := abortConfigName(cfg)
+		w := NewWorld(3, false)
+		cfg.World = w
+		var unwound any
+		_, err := Exec(context.Background(), cfg, func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				defer func() {
+					unwound = recover()
+					panic(unwound)
+				}()
+				c.Recv(1, 9) // never sent
+			case 1:
+				c.Send(0, 1, Msg{N: 1}) // another stream of the same mailbox
+			case 2:
+				// Rank 0 may still be on its way to parking (goroutines, or
+				// an event window wide enough to hold both): wait for it.
+				for mb := w.boxes[0]; ; runtime.Gosched() {
+					mb.mu.Lock()
+					parked := mb.waiting
+					mb.mu.Unlock()
+					if parked {
+						return fmt.Errorf("injected failure")
+					}
+				}
+			}
+			return nil
+		})
+		if err == nil || errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: want the injected failure, got %v", name, err)
+		}
+		if e, ok := unwound.(error); !ok || !errors.Is(e, ErrAborted) {
+			t.Fatalf("%s: parked receiver unwound with %v, want ErrAborted", name, unwound)
+		}
+		if mb := w.boxes[0]; len(mb.pend) != 0 || mb.waiting {
+			t.Fatalf("%s: aborted waiter left %d messages, waiting=%v", name, len(mb.pend), mb.waiting)
+		}
 	}
 }
 
@@ -131,7 +204,7 @@ func TestPhantomSendAllocatesNothing(t *testing.T) {
 		req <- tag
 		c.SendMat(1, tag, m)
 	}
-	exchange(0) // warm up: queue pool, map entry churn
+	exchange(0) // warm up: the pending list's backing array
 	const reps = 100
 	avg := testing.AllocsPerRun(reps, func() { exchange(1) })
 	close(req)

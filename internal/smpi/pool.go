@@ -42,27 +42,6 @@ func getFloats(n int) []float64 {
 	return make([]float64, n, 1<<c)
 }
 
-// ints1Pool recycles the 1-element metadata slices the MaxLoc reduction
-// exchanges every butterfly round (the float side rides floatPools).
-var ints1Pool sync.Pool
-
-func getInts1(v int) []int {
-	if got := ints1Pool.Get(); got != nil {
-		s := *got.(*[]int)
-		s[0] = v
-		return s
-	}
-	return []int{v}
-}
-
-func putInts1(s []int) {
-	if cap(s) != 1 {
-		return
-	}
-	s = s[:1]
-	ints1Pool.Put(&s)
-}
-
 // putFloats returns a wire buffer to its pool. nil (the phantom fast path)
 // is a no-op. The caller must not retain the slice afterwards.
 func putFloats(s []float64) {

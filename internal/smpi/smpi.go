@@ -54,14 +54,10 @@ type World struct {
 	sched    *eventScheduler
 	executor Executor
 
-	// reclaimed counts what the post-run sweep returned to the pools
-	// (leased wire buffers of undelivered messages, emptied queue
-	// carcasses). Written once after all ranks have unwound; read by the
-	// abort-path regression tests.
-	reclaimed struct {
-		bufs   int
-		queues int
-	}
+	// reclaimed counts the leased wire buffers of undelivered messages the
+	// post-run sweep returned to the pools. Written once after all ranks
+	// have unwound; read by the abort-path regression tests.
+	reclaimed struct{ bufs int }
 
 	// FailSend, when non-nil, is consulted on every point-to-point delivery;
 	// a non-nil error makes the sending rank panic with it (the runner turns
@@ -115,17 +111,16 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 // (pivot indices and other metadata, carried in both modes), and N, the
 // metered element count (8 bytes each). The unexported fields carry the
 // sender's timeline stamp (send-completion clock and phase label); Send
-// overwrites them, so callers never need to set them. pooled marks payload
-// slices leased from the runtime's pools (SendMat wire buffers, the MaxLoc
-// reduction pairs): an aborted run returns those — and only those — to
-// their pools when it sweeps undelivered messages, so caller-owned payloads
-// handed to raw Send are never aliased into the pool behind the caller.
+// overwrites them, so callers never need to set them. pooled marks an F
+// leased from the runtime's pools (SendMat and SendBatch wire buffers): an
+// aborted run returns those — and only those — to their pools when it sweeps
+// undelivered messages, so caller-owned payloads handed to raw Send are
+// never aliased into the pool behind the caller.
 //
 // batch marks the one Msg a SendBatch enqueues for its whole part list: F is
 // the packed payload of every part (a pool lease, so pooled is set with it;
 // nil in volume mode), I the per-part element counts and N their sum. The
-// part list stays the sender's — the runtime and the receiver only read it,
-// and the sweep never files it into the MaxLoc metadata pool.
+// part list stays the sender's — the runtime and the receiver only read it.
 type Msg struct {
 	F []float64
 	I []int
@@ -138,10 +133,9 @@ type Msg struct {
 }
 
 // msgKey identifies one point-to-point stream. The communicator component
-// is pre-hashed (commID computes it once at communicator creation), so the
-// per-message map hash mixes three scalars — and both put and take hash it
-// exactly once per message; the matched-receive wait loop holds the queue
-// pointer across wakeups instead of re-indexing the map.
+// is pre-hashed (commID computes it once at communicator creation), so
+// matching a pending message against an awaited stream compares three
+// scalars.
 type msgKey struct {
 	src  int
 	comm uint64
@@ -160,6 +154,8 @@ var ErrAborted = errors.New("smpi: run aborted by another rank's failure")
 // check and cond.Wait holds that mutex, so acquiring it orders the store
 // before the rank's recheck — an unlocked broadcast could land in that
 // window and be lost, leaving the rank (and the whole run) blocked forever.
+// It wakes every receiver whatever stream it is parked on: a put signals
+// only the stream it matches, an abort has no stream.
 // Under the event executor no rank waits on a condvar; the abort instead
 // wakes the scheduler (which may be idling on an all-ranks-blocked
 // schedule deadlock) so it unwinds every parked rank.

@@ -258,9 +258,11 @@ func (t *Timeline) ExcludeFromTiming(phases ...string) {
 // appendEvent retains e on shard s (which the caller holds locked) unless
 // the global cap is exhausted. Which events survive once the cap is reached
 // depends on arrival order across shards; runs that stay under the cap
-// retain everything, deterministically.
+// retain everything, deterministically. The cap is read first: a timeline
+// that retains nothing (SetEventCap(0)) never touches nEvents, the one
+// cache line every rank's delivery would otherwise write.
 func (t *Timeline) appendEvent(s *shard, e Event) {
-	if t.nEvents.Add(1) <= t.eventCap.Load() {
+	if c := t.eventCap.Load(); c > 0 && t.nEvents.Add(1) <= c {
 		s.events = append(s.events, e)
 	} else {
 		s.dropped++
