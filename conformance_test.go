@@ -207,7 +207,7 @@ func factorDigest(res *Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestConformanceGoldenDigests pins the numeric factors of the two 2.5D
+// TestConformanceGoldenDigests pins the numeric factors of the four LU
 // engines to fixed artifacts (ROADMAP 4a): LU and pivots of
 // Factorize(mat.Random(n, n, seed)) must hash to the recorded values. A
 // kernel or layout change that alters a single bit of a factor — a different
@@ -220,8 +220,12 @@ func factorDigest(res *Result) string {
 // on and is skipped on any other (`make test-purego` runs this test to prove
 // the skip is clean and every other shape still matches). The COnfLUX digests
 // at (517, 12, 3) and (1,024, 16, 1) were re-recorded when the default v
-// moved 4 → 8 and 4 → 16 there (costmodel.COnfLUXBlockSize); the rest date
-// from before the Schur update became one indexed-row kernel call per step.
+// moved 4 → 8 and 4 → 16 there (costmodel.COnfLUXBlockSize); the other 2.5D
+// digests date from before the Schur update became one indexed-row kernel
+// call per step. The 2D digests were recorded at 8835578, before LibSci's row
+// swaps moved to a rendezvous; LibSci and SLATE share them because partial
+// pivoting with a k-ordered tile update rounds the same at either block size,
+// and they match under `-tags purego` too, so they carry no ISA gate.
 func TestConformanceGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are recorded on amd64 (no fused multiply-add in compiled Go)")
@@ -236,12 +240,15 @@ func TestConformanceGoldenDigests(t *testing.T) {
 		long    bool
 		digests map[Algorithm]golden
 	}{
-		{256, 8, 5, false, map[Algorithm]golden{COnfLUX: {digest: "4696b57ee06ff163"}, CANDMC: {digest: "238c6a075c0898dc"}}},
-		{517, 12, 3, false, map[Algorithm]golden{COnfLUX: {digest: "4ccc23fe634402dc"}, CANDMC: {digest: "e7abca20d45e8861"}}},
-		{1024, 16, 1, true, map[Algorithm]golden{COnfLUX: {digest: "a00c4b64c2b46139", isa: "avx2+fma"}, CANDMC: {digest: "36e8ec37fefe591e"}}},
+		{256, 8, 5, false, map[Algorithm]golden{COnfLUX: {digest: "4696b57ee06ff163"}, CANDMC: {digest: "238c6a075c0898dc"},
+			LibSci: {digest: "e204e674e424bf44"}, SLATE: {digest: "e204e674e424bf44"}}},
+		{517, 12, 3, false, map[Algorithm]golden{COnfLUX: {digest: "4ccc23fe634402dc"}, CANDMC: {digest: "e7abca20d45e8861"},
+			LibSci: {digest: "ed6e573abb301935"}, SLATE: {digest: "ed6e573abb301935"}}},
+		{1024, 16, 1, true, map[Algorithm]golden{COnfLUX: {digest: "a00c4b64c2b46139", isa: "avx2+fma"}, CANDMC: {digest: "36e8ec37fefe591e"},
+			LibSci: {digest: "d578249acb08036c"}, SLATE: {digest: "d578249acb08036c"}}},
 	}
 	for _, tc := range cases {
-		for _, algo := range []Algorithm{COnfLUX, CANDMC} {
+		for _, algo := range conformanceLU {
 			t.Run(fmt.Sprintf("%s/n=%d/p=%d/seed=%d", algo, tc.n, tc.p, tc.seed), func(t *testing.T) {
 				want := tc.digests[algo]
 				if tc.long && testing.Short() {
@@ -296,38 +303,62 @@ func volumeDigest(rep *VolumeReport) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestConformanceVolumeDigests pins the volume replays of the two 2.5D
-// engines to fixed artifacts (ROADMAP 3a, first instalment): the report of
-// CommVolume(n) on p ranks must hash to the recorded value under the flat
-// α-β machine and under the dragonfly-contended topology. A control-flow
-// change in an engine that adds, drops, resizes, relabels or reorders a single
-// message on any rank's timeline fails here. Volume mode runs no kernel and
-// no floating-point arithmetic outside the clock sums, so unlike the factor
-// digests these carry no architecture or ISA gate. The shapes cover c = 1 on
-// a non-square grid with a ragged last tile (COnfLUX runs N=517/P=12 on
-// 3×4×1 at v=8, CANDMC on 2×3×2), c > 1 (2×2×2 at P=8, CANDMC 4×4×4 at
-// P=64), a grid with disabled ranks (COnfLUX takes 5×6×2 = 60 of 64 ranks)
-// and the benchmark's replay point (8×8×4 at v=8 for both). Recorded at
-// d0a2788, before the engines' per-step control flow was rewritten.
+// TestConformanceVolumeDigests pins the volume replays of the four LU
+// engines to fixed artifacts (ROADMAP 3a): the report of CommVolume(n) on p
+// ranks must hash to the recorded value under the flat α-β machine and under
+// the dragonfly-contended topology. A control-flow change in an engine — or
+// in a runtime collective it calls — that adds, drops, resizes, relabels or
+// reorders a single message on any rank's timeline fails here. Volume mode
+// runs no kernel and no floating-point arithmetic outside the clock sums, so
+// unlike the factor digests these carry no architecture or ISA gate. The
+// shapes cover c = 1 on a non-square grid with a ragged last tile (COnfLUX
+// runs N=517/P=12 on 3×4×1 at v=8, CANDMC on 2×3×2, the 2D engines on 3×4), c
+// > 1 (2×2×2 at P=8, CANDMC 4×4×4 at P=64), a grid with disabled ranks
+// (COnfLUX takes 5×6×2 = 60 of 64 ranks) and the benchmark's replay point
+// (8×8×4 at v=8 for both 2.5D engines, 16×16 for the 2D ones). The 2.5D
+// digests were recorded at d0a2788, before their engines' per-step control
+// flow was rewritten; the 2D digests at 8835578, before LibSci's row swaps
+// and pivot searches were booked at a rendezvous. The last case is the
+// benchmark's replay_2d_faulted point: LibSci at N=2048, P=256 on
+// dragonfly-contended with two 4× stragglers and one 8× inter-node link.
 func TestConformanceVolumeDigests(t *testing.T) {
-	cases := []struct {
+	faulted := FaultPlan{
+		Stragglers: []Straggler{{Rank: 37, Factor: 4}, {Rank: 170, Factor: 4}},
+		Links:      []LinkFault{{FromNode: 5, ToNode: 41, Factor: 8}},
+	}
+	type volumeCase struct {
 		n, p    int
 		long    bool
 		digests map[Algorithm][2]string // flat, dragonfly-contended
-	}{
+		faults  *FaultPlan              // applied to the contended run only
+	}
+	cases := []volumeCase{
 		{256, 8, false, map[Algorithm][2]string{
-			COnfLUX: {"d0bb2e11b7109260", "4f346d17f9668f29"}, CANDMC: {"2d0d6386bc627de7", "8e6bb4a0443e8e2b"}}},
+			COnfLUX: {"d0bb2e11b7109260", "4f346d17f9668f29"}, CANDMC: {"2d0d6386bc627de7", "8e6bb4a0443e8e2b"},
+			LibSci: {"28f2ce567d8ca6cf", "0a67328935a83188"}, SLATE: {"e0c1a8382361bd96", "fbcce50e932101d2"}}, nil},
 		{517, 12, false, map[Algorithm][2]string{
-			COnfLUX: {"7da8cea1956711d2", "612185f6333b726a"}, CANDMC: {"fe227ebbd6dc83e0", "e61c8abfb9d8747c"}}},
+			COnfLUX: {"7da8cea1956711d2", "612185f6333b726a"}, CANDMC: {"fe227ebbd6dc83e0", "e61c8abfb9d8747c"},
+			LibSci: {"4fda62f5f88381d7", "b5a1e7a7e619799d"}, SLATE: {"229a3f60979fd745", "af77690739f17a1c"}}, nil},
 		{512, 64, false, map[Algorithm][2]string{
-			COnfLUX: {"ab26a5ab8517f1e3", "8f36cef1f1f8d5b7"}, CANDMC: {"c63e18e79a201018", "5175250c85e0ebb4"}}},
+			COnfLUX: {"ab26a5ab8517f1e3", "8f36cef1f1f8d5b7"}, CANDMC: {"c63e18e79a201018", "5175250c85e0ebb4"},
+			LibSci: {"6a6f6312db01d3f5", "403ee739c5307971"}, SLATE: {"0d35467450e9f2a5", "24cdf0015376bca5"}}, nil},
 		{1024, 256, true, map[Algorithm][2]string{
-			COnfLUX: {"ba5b21ed3c34779f", "dbd3480b5a1a3d2f"}, CANDMC: {"59d061a177379997", "3559efb0cd98efb1"}}},
+			COnfLUX: {"ba5b21ed3c34779f", "dbd3480b5a1a3d2f"}, CANDMC: {"59d061a177379997", "3559efb0cd98efb1"},
+			LibSci: {"9beccddcb2abbe8f", "92800294d7e3d87c"}, SLATE: {"868cbdf3a1395a4b", "d7b95d053672ab94"}}, nil},
+		{2048, 256, true, map[Algorithm][2]string{LibSci: {"", "ef1850e863b9f1fa"}}, &faulted},
 	}
 	for _, tc := range cases {
-		for _, algo := range []Algorithm{COnfLUX, CANDMC} {
+		for _, algo := range conformanceLU {
 			for i, preset := range []string{"flat", "dragonfly-contended"} {
-				t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s", algo, tc.n, tc.p, preset), func(t *testing.T) {
+				want := tc.digests[algo][i]
+				if want == "" {
+					continue
+				}
+				name := fmt.Sprintf("%s/n=%d/p=%d/%s", algo, tc.n, tc.p, preset)
+				if tc.faults != nil {
+					name += "+faults"
+				}
+				t.Run(name, func(t *testing.T) {
 					if tc.long && testing.Short() {
 						t.Skip("P=256 digest skipped in -short mode")
 					}
@@ -335,12 +366,15 @@ func TestConformanceVolumeDigests(t *testing.T) {
 					opts := []Option{WithRanks(tc.p), WithAlgorithm(algo)}
 					if preset != "flat" {
 						opts = append(opts, WithTopologyPreset(preset))
+						if tc.faults != nil {
+							opts = append(opts, WithFaults(*tc.faults))
+						}
 					}
 					rep, err := mustNew(t, opts...).CommVolume(t.Context(), tc.n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := volumeDigest(rep), tc.digests[algo][i]; got != want {
+					if got := volumeDigest(rep); got != want {
 						t.Fatalf("digest %s, recorded %s", got, want)
 					}
 				})
