@@ -31,9 +31,12 @@ test-purego:
 # -fuzz takes one target in one package per invocation. The second line does
 # the same for mailbox matching: byte-string programs of puts and takes on a
 # 2–5 rank world, under each executor, against a sequential per-stream model.
+# The third holds the booked row swap to the per-part ping-pong it replaces:
+# part list × arrival order × topology preset, events and report bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
+	$(GO) test -run '^$$' -fuzz FuzzSwapRows -fuzztime 10s ./internal/smpi
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:

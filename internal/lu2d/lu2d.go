@@ -89,8 +89,10 @@ type engine struct {
 	phase    struct{ panel, swap, lpanel, trsm, upanel, update string }
 
 	// The tile rows and columns this rank owns, ascending, fixed for the
-	// run; every step works on the suffix from its k.
+	// run; every step works on the suffix from its k. colWidths[i] is the
+	// width of tile column myCols[i].
 	myRows, myCols []int
+	colWidths      []int
 	// Per-step caches of received panel tiles, indexed by position in
 	// myRows/myCols (nil before the step's k) and reset every step.
 	lPanel []*mat.Matrix // tiles (ti, k) for local tile rows
@@ -115,6 +117,10 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	e.phase.panel, e.phase.swap, e.phase.lpanel = name+".panel", name+".swap", name+".lpanel"
 	e.phase.trsm, e.phase.upanel, e.phase.update = name+".trsm", name+".upanel", name+".update"
 	e.myRows, e.myCols = e.bc.LocalTileRows(e.row, 0), e.bc.LocalTileCols(e.col, 0)
+	e.colWidths = make([]int, len(e.myCols))
+	for i, tj := range e.myCols {
+		_, e.colWidths[i] = e.bc.TileDims(tj, tj)
+	}
 	e.lPanel = make([]*mat.Matrix, len(e.myRows))
 	e.uPanel = make([]*mat.Matrix, len(e.myCols))
 	dist.Scatter(e.c, 0, a, e.g, e.store)
@@ -228,15 +234,9 @@ func (e *engine) swapPanelRows(k, j, kk, p int, b int) {
 			blas.Swap(t1.Row(r1), t2.Row(r2))
 		}
 	case o1 == e.row:
-		t1 := e.store.Tile(ti1, k)
-		e.colComm.SendMat(o2, tag, t1.View(r1, 0, 1, b))
-		e.colComm.RecvMat(o2, tag, t1.View(r1, 0, 1, b))
+		e.colComm.SwapRows(o2, tag, true, e.store.Tile(ti1, k).View(r1, 0, 1, b), []int{b})
 	case o2 == e.row:
-		t2 := e.store.Tile(ti2, k)
-		buf := e.store.NewBuffer(1, b)
-		e.colComm.RecvMat(o1, tag, buf)
-		e.colComm.SendMat(o1, tag, t2.View(r2, 0, 1, b))
-		t2.View(r2, 0, 1, b).CopyFrom(buf)
+		e.colComm.SwapRows(o1, tag, false, e.store.Tile(ti2, k).View(r2, 0, 1, b), []int{b})
 	}
 }
 
@@ -273,42 +273,44 @@ func (e *engine) eliminateColumn(k, j, kk int, b int, myTiles []int) {
 }
 
 // applySwaps applies the panel's pivots to all other tile columns (physical
-// row swapping — the design choice COnfLUX's row masking removes).
+// row swapping — the design choice COnfLUX's row masking removes). The local
+// tile columns before and after the panel's are one run of the local panel
+// each — a single run when this rank does not own tile column k — so a pivot
+// moves as at most two exchanges of one message per tile column each way.
 func (e *engine) applySwaps(k int, piv []int) {
 	e.c.SetPhase(e.phase.swap)
-	nb := e.opt.NB
+	all := e.store.Trailing(0)
+	lo, _ := suffix(e.myCols, k)
+	hi, _ := suffix(e.myCols, k+1)
+	if lo == hi {
+		lo, hi = len(e.myCols), len(e.myCols)
+	}
 	for j, p := range piv {
-		kk := k*nb + j
-		if p == kk {
-			continue
+		if kk := k*e.opt.NB + j; p != kk {
+			e.swapRun(all, kk, p, 0, lo)
+			e.swapRun(all, kk, p, hi, len(e.myCols))
 		}
-		ti1, ti2 := kk/nb, p/nb
-		o1, o2 := e.bc.OwnerRow(ti1), e.bc.OwnerRow(ti2)
-		for _, tj := range e.myCols {
-			if tj == k {
-				continue // panel columns already swapped
-			}
-			_, w := e.bc.TileDims(ti1, tj)
-			r1, r2 := kk-ti1*nb, p-ti2*nb
-			tag := (kk*e.bc.Tiles() + tj) * 2
-			switch {
-			case o1 == e.row && o2 == e.row:
-				t1, t2 := e.store.Tile(ti1, tj), e.store.Tile(ti2, tj)
-				if !t1.Phantom() {
-					blas.Swap(t1.Row(r1), t2.Row(r2))
-				}
-			case o1 == e.row:
-				t1 := e.store.Tile(ti1, tj)
-				e.colComm.SendMat(o2, tag, t1.View(r1, 0, 1, w))
-				e.colComm.RecvMat(o2, tag, t1.View(r1, 0, 1, w))
-			case o2 == e.row:
-				t2 := e.store.Tile(ti2, tj)
-				buf := e.store.NewBuffer(1, w)
-				e.colComm.RecvMat(o1, tag, buf)
-				e.colComm.SendMat(o1, tag, t2.View(r2, 0, 1, w))
-				t2.View(r2, 0, 1, w).CopyFrom(buf)
-			}
+	}
+}
+
+// swapRun exchanges global rows kk and p across the local tile columns
+// myCols[a:b], a contiguous run of the local panel all.
+func (e *engine) swapRun(all *mat.Matrix, kk, p, a, b int) {
+	if a == b {
+		return
+	}
+	nb := e.opt.NB
+	x, w := a*nb, min((b-a)*nb, all.Cols-a*nb) // only the last tile can be short
+	o1, o2 := e.bc.OwnerRow(kk/nb), e.bc.OwnerRow(p/nb)
+	switch {
+	case o1 == e.row && o2 == e.row:
+		if !all.Phantom() {
+			blas.Swap(all.Row(e.store.LocalRow(kk))[x:x+w], all.Row(e.store.LocalRow(p))[x:x+w])
 		}
+	case o1 == e.row:
+		e.colComm.SwapRows(o2, 2*kk, true, all.View(e.store.LocalRow(kk), x, 1, w), e.colWidths[a:b])
+	case o2 == e.row:
+		e.colComm.SwapRows(o1, 2*kk, false, all.View(e.store.LocalRow(p), x, 1, w), e.colWidths[a:b])
 	}
 }
 

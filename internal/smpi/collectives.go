@@ -83,42 +83,6 @@ type MaxLoc struct {
 	Loc int
 }
 
-// AllreduceMaxLoc returns the globally largest |Val| with its location,
-// using a butterfly (hypercube) exchange over ⌈log₂ p⌉ rounds with a
-// fold-in/fold-out step for non-power-of-two sizes (Rabenseifner-style,
-// the pattern the paper cites for tournament rounds).
-func (c *Comm) AllreduceMaxLoc(in MaxLoc) MaxLoc {
-	combine := func(a, b MaxLoc) MaxLoc {
-		// Loc < 0 marks "no candidate" (e.g. a rank owning no rows in the
-		// searched range) and never wins.
-		if a.Loc < 0 {
-			return b
-		}
-		if b.Loc < 0 {
-			return a
-		}
-		if abs(b.Val) > abs(a.Val) || (abs(b.Val) == abs(a.Val) && b.Loc < a.Loc) {
-			return b
-		}
-		return a
-	}
-	// Two plain 8-byte slices per message: pooling them cost a 24-byte
-	// slice header per Put, three times what it saved.
-	enc := func(m MaxLoc) Msg {
-		return Msg{F: []float64{m.Val}, I: []int{m.Loc}, N: 2}
-	}
-	dec := func(msg Msg) MaxLoc {
-		out := MaxLoc{Loc: msg.I[0]}
-		if msg.F != nil {
-			out.Val = msg.F[0]
-		}
-		return out
-	}
-	return dec(c.Butterfly(enc(in), func(mine, theirs Msg) Msg {
-		return enc(combine(dec(mine), dec(theirs)))
-	}))
-}
-
 // Butterfly runs a hypercube all-exchange: every rank ends with
 // combine(..) folded over all ranks' inputs. combine must be associative
 // and commutative. Non-power-of-two sizes fold the tail ranks into the

@@ -63,8 +63,6 @@ package smpi
 
 import (
 	"errors"
-	"fmt"
-	"runtime/debug"
 	"sync"
 )
 
@@ -288,11 +286,7 @@ func (s *eventScheduler) rankMain(rank int, fn RankFunc) {
 	func() {
 		defer func() {
 			if rec := recover(); rec != nil {
-				if e, ok := rec.(error); ok && errors.Is(e, ErrAborted) {
-					err = ErrAborted
-				} else {
-					err = fmt.Errorf("smpi: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
-				}
+				err = panicError(rank, rec)
 			}
 		}()
 		err = fn(WorldComm(s.w, rank))

@@ -220,11 +220,7 @@ func runGoroutines(w *World, fn RankFunc) []error {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
-					if err, ok := rec.(error); ok && errors.Is(err, ErrAborted) {
-						errs[rank] = ErrAborted
-					} else {
-						errs[rank] = fmt.Errorf("smpi: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
-					}
+					errs[rank] = panicError(rank, rec)
 					w.Abort()
 					return
 				}
@@ -237,6 +233,19 @@ func runGoroutines(w *World, fn RankFunc) []error {
 	}
 	wg.Wait()
 	return errs
+}
+
+// panicError converts a rank's recovered panic into its run error: ErrAborted
+// stays itself, any other error stays reachable through errors.Is.
+func panicError(rank int, rec any) error {
+	err, ok := rec.(error)
+	if !ok {
+		return fmt.Errorf("smpi: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
+	}
+	if errors.Is(err, ErrAborted) {
+		return ErrAborted
+	}
+	return fmt.Errorf("smpi: rank %d panicked: %w\n%s", rank, err, debug.Stack())
 }
 
 // firstRunError picks the run's error: the first non-ErrAborted rank error

@@ -2,8 +2,12 @@ package smpi
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // FuzzMailboxMatching checks mailbox matching against a sequential model
@@ -84,6 +88,84 @@ func FuzzMailboxMatching(f *testing.F) {
 				if len(mb.pend) != 0 {
 					t.Errorf("%s: rank %d mailbox still holds %d messages", name, r, len(mb.pend))
 				}
+			}
+		}
+	})
+}
+
+// FuzzSwapRows checks SwapRows against the message-by-message ping-pong it
+// books (refSwapRows). data[0] picks the network — bits 0–1: flat,
+// hier-contended or dragonfly-contended, each with a straggler and a
+// degraded inter-node link —, bit 2 makes the follower reach the exchange
+// first, bit 3 has a third rank raise both partners' clocks with traffic of
+// its own first, and bit 4 picks which partner leads; every later byte is one
+// part of 1–16 elements. The partners, ranks 0 and 4, sit on different nodes.
+// Under every executor the retained events and the report must be the
+// reference's bit for bit, and both rows must come out exactly swapped.
+func FuzzSwapRows(f *testing.F) {
+	presets := []string{"flat", "hier-contended", "dragonfly-contended"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		data = data[:min(len(data), 33)]
+		ctl := data[0]
+		parts := make([]int, len(data)-1)
+		total := 0
+		for i, b := range data[1:] {
+			parts[i] = 1 + int(b%16)
+			total += parts[i]
+		}
+		const p, pad = 5, 3
+		lead := 0
+		if ctl&16 != 0 {
+			lead = 4
+		}
+		tp := faultedTopology(t, presets[int(ctl&3)%3], p)
+		exchange := func(x exchanges, cfg Config) outcome {
+			w := NewWorld(p, true)
+			cfg.World, cfg.Topology, cfg.Timeout = w, tp, testTimeout
+			_, err := Exec(context.Background(), cfg, func(c *Comm) error {
+				me := c.Rank()
+				c.SetPhase(fmt.Sprintf("rank%d", me))
+				if ctl&8 != 0 {
+					switch me {
+					case 2:
+						c.Send(0, 7, Msg{N: 64})
+						c.Send(4, 7, Msg{N: 32})
+					case 0, 4:
+						c.Recv(2, 7)
+					}
+				}
+				if me != 0 && me != 4 {
+					return nil
+				}
+				peer := 4 - me
+				if early := (me == lead) != (ctl&4 != 0); early {
+					c.Send(peer, 8, Msg{N: 1})
+				} else {
+					c.Recv(peer, 8)
+				}
+				row := mat.New(1, pad+total)
+				for j := range row.Cols {
+					row.Set(0, j, float64(100*me+j))
+				}
+				x.swap(c, peer, 1, me == lead, row.View(0, pad, 1, total), parts)
+				return checkSwapped(row, me, peer, total)
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", x.variant, abortConfigName(cfg), err)
+			}
+			return outcome{events: w.Trace.Events(), report: w.Trace.Report()}
+		}
+		want := exchange(reference, Config{})
+		for _, cfg := range abortConfigs() {
+			got := exchange(booked, cfg)
+			if !reflect.DeepEqual(got.events, want.events) {
+				t.Fatalf("%s: events differ from the reference:\n%v\n%v", abortConfigName(cfg), got.events, want.events)
+			}
+			if err := reportsEqual(want.report, got.report); err != nil {
+				t.Fatalf("%s: %v", abortConfigName(cfg), err)
 			}
 		}
 	})

@@ -13,15 +13,18 @@
 // are identical by construction, which is what lets the harness replay the
 // paper-scale runs (N = 16,384, P = 1,024) cheaply.
 //
-// One transport operation is normally one metered message. The exception is
-// the batch (SendBatch/RecvBatches), the runtime's only scatter/gather-shaped
-// primitive: many messages between one pair of ranks moved as one mailbox
-// entry and one wire buffer, but still booked on the timeline one by one —
-// legal only in phases excluded from timing, where that is exact. Ownership
-// of a batch: the wire buffer is a pool lease the runtime holds from
+// One transport operation is normally one metered message. The batch
+// (SendBatch/RecvBatches), the runtime's only scatter/gather-shaped
+// primitive, moves many messages between one pair of ranks as one mailbox
+// entry and one wire buffer, but still books them on the timeline one by
+// one — legal only in phases excluded from timing, where that is exact.
+// Ownership of a batch: the wire buffer is a pool lease the runtime holds from
 // SendBatch until RecvBatches (or the abort sweep) recycles it, seen by the
 // caller only inside the pack/unpack callbacks; the part list stays the
-// sender's, read-only for everyone once sent.
+// sender's, read-only for everyone once sent. The booked exchange (SwapRows,
+// AllreduceMaxLoc; rendezvous.go) moves a whole ping-pong or butterfly as one
+// hand-off per participant: one rank books every message, each rank's records
+// in that rank's own program order, so it is exact in timed phases too.
 package smpi
 
 import (
@@ -44,6 +47,7 @@ type World struct {
 	Trace   *trace.Timeline
 
 	boxes   []*mailbox
+	slots   []slot // per world rank: rendezvous deposits (rendezvous.go)
 	aborted atomic.Bool
 
 	// sched is non-nil when the world runs under the discrete-event
@@ -99,6 +103,7 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox(i)
 	}
+	w.slots = make([]slot, p)
 	w.worldMembers = make([]int, p)
 	for i := range w.worldMembers {
 		w.worldMembers[i] = i
