@@ -15,14 +15,15 @@ test:
 	$(GO) test -race -short ./...
 
 # The `purego` build tag drops the AVX2+FMA assembly micro-kernel, so the
-# portable one computes every full 8×4 tile of the blocked GEMM/TRSM/LU paths
-# on the amd64 CI host too (the default build reaches it only on edge tiles)
-# — ROADMAP 4f. The tag is test-only: no shipped binary is built with it.
-# The golden-digest test rides along: the one digest that depends on the
-# micro-kernel's rounding (COnfLUX at v = 16) must skip on the portable
-# kernel, and every other recorded shape must still match bit for bit.
+# portable one computes every 6×8 tile of the blocked GEMM/TRSM/LU paths on
+# the amd64 CI host too, full and ragged alike. The tag is test-only: no
+# shipped binary is built with it. internal/trisolve rides along because its
+# tile updates run on the streamed GEMM loop those packages share. So does
+# the golden-digest test: the one digest that depends on the micro-kernel's
+# rounding (COnfLUX at v = 16) must skip on the portable kernel, and every
+# other recorded shape must still match bit for bit.
 test-purego:
-	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux
+	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux ./internal/trisolve
 	$(GO) test -tags purego -run 'TestConformanceGoldenDigests' .
 
 # Ten seconds of coverage-guided fuzzing of the layout/collect round trip
@@ -33,10 +34,15 @@ test-purego:
 # 2–5 rank world, under each executor, against a sequential per-stream model.
 # The third holds the booked row swap to the per-part ping-pong it replaces:
 # part list × arrival order × topology preset, events and report bit for bit.
+# The fourth drives GemmRows across the streamed and packed paths and every
+# blocking edge: one call equals the same call one row at a time bit for bit
+# (a ragged tile writes back like a full one), and both stay within the
+# documented bound of GemmRef.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
 	$(GO) test -run '^$$' -fuzz FuzzSwapRows -fuzztime 10s ./internal/smpi
+	$(GO) test -run '^$$' -fuzz FuzzGemmRows -fuzztime 10s ./internal/blas
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:

@@ -344,26 +344,26 @@ func BenchmarkReplayLibSciFaulted(b *testing.B) {
 // TestReplayAllocBudget holds the engines' control flow to a heap-object
 // budget per simulated message, so a per-step loop over the whole grid — each
 // one costs a few objects per rank-step — shows up in `go test`, not in a
-// profile. Measured at CommVolume(512), P=64, bare and under -race alike now
-// that the transport allocates nothing per message: COnfLUX (5×6×2, v=4) 0.60
-// objects per message, CANDMC (4×4×4, v=8) 1.69, LibSci (8×8, nb=32) 0.25.
-// COnfLUX and CANDMC were 3.85 and 7.68 when every rank rebuilt every grid
-// row's broadcast group each step (7.6 for COnfLUX at P=256, where there are
-// more grid rows); LibSci was 1.70 when every rank-step rebuilt its tile
-// lists, panel maps and phase labels and the pivot search "pooled" its
-// one-element slices, and 1.25 while every pivot-search message still
-// carried two 8-byte slices: a booked AllreduceMaxLoc carries no payload.
-// (The row swap's follower no longer receives into a buffer either, but in
-// volume mode that one never left the stack.) The ceilings are those
-// figures + 25%; what is left is the tournament's candidate sets, CANDMC's
-// row exchanges, LibSci's receive buffer per broadcast tile, pivot-list
-// copies and booker's value list per pivot search, and the one-time
-// communicator set-up.
+// profile. Measured at CommVolume(512), P=64 (bare; -race within 0.01): COnfLUX
+// (5×6×2, v=4) 0.37 objects per message, CANDMC (4×4×4, v=8) 1.50, LibSci
+// (8×8, nb=32) 0.22. The ceilings are those figures + 25%.
+//
+// The transport allocates nothing per message, and neither do the binomial
+// collectives: BcastInts copies its list once at the root and every hop
+// forwards that copy, and ReduceMatSum adds each child's wire buffer into the
+// caller's matrix instead of a clone through a receive buffer (COnfLUX 0.60,
+// CANDMC 1.69, LibSci 0.25 before). Earlier cuts: COnfLUX and CANDMC were 3.85
+// and 7.68 when every rank rebuilt every grid row's broadcast group each step;
+// LibSci was 1.70 when every rank-step rebuilt its tile lists, panel maps and
+// phase labels, and 1.25 while every pivot-search message carried two 8-byte
+// slices. What is left is the tournament's candidate sets, CANDMC's row
+// exchanges, LibSci's receive buffer per broadcast tile, the booker's value
+// list per pivot search, and the one-time communicator set-up.
 func TestReplayAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		algo    conflux.Algorithm
 		ceiling float64
-	}{{conflux.COnfLUX, 0.75}, {conflux.CANDMC, 2.1}, {conflux.LibSci, 0.31}} {
+	}{{conflux.COnfLUX, 0.47}, {conflux.CANDMC, 1.9}, {conflux.LibSci, 0.28}} {
 		s, err := conflux.New(conflux.WithRanks(64), conflux.WithAlgorithm(tc.algo))
 		if err != nil {
 			t.Fatal(err)

@@ -30,8 +30,10 @@ const gemmRowsPackedK = 16
 // accumulates its partial products in the same (pc, p) order — in the same
 // registers — on every call: the evaluation order is a function of the
 // operand shapes alone, never of the row indices, which only say where a
-// finished micro-tile row is added. A C row listed twice takes its two
-// updates one after the other, in list order. Callers parallelise above it:
+// finished micro-tile row is added, and a ragged edge tile adds it exactly as
+// a full one does. A C row listed twice takes its two updates one after the
+// other, in list order, within each depth block (past kc they interleave
+// block by block). Callers parallelise above it:
 // a numeric run has one rank goroutine per simulated processor, each calling
 // the kernels on its own tiles.
 func gemmBlocked(alpha float64, a, b, c *mat.Matrix, rows []int) {

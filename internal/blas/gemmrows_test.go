@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,6 +19,57 @@ func strided(r, c int, seed uint64) *mat.Matrix {
 func gemmRowsRef(alpha float64, a, b, c *mat.Matrix, rows []int) {
 	for i, r := range rows {
 		GemmRef(alpha, a.View(i, 0, 1, a.Cols), b, 1, c.View(r, 0, 1, c.Cols))
+	}
+}
+
+// gemmRowsOneByOne makes the same GemmRows call one listed row at a time, in
+// list order: every micro-tile it runs is then a one-row ragged tile.
+func gemmRowsOneByOne(alpha float64, a, b, c *mat.Matrix, rows []int) {
+	for i, r := range rows {
+		GemmRows(alpha, a.View(i, 0, 1, a.Cols), b, c, []int{r})
+	}
+}
+
+// absMat returns |x| elementwise, for the error bounds.
+func absMat(x *mat.Matrix) *mat.Matrix {
+	out := x.Clone()
+	for i := range out.Data {
+		out.Data[i] = math.Abs(out.Data[i])
+	}
+	return out
+}
+
+// packedTol is GemmRows' documented relative bound against the reference at
+// depth k: each side lies within (k+2)·ε of the exact value, in units of
+// |c| + |alpha|·Σ|a||b|.
+func packedTol(k int) float64 { return 2 * float64(k+2) * 0x1p-52 }
+
+// distinct reports whether no row is listed twice.
+func distinct(rows []int) bool {
+	seen := map[int]bool{}
+	for _, r := range rows {
+		if seen[r] {
+			return false
+		}
+		seen[r] = true
+	}
+	return true
+}
+
+// seedSignedZeros overwrites every third element of x with +0 and the next
+// one with −0: the values where a tile's write-back rounding shows even at
+// alpha = ±1 (−0 + (+0) is +0, −0 + (−0) is −0).
+func seedSignedZeros(x *mat.Matrix) {
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		for j := range row {
+			switch (i + j) % 3 {
+			case 0:
+				row[j] = 0
+			case 1:
+				row[j] = math.Copysign(0, -1)
+			}
+		}
 	}
 }
 
@@ -76,7 +128,7 @@ func TestGemmRowsMatchesRefBitwise(t *testing.T) {
 // hence within twice that of each other. What stays exact: a repetition
 // reproduces every bit; rows not listed and the padding around a strided C
 // are never written (they hold NaN throughout). The shapes cross every
-// blocking edge — full and ragged 8×4 micro-tiles, A blocks beyond mc rows,
+// blocking edge — full and ragged mr×nr micro-tiles, A blocks beyond mc rows,
 // depth beyond kc — and the lists leave C rows out, run backwards and name a
 // row twice.
 func TestGemmRowsPackedMatchesRef(t *testing.T) {
@@ -93,13 +145,6 @@ func TestGemmRowsPackedMatchesRef(t *testing.T) {
 		"scattered":  {7, 2, 131, 5, 64, 99, 12, 0, 77, 3, 139},
 		"descending": descending,
 		"repeated":   {3, 3, 1, 9, 8, 7, 6, 5, 3, 130, 1},
-	}
-	abs := func(x *mat.Matrix) *mat.Matrix {
-		out := x.Clone()
-		for i := range out.Data {
-			out.Data[i] = math.Abs(out.Data[i])
-		}
-		return out
 	}
 	seed := uint64(900)
 	for _, k := range []int{16, 17, 32, 64, kc + 3} {
@@ -125,12 +170,12 @@ func TestGemmRowsPackedMatchesRef(t *testing.T) {
 					}
 					start := backing.Clone()
 
-					want, bound := c.Clone(), abs(c)
+					want, bound := c.Clone(), absMat(c)
 					gemmRowsRef(-1.25, a, b, want, rows)
-					gemmRowsRef(1.25, abs(a), abs(b), bound, rows)
+					gemmRowsRef(1.25, absMat(a), absMat(b), bound, rows)
 					GemmRows(-1.25, a, b, c, rows)
 
-					tol := 2 * float64(k+2) * 0x1p-52
+					tol := packedTol(k)
 					for i := 0; i < backing.Rows; i++ {
 						for j := 0; j < backing.Cols; j++ {
 							ci, cj := i-pad, j-pad
@@ -157,6 +202,94 @@ func TestGemmRowsPackedMatchesRef(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Which micro-tile an element falls in never changes its bits: a packed
+// GemmRows call over a row list equals, bit for bit, the same call made one
+// row at a time, where every tile is ragged — one row, and short in its last
+// column strip unless n is a multiple of nr. C holds ±0 and one row of A is
+// zero, so a tile row's products can all be ±0 and the sign of C's zero
+// decides the result; alpha = 0.37 makes alpha·acc inexact. Both only agree
+// if an edge tile folds alpha·acc into C in the same single step as a full
+// one. The list spans full and ragged row strips, runs backwards and names a
+// row twice.
+func TestGemmRowsTileInvariant(t *testing.T) {
+	const m = 3*mr + 2 // rows of C
+	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 19, 18, 17, 16, 15, 14, 13, 3}
+	seed := uint64(3000)
+	for _, alpha := range []float64{-1, 1, 0.37} {
+		for _, n := range []int{1, 7, 8, 9, 517} {
+			for _, k := range []int{16, 17, 33} {
+				seed++
+				a, b, c := mat.Random(len(rows), k, seed), mat.Random(k, n, seed+1), mat.Random(m, n, seed+2)
+				for p := range a.Row(4) {
+					a.Set(4, p, 0)
+				}
+				seedSignedZeros(c)
+				want := c.Clone()
+				gemmRowsOneByOne(alpha, a, b, want, rows)
+				GemmRows(alpha, a, b, c, rows)
+				bitEqual(t, c, want, fmt.Sprintf("alpha=%v n=%d k=%d", alpha, n, k))
+			}
+		}
+	}
+}
+
+// FuzzGemmRows drives GemmRows across both of its paths and every blocking
+// edge: data[0] sizes C (1–20 rows), data[1] sets n (1–24, across nr and
+// 2·nr), data[2:4] set k (1…kc+24, across gemmRowsPackedK and kc), data[4]
+// alpha (a multiple of 1/16 in [−8, 8)), data[5] the operand seed, and the
+// rest is the row list — up to mc+mr+2 entries, each naming C row b mod m,
+// so lists repeat rows, run backwards and outgrow one mc block. It asserts
+// the tile invariance of TestGemmRowsTileInvariant bit for bit wherever it is
+// defined, and agreement with the row-by-row GemmRef: bit for bit on the
+// streamed path, within the documented bound on the packed one.
+func FuzzGemmRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		m := 1 + int(data[0])%20
+		n := 1 + int(data[1])%24
+		k := 1 + (int(data[2])|int(data[3])<<8)%(kc+24)
+		alpha := float64(int8(data[4])) / 16
+		seed := uint64(data[5]) + 1
+		list := data[6:min(len(data), 6+mc+mr+2)]
+		rows := make([]int, len(list))
+		for i, b := range list {
+			rows[i] = int(b) % m
+		}
+		a, b, c := mat.Random(len(rows), k, seed), mat.Random(k, n, seed+1), mat.Random(m, n, seed+2)
+		seedSignedZeros(c)
+		what := fmt.Sprintf("m=%d n=%d k=%d alpha=%v rows=%v", m, n, k, alpha, rows)
+
+		got, one := c.Clone(), c.Clone()
+		GemmRows(alpha, a, b, got, rows)
+		gemmRowsOneByOne(alpha, a, b, one, rows)
+		// Past kc a repeated row takes its updates depth block by depth
+		// block, interleaved, where one-at-a-time calls take them whole: the
+		// order differs by design, not by tile.
+		if k <= kc || distinct(rows) {
+			bitEqual(t, got, one, what+": one row at a time")
+		}
+
+		want, bound := c.Clone(), absMat(c)
+		gemmRowsRef(alpha, a, b, want, rows)
+		if k < gemmRowsPackedK {
+			bitEqual(t, got, want, what+": streamed vs reference")
+			return
+		}
+		gemmRowsRef(math.Abs(alpha), absMat(a), absMat(b), bound, rows)
+		tol := packedTol(k)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if d := math.Abs(got.At(i, j) - want.At(i, j)); !(d <= tol*bound.At(i, j)) {
+					t.Fatalf("%s: C(%d,%d) = %v, reference %v: off by %g, bound %g",
+						what, i, j, got.At(i, j), want.At(i, j), d, tol*bound.At(i, j))
+				}
+			}
+		}
+	})
 }
 
 // Rows not in the list are not read-modified-written at all: NaN poison in

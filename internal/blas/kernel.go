@@ -13,13 +13,11 @@ func microGeneric(kb int, alpha float64, ap, bp []float64, c []float64, offs []i
 	for p := 0; p < kb; p++ {
 		bs := bp[p*nr : p*nr+nr]
 		as := ap[p*mr : p*mr+mr]
-		for r := 0; r < mr; r++ {
-			ar := as[r]
+		for r, ar := range as {
 			t := acc[r*nr : r*nr+nr]
-			t[0] += ar * bs[0]
-			t[1] += ar * bs[1]
-			t[2] += ar * bs[2]
-			t[3] += ar * bs[3]
+			for j, b := range bs {
+				t[j] += ar * b
+			}
 		}
 	}
 	for r, off := range offs {

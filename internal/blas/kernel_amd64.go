@@ -6,7 +6,7 @@ package blas
 // is what lets macroBlock's row-offset table live on the stack.
 //
 //go:noescape
-func micro8x4ASM(kb int, alpha float64, ap, bp, c *float64, offs *int)
+func micro6x8ASM(kb int, alpha float64, ap, bp, c *float64, offs *int)
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
@@ -40,35 +40,49 @@ func detectAVX2FMA() bool {
 func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, offs []int) {
 	if hasAVX2FMA && kb > 0 {
 		_ = offs[mr-1]
-		micro8x4ASM(kb, alpha, &ap[0], &bp[0], &c[0], &offs[0])
+		micro6x8ASM(kb, alpha, &ap[0], &bp[0], &c[0], &offs[0])
 		return
 	}
 	microGeneric(kb, alpha, ap, bp, c, offs, nr)
 }
 
 // microEdge computes a ragged tile — the first nrb columns of len(offs) ≤ mr
-// rows. With the vector kernel it multiplies the full (zero-padded) strips
-// into a local tile and adds the valid cells to C, so a row count that is
-// not a multiple of mr — the rule for GemmRows' active-row lists — does not
-// cost a scalar pass over the whole last strip. Which tiles are ragged is a
-// function of the shapes, so the evaluation order stays one.
+// rows. With the vector kernel it copies the valid C cells into a local
+// dense tile, runs the full kernel on it and copies them back, so a ragged
+// element gets exactly a full tile's fused C + alpha·acc: which tile an
+// element falls in never changes its bits, for any alpha. A C row listed
+// twice in the tile maps to one local row, so its two updates compose as
+// they do in place. Padding rows keep rows of their own (their zero products
+// must not touch a valid row: 0·Inf is NaN, and −0 + 0 is +0).
 func microEdge(kb int, alpha float64, ap, bp []float64, c []float64, offs []int, nrb int) {
 	if !hasAVX2FMA || kb == 0 {
 		microGeneric(kb, alpha, ap, bp, c, offs, nrb)
 		return
 	}
 	var tile [mr * nr]float64
-	micro8x4ASM(kb, alpha, &ap[0], &bp[0], &tile[0], &tileOffs[0])
+	to := tileOffs
 	for r, off := range offs {
-		row, t := c[off:off+nrb], tile[r*nr:]
-		for j := range row {
-			row[j] += t[j]
+		for q := range r {
+			if offs[q] == off {
+				to[r] = to[q]
+				break
+			}
 		}
+		copy(tile[to[r]:to[r]+nrb], c[off:off+nrb])
+	}
+	micro6x8ASM(kb, alpha, &ap[0], &bp[0], &tile[0], &to[0])
+	for r, off := range offs {
+		copy(c[off:off+nrb], tile[to[r]:to[r]+nrb])
 	}
 }
 
 // tileOffs are the row offsets of a dense mr×nr tile.
-var tileOffs = [mr]int{0, nr, 2 * nr, 3 * nr, 4 * nr, 5 * nr, 6 * nr, 7 * nr}
+var tileOffs = func() (o [mr]int) {
+	for r := range o {
+		o[r] = r * nr
+	}
+	return o
+}()
 
 // KernelISA names the micro-kernel implementation in use, for benchmark
 // reports.

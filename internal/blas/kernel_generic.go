@@ -4,8 +4,9 @@ package blas
 
 // hasAVX2FMA reports whether the vectorized micro-kernel is available.
 // Only the amd64 build carries one, and the `purego` build tag leaves it out
-// there too: `make test-purego` runs the portable kernel on full tiles on
-// the CI host, where the default build reaches it only on edge tiles.
+// there too: `make test-purego` runs the portable kernel on the CI host,
+// where the default build runs the assembly on every tile, ragged ones
+// included.
 const hasAVX2FMA = false
 
 // microKernel computes one full mr×nr tile: C += alpha·Ap·Bp, tile row r

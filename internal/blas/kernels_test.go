@@ -216,17 +216,21 @@ func TestGemmBlockedRepeatable(t *testing.T) {
 	}
 }
 
+// A ragged strip is zero-padded to the full tile: one row short of an
+// mr-strip, and a second B strip one column past a full nr-strip.
 func TestPackEdgesZeroPadded(t *testing.T) {
-	a := mat.Random(5, 3, 9) // 5 rows -> one mr-strip with 3 padded lanes
-	dst := make([]float64, mr*3)
+	const kb = 3
+	ma := mr - 1
+	a := mat.Random(ma, kb, 9)
+	dst := make([]float64, mr*kb)
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
-	packA(a.Data, a.Stride, 0, 0, 5, 3, dst)
-	for p := 0; p < 3; p++ {
+	packA(a.Data, a.Stride, 0, 0, ma, kb, dst)
+	for p := 0; p < kb; p++ {
 		for r := 0; r < mr; r++ {
 			got := dst[p*mr+r]
-			if r < 5 {
+			if r < ma {
 				if got != a.At(r, p) {
 					t.Fatalf("packA[%d,%d] = %v", p, r, got)
 				}
@@ -235,18 +239,19 @@ func TestPackEdgesZeroPadded(t *testing.T) {
 			}
 		}
 	}
-	b := mat.Random(3, 6, 10) // 6 cols -> strip 1 has 2 padded lanes
-	dstB := make([]float64, 2*nr*3)
+	nb := nr + 1
+	b := mat.Random(kb, nb, 10)
+	dstB := make([]float64, 2*nr*kb)
 	for i := range dstB {
 		dstB[i] = math.NaN()
 	}
-	packB(b.Data, b.Stride, 0, 0, 3, 6, dstB)
+	packB(b.Data, b.Stride, 0, 0, kb, nb, dstB)
 	for sj := 0; sj < 2; sj++ {
-		for p := 0; p < 3; p++ {
+		for p := 0; p < kb; p++ {
 			for cidx := 0; cidx < nr; cidx++ {
-				got := dstB[sj*nr*3+p*nr+cidx]
+				got := dstB[sj*nr*kb+p*nr+cidx]
 				col := sj*nr + cidx
-				if col < 6 {
+				if col < nb {
 					if got != b.At(p, col) {
 						t.Fatalf("packB strip %d (%d,%d) = %v", sj, p, cidx, got)
 					}

@@ -37,10 +37,10 @@ func Gemm(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 }
 
 // GemmRef is the straight-loop reference implementation of Gemm (the seed
-// i-k-j kernel, with the beta/alpha conventions above). It is the oracle
-// for the blocked-kernel property suite and the baseline the kernels
-// benchmark measures speedup against; it never dispatches to the blocked
-// path.
+// i-k-j kernel's arithmetic, streamed by gemmAccum, with the beta/alpha
+// conventions above). It is the oracle for the blocked-kernel property suite
+// and the baseline the kernels benchmark measures speedup against; it never
+// dispatches to the blocked path.
 func GemmRef(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic(fmt.Sprintf("blas: GemmRef shapes %dx%d * %dx%d -> %dx%d",
@@ -78,17 +78,33 @@ func scaleRows(c *mat.Matrix, beta float64) {
 	}
 }
 
-// gemmAccum adds alpha*A*B into C with the i-k-j loop: unit-stride access
-// on B and C rows. No zero-skip on A entries — 0·NaN must stay NaN.
+// gemmAccum adds alpha*A*B into C, one streamRow pass per row of A: unit
+// stride on B and C rows, each C element's products summed in increasing-k
+// order. No zero-skip on A entries — 0·NaN must stay NaN.
 func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 	for i := 0; i < a.Rows; i++ {
-		arow, crow := a.Row(i), c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := alpha * arow[k]
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += aik * brow[j]
-			}
+		streamRow(alpha, a.Row(i), b, c.Row(i))
+	}
+}
+
+// streamRow computes crow += alpha·arow·B. Each element accumulates its
+// partial products in increasing-k order, one rounding per product and per
+// sum — the i-k-j loop's order — while k is consumed four at a time, so the
+// C row is passed over once per four rank-1 terms instead of once per term.
+func streamRow(alpha float64, arow []float64, b *mat.Matrix, crow []float64) {
+	n, k := len(crow), len(arow) // [:n] everywhere: one length for the compiler to prove
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		a0, a1, a2, a3 := alpha*arow[p], alpha*arow[p+1], alpha*arow[p+2], alpha*arow[p+3]
+		b0, b1, b2, b3 := b.Row(p)[:n], b.Row(p + 1)[:n], b.Row(p + 2)[:n], b.Row(p + 3)[:n]
+		for j := range crow {
+			crow[j] = crow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; p < k; p++ {
+		ap, bp := alpha*arow[p], b.Row(p)[:n]
+		for j := range crow {
+			crow[j] += ap * bp[j]
 		}
 	}
 }
@@ -102,18 +118,16 @@ func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 // per elimination step. rows need not be sorted or distinct.
 //
 // Like Gemm it dispatches on shape alone, at gemmRowsPackedK: a shallower
-// update streams — each C element accumulates its partial products in
-// increasing-k order, one rounding per product and per sum, exactly
-// gemmAccum's order, so the result is bit-identical to Gemm/GemmRef applied
-// row by row (DESIGN.md §1); k is consumed four at a time only to pass over
-// the C row once per four rank-1 terms instead of once per term. A deeper one
+// update streams (streamRow, gemmAccum's loop), so the result is bit-identical
+// to Gemm/GemmRef applied row by row (DESIGN.md §1). A deeper one
 // runs on the packed micro-kernel (gemmBlocked, the listed C rows updated in
 // place): each element's sum over k is formed in registers — fused on the
 // AVX2+FMA kernel — and added to C once, which agrees with the reference
 // within 2(k+2)·ε·(|c| + |alpha|·Σ|a||b|) and is itself bit-reproducible, its
 // order being fixed by the shapes (DESIGN.md §15). On both paths: no zero-skip (0·NaN stays NaN),
 // unlisted rows neither read nor written, and a row listed twice takes both
-// updates. Phantom operands make the call a no-op (shape checks still apply).
+// updates. As in Gemm, alpha == 0 leaves C as it is without referencing A or
+// B, and phantom operands make the call a no-op (shape checks still apply).
 func GemmRows(alpha float64, a, b, c *mat.Matrix, rows []int) {
 	if a.Cols != b.Rows || b.Cols != c.Cols || a.Rows != len(rows) {
 		panic(fmt.Sprintf("blas: GemmRows shapes %dx%d * %dx%d -> %d rows of %dx%d",
@@ -127,27 +141,15 @@ func GemmRows(alpha float64, a, b, c *mat.Matrix, rows []int) {
 			panic("blas: GemmRows row index out of range")
 		}
 	}
-	n, k := b.Cols, a.Cols
-	if k >= gemmRowsPackedK {
+	if alpha == 0 {
+		return
+	}
+	if a.Cols >= gemmRowsPackedK {
 		gemmBlocked(alpha, a, b, c, rows)
 		return
 	}
 	for i, r := range rows {
-		arow, crow := a.Row(i), c.Row(r)[:n] // [:n] everywhere: one length for the compiler to prove
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := alpha*arow[p], alpha*arow[p+1], alpha*arow[p+2], alpha*arow[p+3]
-			b0, b1, b2, b3 := b.Row(p)[:n], b.Row(p + 1)[:n], b.Row(p + 2)[:n], b.Row(p + 3)[:n]
-			for j := range crow {
-				crow[j] = crow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; p < k; p++ {
-			ap, bp := alpha*arow[p], b.Row(p)[:n]
-			for j := range crow {
-				crow[j] += ap * bp[j]
-			}
-		}
+		streamRow(alpha, a.Row(i), b, c.Row(r))
 	}
 }
 
@@ -247,14 +249,30 @@ func TrsmUpperRight(u *mat.Matrix, b *mat.Matrix) {
 
 func trsmUpperRightUnb(u *mat.Matrix, b *mat.Matrix) {
 	n := u.Cols
+	// U's upper triangle, column-contiguous: column j (rows 0..j) is
+	// ut[j(j+1)/2 :][:j+1], so the k-loop below walks memory in order instead
+	// of striding down U. Diagonal blocks fit the stack buffer; only a direct
+	// call on a wider U takes the heap.
+	var buf [trsmBlock * (trsmBlock + 1) / 2]float64
+	ut := buf[:]
+	if tri := n * (n + 1) / 2; tri > len(buf) {
+		ut = make([]float64, tri)
+	}
+	for j := 0; j < n; j++ {
+		col := ut[j*(j+1)/2:][:j+1]
+		for k := range col {
+			col[k] = u.Data[k*u.Stride+j]
+		}
+	}
 	for i := 0; i < b.Rows; i++ {
-		bi := b.Row(i)
-		for j := 0; j < n; j++ {
+		bi := b.Row(i)[:n]
+		for j := range bi {
+			uj := ut[j*(j+1)/2:][:j+1]
 			s := bi[j]
-			for k := 0; k < j; k++ {
-				s -= bi[k] * u.At(k, j)
+			for k, ukj := range uj[:j] {
+				s -= bi[k] * ukj
 			}
-			bi[j] = s / u.At(j, j)
+			bi[j] = s / uj[j]
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // evaluation order of every output element — depends only on the operand
 // shapes, never on the host, the rep, or the kernel worker count.
 const (
-	mr = 8    // micro-tile rows
-	nr = 4    // micro-tile cols (one 4-wide vector on amd64)
-	mc = 128  // rows of A packed per L2 block (multiple of mr)
+	mr = 6    // micro-tile rows
+	nr = 8    // micro-tile cols (two 4-wide vectors on amd64)
+	mc = 120  // rows of A packed per L2 block (multiple of mr)
 	kc = 256  // depth of one packed block
 	nc = 2048 // cols of B packed per outer block (multiple of nr)
 )

@@ -34,11 +34,14 @@ func Getrf2(a *mat.Matrix, ipiv []int) error {
 		}
 		return nil
 	}
+	// Row i is d[i*s : i*s+n]; hoisting the slices out of the element loops
+	// drops At/Set's per-element checks, not a single operation or its order.
+	d, s := a.Data, a.Stride
 	for k := 0; k < n; k++ {
 		// Pivot search in column k, rows k..m-1.
-		p, best := k, math.Abs(a.At(k, k))
+		p, best := k, math.Abs(d[k*s+k])
 		for i := k + 1; i < m; i++ {
-			if v := math.Abs(a.At(i, k)); v > best {
+			if v := math.Abs(d[i*s+k]); v > best {
 				p, best = i, v
 			}
 		}
@@ -46,18 +49,21 @@ func Getrf2(a *mat.Matrix, ipiv []int) error {
 		if best == 0 {
 			return ErrSingular
 		}
+		ak := d[k*s : k*s+n]
 		if p != k {
-			blas.Swap(a.Row(p), a.Row(k))
+			blas.Swap(d[p*s:p*s+n], ak)
 		}
-		inv := 1 / a.At(k, k)
+		inv := 1 / ak[k]
+		ak = ak[k+1:]
 		for i := k + 1; i < m; i++ {
 			// No zero-multiplier skip: a NaN/Inf in the pivot row must
 			// propagate even when lik == 0 (same convention as blas.Gemm).
-			lik := a.At(i, k) * inv
-			a.Set(i, k, lik)
-			ai, ak := a.Row(i), a.Row(k)
-			for j := k + 1; j < n; j++ {
-				ai[j] -= lik * ak[j]
+			row := d[i*s+k : i*s+n]
+			lik := row[0] * inv
+			row[0] = lik
+			ai := row[1:][:len(ak)]
+			for j, u := range ak {
+				ai[j] -= lik * u
 			}
 		}
 	}

@@ -1,6 +1,11 @@
 package smpi
 
-import "repro/internal/mat"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/mat"
+)
 
 // BcastMat broadcasts root's matrix to every rank (binomial tree, log₂(p)
 // rounds; total volume (p-1)·len, matching an MPI tree broadcast).
@@ -22,8 +27,13 @@ func (c *Comm) BcastMat(root int, m *mat.Matrix) {
 	}
 }
 
-// BcastInts broadcasts root's int slice (binomial tree). Returns the slice
-// (receivers get the broadcast copy; root gets its own argument).
+// BcastInts broadcasts root's int slice (binomial tree). Root gets its own
+// argument back; every receiver gets the one copy the root made, forwarded
+// hop to hop and shared by all of them. So the result is read-only at the
+// receivers: index it, range over it, copy it, but never write, sort or
+// append to it in place (its capacity is clipped, so an append reallocates).
+// The callers — the 2.5D engines' pivot IDs and lu2d's panel pivots — only
+// read it.
 func (c *Comm) BcastInts(root int, ids []int) []int {
 	tag := c.nextCollTag()
 	p := c.Size()
@@ -31,20 +41,28 @@ func (c *Comm) BcastInts(root int, ids []int) []int {
 		return ids
 	}
 	r := (c.me - root + p) % p
+	shared := ids
+	if r == 0 {
+		shared = slices.Clip(append([]int(nil), ids...))
+	}
 	for mask := 1; mask < p; mask <<= 1 {
 		if r < mask {
 			if peer := r + mask; peer < p {
-				c.SendInts((peer+root)%p, tag, ids)
+				c.Send((peer+root)%p, tag, Msg{I: shared, N: len(shared)})
 			}
 		} else if r < mask<<1 {
-			ids = c.RecvInts((r-mask+root)%p, tag)
+			shared = c.Recv((r-mask+root)%p, tag).I
+			ids = shared
 		}
 	}
 	return ids
 }
 
 // ReduceMatSum element-wise sums every rank's matrix into root's matrix
-// (binomial tree; total volume (p-1)·len). Non-root contents are consumed.
+// (binomial tree; total volume (p-1)·len). Each rank accumulates its
+// children's partial sums into m itself, in tree order, straight from the
+// wire buffers, so non-root contents are consumed: a non-root m is left
+// holding its subtree's partial sum.
 func (c *Comm) ReduceMatSum(root int, m *mat.Matrix) {
 	tag := c.nextCollTag()
 	p := c.Size()
@@ -52,23 +70,22 @@ func (c *Comm) ReduceMatSum(root int, m *mat.Matrix) {
 		return
 	}
 	r := (c.me - root + p) % p
-	tmp := m.Clone() // working accumulator; keeps caller's aliasing simple
-	recvBuf := mat.NewPhantom(m.Rows, m.Cols)
-	if c.w.Payload {
-		recvBuf = mat.New(m.Rows, m.Cols)
-	}
 	for mask := 1; mask < p; mask <<= 1 {
 		if r&mask != 0 {
-			c.SendMat(((r-mask)+root)%p, tag, tmp)
-			m.CopyFrom(tmp) // leave a defined value behind
+			c.SendMat(((r-mask)+root)%p, tag, m)
 			return
 		}
 		if r+mask < p {
-			c.RecvMat(((r+mask)+root)%p, tag, recvBuf)
-			tmp.AddFrom(recvBuf)
+			msg := c.Recv(((r+mask)+root)%p, tag)
+			if msg.N != m.Len() {
+				panic(fmt.Sprintf("smpi: ReduceMatSum expected %d elements, got %d", m.Len(), msg.N))
+			}
+			if msg.F != nil {
+				m.AddFrom(&mat.Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: msg.F})
+				putFloats(msg.F)
+			}
 		}
 	}
-	m.CopyFrom(tmp)
 }
 
 // AllreduceMatSum combines ReduceMatSum and BcastMat (volume 2(p-1)·len).
