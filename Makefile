@@ -17,8 +17,10 @@ test:
 # The `purego` build tag drops the AVX2+FMA assembly micro-kernel, so the
 # portable one computes every 6×8 tile of the blocked GEMM/TRSM/LU paths on
 # the amd64 CI host too, full and ragged alike. The tag is test-only: no
-# shipped binary is built with it. internal/trisolve rides along because its
-# tile updates run on the streamed GEMM loop those packages share. So does
+# shipped binary is built with it. ./internal/conflux runs the unit tests of
+# both 2.5D engines, COnfLUX and CANDMC, which share its step loop, on the
+# portable kernel. internal/trisolve rides along because its tile updates run
+# on the streamed GEMM loop those packages share. So does
 # the golden-digest test: the one digest that depends on the micro-kernel's
 # rounding (COnfLUX at v = 16) must skip on the portable kernel, and every
 # other recorded shape must still match bit for bit.
@@ -67,8 +69,10 @@ fmt-check:
 # engines plus Cholesky on shared seeds, at non-power-of-two rank counts,
 # feeding the distributed solve — running on the Session surface, so it
 # drives every engine through the internal/engine registry. The coverage
-# profile of that registry is written to conformance_engine.out and
-# uploaded by CI. Also runs inside `make test`; kept addressable so CI
+# profile of that registry and of the 2.5D engine is written to
+# conformance_engine.out and uploaded by CI, so it shows which lines of the
+# shared step loop each row policy (COnfLUX masking, CANDMC swapping)
+# exercises. Also runs inside `make test`; kept addressable so CI
 # gates on it explicitly.
 # -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15) takes
 # ~1½ min under the race detector on a 2-core host at the volume-bounded
@@ -79,7 +83,7 @@ fmt-check:
 # owner).
 conformance:
 	$(GO) test -race -timeout 30m -run 'TestConformance' -v \
-		-coverprofile=conformance_engine.out -coverpkg=repro/internal/engine .
+		-coverprofile=conformance_engine.out -coverpkg=repro/internal/engine,repro/internal/conflux .
 	$(GO) tool cover -func=conformance_engine.out
 
 # Coverage summary: full short-suite profile plus the per-function table

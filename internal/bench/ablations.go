@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"repro/internal/conflux"
-	"repro/internal/costmodel"
 	"repro/internal/grid"
-	"repro/internal/lu25d"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
@@ -45,26 +43,22 @@ func (a AblationResult) TimeRatio() float64 {
 	return a.BTime / a.ATime
 }
 
-// MaskingVsSwapping runs COnfLUX (row masking) and the CANDMC-style engine
-// (physical row swapping) on an IDENTICAL grid and block size, isolating the
-// §7.3 claim that swapping inflates the leading I/O term.
+// MaskingVsSwapping runs the 2.5D engine under both row policies — COnfLUX's
+// masking and CANDMC's physical row swapping — on CANDMC's grid and block
+// size, isolating the §7.3 claim that swapping inflates the leading I/O term.
 func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
-	c := grid.MaxReplication(p, mem, n)
-	for c > 1 && p%c != 0 {
-		c--
-	}
-	layer := grid.Square2D(p / c)
-	g := grid.Grid{Pr: layer.Pr, Pc: layer.Pc, Layers: c, Total: p}
-	v := costmodel.BaselineBlockSize(n, c)
+	swap := conflux.CANDMCOptions(n, p, mem)
+	mask := swap
+	mask.Name, mask.Swap = "COnfLUX", false
 	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
-		_, err := conflux.Run(cm, nil, conflux.Options{N: n, V: v, Grid: g})
+		_, err := conflux.Run(cm, nil, mask)
 		return err
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	repB, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
-		_, err := lu25d.Run(cm, nil, lu25d.Options{N: n, V: v, Grid: g})
+		_, err := conflux.Run(cm, nil, swap)
 		return err
 	})
 	if err != nil {
@@ -80,7 +74,7 @@ func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResu
 		BMsgs:  repB.TotalMsgs(),
 		ATime:  repA.Time.Makespan,
 		BTime:  repB.Time.Makespan,
-		Note:   fmt.Sprintf("same %dx%dx%d grid, v=%d; paper §7.3: swapping adds ~1x leading term", g.Pr, g.Pc, g.Layers, v),
+		Note:   fmt.Sprintf("same %s grid, v=%d; paper §7.3: swapping adds ~1x leading term", describe(swap.Grid), swap.V),
 	}, nil
 }
 

@@ -153,10 +153,18 @@ func TestSummitPrediction(t *testing.T) {
 	}
 }
 
+// TestMaskingVsSwappingAblation pins the §7.3 ablation to the figures it gave
+// when masking and swapping were two engines (COnfLUX and CANDMC on CANDMC's
+// 2×2×2 grid at v = 4): one engine with the row policy flipped must reproduce
+// them to the byte and message.
 func TestMaskingVsSwappingAblation(t *testing.T) {
 	ab, err := MaskingVsSwapping(t.Context(), 192, 8, float64(192*192)/4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ab.ABytes != 938336 || ab.BBytes != 1512800 || ab.AMsgs != 4971 || ab.BMsgs != 5626 {
+		t.Fatalf("masking %d bytes / %d msgs, swapping %d bytes / %d msgs; recorded 938336 / 4971 and 1512800 / 5626",
+			ab.ABytes, ab.AMsgs, ab.BBytes, ab.BMsgs)
 	}
 	if ab.Ratio() <= 1.05 {
 		t.Fatalf("swapping should cost more than masking, ratio %.2f", ab.Ratio())

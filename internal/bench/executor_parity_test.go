@@ -9,7 +9,6 @@ import (
 	"repro/internal/cholesky"
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
-	"repro/internal/lu25d"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
@@ -42,7 +41,7 @@ func runEngineExecutor(t *testing.T, algo costmodel.Algorithm, n, p int, mem flo
 		case costmodel.SLATE:
 			_, err = lu2d.Run(c, nil, lu2d.SLATEOptions(n, p))
 		case costmodel.CANDMC:
-			_, err = lu25d.Run(c, nil, lu25d.CANDMCOptions(n, p, mem))
+			_, err = conflux.Run(c, nil, conflux.CANDMCOptions(n, p, mem))
 		case costmodel.COnfLUX:
 			_, err = conflux.Run(c, nil, conflux.DefaultOptions(n, p, mem))
 		case costmodel.Cholesky:

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
-	"repro/internal/lu25d"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
@@ -25,7 +24,7 @@ func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float6
 		case costmodel.SLATE:
 			_, err = lu2d.Run(c, nil, lu2d.SLATEOptions(n, p))
 		case costmodel.CANDMC:
-			_, err = lu25d.Run(c, nil, lu25d.CANDMCOptions(n, p, mem))
+			_, err = conflux.Run(c, nil, conflux.CANDMCOptions(n, p, mem))
 		case costmodel.COnfLUX:
 			_, err = conflux.Run(c, nil, conflux.DefaultOptions(n, p, mem))
 		}

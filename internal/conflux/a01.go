@@ -16,11 +16,14 @@ func (e *engine) factorizeA01(t int) {
 	w := len(e.pivIDs)
 	// My tile columns > t, concatenated: the panel's (and Trailing's) width.
 	total := e.store.TrailingCols(t + 1)
+	if total == 0 {
+		return
+	}
 
 	// Step 5: fiber reduction of my grid row's pivot segments.
 	myRows := e.pivRows[e.row]
 	var reduced *mat.Matrix
-	if len(myRows) > 0 && total > 0 {
+	if len(myRows) > 0 {
 		stack := e.stackRows(t+1, total, myRows)
 		e.fiber.ReduceMatSum(0, stack)
 		if e.layer == 0 {
@@ -30,14 +33,17 @@ func (e *engine) factorizeA01(t int) {
 			e.store.UnstackTrailingRows(t+1, myRows, stack)
 		}
 	}
-	if total == 0 {
-		return
-	}
 
-	// Assemble the full w-row panel for my grid column at (0, y, 0). The active
-	// communicator lists world ranks 0..Used()-1 in order, so a grid rank is
-	// its own index in it.
-	asmRank := e.g.Rank(0, e.col, 0)
+	// Assemble the full w-row panel for my grid column at (asmRow, y, 0): grid
+	// row 0 under masking; under swapping the owner of tile row t, which
+	// already holds every pivot row, so the gather below sends nothing. The
+	// active communicator lists world ranks 0..Used()-1 in order, so a grid
+	// rank is its own index in it.
+	asmRow := 0
+	if e.opt.Swap {
+		asmRow = e.bc.OwnerRow(t)
+	}
+	asmRank := e.g.Rank(asmRow, e.col, 0)
 	var asm *mat.Matrix
 	const gatherTag, backTag = 101, 102
 	if e.layer == 0 {
@@ -87,7 +93,7 @@ func (e *engine) factorizeA01(t int) {
 
 	// Step 10: broadcast the solved panel to the assigned layer's consumers.
 	lstar := t % e.g.Layers
-	comm := e.a01Comms[lstar]
+	comm := e.a01Comms[asmRow*e.g.Layers+lstar]
 	if comm == nil {
 		return
 	}
@@ -102,7 +108,7 @@ func (e *engine) factorizeA01(t int) {
 }
 
 // update implements step 11 (FactorizeA11): the assigned layer applies the
-// Schur-complement update to its accumulator, masked to active rows — one
+// Schur-complement update to its accumulator, restricted to active rows — one
 // rank-w update of the whole trailing sub-matrix, fed with the compacted A10
 // and A01 panels as they arrived.
 func (e *engine) update(t int) {

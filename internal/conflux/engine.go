@@ -12,23 +12,27 @@ import (
 	"repro/internal/smpi"
 )
 
-// Result carries the factorization output. Perm is the pivot order:
-// Perm[k] is the PHYSICAL row that became the k-th pivot (rows are never
-// moved — COnfLUX masks instead of swapping). In numeric mode world rank 0
-// additionally holds LU, the combined in-place factors in logical (pivot)
-// row order, so A[Perm,:] = L·U.
+// Result carries the factorization output. Perm is the pivot order: Perm[k]
+// is the original row that became the k-th pivot. In numeric mode world rank
+// 0 additionally holds LU, the combined in-place factors in pivot row order,
+// so A[Perm,:] = L·U — under masking rows never move and the gathered factors
+// are permuted into that order; under swapping they are already in it.
 type Result struct {
 	Perm []int
 	LU   *mat.Matrix
 }
 
-// Run executes COnfLUX on an existing world. The input matrix a is consulted
-// at world rank 0 only (nil in volume mode). Ranks outside the optimized
-// grid (opt.Grid.Used() ≤ world size) idle, exactly as the paper's Processor
-// Grid Optimization "possibly disabl[es] a minor fraction of nodes".
+// Run executes the factorization on an existing world. The input matrix a is
+// consulted at world rank 0 only (nil in volume mode). Ranks outside the
+// optimized grid (opt.Grid.Used() ≤ world size) idle, exactly as the paper's
+// Processor Grid Optimization "possibly disabl[es] a minor fraction of
+// nodes".
 func Run(c *smpi.Comm, a *mat.Matrix, opt Options) (*Result, error) {
 	if opt.Name == "" {
 		opt.Name = "COnfLUX"
+		if opt.Swap {
+			opt.Name = "CANDMC"
+		}
 	}
 	if opt.V < opt.Grid.Layers {
 		panic(fmt.Sprintf("conflux: v=%d must be at least the layer count c=%d (paper §7.2)", opt.V, opt.Grid.Layers))
@@ -53,17 +57,18 @@ type engine struct {
 	ac              *smpi.Comm // active ranks
 	fiber           *smpi.Comm // my (row, col) fiber across layers
 	tourn           *smpi.Comm // layer-0 column communicator (nil off layer 0)
+	colc            *smpi.Comm // my (col, layer) column communicator, for swaps (nil when masking)
 	store           *dist.Store
-	phase           struct{ reduceCol, pivot, bcastA00, panelA10, panelA01, update string }
+	phase           struct{ reduceCol, pivot, bcastA00, swap, panelA10, panelA01, update string }
 
 	// Panel broadcast communicators (see panelComms); nil where this rank is
 	// outside the group.
 	a10Comms []*smpi.Comm // by ownerCol·c + assigned layer, for my grid row
-	a01Comms []*smpi.Comm // by assigned layer, for my grid column
+	a01Comms []*smpi.Comm // by assembler row·c + assigned layer, for my grid column
 
-	mask   []bool // mask[r]: physical row r not yet chosen as pivot
+	mask   []bool // mask[r]: row r not yet chosen as pivot
 	perm   []int
-	active []int // ascending: the unmasked rows of MY grid row (see retirePivots)
+	active []int // ascending: the unpivoted rows of MY grid row (see retirePivots)
 
 	// Per-step panels are carved from slab, their headers from hdrs (see
 	// buffer); used and nhdr are the marks.
@@ -74,10 +79,10 @@ type engine struct {
 
 	// Per-step caches.
 	a00     *mat.Matrix // factored w×w diagonal block (L00\U00)
-	pivIDs  []int       // this step's pivot rows in factor order
+	pivIDs  []int       // this step's pivot rows in factor order (their slots, once swapped)
+	slots   []int       // backing of pivIDs after the swaps
 	pivRows [][]int     // pivIDs bucketed by owning grid row, factor order kept
 	pivPos  [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
-	colRows []int       // reduceColumn's row list: active before the step's pivots left
 	a10     *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
 	a01     *mat.Matrix // consumer copy: U01 for my grid-column tile cols
 }
@@ -105,7 +110,7 @@ func (e *engine) setup(a *mat.Matrix) {
 	}
 	e.panelComms()
 	name := e.opt.Name
-	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00 = name+".reduce-col", name+".pivot", name+".bcast-a00"
+	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00, e.phase.swap = name+".reduce-col", name+".pivot", name+".bcast-a00", name+".swap"
 	e.phase.panelA10, e.phase.panelA01, e.phase.update = name+".panel-a10", name+".panel-a01", name+".update"
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
 	e.mask = make([]bool, e.opt.N)
@@ -113,6 +118,12 @@ func (e *engine) setup(a *mat.Matrix) {
 		e.mask[i] = true
 	}
 	e.perm = make([]int, 0, e.opt.N)
+	if e.opt.Swap {
+		e.colc = e.ac.Sub(fmt.Sprintf("colc.%d.%d", e.col, e.layer), e.g.ColComm(e.col, e.layer))
+		for i := range e.opt.N {
+			e.perm = append(e.perm, i)
+		}
+	}
 	e.active = e.bc.RowsInGridRow(e.row, 0)
 	e.pivRows, e.pivPos = make([][]int, e.g.Pr), make([][]int, e.g.Pr)
 	if e.layer == 0 {
@@ -128,8 +139,11 @@ func (e *engine) step(t int) error {
 		return err
 	}
 	e.broadcastA00(t)
-	e.retirePivots()
-	e.factorizeA10(t, stack)
+	if e.opt.Swap {
+		e.applySwaps(t)
+	}
+	e.retirePivots(t)
+	e.factorizeA10(t)
 	e.factorizeA01(t)
 	e.update(t)
 	return nil
@@ -150,7 +164,7 @@ func (e *engine) collect() *Result {
 		res.LU = mat.New(e.opt.N, e.opt.N)
 	}
 	dist.Gather(e.world, 0, res.LU, e.g, e.store)
-	if e.world.Payload() {
+	if e.world.Payload() && !e.opt.Swap {
 		permuteRowsInPlace(res.LU, e.perm)
 	}
 	return res
@@ -158,26 +172,33 @@ func (e *engine) collect() *Result {
 
 // panelComms builds the A10 and A01 broadcast communicators this rank will
 // ever use. The A10 group of a step depends only on (grid row, owner column,
-// assigned layer) and the A01 group on (grid column, assigned layer), and every
-// member of either has this rank's grid row (column) — so a rank belongs to at
-// most Pc·c + c groups, all of its own row and column, however many steps
-// there are. Reusing one communicator across the steps that share a slot is
-// sound because each collective takes a fresh tag from the communicator's own
-// sequence (smpi's nextCollTag), which all members advance in lockstep: they
-// run the slot's broadcasts in the same step order, and whether a step
-// broadcasts at all (a non-empty row list, a non-zero width) is decided from
-// state every member holds identically.
+// assigned layer) and the A01 group on (grid column, assembler row, assigned
+// layer) — the assembler row is 0 under masking, so masking builds only that
+// row's — and every member of either has this rank's grid row (column). So a
+// rank belongs to at most Pc·c + Pr·c groups, all of its own row and column,
+// however many steps there are. Reusing one communicator across the steps
+// that share a slot is sound because each collective takes a fresh tag from
+// the communicator's own sequence (smpi's nextCollTag), which all members
+// advance in lockstep: they run the slot's broadcasts in the same step order,
+// and whether a step broadcasts at all (a non-empty row list, a non-zero
+// width) is decided from state every member holds identically.
 func (e *engine) panelComms() {
 	c, me := e.g.Layers, e.world.Rank()
-	e.a10Comms, e.a01Comms = make([]*smpi.Comm, e.g.Pc*c), make([]*smpi.Comm, c)
+	asmRows := 1
+	if e.opt.Swap {
+		asmRows = e.g.Pr
+	}
+	e.a10Comms, e.a01Comms = make([]*smpi.Comm, e.g.Pc*c), make([]*smpi.Comm, e.g.Pr*c)
 	for lstar := 0; lstar < c; lstar++ {
 		for ownerCol := 0; ownerCol < e.g.Pc; ownerCol++ {
 			if m := e.g.PanelRowGroup(e.row, ownerCol, lstar); slices.Contains(m, me) {
 				e.a10Comms[ownerCol*c+lstar] = e.ac.Sub(fmt.Sprintf("a10.%d.%d.%d", e.row, ownerCol, lstar), m)
 			}
 		}
-		if m := e.g.PanelColGroup(e.col, 0, lstar); slices.Contains(m, me) {
-			e.a01Comms[lstar] = e.ac.Sub(fmt.Sprintf("a01.%d.%d", e.col, lstar), m)
+		for asmRow := 0; asmRow < asmRows; asmRow++ {
+			if m := e.g.PanelColGroup(e.col, asmRow, lstar); slices.Contains(m, me) {
+				e.a01Comms[asmRow*c+lstar] = e.ac.Sub(fmt.Sprintf("a01.%d.%d.%d", e.col, asmRow, lstar), m)
+			}
 		}
 	}
 }
@@ -251,41 +272,36 @@ func (e *engine) stackRows(from, cols int, rows []int) *mat.Matrix {
 // reduceColumn implements Algorithm 1 step 1 ("Reduce next block column"):
 // the active rows of tile column t are summed across the c layers onto the
 // layer-0 owners. Non-root layers zero their consumed contributions.
-// Returns the reduced stack (non-nil on layer-0 owners with active rows); its
-// row list is e.colRows.
+// Returns the reduced stack of e.active (non-nil on layer-0 owners with
+// active rows).
 func (e *engine) reduceColumn(t int) *mat.Matrix {
-	e.colRows = e.colRows[:0]
 	if e.col != e.bc.OwnerCol(t) {
 		return nil
 	}
 	e.ac.SetPhase(e.phase.reduceCol)
-	// Copy: retirePivots compacts the active list in place, but this list
-	// must stay valid through factorizeA10.
-	rows := append(e.colRows, e.active...)
-	e.colRows = rows
-	if len(rows) == 0 {
+	if len(e.active) == 0 {
 		return nil
 	}
 	// Tile column t is mine, so it leads my trailing view.
 	_, w := e.bc.TileDims(t, t)
-	stack := e.stackRows(t, w, rows)
+	stack := e.stackRows(t, w, e.active)
 	e.fiber.ReduceMatSum(0, stack)
 	if e.layer == 0 {
-		e.store.UnstackColumnRows(t, rows, stack)
+		e.store.UnstackColumnRows(t, e.active, stack)
 		return stack
 	}
 	// Contributions consumed: zero the accumulator entries.
 	if e.store.Payload() {
 		stack.Zero()
-		e.store.UnstackColumnRows(t, rows, stack)
+		e.store.UnstackColumnRows(t, e.active, stack)
 	}
 	return nil
 }
 
 // tournament implements step 2 (TournPivot): local candidate selection by
 // LU, then ⌈log₂ Pr⌉ butterfly "playoff" rounds exchanging w×w candidate
-// blocks (paper §7.3), after which every participant holds the w winners and
-// the factored A00.
+// blocks (paper §7.3, citing Grigori et al. for both engines), after which
+// every participant holds the w winners and the factored A00.
 func (e *engine) tournament(t int, stack *mat.Matrix) error {
 	e.pivIDs, e.a00 = nil, nil
 	if e.layer != 0 || e.col != e.bc.OwnerCol(t) {
@@ -293,7 +309,7 @@ func (e *engine) tournament(t int, stack *mat.Matrix) error {
 	}
 	e.ac.SetPhase(e.phase.pivot)
 	_, w := e.bc.TileDims(t, t)
-	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, e.colRows), w)
+	win, err := lapack.SelectCandidates(lapack.StackCandidates(stack, e.active), w)
 	if err != nil {
 		return err
 	}
@@ -328,27 +344,21 @@ func (e *engine) broadcastA00(t int) {
 	}
 	e.ac.BcastMat(root, e.a00)
 	e.pivIDs = e.ac.BcastInts(root, e.pivIDs)
-
-	// Write A00 back into the layer-0 owners' tiles: the pivot rows' final
-	// combined L00\U00 values.
-	if e.layer == 0 && e.col == e.bc.OwnerCol(t) && e.store.Payload() {
-		for i, r := range e.pivIDs {
-			ti := r / e.opt.V
-			if e.bc.OwnerRow(ti) == e.row {
-				e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(e.a00.View(i, 0, 1, w))
-			}
-		}
-	}
 }
 
-// retirePivots applies the row mask (§7.3: "we keep track which rows were
-// chosen as pivots and we use masks to update remaining rows"): the step's
-// pivots are bucketed by owning grid row — every rank computes the same
-// buckets — and those of this rank's own row leave its active list. That
-// list is all a rank ever reads of the mask: the rows it stacks, solves and
-// updates are its own grid row's, so maintaining it costs the ≤ v deletions
-// of a step, not a pass over the N rows of the grid.
-func (e *engine) retirePivots() {
+// retirePivots takes the step's pivots out of play. Under masking (§7.3: "we
+// keep track which rows were chosen as pivots and we use masks to update
+// remaining rows") they are the tournament's rows wherever they live; under
+// swapping applySwaps has moved them to the slots t·v+i, tile row t. Either
+// way the pivots are bucketed by owning grid row — every rank computes the
+// same buckets — and those of this rank's own row leave its active list; the
+// layer-0 owners of tile column t write those rows' final L00\U00 values.
+// That list is all a rank ever reads of the mask: the rows it stacks, solves
+// and updates are its own grid row's, so maintaining it costs the ≤ v
+// deletions of a step, not a pass over the N rows of the grid. Under swapping
+// the deleted rows are the list's first w, so the rows left are the suffix
+// RowsInGridRow(row, (t+1)·v).
+func (e *engine) retirePivots(t int) {
 	for gr := range e.pivRows {
 		e.pivRows[gr], e.pivPos[gr] = e.pivRows[gr][:0], e.pivPos[gr][:0]
 	}
@@ -360,19 +370,27 @@ func (e *engine) retirePivots() {
 		gr := e.bc.OwnerRow(r / e.opt.V)
 		e.pivRows[gr], e.pivPos[gr] = append(e.pivRows[gr], r), append(e.pivPos[gr], i)
 	}
-	e.perm = append(e.perm, e.pivIDs...)
-	for _, r := range e.pivRows[e.row] {
-		i, _ := slices.BinarySearch(e.active, r) // found: r was unmasked and is mine
+	if !e.opt.Swap {
+		e.perm = append(e.perm, e.pivIDs...)
+	}
+	owner := e.layer == 0 && e.col == e.bc.OwnerCol(t) && e.store.Payload()
+	w := len(e.pivIDs)
+	for k, r := range e.pivRows[e.row] {
+		i, _ := slices.BinarySearch(e.active, r) // found: r was unpivoted and is mine
 		e.active = slices.Delete(e.active, i, i+1)
+		if owner {
+			ti := r / e.opt.V
+			e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(e.a00.View(e.pivPos[e.row][k], 0, 1, w))
+		}
 	}
 }
 
-// factorizeA10 implements steps 4/7/8 for the column panel: the still-active
-// rows of the reduced block column are triangular-solved against U00 at the
-// panel owners (see DESIGN.md: the 1D-parallel solve is volume-equivalent),
-// written back as final L values, and sent to the assigned layer's consumer
-// row (one broadcast per grid row — a rank takes part in its own row's).
-func (e *engine) factorizeA10(t int, stack *mat.Matrix) {
+// factorizeA10 implements steps 4/7/8 for the column panel: the active rows
+// of the reduced block column are triangular-solved against U00 at the panel
+// owners (see DESIGN.md: the 1D-parallel solve is volume-equivalent), written
+// back as final L values, and sent to the assigned layer's consumer row (one
+// broadcast per grid row — a rank takes part in its own row's).
+func (e *engine) factorizeA10(t int) {
 	e.ac.SetPhase(e.phase.panelA10)
 	e.a10 = nil
 	_, w := e.bc.TileDims(t, t)
@@ -382,24 +400,17 @@ func (e *engine) factorizeA10(t int, stack *mat.Matrix) {
 	if comm == nil {
 		return
 	}
-	rows := e.active // pivots were already retired above
-	buf := e.buffer(len(rows), w)
+	var buf *mat.Matrix
 	if e.layer == 0 && e.col == ownerCol {
-		// I am the owner: extract the active rows from the reduced stack,
-		// solve, store the L values, and broadcast.
-		if e.store.Payload() && stack != nil {
-			j := 0 // rows is colRows less the retired pivots, both ascending
-			for i, r := range rows {
-				for e.colRows[j] != r {
-					j++
-				}
-				copy(buf.Row(i), stack.Row(j))
-			}
-		}
+		// I am the owner: re-stack the reduced rows, solve, store the L
+		// values, and broadcast.
+		buf = e.stackRows(t, w, e.active)
 		blas.TrsmUpperRight(e.a00, buf)
-		e.store.UnstackColumnRows(t, rows, buf)
+		e.store.UnstackColumnRows(t, e.active, buf)
+	} else {
+		buf = e.buffer(len(e.active), w)
 	}
-	if len(rows) > 0 {
+	if len(e.active) > 0 {
 		comm.BcastMat(0, buf)
 	}
 	if e.layer == lstar {

@@ -7,7 +7,6 @@ package all
 
 import (
 	_ "repro/internal/cholesky" // registers Cholesky
-	_ "repro/internal/conflux"  // registers COnfLUX
-	_ "repro/internal/lu25d"    // registers CANDMC
+	_ "repro/internal/conflux"  // registers COnfLUX and CANDMC
 	_ "repro/internal/lu2d"     // registers LibSci and SLATE
 )

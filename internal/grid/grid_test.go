@@ -214,7 +214,7 @@ func TestQuickBlockCyclicPartition(t *testing.T) {
 	}
 }
 
-// The 2.5D engines (conflux, lu25d) take part only in the panel broadcasts of
+// The 2.5D engines (COnfLUX, CANDMC) take part only in the panel broadcasts of
 // their own grid row and column. That is every group a rank can be in because
 // every rank of a row (column) group has that grid row (column) — for any
 // owner and assigned layer, with the root listed first and once.
