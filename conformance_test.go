@@ -383,6 +383,68 @@ func TestConformanceVolumeDigests(t *testing.T) {
 	}
 }
 
+// TestConformanceVolumeDigestsCholeskyAndSolve pins the replays
+// TestConformanceVolumeDigests leaves out, under the same digest and the same
+// two machines: the 2.5D Cholesky engine's CommVolume, and CommVolumeSolve —
+// factorization plus the distributed triangular solve on one world — after
+// COnfLUX and after LibSci. The shapes are the first four of the LU table,
+// P=256 again behind -short.
+func TestConformanceVolumeDigestsCholeskyAndSolve(t *testing.T) {
+	type job struct {
+		name  string
+		algo  Algorithm
+		solve bool
+	}
+	jobs := []job{{"Cholesky", Cholesky, false}, {"COnfLUX+solve", COnfLUX, true}, {"LibSci+solve", LibSci, true}}
+	cases := []struct {
+		n, p    int
+		long    bool
+		digests map[string][2]string // flat, dragonfly-contended
+	}{
+		{256, 8, false, map[string][2]string{
+			"Cholesky": {"461208f1149766d3", "5caca3f1642119f7"}, "COnfLUX+solve": {"3819b8f8dab8e4f5", "c785ea1206afb78f"},
+			"LibSci+solve": {"52a30cca7a5572b8", "b03b17ab782d15b8"}}},
+		{517, 12, false, map[string][2]string{
+			"Cholesky": {"07f03c01811604c1", "446750889b27d994"}, "COnfLUX+solve": {"e8a2a893ab8b8747", "7fc7df92ff044951"},
+			"LibSci+solve": {"fb79f365f0c100ab", "064e5270dc6aa11d"}}},
+		{512, 64, false, map[string][2]string{
+			"Cholesky": {"51d20b5c1c4ecd6e", "ea769b6ca357e27a"}, "COnfLUX+solve": {"37aa51be883c4e1e", "9f93c0182e3959f4"},
+			"LibSci+solve": {"609a4025507c7123", "95da6bcb194a887e"}}},
+		{1024, 256, true, map[string][2]string{
+			"Cholesky": {"df0adcdd8f362c3c", "50996b80e08f2f6d"}, "COnfLUX+solve": {"f833c72d4c0e1981", "76d0fe9511e5cb09"},
+			"LibSci+solve": {"695f72124e0fbbaf", "e0d5b742aa6bf375"}}},
+	}
+	for _, tc := range cases {
+		for _, j := range jobs {
+			for i, preset := range []string{"flat", "dragonfly-contended"} {
+				want := tc.digests[j.name][i]
+				t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s", j.name, tc.n, tc.p, preset), func(t *testing.T) {
+					if tc.long && testing.Short() {
+						t.Skip("P=256 digest skipped in -short mode")
+					}
+					t.Parallel()
+					opts := []Option{WithRanks(tc.p), WithAlgorithm(j.algo)}
+					if preset != "flat" {
+						opts = append(opts, WithTopologyPreset(preset))
+					}
+					s := mustNew(t, opts...)
+					volume := s.CommVolume
+					if j.solve {
+						volume = s.CommVolumeSolve
+					}
+					rep, err := volume(t.Context(), tc.n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := volumeDigest(rep); got != want {
+						t.Fatalf("digest %s, recorded %s", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestConformanceSessionReuse pins the amortization contract the Session
 // exists for: one session runs many jobs (different dimensions, numeric and
 // volume mode) and its accumulated stats reflect every completed run.
