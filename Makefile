@@ -158,4 +158,7 @@ kernels:
 loadtest:
 	$(GO) test -race -count=1 -run 'TestConfluxdLoad' -v ./cmd/confluxd
 
-ci: fmt-check vet build test fuzz-smoke test-purego
+# benchmark-check rides along because the nested benchmark module holds
+# values of root types (trace.Topology, conflux options) that a root change
+# can break without any root test noticing.
+ci: fmt-check vet build test fuzz-smoke test-purego benchmark-check

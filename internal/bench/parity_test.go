@@ -39,8 +39,8 @@ func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float6
 // TestTimelineReportParityAllEngines pins the tentpole refactor: the volume
 // Report derived from the event timeline must be identical — per-rank
 // sent/recv/msgs and per-phase bytes/msgs — to the pre-refactor counter
-// semantics, reconstructed here by replaying every matched event into a
-// fresh timeline. A mismatch means a delivery was dropped, double-counted,
+// semantics, reconstructed here by replaying every matched event — its send
+// and its receive — into a fresh timeline. A mismatch means a delivery was dropped, double-counted,
 // or mis-attributed on its way through the timeline.
 func TestTimelineReportParityAllEngines(t *testing.T) {
 	n, p := 128, 8
@@ -54,7 +54,8 @@ func TestTimelineReportParityAllEngines(t *testing.T) {
 
 		replay := trace.NewTimeline(p, trace.DefaultMachine())
 		for _, e := range w.Trace.Events() {
-			replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
+			st := replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
+			replay.RecordRecv(e.From, e.To, e.Bytes, e.Phase, st)
 		}
 		want := replay.Report()
 

@@ -268,9 +268,8 @@ func firstRunError(errs []error) error {
 // reclaim sweeps the world after every rank has unwound: the pooled wire
 // buffers of undelivered messages (SendMat and SendBatch payloads stranded by
 // an abort) go back to their pools, counted in w.reclaimed for the regression
-// tests, every mailbox is left empty, and the world's RMA window registry
-// entry is dropped so the world itself is collectable. The mailbox locks are
-// held against a late watcher Abort broadcast.
+// tests, and every mailbox is left empty. The mailbox locks are held against a
+// late watcher Abort broadcast.
 func (w *World) reclaim() {
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
@@ -284,5 +283,4 @@ func (w *World) reclaim() {
 		mb.pend = mb.pend[:0]
 		mb.mu.Unlock()
 	}
-	dropWindowRegistry(w)
 }

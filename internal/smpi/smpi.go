@@ -385,7 +385,7 @@ func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
 			}
 		}
 	}
-	msg.sendTime = c.w.Trace.RecordSendBatch(src, dst, bytes, msg.sendPhase)
+	msg.sendTime = c.w.Trace.RecordSendBatch(src, bytes, msg.sendPhase)
 	if pack != nil {
 		msg.F, msg.pooled = getFloats(msg.N), true
 		pack(msg.F)

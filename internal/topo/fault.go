@@ -214,10 +214,10 @@ func (f *faulted) SendCost(from, to int, bytes int64) float64 {
 	return f.inner.SendCost(from, to, bytes) * f.linkFactor(from, to) * f.rankFactor(from)
 }
 
-func (f *faulted) RecvCost(from, to int, bytes int64) float64 {
-	return f.inner.RecvCost(from, to, bytes) * f.linkFactor(from, to) * f.rankFactor(to)
-}
-
-func (f *faulted) IngressOccupancy(from, to int, bytes int64) float64 {
-	return f.inner.IngressOccupancy(from, to, bytes) * f.linkFactor(from, to) * f.rankFactor(to)
+// RecvCost scales both receive-side prices by the same two factors, in the
+// same operand order as SendCost, so each product rounds as it always has.
+func (f *faulted) RecvCost(from, to int, bytes int64) (occ, cost float64) {
+	occ, cost = f.inner.RecvCost(from, to, bytes)
+	lf, rf := f.linkFactor(from, to), f.rankFactor(to)
+	return occ * lf * rf, cost * lf * rf
 }

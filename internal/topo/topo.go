@@ -166,10 +166,11 @@ func Flat(m trace.Machine) trace.Topology { return flat{m} }
 
 type flat struct{ m trace.Machine }
 
-func (f flat) Name() string                               { return "flat" }
-func (f flat) SendCost(_, _ int, bytes int64) float64     { return f.m.Time(float64(bytes), 1) }
-func (f flat) RecvCost(_, _ int, bytes int64) float64     { return f.m.Time(float64(bytes), 1) }
-func (f flat) IngressOccupancy(_, _ int, _ int64) float64 { return 0 }
+func (f flat) Name() string                           { return "flat" }
+func (f flat) SendCost(_, _ int, bytes int64) float64 { return f.m.Time(float64(bytes), 1) }
+func (f flat) RecvCost(_, _ int, bytes int64) (occ, cost float64) {
+	return 0, f.m.Time(float64(bytes), 1)
+}
 
 // hier is the two-tier model: intra-node transfers cost the node-local
 // machine, inter-node transfers the network machine. With contention,
@@ -204,13 +205,12 @@ func (h *hier) cost(from, to int, bytes int64) float64 {
 }
 
 func (h *hier) SendCost(from, to int, bytes int64) float64 { return h.cost(from, to, bytes) }
-func (h *hier) RecvCost(from, to int, bytes int64) float64 { return h.cost(from, to, bytes) }
 
-func (h *hier) IngressOccupancy(from, to int, bytes int64) float64 {
-	if !h.contend || h.node(from) == h.node(to) {
-		return 0
+func (h *hier) RecvCost(from, to int, bytes int64) (occ, cost float64) {
+	if h.contend && h.node(from) != h.node(to) {
+		occ = float64(h.rpn) * float64(bytes) * h.inter.Beta
 	}
-	return float64(h.rpn) * float64(bytes) * h.inter.Beta
+	return occ, h.cost(from, to, bytes)
 }
 
 // dragonfly is the three-tier Aries-class model. Routes:
@@ -237,38 +237,37 @@ func (d *dragonfly) Name() string {
 func (d *dragonfly) node(r int) int  { return r / d.rpn }
 func (d *dragonfly) group(r int) int { return d.node(r) / d.npg }
 
-// route returns the summed α and narrowest β of the from → to path.
-func (d *dragonfly) route(from, to int) (alpha, beta float64) {
+// route returns the summed α and narrowest β of the from → to path, and
+// the shared link it enters the receiver's side by: how many ranks share it
+// and its β. Cross-group deliveries share the destination group's global
+// link (rpn·npg ranks behind it); in-group remote deliveries share the
+// node's ingress (rpn ranks), an even division like hier's. A node-local
+// route shares nothing.
+func (d *dragonfly) route(from, to int) (alpha, beta, sharers, link float64) {
 	switch {
 	case d.node(from) == d.node(to):
-		return d.intra.Alpha, d.intra.Beta
+		return d.intra.Alpha, d.intra.Beta, 0, 0
 	case d.group(from) == d.group(to):
-		return 2*d.intra.Alpha + d.inter.Alpha, max(d.intra.Beta, d.inter.Beta)
+		return 2*d.intra.Alpha + d.inter.Alpha, max(d.intra.Beta, d.inter.Beta),
+			float64(d.rpn), d.inter.Beta
 	default:
 		return 2*d.intra.Alpha + 2*d.inter.Alpha + d.global.Alpha,
-			max(d.intra.Beta, max(d.inter.Beta, d.global.Beta))
+			max(d.intra.Beta, max(d.inter.Beta, d.global.Beta)),
+			float64(d.rpn * d.npg), d.global.Beta
 	}
 }
 
-func (d *dragonfly) cost(from, to int, bytes int64) float64 {
-	alpha, beta := d.route(from, to)
+func (d *dragonfly) SendCost(from, to int, bytes int64) float64 {
+	alpha, beta, _, _ := d.route(from, to)
 	return alpha + float64(bytes)*beta
 }
 
-func (d *dragonfly) SendCost(from, to int, bytes int64) float64 { return d.cost(from, to, bytes) }
-func (d *dragonfly) RecvCost(from, to int, bytes int64) float64 { return d.cost(from, to, bytes) }
-
-func (d *dragonfly) IngressOccupancy(from, to int, bytes int64) float64 {
-	if !d.contend || d.node(from) == d.node(to) {
-		return 0
+func (d *dragonfly) RecvCost(from, to int, bytes int64) (occ, cost float64) {
+	alpha, beta, sharers, link := d.route(from, to)
+	if d.contend {
+		occ = sharers * float64(bytes) * link
 	}
-	// Cross-group deliveries share the destination group's global link
-	// (rpn·npg ranks behind it); in-group remote deliveries share the
-	// node's ingress (rpn ranks). Even division, like hier.
-	if d.group(from) != d.group(to) {
-		return float64(d.rpn*d.npg) * float64(bytes) * d.global.Beta
-	}
-	return float64(d.rpn) * float64(bytes) * d.inter.Beta
+	return occ, alpha + float64(bytes)*beta
 }
 
 // fattree routes through the lowest common ancestor switch: l levels up,
@@ -302,10 +301,18 @@ func (f *fattree) lca(a, b int) int {
 	return l
 }
 
-func (f *fattree) cost(from, to int, bytes int64) float64 {
+func (f *fattree) SendCost(from, to int, bytes int64) float64 {
+	_, cost := f.RecvCost(from, to, bytes)
+	return cost
+}
+
+// RecvCost prices both endpoints alike; under contention the delivery also
+// holds the receiver's share of the narrowest link on its route (rpn ranks
+// behind the node's edge link).
+func (f *fattree) RecvCost(from, to int, bytes int64) (occ, cost float64) {
 	a, b := f.node(from), f.node(to)
 	if a == b {
-		return f.intra.Time(float64(bytes), 1)
+		return 0, f.intra.Time(float64(bytes), 1)
 	}
 	l := f.lca(a, b)
 	alpha := float64(2*l) * f.edge.Alpha
@@ -315,19 +322,8 @@ func (f *fattree) cost(from, to int, bytes int64) float64 {
 		alpha = float64(2*l-2)*f.edge.Alpha + 2*f.core.Alpha
 		beta = max(beta, f.core.Beta)
 	}
-	return alpha + float64(bytes)*beta
-}
-
-func (f *fattree) SendCost(from, to int, bytes int64) float64 { return f.cost(from, to, bytes) }
-func (f *fattree) RecvCost(from, to int, bytes int64) float64 { return f.cost(from, to, bytes) }
-
-func (f *fattree) IngressOccupancy(from, to int, bytes int64) float64 {
-	a, b := f.node(from), f.node(to)
-	if !f.contend || a == b {
-		return 0
+	if f.contend {
+		occ = float64(f.rpn) * float64(bytes) * beta
 	}
-	if f.lca(a, b) >= f.height {
-		return float64(f.rpn) * float64(bytes) * max(f.edge.Beta, f.core.Beta)
-	}
-	return float64(f.rpn) * float64(bytes) * f.edge.Beta
+	return occ, alpha + float64(bytes)*beta
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,10 +28,11 @@ func TestFlatMatchesMachine(t *testing.T) {
 		if got := f.SendCost(3, 9, bytes); got != want {
 			t.Fatalf("SendCost(%d) = %v, want %v", bytes, got, want)
 		}
-		if got := f.RecvCost(9, 3, bytes); got != want {
+		occ, got := f.RecvCost(9, 3, bytes)
+		if got != want {
 			t.Fatalf("RecvCost(%d) = %v, want %v", bytes, got, want)
 		}
-		if occ := f.IngressOccupancy(3, 9, bytes); occ != 0 {
+		if occ != 0 {
 			t.Fatalf("flat must not contend, got occupancy %v", occ)
 		}
 	}
@@ -53,22 +55,25 @@ func TestHierTiers(t *testing.T) {
 	if got := tp.SendCost(0, 4, b); got != remote {
 		t.Fatalf("inter-node cost %v, want %v", got, remote)
 	}
-	if occ := tp.IngressOccupancy(0, 4, b); occ != 0 {
-		t.Fatalf("uncontended hier must not charge ingress, got %v", occ)
+	if occ, got := tp.RecvCost(0, 4, b); occ != 0 || got != remote {
+		t.Fatalf("uncontended hier recv (%v, %v), want (0, %v): no ingress charge", occ, got, remote)
 	}
 	spec.Contention = 1
 	ct := mustBuild(t, spec, trace.Machine{}, 16)
 	// Bandwidth division: the node ingress is shared by RanksPerNode
 	// ranks, so one delivery occupies it for rpn·β·bytes.
-	if occ, want := ct.IngressOccupancy(0, 4, b), 4*float64(b)*spec.Inter.Beta; occ != want {
-		t.Fatalf("contended ingress %v, want shared-link serialization %v", occ, want)
+	if occ, got := ct.RecvCost(0, 4, b); occ != 4*float64(b)*spec.Inter.Beta || got != remote {
+		t.Fatalf("contended recv (%v, %v), want shared-link serialization %v and cost %v",
+			occ, got, 4*float64(b)*spec.Inter.Beta, remote)
 	}
-	if occ := ct.IngressOccupancy(0, 3, b); occ != 0 {
-		t.Fatalf("intra-node transfers must not contend, got %v", occ)
+	if occ, got := ct.RecvCost(0, 3, b); occ != 0 || got != local {
+		t.Fatalf("intra-node recv (%v, %v), want (0, %v): no contention", occ, got, local)
 	}
 }
 
-// TestDragonflyRoutes pins the per-hop-α / min-β rule on all three tiers.
+// TestDragonflyRoutes pins the per-hop-α / min-β rule on all three tiers,
+// for both endpoints: uncontended, a receive costs what the send does and
+// occupies no link.
 func TestDragonflyRoutes(t *testing.T) {
 	spec := Spec{Preset: "dragonfly", RanksPerNode: 2, NodesPerGroup: 2,
 		Intra:  trace.Machine{Alpha: 1e-7, Beta: 1e-11},
@@ -77,23 +82,67 @@ func TestDragonflyRoutes(t *testing.T) {
 	tp := mustBuild(t, spec, trace.Machine{}, 16)
 	const b = int64(500)
 	fb := float64(b)
-	// same node: ranks 0, 1.
-	if got, want := tp.SendCost(0, 1, b), spec.Intra.Alpha+fb*spec.Intra.Beta; got != want {
-		t.Fatalf("same-node route %v, want %v", got, want)
-	}
-	// same group (nodes 0 and 1 = ranks 0..3): two node hops + one group link.
-	wantGroup := 2*spec.Intra.Alpha + spec.Inter.Alpha + fb*spec.Inter.Beta
-	if got := tp.SendCost(0, 2, b); got != wantGroup {
-		t.Fatalf("same-group route %v, want %v", got, want(wantGroup))
-	}
-	// cross group (rank 0 in group 0, rank 4 on node 2 = group 1).
-	wantGlobal := 2*spec.Intra.Alpha + 2*spec.Inter.Alpha + spec.Global.Alpha + fb*spec.Global.Beta
-	if got := tp.SendCost(0, 4, b); got != wantGlobal {
-		t.Fatalf("cross-group route %v, want %v", got, wantGlobal)
+	for _, tc := range []struct {
+		name     string
+		from, to int
+		want     float64
+	}{
+		// same node: ranks 0, 1.
+		{"same-node", 0, 1, spec.Intra.Alpha + fb*spec.Intra.Beta},
+		// same group (nodes 0 and 1 = ranks 0..3): two node hops + one group link.
+		{"same-group", 0, 2, 2*spec.Intra.Alpha + spec.Inter.Alpha + fb*spec.Inter.Beta},
+		// cross group (rank 0 in group 0, rank 4 on node 2 = group 1).
+		{"cross-group", 0, 4, 2*spec.Intra.Alpha + 2*spec.Inter.Alpha + spec.Global.Alpha + fb*spec.Global.Beta},
+	} {
+		if got := tp.SendCost(tc.from, tc.to, b); got != tc.want {
+			t.Fatalf("%s route %v, want %v", tc.name, got, tc.want)
+		}
+		if occ, got := tp.RecvCost(tc.from, tc.to, b); occ != 0 || got != tc.want {
+			t.Fatalf("%s recv (%v, %v), want (0, %v)", tc.name, occ, got, tc.want)
+		}
 	}
 }
 
-func want(v float64) float64 { return v }
+// TestFaultedDragonflyRecvCost pins the fused receive-side price on the
+// replay_2d_faulted model — contended dragonfly under a fault plan — against
+// the closed forms, bit for bit, on each tier: the inner route's occupancy
+// and cost, each multiplied by the link factor and then the receiver's
+// straggler factor. Rank 1 (node 0, group 0) receives from its node-mate 0,
+// from rank 2 in its group and from rank 4 across groups; the link fault
+// into node 0 and the straggler factor on rank 1 apply to all three.
+func TestFaultedDragonflyRecvCost(t *testing.T) {
+	spec := Spec{Preset: "dragonfly", RanksPerNode: 2, NodesPerGroup: 2, Contention: 1,
+		Intra:  trace.Machine{Alpha: 3e-7, Beta: 2e-11},
+		Inter:  trace.Machine{Alpha: 1.3e-6, Beta: 1e-10},
+		Global: trace.Machine{Alpha: 2.7e-6, Beta: 2e-9}}
+	const lf, rf = 1.7, 2.9
+	tp, err := BuildFaulted(spec, trace.Machine{}, 16, FaultPlan{
+		Links:      []LinkFault{{FromNode: -1, ToNode: 0, Factor: lf}},
+		Stragglers: []Straggler{{Rank: 1, Factor: rf}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = int64(4097)
+	fb := float64(b)
+	in, ex, gl := spec.Intra, spec.Inter, spec.Global
+	for _, tc := range []struct {
+		name      string
+		from      int
+		occ, cost float64
+	}{
+		{"same-node", 0, 0, (in.Alpha + fb*in.Beta) * lf * rf},
+		{"in-group", 2, 2 * fb * ex.Beta * lf * rf,
+			(2*in.Alpha + ex.Alpha + fb*max(in.Beta, ex.Beta)) * lf * rf},
+		{"cross-group", 4, 4 * fb * gl.Beta * lf * rf,
+			(2*in.Alpha + 2*ex.Alpha + gl.Alpha + fb*max(in.Beta, ex.Beta, gl.Beta)) * lf * rf},
+	} {
+		occ, cost := tp.RecvCost(tc.from, 1, b)
+		if math.Float64bits(occ) != math.Float64bits(tc.occ) || math.Float64bits(cost) != math.Float64bits(tc.cost) {
+			t.Errorf("%s: RecvCost = (%v, %v), closed form (%v, %v)", tc.name, occ, cost, tc.occ, tc.cost)
+		}
+	}
+}
 
 // TestFatTreeDistances pins the LCA hop count and the core taper.
 func TestFatTreeDistances(t *testing.T) {
@@ -117,6 +166,16 @@ func TestFatTreeDistances(t *testing.T) {
 	wantRoot := 4*spec.Inter.Alpha + 2*spec.Global.Alpha + fb*spec.Global.Beta
 	if got := tp.SendCost(0, 7, b); got != wantRoot {
 		t.Fatalf("root crossing %v, want %v", got, wantRoot)
+	}
+	// Contended, a receive holds the node's edge link, or the core's
+	// narrower one at a root crossing, and costs what the send does.
+	spec.Contention = 1
+	ct := mustBuild(t, spec, trace.Machine{}, 8)
+	if occ, got := ct.RecvCost(0, 1, b); occ != fb*spec.Inter.Beta || got != 2*spec.Inter.Alpha+fb*spec.Inter.Beta {
+		t.Fatalf("contended l=1 recv (%v, %v)", occ, got)
+	}
+	if occ, got := ct.RecvCost(0, 7, b); occ != fb*spec.Global.Beta || got != wantRoot {
+		t.Fatalf("contended root recv (%v, %v), want (%v, %v)", occ, got, fb*spec.Global.Beta, wantRoot)
 	}
 }
 
@@ -226,8 +285,15 @@ func TestFaultedFactors(t *testing.T) {
 		t.Fatal(err)
 	}
 	const b = int64(1000)
+	recvCost := func(tp trace.Topology, from, to int) float64 {
+		occ, cost := tp.RecvCost(from, to, b)
+		if occ != 0 {
+			t.Fatalf("uncontended recv %d → %d occupies the ingress link for %v", from, to, occ)
+		}
+		return cost
+	}
 	// Route into node 0 (rank 2 → rank 1): 8× on every charge.
-	if got, want := tp.RecvCost(2, 1, b), 8*base.RecvCost(2, 1, b); got != want {
+	if got, want := recvCost(tp, 2, 1), 8*recvCost(base, 2, 1); got != want {
 		t.Fatalf("degraded-link recv %v, want %v", got, want)
 	}
 	// Route the other way (rank 1 → rank 2): directed fault, unchanged.
@@ -239,10 +305,10 @@ func TestFaultedFactors(t *testing.T) {
 	if got, want := tp.SendCost(5, 2, b), 3*base.SendCost(5, 2, b); got != want {
 		t.Fatalf("straggler send %v, want %v", got, want)
 	}
-	if got, want := tp.RecvCost(5, 2, b), base.RecvCost(5, 2, b); got != want {
+	if got, want := recvCost(tp, 5, 2), recvCost(base, 5, 2); got != want {
 		t.Fatalf("straggler's peer recv %v, want %v", got, want)
 	}
-	if got, want := tp.RecvCost(2, 5, b), 3*base.RecvCost(2, 5, b); got != want {
+	if got, want := recvCost(tp, 2, 5), 3*recvCost(base, 2, 5); got != want {
 		t.Fatalf("straggler recv %v, want %v", got, want)
 	}
 	if !strings.HasSuffix(tp.Name(), "+faults") {

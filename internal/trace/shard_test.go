@@ -16,11 +16,12 @@ type stamped struct {
 
 // runStressSchedule executes a fixed deterministic schedule on tl: every
 // rank injects `rounds` sends (one per peer offset, mixed timed/untimed
-// phases), then matches its inbound messages in fixed order, then issues a
-// one-sided Get. When concurrent is true each rank runs on its own
-// goroutine — deliveries from disjoint rank pairs race on the timeline;
-// when false the same per-rank program orders execute single-threaded, as
-// the pre-shard global-mutex timeline would have serialized them.
+// phases), then matches its inbound messages in fixed order. When concurrent
+// is true each rank runs on its own goroutine and records on the timeline
+// concurrently with every other — each on its own shard, as under the
+// goroutine executor; when false the same per-rank program orders execute
+// single-threaded, as the pre-shard global-mutex timeline would have
+// serialized them.
 func runStressSchedule(tl *Timeline, p, rounds int, concurrent bool) {
 	phases := []string{"panel", "update", "layout"} // layout is untimed
 	type key struct{ from, to int }
@@ -49,7 +50,6 @@ func runStressSchedule(tl *Timeline, p, rounds int, concurrent bool) {
 			m := <-ch[key{from, r}]
 			tl.RecordRecv(from, r, m.bytes, phases[k%len(phases)], m.st)
 		}
-		tl.RecordOneSided(r, (r+1)%p, r, 256, "rma")
 	}
 	if !concurrent {
 		for r := 0; r < p; r++ {
@@ -83,7 +83,8 @@ func runStressSchedule(tl *Timeline, p, rounds int, concurrent bool) {
 // concurrent runs AND identical to the single-threaded execution of the
 // same schedule — the pre-shard fixture, since a global-mutex timeline
 // serializing a sequential caller records exactly that. Run under -race in
-// CI, this also proves the shards race-free.
+// CI, this also proves the lock-free shards race-free: each is written by
+// one goroutine, and read only after the join.
 func TestShardedTimelineDeterministicUnderConcurrency(t *testing.T) {
 	const p, rounds, reps = 8, 48, 10
 	m := DefaultMachine()
@@ -150,22 +151,31 @@ func TestEventsPreallocationBounded(t *testing.T) {
 	}
 }
 
-// TestShardedEndpointIsolation pins the shard layout promise: a delivery
-// between ranks 1 and 2 must leave every other rank's shard untouched — no
-// clock movement, no volume, no events — which is what makes disjoint
-// deliveries contention-free.
+// TestShardedEndpointIsolation pins the single-writer promise: a send
+// writes only the sender's shard and its receive only the receiver's, so a
+// delivery between ranks 1 and 2 leaves every other rank's shard untouched —
+// no clock movement, no volume, no events — and until rank 2 matches, rank
+// 2's shard is untouched too. That is what lets the shards go without a lock.
 func TestShardedEndpointIsolation(t *testing.T) {
 	tl := NewTimeline(4, Machine{Alpha: 1, Beta: 0.5})
-	st := tl.RecordSend(1, 2, 10, "p")
-	tl.RecordRecv(1, 2, 10, "p", st)
-	r := tl.Report()
-	for _, other := range []int{0, 3} {
-		if r.Sent[other] != 0 || r.Recv[other] != 0 || r.Msgs[other] != 0 ||
-			r.Time.Clock[other] != 0 || r.Time.Busy[other] != 0 || r.Time.Wait[other] != 0 {
-			t.Fatalf("rank %d shard touched by a 1→2 delivery: %+v", other, r)
+	untouched := func(r *Report, ranks ...int) {
+		t.Helper()
+		for _, other := range ranks {
+			if r.Sent[other] != 0 || r.Recv[other] != 0 || r.Msgs[other] != 0 ||
+				r.Time.Clock[other] != 0 || r.Time.Busy[other] != 0 || r.Time.Wait[other] != 0 {
+				t.Fatalf("rank %d shard touched: %+v", other, r)
+			}
 		}
 	}
-	if r.Sent[1] != 10 || r.Recv[2] != 10 {
+	st := tl.RecordSend(1, 2, 10, "p")
+	untouched(tl.Report(), 0, 2, 3)
+	if len(tl.Events()) != 0 {
+		t.Fatal("a send retained an event before its receive")
+	}
+	tl.RecordRecv(1, 2, 10, "p", st)
+	r := tl.Report()
+	untouched(r, 0, 3)
+	if r.Sent[1] != 10 || r.Recv[1] != 0 || r.Sent[2] != 0 || r.Recv[2] != 10 {
 		t.Fatalf("endpoint aggregates wrong: %+v", r)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -56,21 +55,18 @@ type Topology interface {
 	// SendCost is the sender-endpoint occupancy in seconds of injecting a
 	// from → to transfer of the given size.
 	SendCost(from, to int, bytes int64) float64
-	// RecvCost is the receiver-endpoint occupancy of completing it.
-	RecvCost(from, to int, bytes int64) float64
-	// IngressOccupancy is how long the transfer holds the receiver's
-	// shared ingress link before reception work can start. Transfers are
-	// granted the link FIFO in the receiver's matching order; 0 means
-	// uncontended (delivery starts at max(recv clock, send stamp), exactly
-	// the flat rule).
-	IngressOccupancy(from, to int, bytes int64) float64
+	// RecvCost prices completing it, from one route lookup: occupancy is
+	// how long the transfer holds the receiver's shared ingress link before
+	// reception work can start (granted FIFO in the receiver's matching
+	// order; 0 means uncontended — delivery starts at max(recv clock, send
+	// stamp), exactly the flat rule), cost the receiver-endpoint occupancy.
+	RecvCost(from, to int, bytes int64) (occupancy, cost float64)
 }
 
 // Event is one matched point-to-point delivery on the simulated machine.
 // Phase is the sending rank's phase label at send time. SendTime is the
 // sender's logical clock when the injection completed; RecvTime the
-// receiver's clock when the delivery completed. One-sided (RMA) transfers
-// appear with SendTime == RecvTime: only the origin's clock advances.
+// receiver's clock when the delivery completed.
 type Event struct {
 	From, To int
 	Bytes    int64
@@ -86,25 +82,12 @@ type Event struct {
 // matrices the volume mode exists to avoid).
 const DefaultEventCap = 1 << 20
 
-// shard is one rank's slice of the timeline: its volume aggregates, its
-// logical clock, and the events it completed. A point-to-point delivery
-// touches only the two endpoint ranks' shards — the sender's under its
-// mutex at injection, the receiver's under its mutex at matching (plus one
-// lock-free add for the received-bytes aggregate) — so there is no global
-// serialization point at paper scale (P = 1,024 ranks delivering tens of
-// millions of messages).
-//
-// Lock-free fields: sent/recv/msgs are atomics because RecordOneSided
-// attributes volume to ranks other than the one whose mutex it holds (a Get
-// meters bytes sent by the passive target). Everything else on a shard is
-// written only under its mutex, and only clock-carrying operations of this
-// rank take it.
 // phaseStat is one phase's attribution on one shard: the bytes/msgs this
-// rank originated under the label, and the busy time it accrued in it (send,
-// recv, and one-sided sides alike). A rank touches a handful of phases, so
-// the stats live in a small slice scanned linearly — one lookup per record
-// where the map-based layout paid three hashes plus the untimed-set probe
-// (timed is resolved once, when the label first appears on the shard).
+// rank originated under the label, and the busy time it accrued in it (send
+// and recv sides alike). A rank touches a handful of phases, so the stats
+// live in a small slice scanned linearly — one lookup per record where the
+// map-based layout paid three hashes plus the untimed-set probe (timed is
+// resolved once, when the label first appears on the shard).
 type phaseStat struct {
 	name  string
 	timed bool
@@ -113,15 +96,17 @@ type phaseStat struct {
 	busy  float64
 }
 
+// shard is one rank's slice of the timeline: its volume aggregates, its
+// logical clock, and the events it completed. It has exactly one writer at a
+// time and no lock (DESIGN.md §7): a send is booked on the sender's shard
+// alone, a receive — received bytes included — on the receiver's alone, each
+// by that rank's own goroutine, or by a booker while that rank is parked at
+// a rendezvous, with the mailbox hand-offs ordering the two.
 type shard struct {
-	mu sync.Mutex
-
 	// Volume aggregates — exactly the state the pre-timeline Counter kept
-	// per rank, so the merged Report() stays byte-identical. Atomics
-	// because RecordOneSided attributes volume across shards (see below).
-	sent atomic.Int64
-	recv atomic.Int64
-	msgs atomic.Int64
+	// per rank, so the merged Report() stays byte-identical once every
+	// message is matched. recv counts at matching.
+	sent, recv, msgs int64
 
 	// Per-phase attribution, in first-use order (deterministic: fixed by
 	// this rank's program order). Report() sums the shards' stats, which
@@ -138,21 +123,21 @@ type shard struct {
 	timedMsgs int64
 
 	// linkFree is when this rank's shared ingress link next frees up —
-	// the FIFO contention state behind Topology.IngressOccupancy. It is
-	// advanced only under this shard's mutex at matching, in this rank's
-	// program order, which is what keeps contended runs deterministic
-	// (DESIGN.md §14). Stays 0 under a nil or uncontended topology.
+	// the FIFO contention state behind Topology.RecvCost's occupancy. It
+	// is advanced only at matching, by its own rank, in that rank's program
+	// order, which is what keeps contended runs deterministic (DESIGN.md
+	// §14). Stays 0 under a nil or uncontended topology.
 	linkFree float64
 
-	// Events this rank completed (received, or originated one-sided), in
-	// its program order. Retention is globally capped; see appendEvent.
+	// Events this rank received, in its program order. Retention is
+	// globally capped; see appendEvent.
 	events  []Event
 	dropped int64
 
-	// No trailing pad needed: 128 field bytes = exactly two 64-byte cache
-	// lines, so adjacent shards in the backing array do not false-share
-	// under concurrent delivery; TestShardSizeCacheAligned pins the
-	// arithmetic against field drift.
+	// 120 field bytes padded to two 64-byte cache lines, so adjacent
+	// shards in the backing array do not false-share under concurrent
+	// delivery; TestShardSizeCacheAligned pins the arithmetic.
+	_ [8]byte
 }
 
 // phase returns the shard's stat for name, creating it on first use (the
@@ -171,16 +156,17 @@ func (s *shard) phase(name string, untimed map[string]bool) *phaseStat {
 // Timeline is the per-rank event-timeline substrate behind every simulated
 // run: it meters communication volume exactly as the paper's Score-P
 // methodology counts it (per sending rank, per phase) and simultaneously
-// advances per-rank logical clocks under the α-β model. It is safe for
-// concurrent use by all ranks of a simulated world; state is sharded per
-// rank, so concurrent deliveries between disjoint rank pairs never contend.
+// advances per-rank logical clocks under the α-β model. All ranks of a
+// simulated world record on it concurrently, each on its own shard, so
+// deliveries never contend; a rank's shard is read (Clock, Report, Events)
+// only where its writer is known to be parked or finished (DESIGN.md §7).
 //
 // Clock rules (see DESIGN.md §7):
 //
 //	send  by r:  clock[r] += α + β·bytes          (injection, busy time)
 //	recv  by r:  clock[r]  = max(clock[r], sendTime)   (wait time)
 //	             clock[r] += α + β·bytes          (reception, busy time)
-//	self-sends and local RMA access advance nothing (memory moves).
+//	self-sends advance nothing (memory moves).
 type Timeline struct {
 	p       int
 	machine Machine
@@ -191,9 +177,11 @@ type Timeline struct {
 	// read without locks on the delivery hot path.
 	topo Topology
 
-	// nEvents is the global retention counter backing the event cap.
+	// eventCap bounds retention (set before the run); nEvents counts
+	// retained and dropped events across shards, and is touched only when
+	// eventCap > 0 — a world that keeps events.
+	eventCap int64
 	nEvents  atomic.Int64
-	eventCap atomic.Int64
 
 	// untimed phases are metered for volume but advance no clocks — the
 	// paper's §7.4 assumption that the input "is already distributed in
@@ -205,13 +193,12 @@ type Timeline struct {
 
 // NewTimeline creates the timeline for p ranks under machine m.
 func NewTimeline(p int, m Machine) *Timeline {
-	t := &Timeline{
+	return &Timeline{
 		p: p, machine: m,
-		shards:  make([]shard, p),
-		untimed: map[string]bool{},
+		shards:   make([]shard, p),
+		eventCap: DefaultEventCap,
+		untimed:  map[string]bool{},
 	}
-	t.eventCap.Store(DefaultEventCap)
-	return t
 }
 
 // Machine returns the α-β parameters the timeline advances clocks with.
@@ -229,18 +216,14 @@ func (t *Timeline) Topology() Topology { return t.topo }
 
 // Clock returns rank's current logical clock. The discrete-event executor
 // orders its ready queue by this value (conservative discrete-event
-// scheduling: always advance the rank whose simulated present is earliest).
-func (t *Timeline) Clock(rank int) float64 {
-	s := &t.shards[rank]
-	s.mu.Lock()
-	c := s.clock
-	s.mu.Unlock()
-	return c
-}
+// scheduling: always advance the rank whose simulated present is earliest),
+// reading it only while rank is parked: under the baton, or at the window
+// barrier.
+func (t *Timeline) Clock(rank int) float64 { return t.shards[rank].clock }
 
 // SetEventCap bounds event retention (0 retains nothing; aggregates and
 // clocks are unaffected). Call before the run starts.
-func (t *Timeline) SetEventCap(n int) { t.eventCap.Store(int64(n)) }
+func (t *Timeline) SetEventCap(n int) { t.eventCap = int64(n) }
 
 // ExcludeFromTiming marks phases whose traffic is metered for volume (and
 // still recorded as events) but advances no logical clocks. The runtime
@@ -255,14 +238,14 @@ func (t *Timeline) ExcludeFromTiming(phases ...string) {
 	}
 }
 
-// appendEvent retains e on shard s (which the caller holds locked) unless
-// the global cap is exhausted. Which events survive once the cap is reached
-// depends on arrival order across shards; runs that stay under the cap
-// retain everything, deterministically. The cap is read first: a timeline
-// that retains nothing (SetEventCap(0)) never touches nEvents, the one
-// cache line every rank's delivery would otherwise write.
+// appendEvent retains e on shard s unless the global cap is exhausted.
+// Which events survive once the cap is reached depends on arrival order
+// across shards; runs that stay under the cap retain everything,
+// deterministically. A timeline that retains nothing (SetEventCap(0)) never
+// touches nEvents, the one cache line every rank's delivery would otherwise
+// write.
 func (t *Timeline) appendEvent(s *shard, e Event) {
-	if c := t.eventCap.Load(); c > 0 && t.nEvents.Add(1) <= c {
+	if t.eventCap > 0 && t.nEvents.Add(1) <= t.eventCap {
 		s.events = append(s.events, e)
 	} else {
 		s.dropped++
@@ -274,17 +257,15 @@ func (t *Timeline) cost(bytes int64) float64 {
 	return t.machine.Time(float64(bytes), 1)
 }
 
-// RecordSend meters bytes sent by rank from (received by rank to) under the
-// given phase label and advances the sender's clock by α + β·bytes. It
-// returns the sender's clock after injection — the send timestamp the
-// runtime carries on the message and hands back to RecordRecv on matching.
-// Only the two endpoint shards are touched: the sender's under its mutex,
-// the receiver's received-bytes counter lock-free.
+// RecordSend meters bytes sent by rank from to rank to under the given phase
+// label and advances the sender's clock by α + β·bytes. It returns the
+// sender's clock after injection — the send timestamp the runtime carries on
+// the message and hands back to RecordRecv on matching. Only the sender's
+// shard is touched; the receiver counts the bytes when it matches.
 func (t *Timeline) RecordSend(from, to int, bytes int64, phase string) float64 {
 	s := &t.shards[from]
-	s.mu.Lock()
-	s.sent.Add(bytes)
-	s.msgs.Add(1)
+	s.sent += bytes
+	s.msgs++
 	ps := s.phase(phase, t.untimed)
 	ps.bytes += bytes
 	ps.msgs++
@@ -300,47 +281,43 @@ func (t *Timeline) RecordSend(from, to int, bytes int64, phase string) float64 {
 		ps.busy += d
 		s.timedMsgs++
 	}
-	st := s.clock
-	s.mu.Unlock()
-	t.shards[to].recv.Add(bytes)
-	return st
+	return s.clock
 }
 
-// RecordRecv completes a matched delivery on the receiving rank: the clock
-// jumps to max(local, sendTime) — the jump is wait time — then advances by
-// α + β·bytes of reception work. The completed Event is retained on the
-// receiver's shard. phase is the event's (send-side) phase label.
+// RecordRecv completes a matched delivery on the receiving rank: it counts
+// the received bytes, the clock jumps to max(local, sendTime) — the jump is
+// wait time — then advances by α + β·bytes of reception work. The completed
+// Event is retained on the receiver's shard. phase is the event's
+// (send-side) phase label.
 func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime float64) {
 	s := &t.shards[to]
-	s.mu.Lock()
+	s.recv += bytes
 	if ps := s.phase(phase, t.untimed); ps.timed {
 		// Delivery starts when the message is in flight AND the receiver
 		// reaches its matching point; under a contended topology it also
 		// waits for the receiver's shared ingress link, granted FIFO in
 		// this rank's matching order (deterministic: the only state is
-		// this shard's linkFree, advanced only here, under this mutex, in
-		// this rank's program order — DESIGN.md §14).
+		// this shard's linkFree, advanced only here, by this rank, in its
+		// program order — DESIGN.md §14).
 		start := s.clock
 		if sendTime > start {
 			start = sendTime
 		}
+		var occ, d float64
 		if t.topo != nil {
-			if occ := t.topo.IngressOccupancy(from, to, bytes); occ > 0 {
-				if s.linkFree > start {
-					start = s.linkFree
-				}
-				s.linkFree = start + occ
+			occ, d = t.topo.RecvCost(from, to, bytes)
+		} else {
+			d = t.cost(bytes)
+		}
+		if occ > 0 {
+			if s.linkFree > start {
+				start = s.linkFree
 			}
+			s.linkFree = start + occ
 		}
 		if start > s.clock {
 			s.wait += start - s.clock
 			s.clock = start
-		}
-		var d float64
-		if t.topo != nil {
-			d = t.topo.RecvCost(from, to, bytes)
-		} else {
-			d = t.cost(bytes)
 		}
 		s.clock += d
 		s.busy += d
@@ -354,7 +331,6 @@ func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime 
 	}
 	t.appendEvent(s, Event{From: from, To: to, Bytes: bytes, Phase: phase,
 		SendTime: sendTime, RecvTime: rt})
-	s.mu.Unlock()
 }
 
 // Delivery is one message of a batched receive: who sent it, its size, and
@@ -371,10 +347,9 @@ const errTimedBatch = "trace: batched booking in a timed phase"
 // untimedPhase is s.phase for the batched bookings, which are legal only
 // where no clock moves: with the clock frozen every message of a batch gets
 // the stamp, and every delivery the completion time, that booking them one
-// by one would have produced, so one lock acquisition stands in for
-// len(batch) of them bit for bit. Anywhere else the k-th message's cost
-// depends on the k−1 before it and the batch would have to replay them; it
-// panics instead. Caller holds s.mu.
+// by one would have produced, so one call stands in for len(batch) of them
+// bit for bit. Anywhere else the k-th message's cost depends on the k−1
+// before it and the batch would have to replay them; it panics instead.
 func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
 	ps := s.phase(name, untimed)
 	if ps.timed {
@@ -383,44 +358,42 @@ func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
 	return ps
 }
 
-// RecordSendBatch books len(bytes) messages from → to, one per entry, under
-// a single acquisition of the sender's shard — the volume aggregates end up
-// exactly where len(bytes) RecordSend calls would leave them. phase must be
-// excluded from timing (see untimedPhase); the returned stamp is the
+// RecordSendBatch books len(bytes) messages sent by rank from, one per entry,
+// on its shard — the volume aggregates end up exactly where len(bytes)
+// RecordSend calls would leave them. phase must be excluded from timing (see
+// untimedPhase), so no receiver needs pricing; the returned stamp is the
 // sender's unmoved clock, shared by every message of the batch.
-func (t *Timeline) RecordSendBatch(from, to int, bytes []int64, phase string) float64 {
+func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) float64 {
+	s := &t.shards[from]
+	ps := s.untimedPhase(phase, t.untimed)
 	var total int64
 	for _, b := range bytes {
 		total += b
 	}
-	s := &t.shards[from]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.untimedPhase(phase, t.untimed)
-	s.sent.Add(total)
-	s.msgs.Add(int64(len(bytes)))
+	s.sent += total
+	s.msgs += int64(len(bytes))
 	ps.bytes += total
 	ps.msgs += int64(len(bytes))
-	t.shards[to].recv.Add(total)
 	return s.clock
 }
 
 // RecordRecvBatch completes len(parts) matched deliveries on rank to, in
-// slice order, under a single acquisition of its shard: one Event each,
-// identical to what a RecordRecv per part would retain. The parts may come
-// from different senders; phase (their common send-side label) must be
-// excluded from timing.
+// slice order: the received bytes and one Event each, identical to what a
+// RecordRecv per part would leave. The parts may come from different
+// senders; phase (their common send-side label) must be excluded from
+// timing.
 func (t *Timeline) RecordRecvBatch(to int, phase string, parts []Delivery) {
 	s := &t.shards[to]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.untimedPhase(phase, t.untimed)
 	// One exact allocation for what the cap still admits, not a doubling
 	// chain: a root's collect batch is its whole event list.
-	if room := t.eventCap.Load() - t.nEvents.Load(); room > 0 {
-		s.events = slices.Grow(s.events, int(min(room, int64(len(parts)))))
+	if t.eventCap > 0 {
+		if room := t.eventCap - t.nEvents.Load(); room > 0 {
+			s.events = slices.Grow(s.events, int(min(room, int64(len(parts)))))
+		}
 	}
 	for _, p := range parts {
+		s.recv += p.Bytes
 		// The receiver's clock can sit behind the send stamp; clamp as
 		// RecordRecv does so the event interval is never negative.
 		rt := s.clock
@@ -432,68 +405,21 @@ func (t *Timeline) RecordRecvBatch(to int, phase string, parts []Delivery) {
 	}
 }
 
-// RecordOneSided meters an RMA transfer of bytes from → to whose time cost
-// is charged to the active rank only (the origin of a Put or Get; the
-// target is passive, per MPI one-sided semantics). Volume is attributed
-// from → to exactly like a send; the event is retained on the active
-// rank's shard.
-func (t *Timeline) RecordOneSided(active, from, to int, bytes int64, phase string) {
-	t.shards[from].sent.Add(bytes)
-	t.shards[from].msgs.Add(1)
-	t.shards[to].recv.Add(bytes)
-	a := &t.shards[active]
-	a.mu.Lock()
-	ps := a.phase(phase, t.untimed)
-	ps.bytes += bytes
-	ps.msgs++
-	if ps.timed {
-		// The origin is the only rank whose clock advances; a Get
-		// (active == to) pays the receiver-side occupancy, a Put the
-		// sender-side. One-sided transfers involve no matching, so they
-		// never touch the FIFO ingress-link state.
-		var d float64
-		switch {
-		case t.topo != nil && active == to:
-			d = t.topo.RecvCost(from, to, bytes)
-		case t.topo != nil:
-			d = t.topo.SendCost(from, to, bytes)
-		default:
-			d = t.cost(bytes)
-		}
-		a.clock += d
-		a.busy += d
-		ps.busy += d
-		a.timedMsgs++
-	}
-	t.appendEvent(a, Event{From: from, To: to, Bytes: bytes, Phase: phase,
-		SendTime: a.clock, RecvTime: a.clock})
-	a.mu.Unlock()
-}
-
 // Events returns a copy of the retained (matched) events, merged
-// deterministically: grouped by the rank that completed them (the receiver
-// for two-sided deliveries, the origin for one-sided), ranks ascending,
-// each rank's events in its program order. Per-rank program order is fixed
-// by the schedule, so the merged sequence is identical across replays of a
+// deterministically: grouped by the receiving rank, ranks ascending, each
+// rank's events in its program order. Per-rank program order is fixed by the
+// schedule, so the merged sequence is identical across replays of a
 // deterministic run regardless of goroutine interleaving. Retention is
-// bounded by SetEventCap; EventsDropped reports the overflow.
+// bounded by SetEventCap; EventsDropped reports the overflow. Like Report,
+// call it after the run has joined.
 func (t *Timeline) Events() []Event {
 	// nEvents counts drops past the cap too; clamp the preallocation to
 	// what can actually have been retained (a paper-scale run records tens
 	// of millions of deliveries against a 2²⁰ cap).
-	n := t.nEvents.Load()
-	if c := t.eventCap.Load(); n > c {
-		n = c
-	}
-	if n < 0 {
-		n = 0
-	}
+	n := max(min(t.nEvents.Load(), t.eventCap), 0)
 	out := make([]Event, 0, n)
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		out = append(out, s.events...)
-		s.mu.Unlock()
+		out = append(out, t.shards[i].events...)
 	}
 	return out
 }
@@ -502,20 +428,19 @@ func (t *Timeline) Events() []Event {
 func (t *Timeline) EventsDropped() int64 {
 	var n int64
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.dropped
-		s.mu.Unlock()
+		n += t.shards[i].dropped
 	}
 	return n
 }
 
 // Report derives the immutable volume report — including the simulated-time
-// sub-report — by merging the per-rank shards in rank order. The volume
-// fields are identical to what the pre-shard global-mutex timeline (and the
-// per-rank counters before it) produced: per-rank values live on their own
+// sub-report — by merging the per-rank shards in rank order, after the run
+// has joined. The volume fields are identical to what the pre-shard
+// global-mutex timeline (and the per-rank counters before it) produced for
+// a run whose every message was matched: per-rank values live on their own
 // shard, and the per-phase maps merge by integer addition, which no
-// interleaving can perturb.
+// interleaving can perturb. Bytes still in flight (an aborted run) count in
+// Sent but not in Recv.
 func (t *Timeline) Report() *Report {
 	r := &Report{
 		P:         t.p,
@@ -539,10 +464,7 @@ func (t *Timeline) Report() *Report {
 	}
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.Lock()
-		r.Sent[i] = s.sent.Load()
-		r.Recv[i] = s.recv.Load()
-		r.Msgs[i] = s.msgs.Load()
+		r.Sent[i], r.Recv[i], r.Msgs[i] = s.sent, s.recv, s.msgs
 		for _, ps := range s.phases {
 			// Volume attribution: only stats with originated traffic add
 			// keys (a receiver-side stat for a foreign phase carries 0 of
@@ -550,6 +472,9 @@ func (t *Timeline) Report() *Report {
 			if ps.bytes != 0 || ps.msgs != 0 {
 				r.ByPhase[ps.name] += ps.bytes
 				r.PhaseMsgs[ps.name] += ps.msgs
+			}
+			if ps.timed && ps.busy > tr.PhaseBusyMax[ps.name] {
+				tr.PhaseBusyMax[ps.name] = ps.busy
 			}
 		}
 		tr.Clock[i] = s.clock
@@ -560,22 +485,13 @@ func (t *Timeline) Report() *Report {
 			tr.Makespan = s.clock
 			tr.CritRank = i
 		}
-		for _, ps := range s.phases {
-			if ps.timed && ps.busy > tr.PhaseBusyMax[ps.name] {
-				tr.PhaseBusyMax[ps.name] = ps.busy
-			}
-		}
-		s.mu.Unlock()
 	}
 	if t.p > 0 {
-		cs := &t.shards[tr.CritRank]
-		cs.mu.Lock()
-		for _, ps := range cs.phases {
+		for _, ps := range t.shards[tr.CritRank].phases {
 			if ps.timed {
 				tr.CritPhases[ps.name] = ps.busy
 			}
 		}
-		cs.mu.Unlock()
 	}
 	r.Time = tr
 	return r

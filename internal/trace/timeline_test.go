@@ -91,20 +91,6 @@ func TestEventCap(t *testing.T) {
 	}
 }
 
-func TestOneSidedChargesActiveRankOnly(t *testing.T) {
-	m := Machine{Alpha: 1, Beta: 0}
-	tl := NewTimeline(3, m)
-	// A Get by origin 2 from target 0: volume 0→2, time charged to 2 only.
-	tl.RecordOneSided(2, 0, 2, 64, "rma")
-	r := tl.Report()
-	if r.Sent[0] != 64 || r.Recv[2] != 64 || r.Msgs[0] != 1 {
-		t.Fatalf("volume attribution: sent=%v recv=%v msgs=%v", r.Sent, r.Recv, r.Msgs)
-	}
-	if r.Time.Clock[0] != 0 || !almost(r.Time.Clock[2], 1) {
-		t.Fatalf("passive target clock moved: %v", r.Time.Clock)
-	}
-}
-
 func TestReportParityWithEventReplay(t *testing.T) {
 	// The volume aggregates derived from the timeline must equal an
 	// independent replay of its matched events (every delivery in these
@@ -127,7 +113,8 @@ func TestReportParityWithEventReplay(t *testing.T) {
 
 	replay := NewTimeline(4, DefaultMachine())
 	for _, e := range tl.Events() {
-		replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
+		st := replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
+		replay.RecordRecv(e.From, e.To, e.Bytes, e.Phase, st)
 	}
 	want := replay.Report()
 
@@ -166,7 +153,7 @@ func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	}
 }
 
-// A batched booking is k single bookings under one lock: same report, same
+// A batched booking is k single bookings in one call: same report, same
 // retained events, bit for bit — with timed traffic before it so the frozen
 // clocks are not simply zero, deliveries from two senders interleaved, and an
 // event cap that cuts the batch short.
@@ -190,8 +177,8 @@ func TestBatchBookingEqualsSingles(t *testing.T) {
 			}
 			return tl
 		}
-		st1 := tl.RecordSendBatch(1, 0, sizes, "collect")
-		st2 := tl.RecordSendBatch(2, 0, sizes, "collect")
+		st1 := tl.RecordSendBatch(1, sizes, "collect")
+		st2 := tl.RecordSendBatch(2, sizes, "collect")
 		var parts []Delivery
 		for _, b := range sizes {
 			parts = append(parts, Delivery{From: 1, Bytes: b, SendTime: st1}, Delivery{From: 2, Bytes: b, SendTime: st2})
@@ -234,12 +221,12 @@ func TestBatchBookingInTimedPhasePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("send", func() { tl.RecordSendBatch(0, 1, []int64{8, 8}, "work") })
+	mustPanic("send", func() { tl.RecordSendBatch(0, []int64{8, 8}, "work") })
 	mustPanic("recv", func() { tl.RecordRecvBatch(1, "work", []Delivery{{From: 0, Bytes: 8}}) })
 	if r := tl.Report(); r.TotalBytes() != 0 || len(tl.Events()) != 0 {
 		t.Fatalf("a refused batch was booked: %d bytes, %d events", r.TotalBytes(), len(tl.Events()))
 	}
-	tl.RecordSendBatch(0, 1, []int64{8, 8}, "layout") // the shard's lock was released
+	tl.RecordSendBatch(0, []int64{8, 8}, "layout") // the shard stays usable
 }
 
 func TestMakespanMonotoneInAlphaBeta(t *testing.T) {

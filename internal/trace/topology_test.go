@@ -12,19 +12,19 @@ type flatStub struct{ m Machine }
 
 func (f flatStub) Name() string                               { return "flat-stub" }
 func (f flatStub) SendCost(from, to int, bytes int64) float64 { return f.m.Time(float64(bytes), 1) }
-func (f flatStub) RecvCost(from, to int, bytes int64) float64 { return f.m.Time(float64(bytes), 1) }
-func (f flatStub) IngressOccupancy(from, to int, bytes int64) float64 {
-	return 0
+func (f flatStub) RecvCost(from, to int, bytes int64) (float64, float64) {
+	return 0, f.m.Time(float64(bytes), 1)
 }
 
 // contendedStub charges a fixed cost per message and serializes the
 // receiver's ingress link at occ seconds per delivery.
 type contendedStub struct{ cost, occ float64 }
 
-func (c contendedStub) Name() string                                       { return "contended-stub" }
-func (c contendedStub) SendCost(from, to int, bytes int64) float64         { return c.cost }
-func (c contendedStub) RecvCost(from, to int, bytes int64) float64         { return c.cost }
-func (c contendedStub) IngressOccupancy(from, to int, bytes int64) float64 { return c.occ }
+func (c contendedStub) Name() string                               { return "contended-stub" }
+func (c contendedStub) SendCost(from, to int, bytes int64) float64 { return c.cost }
+func (c contendedStub) RecvCost(from, to int, bytes int64) (float64, float64) {
+	return c.occ, c.cost
+}
 
 // TestFlatTopologyBitParity drives the same message script through a
 // plain timeline and one with a flat topology installed; every derived
@@ -36,7 +36,8 @@ func TestFlatTopologyBitParity(t *testing.T) {
 		tl.RecordRecv(0, 1, 4096, "pivot", st)
 		st = tl.RecordSend(1, 2, 123, "update")
 		tl.RecordRecv(1, 2, 123, "update", st)
-		tl.RecordOneSided(2, 2, 0, 999, "update")
+		st = tl.RecordSend(2, 0, 999, "update")
+		tl.RecordRecv(2, 0, 999, "update", st)
 		st = tl.RecordSend(2, 1, 77, "pivot")
 		tl.RecordRecv(2, 1, 77, "pivot", st)
 	}
@@ -97,20 +98,5 @@ func TestIngressLinkFIFO(t *testing.T) {
 	tl.RecordRecv(1, 0, 100, "pivot", st2)
 	if got := tl.Clock(0); got != st2+1 {
 		t.Fatalf("rank 0 delivery finished at %v, want %v (own idle link)", got, st2+1)
-	}
-}
-
-// TestOneSidedSkipsIngressLink: RMA transfers never touch the FIFO
-// link state — a Get after a saturating two-sided burst pays only its
-// own cost.
-func TestOneSidedSkipsIngressLink(t *testing.T) {
-	tl := NewTimeline(2, Machine{})
-	tl.SetTopology(contendedStub{cost: 1, occ: 50})
-	st := tl.RecordSend(0, 1, 10, "pivot")
-	tl.RecordRecv(0, 1, 10, "pivot", st) // link busy until 51
-	before := tl.Clock(1)
-	tl.RecordOneSided(1, 0, 1, 10, "pivot") // Get: active == to
-	if got := tl.Clock(1); got != before+1 {
-		t.Fatalf("one-sided advanced clock to %v, want %v (no link wait)", got, before+1)
 	}
 }

@@ -6,11 +6,17 @@ import (
 	"testing"
 )
 
+// deliver books one matched delivery: the send, then the receive that
+// matches its stamp.
+func deliver(tl *Timeline, from, to int, bytes int64, phase string) {
+	tl.RecordRecv(from, to, bytes, phase, tl.RecordSend(from, to, bytes, phase))
+}
+
 func TestTimelineVolumeBasics(t *testing.T) {
 	tl := NewTimeline(3, DefaultMachine())
-	tl.RecordSend(0, 1, 100, "x")
-	tl.RecordSend(1, 2, 50, "y")
-	tl.RecordSend(0, 2, 25, "x")
+	deliver(tl, 0, 1, 100, "x")
+	deliver(tl, 1, 2, 50, "y")
+	deliver(tl, 0, 2, 25, "x")
 	r := tl.Report()
 	if r.TotalBytes() != 175 {
 		t.Fatalf("total %d", r.TotalBytes())
@@ -26,6 +32,26 @@ func TestTimelineVolumeBasics(t *testing.T) {
 	}
 	if got := r.PerNodeBytes(); got != 175.0/3 {
 		t.Fatalf("per-node %v", got)
+	}
+}
+
+// Received bytes count when the receiver matches, not when the sender
+// injects: a send nobody has matched yet (an aborted run's message in
+// flight) is in Sent, Msgs and its phase, and in nobody's Recv.
+func TestUnmatchedSendCountsSentNotRecv(t *testing.T) {
+	tl := NewTimeline(2, DefaultMachine())
+	st := tl.RecordSend(0, 1, 64, "x")
+	tl.RecordSend(0, 1, 32, "x")
+	r := tl.Report()
+	if r.Sent[0] != 96 || r.Msgs[0] != 2 || r.ByPhase["x"] != 96 {
+		t.Fatalf("sender side: sent %v msgs %v phases %v", r.Sent, r.Msgs, r.ByPhase)
+	}
+	if r.Recv[1] != 0 {
+		t.Fatalf("unmatched sends counted as received: %v", r.Recv)
+	}
+	tl.RecordRecv(0, 1, 64, "x", st)
+	if r := tl.Report(); r.Recv[1] != 64 || r.Sent[0] != 96 {
+		t.Fatalf("after one match: sent %v recv %v, want 96 sent and 64 received", r.Sent, r.Recv)
 	}
 }
 
