@@ -214,8 +214,9 @@ func (f *faulted) SendCost(from, to int, bytes int64) float64 {
 	return f.inner.SendCost(from, to, bytes) * f.linkFactor(from, to) * f.rankFactor(from)
 }
 
-// RecvCost scales both receive-side prices by the same two factors, in the
-// same operand order as SendCost, so each product rounds as it always has.
+// RecvCost scales both receive-side prices by the link factor, then by the
+// receiver's straggler factor — SendCost's operand order. Simulated clocks
+// depend on each product's rounding, so the order is part of the contract.
 func (f *faulted) RecvCost(from, to int, bytes int64) (occ, cost float64) {
 	occ, cost = f.inner.RecvCost(from, to, bytes)
 	lf, rf := f.linkFactor(from, to), f.rankFactor(to)
