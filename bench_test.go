@@ -11,7 +11,6 @@ package conflux_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -277,13 +276,13 @@ func BenchmarkFactorizeNumeric(b *testing.B) {
 }
 
 // Execution-core benchmarks: the host-side cost of replaying schedules on
-// the simulated machine, at the three scale presets. These are the
-// `go test -bench` counterparts of `confluxbench -exp perf` (whose JSON
-// records BENCH_baseline.json / BENCH_scale.json track the trajectory);
-// allocations per op are the refactor's second headline metric, so every
-// benchmark reports them. The paper-scale cases (N=16,384, P=1,024 — the
-// §8 headline run, COnfLUX and CANDMC) take 6–7 s each on a 2-core host
-// and are skipped under -short so smoke runs stay fast.
+// the simulated machine, at the three scale presets, for profiling with
+// `go test -bench` (the gated host measurements are the benchmark module's
+// workloads, benchmark/ and BENCHMARK.json). Every benchmark reports
+// allocations per op, where a per-step loop over the grid shows first.
+// The paper-scale cases (N=16,384, P=1,024 — the §8 headline run, COnfLUX
+// and CANDMC) take 6–7 s each on a 2-core host and are skipped under
+// -short so smoke runs stay fast.
 
 func benchFactorizeVolume(b *testing.B, algo costmodel.Algorithm, n, p int) {
 	b.ReportAllocs()
@@ -396,41 +395,6 @@ func BenchmarkSolveVolume(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEventExecutorParallel measures the event executor's
-// concurrent-window schedule against the serial baton schedule on the same
-// COnfLUX volume replay: workers=1 is the lock-free single-core baseline,
-// workers=NumCPU spreads one world's window across the host's cores
-// (identical to the baseline on a single-core host, minus the mailbox
-// locking overhead the window requires). Reports are bit-identical at
-// every width — these rows capture only the host-side cost, like
-// `confluxbench -exp sched -workers N` but without the full sweep.
-func BenchmarkEventExecutorParallel(b *testing.B) {
-	presets := []struct {
-		name string
-		n, p int
-	}{{"small", 256, 16}, {"medium", 1024, 64}}
-	widths := []int{1, runtime.NumCPU()}
-	if widths[1] == 1 {
-		widths = widths[:1]
-	}
-	for _, pr := range presets {
-		for _, w := range widths {
-			b.Run(fmt.Sprintf("%s/N=%d/P=%d/workers=%d", pr.name, pr.n, pr.p, w), func(b *testing.B) {
-				b.ReportAllocs()
-				savedEx, savedW := bench.Executor, bench.ExecWorkers
-				bench.Executor, bench.ExecWorkers = smpi.ExecEvents, w
-				defer func() { bench.Executor, bench.ExecWorkers = savedEx, savedW }()
-				mem := costmodel.MaxMemoryParams(pr.n, pr.p).M
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.Measure(b.Context(), costmodel.COnfLUX, pr.n, pr.p, mem); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

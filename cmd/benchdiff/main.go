@@ -1,45 +1,43 @@
-// Command benchdiff compares two perf-suite JSON records (see
-// `confluxbench -exp perf -json`) case by case, benchstat-style: time,
-// allocations, and allocated bytes per op, with the relative change. It is
-// the non-blocking regression gate of `make bench-json`: regressions beyond
-// the threshold are flagged loudly in the log (and summarized on stderr),
-// but the exit status stays 0 unless -exit is set, so a noisy CI runner
-// cannot hard-fail the build on timing jitter.
+// Command benchdiff compares two machine-readable records of the same kind
+// row by row. The kind comes from the record's "kind" field; a file with any
+// other kind, or none, is an error.
 //
 // Records with "kind": "topology" (`confluxbench -exp topology -json`) are
-// compared exactly instead: every number in them is simulated, so two runs
-// of the same sweep must agree bit for bit, and any drift on a shared row
-// is a determinism regression regardless of threshold.
+// compared exactly: every number in them is simulated, so two runs of the
+// same sweep must agree bit for bit, and any drift on a shared row is a
+// determinism regression regardless of threshold.
 //
 // Records with "kind": "kernels" (`confluxbench -exp kernels -json`) are
 // host measurements of the local level-3 kernels: rows compare with the
-// perf threshold, and the headline 512×512 blocked-GEMM speedup must stay
+// time threshold, and the headline 512×512 blocked-GEMM speedup must stay
 // at or above bench.MinGemmSpeedup512 — the acceptance floor that lets
 // numeric factorization run at paper scale.
+//
+// Regressions are flagged in the log and summarized on stderr; the exit
+// status stays 0 unless -exit is set, so a noisy runner cannot fail a build
+// on timing jitter by default.
 //
 // Usage:
 //
 //	benchdiff [-threshold 10] [-exit] OLD.json NEW.json
 //
-// Only cases present in both records are compared (records taken at
-// different scale presets share their common prefix of cases).
+// Only rows present in both records are compared.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/bench"
 )
 
-// record is one loaded file: exactly one of perf/topo/kern is set,
-// dispatched on the "kind" field ("" = a perf record, which predates the
-// field).
+// record is one loaded file: exactly one of topo/kern is set, dispatched on
+// the "kind" field.
 type record struct {
-	perf *bench.PerfReport
 	topo *bench.TopoReport
 	kern *bench.KernelReport
 }
@@ -55,32 +53,28 @@ func load(path string) (record, error) {
 	if err := json.Unmarshal(raw, &kind); err != nil {
 		return record{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if kind.Kind == "topology" {
-		var rep bench.TopoReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return record{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return record{topo: &rep}, nil
+	var rec record
+	switch kind.Kind {
+	case "topology":
+		rec.topo = new(bench.TopoReport)
+		err = json.Unmarshal(raw, rec.topo)
+	case "kernels":
+		rec.kern = new(bench.KernelReport)
+		err = json.Unmarshal(raw, rec.kern)
+	default:
+		return record{}, fmt.Errorf("%s: unknown record kind %q (want \"topology\" or \"kernels\")", path, kind.Kind)
 	}
-	if kind.Kind == "kernels" {
-		var rep bench.KernelReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return record{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return record{kern: &rep}, nil
-	}
-	var rep bench.PerfReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
+	if err != nil {
 		return record{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return record{perf: &rep}, nil
+	return rec, nil
 }
 
 // diffTopo compares two topology sweeps exactly. Shared rows — same
 // (scenario, engine, c) — must agree on bytes and makespan to the last
 // bit; the recorded optima must match wherever both sweeps cover the
 // scenario. Returns (drifted rows, shared rows).
-func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
+func diffTopo(w io.Writer, oldRep, newRep *bench.TopoReport) (int, int) {
 	type rowKey struct {
 		scenario string
 		algo     string
@@ -90,7 +84,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 	for _, r := range oldRep.Rows {
 		oldRows[rowKey{r.Scenario, string(r.Algo), r.C}] = r
 	}
-	fmt.Printf("%-22s %-8s %-3s %14s %14s\n", "scenario", "engine", "c", "bytes", "makespan")
+	fmt.Fprintf(w, "%-22s %-8s %-3s %14s %14s\n", "scenario", "engine", "c", "bytes", "makespan")
 	drift, compared := 0, 0
 	for _, r := range newRep.Rows {
 		o, ok := oldRows[rowKey{r.Scenario, string(r.Algo), r.C}]
@@ -103,7 +97,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 			mark = fmt.Sprintf("  <<< REGRESSION: determinism (was %d bytes, %.17gs)", o.Bytes, o.Makespan)
 			drift++
 		}
-		fmt.Printf("%-22s %-8s %-3d %14d %14.6e%s\n", r.Scenario, r.Algo, r.C, r.Bytes, r.Makespan, mark)
+		fmt.Fprintf(w, "%-22s %-8s %-3d %14d %14.6e%s\n", r.Scenario, r.Algo, r.C, r.Bytes, r.Makespan, mark)
 	}
 	for name, o := range oldRep.Optima {
 		n, ok := newRep.Optima[name]
@@ -111,7 +105,7 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 			continue
 		}
 		if o != n {
-			fmt.Printf("optimum %-22s moved: %s c=%d -> %s c=%d  <<< REGRESSION: optimum\n",
+			fmt.Fprintf(w, "optimum %-22s moved: %s c=%d -> %s c=%d  <<< REGRESSION: optimum\n",
 				name, o.Algo, o.C, n.Algo, n.C)
 			drift++
 		}
@@ -120,21 +114,21 @@ func diffTopo(oldRep, newRep *bench.TopoReport) (int, int) {
 }
 
 // diffKernels compares two kernel micro-benchmark records: shared rows
-// with the perf threshold on time, plus the headline 512×512 GEMM speedup
+// with the threshold on time, plus the headline 512×512 GEMM speedup
 // floor (bench.MinGemmSpeedup512) — the blocked kernels are what lets
 // numeric factorization run at paper scale, so falling below the floor is
 // a regression even if no individual row moved by the threshold. Records
 // taken on hosts with different ISAs (asm vs generic micro-kernel) are
 // compared with rows only; the speedup floor still applies, since the
 // acceptance bar is host-relative.
-func diffKernels(oldRep, newRep *bench.KernelReport, threshold float64) (int, int) {
-	fmt.Printf("benchdiff kernel records (isa %s -> %s), regression threshold %.0f%%\n",
+func diffKernels(w io.Writer, oldRep, newRep *bench.KernelReport, threshold float64) (int, int) {
+	fmt.Fprintf(w, "benchdiff kernel records (isa %s -> %s), regression threshold %.0f%%\n",
 		oldRep.ISA, newRep.ISA, threshold)
 	oldByName := map[string]bench.KernelRow{}
 	for _, r := range oldRep.Rows {
 		oldByName[r.Name] = r
 	}
-	fmt.Printf("%-36s %14s %14s %8s %12s\n", "case", "old", "new", "Δtime", "MFLOP/s")
+	fmt.Fprintf(w, "%-36s %14s %14s %8s %12s\n", "case", "old", "new", "Δtime", "MFLOP/s")
 	regressions, compared := 0, 0
 	for _, r := range newRep.Rows {
 		o, ok := oldByName[r.Name]
@@ -148,13 +142,13 @@ func diffKernels(oldRep, newRep *bench.KernelReport, threshold float64) (int, in
 			mark = "  <<< REGRESSION: time"
 			regressions++
 		}
-		fmt.Printf("%-36s %14s %14s %+7.1f%% %12.0f%s\n",
+		fmt.Fprintf(w, "%-36s %14s %14s %+7.1f%% %12.0f%s\n",
 			r.Name, time.Duration(o.NsPerOp), time.Duration(r.NsPerOp), dt, r.MFlops, mark)
 	}
-	fmt.Printf("speedup at 512x512: %.2fx -> %.2fx (floor %.1fx)\n",
+	fmt.Fprintf(w, "speedup at 512x512: %.2fx -> %.2fx (floor %.1fx)\n",
 		oldRep.Speedup512, newRep.Speedup512, bench.MinGemmSpeedup512)
 	if newRep.Speedup512 < bench.MinGemmSpeedup512 {
-		fmt.Printf("  <<< REGRESSION: blocked GEMM speedup below the %.1fx acceptance floor\n",
+		fmt.Fprintf(w, "  <<< REGRESSION: blocked GEMM speedup below the %.1fx acceptance floor\n",
 			bench.MinGemmSpeedup512)
 		regressions++
 	}
@@ -169,9 +163,8 @@ func pct(old, new int64) float64 {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 10, "flag regressions beyond this percentage")
-	minAllocs := flag.Uint64("minallocs", 10_000, "ignore allocation regressions below this many allocs/op (relative noise on near-zero counts)")
-	hardExit := flag.Bool("exit", false, "exit non-zero when a time regression exceeds the threshold")
+	threshold := flag.Float64("threshold", 10, "flag kernel time regressions beyond this percentage")
+	hardExit := flag.Bool("exit", false, "exit non-zero when any row regressed or drifted")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-exit] OLD.json NEW.json")
@@ -187,81 +180,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if oldRec.topo != nil || newRec.topo != nil {
-		if oldRec.topo == nil || newRec.topo == nil {
-			fmt.Fprintln(os.Stderr, "benchdiff: cannot compare a topology record with a perf record")
-			os.Exit(2)
-		}
+	var regressions, compared int
+	var verdict string
+	switch {
+	case oldRec.topo != nil && newRec.topo != nil:
 		fmt.Printf("benchdiff %s (%s) -> %s (%s), topology records: exact comparison\n",
 			flag.Arg(0), oldRec.topo.Scale, flag.Arg(1), newRec.topo.Scale)
-		drift, compared := diffTopo(oldRec.topo, newRec.topo)
-		if compared == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
-			os.Exit(2)
-		}
-		if drift > 0 {
-			fmt.Fprintf(os.Stderr, "\nbenchdiff: %d topology row(s) drifted — simulated results are deterministic, so this is a real change\n", drift)
-			if *hardExit {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if oldRec.kern != nil || newRec.kern != nil {
-		if oldRec.kern == nil || newRec.kern == nil {
-			fmt.Fprintln(os.Stderr, "benchdiff: cannot compare a kernels record with a different kind")
-			os.Exit(2)
-		}
-		regressions, compared := diffKernels(oldRec.kern, newRec.kern, *threshold)
-		if compared == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
-			os.Exit(2)
-		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "\nbenchdiff: %d kernel case(s) regressed — the level-3 kernels are a conformance prerequisite, inspect before merging\n", regressions)
-			if *hardExit {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	oldRep, newRep := oldRec.perf, newRec.perf
-	oldByName := map[string]bench.PerfMeasurement{}
-	for _, m := range oldRep.Results {
-		oldByName[m.Name] = m
-	}
-	fmt.Printf("benchdiff %s (%s) -> %s (%s), regression threshold %.0f%%\n",
-		flag.Arg(0), oldRep.Scale, flag.Arg(1), newRep.Scale, *threshold)
-	fmt.Printf("%-44s %14s %14s %8s %10s %8s\n", "case", "old", "new", "Δtime", "Δallocs", "Δbytes")
-	regressions := 0
-	compared := 0
-	for _, m := range newRep.Results {
-		o, ok := oldByName[m.Name]
-		if !ok {
-			continue
-		}
-		compared++
-		dt := pct(o.NsPerOp, m.NsPerOp)
-		da := pct(int64(o.AllocsPerOp), int64(m.AllocsPerOp))
-		db := pct(int64(o.BytesPerOp), int64(m.BytesPerOp))
-		mark := ""
-		if dt > *threshold {
-			mark = "  <<< REGRESSION: time"
-			regressions++
-		} else if da > *threshold && m.AllocsPerOp >= *minAllocs {
-			mark = "  <<< REGRESSION: allocs"
-			regressions++
-		}
-		fmt.Printf("%-44s %14s %14s %+7.1f%% %+9.1f%% %+7.1f%%%s\n",
-			m.Name, time.Duration(o.NsPerOp), time.Duration(m.NsPerOp), dt, da, db, mark)
+		regressions, compared = diffTopo(os.Stdout, oldRec.topo, newRec.topo)
+		verdict = "topology row(s) drifted — simulated results are deterministic, so this is a real change"
+	case oldRec.kern != nil && newRec.kern != nil:
+		regressions, compared = diffKernels(os.Stdout, oldRec.kern, newRec.kern, *threshold)
+		verdict = "kernel case(s) regressed — the level-3 kernels are a conformance prerequisite, inspect before merging"
+	default:
+		fmt.Fprintln(os.Stderr, "benchdiff: cannot compare a topology record with a kernels record")
+		os.Exit(2)
 	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: the two records share no cases")
 		os.Exit(2)
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d case(s) regressed more than %.0f%% — inspect before merging\n",
-			regressions, *threshold)
+		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d %s\n", regressions, verdict)
 		if *hardExit {
 			os.Exit(1)
 		}

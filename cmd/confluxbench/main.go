@@ -17,11 +17,8 @@
 //	confluxbench -exp ablation
 //	confluxbench -exp all -scale small
 //	confluxbench -exp table2 -alpha 5e-6 -beta 2e-10
-//	confluxbench -exp smoke -json BENCH_smoke.json
-//	confluxbench -exp sched -scale paper -json BENCH_events.json
 //	confluxbench -exp topology -scale small -json BENCH_topo.json
 //	confluxbench -exp kernels -json BENCH_kernels.json
-//	confluxbench -exp table2 -executor events
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/costmodel"
-	"repro/internal/smpi"
 )
 
 type scale struct {
@@ -49,7 +45,6 @@ type scale struct {
 	fig7N, fig7P     []int
 	fig7Measured     int
 	ablN, ablP       int
-	smokeN, smokeP   int
 	solveN           int
 	solveP           []int
 	solveNRHS        int
@@ -62,7 +57,6 @@ var scales = map[string]scale{
 		fig6bBase: 64, fig6bP: []int{1, 8, 27, 64},
 		fig7N: []int{128, 256}, fig7P: []int{4, 16, 4096, 262144}, fig7Measured: 64,
 		ablN: 192, ablP: 8,
-		smokeN: 256, smokeP: 16,
 		solveN: 256, solveP: []int{4, 8, 12, 16, 32}, solveNRHS: 8,
 	},
 	"medium": {
@@ -71,7 +65,6 @@ var scales = map[string]scale{
 		fig6bBase: 256, fig6bP: []int{1, 8, 27, 64},
 		fig7N: []int{512, 1024}, fig7P: []int{16, 64, 256, 4096, 65536}, fig7Measured: 256,
 		ablN: 512, ablP: 32,
-		smokeN: 1024, smokeP: 64,
 		solveN: 1024, solveP: []int{4, 16, 64, 128}, solveNRHS: 16,
 	},
 	"paper": {
@@ -80,7 +73,6 @@ var scales = map[string]scale{
 		fig6bBase: 3200, fig6bP: []int{1, 8, 27, 64, 125, 216},
 		fig7N: []int{4096, 8192, 16384}, fig7P: []int{64, 256, 1024, 16384, 27648, 262144}, fig7Measured: 1024,
 		ablN: 4096, ablP: 64,
-		smokeN: 4096, smokeP: 64,
 		solveN: 16384, solveP: []int{64, 256, 1024}, solveNRHS: 64,
 	},
 }
@@ -94,32 +86,21 @@ func main() {
 }
 
 func realMain() (code int) {
-	exp := flag.String("exp", "all", "experiment: table2 | fig6a | fig6b | fig7 | ablation | sweep | solve | smoke | perf | sched | topology | kernels | all")
-	sc := flag.String("scale", "small", "scale preset: small | medium | paper (-exp sched also takes beyond)")
+	exp := flag.String("exp", "all", "experiment: table2 | fig6a | fig6b | fig7 | ablation | sweep | solve | topology | kernels | all")
+	sc := flag.String("scale", "small", "scale preset: small | medium | paper")
 	cellN := flag.Int("cellN", 0, "with -exp cell: the N of a single Table-2 cell")
 	cellP := flag.Int("cellP", 0, "with -exp cell: the P of a single Table-2 cell")
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	alpha := flag.Float64("alpha", bench.Machine.Alpha, "α: per-message latency of the simulated machine (seconds)")
 	beta := flag.Float64("beta", bench.Machine.Beta, "β: per-byte transfer cost of the simulated machine (seconds/byte)")
-	jsonOut := flag.String("json", "", "with -exp smoke|perf|sched|topology|kernels: write the machine-readable record to this path")
+	jsonOut := flag.String("json", "", "with -exp topology|kernels: write the machine-readable record to this path")
 	solveNRHS := flag.Int("nrhs", 0, "with -exp solve: override the scale preset's right-hand-side count")
-	executor := flag.String("executor", "goroutines", "smpi executor for replayed worlds: goroutines | events")
-	execWorkers := flag.Int("workers", 0, "event-executor window width: ranks of one world run concurrently (0|1 = serial, -1 = NumCPU)")
 	workers := flag.Int("parallel", 0, "independent simulated worlds to run concurrently (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this path")
 	flag.Parse()
 	bench.Machine = costmodel.Machine{Alpha: *alpha, Beta: *beta}
 	bench.Workers = *workers
-	bench.ExecWorkers = *execWorkers
-	if bench.ExecWorkers < 0 {
-		bench.ExecWorkers = runtime.NumCPU()
-	}
-	var err error
-	if bench.Executor, err = smpi.ResolveExecutor(smpi.Executor(*executor)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	if *cpuprofile != "" {
 		fh, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -175,13 +156,8 @@ func realMain() (code int) {
 	}
 	s, ok := scales[*sc]
 	if !ok {
-		// "beyond" exists only for the sched sweep (the N=65,536 frontier);
-		// bench.SchedCases validates it, and the sched runner never reads
-		// the scale struct.
-		if !(*exp == "sched" && *sc == "beyond") {
-			fmt.Fprintf(os.Stderr, "unknown scale %q\n", *sc)
-			return 2
-		}
+		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *sc)
+		return 2
 	}
 	// The first failing experiment stops the sweep; later run() calls are
 	// no-ops and realMain returns non-zero after the defers flush.
@@ -253,63 +229,6 @@ func realMain() (code int) {
 			return err
 		}
 		bench.RenderAblation(os.Stdout, ab)
-		return nil
-	})
-	run("smoke", func(s scale) error {
-		res, err := bench.RunSmoke(ctx, s.smokeN, s.smokeP)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-		if *jsonOut != "" {
-			fh, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer fh.Close()
-			if err := res.WriteJSON(fh); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-	run("perf", func(s scale) error {
-		rep, err := bench.RunPerf(ctx, *sc, os.Stdout)
-		if err != nil {
-			return err
-		}
-		if *jsonOut != "" {
-			fh, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer fh.Close()
-			if err := rep.WriteJSON(fh); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-	run("sched", func(s scale) error {
-		rep, err := bench.RunSched(ctx, *sc, os.Stdout)
-		if err != nil {
-			return err
-		}
-		if *jsonOut != "" {
-			fh, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer fh.Close()
-			if err := rep.WriteJSON(fh); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
 		return nil
 	})
 	run("topology", func(s scale) error {

@@ -63,26 +63,12 @@ func (m Measurement) PerNodeBytes() float64 {
 	return float64(m.MeasuredBytes) / float64(m.P)
 }
 
-// Timeout bounds a single volume-mode run; paper-scale points take minutes.
-var Timeout = 30 * time.Minute
+// timeout bounds a single volume-mode run; paper-scale points take minutes.
+const timeout = 30 * time.Minute
 
 // Machine is the α-β machine the harness simulates time against
 // (cmd/confluxbench overrides it from -alpha/-beta).
 var Machine = costmodel.DefaultMachine()
-
-// Executor selects how replayed worlds schedule their ranks (goroutines,
-// also the empty string, or events). cmd/confluxbench wires -executor
-// here; the sched experiment sweeps it. Results are executor-independent —
-// this switches only the host-side wall-clock/allocation profile.
-var Executor smpi.Executor
-
-// ExecWorkers is the event executor's concurrent-window width for replayed
-// worlds (cmd/confluxbench wires -workers here; the sched experiment sweeps
-// it). 0 or 1 is the serial schedule. Like Executor, it changes only the
-// host-side profile — reports are bit-identical at every width. Distinct
-// from Workers in parallel.go, which fans independent worlds across cores;
-// ExecWorkers parallelizes the ranks of a single world.
-var ExecWorkers int
 
 // LibSciNB is the "user-specified" ScaLAPACK block size used throughout the
 // harness (Table 2 lists LibSci's block size as a user parameter). It
@@ -91,22 +77,21 @@ var ExecWorkers int
 const LibSciNB = lu2d.DefaultLibSciNB
 
 // runVolume replays one volume-mode schedule on p ranks of the flat α-β
-// machine under ctx, bounded by the harness Timeout. Cancellation aborts the
+// machine under ctx, bounded by the harness timeout. Cancellation aborts the
 // simulated world, so a paper-scale sweep stops promptly on SIGINT.
 func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, error) {
 	return runVolumeOn(ctx, p, nil, fn)
 }
 
-// runVolumeOn is runVolume with the clocks priced by tp (nil = flat).
+// runVolumeOn is runVolume with the clocks priced by tp (nil = flat), on the
+// default goroutine executor.
 func runVolumeOn(ctx context.Context, p int, tp trace.Topology, fn smpi.RankFunc) (*trace.Report, error) {
-	ctx, cancel := context.WithTimeout(ctx, Timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	return smpi.Exec(ctx, smpi.Config{
 		P:          p,
 		Machine:    Machine,
 		MachineSet: true,
-		Executor:   Executor,
-		Workers:    ExecWorkers,
 		Topology:   tp,
 	}, fn)
 }

@@ -142,7 +142,7 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 // median of three runs: on a shared host single runs differ by a third.
 func hostFactorizeGFlops(ctx context.Context, opt conflux.Options) (float64, error) {
 	a := mat.Random(opt.N, opt.N, 1)
-	ctx, cancel := context.WithTimeout(ctx, Timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var walls [3]float64
 	for i := range walls {

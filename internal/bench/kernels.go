@@ -18,7 +18,7 @@ import (
 // the cache-blocked level-3 kernels (DESIGN.md §15) against the seed
 // straight-loop GEMM, plus blocked TRSM and the blocked LU panel they
 // feed. BENCH_kernels.json freezes the record; cmd/benchdiff compares
-// reruns with the perf threshold and additionally hard-fails when the
+// reruns with its time threshold and additionally hard-fails when the
 // headline 512×512 GEMM speedup drops below MinGemmSpeedup512 — that
 // ratio is the acceptance bar that let numeric factorization at paper
 // scale join the conformance suite.
@@ -202,8 +202,8 @@ func RunKernels(ctx context.Context, progress io.Writer) (*KernelReport, error) 
 	return rep, nil
 }
 
-// runKernelCase measures one case the same way RunPerfCase does: a
-// warm-up rep, then fixed iterations with MemStats deltas.
+// runKernelCase measures one case: a warm-up rep, then fixed iterations
+// with MemStats deltas.
 func runKernelCase(kc kernelCase) (KernelRow, error) {
 	row := KernelRow{Name: kc.name, Iters: kc.iters}
 	kc.run() // warm-up: pools and (first call) pack buffers

@@ -16,21 +16,15 @@ import (
 // because results land at their job's index, never in completion order.
 
 // Workers is the number of simulated worlds the harness runs concurrently;
-// 0 (the default) means one per host CPU (GOMAXPROCS), divided by the
-// event executor's per-world window width (ExecWorkers) when that is set —
-// the two axes multiply, and the default should keep running threads at
-// about one per core either way. cmd/confluxbench overrides it from
-// -parallel. Note each world runs P goroutines of its own, so Workers
-// bounds *worlds*, not goroutines.
+// 0 (the default) means one per host CPU (GOMAXPROCS). cmd/confluxbench
+// overrides it from -parallel. Note each world runs P goroutines of its
+// own, so Workers bounds *worlds*, not goroutines.
 var Workers int
 
 func workerCount(n int) int {
 	w := Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-		if ExecWorkers > 1 {
-			w /= ExecWorkers
-		}
 	}
 	if w > n {
 		w = n

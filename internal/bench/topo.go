@@ -54,7 +54,7 @@ type TopoOptimum struct {
 }
 
 // TopoReport is the machine-readable record of one sweep. Kind
-// distinguishes it from the perf suite's records in cmd/benchdiff.
+// distinguishes it from the kernel suite's records in cmd/benchdiff.
 type TopoReport struct {
 	Kind   string                 `json:"kind"`
 	Scale  string                 `json:"scale"`

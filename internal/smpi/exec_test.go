@@ -348,9 +348,9 @@ func TestEventExecutorDeadlockSurfacesViaTimeout(t *testing.T) {
 
 // TestEventExecutorDeterminismStress runs several identical event-loop
 // simulations concurrently (under -race in CI) and requires bit-identical
-// reports: the loops share the wire-buffer pools and the window registry,
-// and any cross-world interference or unsynchronized scheduler state would
-// show up as a diff or a race report.
+// reports: the loops share the wire-buffer pools and the scheduler-state
+// pool, and any cross-world interference or unsynchronized scheduler state
+// would show up as a diff or a race report.
 func TestEventExecutorDeterminismStress(t *testing.T) {
 	const trials, p = 4, 7
 	reps := make([]*trace.Report, trials)
