@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-full fuzz-smoke vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest ci
+.PHONY: all build test test-purego test-full fuzz-smoke vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest loc ci
 
 all: ci
 
@@ -35,7 +35,7 @@ test-purego:
 # the same for mailbox matching: byte-string programs of puts and takes on a
 # 2–5 rank world, under each executor, against a sequential per-stream model.
 # The third holds the booked row swap to the per-part ping-pong it replaces:
-# part list × arrival order × topology preset, events and report bit for bit.
+# part list × arrival order × topology preset, schedule and report bit for bit.
 # The fourth drives GemmRows across the streamed and packed paths and every
 # blocking edge: one call equals the same call one row at a time bit for bit
 # (a ragged tile writes back like a full one), and both stay within the
@@ -142,6 +142,13 @@ kernels:
 # §13.
 loadtest:
 	$(GO) test -race -count=1 -run 'TestConfluxdLoad' -v ./cmd/confluxd
+
+# Tracked non-test Go lines per package, outside the nested benchmark/
+# module, and their total: the counts ROADMAP's line-count gates cite.
+loc:
+	@git ls-files -- '*.go' ':!:*_test.go' ':!:benchmark/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # benchmark-check rides along because the nested benchmark module holds
 # values of root types (trace.Topology, conflux options) that a root change

@@ -497,7 +497,6 @@ func digestMachine(t *testing.T, i, world int, faults *FaultPlan) trace.Topology
 func requirePricedDigests(t *testing.T, job engine.Job, digests [2]string, faults *FaultPlan, rec int) {
 	t.Helper()
 	w := smpi.NewWorldMachine(job.World, false, DefaultMachine())
-	w.Trace.SetEventCap(0)
 	w.Trace.Record()
 	rep, err := smpi.Exec(t.Context(), smpi.Config{World: w, Topology: digestMachine(t, rec, job.World, faults)}, job.Body)
 	if err != nil {

@@ -80,20 +80,9 @@ const LibSciNB = lu2d.DefaultLibSciNB
 // machine under ctx, bounded by the harness timeout. Cancellation aborts the
 // simulated world, so a paper-scale sweep stops promptly on SIGINT.
 func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, error) {
-	return runVolumeOn(ctx, p, nil, fn)
-}
-
-// runVolumeOn is runVolume with the clocks priced by tp (nil = flat), on the
-// default goroutine executor.
-func runVolumeOn(ctx context.Context, p int, tp trace.Topology, fn smpi.RankFunc) (*trace.Report, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	return smpi.Exec(ctx, smpi.Config{
-		P:          p,
-		Machine:    Machine,
-		MachineSet: true,
-		Topology:   tp,
-	}, fn)
+	return smpi.Exec(ctx, smpi.Config{P: p, Machine: Machine, MachineSet: true}, fn)
 }
 
 // recordVolume is runVolume on a recording timeline, which it returns:
@@ -102,7 +91,6 @@ func recordVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Timeline
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	w := smpi.NewWorldMachine(p, false, Machine)
-	w.Trace.SetEventCap(0)
 	w.Trace.Record()
 	_, err := smpi.Exec(ctx, smpi.Config{World: w}, fn)
 	return w.Trace, err

@@ -26,8 +26,8 @@ import (
 // point's default joins it where it is not a member.
 var blockSizeVs = []int{4, 8, 16, 32, 64, 128}
 
-// sweepTopology is the contended network the sweep prices each replay on
-// besides the flat machine.
+// sweepTopology is the contended network the sweep prices each recorded
+// replay on besides the flat machine.
 const sweepTopology = "dragonfly-contended"
 
 // maxSweepNumericN bounds the matrices the sweep also factorizes with real
@@ -42,12 +42,22 @@ type BlockSizeRow struct {
 	// Measurement is the volume replay on the flat α-β machine; FittedBytes
 	// is conflux.ModelPerRankElements over all ranks, which has no v term.
 	Measurement
+	// contended is the replay's makespan priced on sweepTopology, which only
+	// RunBlockSizeSweep asks for.
+	contended float64
 }
 
 // BlockSizeSweep replays COnfLUX in volume mode at (n, p, mem) once per
 // blocking parameter in vs, on the grid DefaultOptions picks. Values the
 // engine cannot run (v below the layer count, or above n) are skipped.
 func BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]BlockSizeRow, error) {
+	return blockSizeSweep(ctx, n, p, mem, vs, nil)
+}
+
+// blockSizeSweep is BlockSizeSweep that, given a topology, records each
+// replay's schedule and prices it there too, into the row's contended
+// makespan.
+func blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp trace.Topology) ([]BlockSizeRow, error) {
 	base := conflux.DefaultOptions(n, p, mem)
 	fitted := conflux.ModelPerRankElements(costmodel.Params{N: n, P: p, M: mem}) * float64(p) * trace.BytesPerElement
 	var out []BlockSizeRow
@@ -57,14 +67,25 @@ func BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]Blo
 		}
 		opt := base
 		opt.V = v
-		rep, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+		body := func(cm *smpi.Comm) error {
 			_, err := conflux.Run(cm, nil, opt)
 			return err
-		})
-		if err != nil {
-			return nil, err
 		}
-		out = append(out, BlockSizeRow{V: v, Default: v == base.V, Measurement: Measurement{
+		var rep *trace.Report
+		var contended float64
+		if tp == nil {
+			var err error
+			if rep, err = runVolume(ctx, p, body); err != nil {
+				return nil, err
+			}
+		} else {
+			tl, err := recordVolume(ctx, p, body)
+			if err != nil {
+				return nil, err
+			}
+			rep, contended = tl.Report(), tl.Price(Machine, tp).Time.Makespan
+		}
+		out = append(out, BlockSizeRow{V: v, Default: v == base.V, contended: contended, Measurement: Measurement{
 			Algo: costmodel.COnfLUX, N: n, P: p, M: mem,
 			MeasuredBytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
 			FittedBytes:   fitted,
@@ -78,8 +99,8 @@ func BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]Blo
 }
 
 // RunBlockSizeSweep is the full record: BlockSizeSweep over blockSizeVs at
-// every (N, P) point under maximum memory, each row's schedule replayed once
-// more on sweepTopology and, up to maxSweepNumericN, factorized with real
+// every (N, P) point under maximum memory, each row's recorded schedule
+// priced on sweepTopology and, up to maxSweepNumericN, factorized with real
 // payloads for the host rate. Rows stream to w as they complete.
 func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error {
 	spec, err := topo.PresetSpec(sweepTopology)
@@ -94,26 +115,19 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 		if i, found := slices.BinarySearch(vs, opt.V); !found {
 			vs = slices.Insert(slices.Clone(vs), i, opt.V) // a floor like 2c = 12
 		}
-		rows, err := BlockSizeSweep(ctx, n, p, mem, vs)
-		if err != nil {
-			return err
-		}
 		tp, err := topo.BuildFaulted(spec, Machine, p, topo.FaultPlan{})
 		if err != nil {
 			return fmt.Errorf("bench: %w", err)
+		}
+		rows, err := blockSizeSweep(ctx, n, p, mem, vs, tp)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "N=%d P=%d grid %s, model %.3f MB/rank (no v term)\n", n, p, describe(opt.Grid), rows[0].FittedBytes/float64(p)/1e6)
 		fmt.Fprintf(w, "  %-8s %12s %8s %10s %8s %12s %26s %10s\n",
 			"v", "MB/rank", "/model", "max msgs", "/(N/v)", "flat [ms]", sweepTopology+" [ms]", "GFLOP/s")
 		for _, r := range rows {
 			opt.V = r.V
-			rep, err := runVolumeOn(ctx, p, tp, func(cm *smpi.Comm) error {
-				_, err := conflux.Run(cm, nil, opt)
-				return err
-			})
-			if err != nil {
-				return err
-			}
 			host := "—" // the numeric run is out of reach
 			if n <= maxSweepNumericN {
 				gflops, err := hostFactorizeGFlops(ctx, opt)
@@ -129,7 +143,7 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 			fmt.Fprintf(w, "  %-8s %12.3f %8.3f %10d %8.2f %12.3f %26.3f %10s\n",
 				label, float64(r.MeasuredBytes)/float64(p)/1e6, float64(r.MeasuredBytes)/r.FittedBytes,
 				r.MaxRankMsgs, float64(r.MaxRankMsgs)*float64(r.V)/float64(n),
-				r.SimTime*1e3, rep.Time.Makespan*1e3, host)
+				r.SimTime*1e3, r.contended*1e3, host)
 		}
 	}
 	fmt.Fprintln(w, "  (* = the default, costmodel.COnfLUXBlockSize)")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/conflux"
@@ -11,11 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// runEngineWorld replays one engine's volume-mode schedule on a world the
-// test owns, so the timeline (and its retained events) stays accessible.
+// runEngineWorld replays one engine's volume-mode schedule on a recording
+// world the test owns, so the timeline (and its recorded schedule) stays
+// accessible.
 func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float64) *smpi.World {
 	t.Helper()
 	w := smpi.NewWorldMachine(p, false, trace.DefaultMachine())
+	w.Trace.Record()
 	_, err := smpi.Exec(context.Background(), smpi.Config{World: w}, func(c *smpi.Comm) error {
 		var err error
 		switch algo {
@@ -36,47 +39,31 @@ func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float6
 	return w
 }
 
-// TestTimelineReportParityAllEngines pins the tentpole refactor: the volume
-// Report derived from the event timeline must be identical — per-rank
-// sent/recv/msgs and per-phase bytes/msgs — to the pre-refactor counter
-// semantics, reconstructed here by replaying every matched event — its send
-// and its receive — into a fresh timeline. A mismatch means a delivery was dropped, double-counted,
-// or mis-attributed on its way through the timeline.
+// TestTimelineReportParityAllEngines holds the timeline's two records of a
+// run to each other: the report its aggregates and clocks give, and its
+// recorded schedule. The schedule must hold one send and one receive per
+// timed message (a delivery dropped or double-counted on its way through the
+// timeline breaks the count); priced under the run's own machine it must
+// give back the report, every clock, busy and wait time bit for bit; and a
+// second replay must record the same schedule, operation by operation.
 func TestTimelineReportParityAllEngines(t *testing.T) {
 	n, p := 128, 8
 	mem := costmodel.MaxMemoryParams(n, p).M
 	for _, algo := range costmodel.Algorithms {
 		w := runEngineWorld(t, algo, n, p, mem)
-		if w.Trace.EventsDropped() != 0 {
-			t.Fatalf("%s: event cap exceeded at test scale", algo)
-		}
 		got := w.Trace.Report()
-
-		replay := trace.NewTimeline(p, trace.DefaultMachine())
-		for _, e := range w.Trace.Events() {
-			st := replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
-			replay.RecordRecv(e.From, e.To, e.Bytes, e.Phase, st)
+		var timed int64
+		for _, k := range got.Time.Msgs {
+			timed += k
 		}
-		want := replay.Report()
-
-		for r := 0; r < p; r++ {
-			if got.Sent[r] != want.Sent[r] || got.Recv[r] != want.Recv[r] || got.Msgs[r] != want.Msgs[r] {
-				t.Fatalf("%s rank %d: sent/recv/msgs %d/%d/%d from timeline vs %d/%d/%d from events",
-					algo, r, got.Sent[r], got.Recv[r], got.Msgs[r], want.Sent[r], want.Recv[r], want.Msgs[r])
-			}
+		if b := w.Trace.ScheduleBytes(); b == 0 || b != 24*timed {
+			t.Fatalf("%s: schedule holds %d bytes for %d timed messages, want 24 each", algo, b, timed)
 		}
-		if len(got.ByPhase) != len(want.ByPhase) {
-			t.Fatalf("%s: phase sets differ: %v vs %v", algo, got.ByPhase, want.ByPhase)
+		if priced := w.Trace.Price(trace.DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
+			t.Fatalf("%s: priced schedule %+v, live %+v", algo, priced.Time, got.Time)
 		}
-		for ph, v := range want.ByPhase {
-			if got.ByPhase[ph] != v {
-				t.Fatalf("%s phase %q: %d vs %d bytes", algo, ph, got.ByPhase[ph], v)
-			}
-		}
-		for ph, v := range want.PhaseMsgs {
-			if got.PhaseMsgs[ph] != v {
-				t.Fatalf("%s phase %q: %d vs %d msgs", algo, ph, got.PhaseMsgs[ph], v)
-			}
+		if d := runEngineWorld(t, algo, n, p, mem).Trace.ScheduleDiff(w.Trace); d != "" {
+			t.Fatalf("%s: a second replay recorded a different schedule: %s", algo, d)
 		}
 	}
 }

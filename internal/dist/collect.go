@@ -79,8 +79,7 @@ func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 	if c.Rank() != root {
 		if lens := tileLens(s.bc, s.row, s.col); len(lens) > 0 {
 			s.touch()
-			c.RecvBatches([]int{root}, Tag, [][]int{lens}, make([]int, len(lens)),
-				func(_ int, wire []float64) { copy(s.panel.Data, wire) })
+			c.RecvBatches([]int{root}, Tag, [][]int{lens}, func(_ int, wire []float64) { copy(s.panel.Data, wire) })
 		}
 		return
 	}
@@ -113,9 +112,8 @@ func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 // store's layer, on the world communicator) and the same one batch per
 // owner, one metered message per tile. dst is consulted at root only; nil
 // (the non-root convention) or phantom dst still drains and meters every
-// message, so numeric and volume runs keep identical schedules. The root
-// books its deliveries in (ti, tj) order whichever owner's batch lands
-// first. Traffic is labeled trace.PhaseCollect.
+// message, so numeric and volume runs keep identical schedules. Traffic is
+// labeled trace.PhaseCollect.
 func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 	checkGrid(g, s)
 	prev := c.Phase()
@@ -135,15 +133,11 @@ func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 		panic(fmt.Sprintf("dist: Gather matrix %dx%d != global dimension %d", dst.Rows, dst.Cols, s.bc.N))
 	}
 	numeric := dst != nil && !dst.Phantom()
-	// batch[row*Pc+col] is the index of that position's batch, −1 where it
-	// sends none (it owns nothing, or it is the root itself).
 	var froms []int
 	var parts [][]int
-	batch := make([]int, g.Pr*g.Pc)
 	for row := 0; row < g.Pr; row++ {
 		for col := 0; col < g.Pc; col++ {
 			owner, lens := g.Rank(row, col, s.layer), tileLens(s.bc, row, col)
-			batch[row*g.Pc+col] = -1
 			switch {
 			case len(lens) == 0:
 			case owner == root:
@@ -151,21 +145,11 @@ func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 					copyTiles(s.bc, row, col, dst, s.panel.Data, false)
 				}
 			default:
-				batch[row*g.Pc+col] = len(froms)
 				froms, parts = append(froms, owner), append(parts, lens)
 			}
 		}
 	}
-	nt := s.bc.Tiles()
-	seq := make([]int, 0, nt*nt)
-	for ti := 0; ti < nt; ti++ {
-		for tj := 0; tj < nt; tj++ {
-			if i := batch[s.bc.OwnerRow(ti)*g.Pc+s.bc.OwnerCol(tj)]; i >= 0 {
-				seq = append(seq, i)
-			}
-		}
-	}
-	c.RecvBatches(froms, Tag, parts, seq, func(i int, wire []float64) {
+	c.RecvBatches(froms, Tag, parts, func(i int, wire []float64) {
 		if numeric {
 			row, col, _ := g.Coords(froms[i])
 			copyTiles(s.bc, row, col, dst, wire, false)

@@ -91,12 +91,12 @@ type trip struct {
 
 // roundTrip scatters a (random in payload mode, nil in volume mode) matrix
 // from rank 0 across the stores of tr.layer and gathers it back, returning
-// the run's report, its retained events and the gathered matrix. Other
+// the run's report and the gathered matrix. Other
 // layers and disabled ranks sit out, exactly as the engines use the
 // collectives; every active rank first takes part in a timed ring exchange,
 // and the participants in a second one between the two collectives, so the
 // clocks the untimed phases must leave alone differ from rank to rank.
-func roundTrip(t testing.TB, tr trip) (*trace.Report, []trace.Event, *mat.Matrix) {
+func roundTrip(t testing.TB, tr trip) (*trace.Report, *mat.Matrix) {
 	t.Helper()
 	g, n := tr.g, tr.n
 	bc := grid.BlockCyclic{G: g, V: tr.v, N: n}
@@ -180,7 +180,7 @@ func roundTrip(t testing.TB, tr trip) (*trace.Report, []trace.Event, *mat.Matrix
 			t.Fatalf("round trip not exact: max |diff| = %v", d)
 		}
 	}
-	return rep, w.Trace.Events(), got
+	return rep, got
 }
 
 // roundTripCases is the shape table of the round-trip, parity and fuzz tests
@@ -256,7 +256,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	for _, tc := range roundTripCases {
 		for _, payload := range []bool{true, false} {
 			t.Run(tc.name+"/"+modeName(payload), func(t *testing.T) {
-				rep, _, _ := roundTrip(t, trip{g: tc.g, n: tc.n, v: tc.v, payload: payload})
+				rep, _ := roundTrip(t, trip{g: tc.g, n: tc.n, v: tc.v, payload: payload})
 				bc := grid.BlockCyclic{G: tc.g, V: tc.v, N: tc.n}
 				checkHousekeeping(t, rep, bc, 0)
 				if bytes, _ := housekeeping(bc, 0); tc.g.Used() > 1 && bc.Tiles() > 1 && bytes == 0 {
@@ -272,17 +272,16 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 // both executors, moving each owner's tiles as one batch must leave what
 // moving them one message at a time left — the same gathered matrix, the
 // same report field for field (per-rank Sent/Recv/Msgs, ByPhase, PhaseMsgs,
-// every clock bit), and the same retained events element by element, the
-// root's collect deliveries in (ti, tj) order included.
+// every clock bit).
 func TestBatchedLayoutMatchesPerTile(t *testing.T) {
 	for _, tc := range roundTripCases {
 		for _, payload := range []bool{true, false} {
 			for _, ex := range []smpi.Executor{smpi.ExecGoroutines, smpi.ExecEvents} {
 				t.Run(tc.name+"/"+modeName(payload)+"/"+string(ex), func(t *testing.T) {
 					tr := trip{g: tc.g, n: tc.n, v: tc.v, payload: payload, executor: ex}
-					rep, events, got := roundTrip(t, tr)
+					rep, got := roundTrip(t, tr)
 					tr.perTile = true
-					wantRep, wantEvents, want := roundTrip(t, tr)
+					wantRep, want := roundTrip(t, tr)
 					if payload && mat.MaxAbsDiff(got, want) != 0 {
 						t.Errorf("gathered matrices differ")
 					}
@@ -296,14 +295,6 @@ func TestBatchedLayoutMatchesPerTile(t *testing.T) {
 					} {
 						if !reflect.DeepEqual(f.got, f.want) {
 							t.Errorf("%s: batched %+v, per tile %+v", f.name, f.got, f.want)
-						}
-					}
-					if len(events) != len(wantEvents) {
-						t.Fatalf("%d events retained, per tile %d", len(events), len(wantEvents))
-					}
-					for i := range events {
-						if events[i] != wantEvents[i] {
-							t.Fatalf("event %d: batched %+v, per tile %+v", i, events[i], wantEvents[i])
 						}
 					}
 				})
@@ -327,7 +318,7 @@ func FuzzScatterGather(f *testing.F) {
 		bc := grid.BlockCyclic{G: g, V: 1 + fold(v-1, 40), N: 1 + fold(n-1, 600)}
 		layer = fold(layer, g.Layers)
 		for _, payload := range []bool{true, false} {
-			rep, _, _ := roundTrip(t, trip{g: g, n: bc.N, v: bc.V, layer: layer, payload: payload})
+			rep, _ := roundTrip(t, trip{g: g, n: bc.N, v: bc.V, layer: layer, payload: payload})
 			checkHousekeeping(t, rep, bc, layer)
 		}
 	})
@@ -337,8 +328,8 @@ func FuzzScatterGather(f *testing.F) {
 // central phantom-payload invariant, at the dist layer.
 func TestVolumeNumericParity(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 3, Layers: 2, Total: 12}
-	numeric, _, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: true})
-	volume, _, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: false})
+	numeric, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: true})
+	volume, _ := roundTrip(t, trip{g: g, n: 19, v: 4, payload: false})
 	for _, ph := range []string{trace.PhaseLayout, trace.PhaseCollect} {
 		if numeric.ByPhase[ph] != volume.ByPhase[ph] {
 			t.Errorf("%s: numeric %d bytes vs volume %d", ph, numeric.ByPhase[ph], volume.ByPhase[ph])

@@ -122,7 +122,6 @@ func SimulateAndPrice(ctx context.Context, req Request, others []Machine) (val *
 		return nil, nil, err
 	}
 	w := smpi.NewWorldMachine(job.World, false, m.alphaBeta())
-	w.Trace.SetEventCap(0)
 	if len(others) > 0 {
 		w.Trace.Record()
 	}

@@ -88,12 +88,6 @@ func (c *Comm) ReduceMatSum(root int, m *mat.Matrix) {
 	}
 }
 
-// AllreduceMatSum combines ReduceMatSum and BcastMat (volume 2(p-1)·len).
-func (c *Comm) AllreduceMatSum(m *mat.Matrix) {
-	c.ReduceMatSum(0, m)
-	c.BcastMat(0, m)
-}
-
 // MaxLoc is a (value, location) pair for distributed pivot search.
 type MaxLoc struct {
 	Val float64
@@ -133,14 +127,6 @@ func (c *Comm) Butterfly(in Msg, combine func(mine, theirs Msg) Msg) Msg {
 		cur = c.Recv(c.me-pow2, tag)
 	}
 	return cur
-}
-
-// Barrier synchronizes the communicator with zero metered volume (control
-// traffic is not data volume in the paper's accounting). It is not free in
-// simulated time: each butterfly round costs α per endpoint, so barriers
-// contribute latency to the makespan like real fence synchronization.
-func (c *Comm) Barrier() {
-	c.Butterfly(Msg{N: 0}, func(a, b Msg) Msg { return Msg{N: 0} })
 }
 
 func abs(v float64) float64 {

@@ -107,11 +107,8 @@ type Config struct {
 // completes before cancellation lands is returned as a success. A partial
 // report is returned alongside every error. After the ranks unwind —
 // normally or not — undelivered pooled wire buffers are returned to their
-// pools, so aborted runs leak nothing.
-//
-// A world Exec builds itself retains no trace events: nothing outside this
-// call can reach its timeline, so nobody could read them. Pass a World to
-// ask for Trace.Events() afterwards (it keeps trace.DefaultEventCap).
+// pools, so aborted runs leak nothing. Pass a World to read its timeline
+// afterwards, e.g. the schedule a recording world kept (Trace.Record).
 func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	w := cfg.World
 	if w == nil {
@@ -120,7 +117,6 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 			m = trace.DefaultMachine()
 		}
 		w = NewWorldMachine(cfg.P, cfg.Payload, m)
-		w.Trace.SetEventCap(0)
 	}
 	if cfg.Topology != nil {
 		w.Trace.SetTopology(cfg.Topology)

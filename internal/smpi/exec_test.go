@@ -58,7 +58,7 @@ func parityWorkload(c *Comm) error {
 	if got.Loc < 0 || got.Loc >= p {
 		return fmt.Errorf("bad maxloc %v", got)
 	}
-	c.Barrier()
+	barrier(c)
 	c.SetPhase("shift")
 	// Pairwise exchange under the reversal pairing (an involution for every
 	// p; the middle rank of an odd world sits out), with receive-before-
@@ -74,7 +74,7 @@ func parityWorkload(c *Comm) error {
 			c.Send(peer, 101, Msg{N: 256})
 		}
 	}
-	c.Barrier()
+	barrier(c)
 	return nil
 }
 
@@ -481,7 +481,7 @@ func TestBatchAbortPaths(t *testing.T) {
 				c.SendBatch(1, 0, parts, fill)
 				return nil
 			}
-			c.RecvBatches([]int{0}, 0, [][]int{parts}, make([]int, len(parts)), func(int, []float64) {})
+			c.RecvBatches([]int{0}, 0, [][]int{parts}, func(int, []float64) {})
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "failed on message 3 (48 bytes)") {
@@ -503,7 +503,7 @@ func TestBatchAbortPaths(t *testing.T) {
 			c.SetPhase("housekeeping")
 			switch c.Rank() {
 			case 0:
-				c.RecvBatches([]int{1, 2}, 0, [][]int{{4, 4}, {4}}, []int{0, 1, 0}, func(i int, wire []float64) {
+				c.RecvBatches([]int{1, 2}, 0, [][]int{{4, 4}, {4}}, func(i int, wire []float64) {
 					c.Send(2, 5, Msg{}) // past rank 1's batch, about to block on rank 2's
 				})
 			case 1:

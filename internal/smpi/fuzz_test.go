@@ -3,7 +3,6 @@ package smpi
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -100,7 +99,7 @@ func FuzzMailboxMatching(f *testing.F) {
 // first, bit 3 has a third rank raise both partners' clocks with traffic of
 // its own first, and bit 4 picks which partner leads; every later byte is one
 // part of 1–16 elements. The partners, ranks 0 and 4, sit on different nodes.
-// Under every executor the retained events and the report must be the
+// Under every executor the recorded schedule and the report must be the
 // reference's bit for bit, and both rows must come out exactly swapped.
 func FuzzSwapRows(f *testing.F) {
 	presets := []string{"flat", "hier-contended", "dragonfly-contended"}
@@ -124,6 +123,7 @@ func FuzzSwapRows(f *testing.F) {
 		tp := faultedTopology(t, presets[int(ctl&3)%3], p)
 		exchange := func(x exchanges, cfg Config) outcome {
 			w := NewWorld(p, true)
+			w.Trace.Record()
 			cfg.World, cfg.Topology, cfg.Timeout = w, tp, testTimeout
 			_, err := Exec(context.Background(), cfg, func(c *Comm) error {
 				me := c.Rank()
@@ -156,13 +156,13 @@ func FuzzSwapRows(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", x.variant, abortConfigName(cfg), err)
 			}
-			return outcome{events: w.Trace.Events(), report: w.Trace.Report()}
+			return outcome{tl: w.Trace, report: w.Trace.Report()}
 		}
 		want := exchange(reference, Config{})
 		for _, cfg := range abortConfigs() {
 			got := exchange(booked, cfg)
-			if !reflect.DeepEqual(got.events, want.events) {
-				t.Fatalf("%s: events differ from the reference:\n%v\n%v", abortConfigName(cfg), got.events, want.events)
+			if d := got.tl.ScheduleDiff(want.tl); d != "" {
+				t.Fatalf("%s: schedule differs from the reference: %s", abortConfigName(cfg), d)
 			}
 			if err := reportsEqual(want.report, got.report); err != nil {
 				t.Fatalf("%s: %v", abortConfigName(cfg), err)

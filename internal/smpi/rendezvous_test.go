@@ -94,10 +94,10 @@ func checkSwapped(row *mat.Matrix, me, peer, total int) error {
 }
 
 // outcome is everything a run leaves behind that the booked exchange must
-// reproduce: the retained events and the report (clocks included) and, per
-// world rank, the MaxLoc results.
+// reproduce: the recorded schedule (on the run's timeline), the report
+// (clocks included) and, per world rank, the MaxLoc results.
 type outcome struct {
-	events []trace.Event
+	tl     *trace.Timeline
 	report *trace.Report
 	maxes  [][]MaxLoc
 }
@@ -105,10 +105,11 @@ type outcome struct {
 // runExchanges runs one communication-dense program of pivot searches and
 // row swaps — on the world communicator, on a sub-communicator whose rank 0
 // is not world rank 0, with ragged part lists, with either side arriving
-// first — on a caller-supplied world that retains its events.
+// first — on a world that records its schedule.
 func runExchanges(t *testing.T, x exchanges, p int, payload bool, cfg Config) outcome {
 	t.Helper()
 	w := NewWorld(p, payload)
+	w.Trace.Record()
 	cfg.World = w
 	cfg.Timeout = testTimeout
 	maxes := make([][]MaxLoc, p)
@@ -163,19 +164,21 @@ func runExchanges(t *testing.T, x exchanges, p int, payload bool, cfg Config) ou
 				}
 			}
 		}
-		c.Barrier()
+		barrier(c)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s p=%d %s: %v", x.variant, p, abortConfigName(cfg), err)
 	}
-	return outcome{events: w.Trace.Events(), report: w.Trace.Report(), maxes: maxes}
+	return outcome{tl: w.Trace, report: w.Trace.Report(), maxes: maxes}
 }
 
 // TestBookedExchangesMatchReference is the equivalence claim behind the
-// rendezvous: SwapRows and the booked AllreduceMaxLoc leave every retained
-// event, every rank's clock and the whole report bit-identical to the
-// message-by-message schedules they replace, and the same data — at every
+// rendezvous: SwapRows and the booked AllreduceMaxLoc record the schedule —
+// every timed delivery's peer, size, phase and matched send, in each rank's
+// program order — that the message-by-message exchanges they replace record,
+// leave every rank's clock and the whole report bit-identical to theirs, and
+// move the same data — at every
 // communicator size up to 17 (powers of two and not), under both executors
 // and at event-window widths 1, 2 and P, on a contended, faulted network.
 func TestBookedExchangesMatchReference(t *testing.T) {
@@ -190,11 +193,11 @@ func TestBookedExchangesMatchReference(t *testing.T) {
 				cfg.Topology = tp
 				name := fmt.Sprintf("p=%d payload=%v %s", p, payload, abortConfigName(cfg))
 				got := runExchanges(t, booked, p, payload, cfg)
-				if len(want.events) == 0 && p > 1 {
-					t.Fatalf("%s: the reference retained no events", name)
+				if want.tl.ScheduleBytes() == 0 && p > 1 {
+					t.Fatalf("%s: the reference recorded no schedule", name)
 				}
-				if !reflect.DeepEqual(got.events, want.events) {
-					t.Fatalf("%s: events differ (%d vs %d)", name, len(got.events), len(want.events))
+				if d := got.tl.ScheduleDiff(want.tl); d != "" {
+					t.Fatalf("%s: schedules differ: %s", name, d)
 				}
 				if err := reportsEqual(want.report, got.report); err != nil {
 					t.Fatalf("%s: %v", name, err)

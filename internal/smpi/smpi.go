@@ -16,8 +16,8 @@
 // One transport operation is normally one metered message. The batch
 // (SendBatch/RecvBatches), the runtime's only scatter/gather-shaped
 // primitive, moves many messages between one pair of ranks as one mailbox
-// entry and one wire buffer, but still books them on the timeline one by
-// one — legal only in phases excluded from timing, where that is exact.
+// entry and one wire buffer, but still books one message per part on the
+// timeline — legal only in phases excluded from timing, where that is exact.
 // Ownership of a batch: the wire buffer is a pool lease the runtime holds from
 // SendBatch until RecvBatches (or the abort sweep) recycles it, seen by the
 // caller only inside the pack/unpack callbacks; the part list stays the
@@ -39,7 +39,7 @@ import (
 )
 
 // World is one simulated machine: P ranks with private memories, a shared
-// event timeline (volume + simulated time), and an optional send-fault
+// timeline (volume + simulated time), and an optional send-fault
 // injector used by tests.
 type World struct {
 	P       int
@@ -389,7 +389,7 @@ func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
 			}
 		}
 	}
-	msg.sendTime = c.w.Trace.RecordSendBatch(src, bytes, msg.sendPhase)
+	c.w.Trace.RecordSendBatch(src, bytes, msg.sendPhase)
 	if pack != nil {
 		msg.F, msg.pooled = getFloats(msg.N), true
 		pack(msg.F)
@@ -398,22 +398,20 @@ func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
 }
 
 // RecvBatches takes one SendBatch from each communicator rank of froms, in
-// that order, and then books every part as its own delivery. Batch i must
+// that order, and then books the received bytes of every part. Batch i must
 // carry exactly the part list parts[i] — anything else panics, as RecvMat's
 // length check does — and, when it has a payload, is handed to unpack, after
 // which the wire buffer goes back to the pool (no reference may survive the
-// callback). seq fixes the order of the receiver's timeline events across
-// senders: seq[k] indexes froms and names the sender whose next unbooked
-// part is the k-th delivery; it must consume every part of every batch.
-// Like the sends, the deliveries are legal only in a phase excluded from
-// timing, and all batches must have been sent under the same one.
-func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, seq []int, unpack func(i int, wire []float64)) {
+// callback). Like the sends, the deliveries are legal only in a phase
+// excluded from timing, and all batches must have been sent under the same
+// one.
+func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, unpack func(i int, wire []float64)) {
 	if len(froms) == 0 {
 		return // nothing to take, and no send-side phase to book under
 	}
 	me := c.WorldRank()
-	stamps := make([]float64, len(froms))
 	var phase string
+	var elems int
 	for i, from := range froms {
 		if from < 0 || from >= len(c.members) || c.members[from] == me {
 			panic(fmt.Sprintf("smpi: RecvBatches from rank %d of %d", from, len(c.members)))
@@ -425,28 +423,14 @@ func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, seq []int, unpac
 		if i > 0 && msg.sendPhase != phase {
 			panic(fmt.Sprintf("smpi: RecvBatches across phases %q and %q", phase, msg.sendPhase))
 		}
-		stamps[i], phase = msg.sendTime, msg.sendPhase
+		phase = msg.sendPhase
+		elems += msg.N
 		if msg.F != nil {
 			unpack(i, msg.F)
 			putFloats(msg.F)
 		}
 	}
-	next := make([]int, len(froms))
-	ds := make([]trace.Delivery, len(seq))
-	for k, i := range seq {
-		ds[k] = trace.Delivery{
-			From:     c.members[froms[i]],
-			Bytes:    int64(parts[i][next[i]]) * trace.BytesPerElement,
-			SendTime: stamps[i],
-		}
-		next[i]++
-	}
-	for i := range next {
-		if next[i] != len(parts[i]) {
-			panic(fmt.Sprintf("smpi: RecvBatches order books %d of batch %d's %d parts", next[i], i, len(parts[i])))
-		}
-	}
-	c.w.Trace.RecordRecvBatch(me, phase, ds)
+	c.w.Trace.RecordRecvBatch(me, int64(elems)*trace.BytesPerElement, phase)
 }
 
 // SendInts sends integer metadata (metered at 8 bytes per value).

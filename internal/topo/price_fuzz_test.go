@@ -34,7 +34,6 @@ var recorded = sync.OnceValues(func() ([]*trace.Timeline, error) {
 			job = engine.SolveJob(eng, pt.n, engine.Config{Ranks: pt.p}, pt.p, 2)
 		}
 		w := smpi.NewWorldMachine(job.World, false, trace.DefaultMachine())
-		w.Trace.SetEventCap(0)
 		w.Trace.Record()
 		if _, err := smpi.Exec(context.Background(), smpi.Config{World: w}, job.Body); err != nil {
 			return nil, err

@@ -11,13 +11,12 @@ import (
 // takes — RecordSend on the sender's shard, then RecordRecv on the
 // receiver's — in the loop behind the benchmark module's
 // trace.record_ns_per_event row: 256 ranks, 512-byte messages, one phase,
-// the default retention cap (a fresh timeline every DefaultEventCap
-// deliveries, so every event is retained as in the probe). The flat case is
+// a fresh timeline every 2²⁰ deliveries. The flat case is
 // that row; the faulted contended dragonfly is the replay_2d_faulted
 // machine, whose receives each price a route, a link factor and a straggler
 // factor. One op is one delivery.
 func BenchmarkRecordDelivery(b *testing.B) {
-	const p, bytes = 256, 512
+	const p, bytes, fresh = 256, 512, 1 << 20
 	spec, err := topo.PresetSpec("dragonfly-contended")
 	if err != nil {
 		b.Fatal(err)
@@ -37,7 +36,7 @@ func BenchmarkRecordDelivery(b *testing.B) {
 			b.ReportAllocs()
 			var tl *trace.Timeline
 			for i := 0; b.Loop(); i++ {
-				if i%trace.DefaultEventCap == 0 {
+				if i%fresh == 0 {
 					tl = trace.NewTimeline(p, trace.DefaultMachine())
 					tl.SetTopology(bc.tp)
 				}

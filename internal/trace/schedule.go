@@ -66,6 +66,44 @@ func (t *Timeline) ScheduleBytes() int64 {
 	return n * int64(unsafe.Sizeof(op{}))
 }
 
+// ScheduleDiff compares t's recorded schedule with u's operation by
+// operation, ranks ascending, and describes the first (rank, operation) at
+// which they differ: its position in the rank's program order and both
+// sides' kind, peer, size or matched send, and phase label. It returns ""
+// when every rank recorded the same operations, which pins every timed
+// delivery's stamp under any machine. Call it on two recording timelines
+// after their runs have joined; neither is modified.
+func (t *Timeline) ScheduleDiff(u *Timeline) string {
+	if !t.record || !u.record {
+		panic("trace: ScheduleDiff on a timeline that did not record")
+	}
+	if t.p != u.p {
+		return fmt.Sprintf("%d ranks vs %d", t.p, u.p)
+	}
+	for r := range t.shards {
+		a, b := t.shards[r].ops, u.shards[r].ops
+		for k := range max(len(a), len(b)) {
+			x, y := t.shards[r].describe(k), u.shards[r].describe(k)
+			if x != y {
+				return fmt.Sprintf("rank %d operation %d: %s vs %s", r, k, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// describe renders the shard's k-th recorded operation, "none" past its end.
+func (s *shard) describe(k int) string {
+	if k >= len(s.ops) {
+		return "none"
+	}
+	o, format := s.ops[k], "send to %d of %d elements in %q"
+	if o.recv {
+		format = "recv from %d of its send %d in %q"
+	}
+	return fmt.Sprintf(format, o.peer, o.n, s.phases[o.phase].name)
+}
+
 // Price re-evaluates the recorded schedule under machine m and topology tp
 // (nil = the flat machine) and returns the report a live run under them
 // would have returned: the volume fields and timed-message counts copied

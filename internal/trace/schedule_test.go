@@ -83,3 +83,38 @@ func TestPriceRequiresRecording(t *testing.T) {
 	mustPanic("unindexed receive", func() { tl.RecordRecv(0, 1, 8, "p", tl.RecordSend(0, 1, 8, "p")) })
 	mustPanic("partial element", func() { tl.Send(0, 1, 12, "p") })
 }
+
+// TestScheduleDiff: two recordings of one program agree, and a receive order
+// swapped on one rank, or a send relabelled, is reported at the first
+// operation it moves.
+func TestScheduleDiff(t *testing.T) {
+	run := func(swap bool, phase string) *Timeline {
+		tl := NewTimeline(3, DefaultMachine())
+		tl.Record()
+		a, b := tl.Send(1, 0, 8, "p"), tl.Send(2, 0, 16, phase)
+		if swap {
+			tl.Recv(2, 0, 16, phase, b)
+			tl.Recv(1, 0, 8, "p", a)
+		} else {
+			tl.Recv(1, 0, 8, "p", a)
+			tl.Recv(2, 0, 16, phase, b)
+		}
+		return tl
+	}
+	want := run(false, "p")
+	if d := run(false, "p").ScheduleDiff(want); d != "" {
+		t.Fatalf("identical programs differ: %s", d)
+	}
+	if d := run(true, "p").ScheduleDiff(want); d != `rank 0 operation 0: recv from 2 of its send 0 in "p" vs recv from 1 of its send 0 in "p"` {
+		t.Fatalf("swapped receives: %q", d)
+	}
+	if d := run(false, "q").ScheduleDiff(want); d != `rank 0 operation 1: recv from 2 of its send 0 in "q" vs recv from 2 of its send 0 in "p"` {
+		t.Fatalf("relabelled send: %q", d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleDiff against a timeline that did not record: no panic")
+		}
+	}()
+	want.ScheduleDiff(NewTimeline(3, DefaultMachine()))
+}

@@ -78,10 +78,11 @@ func runStressSchedule(tl *Timeline, p, rounds int, concurrent bool) {
 
 // TestShardedTimelineDeterministicUnderConcurrency pins the tentpole
 // guarantee of the shard refactor: with deliveries racing across all rank
-// pairs, the merged Events() sequence, the full Report (volume and time,
-// bitwise on every float), and the makespan are identical across repeated
-// concurrent runs AND identical to the single-threaded execution of the
-// same schedule — the pre-shard fixture, since a global-mutex timeline
+// pairs, the recorded schedule (every timed delivery's peer, size, phase and
+// matched send, in each rank's program order), the full Report (volume and
+// time, bitwise on every float), and the makespan are identical across
+// repeated concurrent runs AND identical to the single-threaded execution of
+// the same schedule — the pre-shard fixture, since a global-mutex timeline
 // serializing a sequential caller records exactly that. Run under -race in
 // CI, this also proves the lock-free shards race-free: each is written by
 // one goroutine, and read only after the join.
@@ -91,25 +92,20 @@ func TestShardedTimelineDeterministicUnderConcurrency(t *testing.T) {
 
 	fixture := NewTimeline(p, m)
 	fixture.ExcludeFromTiming("layout")
+	fixture.Record()
 	runStressSchedule(fixture, p, rounds, false)
-	wantEvents := fixture.Events()
 	wantReport := fixture.Report()
-	if len(wantEvents) == 0 || wantReport.TotalBytes() == 0 {
+	if fixture.ScheduleBytes() == 0 || wantReport.TotalBytes() == 0 {
 		t.Fatal("degenerate fixture: schedule produced no traffic")
 	}
 
 	for rep := 0; rep < reps; rep++ {
 		tl := NewTimeline(p, m)
 		tl.ExcludeFromTiming("layout")
+		tl.Record()
 		runStressSchedule(tl, p, rounds, true)
-		gotEvents := tl.Events()
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			for i := range wantEvents {
-				if i >= len(gotEvents) || gotEvents[i] != wantEvents[i] {
-					t.Fatalf("rep %d: event %d = %+v, fixture %+v", rep, i, gotEvents[i], wantEvents[i])
-				}
-			}
-			t.Fatalf("rep %d: %d events, fixture %d", rep, len(gotEvents), len(wantEvents))
+		if d := tl.ScheduleDiff(fixture); d != "" {
+			t.Fatalf("rep %d: schedule differs from the fixture: %s", rep, d)
 		}
 		got := tl.Report()
 		if got.Time.Makespan != wantReport.Time.Makespan {
@@ -132,29 +128,10 @@ func TestShardSizeCacheAligned(t *testing.T) {
 	}
 }
 
-// TestEventsPreallocationBounded: the Events() preallocation must follow
-// retained events, not the raw delivery count — a capped paper-scale run
-// meters tens of millions of deliveries against a 2²⁰ retention cap.
-func TestEventsPreallocationBounded(t *testing.T) {
-	tl := NewTimeline(2, Machine{})
-	tl.SetEventCap(4)
-	for i := 0; i < 100; i++ {
-		st := tl.RecordSend(0, 1, 1, "p")
-		tl.RecordRecv(0, 1, 1, "p", st)
-	}
-	ev := tl.Events()
-	if len(ev) != 4 {
-		t.Fatalf("retained %d events, cap 4", len(ev))
-	}
-	if cap(ev) > 8 {
-		t.Fatalf("Events() preallocated %d slots for 4 retained events", cap(ev))
-	}
-}
-
 // TestShardedEndpointIsolation pins the single-writer promise: a send
 // writes only the sender's shard and its receive only the receiver's, so a
 // delivery between ranks 1 and 2 leaves every other rank's shard untouched —
-// no clock movement, no volume, no events — and until rank 2 matches, rank
+// no clock movement, no volume — and until rank 2 matches, rank
 // 2's shard is untouched too. That is what lets the shards go without a lock.
 func TestShardedEndpointIsolation(t *testing.T) {
 	tl := NewTimeline(4, Machine{Alpha: 1, Beta: 0.5})
@@ -169,9 +146,6 @@ func TestShardedEndpointIsolation(t *testing.T) {
 	}
 	st := tl.RecordSend(1, 2, 10, "p")
 	untouched(tl.Report(), 0, 2, 3)
-	if len(tl.Events()) != 0 {
-		t.Fatal("a send retained an event before its receive")
-	}
 	tl.RecordRecv(1, 2, 10, "p", st)
 	r := tl.Report()
 	untouched(r, 0, 3)

@@ -2,9 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Machine is the α-β (latency–bandwidth) machine model used to advance the
@@ -63,25 +61,6 @@ type Topology interface {
 	RecvCost(from, to int, bytes int64) (occupancy, cost float64)
 }
 
-// Event is one matched point-to-point delivery on the simulated machine.
-// Phase is the sending rank's phase label at send time. SendTime is the
-// sender's logical clock when the injection completed; RecvTime the
-// receiver's clock when the delivery completed.
-type Event struct {
-	From, To int
-	Bytes    int64
-	Phase    string
-	SendTime float64
-	RecvTime float64
-}
-
-// DefaultEventCap bounds how many matched events a timeline retains. The
-// aggregate counters and clocks are exact regardless of the cap; only the
-// retained Events() slice is truncated (paper-scale replays produce tens of
-// millions of deliveries — retaining them all would dwarf the phantom
-// matrices the volume mode exists to avoid).
-const DefaultEventCap = 1 << 20
-
 // phaseStat is one phase's attribution on one shard: the bytes/msgs this
 // rank originated under the label, and the busy time it accrued in it (send
 // and recv sides alike). A rank touches a handful of phases, so the stats
@@ -97,11 +76,11 @@ type phaseStat struct {
 }
 
 // shard is one rank's slice of the timeline: its volume aggregates, its
-// logical clock, and the events it completed. It has exactly one writer at a
-// time and no lock (DESIGN.md §7): a send is booked on the sender's shard
-// alone, a receive — received bytes included — on the receiver's alone, each
-// by that rank's own goroutine, or by a booker while that rank is parked at
-// a rendezvous, with the mailbox hand-offs ordering the two.
+// logical clock and, when recording, its schedule. It has exactly one
+// writer at a time and no lock (DESIGN.md §7): a send is booked on the
+// sender's shard alone, a receive on the receiver's alone, each by that
+// rank's own goroutine, or by a booker while that rank is parked at a
+// rendezvous, with the mailbox hand-offs ordering the two.
 type shard struct {
 	// Volume aggregates — exactly the state the pre-timeline Counter kept
 	// per rank, so the merged Report() stays byte-identical once every
@@ -129,19 +108,14 @@ type shard struct {
 	// §14). Stays 0 under a nil or uncontended topology.
 	linkFree float64
 
-	// Events this rank received, in its program order. Retention is
-	// globally capped; see appendEvent.
-	events  []Event
-	dropped int64
-
 	// ops is this rank's recorded schedule (schedule.go): its timed sends
 	// and receives in program order, kept only on a recording timeline.
 	ops []op
 
-	// 144 field bytes padded to three 64-byte cache lines, so adjacent
+	// 112 field bytes padded to two 64-byte cache lines, so adjacent
 	// shards in the backing array do not false-share under concurrent
 	// delivery; TestShardSizeCacheAligned pins the arithmetic.
-	_ [48]byte
+	_ [16]byte
 }
 
 // phase returns the index of the shard's stat for name, creating it on first
@@ -214,13 +188,13 @@ func (s *shard) deliver(ps *phaseStat, sendTime, occ, d float64) {
 	ps.busy += d
 }
 
-// Timeline is the per-rank event-timeline substrate behind every simulated
+// Timeline is the per-rank timeline substrate behind every simulated
 // run: it meters communication volume exactly as the paper's Score-P
 // methodology counts it (per sending rank, per phase) and simultaneously
 // advances per-rank logical clocks under the α-β model. All ranks of a
 // simulated world record on it concurrently, each on its own shard, so
-// deliveries never contend; a rank's shard is read (Clock, Report, Events)
-// only where its writer is known to be parked or finished (DESIGN.md §7).
+// deliveries never contend; a rank's shard is read (Clock, Report) only
+// where its writer is known to be parked or finished (DESIGN.md §7).
 //
 // Clock rules (see DESIGN.md §7):
 //
@@ -238,12 +212,6 @@ type Timeline struct {
 	// read without locks on the delivery hot path.
 	topo Topology
 
-	// eventCap bounds retention (set before the run); nEvents counts
-	// retained and dropped events across shards, and is touched only when
-	// eventCap > 0 — a world that keeps events.
-	eventCap int64
-	nEvents  atomic.Int64
-
 	// untimed phases are metered for volume but advance no clocks — the
 	// paper's §7.4 assumption that the input "is already distributed in
 	// the block cyclic layout" applied to simulated time: the layout
@@ -260,9 +228,8 @@ type Timeline struct {
 func NewTimeline(p int, m Machine) *Timeline {
 	return &Timeline{
 		p: p, machine: m,
-		shards:   make([]shard, p),
-		eventCap: DefaultEventCap,
-		untimed:  map[string]bool{},
+		shards:  make([]shard, p),
+		untimed: map[string]bool{},
 	}
 }
 
@@ -286,34 +253,16 @@ func (t *Timeline) Topology() Topology { return t.topo }
 // barrier.
 func (t *Timeline) Clock(rank int) float64 { return t.shards[rank].clock }
 
-// SetEventCap bounds event retention (0 retains nothing; aggregates and
-// clocks are unaffected). Call before the run starts.
-func (t *Timeline) SetEventCap(n int) { t.eventCap = int64(n) }
-
-// ExcludeFromTiming marks phases whose traffic is metered for volume (and
-// still recorded as events) but advances no logical clocks. The runtime
-// excludes PhaseLayout and PhaseCollect by default, mirroring the volume
-// accounting's AlgorithmBytes exclusion: the paper assumes the input is
-// already distributed, so the housekeeping scatter/gather must not dominate
-// the simulated makespan either. Must be called before the run starts: the
+// ExcludeFromTiming marks phases whose traffic is metered for volume but
+// advances no logical clocks. The runtime excludes PhaseLayout and
+// PhaseCollect by default, mirroring the volume accounting's AlgorithmBytes
+// exclusion: the paper assumes the input is already distributed, so the
+// housekeeping scatter/gather must not dominate the simulated makespan
+// either. Must be called before the run starts: the
 // set is read without synchronization on the delivery hot path.
 func (t *Timeline) ExcludeFromTiming(phases ...string) {
 	for _, ph := range phases {
 		t.untimed[ph] = true
-	}
-}
-
-// appendEvent retains e on shard s unless the global cap is exhausted.
-// Which events survive once the cap is reached depends on arrival order
-// across shards; runs that stay under the cap retain everything,
-// deterministically. A timeline that retains nothing (SetEventCap(0)) never
-// touches nEvents, the one cache line every rank's delivery would otherwise
-// write.
-func (t *Timeline) appendEvent(s *shard, e Event) {
-	if t.eventCap > 0 && t.nEvents.Add(1) <= t.eventCap {
-		s.events = append(s.events, e)
-	} else {
-		s.dropped++
 	}
 }
 
@@ -359,10 +308,9 @@ func (t *Timeline) Send(from, to int, bytes int64, phase string) Stamp {
 
 // RecordRecv completes a matched delivery on the receiving rank: it counts
 // the received bytes, the clock jumps to max(local, sendTime) — the jump is
-// wait time — then advances by α + β·bytes of reception work. The completed
-// Event is retained on the receiver's shard. phase is the event's
-// (send-side) phase label. A recording timeline needs the send's index:
-// use Recv.
+// wait time — then advances by α + β·bytes of reception work. phase is the
+// delivery's (send-side) phase label. A recording timeline needs the send's
+// index: use Recv.
 func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime float64) {
 	t.Recv(from, to, bytes, phase, Stamp{Time: sendTime, Index: -1})
 }
@@ -381,33 +329,16 @@ func (t *Timeline) Recv(from, to int, bytes int64, phase string, st Stamp) {
 			s.recordRecv(from, st.Index, i)
 		}
 	}
-	// Untimed deliveries leave the receiver's clock alone, which can sit
-	// behind the send stamp; clamp so the event interval is never negative.
-	rt := s.clock
-	if rt < st.Time {
-		rt = st.Time
-	}
-	t.appendEvent(s, Event{From: from, To: to, Bytes: bytes, Phase: phase,
-		SendTime: st.Time, RecvTime: rt})
-}
-
-// Delivery is one message of a batched receive: who sent it, its size, and
-// the stamp the sender's RecordSendBatch returned for it.
-type Delivery struct {
-	From     int
-	Bytes    int64
-	SendTime float64
 }
 
 // errTimedBatch is the panic value of a batched booking in a timed phase.
 const errTimedBatch = "trace: batched booking in a timed phase"
 
 // untimedPhase is s.phase for the batched bookings, which are legal only
-// where no clock moves: with the clock frozen every message of a batch gets
-// the stamp, and every delivery the completion time, that booking them one
-// by one would have produced, so one call stands in for len(batch) of them
-// bit for bit. Anywhere else the k-th message's cost depends on the k−1
-// before it and the batch would have to replay them; it panics instead.
+// where no clock moves: there a booking adds only bytes and counts, so one
+// call stands in for len(batch) of them bit for bit. Anywhere else the k-th
+// message's cost depends on the k−1 before it and the batch would have to
+// replay them; it panics instead.
 func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
 	ps := &s.phases[s.phase(name, untimed)]
 	if ps.timed {
@@ -419,9 +350,8 @@ func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
 // RecordSendBatch books len(bytes) messages sent by rank from, one per entry,
 // on its shard — the volume aggregates end up exactly where len(bytes)
 // RecordSend calls would leave them. phase must be excluded from timing (see
-// untimedPhase), so no receiver needs pricing; the returned stamp is the
-// sender's unmoved clock, shared by every message of the batch.
-func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) float64 {
+// untimedPhase), so no receiver needs a stamp.
+func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) {
 	s := &t.shards[from]
 	ps := s.untimedPhase(phase, t.untimed)
 	var total int64
@@ -432,63 +362,16 @@ func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) float6
 	s.msgs += int64(len(bytes))
 	ps.bytes += total
 	ps.msgs += int64(len(bytes))
-	return s.clock
 }
 
-// RecordRecvBatch completes len(parts) matched deliveries on rank to, in
-// slice order: the received bytes and one Event each, identical to what a
-// RecordRecv per part would leave. The parts may come from different
-// senders; phase (their common send-side label) must be excluded from
-// timing.
-func (t *Timeline) RecordRecvBatch(to int, phase string, parts []Delivery) {
+// RecordRecvBatch completes batched deliveries of bytes in total on rank to:
+// the received bytes, which is all that a RecordRecv per message in an
+// untimed phase leaves. The messages may come from different senders; phase
+// (their common send-side label) must be excluded from timing.
+func (t *Timeline) RecordRecvBatch(to int, bytes int64, phase string) {
 	s := &t.shards[to]
 	s.untimedPhase(phase, t.untimed)
-	// One exact allocation for what the cap still admits, not a doubling
-	// chain: a root's collect batch is its whole event list.
-	if t.eventCap > 0 {
-		if room := t.eventCap - t.nEvents.Load(); room > 0 {
-			s.events = slices.Grow(s.events, int(min(room, int64(len(parts)))))
-		}
-	}
-	for _, p := range parts {
-		s.recv += p.Bytes
-		// The receiver's clock can sit behind the send stamp; clamp as
-		// RecordRecv does so the event interval is never negative.
-		rt := s.clock
-		if rt < p.SendTime {
-			rt = p.SendTime
-		}
-		t.appendEvent(s, Event{From: p.From, To: to, Bytes: p.Bytes, Phase: phase,
-			SendTime: p.SendTime, RecvTime: rt})
-	}
-}
-
-// Events returns a copy of the retained (matched) events, merged
-// deterministically: grouped by the receiving rank, ranks ascending, each
-// rank's events in its program order. Per-rank program order is fixed by the
-// schedule, so the merged sequence is identical across replays of a
-// deterministic run regardless of goroutine interleaving. Retention is
-// bounded by SetEventCap; EventsDropped reports the overflow. Like Report,
-// call it after the run has joined.
-func (t *Timeline) Events() []Event {
-	// nEvents counts drops past the cap too; clamp the preallocation to
-	// what can actually have been retained (a paper-scale run records tens
-	// of millions of deliveries against a 2²⁰ cap).
-	n := max(min(t.nEvents.Load(), t.eventCap), 0)
-	out := make([]Event, 0, n)
-	for i := range t.shards {
-		out = append(out, t.shards[i].events...)
-	}
-	return out
-}
-
-// EventsDropped returns how many events exceeded the retention cap.
-func (t *Timeline) EventsDropped() int64 {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].dropped
-	}
-	return n
+	s.recv += bytes
 }
 
 // Report derives the immutable volume report — including the simulated-time

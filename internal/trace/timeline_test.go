@@ -55,78 +55,39 @@ func TestNoWaitWhenReceiverIsLate(t *testing.T) {
 	}
 }
 
-func TestEventsRecordMatchedDeliveries(t *testing.T) {
-	tl := NewTimeline(2, Machine{Alpha: 1, Beta: 0.01})
-	st := tl.RecordSend(0, 1, 100, "panel")
-	tl.RecordRecv(0, 1, 100, "panel", st)
-	ev := tl.Events()
-	if len(ev) != 1 {
-		t.Fatalf("events %d", len(ev))
-	}
-	e := ev[0]
-	if e.From != 0 || e.To != 1 || e.Bytes != 100 || e.Phase != "panel" {
-		t.Fatalf("event %+v", e)
-	}
-	if !almost(e.SendTime, 2) || !almost(e.RecvTime, 4) {
-		t.Fatalf("event times %+v", e)
-	}
-}
-
-func TestEventCap(t *testing.T) {
-	tl := NewTimeline(2, Machine{})
-	tl.SetEventCap(2)
-	for i := 0; i < 5; i++ {
-		st := tl.RecordSend(0, 1, 1, "p")
-		tl.RecordRecv(0, 1, 1, "p", st)
-	}
-	if got := len(tl.Events()); got != 2 {
-		t.Fatalf("retained %d events, cap 2", got)
-	}
-	if tl.EventsDropped() != 3 {
-		t.Fatalf("dropped %d want 3", tl.EventsDropped())
-	}
-	// Aggregates are exact regardless of the cap.
-	if tl.Report().TotalBytes() != 5 {
-		t.Fatalf("bytes %d", tl.Report().TotalBytes())
-	}
-}
-
 func TestReportParityWithEventReplay(t *testing.T) {
 	// The volume aggregates derived from the timeline must equal an
-	// independent replay of its matched events (every delivery in these
-	// sequences is matched, so events are a complete record).
+	// independent tally of its deliveries, and its recorded schedule, priced
+	// under the same machine, must give back the live report bit for bit.
 	tl := NewTimeline(4, DefaultMachine())
+	tl.Record()
 	type send struct {
 		from, to int
 		bytes    int64
 		phase    string
 	}
 	seq := []send{
-		{0, 1, 100, "a"}, {1, 2, 50, "b"}, {2, 3, 25, "a"},
-		{3, 0, 10, "c"}, {0, 2, 5, "b"}, {1, 3, 1, "c"},
+		{0, 1, 96, "a"}, {1, 2, 48, "b"}, {2, 3, 24, "a"},
+		{3, 0, 8, "c"}, {0, 2, 8, "b"}, {1, 3, 16, "c"},
 	}
+	sent, recv, msgs := make([]int64, 4), make([]int64, 4), make([]int64, 4)
+	byPhase := map[string]int64{}
 	for _, s := range seq {
-		st := tl.RecordSend(s.from, s.to, s.bytes, s.phase)
-		tl.RecordRecv(s.from, s.to, s.bytes, s.phase, st)
+		tl.Recv(s.from, s.to, s.bytes, s.phase, tl.Send(s.from, s.to, s.bytes, s.phase))
+		sent[s.from] += s.bytes
+		recv[s.to] += s.bytes
+		msgs[s.from]++
+		byPhase[s.phase] += s.bytes
 	}
 	got := tl.Report()
-
-	replay := NewTimeline(4, DefaultMachine())
-	for _, e := range tl.Events() {
-		st := replay.RecordSend(e.From, e.To, e.Bytes, e.Phase)
-		replay.RecordRecv(e.From, e.To, e.Bytes, e.Phase, st)
+	if !reflect.DeepEqual(got.Sent, sent) || !reflect.DeepEqual(got.Recv, recv) || !reflect.DeepEqual(got.Msgs, msgs) {
+		t.Fatalf("per-rank sent/recv/msgs %v/%v/%v, tally %v/%v/%v", got.Sent, got.Recv, got.Msgs, sent, recv, msgs)
 	}
-	want := replay.Report()
-
-	for r := 0; r < 4; r++ {
-		if got.Sent[r] != want.Sent[r] || got.Recv[r] != want.Recv[r] || got.Msgs[r] != want.Msgs[r] {
-			t.Fatalf("rank %d mismatch: %+v vs %+v", r, got, want)
-		}
+	if !reflect.DeepEqual(got.ByPhase, byPhase) {
+		t.Fatalf("phases %v, tally %v", got.ByPhase, byPhase)
 	}
-	for ph, v := range want.ByPhase {
-		if got.ByPhase[ph] != v {
-			t.Fatalf("phase %s: %d vs %d", ph, got.ByPhase[ph], v)
-		}
+	if priced := tl.Price(DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
+		t.Fatalf("priced schedule %+v, live %+v", priced.Time, got.Time)
 	}
 }
 
@@ -142,9 +103,6 @@ func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	if r.Time.Makespan != 0 || r.Time.Clock[0] != 0 || r.Time.Clock[1] != 0 {
 		t.Fatalf("untimed phase advanced clocks: %+v", r.Time)
 	}
-	if len(tl.Events()) != 1 {
-		t.Fatalf("untimed phase lost its event")
-	}
 	// Timed traffic on the same timeline still advances.
 	st = tl.RecordSend(0, 1, 1, "work")
 	tl.RecordRecv(0, 1, 1, "work", st)
@@ -153,56 +111,35 @@ func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	}
 }
 
-// A batched booking is k single bookings in one call: same report, same
-// retained events, bit for bit — with timed traffic before it so the frozen
-// clocks are not simply zero, deliveries from two senders interleaved, and an
-// event cap that cuts the batch short.
+// A batched booking is k single bookings in one call: the same report, bit
+// for bit, with timed traffic before it so the frozen clocks are not simply
+// zero and deliveries from two senders.
 func TestBatchBookingEqualsSingles(t *testing.T) {
 	sizes := []int64{128, 128, 8, 64}
 	build := func(batched bool) *Timeline {
 		tl := NewTimeline(3, Machine{Alpha: 1, Beta: 0.5})
 		tl.ExcludeFromTiming("collect")
-		tl.SetEventCap(6)
 		tl.RecordRecv(1, 0, 16, "work", tl.RecordSend(1, 0, 16, "work"))
-		tl.RecordSend(2, 1, 100, "work") // rank 2's clock (51) now sits ahead of rank 0's (18)
+		tl.RecordSend(2, 1, 100, "work")
 		if !batched {
-			var parts []Delivery
 			for _, b := range sizes {
-				parts = append(parts,
-					Delivery{From: 1, Bytes: b, SendTime: tl.RecordSend(1, 0, b, "collect")},
-					Delivery{From: 2, Bytes: b, SendTime: tl.RecordSend(2, 0, b, "collect")})
-			}
-			for _, p := range parts {
-				tl.RecordRecv(p.From, 0, p.Bytes, "collect", p.SendTime)
+				for _, from := range []int{1, 2} {
+					tl.RecordRecv(from, 0, b, "collect", tl.RecordSend(from, 0, b, "collect"))
+				}
 			}
 			return tl
 		}
-		st1 := tl.RecordSendBatch(1, sizes, "collect")
-		st2 := tl.RecordSendBatch(2, sizes, "collect")
-		var parts []Delivery
-		for _, b := range sizes {
-			parts = append(parts, Delivery{From: 1, Bytes: b, SendTime: st1}, Delivery{From: 2, Bytes: b, SendTime: st2})
-		}
-		tl.RecordRecvBatch(0, "collect", parts)
+		tl.RecordSendBatch(1, sizes, "collect")
+		tl.RecordSendBatch(2, sizes, "collect")
+		tl.RecordRecvBatch(0, 2*(128+128+8+64), "collect")
 		return tl
 	}
 	single, batch := build(false), build(true)
 	if !reflect.DeepEqual(single.Report(), batch.Report()) {
 		t.Fatalf("reports differ:\nsingle %+v\nbatch  %+v", single.Report(), batch.Report())
 	}
-	if !reflect.DeepEqual(single.Events(), batch.Events()) {
-		t.Fatalf("events differ:\nsingle %+v\nbatch  %+v", single.Events(), batch.Events())
-	}
 	if got := batch.Report().PhaseMsgs["collect"]; got != int64(2*len(sizes)) {
 		t.Fatalf("batch booked %d collect messages, want %d", got, 2*len(sizes))
-	}
-	// Events 1 and 2 are the first collect deliveries: rank 1's stamp is behind
-	// the receiver's clock, rank 2's ahead of it and clamps the interval.
-	if ev := batch.Events(); ev[1].RecvTime != 18 || ev[2].RecvTime != 51 {
-		t.Fatalf("completion times %v and %v, want 18 and 51", ev[1].RecvTime, ev[2].RecvTime)
-	}
-	if n, d := len(batch.Events()), batch.EventsDropped(); n != 6 || d != 3 {
-		t.Fatalf("cap 6 retained %d events and dropped %d, want 6 and 3", n, d)
 	}
 }
 
@@ -222,9 +159,9 @@ func TestBatchBookingInTimedPhasePanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("send", func() { tl.RecordSendBatch(0, []int64{8, 8}, "work") })
-	mustPanic("recv", func() { tl.RecordRecvBatch(1, "work", []Delivery{{From: 0, Bytes: 8}}) })
-	if r := tl.Report(); r.TotalBytes() != 0 || len(tl.Events()) != 0 {
-		t.Fatalf("a refused batch was booked: %d bytes, %d events", r.TotalBytes(), len(tl.Events()))
+	mustPanic("recv", func() { tl.RecordRecvBatch(1, 8, "work") })
+	if r := tl.Report(); r.TotalBytes() != 0 || r.Recv[1] != 0 {
+		t.Fatalf("a refused batch was booked: %d bytes sent, %d received", r.TotalBytes(), r.Recv[1])
 	}
 	tl.RecordSendBatch(0, []int64{8, 8}, "layout") // the shard stays usable
 }

@@ -2,9 +2,9 @@
 // It meters communication volume the way the paper measures it: it
 // "instruments the implementations … and counts the aggregate bytes sent
 // over the network" (paper §8, Score-P on Piz Daint). Every point-to-point
-// delivery performed through internal/smpi is recorded here as an event on
-// a per-rank timeline (see Timeline), attributed to the sending rank and to
-// the phase label active on its communicator — and simultaneously timed
+// delivery performed through internal/smpi is booked here on a per-rank
+// timeline (see Timeline), attributed to the sending rank and to the phase
+// label active on its communicator — and simultaneously timed
 // under an α-β (latency–bandwidth) machine model, from which the simulated
 // makespan and the per-rank busy/wait split derive.
 package trace
@@ -19,7 +19,7 @@ import (
 const BytesPerElement = 8
 
 // Report is a snapshot of the communication volume of one run, derived from
-// the event timeline. Time carries the simulated-time view of the same run.
+// the timeline. Time carries the simulated-time view of the same run.
 type Report struct {
 	P         int
 	Sent      []int64 // bytes sent per rank
