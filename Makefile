@@ -42,7 +42,9 @@ test-purego:
 # documented bound of GemmRef. The fifth prices a few recorded engine
 # schedules under fuzzed α, β, link and straggler factors: every clock is
 # nondecreasing in each cost, and scaling α and β by 2^k scales every clock
-# by exactly 2^k.
+# by exactly 2^k — in the report and in the marked report of the
+# factorize-plus-solve schedule, which priced under the recording machine
+# equals the live one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi

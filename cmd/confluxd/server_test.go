@@ -19,7 +19,7 @@ import (
 
 // testServer builds a server with fast serving policy and an optional
 // injected runner (nil → real simulations).
-func testServer(t *testing.T, runner func(context.Context, plan.Request, []plan.Machine) (*plan.Exact, []*plan.Exact, error), opt func(*plan.Options)) (*server, *httptest.Server) {
+func testServer(t *testing.T, runner func(context.Context, plan.Request, []plan.Machine) (plan.Answers, error), opt func(*plan.Options)) (*server, *httptest.Server) {
 	t.Helper()
 	cfg := defaultServerConfig()
 	cfg.defaultWait = 10 * time.Second
@@ -113,7 +113,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 // machine β, nb, or memory MISSes (a fresh simulation each).
 func TestPlanHitMissSemantics(t *testing.T) {
 	var sims atomic.Int64
-	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (*plan.Exact, []*plan.Exact, error) {
+	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (plan.Answers, error) {
 		sims.Add(1)
 		return plan.SimulateAndPrice(ctx, req, others)
 	}
@@ -260,12 +260,12 @@ func TestPlanBestSelection(t *testing.T) {
 // panels at 200.
 func TestPlanShedding(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (*plan.Exact, []*plan.Exact, error) {
+	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (plan.Answers, error) {
 		select {
 		case <-release:
-			return &plan.Exact{TotalBytes: 1}, nil, nil
+			return plan.Answers{req.Job: {{TotalBytes: 1}}}, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	s, ts := testServer(t, runner, func(o *plan.Options) {
@@ -306,12 +306,12 @@ func TestPlanShedding(t *testing.T) {
 func TestPlanQueueTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (*plan.Exact, []*plan.Exact, error) {
+	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (plan.Answers, error) {
 		select {
 		case <-release:
-			return &plan.Exact{TotalBytes: 1}, nil, nil
+			return plan.Answers{req.Job: {{TotalBytes: 1}}}, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	s, ts := testServer(t, runner, func(o *plan.Options) {
@@ -370,7 +370,7 @@ func TestStatsEndpoint(t *testing.T) {
 // distinct makespan), and shows up in the /v1/stats per-preset counts.
 func TestPlanTopologyPreset(t *testing.T) {
 	var sims atomic.Int64
-	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (*plan.Exact, []*plan.Exact, error) {
+	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (plan.Answers, error) {
 		sims.Add(1)
 		return plan.SimulateAndPrice(ctx, req, others)
 	}
@@ -446,7 +446,7 @@ func TestPlanTopologyPreset(t *testing.T) {
 // and in /v1/stats "repriced", and equal to a live run of it.
 func TestPlanRepricedStats(t *testing.T) {
 	var live atomic.Int64
-	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (*plan.Exact, []*plan.Exact, error) {
+	runner := func(ctx context.Context, req plan.Request, others []plan.Machine) (plan.Answers, error) {
 		live.Add(1)
 		return plan.SimulateAndPrice(ctx, req, others)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -506,7 +507,8 @@ func requirePricedDigests(t *testing.T, job engine.Job, digests [2]string, fault
 		t.Fatalf("recording run under %s: digest %s, recorded %s", digestPresets[rec], got, digests[rec])
 	}
 	other := 1 - rec
-	if got := volumeDigest(w.Trace.Price(DefaultMachine(), digestMachine(t, other, job.World, faults))); got != digests[other] {
+	priced, _ := w.Trace.Price(DefaultMachine(), digestMachine(t, other, job.World, faults))
+	if got := volumeDigest(priced); got != digests[other] {
 		t.Fatalf("recorded under %s, priced under %s: digest %s, recorded %s", digestPresets[rec], digestPresets[other], got, digests[other])
 	}
 }
@@ -560,6 +562,105 @@ func TestConformancePricedVolumeDigests(t *testing.T) {
 				requirePricedDigests(t, job, tc.digests[j.name], nil, i%2)
 			})
 		}
+	}
+}
+
+// requireSameReport fails unless got equals want in every field but the
+// executor provenance (Executor, Workers).
+func requireSameReport(t *testing.T, what string, got, want *VolumeReport) {
+	t.Helper()
+	g, w := *got, *want
+	g.Executor, g.Workers, w.Executor, w.Workers = "", 0, "", 0
+	if reflect.DeepEqual(g, w) {
+		return
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"P", g.P, w.P}, {"Sent", g.Sent, w.Sent}, {"Recv", g.Recv, w.Recv}, {"Msgs", g.Msgs, w.Msgs},
+		{"ByPhase", g.ByPhase, w.ByPhase}, {"PhaseMsgs", g.PhaseMsgs, w.PhaseMsgs}, {"Time", *g.Time, *w.Time},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: %s %+v, want %+v", what, f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestConformanceMarkedVolumeReports pins that one factorize+solve replay
+// answers the volume job: every rank marks its timeline where its
+// factorization ends (engine.SolveJob), and when the solve runs on the
+// factorization's ranks — as here, SolveRanks = P — the report over those
+// marks is CommVolume's report. It covers every shape of the volume digest
+// tables: the four LU engines at the four shapes, the faulted point and
+// Cholesky. Each replay runs under both digest machines, recording its
+// schedule, and its marked report must equal CommVolume's report on that
+// machine in every field (volumes, per-phase volumes, every clock, busy and
+// wait time, critical-rank and per-phase busy times) — live, and priced
+// under the other machine. The P=256 cases run behind -short.
+func TestConformanceMarkedVolumeReports(t *testing.T) {
+	type point struct {
+		algo   Algorithm
+		n, p   int
+		long   bool
+		faults *FaultPlan
+	}
+	var points []point
+	for _, tc := range luVolumeDigests {
+		for _, algo := range conformanceLU {
+			if _, ok := tc.digests[algo]; ok {
+				points = append(points, point{algo, tc.n, tc.p, tc.long, tc.faults})
+			}
+		}
+	}
+	for _, tc := range jobVolumeDigests {
+		points = append(points, point{Cholesky, tc.n, tc.p, tc.long, nil})
+	}
+	for _, pt := range points {
+		name := fmt.Sprintf("%s/n=%d/p=%d", pt.algo, pt.n, pt.p)
+		if pt.faults != nil {
+			name += "+faults"
+		}
+		t.Run(name, func(t *testing.T) {
+			if pt.long && testing.Short() {
+				t.Skip("P=256 case skipped in -short mode")
+			}
+			t.Parallel()
+			var want [2]*VolumeReport
+			for i, preset := range digestPresets {
+				opts := []Option{WithRanks(pt.p), WithAlgorithm(pt.algo)}
+				if preset != "flat" {
+					opts = append(opts, WithTopologyPreset(preset))
+					if pt.faults != nil {
+						opts = append(opts, WithFaults(*pt.faults))
+					}
+				}
+				rep, err := mustNew(t, opts...).CommVolume(t.Context(), pt.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = rep
+			}
+			eng, err := engine.Lookup(pt.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := engine.SolveJob(eng, pt.n, engine.Config{Ranks: pt.p}, pt.p, 1)
+			for rec := range digestPresets {
+				w := smpi.NewWorldMachine(job.World, false, DefaultMachine())
+				w.Trace.Record()
+				w.Trace.EnableMarks()
+				cfg := smpi.Config{World: w, Topology: digestMachine(t, rec, job.World, pt.faults)}
+				if _, err := smpi.Exec(t.Context(), cfg, job.Body); err != nil {
+					t.Fatal(err)
+				}
+				requireSameReport(t, "marked under "+digestPresets[rec], w.Trace.MarkedReport(), want[rec])
+				other := 1 - rec
+				_, priced := w.Trace.Price(DefaultMachine(), digestMachine(t, other, job.World, pt.faults))
+				requireSameReport(t, fmt.Sprintf("marked under %s, priced under %s", digestPresets[rec], digestPresets[other]),
+					priced, want[other])
+			}
+		})
 	}
 }
 

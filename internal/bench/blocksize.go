@@ -83,7 +83,8 @@ func blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp tra
 			if err != nil {
 				return nil, err
 			}
-			rep, contended = tl.Report(), tl.Price(Machine, tp).Time.Makespan
+			priced, _ := tl.Price(Machine, tp)
+			rep, contended = tl.Report(), priced.Time.Makespan
 		}
 		out = append(out, BlockSizeRow{V: v, Default: v == base.V, contended: contended, Measurement: Measurement{
 			Algo: costmodel.COnfLUX, N: n, P: p, M: mem,

@@ -59,7 +59,7 @@ func TestTimelineReportParityAllEngines(t *testing.T) {
 		if b := w.Trace.ScheduleBytes(); b == 0 || b != 24*timed {
 			t.Fatalf("%s: schedule holds %d bytes for %d timed messages, want 24 each", algo, b, timed)
 		}
-		if priced := w.Trace.Price(trace.DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
+		if priced, _ := w.Trace.Price(trace.DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
 			t.Fatalf("%s: priced schedule %+v, live %+v", algo, priced.Time, got.Time)
 		}
 		if d := runEngineWorld(t, algo, n, p, mem).Trace.ScheduleDiff(w.Trace); d != "" {

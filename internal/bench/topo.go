@@ -121,7 +121,7 @@ func measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem fl
 	}
 	rows := make([]TopoRow, len(tps))
 	for i, tp := range tps {
-		rep := tl.Price(Machine, tp)
+		rep, _ := tl.Price(Machine, tp)
 		rows[i] = TopoRow{Algo: algo, Mem: mem, Grid: engine.GridDesc(eng, n, cfg),
 			Bytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect), Makespan: rep.Time.Makespan}
 	}

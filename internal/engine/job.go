@@ -25,7 +25,10 @@ func VolumeJob(e Engine, n int, cfg Config) Job {
 // SolveJob replays a full factorize-plus-solve schedule at dimension n on one
 // world: e's factorization on the first cfg.Ranks ranks, then the distributed
 // triangular solve with rhs right-hand sides on the first solveRanks — the
-// rank counts the numeric solve path uses.
+// rank counts the numeric solve path uses. Every rank marks its timeline
+// shard between the two (smpi.Comm.Mark), so when solveRanks ≤ cfg.Ranks —
+// one world for both jobs — the marked report of a timeline that keeps marks
+// is VolumeJob's report, field for field.
 func SolveJob(e Engine, n int, cfg Config, solveRanks, rhs int) Job {
 	sopt := trisolve.DefaultOptions(n, solveRanks, rhs)
 	// Each phase runs on its own prefix sub-communicator, so the grids see
@@ -45,6 +48,7 @@ func SolveJob(e Engine, n int, cfg Config, solveRanks, rhs int) Job {
 				return err
 			}
 		}
+		c.Mark()
 		if c.Rank() < solveRanks {
 			if _, err := trisolve.Run(c.Sub("solve", solveComm), nil, nil, sopt); err != nil {
 				return err

@@ -1,9 +1,10 @@
 // Package plan is the serving layer behind cmd/confluxd: it canonicalizes
 // planner requests into deterministic cache keys, runs the exact
 // simulations — the job bodies the public Session runs — behind a sharded
-// result cache with singleflight coalescing, prices a recorded schedule
-// under the other machines it has served, and sheds load when the
-// simulation pool is saturated.
+// result cache with singleflight coalescing, answers the volume and solve
+// jobs from one factorize-plus-solve run, prices a recorded schedule under
+// the other machines it has served, and sheds load when the simulation pool
+// is saturated.
 //
 // The correctness story rests on PR 2/PR 6's determinism pins: every
 // simulation in this repo is a pure function of the canonical parameter
@@ -206,6 +207,23 @@ func FromConfig(cfg conflux.Config, n int, job Job) (Request, error) {
 		Faults:       cfg.Faults,
 		Job:          job,
 	}.Canonicalize()
+}
+
+// pairs reports whether one live run answers r under both jobs: the
+// factorize-plus-solve replay marks each rank's timeline where its
+// factorization ends, and those marks are the volume job's report exactly
+// when both jobs run on one world — the solve ranks fit inside the P
+// factorization ranks.
+func (r Request) pairs() bool { return r.SolveRanks <= r.P }
+
+// other returns r asking for the other job.
+func (r Request) other() Request {
+	if r.Job == JobSolve {
+		r.Job = JobVolume
+	} else {
+		r.Job = JobSolve
+	}
+	return r
 }
 
 // Machine is everything a request's answer depends on beyond its schedule:

@@ -92,51 +92,92 @@ func ModelFor(req Request) (Model, bool) {
 	}, true
 }
 
-// Simulate runs the exact simulation for a canonicalized request.
+// Simulate runs the exact simulation for a canonicalized request: req's job
+// alone, on req's machine.
 func Simulate(ctx context.Context, req Request) (*Exact, error) {
-	val, _, err := SimulateAndPrice(ctx, req, nil)
-	return val, err
+	ans, err := simulate(ctx, req, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return ans.get(req.Job, 0), nil
+}
+
+// Answers is what one live run answers, per job: Answers[j][0] is job j's
+// answer on the request's machine and Answers[j][1+i] its answer on the i-th
+// other machine, nil where that machine cannot be built at the run's world
+// size. A run answers the request's job and, when the request pairs (see
+// Request.pairs), the other job too.
+type Answers map[Job][]*Exact
+
+// get returns job j's answer at index i, nil when the run has none.
+func (a Answers) get(j Job, i int) *Exact {
+	if xs := a[j]; i < len(xs) {
+		return xs[i]
+	}
+	return nil
 }
 
 // SimulateAndPrice runs req's replay once — the job body Session.CommVolume
-// or CommVolumeSolve runs, on a world through smpi.Exec, so the answer is
+// or CommVolumeSolve runs, on a world through smpi.Exec, so each answer is
 // byte-identical to an uncached Session run (pinned by
 // TestExactMatchesUncachedSession) — and, when others is non-empty, records
-// the run's schedule and prices it under each of them. priced[i] is req's
-// answer on others[i], bit-identical to running it there, or nil where that
-// machine cannot be built at the run's world size. The schedule is dropped
-// before returning.
-func SimulateAndPrice(ctx context.Context, req Request, others []Machine) (val *Exact, priced []*Exact, err error) {
+// the run's schedule and prices it under each of them. When req pairs it
+// replays the factorize-plus-solve schedule whatever req's job, and reads the
+// volume job's answers off the marks each rank leaves where its
+// factorization ends, live and priced. The schedule is dropped before
+// returning.
+func SimulateAndPrice(ctx context.Context, req Request, others []Machine) (Answers, error) {
+	return simulate(ctx, req, others, req.pairs())
+}
+
+// simulate is SimulateAndPrice with the pairing chosen by the caller.
+func simulate(ctx context.Context, req Request, others []Machine, both bool) (Answers, error) {
 	eng, err := engine.Lookup(req.Algorithm)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := engine.Config{Ranks: req.P, Memory: req.Memory, NB: req.NB}
+	full := req.Job
 	job := engine.VolumeJob(eng, req.N, cfg)
-	if req.Job == JobSolve {
+	if both || req.Job == JobSolve {
+		full = JobSolve
 		job = engine.SolveJob(eng, req.N, cfg, req.SolveRanks, req.RHS)
 	}
 	m := req.Machine()
 	tp, err := m.build(job.World)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w := smpi.NewWorldMachine(job.World, false, m.alphaBeta())
 	if len(others) > 0 {
 		w.Trace.Record()
 	}
+	if both {
+		w.Trace.EnableMarks()
+	}
 	rep, err := smpi.Exec(ctx, smpi.Config{World: w, Topology: tp}, job.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	grid := engine.GridDesc(eng, req.N, cfg)
-	priced = make([]*Exact, len(others))
+	ans := Answers{full: make([]*Exact, 1+len(others))}
+	ans[full][0] = exactOf(rep, grid)
+	if both {
+		ans[JobVolume] = make([]*Exact, 1+len(others))
+		ans[JobVolume][0] = exactOf(w.Trace.MarkedReport(), grid)
+	}
 	for i, o := range others {
-		if tp, err := o.build(job.World); err == nil {
-			priced[i] = exactOf(w.Trace.Price(o.alphaBeta(), tp), grid)
+		tp, err := o.build(job.World)
+		if err != nil {
+			continue
+		}
+		rep, marked := w.Trace.Price(o.alphaBeta(), tp)
+		ans[full][1+i] = exactOf(rep, grid)
+		if both {
+			ans[JobVolume][1+i] = exactOf(marked, grid)
 		}
 	}
-	return exactOf(rep, grid), priced, nil
+	return ans, nil
 }
 
 // exactOf reads the exact tier off a volume report.
@@ -173,10 +214,11 @@ type Options struct {
 	SimTimeout time.Duration
 	// MaxEntries bounds the result cache (default 64k entries).
 	MaxEntries int
-	// Runner computes the exact tier of a request and, from the same run,
-	// its answer on each of the other machines it is given (nil where one
-	// cannot be built); default SimulateAndPrice. Tests inject fakes here.
-	Runner func(ctx context.Context, req Request, others []Machine) (*Exact, []*Exact, error)
+	// Runner runs a request live and returns what that one run answers:
+	// the request's job and, when the request pairs, the other job, each on
+	// the request's machine and on each of the other machines it is given
+	// (see Answers); default SimulateAndPrice. Tests inject fakes here.
+	Runner func(ctx context.Context, req Request, others []Machine) (Answers, error)
 }
 
 // maxMachines caps the planner's machine set, so a live run prices at most
@@ -224,7 +266,9 @@ func (s *machineSet) see(m Machine) []Machine {
 // it has served (at most maxMachines), and a live run whose request has
 // other machines in that set records its schedule, prices it under each of
 // them, and keeps only the priced answers, in a bounded table that the
-// matching requests take from later (DESIGN.md §16).
+// matching requests take from later (DESIGN.md §16). A run whose request
+// pairs answers both jobs the same way: the other job's answer on the
+// request's machine goes into that table too (DESIGN.md §13).
 type Planner struct {
 	cache        *Cache
 	priced       *Cache
@@ -234,7 +278,7 @@ type Planner struct {
 	queueTimeout time.Duration
 	simTimeout   time.Duration
 	base         context.Context
-	run          func(ctx context.Context, req Request, others []Machine) (*Exact, []*Exact, error)
+	run          func(ctx context.Context, req Request, others []Machine) (Answers, error)
 
 	queued      atomic.Int64
 	sims        atomic.Int64
@@ -342,8 +386,8 @@ func (p *Planner) Evaluate(ctx context.Context, req Request, wait time.Duration)
 	}
 }
 
-// compute is the detached owner-side computation: an answer a recorded run
-// already priced, or admission (bounded queue, queue timeout) and then the
+// compute is the detached owner-side computation: an answer another run
+// already produced, or admission (bounded queue, queue timeout) and then the
 // simulation under the planner lifetime and the per-run timeout. Its outcome
 // — value, simulation error, or typed shed error — is published to every
 // waiter through the cache entry.
@@ -385,39 +429,68 @@ func (p *Planner) compute(key string, e *entry, req Request) {
 		}
 	}
 	defer func() { <-p.sem }()
-	// Reserve the answers this run will price: req on every other served
-	// machine whose answer is not cached, computing or priced already.
-	var ms []Machine
-	var keys []string
-	var reserved []*entry
-	for _, m := range others {
-		k := req.On(m).Key()
-		if _, ok := p.cache.lookup(k); ok {
-			continue
-		}
-		if pe, owner := p.priced.begin(k); owner {
-			ms, keys, reserved = append(ms, m), append(keys, k), append(reserved, pe)
-		}
-	}
+	slots, ms := p.reserve(req, others)
 	ctx, cancel := context.WithTimeout(p.base, p.simTimeout)
 	defer cancel()
 	p.sims.Add(1)
-	val, priced, err := p.run(ctx, req, ms)
+	ans, err := p.run(ctx, req, ms)
 	if err != nil {
 		p.simErrors.Add(1)
+		ans = nil
 	}
-	p.cache.complete(key, e, val, err)
-	for i, pe := range reserved {
-		var pv *Exact
-		if err == nil && i < len(priced) {
-			pv = priced[i]
-		}
-		perr := err
+	p.cache.complete(key, e, ans.get(req.Job, 0), err)
+	for _, sl := range slots {
+		pv, perr := ans.get(sl.job, sl.at), err
 		if pv == nil && perr == nil {
 			perr = errNotPriced
 		}
-		p.priced.complete(keys[i], pe, pv, perr)
+		p.priced.complete(sl.key, sl.e, pv, perr)
 	}
+}
+
+// slot is an answer a live run has reserved in the priced table: job's answer
+// at index at of the run's Answers.
+type slot struct {
+	job Job
+	at  int
+	key string
+	e   *entry
+}
+
+// reserve claims, in the priced table, the answers a live run of req adds to
+// its own, wherever one is not cached, computing or priced already: when req
+// pairs, the other job on req's machine; and each job the run answers on
+// every machine of others. It returns the claims and the machines the run
+// must price for them.
+func (p *Planner) reserve(req Request, others []Machine) ([]slot, []Machine) {
+	var slots []slot
+	claim := func(r Request, at int) bool {
+		k := r.Key()
+		if _, ok := p.cache.lookup(k); ok {
+			return false
+		}
+		pe, owner := p.priced.begin(k)
+		if owner {
+			slots = append(slots, slot{r.Job, at, k, pe})
+		}
+		return owner
+	}
+	jobs := []Request{req}
+	if req.pairs() {
+		jobs = append(jobs, req.other())
+		claim(req.other(), 0)
+	}
+	var ms []Machine
+	for _, m := range others {
+		priced := false
+		for _, r := range jobs {
+			priced = claim(r.On(m), 1+len(ms)) || priced
+		}
+		if priced {
+			ms = append(ms, m)
+		}
+	}
+	return slots, ms
 }
 
 // takePriced removes key's answer from the priced table and returns it,
@@ -444,8 +517,10 @@ func (p *Planner) takePriced(key string) (*Exact, bool) {
 type Stats struct {
 	Cache       CacheStats `json:"cache"`
 	Simulations int64      `json:"simulations"`
-	// Repriced counts the Simulations answered by pricing another
-	// request's recorded schedule instead of running the engine.
+	// Repriced counts the Simulations answered by another request's live
+	// run instead of running the engine: priced from its recorded schedule
+	// on another machine, or read off it for the other job (a
+	// factorize-plus-solve run also answers the volume job, and the reverse).
 	Repriced         int64 `json:"repriced"`
 	SimErrors        int64 `json:"sim_errors"`
 	InFlight         int   `json:"in_flight"`

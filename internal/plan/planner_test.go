@@ -32,15 +32,15 @@ type gatedRunner struct {
 	release chan struct{}
 }
 
-func (g *gatedRunner) run(ctx context.Context, req Request, _ []Machine) (*Exact, []*Exact, error) {
+func (g *gatedRunner) run(ctx context.Context, req Request, _ []Machine) (Answers, error) {
 	g.mu.Lock()
 	g.calls++
 	g.mu.Unlock()
 	select {
 	case <-g.release:
-		return &Exact{TotalBytes: int64(req.N)}, nil, nil
+		return Answers{req.Job: {{TotalBytes: int64(req.N)}}}, nil
 	case <-ctx.Done():
-		return nil, nil, context.Cause(ctx)
+		return nil, context.Cause(ctx)
 	}
 }
 
@@ -241,59 +241,70 @@ func TestNoGoroutineLeakAfterBurst(t *testing.T) {
 // cached exact tier is byte-identical to an uncached Session run — and
 // identical whichever executor or window width that uncached run uses,
 // which is precisely why executor/workers are excluded from the key. It
-// holds for a priced answer too: once the planner has served
-// hier-contended, the plain-machine run records its schedule and prices it
-// there, and the hier-contended request answered from that pricing equals
-// an uncached Session run on hier-contended.
+// holds for answers another request's run produced too: once the planner
+// has served hier-contended, the plain-machine solve run records its
+// schedule, and the volume request answered from that run's marks, and the
+// hier-contended volume request answered from their pricing, each equal an
+// uncached Session run.
 func TestExactMatchesUncachedSession(t *testing.T) {
 	pl := NewPlanner(t.Context(), Options{MaxInFlight: 2})
 	spec, err := conflux.TopologyPreset("hier-contended")
 	if err != nil {
 		t.Fatal(err)
 	}
+	eval := func(r Request, want Outcome) *Exact {
+		t.Helper()
+		v, out, err := pl.Evaluate(context.Background(), r, 30*time.Second)
+		if err != nil || v == nil || out != want {
+			t.Fatalf("evaluate %s: out=%q err=%v, want %q", r.Key(), out, err, want)
+		}
+		return v
+	}
 	warm := volumeReq(t, 64, 8)
 	warm.Topology = spec
-	if _, _, err := pl.Evaluate(context.Background(), warm, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	eval(warm, OutcomeComputed)
 	req := volumeReq(t, 96, 8)
-	got, out, err := pl.Evaluate(context.Background(), req, 30*time.Second)
-	if err != nil || got == nil {
-		t.Fatalf("evaluate: out=%q err=%v", out, err)
-	}
-	// Second request must be a pure cache hit with the same value.
-	again, out2, err := pl.Evaluate(context.Background(), req, 30*time.Second)
-	if err != nil || out2 != OutcomeHit || *again != *got {
-		t.Fatalf("re-evaluate: out=%q err=%v same=%v", out2, err, again != nil && *again == *got)
+	solveReq := req
+	solveReq.Job = JobSolve
+	solved := eval(solveReq, OutcomeComputed)
+	got := eval(req, OutcomeComputed)
+	// A repeat must be a pure cache hit with the same value.
+	if again := eval(req, OutcomeHit); *again != *got {
+		t.Fatalf("re-evaluate: %+v, first %+v", again, got)
 	}
 	hier := req
 	hier.Topology = spec
-	priced, out3, err := pl.Evaluate(context.Background(), hier, 30*time.Second)
-	if err != nil || out3 != OutcomeComputed {
-		t.Fatalf("evaluate on hier-contended: out=%q err=%v", out3, err)
-	}
-	if st := pl.Stats(); st.Simulations != 3 || st.Repriced != 1 {
-		t.Fatalf("stats %+v: want 3 simulations, 1 repriced", st)
+	priced := eval(hier, OutcomeComputed)
+	if st := pl.Stats(); st.Simulations != 4 || st.Repriced != 2 {
+		t.Fatalf("stats %+v: want 4 simulations, 2 repriced", st)
 	}
 	for _, tc := range []struct {
 		exact *Exact
+		solve bool
 		opts  []conflux.Option
 	}{
-		{got, []conflux.Option{conflux.WithRanks(8)}},
-		{got, []conflux.Option{conflux.WithRanks(8), conflux.WithExecutor("goroutines")}},
-		{got, []conflux.Option{conflux.WithRanks(8), conflux.WithExecutor("events"), conflux.WithWorkers(4)}},
-		{priced, []conflux.Option{conflux.WithRanks(8), conflux.WithTopology(spec)}},
+		{got, false, []conflux.Option{conflux.WithRanks(8)}},
+		{got, false, []conflux.Option{conflux.WithRanks(8), conflux.WithExecutor("goroutines")}},
+		{got, false, []conflux.Option{conflux.WithRanks(8), conflux.WithExecutor("events"), conflux.WithWorkers(4)}},
+		{priced, false, []conflux.Option{conflux.WithRanks(8), conflux.WithTopology(spec)}},
+		{solved, true, []conflux.Option{conflux.WithRanks(8)}},
 	} {
 		s, err := conflux.New(tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.CommVolume(context.Background(), 96)
+		volume := s.CommVolume
+		if tc.solve {
+			volume = s.CommVolumeSolve
+		}
+		rep, err := volume(context.Background(), 96)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tc.exact.TotalBytes != rep.TotalBytes() ||
 			tc.exact.AlgorithmBytes != conflux.AlgorithmBytes(rep) ||
+			tc.exact.PerRankBytes != rep.PerNodeBytes() ||
+			tc.exact.MaxRankBytes != rep.MaxRankBytes() ||
 			tc.exact.Msgs != rep.TotalMsgs() ||
 			tc.exact.MaxRankMsgs != rep.Time.MaxRankMsgs() ||
 			tc.exact.Makespan != rep.Time.Makespan ||
@@ -304,22 +315,33 @@ func TestExactMatchesUncachedSession(t *testing.T) {
 	}
 }
 
-// fakeMachines answers every request with its N and its machine's α, live
-// or priced, and records the machines each live run was asked to price.
+// fakeMachines answers every request under both jobs — whether it pairs or
+// not, so only the planner decides which answers it keeps — with its N, its
+// machine's α and its job, live or priced, and records the machines each
+// live run was asked to price.
 type fakeMachines struct {
 	mu     sync.Mutex
 	others [][]Machine
 }
 
-func (f *fakeMachines) run(_ context.Context, req Request, others []Machine) (*Exact, []*Exact, error) {
+func (f *fakeMachines) run(_ context.Context, req Request, others []Machine) (Answers, error) {
 	f.mu.Lock()
 	f.others = append(f.others, others)
 	f.mu.Unlock()
-	priced := make([]*Exact, len(others))
-	for i, m := range others {
-		priced[i] = &Exact{TotalBytes: int64(req.N), Makespan: m.Alpha}
+	ans := Answers{}
+	for _, r := range []Request{req, req.other()} {
+		xs := []*Exact{fakeExact(r)}
+		for _, m := range others {
+			xs = append(xs, fakeExact(r.On(m)))
+		}
+		ans[r.Job] = xs
 	}
-	return &Exact{TotalBytes: int64(req.N), Makespan: req.Alpha}, priced, nil
+	return ans, nil
+}
+
+// fakeExact is fakeMachines' answer to r.
+func fakeExact(r Request) *Exact {
+	return &Exact{TotalBytes: int64(r.N), Makespan: r.Alpha, Grid: string(r.Job)}
 }
 
 // TestRepricePolicy walks the machine-set policy: a live run prices exactly
@@ -369,6 +391,61 @@ func TestRepricePolicy(t *testing.T) {
 	f.mu.Unlock()
 	if len(last) != maxMachines-1 || last[0].Alpha != 10 || last[len(last)-1].Alpha != 4 {
 		t.Fatalf("priced %+v, want the seven most recent other machines, alpha 10 down to 4", last)
+	}
+}
+
+// TestPairedJobsPolicy: a request whose solve ranks fit in its P answers
+// both jobs from one live run — a solve request answers the volume request
+// that follows on its own machine, and both jobs on the other served
+// machines, with no second run — while one with SolveRanks > P runs its
+// other job live.
+func TestPairedJobsPolicy(t *testing.T) {
+	f := &fakeMachines{}
+	pl := NewPlanner(t.Context(), Options{MaxInFlight: 1, Runner: f.run})
+	at := func(n int, alpha float64, job Job, solveRanks int) Request {
+		r := volumeReq(t, n, 4)
+		r.Alpha, r.Job, r.SolveRanks = alpha, job, solveRanks
+		return r
+	}
+	eval := func(r Request) *Exact {
+		t.Helper()
+		v, _, err := pl.Evaluate(context.Background(), r, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *v != *fakeExact(r) {
+			t.Fatalf("%s: answer %+v, want %+v", r.Key(), v, fakeExact(r))
+		}
+		return v
+	}
+	live := func() int {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return len(f.others)
+	}
+	eval(at(64, 2, JobVolume, 4)) // set {2}
+	eval(at(96, 1, JobSolve, 4))  // set {1, 2}: answers the volume job on 1, both on 2
+	if st := pl.Stats(); live() != 2 || st.Simulations != 2 || st.Repriced != 0 {
+		t.Fatalf("stats %+v after %d live runs: want 2 simulations, 2 live runs", st, live())
+	}
+	eval(at(96, 1, JobVolume, 4))
+	eval(at(96, 2, JobVolume, 4))
+	eval(at(96, 2, JobSolve, 4))
+	if st := pl.Stats(); live() != 2 || st.Simulations != 5 || st.Repriced != 3 {
+		t.Fatalf("stats %+v after %d live runs: want 5 simulations, 3 repriced, still 2 live runs", st, live())
+	}
+	// The volume answer on 2 of the first run was reserved there too.
+	eval(at(64, 2, JobSolve, 4))
+	if st := pl.Stats(); live() != 2 || st.Repriced != 4 {
+		t.Fatalf("stats %+v after %d live runs: want 4 repriced, 2 live runs", st, live())
+	}
+	// SolveRanks > P: the two jobs run on different worlds, so the run
+	// answers its own job only, on its machine and priced on the other.
+	eval(at(128, 1, JobSolve, 8))
+	eval(at(128, 1, JobVolume, 8))
+	eval(at(128, 2, JobSolve, 8))
+	if st := pl.Stats(); live() != 4 || st.Simulations != 9 || st.Repriced != 5 {
+		t.Fatalf("stats %+v after %d live runs: want 9 simulations, 5 repriced, 4 live runs", st, live())
 	}
 }
 

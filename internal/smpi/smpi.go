@@ -294,6 +294,10 @@ func (c *Comm) SetPhase(phase string) { *c.phase = phase }
 // Phase returns the current phase label.
 func (c *Comm) Phase() string { return *c.phase }
 
+// Mark snapshots this rank's timeline shard (trace.Timeline.Mark); it does
+// nothing unless the timeline keeps marks.
+func (c *Comm) Mark() { c.w.Trace.Mark(c.WorldRank()) }
+
 // Send delivers msg to communicator rank `to` under `tag`. Zero-copy is
 // never assumed: callers pass freshly packed slices. The send is metered on
 // the world timeline (bytes, sender clock += α + β·bytes) and the message

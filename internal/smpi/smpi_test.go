@@ -564,7 +564,7 @@ func TestRecordedWorldPrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Executor = ""
-	if got := w.Trace.Price(slow, nil); !reflect.DeepEqual(got, want) {
+	if got, _ := w.Trace.Price(slow, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("priced %+v\nlive   %+v", got.Time, want.Time)
 	}
 }

@@ -2,7 +2,9 @@ package topo_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,7 +18,8 @@ import (
 
 // recorded are a few small engine schedules, each run once per process on a
 // recording world: c > 1 with masking, a ragged 2D grid with booked swaps,
-// and a factorize-plus-solve.
+// and a factorize-plus-solve, whose world also keeps the marks each rank
+// leaves where its factorization ends.
 var recorded = sync.OnceValues(func() ([]*trace.Timeline, error) {
 	type point struct {
 		algo  costmodel.Algorithm
@@ -35,6 +38,9 @@ var recorded = sync.OnceValues(func() ([]*trace.Timeline, error) {
 		}
 		w := smpi.NewWorldMachine(job.World, false, trace.DefaultMachine())
 		w.Trace.Record()
+		if pt.solve {
+			w.Trace.EnableMarks()
+		}
 		if _, err := smpi.Exec(context.Background(), smpi.Config{World: w}, job.Body); err != nil {
 			return nil, err
 		}
@@ -49,7 +55,9 @@ var recorded = sync.OnceValues(func() ([]*trace.Timeline, error) {
 // slow.
 type costs struct{ alpha, beta, link, slow float64 }
 
-func (c costs) price(t *testing.T, tl *trace.Timeline, p int) *trace.TimeReport {
+// price returns the clocks of tl's schedule under c and, when tl keeps marks,
+// those of its marked report (nil otherwise).
+func (c costs) price(t *testing.T, tl *trace.Timeline, p int) (clocks, marked *trace.TimeReport) {
 	t.Helper()
 	m := trace.Machine{Alpha: c.alpha, Beta: c.beta}
 	spec := topo.Spec{Preset: "hier", RanksPerNode: 2, Contention: 1,
@@ -61,7 +69,40 @@ func (c costs) price(t *testing.T, tl *trace.Timeline, p int) *trace.TimeReport 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tl.Price(m, tp).Time
+	rep, mrep := tl.Price(m, tp)
+	if mrep == nil {
+		return rep.Time, nil
+	}
+	return rep.Time, mrep.Time
+}
+
+// requireGrown fails unless every clock of up, and its makespan, is at least
+// ref's.
+func requireGrown(t *testing.T, what string, ref, up *trace.TimeReport) {
+	t.Helper()
+	if up.Makespan < ref.Makespan {
+		t.Fatalf("%s shrank the makespan %v -> %v", what, ref.Makespan, up.Makespan)
+	}
+	for r := range ref.Clock {
+		if up.Clock[r] < ref.Clock[r] {
+			t.Fatalf("%s moved rank %d back %v -> %v", what, r, ref.Clock[r], up.Clock[r])
+		}
+	}
+}
+
+// requireScaled fails unless sc's makespan and every clock and busy time are
+// ref's scaled by exactly 2^e.
+func requireScaled(t *testing.T, what string, ref, sc *trace.TimeReport, e int) {
+	t.Helper()
+	if sc.Makespan != math.Ldexp(ref.Makespan, e) {
+		t.Fatalf("%s: makespan %v, want %v", what, sc.Makespan, math.Ldexp(ref.Makespan, e))
+	}
+	for r := range ref.Clock {
+		if sc.Clock[r] != math.Ldexp(ref.Clock[r], e) || sc.Busy[r] != math.Ldexp(ref.Busy[r], e) {
+			t.Fatalf("%s: rank %d clock %v busy %v, want %v %v",
+				what, r, sc.Clock[r], sc.Busy[r], math.Ldexp(ref.Clock[r], e), math.Ldexp(ref.Busy[r], e))
+		}
+	}
 }
 
 // FuzzPriceSchedule checks the pricing of a recorded schedule against the
@@ -69,7 +110,9 @@ func (c costs) price(t *testing.T, tl *trace.Timeline, p int) *trace.TimeReport 
 // clock is a max of sums of products of the costs, so (1) growing any one
 // cost — α, β, the link factor or the straggler factor (factors ≥ 1) —
 // leaves the makespan and every rank's clock no smaller, and (2) scaling α
-// and β by 2^k scales every clock by exactly 2^k, bit for bit.
+// and β by 2^k scales every clock by exactly 2^k, bit for bit. Both hold for
+// the marked report of a schedule with marks too, and that report priced
+// under the recording machine equals the live one.
 func FuzzPriceSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, alpha, beta uint32, link, slow uint16, grow uint8, by uint16, k int8) {
 		tls, err := recorded()
@@ -80,7 +123,7 @@ func FuzzPriceSchedule(f *testing.F) {
 		p := tl.Report().P
 		base := costs{alpha: float64(alpha) * 1e-12, beta: float64(beta) * 1e-17,
 			link: 1 + float64(link)/1000, slow: 1 + float64(slow)/1000}
-		ref := base.price(t, tl, p)
+		ref, mref := base.price(t, tl, p)
 
 		more := base
 		x := 1 + float64(by)/256
@@ -94,28 +137,23 @@ func FuzzPriceSchedule(f *testing.F) {
 		case 3:
 			more.slow *= x
 		}
-		up := more.price(t, tl, p)
-		if up.Makespan < ref.Makespan {
-			t.Fatalf("growing cost %d by %v shrank the makespan %v -> %v", grow%4, x, ref.Makespan, up.Makespan)
-		}
-		for r := range ref.Clock {
-			if up.Clock[r] < ref.Clock[r] {
-				t.Fatalf("growing cost %d by %v moved rank %d back %v -> %v", grow%4, x, r, ref.Clock[r], up.Clock[r])
-			}
-		}
+		up, mup := more.price(t, tl, p)
+		what := fmt.Sprintf("growing cost %d by %v", grow%4, x)
+		requireGrown(t, what, ref, up)
 
 		e := int(k) % 21
 		scaled := base
 		scaled.alpha, scaled.beta = math.Ldexp(base.alpha, e), math.Ldexp(base.beta, e)
-		sc := scaled.price(t, tl, p)
-		if sc.Makespan != math.Ldexp(ref.Makespan, e) {
-			t.Fatalf("scaling α, β by 2^%d: makespan %v, want %v", e, sc.Makespan, math.Ldexp(ref.Makespan, e))
+		sc, msc := scaled.price(t, tl, p)
+		requireScaled(t, fmt.Sprintf("scaling α, β by 2^%d", e), ref, sc, e)
+
+		if mref == nil {
+			return
 		}
-		for r := range ref.Clock {
-			if sc.Clock[r] != math.Ldexp(ref.Clock[r], e) || sc.Busy[r] != math.Ldexp(ref.Busy[r], e) {
-				t.Fatalf("scaling α, β by 2^%d: rank %d clock %v busy %v, want %v %v",
-					e, r, sc.Clock[r], sc.Busy[r], math.Ldexp(ref.Clock[r], e), math.Ldexp(ref.Busy[r], e))
-			}
+		requireGrown(t, what+" (marked)", mref, mup)
+		requireScaled(t, fmt.Sprintf("scaling α, β by 2^%d (marked)", e), mref, msc, e)
+		if _, marked := tl.Price(trace.DefaultMachine(), nil); !reflect.DeepEqual(marked, tl.MarkedReport()) {
+			t.Fatalf("marked report priced under the recording machine %+v, live %+v", marked.Time, tl.MarkedReport().Time)
 		}
 	})
 }

@@ -36,6 +36,36 @@ const errRecord = "trace: recorded operation out of range (sizes must be whole e
 // with the Stamp their send returned (Send/Recv).
 func (t *Timeline) Record() { t.record = true }
 
+// EnableMarks makes Mark keep snapshots. Call before the run starts; a
+// timeline without marks pays nothing for them.
+func (t *Timeline) EnableMarks() { t.marks = make([]shard, t.p) }
+
+// Mark snapshots rank's shard — its volumes, per-phase stats, clock, busy and
+// wait times, timed-message count and ingress-link state, and how many
+// operations its schedule holds — so MarkedReport, and Price under any other
+// machine, can report the run as it stood at that point of each rank's
+// program order. It must be called by the rank's own goroutine, which keeps
+// the shard's one writer; a second Mark replaces the first. It does nothing
+// unless EnableMarks was called.
+func (t *Timeline) Mark(rank int) {
+	if t.marks == nil {
+		return
+	}
+	m := t.shards[rank]
+	m.phases = slices.Clone(m.phases)
+	m.ops = m.ops[:len(m.ops):len(m.ops)]
+	t.marks[rank] = m
+}
+
+// MarkedReport is Report over the ranks' marks instead of their final state;
+// a rank that never marked reports zeros. Call it after the run has joined.
+func (t *Timeline) MarkedReport() *Report {
+	if t.marks == nil {
+		panic("trace: MarkedReport on a timeline without marks")
+	}
+	return t.report(t.marks)
+}
+
 // recordSend appends a timed send to the shard's schedule and returns its
 // index there.
 func (s *shard) recordSend(to int, bytes int64, phase int) int32 {
@@ -109,12 +139,15 @@ func (s *shard) describe(k int) string {
 // would have returned: the volume fields and timed-message counts copied
 // from this run, and every clock, busy and wait time, the makespan, the
 // critical rank and the per-phase busy times bit-identical to the live
-// run's. Executor and Workers stay empty (nothing executed). It runs on one
-// goroutine: each rank advances through its operations until a receive
-// whose send is not yet priced, and parks on that sender until it is. Call
-// it on a recording timeline after the run has joined; the timeline itself
-// is not modified.
-func (t *Timeline) Price(m Machine, tp Topology) *Report {
+// run's. Executor and Workers stay empty (nothing executed). On a timeline
+// with marks it also returns the marked report that run would have given
+// (nil otherwise): each rank's priced state is snapshotted when its cursor
+// reaches the operation it had marked at, and its volumes are copied from
+// the live mark. It runs on one goroutine: each rank advances through its
+// operations until a receive whose send is not yet priced, and parks on that
+// sender until it is. Call it on a recording timeline after the run has
+// joined; the timeline itself is not modified.
+func (t *Timeline) Price(m Machine, tp Topology) (rep, marked *Report) {
 	if !t.record {
 		panic("trace: Price on a timeline that did not record")
 	}
@@ -122,6 +155,13 @@ func (t *Timeline) Price(m Machine, tp Topology) *Report {
 	// stamps[base[r]+k] is rank r's clock after its k-th operation, read by
 	// the receive that matches it when the operation is a send.
 	base := make([]int, t.p+1)
+	// at[r] is the operation rank r marked at, -1 once its mark is priced
+	// or when the timeline keeps none.
+	at := make([]int, t.p)
+	var marks []shard
+	if t.marks != nil {
+		marks = make([]shard, t.p)
+	}
 	for r := range t.shards {
 		src, dst := &t.shards[r], &pt.shards[r]
 		dst.sent, dst.recv, dst.msgs, dst.timedMsgs = src.sent, src.recv, src.msgs, src.timedMsgs
@@ -130,6 +170,10 @@ func (t *Timeline) Price(m Machine, tp Topology) *Report {
 			dst.phases[k].busy = 0
 		}
 		base[r+1] = base[r] + len(src.ops)
+		at[r] = -1
+		if marks != nil {
+			at[r] = len(t.marks[r].ops)
+		}
 	}
 	stamps := make([]float64, base[t.p])
 	cur := make([]int, t.p) // each rank's next unpriced operation
@@ -146,22 +190,34 @@ func (t *Timeline) Price(m Machine, tp Topology) *Report {
 		ready = ready[:len(ready)-1]
 		s, ops := &pt.shards[r], t.shards[r].ops
 		k := cur[r]
-		for ; k < len(ops); k++ {
-			o := ops[k]
-			ps := &s.phases[o.phase]
-			peer := int(o.peer)
-			if !o.recv {
-				s.inject(ps, sendCost(m, tp, r, peer, int64(o.n)*BytesPerElement))
-				stamps[base[r]+k] = s.clock
-				continue
+	advance:
+		for {
+			end := len(ops)
+			if k <= at[r] {
+				end = at[r]
 			}
-			if int(o.n) >= cur[peer] {
-				waiters[peer] = append(waiters[peer], waiter{int32(r), int32(o.n)})
+			for ; k < end; k++ {
+				o := ops[k]
+				ps := &s.phases[o.phase]
+				peer := int(o.peer)
+				if !o.recv {
+					s.inject(ps, sendCost(m, tp, r, peer, int64(o.n)*BytesPerElement))
+					stamps[base[r]+k] = s.clock
+					continue
+				}
+				if int(o.n) >= cur[peer] {
+					waiters[peer] = append(waiters[peer], waiter{int32(r), int32(o.n)})
+					break advance
+				}
+				bytes := int64(t.shards[peer].ops[o.n].n) * BytesPerElement
+				occ, d := recvCost(m, tp, peer, r, bytes)
+				s.deliver(ps, stamps[base[peer]+int(o.n)], occ, d)
+			}
+			if k != at[r] {
 				break
 			}
-			bytes := int64(t.shards[peer].ops[o.n].n) * BytesPerElement
-			occ, d := recvCost(m, tp, peer, r, bytes)
-			s.deliver(ps, stamps[base[peer]+int(o.n)], occ, d)
+			marks[r] = pricedMark(&t.marks[r], s)
+			at[r] = -1
 		}
 		cur[r] = k
 		// Wake the ranks whose awaited send this advance priced.
@@ -181,5 +237,22 @@ func (t *Timeline) Price(m Machine, tp Topology) *Report {
 				r, t.shards[r].ops[cur[r]].peer))
 		}
 	}
-	return pt.Report()
+	if marks != nil {
+		marked = pt.report(marks)
+	}
+	return pt.report(pt.shards), marked
+}
+
+// pricedMark returns the live mark mk with its timing state — clock, busy,
+// wait, ingress link and per-phase busy times — taken from the priced shard
+// s, which stands at the same operation. The phases s has gained since are
+// past the mark and carry no busy time yet.
+func pricedMark(mk, s *shard) shard {
+	out := *mk
+	out.phases = slices.Clone(mk.phases)
+	for i := range out.phases {
+		out.phases[i].busy = s.phases[i].busy
+	}
+	out.clock, out.busy, out.wait, out.linkFree = s.clock, s.busy, s.wait, s.linkFree
+	return out
 }

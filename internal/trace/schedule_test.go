@@ -57,7 +57,7 @@ func TestPriceMatchesLiveRun(t *testing.T) {
 			t.Fatalf("schedule holds %d bytes for %d timed deliveries, want 24 each", got, timed)
 		}
 		for j, mc := range machines {
-			if got := tl.Price(mc.m, mc.tp); !reflect.DeepEqual(got, live[j]) {
+			if got, _ := tl.Price(mc.m, mc.tp); !reflect.DeepEqual(got, live[j]) {
 				t.Fatalf("recorded under machine %d, priced under %d:\n got %+v\nwant %+v", i, j, got.Time, live[j].Time)
 			}
 		}
@@ -117,4 +117,77 @@ func TestScheduleDiff(t *testing.T) {
 		}
 	}()
 	want.ScheduleDiff(NewTimeline(3, DefaultMachine()))
+}
+
+// TestMarkedReport runs a two-stage program — a ring exchange in one phase,
+// every rank marking, then an exchange in a new phase on rank pairs — and
+// requires its marked report to equal the report of the first stage run
+// alone, live under each machine and priced from a recording under any
+// other. Without EnableMarks, Mark does nothing and MarkedReport panics.
+func TestMarkedReport(t *testing.T) {
+	const p, rounds = 6, 5
+	type machine struct {
+		m  Machine
+		tp Topology
+	}
+	machines := []machine{
+		{DefaultMachine(), nil},
+		{Machine{Alpha: 3e-6, Beta: 7e-10}, flatStub{Machine{Alpha: 3e-6, Beta: 7e-10}}},
+		{DefaultMachine(), contendedStub{cost: 1e-6, occ: 5e-6}},
+	}
+	exchange := func(tl *Timeline, to func(r, k int) int, phase string) {
+		for k := range rounds {
+			sts := make([]Stamp, p)
+			for r := range p {
+				sts[r] = tl.Send(r, to(r, k), int64(8*(1+(r+k)%5)), phase)
+			}
+			for r := range p {
+				tl.Recv(r, to(r, k), int64(8*(1+(r+k)%5)), phase, sts[r])
+			}
+		}
+	}
+	run := func(mc machine, both, marks bool) *Timeline {
+		tl := NewTimeline(p, mc.m)
+		tl.SetTopology(mc.tp)
+		tl.Record()
+		if marks {
+			tl.EnableMarks()
+		}
+		exchange(tl, func(r, k int) int { return (r + 1 + k%(p-1)) % p }, "ring")
+		for r := range p {
+			tl.Mark(r)
+		}
+		if both {
+			exchange(tl, func(r, _ int) int { return r ^ 1 }, "pairs")
+		}
+		return tl
+	}
+	want := make([]*Report, len(machines))
+	for i, mc := range machines {
+		want[i] = run(mc, false, false).Report()
+	}
+	for i, rec := range machines {
+		tl := run(rec, true, true)
+		if got := tl.MarkedReport(); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("machine %d: marked report\n got %+v\nwant %+v", i, got.Time, want[i].Time)
+		}
+		if reflect.DeepEqual(tl.Report(), want[i]) {
+			t.Fatalf("machine %d: the second stage left the final report unchanged", i)
+		}
+		for j, mc := range machines {
+			if _, got := tl.Price(mc.m, mc.tp); !reflect.DeepEqual(got, want[j]) {
+				t.Fatalf("recorded under machine %d, priced under %d: marked report\n got %+v\nwant %+v", i, j, got.Time, want[j].Time)
+			}
+		}
+	}
+	tl := run(machines[0], true, false)
+	if _, marked := tl.Price(DefaultMachine(), nil); marked != nil || tl.marks != nil {
+		t.Fatal("a timeline without EnableMarks kept marks")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MarkedReport without EnableMarks: no panic")
+		}
+	}()
+	tl.MarkedReport()
 }

@@ -222,6 +222,11 @@ type Timeline struct {
 	// record keeps every rank's timed operations for Price (Record). Set
 	// before the run starts.
 	record bool
+
+	// marks holds each rank's shard as it stood when the rank last called
+	// Mark, its schedule cut at the operations recorded by then. Nil unless
+	// EnableMarks was called before the run.
+	marks []shard
 }
 
 // NewTimeline creates the timeline for p ranks under machine m.
@@ -382,7 +387,11 @@ func (t *Timeline) RecordRecvBatch(to int, bytes int64, phase string) {
 // shard, and the per-phase maps merge by integer addition, which no
 // interleaving can perturb. Bytes still in flight (an aborted run) count in
 // Sent but not in Recv.
-func (t *Timeline) Report() *Report {
+func (t *Timeline) Report() *Report { return t.report(t.shards) }
+
+// report merges the given per-rank shards (the live ones, or the marks) into
+// a report under the timeline's machine and topology.
+func (t *Timeline) report(shards []shard) *Report {
 	r := &Report{
 		P:         t.p,
 		Sent:      make([]int64, t.p),
@@ -403,8 +412,8 @@ func (t *Timeline) Report() *Report {
 	if t.topo != nil {
 		tr.Topology = t.topo.Name()
 	}
-	for i := range t.shards {
-		s := &t.shards[i]
+	for i := range shards {
+		s := &shards[i]
 		r.Sent[i], r.Recv[i], r.Msgs[i] = s.sent, s.recv, s.msgs
 		for _, ps := range s.phases {
 			// Volume attribution: only stats with originated traffic add
@@ -428,7 +437,7 @@ func (t *Timeline) Report() *Report {
 		}
 	}
 	if t.p > 0 {
-		for _, ps := range t.shards[tr.CritRank].phases {
+		for _, ps := range shards[tr.CritRank].phases {
 			if ps.timed {
 				tr.CritPhases[ps.name] = ps.busy
 			}

@@ -86,7 +86,7 @@ func TestReportParityWithEventReplay(t *testing.T) {
 	if !reflect.DeepEqual(got.ByPhase, byPhase) {
 		t.Fatalf("phases %v, tally %v", got.ByPhase, byPhase)
 	}
-	if priced := tl.Price(DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
+	if priced, _ := tl.Price(DefaultMachine(), nil); !reflect.DeepEqual(priced, got) {
 		t.Fatalf("priced schedule %+v, live %+v", priced.Time, got.Time)
 	}
 }
