@@ -213,7 +213,7 @@ func factorDigest(res *Result) string {
 }
 
 // TestConformanceGoldenDigests pins the numeric factors of the four LU
-// engines to fixed artifacts (ROADMAP 4a): LU and pivots of
+// engines and of Cholesky to fixed artifacts (ROADMAP 4a): LU and pivots of
 // Factorize(mat.Random(n, n, seed)) must hash to the recorded values. A
 // kernel or layout change that alters a single bit of a factor — a different
 // summation order, a fused multiply-add — fails here. amd64 only: the Go
@@ -273,6 +273,26 @@ func TestConformanceGoldenDigests(t *testing.T) {
 				}
 			})
 		}
+	}
+	// Cholesky's L, on testutil.SPD(n, 7n+p) with an empty perm: a 2×2×2
+	// grid at (256, 8), 3×3×1 with three idle ranks and a ragged last tile
+	// at (517, 12), 4×4×4 at (512, 64). Its POTRF, row TRSM and Dot-based
+	// update are plain Go, so no digest names a kernel.
+	for _, tc := range []struct {
+		n, p   int
+		digest string
+	}{{256, 8, "ba593b804c0e57f9"}, {517, 12, "501b090618ad3674"}, {512, 64, "7ad62d0f0ac1efcf"}} {
+		t.Run(fmt.Sprintf("Cholesky/n=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
+			t.Parallel()
+			s := conformanceSession(t, Cholesky, tc.p)
+			l, _, err := s.FactorizeSPD(t.Context(), testutil.SPD(tc.n, uint64(7*tc.n+tc.p)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := factorDigest(&Result{LU: l}); got != tc.digest {
+				t.Fatalf("digest %s, recorded %s", got, tc.digest)
+			}
+		})
 	}
 }
 
