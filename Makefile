@@ -18,12 +18,13 @@ test:
 # portable one computes every 6×8 tile of the blocked GEMM/TRSM/LU paths on
 # the amd64 CI host too, full and ragged alike. The tag is test-only: no
 # shipped binary is built with it. ./internal/conflux runs the unit tests of
-# both 2.5D engines, COnfLUX and CANDMC, which share its step loop, on the
-# portable kernel. internal/trisolve rides along because its tile updates run
-# on the streamed GEMM loop those packages share. So does
-# the golden-digest test: the one digest that depends on the micro-kernel's
+# the three 2.5D engines, COnfLUX, CANDMC and Cholesky, which share its step
+# loop, on the portable kernel. internal/trisolve rides along because its tile
+# updates run on the streamed GEMM loop those packages share. So does the
+# golden-digest test: the one digest that depends on the micro-kernel's
 # rounding (COnfLUX at v = 16) must skip on the portable kernel, and every
-# other recorded shape must still match bit for bit.
+# other recorded shape — Cholesky's plain-Go factors included — must still
+# match bit for bit.
 test-purego:
 	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux ./internal/trisolve
 	$(GO) test -tags purego -run 'TestConformanceGoldenDigests' .
@@ -44,13 +45,16 @@ test-purego:
 # nondecreasing in each cost, and scaling α and β by 2^k scales every clock
 # by exactly 2^k — in the report and in the marked report of the
 # factorize-plus-solve schedule, which priced under the recording machine
-# equals the live one.
+# equals the live one. The sixth feeds confluxd arbitrary query strings:
+# parsing never panics, and every request it accepts canonicalizes to a
+# fixed point with a stable cache key.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
 	$(GO) test -run '^$$' -fuzz FuzzSwapRows -fuzztime 10s ./internal/smpi
 	$(GO) test -run '^$$' -fuzz FuzzGemmRows -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz FuzzPriceSchedule -fuzztime 10s ./internal/topo
+	$(GO) test -run '^$$' -fuzz FuzzPlanParams -fuzztime 10s ./cmd/confluxd
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:
@@ -77,9 +81,9 @@ fmt-check:
 # drives every engine through the internal/engine registry. The coverage
 # profile of that registry and of the 2.5D engine is written to
 # conformance_engine.out and uploaded by CI, so it shows which lines of the
-# shared step loop each row policy (COnfLUX masking, CANDMC swapping)
-# exercises. Also runs inside `make test`; kept addressable so CI
-# gates on it explicitly.
+# shared step loop each row policy (COnfLUX masking, CANDMC swapping,
+# Cholesky's symmetric policy) exercises. Also runs inside `make test`; kept
+# addressable so CI gates on it explicitly.
 # -timeout: the N=4096/P=64 numeric paper-scale case (DESIGN.md §15) takes
 # ~1½ min under the race detector on a 2-core host at the volume-bounded
 # default v = 16 (2026-10-01) — ~6 min at v = 4 since the engines' Schur

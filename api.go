@@ -21,7 +21,8 @@
 //
 // Engines dispatch through internal/engine's registry (DESIGN.md §9);
 // failures carry the typed sentinels ErrShape, ErrSingular,
-// ErrUnknownAlgorithm, and ErrCanceled for errors.Is.
+// ErrNotPositiveDefinite, ErrUnknownAlgorithm, and ErrCanceled for
+// errors.Is.
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
 package conflux

@@ -1,6 +1,7 @@
 package conflux
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -306,6 +307,22 @@ func TestFactorizeSPD(t *testing.T) {
 	}
 	if r := testutil.ResidualCholesky(a, l); r > 1e-10 {
 		t.Fatalf("Cholesky residual %v", r)
+	}
+}
+
+// A negative or a NaN diagonal entry is not positive definite: FactorizeSPD
+// says so with the typed error, and a NaN never comes back inside L.
+func TestFactorizeSPDNotPositiveDefinite(t *testing.T) {
+	for _, d := range []float64{-1, math.NaN()} {
+		a := NewMatrix(32, 32)
+		for i := range 32 {
+			a.Set(i, i, 1)
+		}
+		a.Set(20, 20, d)
+		l, _, err := mustNew(t, WithRanks(4)).FactorizeSPD(t.Context(), a)
+		if !errors.Is(err, ErrNotPositiveDefinite) || l != nil {
+			t.Fatalf("A[20][20] = %v: err = %v, L nil = %v; want ErrNotPositiveDefinite and no L", d, err, l == nil)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	conflux "repro"
 	"repro/internal/bench"
 	"repro/internal/blas"
-	"repro/internal/cholesky"
+	conflux25d "repro/internal/conflux"
 	"repro/internal/costmodel"
 	"repro/internal/daap"
 	"repro/internal/engine"
@@ -34,9 +34,9 @@ import (
 // smpiVolumeCholesky replays the 2.5D Cholesky schedule in volume mode at
 // the paper's maximum-replication memory.
 func smpiVolumeCholesky(n, p int) (*conflux.VolumeReport, error) {
-	opt := cholesky.DefaultOptions(n, p, costMaxMem(n, p))
+	opt := conflux25d.CholeskyOptions(n, p, costMaxMem(n, p))
 	return smpi.Exec(context.Background(), smpi.Config{P: p, Timeout: 10 * time.Minute}, func(c *smpi.Comm) error {
-		_, err := cholesky.Run(c, nil, opt)
+		_, err := conflux25d.Run(c, nil, opt)
 		return err
 	})
 }

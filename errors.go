@@ -27,6 +27,10 @@ var (
 	// ErrSingular marks a factor with a zero U pivot: the solve of a
 	// singular system surfaces as this error, never as Inf/NaN in X.
 	ErrSingular = errors.New("conflux: singular factor")
+	// ErrNotPositiveDefinite marks a FactorizeSPD input whose Cholesky
+	// factorization meets a pivot that is not positive (zero, negative or
+	// NaN).
+	ErrNotPositiveDefinite = errors.New("conflux: matrix is not positive definite")
 	// ErrUnknownAlgorithm marks an Algorithm with no registered engine.
 	ErrUnknownAlgorithm = errors.New("conflux: unknown algorithm")
 	// ErrUnknownExecutor marks a WithExecutor name that is neither
@@ -45,7 +49,7 @@ func publicErr(err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, ErrShape), errors.Is(err, ErrSingular),
+	case errors.Is(err, ErrShape), errors.Is(err, ErrSingular), errors.Is(err, ErrNotPositiveDefinite),
 		errors.Is(err, ErrUnknownAlgorithm), errors.Is(err, ErrUnknownExecutor),
 		errors.Is(err, ErrCanceled):
 		return err
@@ -58,6 +62,8 @@ func publicErr(err error) error {
 	case errors.Is(err, trisolve.ErrSingular), errors.Is(err, lu2d.ErrSingular),
 		errors.Is(err, lapack.ErrSingular):
 		return fmt.Errorf("%w: %w", ErrSingular, err)
+	case errors.Is(err, lapack.ErrNotPD):
+		return fmt.Errorf("%w: %w", ErrNotPositiveDefinite, err)
 	default:
 		return err
 	}

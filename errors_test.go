@@ -14,16 +14,18 @@ import (
 
 // publicSentinels is the complete public error surface publicErr maps onto.
 var publicSentinels = map[string]error{
-	"ErrShape":            ErrShape,
-	"ErrSingular":         ErrSingular,
-	"ErrUnknownAlgorithm": ErrUnknownAlgorithm,
-	"ErrUnknownExecutor":  ErrUnknownExecutor,
-	"ErrCanceled":         ErrCanceled,
+	"ErrShape":               ErrShape,
+	"ErrSingular":            ErrSingular,
+	"ErrNotPositiveDefinite": ErrNotPositiveDefinite,
+	"ErrUnknownAlgorithm":    ErrUnknownAlgorithm,
+	"ErrUnknownExecutor":     ErrUnknownExecutor,
+	"ErrCanceled":            ErrCanceled,
 }
 
 // TestPublicErrExhaustive pins the boundary mapping: every internal
 // sentinel an engine, the runtime, or the solve layer can surface (the
-// smpi, engine, trisolve, lu2d, and lapack packages) maps to exactly one
+// smpi, engine, trisolve, lu2d, and lapack packages, lapack's Cholesky
+// one included) maps to exactly one
 // public sentinel — never zero (a caller would have nothing to errors.Is
 // against) and never two (ambiguous classification).
 func TestPublicErrExhaustive(t *testing.T) {
@@ -38,6 +40,7 @@ func TestPublicErrExhaustive(t *testing.T) {
 		{"trisolve.ErrSingular", trisolve.ErrSingular, ErrSingular},
 		{"lu2d.ErrSingular", lu2d.ErrSingular, ErrSingular},
 		{"lapack.ErrSingular", lapack.ErrSingular, ErrSingular},
+		{"lapack.ErrNotPD", lapack.ErrNotPD, ErrNotPositiveDefinite},
 	}
 	for _, tc := range cases {
 		// Internal errors arrive wrapped in run-site context; the mapping
@@ -69,7 +72,7 @@ func TestPublicErrExhaustive(t *testing.T) {
 func TestPublicErrIdempotent(t *testing.T) {
 	for _, internal := range []error{
 		smpi.ErrCanceled, smpi.ErrUnknownExecutor, engine.ErrUnknown,
-		trisolve.ErrSingular, lu2d.ErrSingular, lapack.ErrSingular,
+		trisolve.ErrSingular, lu2d.ErrSingular, lapack.ErrSingular, lapack.ErrNotPD,
 	} {
 		once := publicErr(fmt.Errorf("context: %w", internal))
 		twice := publicErr(once)

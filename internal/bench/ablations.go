@@ -49,7 +49,7 @@ func (a AblationResult) TimeRatio() float64 {
 func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
 	swap := conflux.CANDMCOptions(n, p, mem)
 	mask := swap
-	mask.Name, mask.Swap = "COnfLUX", false
+	mask.Name, mask.Rows = "COnfLUX", conflux.Mask
 	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, mask)
 		return err

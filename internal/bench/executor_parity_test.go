@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cholesky"
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
 	"repro/internal/lu2d"
@@ -45,7 +44,7 @@ func runEngineExecutor(t *testing.T, algo costmodel.Algorithm, n, p int, mem flo
 		case costmodel.COnfLUX:
 			_, err = conflux.Run(c, nil, conflux.DefaultOptions(n, p, mem))
 		case costmodel.Cholesky:
-			_, err = cholesky.Run(c, nil, cholesky.DefaultOptions(n, p, mem))
+			_, err = conflux.Run(c, nil, conflux.CholeskyOptions(n, p, mem))
 		}
 		return err
 	})

@@ -40,7 +40,7 @@ func (e *engine) factorizeA01(t int) {
 	// active communicator lists world ranks 0..Used()-1 in order, so a grid
 	// rank is its own index in it.
 	asmRow := 0
-	if e.opt.Swap {
+	if e.opt.Rows == Swap {
 		asmRow = e.bc.OwnerRow(t)
 	}
 	asmRank := e.g.Rank(asmRow, e.col, 0)

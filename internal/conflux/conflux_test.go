@@ -21,16 +21,12 @@ func gridFor(pr, pc, c, total int) grid.Grid {
 	return grid.Grid{Pr: pr, Pc: pc, Layers: c, Total: total}
 }
 
-// policies are the two row policies; a case that runs under both runs as one
-// subtest per policy, named after the engine it makes.
-var policies = []struct {
-	name string
-	swap bool
-}{{"COnfLUX", false}, {"CANDMC", true}}
-
-func forPolicies(t *testing.T, body func(t *testing.T, swap bool)) {
-	for _, pol := range policies {
-		t.Run(pol.name, func(t *testing.T) { body(t, pol.swap) })
+// forPolicies runs body under the two LU row policies, as one subtest per
+// policy named after the engine it makes. The symmetric policy's tests are
+// in symmetric_test.go.
+func forPolicies(t *testing.T, body func(t *testing.T, rows RowPolicy)) {
+	for _, rows := range []RowPolicy{Mask, Swap} {
+		t.Run(engineNames[rows], func(t *testing.T) { body(t, rows) })
 	}
 }
 
@@ -71,20 +67,20 @@ type numericCase struct {
 	pr, pc, cc int
 }
 
-func (tc numericCase) opt(swap bool) Options {
-	return Options{N: tc.n, V: tc.v, Grid: gridFor(tc.pr, tc.pc, tc.cc, tc.pr*tc.pc*tc.cc), Swap: swap}
+func (tc numericCase) opt(rows RowPolicy) Options {
+	return Options{N: tc.n, V: tc.v, Grid: gridFor(tc.pr, tc.pc, tc.cc, tc.pr*tc.pc*tc.cc), Rows: rows}
 }
 
 func TestNumericSingleRank(t *testing.T) {
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		a := mat.RandomDiagDominant(16, 1)
-		res, _ := factorNumeric(t, a, numericCase{16, 4, 1, 1, 1}.opt(swap))
+		res, _ := factorNumeric(t, a, numericCase{16, 4, 1, 1, 1}.opt(rows))
 		checkFactors(t, "n=16", a, res, 1e-12)
 	})
 }
 
 func TestNumeric2DGrids(t *testing.T) {
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		for _, tc := range []numericCase{
 			{16, 4, 2, 2, 1},
 			{32, 4, 2, 2, 1},
@@ -94,7 +90,7 @@ func TestNumeric2DGrids(t *testing.T) {
 			{33, 4, 3, 2, 1}, // very ragged
 		} {
 			a := mat.RandomDiagDominant(tc.n, uint64(tc.n)+7)
-			res, _ := factorNumeric(t, a, tc.opt(swap))
+			res, _ := factorNumeric(t, a, tc.opt(rows))
 			checkFactors(t, tc, a, res, 1e-11)
 		}
 	})
@@ -102,7 +98,7 @@ func TestNumeric2DGrids(t *testing.T) {
 
 func TestNumericLayered25D(t *testing.T) {
 	// The heart of both engines: c > 1 layers of lazy Schur accumulators.
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		for _, tc := range []numericCase{
 			{32, 4, 2, 2, 2},
 			{48, 4, 2, 2, 3},
@@ -114,7 +110,7 @@ func TestNumericLayered25D(t *testing.T) {
 			{96, 32, 1, 2, 2},
 		} {
 			a := mat.RandomDiagDominant(tc.n, uint64(tc.n)*31+uint64(tc.cc))
-			res, _ := factorNumeric(t, a, tc.opt(swap))
+			res, _ := factorNumeric(t, a, tc.opt(rows))
 			checkFactors(t, tc, a, res, 1e-11)
 		}
 	})
@@ -123,9 +119,9 @@ func TestNumericLayered25D(t *testing.T) {
 func TestNumericGeneralMatrixNeedsPivoting(t *testing.T) {
 	// A general matrix forces genuine tournament pivoting: pivots leave the
 	// identity order, by masking or by physical row movement.
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		a := mat.Random(48, 48, 1234) // no diagonal dominance
-		res, _ := factorNumeric(t, a, numericCase{48, 4, 2, 2, 2}.opt(swap))
+		res, _ := factorNumeric(t, a, numericCase{48, 4, 2, 2, 2}.opt(rows))
 		checkFactors(t, "n=48", a, res, 1e-9)
 		moved := 0
 		for i, p := range res.Perm {
@@ -142,9 +138,9 @@ func TestNumericGeneralMatrixNeedsPivoting(t *testing.T) {
 func TestDisabledRanksIdle(t *testing.T) {
 	// Grid uses 4 of 5 ranks; the 5th must return immediately and the
 	// result must still be correct.
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		a := mat.RandomDiagDominant(32, 3)
-		res, _ := factorNumeric(t, a, Options{N: 32, V: 4, Grid: grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 5}, Swap: swap})
+		res, _ := factorNumeric(t, a, Options{N: 32, V: 4, Grid: grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 5}, Rows: rows})
 		checkFactors(t, "n=32", a, res, 1e-11)
 	})
 }
@@ -153,7 +149,7 @@ func TestRowMaskingNeverMovesRows(t *testing.T) {
 	// Perm must be a permutation and pivot rows must be spread (tournament
 	// picks the numerically largest rows, which for this seeded matrix are
 	// not the identity order).
-	res, _ := factorNumeric(t, mat.RandomDiagDominant(32, 99), numericCase{32, 4, 2, 2, 1}.opt(false))
+	res, _ := factorNumeric(t, mat.RandomDiagDominant(32, 99), numericCase{32, 4, 2, 2, 1}.opt(Mask))
 	if err := testutil.IsPermutation(res.Perm, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +175,7 @@ func algoBytes(rep *trace.Report) int64 {
 // every pivot outside its slot costs a row exchange, and volume mode's
 // tournament picks its winners without values.
 func TestVolumeModeCloseToNumeric(t *testing.T) {
-	opt := numericCase{48, 4, 2, 2, 2}.opt(false)
+	opt := numericCase{48, 4, 2, 2, 2}.opt(Mask)
 	_, repN := factorNumeric(t, mat.RandomDiagDominant(48, 11), opt)
 	repV := runVolume(t, opt)
 	rn, rv := algoBytes(repN), algoBytes(repV)
@@ -218,7 +214,7 @@ func TestSwappingCostsMoreThanMasking(t *testing.T) {
 	// The paper's §7.3 ablation: physical row swapping inflates the leading
 	// term versus COnfLUX's row masking. Verified end-to-end in the bench
 	// harness; here we check the swap phase is a visible share of traffic.
-	rep := runVolume(t, numericCase{128, 4, 2, 2, 2}.opt(true))
+	rep := runVolume(t, numericCase{128, 4, 2, 2, 2}.opt(Swap))
 	swap := rep.ByPhase["CANDMC.swap"]
 	if swap == 0 {
 		t.Fatal("no swap traffic metered")
@@ -230,8 +226,8 @@ func TestSwappingCostsMoreThanMasking(t *testing.T) {
 }
 
 func TestSingularReported(t *testing.T) {
-	forPolicies(t, func(t *testing.T, swap bool) {
-		opt := numericCase{16, 4, 2, 2, 1}.opt(swap)
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
+		opt := numericCase{16, 4, 2, 2, 1}.opt(rows)
 		_, err := smpi.Exec(context.Background(), smpi.Config{P: 4, Payload: true, Timeout: testTimeout}, func(c *smpi.Comm) error {
 			var in *mat.Matrix
 			if c.Rank() == 0 {
@@ -267,7 +263,7 @@ func TestCANDMCOptions(t *testing.T) {
 	n := 1024
 	mem := float64(n) * float64(n) // plenty: c = P^{1/3}
 	opt := CANDMCOptions(n, 64, mem)
-	if opt.Grid.Layers != 4 || opt.Grid.Used() != 64 || !opt.Swap {
+	if opt.Grid.Layers != 4 || opt.Grid.Used() != 64 || opt.Rows != Swap {
 		t.Fatalf("options %+v", opt)
 	}
 	// Prime p: c must divide p, so replication collapses to 1 (greedy).
@@ -357,7 +353,7 @@ func TestQuickRandomConfigurations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		g := mat.NewRNG(2027)
 		for i := 0; i < 20; i++ {
 			pr := 1 + g.Intn(3)
@@ -372,21 +368,18 @@ func TestQuickRandomConfigurations(t *testing.T) {
 				n = 2 * v
 			}
 			a := mat.RandomDiagDominant(n, uint64(i)*1297+5)
-			res, _ := factorNumeric(t, a, numericCase{n, v, pr, pc, cc}.opt(swap))
+			res, _ := factorNumeric(t, a, numericCase{n, v, pr, pc, cc}.opt(rows))
 			checkFactors(t, fmt.Sprintf("cfg %d (n=%d v=%d %dx%dx%d)", i, n, v, pr, pc, cc), a, res, 1e-10)
 		}
 	})
 }
 
 func TestPhaseBreakdownPresent(t *testing.T) {
-	forPolicies(t, func(t *testing.T, swap bool) {
-		rep := runVolume(t, numericCase{64, 4, 2, 2, 2}.opt(swap))
-		name := "COnfLUX" // Run's default labels
-		if swap {
-			name = "CANDMC"
-		}
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
+		rep := runVolume(t, numericCase{64, 4, 2, 2, 2}.opt(rows))
+		name := engineNames[rows] // Run's default labels
 		phases := []string{".pivot", ".bcast-a00", ".panel-a10", ".panel-a01"}
-		if swap {
+		if rows == Swap {
 			phases = append(phases, ".swap")
 		} else if rep.ByPhase[name+".swap"] != 0 {
 			t.Fatalf("masking metered swap traffic: %v", rep.ByPhase)
@@ -410,7 +403,7 @@ func TestPhaseBreakdownPresent(t *testing.T) {
 // the slot (grid's TestPanelGroupsStayInOwnRowAndColumn shows no group of
 // another row or column can contain it).
 func TestOwnRowInvariants(t *testing.T) {
-	forPolicies(t, func(t *testing.T, swap bool) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		for _, tc := range []struct {
 			n, v int
 			g    grid.Grid
@@ -420,7 +413,7 @@ func TestOwnRowInvariants(t *testing.T) {
 		} {
 			g, c := tc.g, tc.g.Layers
 			_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
-				e := &engine{world: cm, opt: Options{Name: "test", N: tc.n, V: tc.v, Grid: g, Swap: swap}}
+				e := &engine{world: cm, opt: Options{Name: "test", N: tc.n, V: tc.v, Grid: g, Rows: rows}}
 				e.setup(nil)
 				for lstar := 0; lstar < c; lstar++ {
 					for ownerCol := 0; ownerCol < g.Pc; ownerCol++ {
@@ -430,7 +423,7 @@ func TestOwnRowInvariants(t *testing.T) {
 						}
 					}
 					for asmRow := 0; asmRow < g.Pr; asmRow++ {
-						usable := (swap || asmRow == 0) && slices.Contains(g.PanelColGroup(e.col, asmRow, lstar), cm.Rank())
+						usable := (rows == Swap || asmRow == 0) && slices.Contains(g.PanelColGroup(e.col, asmRow, lstar), cm.Rank())
 						if built := e.a01Comms[asmRow*c+lstar] != nil; built != usable {
 							return fmt.Errorf("rank %d: A01 slot (%d, %d) built=%v, usable=%v", cm.Rank(), asmRow, lstar, built, usable)
 						}
@@ -449,7 +442,7 @@ func TestOwnRowInvariants(t *testing.T) {
 					if !slices.Equal(e.active, scan) {
 						return fmt.Errorf("rank %d after step %d: active list %v, mask scan %v", cm.Rank(), step, e.active, scan)
 					}
-					if suffix := e.bc.RowsInGridRow(e.row, min(tc.n, (step+1)*tc.v)); swap && !slices.Equal(e.active, suffix) {
+					if suffix := e.bc.RowsInGridRow(e.row, min(tc.n, (step+1)*tc.v)); rows == Swap && !slices.Equal(e.active, suffix) {
 						return fmt.Errorf("rank %d after step %d: active list %v, rows below tile row %d %v", cm.Rank(), step, e.active, step, suffix)
 					}
 				}

@@ -16,7 +16,8 @@ import (
 // is the original row that became the k-th pivot. In numeric mode world rank
 // 0 additionally holds LU, the combined in-place factors in pivot row order,
 // so A[Perm,:] = L·U — under masking rows never move and the gathered factors
-// are permuted into that order; under swapping they are already in it.
+// are permuted into that order; under swapping they are already in it. The
+// symmetric policy leaves Perm nil and LU the lower factor L, A = L·Lᵀ.
 type Result struct {
 	Perm []int
 	LU   *mat.Matrix
@@ -29,10 +30,10 @@ type Result struct {
 // nodes".
 func Run(c *smpi.Comm, a *mat.Matrix, opt Options) (*Result, error) {
 	if opt.Name == "" {
-		opt.Name = "COnfLUX"
-		if opt.Swap {
-			opt.Name = "CANDMC"
-		}
+		opt.Name = engineNames[opt.Rows]
+	}
+	if opt.Rows == Symmetric && opt.Grid.Pr != opt.Grid.Pc {
+		panic(fmt.Sprintf("conflux: the symmetric policy needs square layers, not %dx%d", opt.Grid.Pr, opt.Grid.Pc))
 	}
 	if opt.V < opt.Grid.Layers {
 		panic(fmt.Sprintf("conflux: v=%d must be at least the layer count c=%d (paper §7.2)", opt.V, opt.Grid.Layers))
@@ -61,10 +62,10 @@ type engine struct {
 	store           *dist.Store
 	phase           struct{ reduceCol, pivot, bcastA00, swap, panelA10, panelA01, update string }
 
-	// Panel broadcast communicators (see panelComms); nil where this rank is
-	// outside the group.
+	// Panel broadcast communicators (see panelComms and symmetricComms); nil
+	// where this rank is outside the group.
 	a10Comms []*smpi.Comm // by ownerCol·c + assigned layer, for my grid row
-	a01Comms []*smpi.Comm // by assembler row·c + assigned layer, for my grid column
+	a01Comms []*smpi.Comm // by assembler row (symmetric: ownerCol)·c + assigned layer, for my grid column
 
 	mask   []bool // mask[r]: row r not yet chosen as pivot
 	perm   []int
@@ -84,7 +85,7 @@ type engine struct {
 	pivRows [][]int     // pivIDs bucketed by owning grid row, factor order kept
 	pivPos  [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
 	a10     *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
-	a01     *mat.Matrix // consumer copy: U01 for my grid-column tile cols
+	a01     *mat.Matrix // consumer copy: U01 for my grid-column tile cols (symmetric: their L rows, U01ᵀ)
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {
@@ -117,12 +118,17 @@ func (e *engine) setup(a *mat.Matrix) {
 	for i := range e.mask {
 		e.mask[i] = true
 	}
-	e.perm = make([]int, 0, e.opt.N)
-	if e.opt.Swap {
+	switch e.opt.Rows {
+	case Mask:
+		e.perm = make([]int, 0, e.opt.N)
+	case Swap:
 		e.colc = e.ac.Sub(fmt.Sprintf("colc.%d.%d", e.col, e.layer), e.g.ColComm(e.col, e.layer))
-		for i := range e.opt.N {
-			e.perm = append(e.perm, i)
+		e.perm = make([]int, e.opt.N)
+		for i := range e.perm {
+			e.perm[i] = i
 		}
+	case Symmetric: // Cholesky's labels: reduce, POTRF and L00 broadcast are one phase
+		e.phase.reduceCol, e.phase.bcastA00, e.phase.panelA10 = name+".panel", name+".panel", name+".panel-bcast"
 	}
 	e.active = e.bc.RowsInGridRow(e.row, 0)
 	e.pivRows, e.pivPos = make([][]int, e.g.Pr), make([][]int, e.g.Pr)
@@ -135,11 +141,14 @@ func (e *engine) setup(a *mat.Matrix) {
 func (e *engine) step(t int) error {
 	e.used, e.nhdr = 0, 0 // every panel of step t−1 has had its last reader
 	stack := e.reduceColumn(t)
+	if e.opt.Rows == Symmetric {
+		return e.symmetricStep(t, stack)
+	}
 	if err := e.tournament(t, stack); err != nil {
 		return err
 	}
 	e.broadcastA00(t)
-	if e.opt.Swap {
+	if e.opt.Rows == Swap {
 		e.applySwaps(t)
 	}
 	e.retirePivots(t)
@@ -149,7 +158,8 @@ func (e *engine) step(t int) error {
 	return nil
 }
 
-// collect gathers the factors onto world rank 0 in pivot order.
+// collect gathers the factors onto world rank 0 in pivot order (symmetric:
+// L, its strict upper triangle zeroed).
 func (e *engine) collect() *Result {
 	res := &Result{Perm: e.perm}
 	if e.layer != 0 {
@@ -164,8 +174,13 @@ func (e *engine) collect() *Result {
 		res.LU = mat.New(e.opt.N, e.opt.N)
 	}
 	dist.Gather(e.world, 0, res.LU, e.g, e.store)
-	if e.world.Payload() && !e.opt.Swap {
+	if e.world.Payload() && e.opt.Rows == Mask {
 		permuteRowsInPlace(res.LU, e.perm)
+	}
+	if e.world.Payload() && e.opt.Rows == Symmetric {
+		for i := range res.LU.Rows {
+			clear(res.LU.Row(i)[i+1:])
+		}
 	}
 	return res
 }
@@ -184,11 +199,15 @@ func (e *engine) collect() *Result {
 // width) is decided from state every member holds identically.
 func (e *engine) panelComms() {
 	c, me := e.g.Layers, e.world.Rank()
-	asmRows := 1
-	if e.opt.Swap {
-		asmRows = e.g.Pr
-	}
 	e.a10Comms, e.a01Comms = make([]*smpi.Comm, e.g.Pc*c), make([]*smpi.Comm, e.g.Pr*c)
+	asmRows := 1
+	switch e.opt.Rows {
+	case Swap:
+		asmRows = e.g.Pr
+	case Symmetric:
+		e.symmetricComms()
+		return
+	}
 	for lstar := 0; lstar < c; lstar++ {
 		for ownerCol := 0; ownerCol < e.g.Pc; ownerCol++ {
 			if m := e.g.PanelRowGroup(e.row, ownerCol, lstar); slices.Contains(m, me) {
@@ -349,15 +368,16 @@ func (e *engine) broadcastA00(t int) {
 // retirePivots takes the step's pivots out of play. Under masking (§7.3: "we
 // keep track which rows were chosen as pivots and we use masks to update
 // remaining rows") they are the tournament's rows wherever they live; under
-// swapping applySwaps has moved them to the slots t·v+i, tile row t. Either
-// way the pivots are bucketed by owning grid row — every rank computes the
-// same buckets — and those of this rank's own row leave its active list; the
-// layer-0 owners of tile column t write those rows' final L00\U00 values.
+// swapping applySwaps has moved them to the slots t·v+i, tile row t, where
+// the symmetric policy's always are. Either way the pivots are bucketed by
+// owning grid row — every rank computes the same buckets — and those of this
+// rank's own row leave its active list; the layer-0 owners of tile column t
+// write those rows' final L00\U00 values.
 // That list is all a rank ever reads of the mask: the rows it stacks, solves
 // and updates are its own grid row's, so maintaining it costs the ≤ v
 // deletions of a step, not a pass over the N rows of the grid. Under swapping
-// the deleted rows are the list's first w, so the rows left are the suffix
-// RowsInGridRow(row, (t+1)·v).
+// and the symmetric policy the deleted rows are the list's first w, so the
+// rows left are the suffix RowsInGridRow(row, (t+1)·v).
 func (e *engine) retirePivots(t int) {
 	for gr := range e.pivRows {
 		e.pivRows[gr], e.pivPos[gr] = e.pivRows[gr][:0], e.pivPos[gr][:0]
@@ -370,7 +390,7 @@ func (e *engine) retirePivots(t int) {
 		gr := e.bc.OwnerRow(r / e.opt.V)
 		e.pivRows[gr], e.pivPos[gr] = append(e.pivRows[gr], r), append(e.pivPos[gr], i)
 	}
-	if !e.opt.Swap {
+	if e.opt.Rows == Mask {
 		e.perm = append(e.perm, e.pivIDs...)
 	}
 	owner := e.layer == 0 && e.col == e.bc.OwnerCol(t) && e.store.Payload()

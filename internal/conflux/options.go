@@ -1,11 +1,12 @@
-// Package conflux implements the 2.5D LU factorizations of the paper's
+// Package conflux implements the 2.5D factorizations of the paper's
 // evaluation on one skeleton: COnfLUX (paper §7), a near communication
-// optimal parallel LU derived from X-Partitioning, and the CANDMC-style 2.5D
-// LU of Solomonik & Demmel it is measured against. The matrix is tiled with
-// blocking parameter v and distributed block-cyclically over a [Pr, Pc, c]
-// grid (Fig. 5). Layer 0 holds the matrix; layers 1..c-1 hold lazy
-// Schur-update accumulators, so the true value of any element is the sum
-// across the fiber. Per step (Algorithm 1):
+// optimal parallel LU derived from X-Partitioning, the CANDMC-style 2.5D LU
+// of Solomonik & Demmel it is measured against, and the 2.5D Cholesky the
+// paper's conclusion names as the schedule's next kernel. The matrix is
+// tiled with blocking parameter v and distributed block-cyclically over a
+// [Pr, Pc, c] grid (Fig. 5). Layer 0 holds the matrix; layers 1..c-1 hold
+// lazy Schur-update accumulators, so the true value of any element is the
+// sum across the fiber. Per step (Algorithm 1):
 //
 //  1. the next block column is reduced across layers,
 //  2. tournament pivoting over butterfly rounds selects v pivot rows,
@@ -15,14 +16,15 @@
 //  6. both panels are sent to the consumers of the step's assigned layer,
 //     which applies the Schur update into its accumulator.
 //
-// The two engines differ in one design choice, §7.3's, and so does the code
-// (Options.Swap): COnfLUX MASKS pivot rows, which never move, while CANDMC
-// SWAPS them into the diagonal block across every replication layer —
-// the choice the paper charges with "increas[ing] the row swapping cost …
-// to O(N³/(P√M))". COnfLUX's per-rank I/O cost is N³/(P√M) + O(N²/P)
-// elements (Lemma 10), a factor 3/2 over the paper's §6 lower bound
-// 2N³/(3P√M); CANDMC's is modeled at 5N³/(P√M) (Table 2, model taken from
-// the CANDMC authors).
+// The three engines differ in one design choice, the row policy
+// (Options.Rows), and so does the code. COnfLUX MASKS pivot rows, which
+// never move, while CANDMC SWAPS them into the diagonal block across every
+// replication layer — the choice §7.3 charges with "increas[ing] the row
+// swapping cost … to O(N³/(P√M))". COnfLUX's per-rank I/O cost is
+// N³/(P√M) + O(N²/P) elements (Lemma 10), a factor 3/2 over the paper's §6
+// lower bound 2N³/(3P√M); CANDMC's is modeled at 5N³/(P√M) (Table 2, model
+// taken from the CANDMC authors). Cholesky is SYMMETRIC: it has no pivots to
+// choose and no A01 to solve (symmetric.go).
 package conflux
 
 import (
@@ -32,13 +34,25 @@ import (
 	"repro/internal/grid"
 )
 
+// RowPolicy is how a step takes its diagonal block's rows out of play.
+type RowPolicy int
+
+const (
+	Mask      RowPolicy = iota // COnfLUX: tournament pivots stay where they are; a mask retires them
+	Swap                       // CANDMC: tournament pivots are swapped into tile row t on every layer
+	Symmetric                  // Cholesky: no pivoting; needs square layers (Pr == Pc)
+)
+
+// engineNames are the default phase-label prefixes, by row policy.
+var engineNames = [...]string{Mask: "COnfLUX", Swap: "CANDMC", Symmetric: "Cholesky25D"}
+
 // Options configures a run.
 type Options struct {
-	Name string // phase-label prefix; defaults to "COnfLUX", or "CANDMC" when swapping
+	Name string // phase-label prefix; defaults to the row policy's engine name
 	N    int    // global matrix dimension
 	V    int    // blocking parameter v (paper §7.2); v >= Layers required
 	Grid grid.Grid
-	Swap bool // swap pivot rows into place (CANDMC) instead of masking them (COnfLUX)
+	Rows RowPolicy
 }
 
 // DefaultOptions mirrors the paper's setup: local memory M elements per
@@ -67,7 +81,29 @@ func CANDMCOptions(n, p int, mem float64) Options {
 	}
 	layer := grid.Square2D(p / c)
 	g := grid.Grid{Pr: layer.Pr, Pc: layer.Pc, Layers: c, Total: p}
-	return Options{Name: "CANDMC", N: n, V: costmodel.BaselineBlockSize(n, c), Grid: g, Swap: true}
+	return Options{Name: "CANDMC", N: n, V: costmodel.BaselineBlockSize(n, c), Grid: g, Rows: Swap}
+}
+
+// CholeskyOptions picks the best square-layer 2.5D grid for p ranks with
+// per-rank memory mem (elements), and the blocking parameter
+// costmodel.BaselineBlockSize (v = 2c, floored at 4).
+func CholeskyOptions(n, p int, mem float64) Options {
+	maxC := grid.MaxReplication(p, mem, n)
+	best := grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: p}
+	bestCost := math.Inf(1)
+	nn := float64(n) * float64(n)
+	for c := 1; c <= maxC; c++ {
+		pr := int(math.Sqrt(float64(p / c))) // the largest square layer for this c
+		g := grid.Grid{Pr: pr, Pc: pr, Layers: c, Total: p}
+		if 2*g.Used() < p {
+			continue // a smaller square would use fewer ranks still
+		}
+		cost := nn/float64(c*pr) + float64(c-1)*nn/float64(g.Used())
+		if cost < bestCost || (cost == bestCost && g.Used() > best.Used()) {
+			best, bestCost = g, cost
+		}
+	}
+	return Options{Name: "Cholesky25D", N: n, V: costmodel.BaselineBlockSize(n, best.Layers), Grid: best, Rows: Symmetric}
 }
 
 // ModelPerRankElements is the fitted cost model for COnfLUX as implemented

@@ -65,9 +65,15 @@ func (e *engine) applySwaps(t int) {
 			}
 		}
 	}
-	// BcastInts' list is shared with the other receivers: rewrite a copy.
+	e.diagonalPivots(t, len(e.pivIDs))
+}
+
+// diagonalPivots names the step's w pivots by the rows t·v+i of tile row t,
+// where swapped and symmetric pivots sit, in the engine's own slots (the list
+// BcastInts returns is shared with the other receivers).
+func (e *engine) diagonalPivots(t, w int) {
 	e.slots = e.slots[:0]
-	for i := range e.pivIDs {
+	for i := range w {
 		e.slots = append(e.slots, t*e.opt.V+i)
 	}
 	e.pivIDs = e.slots

@@ -6,7 +6,6 @@
 package all
 
 import (
-	_ "repro/internal/cholesky" // registers Cholesky
-	_ "repro/internal/conflux"  // registers COnfLUX and CANDMC
-	_ "repro/internal/lu2d"     // registers LibSci and SLATE
+	_ "repro/internal/conflux" // registers COnfLUX, CANDMC and Cholesky
+	_ "repro/internal/lu2d"    // registers LibSci and SLATE
 )

@@ -1,9 +1,10 @@
 // Package engine is the registry the public API dispatches factorization
-// engines through. Each engine package (internal/conflux, internal/lu2d,
-// internal/cholesky) self-registers its adapters in its init function, so
-// adding an engine never touches the API layer: implement the
-// Engine interface, call Register, and the algorithm is reachable from
-// conflux.New(conflux.WithAlgorithm(...)), the bench harness, and the CLI.
+// engines through. Each engine package (internal/conflux for COnfLUX, CANDMC
+// and Cholesky, internal/lu2d for LibSci and SLATE) self-registers its
+// adapters in its init function, so adding an engine never touches the API
+// layer: implement the Engine interface, call Register, and the algorithm is
+// reachable from conflux.New(conflux.WithAlgorithm(...)), the bench harness,
+// and the CLI.
 package engine
 
 import (

@@ -555,7 +555,8 @@ func (s *Session) CommVolumeSolve(ctx context.Context, n int) (*VolumeReport, er
 // extension kernel) of a symmetric positive definite matrix on the session
 // machine, returning the lower factor L with a = L·Lᵀ and the volume
 // report. It dispatches to the Cholesky engine regardless of the session's
-// configured LU algorithm.
+// configured LU algorithm. An input with a pivot that is not positive —
+// zero, negative or NaN — fails with ErrNotPositiveDefinite.
 func (s *Session) FactorizeSPD(ctx context.Context, a *Matrix) (*Matrix, *VolumeReport, error) {
 	if a == nil || a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("%w: FactorizeSPD requires a square matrix", ErrShape)
