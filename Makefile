@@ -104,11 +104,15 @@ cover:
 
 # Compile and run every benchmark once — catches rotted benchmark code
 # without paying for real measurements; -benchmem puts each one-shot replay's
-# allocs/op in the CI log, where a per-step loop over the whole grid shows as
-# a jump in objects long before it shows in seconds. -short skips the two
-# paper-scale (N=16384, P=1024) replay benchmarks, which take 6 s (COnfLUX)
-# and 7 s (CANDMC) on a 2-core host (2026-10-01; 49 s and 42 s before the
-# engines' per-step control flow was cut down to what a rank owns).
+# allocs/op and B/op in the CI log, where a per-step loop over the whole grid
+# shows as a jump in objects, and state sized by N on every rank as a jump in
+# bytes, long before either shows in seconds. -short skips the three replay
+# benchmarks at P=1024: COnfLUX and CANDMC at paper scale (N=16384; 6 s and
+# 7 s on a 2-core host, 2026-10-01, 49 s and 42 s before the engines'
+# per-step control flow was cut down to what a rank owns) and the 2D engine,
+# LibSci at N=4096 (1.4 s, 2026-10-17). Drop -short, or run
+# `go test -bench 'FactorizeVolume(Paper|LibSciP1024)' -benchtime=1x -benchmem -run='^$$' .`,
+# to log their bytes per op at scale.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' -short ./...
 

@@ -11,6 +11,7 @@ package conflux_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -283,8 +284,8 @@ func BenchmarkFactorizeNumeric(b *testing.B) {
 // workloads, benchmark/ and BENCHMARK.json). Every benchmark reports
 // allocations per op, where a per-step loop over the grid shows first.
 // The paper-scale cases (N=16,384, P=1,024 — the §8 headline run, COnfLUX
-// and CANDMC) take 6–7 s each on a 2-core host and are skipped under
-// -short so smoke runs stay fast.
+// and CANDMC) take 6–7 s each on a 2-core host, and LibSci at P=1,024 takes
+// a few seconds; all three are skipped under -short so smoke runs stay fast.
 
 func benchFactorizeVolume(b *testing.B, algo costmodel.Algorithm, n, p int) {
 	b.ReportAllocs()
@@ -313,6 +314,16 @@ func BenchmarkFactorizeVolumePaperCANDMC(b *testing.B) {
 		b.Skip("paper-scale replay (N=16384, P=1024) skipped under -short")
 	}
 	benchFactorizeVolume(b, costmodel.CANDMC, 16384, 1024)
+}
+
+// BenchmarkFactorizeVolumeLibSciP1024 is the 2D engine's replay at the
+// paper's rank count, LibSci at N=4,096, P=1,024, where one N-length array on
+// every rank would be 32 MB of each op's bytes.
+func BenchmarkFactorizeVolumeLibSciP1024(b *testing.B) {
+	if testing.Short() {
+		b.Skip("LibSci replay (N=4096, P=1024) skipped under -short")
+	}
+	benchFactorizeVolume(b, costmodel.LibSci, 4096, 1024)
 }
 
 // BenchmarkReplayLibSciFaulted is the benchmark module's replay_2d_faulted
@@ -402,11 +413,20 @@ func BenchmarkPriceSchedule(b *testing.B) {
 // TestReplayAllocBudget holds the engines' control flow to a heap-object
 // budget per simulated message, so a per-step loop over the whole grid — each
 // one costs a few objects per rank-step — shows up in `go test`, not in a
-// profile. Measured at CommVolume(512), P=64 (bare; -race within 0.02): COnfLUX
-// (5×6×2, v=4) 0.37 objects per message, CANDMC (4×4×4, v=8) 0.80, LibSci
-// (8×8, nb=32) 0.22. The ceilings are those figures + 25%.
+// profile; and each replay to a byte budget, so that state sized by N on
+// every rank does too. Measured bare (-race adds at most 0.4 MB and 0.02
+// objects per message): at CommVolume(512), P=64, COnfLUX
+// (5×6×2, v=4) 0.31 objects per message, CANDMC (4×4×4, v=8) 0.52, LibSci
+// (8×8, nb=32) 0.18; at CommVolume(2048), P=256, where one N-length []int per
+// rank is 4.2 MB, COnfLUX 10.9 MB per replay, CANDMC 13.7 MB, LibSci 5.8 MB.
+// The ceilings are those figures + 25%, which one such slice breaks on each.
 //
-// The transport allocates nothing per message, and neither do the binomial
+// The replays took 19.0, 46.7 and 18.3 MB (and 0.37, 0.80 and 0.21 objects
+// per message) while every rank kept an N-entry pivot order and mask
+// (COnfLUX, CANDMC) or pivot vector and the permutation built from it
+// (LibSci), LibSci allocated its panel pivots and CANDMC its swap plan every
+// step, and the volume-mode tournament copied every candidate's ID. The
+// transport allocates nothing per message, and neither do the binomial
 // collectives: BcastInts copies its list once at the root and every hop
 // forwards that copy, and ReduceMatSum adds each child's wire buffer into the
 // caller's matrix instead of a clone through a receive buffer (COnfLUX 0.60,
@@ -416,15 +436,16 @@ func BenchmarkPriceSchedule(b *testing.B) {
 // and 7.68 when every rank rebuilt every grid row's broadcast group each step;
 // LibSci was 1.70 when every rank-step rebuilt its tile lists, panel maps and
 // phase labels, and 1.25 while every pivot-search message carried two 8-byte
-// slices. What is left is the tournament's candidate sets, CANDMC's swap plan
-// (two small slices per rank-step), LibSci's receive buffer per broadcast
-// tile, the booker's value list per pivot search, and the one-time
-// communicator set-up.
+// slices. What is left is the tournament's winners, LibSci's receive buffer
+// per broadcast tile, the booker's value list per pivot search, the layout's
+// part lists (one entry per tile a rank owns) and the one-time communicator
+// set-up.
 func TestReplayAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
-		algo    conflux.Algorithm
-		ceiling float64
-	}{{conflux.COnfLUX, 0.47}, {conflux.CANDMC, 1.0}, {conflux.LibSci, 0.28}} {
+		algo     conflux.Algorithm
+		perMsg   float64 // objects per message at CommVolume(512), P = 64
+		replayMB float64 // MB allocated per CommVolume(2048), P = 256
+	}{{conflux.COnfLUX, 0.39, 13.6}, {conflux.CANDMC, 0.65, 17.1}, {conflux.LibSci, 0.22, 7.2}} {
 		s, err := conflux.New(conflux.WithRanks(64), conflux.WithAlgorithm(tc.algo))
 		if err != nil {
 			t.Fatal(err)
@@ -437,10 +458,34 @@ func TestReplayAllocBudget(t *testing.T) {
 			}
 			msgs = rep.TotalMsgs()
 		})
-		if perMsg := allocs / float64(msgs); perMsg > tc.ceiling {
-			t.Errorf("%s: %.0f objects over %d messages = %.2f per message, budget %.2f", tc.algo, allocs, msgs, perMsg, tc.ceiling)
+		if perMsg := allocs / float64(msgs); perMsg > tc.perMsg {
+			t.Errorf("%s: %.0f objects over %d messages = %.2f per message, budget %.2f", tc.algo, allocs, msgs, perMsg, tc.perMsg)
+		}
+		if mb := replayMB(t, tc.algo, 2048, 256); mb > tc.replayMB {
+			t.Errorf("%s: %.2f MB per replay at N=2048, P=256, budget %.1f", tc.algo, mb, tc.replayMB)
 		}
 	}
+}
+
+// replayMB is the heap bytes one CommVolume(n) replay of algo on p ranks
+// allocates, in MB, measured after a warm-up replay.
+func replayMB(t *testing.T, algo conflux.Algorithm, n, p int) float64 {
+	t.Helper()
+	s, err := conflux.New(conflux.WithRanks(p), conflux.WithAlgorithm(algo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		if _, err := s.CommVolume(t.Context(), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 }
 
 func BenchmarkSolveVolume(b *testing.B) {

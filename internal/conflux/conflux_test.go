@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,14 +303,17 @@ func TestPermuteRowsInPlace(t *testing.T) {
 }
 
 func TestPlanSwapsBringsPivotsToSlots(t *testing.T) {
-	// Simulate the plan on an explicit array and verify pivots land on top.
+	// Simulate the plan on an explicit array and verify pivots land on top,
+	// with a planner whose buffers an earlier step has used.
+	var sp swapPlanner
+	sp.plan([]int{3, 2, 13, 1}, 0, 4)
 	n, v, tt := 16, 4, 1
 	pivIDs := []int{9, 4, 14, 6} // rows to land at slots 4,5,6,7
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	for _, sw := range planSwaps(pivIDs, tt, v) {
+	for _, sw := range sp.plan(pivIDs, tt, v) {
 		rows[sw[0]], rows[sw[1]] = rows[sw[1]], rows[sw[0]]
 	}
 	for i, p := range pivIDs {
@@ -327,7 +331,7 @@ func TestPlanSwapsChainedCollisions(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	for _, sw := range planSwaps(pivIDs, 0, v) {
+	for _, sw := range new(swapPlanner).plan(pivIDs, 0, v) {
 		rows[sw[0]], rows[sw[1]] = rows[sw[1]], rows[sw[0]]
 	}
 	for i, p := range pivIDs {
@@ -395,13 +399,15 @@ func TestPhaseBreakdownPresent(t *testing.T) {
 // The engine's per-step cost rests on two facts, checked here under both row
 // policies on every rank of a volume world with a ragged last tile on a
 // non-square grid (517 on 3×4×1) and of a layered one (256 on 2×2×2): after
-// every step the own-row active list, maintained by deleting the step's
-// pivots, is exactly what a scan of the mask finds in this rank's grid row —
-// and, under swapping, the suffix of the grid row's rows below tile row t;
-// and the slot tables a rank builds for its own row and column hold a
-// communicator exactly where the rank is in the group and the policy can use
-// the slot (grid's TestPanelGroupsStayInOwnRowAndColumn shows no group of
-// another row or column can contain it).
+// every step the ranks' own-row active lists partition the unpivoted rows —
+// every rank of a grid row holds the same list, of rows of that grid row only,
+// and the grid rows' lists together are exactly the rows world rank 0's pivot
+// order has not named (under swapping, the slots below tile row t, each grid
+// row's list being the suffix of its rows there); and the slot tables a rank
+// builds for its own row and column hold a communicator exactly where the
+// rank is in the group and the policy can use the slot (grid's
+// TestPanelGroupsStayInOwnRowAndColumn shows no group of another row or
+// column can contain it). Only world rank 0 keeps a pivot order.
 func TestOwnRowInvariants(t *testing.T) {
 	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		for _, tc := range []struct {
@@ -412,9 +418,15 @@ func TestOwnRowInvariants(t *testing.T) {
 			{256, 4, gridFor(2, 2, 2, 8)},
 		} {
 			g, c := tc.g, tc.g.Layers
+			tiles := (tc.n + tc.v - 1) / tc.v
+			actives := make([][][]int, g.Total) // [world rank][step]
+			pivoted := make([][]int, tiles)     // [step]: rank 0's pivot order, or the slots above tile row step+1
 			_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
 				e := &engine{world: cm, opt: Options{Name: "test", N: tc.n, V: tc.v, Grid: g, Rows: rows}}
 				e.setup(nil)
+				if (e.perm != nil) != (cm.Rank() == 0) {
+					return fmt.Errorf("rank %d keeps a pivot order: %v", cm.Rank(), e.perm != nil)
+				}
 				for lstar := 0; lstar < c; lstar++ {
 					for ownerCol := 0; ownerCol < g.Pc; ownerCol++ {
 						member := slices.Contains(g.PanelRowGroup(e.row, ownerCol, lstar), cm.Rank())
@@ -429,21 +441,20 @@ func TestOwnRowInvariants(t *testing.T) {
 						}
 					}
 				}
-				for step := 0; step < e.bc.Tiles(); step++ {
+				for step := range tiles {
 					if err := e.step(step); err != nil {
 						return err
 					}
-					var scan []int
-					for r, live := range e.mask {
-						if live && e.bc.OwnerRow(r/tc.v) == e.row {
-							scan = append(scan, r)
+					actives[cm.Rank()] = append(actives[cm.Rank()], slices.Clone(e.active))
+					if cm.Rank() != 0 {
+						continue
+					}
+					pivoted[step] = slices.Clone(e.perm)
+					if rows == Swap {
+						pivoted[step] = pivoted[step][:0]
+						for r := range min(tc.n, (step+1)*tc.v) {
+							pivoted[step] = append(pivoted[step], r)
 						}
-					}
-					if !slices.Equal(e.active, scan) {
-						return fmt.Errorf("rank %d after step %d: active list %v, mask scan %v", cm.Rank(), step, e.active, scan)
-					}
-					if suffix := e.bc.RowsInGridRow(e.row, min(tc.n, (step+1)*tc.v)); rows == Swap && !slices.Equal(e.active, suffix) {
-						return fmt.Errorf("rank %d after step %d: active list %v, rows below tile row %d %v", cm.Rank(), step, e.active, step, suffix)
 					}
 				}
 				e.collect()
@@ -452,6 +463,83 @@ func TestOwnRowInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d %+v: %v", tc.n, g, err)
 			}
+			bc := grid.BlockCyclic{G: g, V: tc.v, N: tc.n}
+			for step, done := range pivoted {
+				var unpivoted, union []int
+				for r := range tc.n {
+					if !slices.Contains(done, r) {
+						unpivoted = append(unpivoted, r)
+					}
+				}
+				for rank, byStep := range actives {
+					gr, _, _ := g.Coords(rank)
+					list, first := byStep[step], g.Rank(gr, 0, 0)
+					if want := actives[first][step]; !slices.Equal(list, want) {
+						t.Fatalf("n=%d step %d: rank %d's active list %v, its grid row's first rank's %v", tc.n, step, rank, list, want)
+					}
+					if suffix := bc.RowsInGridRow(gr, min(tc.n, (step+1)*tc.v)); rows == Swap && !slices.Equal(list, suffix) {
+						t.Fatalf("n=%d step %d: rank %d's active list %v, rows below tile row %d %v", tc.n, step, rank, list, step, suffix)
+					}
+					if rank != first {
+						continue
+					}
+					for _, r := range list {
+						if bc.OwnerRow(r/tc.v) != gr {
+							t.Fatalf("n=%d step %d: grid row %d lists row %d of another grid row", tc.n, step, gr, r)
+						}
+					}
+					union = append(union, list...)
+				}
+				slices.Sort(union)
+				if !slices.Equal(union, unpivoted) {
+					t.Fatalf("n=%d step %d: the active lists hold %v, the unpivoted rows are %v", tc.n, step, union, unpivoted)
+				}
+			}
 		}
 	})
+}
+
+// TestRetiredPivotPanics: with the mask gone, a pivot that was already
+// retired is caught by its owning grid row's active list, so retiring a step-0
+// pivot again at step 1 panics "pivoted twice" on every rank of that row —
+// the only ranks that can tell — under both row policies. dropRows itself
+// also refuses a row named twice in one step.
+func TestRetiredPivotPanics(t *testing.T) {
+	forPolicies(t, func(t *testing.T, rows RowPolicy) {
+		g := gridFor(2, 2, 2, 8)
+		_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
+			e := &engine{world: cm, opt: Options{Name: "test", N: 64, V: 4, Grid: g, Rows: rows}}
+			e.setup(nil)
+			if err := e.step(0); err != nil {
+				return err
+			}
+			again := e.pivIDs[0] // under swapping, slot 0
+			e.pivIDs = []int{again}
+			got := func() (p any) {
+				defer func() { p = recover() }()
+				e.retirePivots(1)
+				return nil
+			}()
+			if want := e.row == e.bc.OwnerRow(again/e.opt.V); (got != nil) != want || got != nil && !strings.Contains(fmt.Sprint(got), "pivoted twice") {
+				return fmt.Errorf("rank %d (grid row %d), row %d retired again: panic %v, want one: %v", cm.Rank(), e.row, again, got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := dropRows([]int{1, 3, 5, 7, 9}, []int{3, 7}); !slices.Equal(got, []int{1, 5, 9}) {
+		t.Fatalf("dropRows = %v", got)
+	}
+	for _, rows := range [][]int{{3, 3}, {4}, {9, 11}} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "pivoted twice") {
+					t.Errorf("dropRows(%v): panic %v", rows, p)
+				}
+			}()
+			dropRows([]int{1, 3, 5, 7, 9}, rows)
+		}()
+	}
 }

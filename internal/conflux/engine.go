@@ -12,12 +12,14 @@ import (
 	"repro/internal/smpi"
 )
 
-// Result carries the factorization output. Perm is the pivot order: Perm[k]
-// is the original row that became the k-th pivot. In numeric mode world rank
-// 0 additionally holds LU, the combined in-place factors in pivot row order,
-// so A[Perm,:] = L·U — under masking rows never move and the gathered factors
-// are permuted into that order; under swapping they are already in it. The
-// symmetric policy leaves Perm nil and LU the lower factor L, A = L·Lᵀ.
+// Result carries the factorization output, at world rank 0 only: every other
+// rank gets a nil Perm and a nil LU, so no rank but the one that returns them
+// keeps an N-length array. Perm is the pivot order: Perm[k] is the original
+// row that became the k-th pivot. In numeric mode rank 0 also holds LU, the
+// combined in-place factors in pivot row order, so A[Perm,:] = L·U — under
+// masking rows never move and the gathered factors are permuted into that
+// order; under swapping they are already in it. The symmetric policy leaves
+// Perm nil and LU the lower factor L, A = L·Lᵀ.
 type Result struct {
 	Perm []int
 	LU   *mat.Matrix
@@ -67,9 +69,9 @@ type engine struct {
 	a10Comms []*smpi.Comm // by ownerCol·c + assigned layer, for my grid row
 	a01Comms []*smpi.Comm // by assembler row (symmetric: ownerCol)·c + assigned layer, for my grid column
 
-	mask   []bool // mask[r]: row r not yet chosen as pivot
-	perm   []int
+	perm   []int // the pivot order so far, at world rank 0 only (nil elsewhere)
 	active []int // ascending: the unpivoted rows of MY grid row (see retirePivots)
+	retire []int // retirePivots' sorted copy of the step's own-row pivots
 
 	// Per-step panels are carved from slab, their headers from hdrs (see
 	// buffer); used and nhdr are the marks.
@@ -79,13 +81,14 @@ type engine struct {
 	nhdr int
 
 	// Per-step caches.
-	a00     *mat.Matrix // factored w×w diagonal block (L00\U00)
-	pivIDs  []int       // this step's pivot rows in factor order (their slots, once swapped)
-	slots   []int       // backing of pivIDs after the swaps
-	pivRows [][]int     // pivIDs bucketed by owning grid row, factor order kept
-	pivPos  [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
-	a10     *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
-	a01     *mat.Matrix // consumer copy: U01 for my grid-column tile cols (symmetric: their L rows, U01ᵀ)
+	a00      *mat.Matrix // factored w×w diagonal block (L00\U00)
+	pivIDs   []int       // this step's pivot rows in factor order (their slots, once swapped)
+	slots    []int       // backing of pivIDs after the swaps
+	swapPlan swapPlanner // the swapping policy's interchanges
+	pivRows  [][]int     // pivIDs bucketed by owning grid row, factor order kept
+	pivPos   [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
+	a10      *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
+	a01      *mat.Matrix // consumer copy: U01 for my grid-column tile cols (symmetric: their L rows, U01ᵀ)
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {
@@ -99,7 +102,9 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 }
 
 // setup builds what a rank keeps for the whole factorization — communicators,
-// store, mask, its own grid row's active list — and scatters the input.
+// store, its own grid row's active list, and at world rank 0 the pivot order —
+// and scatters the input. Nothing a rank keeps is sized by N: the pivot order
+// is kept only where it is returned.
 func (e *engine) setup(a *mat.Matrix) {
 	e.g = e.opt.Grid
 	e.bc = grid.BlockCyclic{G: e.g, V: e.opt.V, N: e.opt.N}
@@ -114,18 +119,19 @@ func (e *engine) setup(a *mat.Matrix) {
 	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00, e.phase.swap = name+".reduce-col", name+".pivot", name+".bcast-a00", name+".swap"
 	e.phase.panelA10, e.phase.panelA01, e.phase.update = name+".panel-a10", name+".panel-a01", name+".update"
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())
-	e.mask = make([]bool, e.opt.N)
-	for i := range e.mask {
-		e.mask[i] = true
-	}
+	root := e.world.Rank() == 0
 	switch e.opt.Rows {
 	case Mask:
-		e.perm = make([]int, 0, e.opt.N)
+		if root {
+			e.perm = make([]int, 0, e.opt.N)
+		}
 	case Swap:
 		e.colc = e.ac.Sub(fmt.Sprintf("colc.%d.%d", e.col, e.layer), e.g.ColComm(e.col, e.layer))
-		e.perm = make([]int, e.opt.N)
-		for i := range e.perm {
-			e.perm[i] = i
+		if root {
+			e.perm = make([]int, e.opt.N)
+			for i := range e.perm {
+				e.perm[i] = i
+			}
 		}
 	case Symmetric: // Cholesky's labels: reduce, POTRF and L00 broadcast are one phase
 		e.phase.reduceCol, e.phase.bcastA00, e.phase.panelA10 = name+".panel", name+".panel", name+".panel-bcast"
@@ -274,9 +280,9 @@ func (e *engine) buffer(rows, cols int) *mat.Matrix {
 	return m
 }
 
-// stackRows is dist's StackColumnRows/StackTrailingRows into a step panel:
-// the given global rows of the leading cols columns of the store's
-// Trailing(from) view, copied out as a dense len(rows)×cols stack.
+// stackRows copies the given global rows of the leading cols columns of the
+// store's Trailing(from) view into a dense len(rows)×cols step panel — the
+// stack dist's UnstackColumnRows/UnstackTrailingRows write back.
 func (e *engine) stackRows(from, cols int, rows []int) *mat.Matrix {
 	stack := e.buffer(len(rows), cols)
 	if e.store.Payload() {
@@ -372,37 +378,59 @@ func (e *engine) broadcastA00(t int) {
 // the symmetric policy's always are. Either way the pivots are bucketed by
 // owning grid row — every rank computes the same buckets — and those of this
 // rank's own row leave its active list; the layer-0 owners of tile column t
-// write those rows' final L00\U00 values.
-// That list is all a rank ever reads of the mask: the rows it stacks, solves
-// and updates are its own grid row's, so maintaining it costs the ≤ v
-// deletions of a step, not a pass over the N rows of the grid. Under swapping
-// and the symmetric policy the deleted rows are the list's first w, so the
-// rows left are the suffix RowsInGridRow(row, (t+1)·v).
+// write those rows' final L00\U00 values. World rank 0 appends the masked
+// pivots to the pivot order.
+// The active lists are the mask, each rank holding its own grid row's part:
+// the rows it stacks, solves and updates are its own grid row's, so
+// maintaining it costs one pass over the list's tail per step, not a pass over
+// the N rows of the grid. A pivot missing from its owning row's list was
+// retired before, and every rank of that row panics. Under swapping and the
+// symmetric policy the retired rows are the list's first w, so the rows left
+// are the suffix RowsInGridRow(row, (t+1)·v).
 func (e *engine) retirePivots(t int) {
 	for gr := range e.pivRows {
 		e.pivRows[gr], e.pivPos[gr] = e.pivRows[gr][:0], e.pivPos[gr][:0]
 	}
 	for i, r := range e.pivIDs {
-		if !e.mask[r] {
-			panic(fmt.Sprintf("conflux: row %d pivoted twice", r))
-		}
-		e.mask[r] = false
 		gr := e.bc.OwnerRow(r / e.opt.V)
 		e.pivRows[gr], e.pivPos[gr] = append(e.pivRows[gr], r), append(e.pivPos[gr], i)
 	}
-	if e.opt.Rows == Mask {
+	if e.perm != nil && e.opt.Rows == Mask {
 		e.perm = append(e.perm, e.pivIDs...)
 	}
-	owner := e.layer == 0 && e.col == e.bc.OwnerCol(t) && e.store.Payload()
-	w := len(e.pivIDs)
-	for k, r := range e.pivRows[e.row] {
-		i, _ := slices.BinarySearch(e.active, r) // found: r was unpivoted and is mine
-		e.active = slices.Delete(e.active, i, i+1)
-		if owner {
+	mine := e.pivRows[e.row]
+	if len(mine) == 0 {
+		return
+	}
+	if e.layer == 0 && e.col == e.bc.OwnerCol(t) && e.store.Payload() {
+		w := len(e.pivIDs)
+		for k, r := range mine {
 			ti := r / e.opt.V
 			e.store.Tile(ti, t).View(r-ti*e.opt.V, 0, 1, w).CopyFrom(e.a00.View(e.pivPos[e.row][k], 0, 1, w))
 		}
 	}
+	e.retire = append(e.retire[:0], mine...)
+	slices.Sort(e.retire)
+	e.active = dropRows(e.active, e.retire)
+}
+
+// dropRows removes the ascending rows from the ascending list in place, in
+// one pass from the first of them, and panics on a row the list lacks — one
+// already retired, or named twice.
+func dropRows(list, rows []int) []int {
+	i, _ := slices.BinarySearch(list, rows[0])
+	w := i
+	for _, r := range rows {
+		for i < len(list) && list[i] < r {
+			list[w] = list[i]
+			w, i = w+1, i+1
+		}
+		if i == len(list) || list[i] != r {
+			panic(fmt.Sprintf("conflux: row %d pivoted twice", r))
+		}
+		i++
+	}
+	return append(list[:w], list[i:]...)
 }
 
 // factorizeA10 implements steps 4/7/8 for the column panel: the active rows

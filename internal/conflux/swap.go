@@ -1,21 +1,28 @@
 package conflux
 
-// planSwaps converts this step's tournament pivots into a sequence of row
+// swapPlanner converts a step's tournament pivots into a sequence of row
 // interchanges that bring pivot i to slot t·v+i, LAPACK style. Every rank
-// computes the identical plan from the broadcast pivot IDs.
-func planSwaps(pivIDs []int, t, v int) [][2]int {
+// computes the identical plan from the broadcast pivot IDs, into buffers it
+// keeps for the whole run.
+type swapPlanner struct {
 	// moved lists the slots that no longer hold the row the step began with
 	// there, and that row's name — at most two per swap, so a scan of it
 	// costs less than the hashing of a map.
-	type entry struct{ slot, row int }
-	moved := make([]entry, 0, 2*len(pivIDs))
-	swaps := make([][2]int, 0, len(pivIDs))
-	for i, p := range pivIDs {
+	moved []movedRow
+	swaps [][2]int
+}
+
+type movedRow struct{ slot, row int }
+
+// plan returns the step's interchanges, valid until the next call.
+func (p *swapPlanner) plan(pivIDs []int, t, v int) [][2]int {
+	p.moved, p.swaps = p.moved[:0], p.swaps[:0]
+	for i, piv := range pivIDs {
 		q := t*v + i
-		cur, rq := p, q // p's current slot, the row now in slot q
+		cur, rq := piv, q // piv's current slot, the row now in slot q
 		iq, ic := -1, -1
-		for k, m := range moved {
-			if m.row == p {
+		for k, m := range p.moved {
+			if m.row == piv {
 				cur, ic = m.slot, k
 			}
 			if m.slot == q {
@@ -25,16 +32,16 @@ func planSwaps(pivIDs []int, t, v int) [][2]int {
 		if cur == q {
 			continue
 		}
-		swaps = append(swaps, [2]int{q, cur})
+		p.swaps = append(p.swaps, [2]int{q, cur})
 		if iq < 0 {
-			iq, moved = len(moved), append(moved, entry{slot: q})
+			iq, p.moved = len(p.moved), append(p.moved, movedRow{slot: q})
 		}
 		if ic < 0 {
-			ic, moved = len(moved), append(moved, entry{slot: cur})
+			ic, p.moved = len(p.moved), append(p.moved, movedRow{slot: cur})
 		}
-		moved[iq].row, moved[ic].row = p, rq
+		p.moved[iq].row, p.moved[ic].row = piv, rq
 	}
-	return swaps
+	return p.swaps
 }
 
 // applySwaps is the swapping policy's step: it performs the physical row
@@ -44,9 +51,11 @@ func planSwaps(pivIDs []int, t, v int) [][2]int {
 // slots t·v+i they now occupy.
 func (e *engine) applySwaps(t int) {
 	e.ac.SetPhase(e.phase.swap)
-	swaps := planSwaps(e.pivIDs, t, e.opt.V)
-	for _, sw := range swaps {
-		e.perm[sw[0]], e.perm[sw[1]] = e.perm[sw[1]], e.perm[sw[0]]
+	swaps := e.swapPlan.plan(e.pivIDs, t, e.opt.V)
+	if e.perm != nil { // world rank 0 keeps the pivot order
+		for _, sw := range swaps {
+			e.perm[sw[0]], e.perm[sw[1]] = e.perm[sw[1]], e.perm[sw[0]]
+		}
 	}
 	// A swapped row travels whole: every tile column this rank owns.
 	if total := e.store.TrailingCols(0); total > 0 {

@@ -186,40 +186,20 @@ func (s *Store) NewBuffer(rows, cols int) *mat.Matrix {
 	return mat.NewPhantom(rows, cols)
 }
 
-// StackColumnRows copies the given global rows of tile column tj out of the
-// store into a dense len(rows)×w stack (w the column's width; a phantom
-// buffer in volume mode). Every row must lie in a tile this rank owns.
-func (s *Store) StackColumnRows(tj int, rows []int) *mat.Matrix {
-	col := s.column(tj)
-	return s.stackRows(&col, rows)
-}
-
-// UnstackColumnRows writes a stack taken by StackColumnRows back into tile
-// column tj (a no-op in volume mode).
+// UnstackColumnRows writes a dense len(rows)×w stack (w the width of tile
+// column tj) into the given global rows of tile column tj, row i of the stack
+// into global row rows[i] (a no-op in volume mode). Every row must lie in a
+// tile this rank owns.
 func (s *Store) UnstackColumnRows(tj int, rows []int, stack *mat.Matrix) {
 	col := s.column(tj)
 	s.unstackRows(&col, rows, stack)
 }
 
-// StackTrailingRows is StackColumnRows over Trailing(from): the given global
-// rows across every owned tile column ≥ from, one contiguous segment each.
-func (s *Store) StackTrailingRows(from int, rows []int) *mat.Matrix {
-	return s.stackRows(s.Trailing(from), rows)
-}
-
-// UnstackTrailingRows writes a stack taken by StackTrailingRows back.
+// UnstackTrailingRows is UnstackColumnRows over Trailing(from): the given
+// global rows across every owned tile column ≥ from, one contiguous segment
+// each.
 func (s *Store) UnstackTrailingRows(from int, rows []int, stack *mat.Matrix) {
 	s.unstackRows(s.Trailing(from), rows, stack)
-}
-
-func (s *Store) stackRows(view *mat.Matrix, rows []int) *mat.Matrix {
-	stack := s.NewBuffer(len(rows), view.Cols)
-	if s.payload {
-		for i, r := range rows {
-			copy(stack.Row(i), view.Row(s.LocalRow(r)))
-		}
-	}
-	return stack
 }
 
 func (s *Store) unstackRows(view *mat.Matrix, rows []int, stack *mat.Matrix) {

@@ -510,8 +510,19 @@ func TestNewBufferRespectsPayloadMode(t *testing.T) {
 	}
 }
 
-// TestStackColumnRowsRoundTrip: stacking rows of a tile column copies them
-// out in list order, and unstacking writes them back in place — the pair
+// stackRows copies the given global rows of a view of s (indexed by local
+// row) into a dense stack, in list order, as the 2.5D engines do into their
+// step panels before unstacking them back.
+func stackRows(s *dist.Store, view *mat.Matrix, rows []int) *mat.Matrix {
+	stack := mat.New(len(rows), view.Cols)
+	for i, r := range rows {
+		copy(stack.Row(i), view.Row(s.LocalRow(r)))
+	}
+	return stack
+}
+
+// TestStackColumnRowsRoundTrip: unstacking a stack of rows of a tile column
+// writes each stack row back into its global row in place — the write-back
 // the 2.5D engines reduce panel columns through.
 func TestStackColumnRowsRoundTrip(t *testing.T) {
 	bc := grid.BlockCyclic{G: grid.Grid{Pr: 1, Pc: 1, Layers: 1, Total: 1}, V: 4, N: 10}
@@ -525,7 +536,7 @@ func TestStackColumnRowsRoundTrip(t *testing.T) {
 		}
 	}
 	rows := []int{9, 1, 6}
-	stack := s.StackColumnRows(2, rows)
+	stack := stackRows(s, s.Trailing(2), rows) // tile column 2 is the last
 	if stack.Rows != 3 || stack.Cols != 2 {
 		t.Fatalf("stack is %dx%d, want 3x2", stack.Rows, stack.Cols)
 	}
@@ -543,17 +554,15 @@ func TestStackColumnRowsRoundTrip(t *testing.T) {
 		t.Fatalf("row 7 disturbed: %v", got)
 	}
 	vol := dist.NewStore(bc, 0, 0, 0, false)
-	if st := vol.StackColumnRows(2, rows); !st.Phantom() || st.Rows != 3 || st.Cols != 2 {
-		t.Fatal("volume-mode stack must be a 3x2 phantom")
-	}
 	vol.UnstackColumnRows(2, rows, stack)
 	if vol.Allocated() != 0 {
 		t.Fatal("volume-mode unstack materialized the store")
 	}
 }
 
-// TestStackTrailingRowsRoundTrip: the trailing stack is the given rows across
-// every owned tile column ≥ from, side by side, and unstacking restores them.
+// TestStackTrailingRowsRoundTrip: the trailing view lays the given rows across
+// every owned tile column ≥ from side by side, and unstacking writes a stack
+// of them back there, nowhere else.
 func TestStackTrailingRowsRoundTrip(t *testing.T) {
 	g := grid.Grid{Pr: 2, Pc: 2, Layers: 1, Total: 4}
 	bc := grid.BlockCyclic{G: g, V: 4, N: 17} // 5 tiles, the last 1 wide
@@ -569,7 +578,7 @@ func TestStackTrailingRowsRoundTrip(t *testing.T) {
 		}
 	}
 	rows := []int{13, 4, 15}
-	stack := s.StackTrailingRows(1, rows) // tile columns {2, 4}: global columns 8..11, 16
+	stack := stackRows(s, s.Trailing(1), rows) // tile columns {2, 4}: global columns 8..11, 16
 	if stack.Rows != 3 || stack.Cols != 5 {
 		t.Fatalf("stack is %dx%d, want 3x5", stack.Rows, stack.Cols)
 	}
@@ -590,12 +599,16 @@ func TestStackTrailingRowsRoundTrip(t *testing.T) {
 	if got := s.Tile(1, 2).At(1, 0); got != 508 {
 		t.Fatalf("row 5 disturbed: %v", got)
 	}
+	s.UnstackTrailingRows(1, rows, stack)
+	if got := s.Tile(1, 4).At(0, 0); got != 416 {
+		t.Fatalf("row 4 not restored in the edge tile: %v", got)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("stacking a row of another grid row did not panic")
+			t.Fatal("unstacking into a row of another grid row did not panic")
 		}
 	}()
-	s.StackTrailingRows(1, []int{0}) // row 0 lives in tile row 0, grid row 0
+	s.UnstackTrailingRows(1, []int{0}, mat.New(1, 5)) // row 0 lives in tile row 0, grid row 0
 }
 
 func TestOutOfRangeTilePanics(t *testing.T) {

@@ -45,9 +45,10 @@ func (cfg Config) MemoryFor(n int) float64 {
 
 // Engine is one registered factorization implementation. Run executes the
 // engine's schedule on communicator c for an n×n input; in is consulted at
-// world rank 0 only and is nil in volume mode. It returns the combined
-// factors gathered at rank 0 (nil on other ranks and in volume mode) and
-// the pivot permutation perm with in[perm,:] = L·U. Engines without a pivot
+// world rank 0 only and is nil in volume mode. World rank 0 returns the
+// combined factors (a phantom in volume mode) and the pivot permutation perm
+// with in[perm,:] = L·U; every other rank returns nil for both, so only the
+// rank that returns an N-length array keeps one. Engines without a pivot
 // permutation (Cholesky) return a nil perm.
 type Engine interface {
 	Name() costmodel.Algorithm

@@ -60,19 +60,20 @@ func SelectCandidates(c Candidates, v int) (Candidates, error) {
 		panic("lapack: SelectCandidates v exceeds block width")
 	}
 	take := min(v, m)
-	work := c.Rows.Clone()
-	ids := append([]int(nil), c.IDs...)
-	if work.Phantom() {
+	if c.Rows.Phantom() {
 		// Volume mode: no values to compare. Pick winners strided across the
 		// stack so that, as in the paper ("with high probability, pivots are
 		// evenly distributed among all processors"), winners spread over the
-		// contributing ranks instead of clustering at the front.
+		// contributing ranks instead of clustering at the front — reading the
+		// stack's IDs in place, with no copy of them or of the block.
 		picked := make([]int, take)
 		for i := 0; i < take; i++ {
-			picked[i] = ids[i*m/take]
+			picked[i] = c.IDs[i*m/take]
 		}
 		return Candidates{Rows: mat.NewPhantom(take, c.Rows.Cols), IDs: picked}, nil
 	}
+	work := c.Rows.Clone()
+	ids := append([]int(nil), c.IDs...)
 	piv := make([]int, min(take, work.Cols))
 	if err := Getrf2(work.View(0, 0, m, len(piv)), piv); err != nil {
 		return Candidates{}, err

@@ -48,9 +48,10 @@ func SLATEOptions(n, p int) Options {
 	return Options{Name: "SLATE", N: n, NB: 16, Grid: grid.Square2D(p), RingBcast: true}
 }
 
-// Result carries the factorization output: in numeric mode, root rank 0
-// holds LU (combined in-place factors of P·A) and the LAPACK-style pivot
-// vector; Report always carries the metered communication volume.
+// Result carries the factorization output, at world rank 0 only: the
+// LAPACK-style pivot vector Ipiv and LU, the combined in-place factors of P·A
+// (a phantom in volume mode). Every other rank gets a nil LU and a nil Ipiv,
+// so no rank but the one that returns them keeps an N-length array.
 type Result struct {
 	LU   *mat.Matrix
 	Ipiv []int
@@ -60,8 +61,8 @@ type Result struct {
 var ErrSingular = errors.New("lu2d: matrix is singular to working precision")
 
 // Run executes the factorization on an existing world. a is consulted at
-// world rank 0 only (nil in volume mode). Returns the per-run result at rank
-// 0 (other ranks get Ipiv only).
+// world rank 0 only (nil in volume mode). The result is rank 0's; every other
+// rank gets an empty one (see Result).
 func Run(c *smpi.Comm, a *mat.Matrix, opt Options) (*Result, error) {
 	if opt.Grid.Layers != 1 {
 		panic("lu2d: requires a 2D grid")
@@ -97,6 +98,7 @@ type engine struct {
 	// myRows/myCols (nil before the step's k) and reset every step.
 	lPanel []*mat.Matrix // tiles (ti, k) for local tile rows
 	uPanel []*mat.Matrix // tiles (k, tj) for local tile cols
+	piv    []int         // panel's pivot buffer, reused every step (see panel)
 }
 
 // suffix returns the part of an ascending local tile list with indices >= k,
@@ -123,17 +125,23 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	}
 	e.lPanel = make([]*mat.Matrix, len(e.myRows))
 	e.uPanel = make([]*mat.Matrix, len(e.myCols))
+	e.piv = make([]int, e.opt.NB)
 	dist.Scatter(e.c, 0, a, e.g, e.store)
 
 	n := e.opt.N
 	nt := e.bc.Tiles()
-	ipiv := make([]int, n)
+	var ipiv []int // the pivot vector, kept where it is returned
+	if e.c.Rank() == 0 {
+		ipiv = make([]int, n)
+	}
 	for k := 0; k < nt; k++ {
 		piv, err := e.panel(k)
 		if err != nil {
 			return nil, err
 		}
-		copy(ipiv[k*e.opt.NB:], piv)
+		if ipiv != nil {
+			copy(ipiv[k*e.opt.NB:], piv)
+		}
 		e.applySwaps(k, piv)
 		e.broadcastLPanel(k)
 		e.trsmU(k)
@@ -141,7 +149,6 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 		e.update(k)
 	}
 
-	res := &Result{Ipiv: ipiv}
 	var lu *mat.Matrix
 	if e.c.Rank() == 0 {
 		if e.c.Payload() {
@@ -149,10 +156,9 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 		} else {
 			lu = mat.NewPhantom(n, n)
 		}
-		res.LU = lu
 	}
 	dist.Gather(e.c, 0, lu, e.g, e.store)
-	return res, nil
+	return &Result{LU: lu, Ipiv: ipiv}, nil
 }
 
 // pseudoPriority gives volume-mode runs a deterministic pseudo-random pivot
@@ -167,12 +173,15 @@ func pseudoPriority(col, row int) float64 {
 }
 
 // panel factorizes tile column k with distributed partial pivoting and
-// returns the global pivot row chosen for each panel column (LAPACK style).
+// returns the global pivot row chosen for each panel column (LAPACK style),
+// read-only and valid until the next step: the owning column's ranks fill
+// the engine's one pivot buffer, and BcastInts hands the root that buffer
+// back and every other rank the copy the root sent.
 func (e *engine) panel(k int) ([]int, error) {
 	e.c.SetPhase(e.phase.panel)
 	_, b := e.bc.TileDims(k, k)
 	j0 := k * e.opt.NB
-	piv := make([]int, b)
+	piv := e.piv[:b]
 	inCol := e.bc.OwnerCol(k) == e.col
 	_, myTiles := suffix(e.myRows, k) // tile rows >= k in this column
 

@@ -229,3 +229,41 @@ func TestGridMustUseAllRanks(t *testing.T) {
 		t.Fatal("expected error for partial grid")
 	}
 }
+
+// TestResultAtRankZeroOnly: only world rank 0 returns the pivot vector and
+// the factors, in a volume replay and in a numeric run; every other rank's
+// result is empty. Rank 0's volume-mode pivots still form a valid interchange
+// sequence (TestMatchesSequentialFactorization holds its numeric ones to the
+// reference).
+func TestResultAtRankZeroOnly(t *testing.T) {
+	const n, p, nb = 40, 6, 8
+	a := mat.RandomDiagDominant(n, 3)
+	for _, payload := range []bool{false, true} {
+		res := make([]*Result, p)
+		_, err := smpi.Exec(context.Background(), smpi.Config{P: p, Payload: payload, Timeout: testTimeout}, func(c *smpi.Comm) error {
+			var in *mat.Matrix
+			if payload && c.Rank() == 0 {
+				in = a
+			}
+			var err error
+			res[c.Rank()], err = Run(c, in, LibSciOptions(n, p, nb))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res[0].Ipiv) != n || res[0].LU == nil {
+			t.Fatalf("payload=%v: rank 0 returned %d pivots, factors %v", payload, len(res[0].Ipiv), res[0].LU != nil)
+		}
+		for k, pv := range res[0].Ipiv {
+			if pv < k || pv >= n {
+				t.Fatalf("payload=%v: ipiv[%d]=%d invalid", payload, k, pv)
+			}
+		}
+		for r := 1; r < p; r++ {
+			if res[r].Ipiv != nil || res[r].LU != nil {
+				t.Fatalf("payload=%v: rank %d returned %d pivots, factors %v", payload, r, len(res[r].Ipiv), res[r].LU != nil)
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@ func (e lu2dEngine) options(n int, cfg engreg.Config) Options {
 
 func (e lu2dEngine) Run(c *smpi.Comm, in *mat.Matrix, n int, cfg engreg.Config) (*mat.Matrix, []int, error) {
 	res, err := Run(c, in, e.options(n, cfg))
-	if err != nil {
+	if err != nil || res.Ipiv == nil { // only rank 0 has pivots to return
 		return nil, nil, err
 	}
 	return res.LU, lapack.PermFromIpiv(res.Ipiv, n), nil

@@ -34,6 +34,7 @@ package trisolve
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/dist"
@@ -117,6 +118,9 @@ type engine struct {
 	g        grid.Grid
 	bc       grid.BlockCyclic
 	row, col int
+	rowComm  *smpi.Comm // my grid row, for both passes' reductions
+	colComm  *smpi.Comm // my grid column, for both passes' broadcasts
+	myRows   []int      // my tile rows, ascending
 	store    *dist.Store
 	bTiles   map[int]*mat.Matrix // right-hand-side blocks at diagonal owners
 }
@@ -125,6 +129,8 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	e.g = e.opt.Grid
 	e.bc = grid.BlockCyclic{G: e.g, V: e.opt.V, N: e.opt.N}
 	e.row, e.col, _ = e.g.Coords(e.c.Rank())
+	e.comms()
+	e.myRows = e.bc.LocalTileRows(e.row, 0)
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
 	nt := e.bc.Tiles()
 	// RHS tags [rhsTag, rhsTag+nt) and solution tags [rhsTag+nt, rhsTag+2nt)
@@ -141,6 +147,17 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 		return nil, err
 	}
 	return e.gather(), nil
+}
+
+// comms builds the one row and one column communicator this rank uses, once
+// per run. Every step of both passes reduces over its owner's grid row and
+// broadcasts down its owner's grid column, and every member of a row (column)
+// takes part in each of its steps, so the members advance the communicator's
+// collective sequence — which gives each collective its tag — in lockstep,
+// as they would on a fresh communicator per step.
+func (e *engine) comms() {
+	e.rowComm = e.c.Sub(fmt.Sprintf("%s.row.%d", e.opt.Name, e.row), e.g.RowComm(e.row, 0))
+	e.colComm = e.c.Sub(fmt.Sprintf("%s.col.%d", e.opt.Name, e.col), e.g.ColComm(e.col, 0))
 }
 
 // scatterRHS distributes the right-hand-side blocks from rank 0 to the
@@ -206,13 +223,12 @@ func (e *engine) pass(upper bool) error {
 		gr, gc := e.bc.OwnerRow(k), e.bc.OwnerCol(k)
 		rows, _ := e.bc.TileDims(k, k)
 		if e.row == gr {
-			rc := e.c.Sub(fmt.Sprintf("%s.%s.row.%d", e.opt.Name, suffix, k), e.g.RowComm(gr, 0))
 			m := acc[k]
 			if m == nil {
 				m = e.store.NewBuffer(rows, e.opt.NRHS)
 			}
 			delete(acc, k)
-			rc.ReduceMatSum(gc, m)
+			e.rowComm.ReduceMatSum(gc, m)
 			if e.col == gc {
 				bk := e.bTiles[k]
 				bk.AddFrom(m)
@@ -228,12 +244,11 @@ func (e *engine) pass(upper bool) error {
 			}
 		}
 		if e.col == gc {
-			cc := e.c.Sub(fmt.Sprintf("%s.%s.col.%d", e.opt.Name, suffix, k), e.g.ColComm(gc, 0))
 			x := e.store.NewBuffer(rows, e.opt.NRHS)
 			if e.row == gr {
 				x.CopyFrom(e.bTiles[k])
 			}
-			cc.BcastMat(gr, x)
+			e.colComm.BcastMat(gr, x)
 			for _, tj := range e.remaining(k, upper) {
 				a := acc[tj]
 				if a == nil {
@@ -252,15 +267,11 @@ func (e *engine) pass(upper bool) error {
 // below the diagonal on the forward pass, above it on the back pass.
 func (e *engine) remaining(k int, upper bool) []int {
 	if !upper {
-		return e.bc.LocalTileRows(e.row, k+1)
+		i, _ := slices.BinarySearch(e.myRows, k+1)
+		return e.myRows[i:]
 	}
-	var out []int
-	for _, tj := range e.bc.LocalTileRows(e.row, 0) {
-		if tj < k {
-			out = append(out, tj)
-		}
-	}
-	return out
+	i, _ := slices.BinarySearch(e.myRows, k)
+	return e.myRows[:i]
 }
 
 // checkPivots rejects a zero U diagonal before dividing by it — the factors
