@@ -449,12 +449,12 @@ func TestOwnRowInvariants(t *testing.T) {
 					if cm.Rank() != 0 {
 						continue
 					}
-					pivoted[step] = slices.Clone(e.perm)
-					if rows == Swap {
-						pivoted[step] = pivoted[step][:0]
-						for r := range min(tc.n, (step+1)*tc.v) {
-							pivoted[step] = append(pivoted[step], r)
-						}
+					if rows == Mask {
+						pivoted[step] = slices.Clone(e.perm)
+						continue
+					}
+					for r := range min(tc.n, (step+1)*tc.v) {
+						pivoted[step] = append(pivoted[step], r)
 					}
 				}
 				e.collect()

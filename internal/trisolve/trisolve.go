@@ -129,7 +129,13 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	e.g = e.opt.Grid
 	e.bc = grid.BlockCyclic{G: e.g, V: e.opt.V, N: e.opt.N}
 	e.row, e.col, _ = e.g.Coords(e.c.Rank())
-	e.comms()
+	// One row and one column communicator serve every step of both passes:
+	// each step reduces over its owner's grid row and broadcasts down its
+	// owner's grid column, and every member of a row (column) takes part in
+	// each of its steps, so the members advance the communicator's collective
+	// sequence — which gives each collective its tag — in lockstep.
+	e.rowComm = e.c.Sub(fmt.Sprintf("%s.row.%d", e.opt.Name, e.row), e.g.RowComm(e.row, 0))
+	e.colComm = e.c.Sub(fmt.Sprintf("%s.col.%d", e.opt.Name, e.col), e.g.ColComm(e.col, 0))
 	e.myRows = e.bc.LocalTileRows(e.row, 0)
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
 	nt := e.bc.Tiles()
@@ -147,17 +153,6 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 		return nil, err
 	}
 	return e.gather(), nil
-}
-
-// comms builds the one row and one column communicator this rank uses, once
-// per run. Every step of both passes reduces over its owner's grid row and
-// broadcasts down its owner's grid column, and every member of a row (column)
-// takes part in each of its steps, so the members advance the communicator's
-// collective sequence — which gives each collective its tag — in lockstep,
-// as they would on a fresh communicator per step.
-func (e *engine) comms() {
-	e.rowComm = e.c.Sub(fmt.Sprintf("%s.row.%d", e.opt.Name, e.row), e.g.RowComm(e.row, 0))
-	e.colComm = e.c.Sub(fmt.Sprintf("%s.col.%d", e.opt.Name, e.col), e.g.ColComm(e.col, 0))
 }
 
 // scatterRHS distributes the right-hand-side blocks from rank 0 to the
