@@ -78,8 +78,9 @@ fmt-check:
 # Cross-engine conformance suite under the race detector: all four LU
 # engines plus Cholesky on shared seeds, at non-power-of-two rank counts,
 # feeding the distributed solve — running on the Session surface, so it
-# drives every engine through the internal/engine registry. The coverage
-# profile of that registry and of the 2.5D engine is written to
+# drives every engine through the internal/engine table — and the
+# sequential bound checked against the pebbling and out-of-core schedules.
+# The coverage profile of that table and of the 2.5D engine is written to
 # conformance_engine.out and uploaded by CI, so it shows which lines of the
 # shared step loop each row policy (COnfLUX masking, CANDMC swapping,
 # Cholesky's symmetric policy) exercises. Also runs inside `make test`; kept
@@ -162,5 +163,6 @@ loc:
 
 # benchmark-check rides along because the nested benchmark module holds
 # values of root types (trace.Topology, conflux options) that a root change
-# can break without any root test noticing.
-ci: fmt-check vet build test fuzz-smoke test-purego benchmark-check
+# can break without any root test noticing. conformance and loadtest run as
+# CI runs them: conformance's long cases skip under test's -short.
+ci: fmt-check vet build test fuzz-smoke test-purego conformance loadtest benchmark-check

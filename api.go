@@ -8,7 +8,7 @@
 // run jobs against it under a context.Context:
 //
 //   - Factorize / Solve / SolveMany run the COnfLUX near-communication-
-//     optimal LU factorization (or any registered engine) and the
+//     optimal LU factorization (or any other engine) and the
 //     distributed multi-RHS triangular solve on a simulated P-rank
 //     machine, with numeric results gathered at the caller and both
 //     phases metered and timed (DESIGN.md §8). Numeric payloads run on
@@ -19,7 +19,7 @@
 //   - LowerBoundLU and friends expose the X-Partitioning I/O lower bounds
 //     of §3–§6.
 //
-// Engines dispatch through internal/engine's registry (DESIGN.md §9);
+// Engines dispatch through internal/engine's fixed table (DESIGN.md §9);
 // failures carry the typed sentinels ErrShape, ErrSingular,
 // ErrNotPositiveDefinite, ErrUnknownAlgorithm, and ErrCanceled for
 // errors.Is.
@@ -68,12 +68,11 @@ func NewMatrix(r, c int) *Matrix { return mat.New(r, c) }
 // boosted so factorizations are well conditioned.
 func RandomMatrix(n int, seed uint64) *Matrix { return mat.RandomDiagDominant(n, seed) }
 
-// Algorithm names a registered engine (re-exported).
+// Algorithm names an engine (re-exported).
 type Algorithm = costmodel.Algorithm
 
-// The registered engines: the four algorithms of the paper's evaluation
-// (Table 2) plus the Cholesky extension kernel. Engines() lists the set at
-// runtime.
+// The engines: the four algorithms of the paper's evaluation (Table 2) plus
+// the Cholesky extension kernel. Engines() lists the set.
 const (
 	COnfLUX  = costmodel.COnfLUX
 	CANDMC   = costmodel.CANDMC

@@ -42,6 +42,9 @@ func smpiVolumeCholesky(n, p int) (*conflux.VolumeReport, error) {
 	})
 }
 
+// harness measures under the default machine, one world per host CPU.
+var harness = bench.Harness{Machine: conflux.DefaultMachine()}
+
 func costMaxMem(n, p int) float64 {
 	return costmodel.MaxMemoryParams(n, p).M
 }
@@ -55,7 +58,7 @@ func BenchmarkTable2(b *testing.B) {
 				var ms []bench.Measurement
 				for i := 0; i < b.N; i++ {
 					var err error
-					ms, err = bench.MeasureAll(b.Context(), n, p)
+					ms, err = harness.MeasureAll(b.Context(), n, p)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -79,7 +82,7 @@ func BenchmarkFig6a(b *testing.B) {
 				var m bench.Measurement
 				for i := 0; i < b.N; i++ {
 					var err error
-					m, err = bench.Measure(b.Context(), algo, n, p, costmodel.MaxMemoryParams(n, p).M)
+					m, err = harness.Measure(b.Context(), algo, n, p, costmodel.MaxMemoryParams(n, p).M)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -101,7 +104,7 @@ func BenchmarkFig6b(b *testing.B) {
 				var m bench.Measurement
 				for i := 0; i < b.N; i++ {
 					var err error
-					m, err = bench.Measure(b.Context(), algo, n, p, costmodel.MaxMemoryParams(n, p).M)
+					m, err = harness.Measure(b.Context(), algo, n, p, costmodel.MaxMemoryParams(n, p).M)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -118,7 +121,7 @@ func BenchmarkFig7(b *testing.B) {
 	var res *bench.Fig7Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = bench.RunFig7(b.Context(), []int{256}, []int{4, 16, 27648, 262144}, 64)
+		res, err = harness.RunFig7(b.Context(), []int{256}, []int{4, 16, 27648, 262144}, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +140,7 @@ func BenchmarkAblationMaskingVsSwapping(b *testing.B) {
 	var ab bench.AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		ab, err = bench.MaskingVsSwapping(b.Context(), 192, 8, float64(192*192)/4)
+		ab, err = harness.MaskingVsSwapping(b.Context(), 192, 8, float64(192*192)/4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +154,7 @@ func BenchmarkAblationGridOptimization(b *testing.B) {
 	var ab bench.AblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		ab, err = bench.GridOptimizationOnOff(b.Context(), 128, 7, float64(128*128))
+		ab, err = harness.GridOptimizationOnOff(b.Context(), 128, 7, float64(128*128))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +167,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 	var ms []bench.BlockSizeRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		ms, err = bench.BlockSizeSweep(b.Context(), 128, 4, float64(128*128), []int{4, 8, 16, 32})
+		ms, err = harness.BlockSizeSweep(b.Context(), 128, 4, float64(128*128), []int{4, 8, 16, 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,7 +294,7 @@ func benchFactorizeVolume(b *testing.B, algo costmodel.Algorithm, n, p int) {
 	b.ReportAllocs()
 	mem := costmodel.MaxMemoryParams(n, p).M
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Measure(b.Context(), algo, n, p, mem); err != nil {
+		if _, err := harness.Measure(b.Context(), algo, n, p, mem); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,7 +497,7 @@ func BenchmarkSolveVolume(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d/P=%d/NRHS=%d", tc.n, tc.p, tc.nrhs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.MeasureSolve(b.Context(), tc.n, tc.p, tc.nrhs); err != nil {
+				if _, err := harness.MeasureSolve(b.Context(), tc.n, tc.p, tc.nrhs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/bench"
 )
 
-func runCell(ctx context.Context, n, p int) {
-	for _, row := range bench.TableCell(ctx, n, p) {
+func runCell(ctx context.Context, h bench.Harness, n, p int) {
+	for _, row := range h.TableCell(ctx, n, p) {
 		fmt.Print(row)
 	}
 }

@@ -91,16 +91,15 @@ func realMain() (code int) {
 	cellN := flag.Int("cellN", 0, "with -exp cell: the N of a single Table-2 cell")
 	cellP := flag.Int("cellP", 0, "with -exp cell: the P of a single Table-2 cell")
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
-	alpha := flag.Float64("alpha", bench.Machine.Alpha, "α: per-message latency of the simulated machine (seconds)")
-	beta := flag.Float64("beta", bench.Machine.Beta, "β: per-byte transfer cost of the simulated machine (seconds/byte)")
+	alpha := flag.Float64("alpha", costmodel.DefaultMachine().Alpha, "α: per-message latency of the simulated machine (seconds)")
+	beta := flag.Float64("beta", costmodel.DefaultMachine().Beta, "β: per-byte transfer cost of the simulated machine (seconds/byte)")
 	jsonOut := flag.String("json", "", "with -exp topology|kernels: write the machine-readable record to this path")
 	solveNRHS := flag.Int("nrhs", 0, "with -exp solve: override the scale preset's right-hand-side count")
 	workers := flag.Int("parallel", 0, "independent simulated worlds to run concurrently (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this path")
 	flag.Parse()
-	bench.Machine = costmodel.Machine{Alpha: *alpha, Beta: *beta}
-	bench.Workers = *workers
+	h := bench.Harness{Machine: costmodel.Machine{Alpha: *alpha, Beta: *beta}, Workers: *workers}
 	if *cpuprofile != "" {
 		fh, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -151,7 +150,7 @@ func realMain() (code int) {
 		return nil
 	}
 	if *exp == "cell" {
-		runCell(ctx, *cellN, *cellP)
+		runCell(ctx, h, *cellN, *cellP)
 		return 0
 	}
 	s, ok := scales[*sc]
@@ -175,7 +174,7 @@ func realMain() (code int) {
 	}
 
 	run("table2", func(s scale) error {
-		res, err := bench.RunTable2(ctx, s.table2N, s.table2P)
+		res, err := h.RunTable2(ctx, s.table2N, s.table2P)
 		if err != nil {
 			return err
 		}
@@ -183,7 +182,7 @@ func realMain() (code int) {
 		return writeCSV("table2.csv", func(w *os.File) error { return res.WriteCSV(w) })
 	})
 	run("fig6a", func(s scale) error {
-		res, err := bench.RunFig6a(ctx, s.fig6aN, s.fig6aP)
+		res, err := h.RunFig6a(ctx, s.fig6aN, s.fig6aP)
 		if err != nil {
 			return err
 		}
@@ -191,7 +190,7 @@ func realMain() (code int) {
 		return writeCSV("fig6a.csv", func(w *os.File) error { return res.WriteCSV(w) })
 	})
 	run("fig6b", func(s scale) error {
-		res, err := bench.RunFig6b(ctx, s.fig6bBase, s.fig6bP)
+		res, err := h.RunFig6b(ctx, s.fig6bBase, s.fig6bP)
 		if err != nil {
 			return err
 		}
@@ -199,7 +198,7 @@ func realMain() (code int) {
 		return writeCSV("fig6b.csv", func(w *os.File) error { return res.WriteCSV(w) })
 	})
 	run("fig7", func(s scale) error {
-		res, err := bench.RunFig7(ctx, s.fig7N, s.fig7P, s.fig7Measured)
+		res, err := h.RunFig7(ctx, s.fig7N, s.fig7P, s.fig7Measured)
 		if err != nil {
 			return err
 		}
@@ -214,17 +213,17 @@ func realMain() (code int) {
 	})
 	run("ablation", func(s scale) error {
 		mem := float64(s.ablN) * float64(s.ablN) / 4
-		ab, err := bench.MaskingVsSwapping(ctx, s.ablN, s.ablP, mem)
+		ab, err := h.MaskingVsSwapping(ctx, s.ablN, s.ablP, mem)
 		if err != nil {
 			return err
 		}
 		bench.RenderAblation(os.Stdout, ab)
-		ab, err = bench.GridOptimizationOnOff(ctx, s.ablN, 7, mem)
+		ab, err = h.GridOptimizationOnOff(ctx, s.ablN, 7, mem)
 		if err != nil {
 			return err
 		}
 		bench.RenderAblation(os.Stdout, ab)
-		ab, err = bench.TournamentVsPartialPivoting(ctx, s.ablN, s.ablP, mem)
+		ab, err = h.TournamentVsPartialPivoting(ctx, s.ablN, s.ablP, mem)
 		if err != nil {
 			return err
 		}
@@ -232,7 +231,7 @@ func realMain() (code int) {
 		return nil
 	})
 	run("topology", func(s scale) error {
-		rep, err := bench.RunTopo(ctx, *sc, os.Stdout)
+		rep, err := h.RunTopo(ctx, *sc, os.Stdout)
 		if err != nil {
 			return err
 		}
@@ -279,7 +278,7 @@ func realMain() (code int) {
 		if *solveNRHS > 0 {
 			nrhs = *solveNRHS
 		}
-		res, err := bench.RunSolve(ctx, s.solveN, s.solveP, nrhs)
+		res, err := h.RunSolve(ctx, s.solveN, s.solveP, nrhs)
 		if err != nil {
 			return err
 		}
@@ -297,7 +296,7 @@ func realMain() (code int) {
 		}
 		points = append(points, [2]int{1024, 16}, [2]int{1024, 256})
 		fmt.Println("COnfLUX blocking-parameter sweep (paper §7.2), maximum memory:")
-		return bench.RunBlockSizeSweep(ctx, points, os.Stdout)
+		return h.RunBlockSizeSweep(ctx, points, os.Stdout)
 	})
 	return code
 }

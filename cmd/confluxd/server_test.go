@@ -94,6 +94,21 @@ func TestPlanParamValidation(t *testing.T) {
 	}
 }
 
+// TestPlanUnknownAlgorithmListsEngines pins the 400 body for an algorithm
+// outside the engine table: it names the query's value and lists the table.
+func TestPlanUnknownAlgorithmListsEngines(t *testing.T) {
+	_, ts := testServer(t, nil, nil)
+	status, _, body := get(t, ts.URL+"/v1/plan?n=64&p=4&algo=HPL")
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); status != http.StatusBadRequest || err != nil {
+		t.Fatalf("status %d, body %s", status, body)
+	}
+	const want = `unknown algorithm "HPL" (registered: [CANDMC COnfLUX Cholesky LibSci SLATE])`
+	if e["error"] != want {
+		t.Fatalf("error %q\nwant  %q", e["error"], want)
+	}
+}
+
 // TestWriteJSONEncodeFailure: a response that cannot be encoded is a 500
 // with a JSON error body, never a 200 header followed by nothing.
 func TestWriteJSONEncodeFailure(t *testing.T) {

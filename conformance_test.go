@@ -12,12 +12,16 @@ import (
 	"time"
 
 	"repro/internal/blas"
+	"repro/internal/daap"
 	"repro/internal/engine"
 	"repro/internal/mat"
+	"repro/internal/oocore"
+	"repro/internal/pebble"
 	"repro/internal/smpi"
 	"repro/internal/testutil"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/xpart"
 )
 
 // Conformance suite: for shared random seeds, every engine must factor the
@@ -27,7 +31,7 @@ import (
 // by any engine's block size. This is the cross-engine contract the
 // end-to-end solver relies on: factors from any engine feed the same
 // distributed triangular solve. The suite runs on the Session surface, so
-// it also pins the registry dispatch path every engine self-registers into.
+// it also pins the dispatch path through the engine table.
 
 const conformanceTol = 1e-9
 
@@ -704,5 +708,39 @@ func TestConformanceSessionReuse(t *testing.T) {
 	st := s.Stats()
 	if st.Runs != runs || st.Bytes <= 0 || st.SimTime <= 0 {
 		t.Fatalf("stats did not accumulate: %+v after %d runs", st, runs)
+	}
+}
+
+// TestConformanceSequentialBound is the paper's sequential case (P = 1) as
+// one chain: the public LowerBoundLU(n, 1, M) is xpart's sequential bound
+// 2N³/(3√M) + N(N−1)/2, full N² term included, and no schedule beats it —
+// neither the greedy red-blue pebbling of the LU CDAG nor the blocked
+// out-of-core LU with an M-element cache.
+func TestConformanceSequentialBound(t *testing.T) {
+	for _, pt := range []struct{ n, m int }{{4, 6}, {5, 8}, {6, 8}, {6, 12}, {7, 10}, {8, 12}, {8, 20}} {
+		lower := LowerBoundLU(pt.n, 1, float64(pt.m))
+		if want := xpart.LUSequentialLowerBound(pt.n, float64(pt.m)); lower != want {
+			t.Fatalf("n=%d M=%d: LowerBoundLU = %v, xpart's sequential bound %v", pt.n, pt.m, lower, want)
+		}
+		_, io, err := pebble.Greedy(daap.BuildLUCDAG(pt.n), pt.m)
+		if err != nil {
+			t.Fatalf("n=%d M=%d: %v", pt.n, pt.m, err)
+		}
+		if float64(io) < lower {
+			t.Errorf("n=%d M=%d: greedy pebbling I/O %d below the bound %.1f", pt.n, pt.m, io, lower)
+		}
+	}
+	for _, pt := range []struct{ n, m int }{{32, 3 * 16 * 16}, {48, 3 * 8 * 8}, {40, 4 * 100}, {96, 3 * 16 * 16}} {
+		lower := LowerBoundLU(pt.n, 1, float64(pt.m))
+		if want := xpart.LUSequentialLowerBound(pt.n, float64(pt.m)); lower != want {
+			t.Fatalf("n=%d M=%d: LowerBoundLU = %v, xpart's sequential bound %v", pt.n, pt.m, lower, want)
+		}
+		stats, err := oocore.FactorizeOOC(mat.RandomDiagDominant(pt.n, uint64(pt.n)), pt.m)
+		if err != nil {
+			t.Fatalf("n=%d M=%d: %v", pt.n, pt.m, err)
+		}
+		if float64(stats.Total()) < lower {
+			t.Errorf("n=%d M=%d: out-of-core I/O %d below the bound %.1f", pt.n, pt.m, stats.Total(), lower)
+		}
 	}
 }

@@ -31,7 +31,7 @@ var (
 	// factorization meets a pivot that is not positive (zero, negative or
 	// NaN).
 	ErrNotPositiveDefinite = errors.New("conflux: matrix is not positive definite")
-	// ErrUnknownAlgorithm marks an Algorithm with no registered engine.
+	// ErrUnknownAlgorithm marks an Algorithm that names no engine.
 	ErrUnknownAlgorithm = errors.New("conflux: unknown algorithm")
 	// ErrUnknownExecutor marks a WithExecutor name that is neither
 	// "goroutines" nor "events".

@@ -8,7 +8,7 @@ import (
 )
 
 // Construct a Session: one simulated machine configuration, reused
-// across jobs. Options validate eagerly — an unregistered algorithm fails
+// across jobs. Options validate eagerly — an unknown algorithm fails
 // at New with ErrUnknownAlgorithm, not mid-run.
 func ExampleNew() {
 	s, err := conflux.New(

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/conflux"
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
@@ -46,18 +47,18 @@ func (a AblationResult) TimeRatio() float64 {
 // MaskingVsSwapping runs the 2.5D engine under both row policies — COnfLUX's
 // masking and CANDMC's physical row swapping — on CANDMC's grid and block
 // size, isolating the §7.3 claim that swapping inflates the leading I/O term.
-func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
+func (h Harness) MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
 	swap := conflux.CANDMCOptions(n, p, mem)
 	mask := swap
 	mask.Name, mask.Rows = "COnfLUX", conflux.Mask
-	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+	repA, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, mask)
 		return err
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	repB, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+	repB, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, swap)
 		return err
 	})
@@ -83,17 +84,17 @@ func MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResu
 // O(N/v · log P) vs O(N · log P) rounds (§7.3) — both as message counts and
 // as simulated α-β time on the critical rank, turning the paper's latency
 // argument into modeled seconds.
-func TournamentVsPartialPivoting(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
+func (h Harness) TournamentVsPartialPivoting(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
 	optC := conflux.DefaultOptions(n, p, mem)
-	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+	repA, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, optC)
 		return err
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	repB, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
-		_, err := lu2d.Run(cm, nil, lu2d.LibSciOptions(n, p, LibSciNB))
+	repB, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
+		_, err := lu2d.Run(cm, nil, lu2d.LibSciOptions(n, p, engine.DefaultLibSciNB))
 		return err
 	})
 	if err != nil {
@@ -116,9 +117,9 @@ func TournamentVsPartialPivoting(ctx context.Context, n, p int, mem float64) (Ab
 // GridOptimizationOnOff measures COnfLUX with and without the Processor
 // Grid Optimization for an awkward (non-factorable) rank count — the
 // Fig. 6a inset effect.
-func GridOptimizationOnOff(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
+func (h Harness) GridOptimizationOnOff(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
 	optOn := conflux.DefaultOptions(n, p, mem)
-	repA, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+	repA, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, optOn)
 		return err
 	})
@@ -129,7 +130,7 @@ func GridOptimizationOnOff(ctx context.Context, n, p int, mem float64) (Ablation
 	// the 2D libraries do.
 	g := grid.Square2D(p)
 	v := optOn.V
-	repB, err := runVolume(ctx, p, func(cm *smpi.Comm) error {
+	repB, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, conflux.Options{N: n, V: v, Grid: g})
 		return err
 	})

@@ -3,8 +3,9 @@
 // implementations in volume mode on the simulated machine, metering the
 // aggregate bytes sent (the paper's Score-P methodology), and pairing the
 // measurements with the Table 2 cost models. Engines are dispatched
-// through the internal/engine registry — the same path the public API
-// uses — and every entry point takes a context.Context, so a sweep is
+// through the internal/engine table — the same path the public API uses.
+// Every experiment is a method of a Harness, the simulated machine and the
+// number of worlds run at once, and takes a context.Context, so a sweep is
 // cancelable mid-run (cmd/confluxbench wires SIGINT to it). See DESIGN.md
 // §3 for the experiment index and EXPERIMENTS.md for recorded results.
 package bench
@@ -17,13 +18,20 @@ import (
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
-	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
-
-	// The registry is this harness's only dispatch path to the engines.
-	_ "repro/internal/engine/all"
 )
+
+// Harness is what every experiment runs under: the α-β machine simulated
+// time is measured against, and how many independent simulated worlds run
+// concurrently. cmd/confluxbench builds it from -alpha, -beta and -parallel.
+type Harness struct {
+	Machine costmodel.Machine
+	// Workers bounds concurrent worlds, not goroutines: each world runs P
+	// goroutines of its own. Zero or less means one per host CPU
+	// (GOMAXPROCS).
+	Workers int
+}
 
 // Measurement is one (algorithm, N, P) volume-mode data point.
 type Measurement struct {
@@ -66,44 +74,34 @@ func (m Measurement) PerNodeBytes() float64 {
 // timeout bounds a single volume-mode run; paper-scale points take minutes.
 const timeout = 30 * time.Minute
 
-// Machine is the α-β machine the harness simulates time against
-// (cmd/confluxbench overrides it from -alpha/-beta).
-var Machine = costmodel.DefaultMachine()
-
-// LibSciNB is the "user-specified" ScaLAPACK block size used throughout the
-// harness (Table 2 lists LibSci's block size as a user parameter). It
-// aliases the engine's own default so harness measurements and public-API
-// Session runs can never diverge on the block size.
-const LibSciNB = lu2d.DefaultLibSciNB
-
-// runVolume replays one volume-mode schedule on p ranks of the flat α-β
+// runVolume replays one volume-mode schedule on p ranks of h's flat α-β
 // machine under ctx, bounded by the harness timeout. Cancellation aborts the
 // simulated world, so a paper-scale sweep stops promptly on SIGINT.
-func runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, error) {
+func (h Harness) runVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Report, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	return smpi.Exec(ctx, smpi.Config{P: p, Machine: Machine, MachineSet: true}, fn)
+	return smpi.Exec(ctx, smpi.Config{World: smpi.NewWorldMachine(p, false, h.Machine)}, fn)
 }
 
 // recordVolume is runVolume on a recording timeline, which it returns:
 // Price re-times the run under any other machine or topology.
-func recordVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Timeline, error) {
+func (h Harness) recordVolume(ctx context.Context, p int, fn smpi.RankFunc) (*trace.Timeline, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	w := smpi.NewWorldMachine(p, false, Machine)
+	w := smpi.NewWorldMachine(p, false, h.Machine)
 	w.Trace.Record()
 	_, err := smpi.Exec(ctx, smpi.Config{World: w}, fn)
 	return w.Trace, err
 }
 
 // Measure runs one algorithm at (n, p) with per-rank memory m (elements) in
-// volume mode and returns the measurement. The engine is resolved through
-// the registry, so any registered algorithm is measurable.
-func Measure(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float64) (Measurement, error) {
+// volume mode and returns the measurement. The engine is looked up in the
+// engine table, so Cholesky is measurable too.
+func (h Harness) Measure(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float64) (Measurement, error) {
 	out := Measurement{Algo: algo, N: n, P: p, M: mem}
 	params := costmodel.Params{N: n, P: p, M: mem}
-	// Table 2 models exist only for the paper's comparison set; other
-	// registered engines (Cholesky) measure with zero model columns.
+	// Table 2 models exist only for the paper's comparison set; Cholesky
+	// measures with zero model columns.
 	published := false
 	for _, a := range costmodel.Algorithms {
 		if algo == a {
@@ -118,12 +116,12 @@ func Measure(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float6
 	if err != nil {
 		return out, fmt.Errorf("bench: %w", err)
 	}
-	cfg := engine.Config{Ranks: p, Memory: mem, NB: LibSciNB}
-	out.GridDesc = engine.GridDesc(eng, n, cfg)
+	cfg := engine.Config{Ranks: p, Memory: mem}
+	out.GridDesc = eng.GridDesc(n, cfg)
 	if algo == costmodel.COnfLUX {
 		out.FittedBytes = conflux.ModelPerRankElements(params) * float64(p) * trace.BytesPerElement
 	}
-	rep, err := runVolume(ctx, p, engine.VolumeJob(eng, n, cfg).Body)
+	rep, err := h.runVolume(ctx, p, engine.VolumeJob(eng, n, cfg).Body)
 	if err != nil {
 		return out, fmt.Errorf("bench: %s N=%d P=%d: %w", algo, n, p, err)
 	}
@@ -132,7 +130,7 @@ func Measure(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float6
 	out.MaxRankMsgs = rep.Time.MaxRankMsgs()
 	out.SimTime = rep.Time.Makespan
 	if published {
-		out.PredTime = costmodel.PredictedTime(algo, params, Machine, float64(out.MaxRankMsgs))
+		out.PredTime = costmodel.PredictedTime(algo, params, h.Machine, float64(out.MaxRankMsgs))
 	}
 	return out, nil
 }
@@ -141,11 +139,11 @@ func Measure(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float6
 // M = N²/P^{2/3} (maximum replication, Fig. 6 caption). The algorithms'
 // worlds are independent, so they run concurrently through the parallel
 // runner; the result order is always costmodel.Algorithms order.
-func MeasureAll(ctx context.Context, n, p int) ([]Measurement, error) {
+func (h Harness) MeasureAll(ctx context.Context, n, p int) ([]Measurement, error) {
 	params := costmodel.MaxMemoryParams(n, p)
 	jobs := make([]measureJob, 0, len(costmodel.Algorithms))
 	for _, algo := range costmodel.Algorithms {
 		jobs = append(jobs, measureJob{algo: algo, n: n, p: p, mem: params.M})
 	}
-	return measureMany(ctx, jobs)
+	return h.measureMany(ctx, jobs)
 }

@@ -12,8 +12,12 @@ import (
 // Test scale: small N keeps volume-mode runs fast; the paper-scale runs are
 // driven by cmd/confluxbench and recorded in EXPERIMENTS.md.
 
+// paper is the harness the tests measure under: the default machine, one
+// world per host CPU.
+var paper = Harness{Machine: costmodel.DefaultMachine()}
+
 func TestMeasureAllProducesAllAlgorithms(t *testing.T) {
-	ms, err := MeasureAll(t.Context(), 128, 4)
+	ms, err := paper.MeasureAll(t.Context(), 128, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestMeasureAllProducesAllAlgorithms(t *testing.T) {
 func TestCOnfLUXWinsAtScale(t *testing.T) {
 	// The paper's core claim at a reproducible test scale: COnfLUX
 	// communicates least among the four.
-	ms, err := MeasureAll(t.Context(), 256, 16)
+	ms, err := paper.MeasureAll(t.Context(), 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestCOnfLUXWinsAtScale(t *testing.T) {
 }
 
 func TestTable2RenderShape(t *testing.T) {
-	res, err := RunTable2(t.Context(), []int{128}, []int{4})
+	res, err := paper.RunTable2(t.Context(), []int{128}, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func TestTable2RenderShape(t *testing.T) {
 }
 
 func TestFig6aStrongScalingShape(t *testing.T) {
-	res, err := RunFig6a(t.Context(), 256, []int{4, 16})
+	res, err := paper.RunFig6a(t.Context(), 256, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +103,7 @@ func TestFig6aStrongScalingShape(t *testing.T) {
 }
 
 func TestFig6bWeakScalingFlatnessFor25D(t *testing.T) {
-	res, err := RunFig6b(t.Context(), 64, []int{1, 8, 64})
+	res, err := paper.RunFig6b(t.Context(), 64, []int{1, 8, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestWeakScalingN(t *testing.T) {
 }
 
 func TestFig7MeasuredAndPredicted(t *testing.T) {
-	res, err := RunFig7(t.Context(), []int{128}, []int{4, 1 << 14}, 16)
+	res, err := paper.RunFig7(t.Context(), []int{128}, []int{4, 1 << 14}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func TestSummitPrediction(t *testing.T) {
 // 2×2×2 grid at v = 4): one engine with the row policy flipped must reproduce
 // them to the byte and message.
 func TestMaskingVsSwappingAblation(t *testing.T) {
-	ab, err := MaskingVsSwapping(t.Context(), 192, 8, float64(192*192)/4)
+	ab, err := paper.MaskingVsSwapping(t.Context(), 192, 8, float64(192*192)/4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +178,7 @@ func TestMaskingVsSwappingAblation(t *testing.T) {
 func TestGridOptimizationAblation(t *testing.T) {
 	// P=7 (prime): greedy 2D grid degenerates to 1x7; optimization should
 	// find something no worse.
-	ab, err := GridOptimizationOnOff(t.Context(), 128, 7, float64(128*128))
+	ab, err := paper.GridOptimizationOnOff(t.Context(), 128, 7, float64(128*128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestGridOptimizationAblation(t *testing.T) {
 }
 
 func TestTournamentVsPartialPivotingLatency(t *testing.T) {
-	ab, err := TournamentVsPartialPivoting(t.Context(), 256, 4, float64(256*256)/2)
+	ab, err := paper.TournamentVsPartialPivoting(t.Context(), 256, 4, float64(256*256)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestTournamentVsPartialPivotingLatency(t *testing.T) {
 // at most 8% more bytes than the floor would.
 func TestBlockSizeSweep(t *testing.T) {
 	const n, p = 256, 16
-	rows, err := BlockSizeSweep(t.Context(), n, p, costmodel.MaxMemoryParams(n, p).M, blockSizeVs)
+	rows, err := paper.BlockSizeSweep(t.Context(), n, p, costmodel.MaxMemoryParams(n, p).M, blockSizeVs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestBlockSizeSweep(t *testing.T) {
 			continue // the rule left v alone: nothing to pay
 		}
 		raised++
-		rows, err := BlockSizeSweep(t.Context(), n, p, mem, []int{floor, opt.V})
+		rows, err := paper.BlockSizeSweep(t.Context(), n, p, mem, []int{floor, opt.V})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,11 +267,11 @@ func TestCrossoverReport(t *testing.T) {
 	}
 }
 
-// TestMeasureRegistryEngines: any registered engine is measurable through
-// the registry path — including Cholesky, which has no Table 2 model row
-// (zero model columns, no panic).
+// TestMeasureCholeskyViaRegistry: every engine in the table is measurable —
+// including Cholesky, which has no Table 2 model row (zero model columns, no
+// panic).
 func TestMeasureCholeskyViaRegistry(t *testing.T) {
-	m, err := Measure(t.Context(), costmodel.Cholesky, 64, 4, costmodel.MaxMemoryParams(64, 4).M)
+	m, err := paper.Measure(t.Context(), costmodel.Cholesky, 64, 4, costmodel.MaxMemoryParams(64, 4).M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +283,10 @@ func TestMeasureCholeskyViaRegistry(t *testing.T) {
 	}
 }
 
-// TestMeasureUnknownAlgorithm: an unregistered name surfaces the registry
-// error instead of a hard-coded switch default.
+// TestMeasureUnknownAlgorithm: a name outside the engine table surfaces the
+// lookup error instead of a hard-coded switch default.
 func TestMeasureUnknownAlgorithm(t *testing.T) {
-	if _, err := Measure(t.Context(), "HPL", 64, 4, 1024); err == nil {
-		t.Fatal("expected registry lookup error")
+	if _, err := paper.Measure(t.Context(), "HPL", 64, 4, 1024); err == nil {
+		t.Fatal("expected engine lookup error")
 	}
 }

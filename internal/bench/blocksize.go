@@ -50,14 +50,14 @@ type BlockSizeRow struct {
 // BlockSizeSweep replays COnfLUX in volume mode at (n, p, mem) once per
 // blocking parameter in vs, on the grid DefaultOptions picks. Values the
 // engine cannot run (v below the layer count, or above n) are skipped.
-func BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]BlockSizeRow, error) {
-	return blockSizeSweep(ctx, n, p, mem, vs, nil)
+func (h Harness) BlockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int) ([]BlockSizeRow, error) {
+	return h.blockSizeSweep(ctx, n, p, mem, vs, nil)
 }
 
 // blockSizeSweep is BlockSizeSweep that, given a topology, records each
 // replay's schedule and prices it there too, into the row's contended
 // makespan.
-func blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp trace.Topology) ([]BlockSizeRow, error) {
+func (h Harness) blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp trace.Topology) ([]BlockSizeRow, error) {
 	base := conflux.DefaultOptions(n, p, mem)
 	fitted := conflux.ModelPerRankElements(costmodel.Params{N: n, P: p, M: mem}) * float64(p) * trace.BytesPerElement
 	var out []BlockSizeRow
@@ -75,15 +75,15 @@ func blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp tra
 		var contended float64
 		if tp == nil {
 			var err error
-			if rep, err = runVolume(ctx, p, body); err != nil {
+			if rep, err = h.runVolume(ctx, p, body); err != nil {
 				return nil, err
 			}
 		} else {
-			tl, err := recordVolume(ctx, p, body)
+			tl, err := h.recordVolume(ctx, p, body)
 			if err != nil {
 				return nil, err
 			}
-			priced, _ := tl.Price(Machine, tp)
+			priced, _ := tl.Price(h.Machine, tp)
 			rep, contended = tl.Report(), priced.Time.Makespan
 		}
 		out = append(out, BlockSizeRow{V: v, Default: v == base.V, contended: contended, Measurement: Measurement{
@@ -103,7 +103,7 @@ func blockSizeSweep(ctx context.Context, n, p int, mem float64, vs []int, tp tra
 // every (N, P) point under maximum memory, each row's recorded schedule
 // priced on sweepTopology and, up to maxSweepNumericN, factorized with real
 // payloads for the host rate. Rows stream to w as they complete.
-func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error {
+func (h Harness) RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error {
 	spec, err := topo.PresetSpec(sweepTopology)
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
@@ -116,11 +116,11 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 		if i, found := slices.BinarySearch(vs, opt.V); !found {
 			vs = slices.Insert(slices.Clone(vs), i, opt.V) // a floor like 2c = 12
 		}
-		tp, err := topo.BuildFaulted(spec, Machine, p, topo.FaultPlan{})
+		tp, err := topo.BuildFaulted(spec, h.Machine, p, topo.FaultPlan{})
 		if err != nil {
 			return fmt.Errorf("bench: %w", err)
 		}
-		rows, err := blockSizeSweep(ctx, n, p, mem, vs, tp)
+		rows, err := h.blockSizeSweep(ctx, n, p, mem, vs, tp)
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 			opt.V = r.V
 			host := "—" // the numeric run is out of reach
 			if n <= maxSweepNumericN {
-				gflops, err := hostFactorizeGFlops(ctx, opt)
+				gflops, err := h.hostFactorizeGFlops(ctx, opt)
 				if err != nil {
 					return err
 				}
@@ -152,17 +152,17 @@ func RunBlockSizeSweep(ctx context.Context, points [][2]int, w io.Writer) error 
 }
 
 // hostFactorizeGFlops factorizes mat.Random(N, N, 1) with real payloads under
-// opt and returns 2N³/3 over the wall clock, layout and collect included —
+// opt on h's machine and returns 2N³/3 over the wall clock, layout and collect included —
 // the quantity the benchmark reports as conflux.numeric_gflops — as the
 // median of three runs: on a shared host single runs differ by a third.
-func hostFactorizeGFlops(ctx context.Context, opt conflux.Options) (float64, error) {
+func (h Harness) hostFactorizeGFlops(ctx context.Context, opt conflux.Options) (float64, error) {
 	a := mat.Random(opt.N, opt.N, 1)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var walls [3]float64
 	for i := range walls {
 		start := time.Now()
-		_, err := smpi.Exec(ctx, smpi.Config{P: opt.Grid.Total, Payload: true, Machine: Machine, MachineSet: true}, func(cm *smpi.Comm) error {
+		_, err := smpi.Exec(ctx, smpi.Config{World: smpi.NewWorldMachine(opt.Grid.Total, true, h.Machine)}, func(cm *smpi.Comm) error {
 			var in *mat.Matrix
 			if cm.Rank() == 0 {
 				in = a

@@ -16,7 +16,7 @@ func parseCSV(t *testing.T, s string) [][]string {
 }
 
 func TestTable2CSV(t *testing.T) {
-	res, err := RunTable2(t.Context(), []int{128}, []int{4})
+	res, err := paper.RunTable2(t.Context(), []int{128}, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTable2CSV(t *testing.T) {
 }
 
 func TestFig6aCSV(t *testing.T) {
-	res, err := RunFig6a(t.Context(), 128, []int{4})
+	res, err := paper.RunFig6a(t.Context(), 128, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFig6aCSV(t *testing.T) {
 }
 
 func TestFig6bCSV(t *testing.T) {
-	res, err := RunFig6b(t.Context(), 32, []int{1, 8})
+	res, err := paper.RunFig6b(t.Context(), 32, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFig6bCSV(t *testing.T) {
 }
 
 func TestFig7CSV(t *testing.T) {
-	res, err := RunFig7(t.Context(), []int{128}, []int{4, 100000}, 16)
+	res, err := paper.RunFig7(t.Context(), []int{128}, []int{4, 100000}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

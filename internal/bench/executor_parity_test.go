@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
+	"repro/internal/engine"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
@@ -36,7 +37,7 @@ func runEngineExecutor(t *testing.T, algo costmodel.Algorithm, n, p int, mem flo
 		var err error
 		switch algo {
 		case costmodel.LibSci:
-			_, err = lu2d.Run(c, nil, lu2d.LibSciOptions(n, p, LibSciNB))
+			_, err = lu2d.Run(c, nil, lu2d.LibSciOptions(n, p, engine.DefaultLibSciNB))
 		case costmodel.SLATE:
 			_, err = lu2d.Run(c, nil, lu2d.SLATEOptions(n, p))
 		case costmodel.CANDMC:

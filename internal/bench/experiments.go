@@ -21,7 +21,7 @@ type Table2Result struct {
 // N ∈ {4096, 16384}, P ∈ {64, 1024}). All cells × algorithms are flattened
 // into one job list for the parallel runner; row order is (n, p, algorithm)
 // regardless of completion order.
-func RunTable2(ctx context.Context, ns, ps []int) (*Table2Result, error) {
+func (h Harness) RunTable2(ctx context.Context, ns, ps []int) (*Table2Result, error) {
 	var jobs []measureJob
 	for _, n := range ns {
 		for _, p := range ps {
@@ -31,7 +31,7 @@ func RunTable2(ctx context.Context, ns, ps []int) (*Table2Result, error) {
 			}
 		}
 	}
-	rows, err := measureMany(ctx, jobs)
+	rows, err := h.measureMany(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -40,10 +40,10 @@ func RunTable2(ctx context.Context, ns, ps []int) (*Table2Result, error) {
 
 // TableCell measures one (N, P) cell of Table 2 and returns pre-rendered
 // rows — used to stream paper-scale results incrementally.
-func TableCell(ctx context.Context, n, p int) []string {
+func (h Harness) TableCell(ctx context.Context, n, p int) []string {
 	out := []string{fmt.Sprintf("Total comm. volume for N=%d, P=%d measured/modeled [GB] (prediction %%)\n", n, p)}
 	for _, algo := range costmodel.Algorithms {
-		m, err := Measure(ctx, algo, n, p, costmodel.MaxMemoryParams(n, p).M)
+		m, err := h.Measure(ctx, algo, n, p, costmodel.MaxMemoryParams(n, p).M)
 		if err != nil {
 			out = append(out, fmt.Sprintf("  %-8s ERROR: %v\n", algo, err))
 			continue
@@ -90,7 +90,7 @@ type Fig6aResult struct {
 // RunFig6a sweeps rank counts at fixed N (paper: N = 16384, P up to 1024,
 // including non-powers that trigger the 2D libraries' bad-grid outliers).
 // The sweep is flattened across the parallel runner.
-func RunFig6a(ctx context.Context, n int, ps []int) (*Fig6aResult, error) {
+func (h Harness) RunFig6a(ctx context.Context, n int, ps []int) (*Fig6aResult, error) {
 	var jobs []measureJob
 	for _, p := range ps {
 		mem := costmodel.MaxMemoryParams(n, p).M
@@ -98,7 +98,7 @@ func RunFig6a(ctx context.Context, n int, ps []int) (*Fig6aResult, error) {
 			jobs = append(jobs, measureJob{algo: algo, n: n, p: p, mem: mem})
 		}
 	}
-	points, err := measureMany(ctx, jobs)
+	points, err := h.measureMany(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func WeakScalingN(base, p int) int {
 
 // RunFig6b sweeps P with N = base·∛P (paper: base = 3200), flattened across
 // the parallel runner.
-func RunFig6b(ctx context.Context, base int, ps []int) (*Fig6bResult, error) {
+func (h Harness) RunFig6b(ctx context.Context, base int, ps []int) (*Fig6bResult, error) {
 	var jobs []measureJob
 	for _, p := range ps {
 		n := WeakScalingN(base, p)
@@ -147,7 +147,7 @@ func RunFig6b(ctx context.Context, base int, ps []int) (*Fig6bResult, error) {
 			jobs = append(jobs, measureJob{algo: algo, n: n, p: p, mem: mem})
 		}
 	}
-	points, err := measureMany(ctx, jobs)
+	points, err := h.measureMany(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -180,12 +180,12 @@ type Fig7Result struct {
 // RunFig7 builds the heatmap: measured cells for P ≤ measuredLimit,
 // model-predicted cells beyond (the paper measures to P=1024 and predicts to
 // P=262144, Summit scale).
-func RunFig7(ctx context.Context, ns, ps []int, measuredLimit int) (*Fig7Result, error) {
+func (h Harness) RunFig7(ctx context.Context, ns, ps []int, measuredLimit int) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, n := range ns {
 		for _, p := range ps {
 			if p <= measuredLimit {
-				ms, err := MeasureAll(ctx, n, p)
+				ms, err := h.MeasureAll(ctx, n, p)
 				if err != nil {
 					return nil, err
 				}

@@ -15,36 +15,20 @@ import (
 // sharing anything but the read-only cost models. Sweeps stay deterministic
 // because results land at their job's index, never in completion order.
 
-// Workers is the number of simulated worlds the harness runs concurrently;
-// 0 (the default) means one per host CPU (GOMAXPROCS). cmd/confluxbench
-// overrides it from -parallel. Note each world runs P goroutines of its
-// own, so Workers bounds *worlds*, not goroutines.
-var Workers int
-
-func workerCount(n int) int {
-	w := Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ForEach runs fn(ctx, i) for every i in [0, n) across up to Workers
-// goroutines. Callers write result i into slot i of a pre-sized slice, so
-// output order is deterministic regardless of scheduling. The first error
-// cancels the context handed to the remaining calls and is returned; later
-// errors (including cancellation fallout) are dropped in its favour.
-func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+// ForEach runs fn(ctx, i) for every i in [0, n) across up to workers
+// goroutines; workers <= 0 means one per host CPU (GOMAXPROCS). Callers
+// write result i into slot i of a pre-sized slice, so output order is
+// deterministic regardless of scheduling. The first error cancels the
+// context handed to the remaining calls and is returned; later errors
+// (including cancellation fallout) are dropped in its favour.
+func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := workerCount(n)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			// Honor cancellation between jobs exactly like the parallel
@@ -104,11 +88,11 @@ type measureJob struct {
 
 // measureMany measures a flattened job list through ForEach, preserving job
 // order in the returned slice.
-func measureMany(ctx context.Context, jobs []measureJob) ([]Measurement, error) {
+func (h Harness) measureMany(ctx context.Context, jobs []measureJob) ([]Measurement, error) {
 	out := make([]Measurement, len(jobs))
-	err := ForEach(ctx, len(jobs), func(ctx context.Context, i int) error {
+	err := ForEach(ctx, h.Workers, len(jobs), func(ctx context.Context, i int) error {
 		j := jobs[i]
-		m, err := Measure(ctx, j.algo, j.n, j.p, j.mem)
+		m, err := h.Measure(ctx, j.algo, j.n, j.p, j.mem)
 		if err != nil {
 			return err
 		}

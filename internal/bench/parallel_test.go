@@ -13,13 +13,11 @@ import (
 // completion. The jobs cancel the context themselves after a fixed number
 // of calls, so the test is deterministic at any scheduling.
 func TestForEachHonorsCancellationAtEveryWorkerCount(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
 	const n = 64
 	for _, workers := range []int{1, 4} {
-		Workers = workers
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
-		err := ForEach(ctx, n, func(ctx context.Context, i int) error {
+		err := ForEach(ctx, workers, n, func(ctx context.Context, i int) error {
 			if calls.Add(1) == 3 {
 				cancel()
 			}
@@ -41,14 +39,12 @@ func TestForEachHonorsCancellationAtEveryWorkerCount(t *testing.T) {
 // TestForEachCanceledBeforeStart: a context that is already canceled runs
 // zero jobs and reports the cancellation cause, identically on both paths.
 func TestForEachCanceledBeforeStart(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
 	cause := errors.New("sweep abandoned")
 	for _, workers := range []int{1, 4} {
-		Workers = workers
 		ctx, cancel := context.WithCancelCause(context.Background())
 		cancel(cause)
 		var calls atomic.Int64
-		err := ForEach(ctx, 8, func(ctx context.Context, i int) error {
+		err := ForEach(ctx, workers, 8, func(ctx context.Context, i int) error {
 			calls.Add(1)
 			return nil
 		})
@@ -64,11 +60,9 @@ func TestForEachCanceledBeforeStart(t *testing.T) {
 // TestForEachFirstErrorWins: a job error is returned as-is (not replaced by
 // the cancellation fallout it triggers) on both paths.
 func TestForEachFirstErrorWins(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		Workers = workers
-		err := ForEach(context.Background(), 16, func(ctx context.Context, i int) error {
+		err := ForEach(context.Background(), workers, 16, func(ctx context.Context, i int) error {
 			if i == 2 {
 				return boom
 			}

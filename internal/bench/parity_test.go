@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/conflux"
 	"repro/internal/costmodel"
+	"repro/internal/engine"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
 	"repro/internal/trace"
@@ -23,7 +24,7 @@ func runEngineWorld(t *testing.T, algo costmodel.Algorithm, n, p int, mem float6
 		var err error
 		switch algo {
 		case costmodel.LibSci:
-			_, err = lu2d.Run(c, nil, lu2d.LibSciOptions(n, p, LibSciNB))
+			_, err = lu2d.Run(c, nil, lu2d.LibSciOptions(n, p, engine.DefaultLibSciNB))
 		case costmodel.SLATE:
 			_, err = lu2d.Run(c, nil, lu2d.SLATEOptions(n, p))
 		case costmodel.CANDMC:
@@ -75,7 +76,7 @@ func TestTimelineReportParityAllEngines(t *testing.T) {
 func TestSimulatedTimeDeterministic(t *testing.T) {
 	var first float64
 	for i := 0; i < 3; i++ {
-		m, err := Measure(t.Context(), costmodel.COnfLUX, 128, 8, costmodel.MaxMemoryParams(128, 8).M)
+		m, err := paper.Measure(t.Context(), costmodel.COnfLUX, 128, 8, costmodel.MaxMemoryParams(128, 8).M)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +96,7 @@ func TestSimulatedTimeDeterministic(t *testing.T) {
 // simulated makespan of a real schedule.
 func TestSimulatedTimeMonotoneInMachine(t *testing.T) {
 	measure := func(m costmodel.Machine) float64 {
-		saved := Machine
-		Machine = m
-		defer func() { Machine = saved }()
-		res, err := Measure(t.Context(), costmodel.LibSci, 128, 8, costmodel.MaxMemoryParams(128, 8).M)
+		res, err := Harness{Machine: m}.Measure(t.Context(), costmodel.LibSci, 128, 8, costmodel.MaxMemoryParams(128, 8).M)
 		if err != nil {
 			t.Fatal(err)
 		}

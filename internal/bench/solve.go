@@ -28,13 +28,13 @@ func (m SolveMeasurement) SolveBytes() int64 { return m.FwdBytes + m.BackBytes }
 
 // MeasureSolve replays the distributed triangular solve at (n, p) with nrhs
 // right-hand sides in volume mode and returns the measurement.
-func MeasureSolve(ctx context.Context, n, p, nrhs int) (SolveMeasurement, error) {
+func (h Harness) MeasureSolve(ctx context.Context, n, p, nrhs int) (SolveMeasurement, error) {
 	opt := trisolve.DefaultOptions(n, p, nrhs)
 	out := SolveMeasurement{
 		N: n, P: p, NRHS: opt.NRHS,
 		GridDesc: fmt.Sprintf("%dx%d", opt.Grid.Pr, opt.Grid.Pc),
 	}
-	rep, err := runVolume(ctx, p, func(c *smpi.Comm) error {
+	rep, err := h.runVolume(ctx, p, func(c *smpi.Comm) error {
 		_, err := trisolve.Run(c, nil, nil, opt)
 		return err
 	})
@@ -61,10 +61,10 @@ type SolveResult struct {
 
 // RunSolve sweeps rank counts at fixed n with nrhs right-hand sides; the
 // points run concurrently through the parallel runner in ps order.
-func RunSolve(ctx context.Context, n int, ps []int, nrhs int) (*SolveResult, error) {
+func (h Harness) RunSolve(ctx context.Context, n int, ps []int, nrhs int) (*SolveResult, error) {
 	res := &SolveResult{N: n, NRHS: nrhs, Points: make([]SolveMeasurement, len(ps))}
-	err := ForEach(ctx, len(ps), func(ctx context.Context, i int) error {
-		m, err := MeasureSolve(ctx, n, ps[i], nrhs)
+	err := ForEach(ctx, h.Workers, len(ps), func(ctx context.Context, i int) error {
+		m, err := h.MeasureSolve(ctx, n, ps[i], nrhs)
 		if err != nil {
 			return err
 		}

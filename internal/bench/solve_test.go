@@ -7,7 +7,7 @@ import (
 )
 
 func TestMeasureSolveMetersBothPhases(t *testing.T) {
-	m, err := MeasureSolve(t.Context(), 128, 6, 4)
+	m, err := paper.MeasureSolve(t.Context(), 128, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,12 +20,12 @@ func TestMeasureSolveMetersBothPhases(t *testing.T) {
 }
 
 func TestMeasureSolveDeterministic(t *testing.T) {
-	first, err := MeasureSolve(t.Context(), 128, 8, 2)
+	first, err := paper.MeasureSolve(t.Context(), 128, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		m, err := MeasureSolve(t.Context(), 128, 8, 2)
+		m, err := paper.MeasureSolve(t.Context(), 128, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestMeasureSolveDeterministic(t *testing.T) {
 }
 
 func TestRunSolveRenderAndCSV(t *testing.T) {
-	res, err := RunSolve(t.Context(), 96, []int{4, 6}, 2)
+	res, err := paper.RunSolve(t.Context(), 96, []int{4, 6}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

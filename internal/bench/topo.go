@@ -109,20 +109,20 @@ var topoEngines = []costmodel.Algorithm{costmodel.COnfLUX, costmodel.CANDMC, cos
 // prices the recording under each topology: rows[i] is the row under tps[i],
 // its algorithm bytes and its simulated makespan — bit-identical to a replay
 // under that topology.
-func measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float64, tps []trace.Topology) ([]TopoRow, error) {
+func (h Harness) measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem float64, tps []trace.Topology) ([]TopoRow, error) {
 	eng, err := engine.Lookup(algo)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	cfg := engine.Config{Ranks: p, Memory: mem, NB: LibSciNB}
-	tl, err := recordVolume(ctx, p, engine.VolumeJob(eng, n, cfg).Body)
+	cfg := engine.Config{Ranks: p, Memory: mem}
+	tl, err := h.recordVolume(ctx, p, engine.VolumeJob(eng, n, cfg).Body)
 	if err != nil {
 		return nil, fmt.Errorf("bench: topo %s N=%d P=%d: %w", algo, n, p, err)
 	}
 	rows := make([]TopoRow, len(tps))
 	for i, tp := range tps {
-		rep, _ := tl.Price(Machine, tp)
-		rows[i] = TopoRow{Algo: algo, Mem: mem, Grid: engine.GridDesc(eng, n, cfg),
+		rep, _ := tl.Price(h.Machine, tp)
+		rows[i] = TopoRow{Algo: algo, Mem: mem, Grid: eng.GridDesc(n, cfg),
 			Bytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect), Makespan: rep.Time.Makespan}
 	}
 	return rows, nil
@@ -136,7 +136,7 @@ func measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p int, mem fl
 // topology subsystem. Each (engine, c) runs once and its recorded schedule
 // is priced under every scenario; rows and progress lines stay
 // scenario-major.
-func RunTopo(ctx context.Context, scale string, progress io.Writer) (*TopoReport, error) {
+func (h Harness) RunTopo(ctx context.Context, scale string, progress io.Writer) (*TopoReport, error) {
 	pt, ok := topoPoints[scale]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown topology scale %q", scale)
@@ -150,7 +150,7 @@ func RunTopo(ctx context.Context, scale string, progress io.Writer) (*TopoReport
 		if err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
-		if tps[i], err = topo.BuildFaulted(spec, Machine, pt.p, sc.Faults); err != nil {
+		if tps[i], err = topo.BuildFaulted(spec, h.Machine, pt.p, sc.Faults); err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 	}
@@ -163,7 +163,7 @@ func RunTopo(ctx context.Context, scale string, progress io.Writer) (*TopoReport
 			cs = cs[:1] // 2D baseline: replication memory is unused
 		}
 		for _, c := range cs {
-			rows, err := measureTopo(ctx, algo, pt.n, pt.p, float64(c)*n2p, tps)
+			rows, err := h.measureTopo(ctx, algo, pt.n, pt.p, float64(c)*n2p, tps)
 			if err != nil {
 				return nil, err
 			}

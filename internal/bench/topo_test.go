@@ -17,7 +17,7 @@ func TestTopoScenariosBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
-		tp, err := topo.BuildFaulted(spec, Machine, 64, sc.Faults)
+		tp, err := topo.BuildFaulted(spec, paper.Machine, 64, sc.Faults)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -25,7 +25,7 @@ func TestTopoScenariosBuild(t *testing.T) {
 			t.Fatalf("%s: built nil topology", sc.Name)
 		}
 	}
-	if _, err := RunTopo(t.Context(), "galactic", io.Discard); err == nil {
+	if _, err := paper.RunTopo(t.Context(), "galactic", io.Discard); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestRunTopoSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full topology sweep")
 	}
-	rep, err := RunTopo(t.Context(), "small", io.Discard)
+	rep, err := paper.RunTopo(t.Context(), "small", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

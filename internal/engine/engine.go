@@ -1,26 +1,30 @@
-// Package engine is the registry the public API dispatches factorization
-// engines through. Each engine package (internal/conflux for COnfLUX, CANDMC
-// and Cholesky, internal/lu2d for LibSci and SLATE) self-registers its
-// adapters in its init function, so adding an engine never touches the API
-// layer: implement the Engine interface, call Register, and the algorithm is
-// reachable from conflux.New(conflux.WithAlgorithm(...)), the bench harness,
-// and the CLI.
+// Package engine is the fixed table of factorization engines the public API,
+// the planner and the bench harness dispatch through: COnfLUX, CANDMC and
+// Cholesky, which are internal/conflux's step loop under its three row
+// policies, and LibSci and SLATE, which are internal/lu2d's 2D engine under
+// its two broadcast personae.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
+	"repro/internal/conflux"
 	"repro/internal/costmodel"
+	"repro/internal/lapack"
+	"repro/internal/lu2d"
 	"repro/internal/mat"
 	"repro/internal/smpi"
 )
 
-// ErrUnknown is wrapped by Lookup for algorithm names with no registered
-// engine. The public API re-surfaces it as conflux.ErrUnknownAlgorithm.
+// ErrUnknown is wrapped by Lookup for algorithm names with no engine in the
+// table. The public API re-surfaces it as conflux.ErrUnknownAlgorithm.
 var ErrUnknown = errors.New("no registered engine")
+
+// DefaultLibSciNB is the "user-specified" ScaLAPACK block size used when a
+// run config does not supply one (Table 2 lists LibSci's block size as a
+// user parameter).
+const DefaultLibSciNB = 32
 
 // Config carries the per-run parameters an engine derives its internal
 // options (grid shape, replication, blocking) from.
@@ -31,7 +35,7 @@ type Config struct {
 	// paper's maximum-replication setting M = N²/P^(2/3).
 	Memory float64
 	// NB is the block size for engines with a user-specified blocking
-	// parameter (LibSci); 0 selects the engine's default.
+	// parameter (LibSci); 0 selects DefaultLibSciNB.
 	NB int
 }
 
@@ -43,76 +47,114 @@ func (cfg Config) MemoryFor(n int) float64 {
 	return costmodel.MaxMemoryParams(n, cfg.Ranks).M
 }
 
-// Engine is one registered factorization implementation. Run executes the
-// engine's schedule on communicator c for an n×n input; in is consulted at
-// world rank 0 only and is nil in volume mode. World rank 0 returns the
-// combined factors (a phantom in volume mode) and the pivot permutation perm
-// with in[perm,:] = L·U; every other rank returns nil for both, so only the
-// rank that returns an N-length array keeps one. Engines without a pivot
-// permutation (Cholesky) return a nil perm.
+// Engine is one factorization implementation. Run executes the engine's
+// schedule on communicator c for an n×n input; in is consulted at world rank
+// 0 only and is nil in volume mode. World rank 0 returns the combined factors
+// (a phantom in volume mode) and the pivot permutation perm with
+// in[perm,:] = L·U; every other rank returns nil for both, so only the rank
+// that returns an N-length array keeps one. Engines without a pivot
+// permutation (Cholesky) return a nil perm. GridDesc describes the processor
+// grid Run would choose for the same n and cfg.
 type Engine interface {
 	Name() costmodel.Algorithm
 	Run(c *smpi.Comm, in *mat.Matrix, n int, cfg Config) (*mat.Matrix, []int, error)
-}
-
-// GridDescriber is optionally implemented by engines that can describe the
-// processor grid they would choose for a configuration (the bench harness
-// prints it next to each measurement).
-type GridDescriber interface {
 	GridDesc(n int, cfg Config) string
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[costmodel.Algorithm]Engine{}
-)
-
-// Register adds an engine to the registry. It panics on a duplicate name:
-// two implementations claiming one algorithm is a programming error, not a
-// runtime condition.
-func Register(e Engine) {
-	mu.Lock()
-	defer mu.Unlock()
-	name := e.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate registration of %q", name))
-	}
-	registry[name] = e
+// table holds every engine in name order, the order Names returns.
+var table = [...]Engine{
+	stepEngine{costmodel.CANDMC, conflux.Swap},
+	stepEngine{costmodel.COnfLUX, conflux.Mask},
+	stepEngine{costmodel.Cholesky, conflux.Symmetric},
+	lu2dEngine{costmodel.LibSci},
+	lu2dEngine{costmodel.SLATE},
 }
 
-// Lookup returns the engine registered under name, or an error wrapping
-// ErrUnknown listing the registered set.
+// Lookup returns the engine named name, or an error wrapping ErrUnknown
+// that lists the table.
 func Lookup(name costmodel.Algorithm) (Engine, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("%w for algorithm %q (registered: %v)", ErrUnknown, name, namesLocked())
+	for _, e := range table {
+		if e.Name() == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	return nil, fmt.Errorf("%w for algorithm %q (registered: %v)", ErrUnknown, name, Names())
 }
 
-// Names returns the registered algorithm names in sorted order.
+// Names returns the engines' algorithm names in sorted order.
 func Names() []costmodel.Algorithm {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []costmodel.Algorithm {
-	out := make([]costmodel.Algorithm, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]costmodel.Algorithm, len(table))
+	for i, e := range table {
+		out[i] = e.Name()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// GridDesc returns e's grid description when it implements GridDescriber,
-// and "" otherwise.
-func GridDesc(e Engine, n int, cfg Config) string {
-	if d, ok := e.(GridDescriber); ok {
-		return d.GridDesc(n, cfg)
+// stepEngine is conflux.Run under one row policy. Cholesky returns L,
+// A = L·Lᵀ, with a nil perm, and the public API reaches it through
+// FactorizeSPD.
+type stepEngine struct {
+	name costmodel.Algorithm
+	rows conflux.RowPolicy
+}
+
+func (e stepEngine) Name() costmodel.Algorithm { return e.name }
+
+func (e stepEngine) options(n int, cfg Config) conflux.Options {
+	switch e.rows {
+	case conflux.Swap:
+		return conflux.CANDMCOptions(n, cfg.Ranks, cfg.MemoryFor(n))
+	case conflux.Symmetric:
+		return conflux.CholeskyOptions(n, cfg.Ranks, cfg.MemoryFor(n))
 	}
-	return ""
+	return conflux.DefaultOptions(n, cfg.Ranks, cfg.MemoryFor(n))
+}
+
+func (e stepEngine) Run(c *smpi.Comm, in *mat.Matrix, n int, cfg Config) (*mat.Matrix, []int, error) {
+	res, err := conflux.Run(c, in, e.options(n, cfg))
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.LU, res.Perm, nil
+}
+
+func (e stepEngine) GridDesc(n int, cfg Config) string {
+	g := e.options(n, cfg).Grid
+	desc := fmt.Sprintf("%dx%dx%d", g.Pr, g.Pc, g.Layers)
+	if e.rows == conflux.Mask { // CANDMC's greedy grid never disables a rank; Cholesky's grid string leaves the count out
+		desc += fmt.Sprintf(" (%d used)", g.Used())
+	}
+	return desc
+}
+
+// lu2dEngine is lu2d.Run under one vendor persona: LibSci (user block size,
+// tree broadcasts) or SLATE (block size 16, ring broadcasts).
+type lu2dEngine struct {
+	name costmodel.Algorithm
+}
+
+func (e lu2dEngine) Name() costmodel.Algorithm { return e.name }
+
+func (e lu2dEngine) options(n int, cfg Config) lu2d.Options {
+	if e.name == costmodel.SLATE {
+		return lu2d.SLATEOptions(n, cfg.Ranks)
+	}
+	nb := cfg.NB
+	if nb <= 0 {
+		nb = DefaultLibSciNB
+	}
+	return lu2d.LibSciOptions(n, cfg.Ranks, nb)
+}
+
+func (e lu2dEngine) Run(c *smpi.Comm, in *mat.Matrix, n int, cfg Config) (*mat.Matrix, []int, error) {
+	res, err := lu2d.Run(c, in, e.options(n, cfg))
+	if err != nil || res.Ipiv == nil { // only rank 0 has pivots to return
+		return nil, nil, err
+	}
+	return res.LU, lapack.PermFromIpiv(res.Ipiv, n), nil
+}
+
+func (e lu2dEngine) GridDesc(n int, cfg Config) string {
+	g := e.options(n, cfg).Grid
+	return fmt.Sprintf("%dx%d", g.Pr, g.Pc)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/daap"
+	"repro/internal/xpart"
 )
 
 // chain builds a path graph in0 -> v1 -> v2 -> ... -> vk.
@@ -237,9 +238,7 @@ func TestGreedyIOAboveLowerBoundLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf := float64(n)
-	lower := (2*nf*nf*nf - 6*nf*nf + 4*nf) / 3 / 2.828 // /sqrt(8)
-	if float64(io) < lower {
+	if lower := xpart.LUSequentialLowerBound(n, float64(m)); float64(io) < lower {
 		t.Fatalf("greedy IO %d below lower bound %.1f", io, lower)
 	}
 }

@@ -159,7 +159,7 @@ func simulate(ctx context.Context, req Request, others []Machine, both bool) (An
 	if err != nil {
 		return nil, err
 	}
-	grid := engine.GridDesc(eng, req.N, cfg)
+	grid := eng.GridDesc(req.N, cfg)
 	ans := Answers{full: make([]*Exact, 1+len(others))}
 	ans[full][0] = exactOf(rep, grid)
 	if both {

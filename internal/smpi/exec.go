@@ -57,21 +57,14 @@ func ResolveExecutor(e Executor) (Executor, error) {
 // Config describes one simulated run for Exec. The zero value is not
 // runnable (P must be positive unless World is set); every other field has
 // a useful zero: volume mode, default α-β machine, goroutine executor, no
-// deadline.
+// deadline. A run on another machine passes World: NewWorldMachine(…).
 type Config struct {
 	// P is the world size. Ignored when World is set.
 	P int
 	// Payload selects numeric mode (true) or volume mode (false, the
 	// default). Ignored when World is set.
 	Payload bool
-	// Machine sets the α-β machine parameters for the timeline. The zero
-	// Machine means "use trace.DefaultMachine()" unless MachineSet is
-	// true, because the all-free machine (α = β = 0) is a meaningful
-	// configuration, not merely unset. Ignored when World is set.
-	Machine trace.Machine
-	// MachineSet marks Machine as authoritative even when zero.
-	MachineSet bool
-	// Topology, when non-nil, replaces the flat Machine cost with a
+	// Topology, when non-nil, replaces the flat α-β machine cost with a
 	// per-pair topology model (internal/topo) on the run's timeline. It
 	// applies to caller-supplied Worlds too — the one Config field World
 	// does not override — so fault-scenario worlds compose with it.
@@ -91,8 +84,8 @@ type Config struct {
 	// context.DeadlineExceeded.
 	Timeout time.Duration
 	// World, when non-nil, is the caller-configured world to run on
-	// (fault injection, post-run mailbox inspection); it overrides P,
-	// Payload, Machine, and MachineSet.
+	// (another machine, fault injection, post-run mailbox inspection); it
+	// overrides P and Payload.
 	World *World
 }
 
@@ -112,11 +105,7 @@ type Config struct {
 func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	w := cfg.World
 	if w == nil {
-		m := cfg.Machine
-		if m.IsZero() && !cfg.MachineSet {
-			m = trace.DefaultMachine()
-		}
-		w = NewWorldMachine(cfg.P, cfg.Payload, m)
+		w = NewWorld(cfg.P, cfg.Payload)
 	}
 	if cfg.Topology != nil {
 		w.Trace.SetTopology(cfg.Topology)

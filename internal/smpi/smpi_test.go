@@ -559,7 +559,7 @@ func TestRecordedWorldPrices(t *testing.T) {
 	if _, err := Exec(context.Background(), Config{World: w}, body); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Exec(context.Background(), Config{P: p, Machine: slow}, body)
+	want, err := Exec(context.Background(), Config{World: NewWorldMachine(p, false, slow)}, body)
 	if err != nil {
 		t.Fatal(err)
 	}

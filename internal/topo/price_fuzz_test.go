@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
-	_ "repro/internal/engine/all"
 	"repro/internal/smpi"
 	"repro/internal/topo"
 	"repro/internal/trace"

@@ -13,10 +13,6 @@ import (
 	"repro/internal/smpi"
 	"repro/internal/topo"
 	"repro/internal/trace"
-
-	// Register every in-tree engine: the registry is the only dispatch
-	// path from the public API to the engine layer.
-	_ "repro/internal/engine/all"
 )
 
 // Session is the entry point: a handle on one simulated machine
@@ -123,9 +119,8 @@ func WithMemory(m float64) Option {
 	}
 }
 
-// WithAlgorithm selects the engine (default COnfLUX). The name must be
-// registered in the engine registry; New fails with ErrUnknownAlgorithm
-// otherwise.
+// WithAlgorithm selects the engine (default COnfLUX). The name must be one
+// of Engines(); New fails with ErrUnknownAlgorithm otherwise.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *sessionConfig) error {
 		c.algorithm = a
@@ -255,8 +250,8 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // New constructs a Session from functional options, validating each option
-// and that the selected algorithm has a registered engine (otherwise the
-// error wraps ErrUnknownAlgorithm).
+// and that the selected algorithm names an engine (otherwise the error wraps
+// ErrUnknownAlgorithm).
 func New(opts ...Option) (*Session, error) {
 	cfg := defaultSessionConfig()
 	for _, opt := range opts {
@@ -277,7 +272,7 @@ func New(opts ...Option) (*Session, error) {
 	return &Session{cfg: cfg, eng: eng}, nil
 }
 
-// Engines returns the registered algorithm names in sorted order — the set
+// Engines returns the engines' algorithm names in sorted order — the set
 // WithAlgorithm accepts.
 func Engines() []Algorithm { return engine.Names() }
 
@@ -409,13 +404,10 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 		}
 	}
 	rep, err := smpi.Exec(ctx, smpi.Config{
-		P:          world,
-		Payload:    payload,
-		Machine:    s.cfg.machine,
-		MachineSet: true,
-		Topology:   tp,
-		Executor:   s.cfg.executor,
-		Workers:    s.cfg.workers,
+		World:    smpi.NewWorldMachine(world, payload, s.cfg.machine),
+		Topology: tp,
+		Executor: s.cfg.executor,
+		Workers:  s.cfg.workers,
 	}, fn)
 	if err != nil {
 		return nil, publicErr(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,10 @@ func TestNewUnknownAlgorithm(t *testing.T) {
 	_, err := New(WithAlgorithm("HPL"))
 	if err == nil || !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
+	}
+	const want = `conflux: unknown algorithm: no registered engine for algorithm "HPL" (registered: [CANDMC COnfLUX Cholesky LibSci SLATE])`
+	if err.Error() != want {
+		t.Fatalf("err = %q\nwant  %q", err, want)
 	}
 }
 
@@ -239,16 +244,11 @@ func TestResultConcurrentSolves(t *testing.T) {
 	}
 }
 
-// TestEnginesListsRegistry: the registry drives the public engine list.
+// TestEnginesListsRegistry: the engine table drives the public engine list,
+// in sorted order.
 func TestEnginesListsRegistry(t *testing.T) {
-	got := map[Algorithm]bool{}
-	for _, a := range Engines() {
-		got[a] = true
-	}
-	for _, want := range []Algorithm{COnfLUX, CANDMC, LibSci, SLATE, Cholesky} {
-		if !got[want] {
-			t.Fatalf("Engines() = %v missing %q", Engines(), want)
-		}
+	if got, want := Engines(), []Algorithm{CANDMC, COnfLUX, Cholesky, LibSci, SLATE}; !slices.Equal(got, want) {
+		t.Fatalf("Engines() = %q, want %q", got, want)
 	}
 }
 
