@@ -261,7 +261,7 @@ func (r *Result) solveSequential(b []float64) ([]float64, error) {
 // AlgorithmBytes extracts the algorithm-attributed traffic from a report,
 // excluding the initial layout scatter and final verification gather.
 func AlgorithmBytes(rep *VolumeReport) int64 {
-	return rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)
+	return rep.AlgorithmBytes()
 }
 
 // LowerBoundLU returns the paper's §6 parallel I/O lower bound for LU

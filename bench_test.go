@@ -386,11 +386,12 @@ func BenchmarkPriceSchedule(b *testing.B) {
 	job := engine.VolumeJob(eng, n, engine.Config{Ranks: p})
 	replay := func(record bool) (*trace.Timeline, time.Duration) {
 		w := smpi.NewWorldMachine(p, false, m)
+		w.Trace.SetTopology(tp)
 		if record {
 			w.Trace.Record()
 		}
 		t0 := time.Now()
-		if _, err := smpi.Exec(b.Context(), smpi.Config{World: w, Topology: tp}, job.Body); err != nil {
+		if _, err := smpi.Exec(b.Context(), smpi.Config{World: w}, job.Body); err != nil {
 			b.Fatal(err)
 		}
 		return w.Trace, time.Since(t0)

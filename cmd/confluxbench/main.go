@@ -206,9 +206,9 @@ func realMain() (code int) {
 		if err := writeCSV("fig7.csv", func(w *os.File) error { return res.WriteCSV(w) }); err != nil {
 			return err
 		}
-		red, algo := bench.SummitPrediction(16384, 27648)
+		algo, red := costmodel.PredictedReduction(costmodel.MaxMemoryParams(16384, 27648))
 		fmt.Printf("Summit full-scale prediction (N=16384, P=27648): %.2fx less than %s (paper: 2.1x)\n", red, algo)
-		fmt.Printf("CANDMC-vs-2D model crossover at N=16384: P ≈ %d ranks (paper: ≈450k)\n", bench.CrossoverReport(16384))
+		fmt.Printf("CANDMC-vs-2D model crossover at N=16384: P ≈ %d ranks (paper: ≈450k)\n", costmodel.Crossover2DvsCANDMC(16384, 1<<21))
 		return nil
 	})
 	run("ablation", func(s scale) error {

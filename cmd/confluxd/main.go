@@ -6,8 +6,8 @@
 // Because every simulation is a pure function of the canonical parameter
 // tuple (reports are pinned byte-identical across reps, executors, and
 // event-window widths), results are infinitely cacheable: requests are
-// canonicalized into deterministic keys (internal/plan), answered from a
-// sharded in-memory cache with singleflight coalescing, and load-shed with
+// canonicalized into deterministic keys (internal/plan), answered from an
+// in-memory cache with singleflight coalescing, and load-shed with
 // typed 429/503 + Retry-After once the bounded simulation pool and its
 // queue are saturated. The closed-form Table 2 cost models serve as an
 // instant approximate tier while exact simulations proceed. See DESIGN.md

@@ -522,8 +522,9 @@ func digestMachine(t *testing.T, i, world int, faults *FaultPlan) trace.Topology
 func requirePricedDigests(t *testing.T, job engine.Job, digests [2]string, faults *FaultPlan, rec int) {
 	t.Helper()
 	w := smpi.NewWorldMachine(job.World, false, DefaultMachine())
+	w.Trace.SetTopology(digestMachine(t, rec, job.World, faults))
 	w.Trace.Record()
-	rep, err := smpi.Exec(t.Context(), smpi.Config{World: w, Topology: digestMachine(t, rec, job.World, faults)}, job.Body)
+	rep, err := smpi.Exec(t.Context(), smpi.Config{World: w}, job.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,8 +675,8 @@ func TestConformanceMarkedVolumeReports(t *testing.T) {
 				w := smpi.NewWorldMachine(job.World, false, DefaultMachine())
 				w.Trace.Record()
 				w.Trace.EnableMarks()
-				cfg := smpi.Config{World: w, Topology: digestMachine(t, rec, job.World, pt.faults)}
-				if _, err := smpi.Exec(t.Context(), cfg, job.Body); err != nil {
+				w.Trace.SetTopology(digestMachine(t, rec, job.World, pt.faults))
+				if _, err := smpi.Exec(t.Context(), smpi.Config{World: w}, job.Body); err != nil {
 					t.Fatal(err)
 				}
 				requireSameReport(t, "marked under "+digestPresets[rec], w.Trace.MarkedReport(), want[rec])

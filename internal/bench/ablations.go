@@ -10,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/lu2d"
 	"repro/internal/smpi"
-	"repro/internal/trace"
 )
 
 // AblationResult captures an A/B comparison backing one of the paper's §7
@@ -50,7 +49,7 @@ func (a AblationResult) TimeRatio() float64 {
 func (h Harness) MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (AblationResult, error) {
 	swap := conflux.CANDMCOptions(n, p, mem)
 	mask := swap
-	mask.Name, mask.Rows = "COnfLUX", conflux.Mask
+	mask.Rows = conflux.Mask
 	repA, err := h.runVolume(ctx, p, func(cm *smpi.Comm) error {
 		_, err := conflux.Run(cm, nil, mask)
 		return err
@@ -69,8 +68,8 @@ func (h Harness) MaskingVsSwapping(ctx context.Context, n, p int, mem float64) (
 		Name:   "masking-vs-swapping",
 		A:      "COnfLUX (row masking)",
 		B:      "2.5D with physical row swapping (CANDMC-style)",
-		ABytes: repA.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
-		BBytes: repB.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
+		ABytes: repA.AlgorithmBytes(),
+		BBytes: repB.AlgorithmBytes(),
 		AMsgs:  repA.TotalMsgs(),
 		BMsgs:  repB.TotalMsgs(),
 		ATime:  repA.Time.Makespan,
@@ -141,8 +140,8 @@ func (h Harness) GridOptimizationOnOff(ctx context.Context, n, p int, mem float6
 		Name:   "grid-optimization",
 		A:      fmt.Sprintf("optimized grid %s", describe(optOn.Grid)),
 		B:      fmt.Sprintf("greedy all-ranks grid %dx%dx1", g.Pr, g.Pc),
-		ABytes: repA.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
-		BBytes: repB.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
+		ABytes: repA.AlgorithmBytes(),
+		BBytes: repB.AlgorithmBytes(),
 		AMsgs:  repA.TotalMsgs(),
 		BMsgs:  repB.TotalMsgs(),
 		ATime:  repA.Time.Makespan,

@@ -125,7 +125,7 @@ func (h Harness) Measure(ctx context.Context, algo costmodel.Algorithm, n, p int
 	if err != nil {
 		return out, fmt.Errorf("bench: %s N=%d P=%d: %w", algo, n, p, err)
 	}
-	out.MeasuredBytes = rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)
+	out.MeasuredBytes = rep.AlgorithmBytes()
 	out.Msgs = rep.TotalMsgs()
 	out.MaxRankMsgs = rep.Time.MaxRankMsgs()
 	out.SimTime = rep.Time.Makespan

@@ -88,7 +88,7 @@ func (h Harness) blockSizeSweep(ctx context.Context, n, p int, mem float64, vs [
 		}
 		out = append(out, BlockSizeRow{V: v, Default: v == base.V, contended: contended, Measurement: Measurement{
 			Algo: costmodel.COnfLUX, N: n, P: p, M: mem,
-			MeasuredBytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect),
+			MeasuredBytes: rep.AlgorithmBytes(),
 			FittedBytes:   fitted,
 			Msgs:          rep.TotalMsgs(),
 			MaxRankMsgs:   rep.Time.MaxRankMsgs(),

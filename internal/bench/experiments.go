@@ -206,13 +206,8 @@ func (h Harness) RunFig7(ctx context.Context, ns, ps []int, measuredLimit int) (
 				})
 				continue
 			}
-			params := costmodel.MaxMemoryParams(n, p)
-			algo, second := costmodel.SecondBest(params)
-			res.Cells = append(res.Cells, Fig7Cell{
-				N: n, P: p,
-				Reduction:  second / costmodel.TotalBytes(costmodel.COnfLUX, params),
-				SecondBest: algo,
-			})
+			algo, red := costmodel.PredictedReduction(costmodel.MaxMemoryParams(n, p))
+			res.Cells = append(res.Cells, Fig7Cell{N: n, P: p, Reduction: red, SecondBest: algo})
 		}
 	}
 	return res, nil
@@ -230,19 +225,4 @@ func (f *Fig7Result) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%8d %8d %9.2fx %-8s %s\n", c.N, c.P, c.Reduction, c.SecondBest, kind)
 	}
-}
-
-// SummitPrediction returns the paper's headline exascale prediction: the
-// modeled COnfLUX reduction vs second-best for a full-scale Summit run
-// (the paper reports 2.1× at N=16,384 with one rank per GPU).
-func SummitPrediction(n, p int) (float64, costmodel.Algorithm) {
-	params := costmodel.MaxMemoryParams(n, p)
-	algo, second := costmodel.SecondBest(params)
-	return second / costmodel.TotalBytes(costmodel.COnfLUX, params), algo
-}
-
-// CrossoverReport reproduces §9's observation that CANDMC's asymptotic
-// optimality pays off only beyond ~450k ranks at N=16,384.
-func CrossoverReport(n int) int {
-	return costmodel.Crossover2DvsCANDMC(n, 1<<21)
 }

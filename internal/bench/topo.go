@@ -123,7 +123,7 @@ func (h Harness) measureTopo(ctx context.Context, algo costmodel.Algorithm, n, p
 	for i, tp := range tps {
 		rep, _ := tl.Price(h.Machine, tp)
 		rows[i] = TopoRow{Algo: algo, Mem: mem, Grid: eng.GridDesc(n, cfg),
-			Bytes: rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect), Makespan: rep.Time.Makespan}
+			Bytes: rep.AlgorithmBytes(), Makespan: rep.Time.Makespan}
 	}
 	return rows, nil
 }

@@ -24,28 +24,10 @@ func naiveGemm(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) *ma
 	return out
 }
 
-func TestAxpyScalDot(t *testing.T) {
+func TestDot(t *testing.T) {
 	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	Axpy(2, x, y)
-	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
-		t.Fatalf("axpy: %v", y)
-	}
-	Scal(0.5, y)
-	if y[0] != 3 || y[2] != 6 {
-		t.Fatalf("scal: %v", y)
-	}
 	if d := Dot(x, x); d != 14 {
 		t.Fatalf("dot: %v", d)
-	}
-}
-
-func TestIdamax(t *testing.T) {
-	if Idamax(nil) != -1 {
-		t.Fatal("empty should be -1")
-	}
-	if i := Idamax([]float64{1, -7, 7, 2}); i != 1 {
-		t.Fatalf("first max expected at 1, got %d", i)
 	}
 }
 
@@ -170,19 +152,6 @@ func TestTrsmUpperRight(t *testing.T) {
 	TrsmUpperRight(u, b)
 	if d := mat.MaxAbsDiff(b, x); d > 1e-10 {
 		t.Fatalf("trsm diff %v", d)
-	}
-}
-
-func TestGerGemv(t *testing.T) {
-	a := mat.New(3, 2)
-	Ger(2, []float64{1, 2, 3}, []float64{4, 5}, a)
-	if a.At(2, 1) != 30 || a.At(0, 0) != 8 {
-		t.Fatalf("ger:\n%v", a)
-	}
-	y := make([]float64, 3)
-	Gemv(1, a, []float64{1, 1}, 0, y)
-	if y[0] != 18 || y[2] != 54 {
-		t.Fatalf("gemv: %v", y)
 	}
 }
 

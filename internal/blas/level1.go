@@ -4,25 +4,6 @@
 // the same call graph as numeric runs without doing arithmetic.
 package blas
 
-import "math"
-
-// Axpy computes y += alpha*x.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scal computes x *= alpha.
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Dot returns xᵀy.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -33,18 +14,6 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Idamax returns the index of the entry of x with the largest magnitude
-// (first occurrence). Returns -1 for empty x.
-func Idamax(x []float64) int {
-	best, bi := -1.0, -1
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			best, bi = a, i
-		}
-	}
-	return bi
 }
 
 // Swap exchanges x and y elementwise.

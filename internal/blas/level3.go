@@ -276,34 +276,3 @@ func trsmUpperRightUnb(u *mat.Matrix, b *mat.Matrix) {
 		}
 	}
 }
-
-// Ger computes A += alpha * x * yᵀ.
-func Ger(alpha float64, x, y []float64, a *mat.Matrix) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("blas: Ger shape mismatch")
-	}
-	if a.Phantom() {
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		xi := alpha * x[i]
-		row := a.Row(i)
-		for j := range row {
-			row[j] += xi * y[j]
-		}
-	}
-}
-
-// Gemv computes y = alpha*A*x + beta*y.
-func Gemv(alpha float64, a *mat.Matrix, x []float64, beta float64, y []float64) {
-	if a.Cols != len(x) || a.Rows != len(y) {
-		panic("blas: Gemv shape mismatch")
-	}
-	if a.Phantom() {
-		return
-	}
-	for i := range y {
-		y[i] *= beta
-		y[i] += alpha * Dot(a.Row(i), x)
-	}
-}

@@ -169,7 +169,7 @@ func runVolume(t *testing.T, opt Options) *trace.Report {
 }
 
 func algoBytes(rep *trace.Report) int64 {
-	return rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)
+	return rep.AlgorithmBytes()
 }
 
 // Masking only: under swapping the volume depends on which rows win, since
@@ -381,7 +381,7 @@ func TestQuickRandomConfigurations(t *testing.T) {
 func TestPhaseBreakdownPresent(t *testing.T) {
 	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		rep := runVolume(t, numericCase{64, 4, 2, 2, 2}.opt(rows))
-		name := engineNames[rows] // Run's default labels
+		name := engineNames[rows] // the row policy names the labels
 		phases := []string{".pivot", ".bcast-a00", ".panel-a10", ".panel-a01"}
 		if rows == Swap {
 			phases = append(phases, ".swap")
@@ -422,7 +422,7 @@ func TestOwnRowInvariants(t *testing.T) {
 			actives := make([][][]int, g.Total) // [world rank][step]
 			pivoted := make([][]int, tiles)     // [step]: rank 0's pivot order, or the slots above tile row step+1
 			_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
-				e := &engine{world: cm, opt: Options{Name: "test", N: tc.n, V: tc.v, Grid: g, Rows: rows}}
+				e := &engine{world: cm, opt: Options{N: tc.n, V: tc.v, Grid: g, Rows: rows}}
 				e.setup(nil)
 				if (e.perm != nil) != (cm.Rank() == 0) {
 					return fmt.Errorf("rank %d keeps a pivot order: %v", cm.Rank(), e.perm != nil)
@@ -508,7 +508,7 @@ func TestRetiredPivotPanics(t *testing.T) {
 	forPolicies(t, func(t *testing.T, rows RowPolicy) {
 		g := gridFor(2, 2, 2, 8)
 		_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Timeout: testTimeout}, func(cm *smpi.Comm) error {
-			e := &engine{world: cm, opt: Options{Name: "test", N: 64, V: 4, Grid: g, Rows: rows}}
+			e := &engine{world: cm, opt: Options{N: 64, V: 4, Grid: g, Rows: rows}}
 			e.setup(nil)
 			if err := e.step(0); err != nil {
 				return err

@@ -31,9 +31,6 @@ type Result struct {
 // Processor Grid Optimization "possibly disabl[es] a minor fraction of
 // nodes".
 func Run(c *smpi.Comm, a *mat.Matrix, opt Options) (*Result, error) {
-	if opt.Name == "" {
-		opt.Name = engineNames[opt.Rows]
-	}
 	if opt.Rows == Symmetric && opt.Grid.Pr != opt.Grid.Pc {
 		panic(fmt.Sprintf("conflux: the symmetric policy needs square layers, not %dx%d", opt.Grid.Pr, opt.Grid.Pc))
 	}
@@ -115,7 +112,7 @@ func (e *engine) setup(a *mat.Matrix) {
 		e.tourn = e.ac.Sub(fmt.Sprintf("tourn.%d", e.col), e.g.ColComm(e.col, 0))
 	}
 	e.panelComms()
-	name := e.opt.Name
+	name := engineNames[e.opt.Rows]
 	e.phase.reduceCol, e.phase.pivot, e.phase.bcastA00, e.phase.swap = name+".reduce-col", name+".pivot", name+".bcast-a00", name+".swap"
 	e.phase.panelA10, e.phase.panelA01, e.phase.update = name+".panel-a10", name+".panel-a01", name+".update"
 	e.store = dist.NewStore(e.bc, e.row, e.col, e.layer, e.world.Payload())

@@ -43,16 +43,15 @@ const (
 	Symmetric                  // Cholesky: no pivoting; needs square layers (Pr == Pc)
 )
 
-// engineNames are the default phase-label prefixes, by row policy.
+// engineNames are the engines' phase-label prefixes, by row policy.
 var engineNames = [...]string{Mask: "COnfLUX", Swap: "CANDMC", Symmetric: "Cholesky25D"}
 
 // Options configures a run.
 type Options struct {
-	Name string // phase-label prefix; defaults to the row policy's engine name
-	N    int    // global matrix dimension
-	V    int    // blocking parameter v (paper §7.2); v >= Layers required
+	N    int // global matrix dimension
+	V    int // blocking parameter v (paper §7.2); v >= Layers required
 	Grid grid.Grid
-	Rows RowPolicy
+	Rows RowPolicy // also names the phase labels: engineNames[Rows]
 }
 
 // DefaultOptions mirrors the paper's setup: local memory M elements per
@@ -66,7 +65,7 @@ type Options struct {
 // (blas.GemmRows) instead of rank 4 on the streaming loop.
 func DefaultOptions(n, p int, mem float64) Options {
 	g := costmodel.COnfLUXGrid(n, p, mem)
-	return Options{Name: "COnfLUX", N: n, V: costmodel.COnfLUXBlockSize(n, g), Grid: g}
+	return Options{N: n, V: costmodel.COnfLUXBlockSize(n, g), Grid: g}
 }
 
 // CANDMCOptions returns the paper's CANDMC configuration for p ranks with
@@ -81,7 +80,7 @@ func CANDMCOptions(n, p int, mem float64) Options {
 	}
 	layer := grid.Square2D(p / c)
 	g := grid.Grid{Pr: layer.Pr, Pc: layer.Pc, Layers: c, Total: p}
-	return Options{Name: "CANDMC", N: n, V: costmodel.BaselineBlockSize(n, c), Grid: g, Rows: Swap}
+	return Options{N: n, V: costmodel.BaselineBlockSize(n, c), Grid: g, Rows: Swap}
 }
 
 // CholeskyOptions picks the best square-layer 2.5D grid for p ranks with
@@ -103,7 +102,7 @@ func CholeskyOptions(n, p int, mem float64) Options {
 			best, bestCost = g, cost
 		}
 	}
-	return Options{Name: "Cholesky25D", N: n, V: costmodel.BaselineBlockSize(n, best.Layers), Grid: best, Rows: Symmetric}
+	return Options{N: n, V: costmodel.BaselineBlockSize(n, best.Layers), Grid: best, Rows: Symmetric}
 }
 
 // ModelPerRankElements is the fitted cost model for COnfLUX as implemented

@@ -112,7 +112,7 @@ func TestCholeskyCommSlots(t *testing.T) {
 			if cm.Rank() >= g.Used() {
 				return nil
 			}
-			e := &engine{world: cm, opt: Options{Name: "test", N: tc.n, V: tc.v, Grid: g, Rows: Symmetric}}
+			e := &engine{world: cm, opt: Options{N: tc.n, V: tc.v, Grid: g, Rows: Symmetric}}
 			e.setup(nil)
 			for lstar := range c {
 				for ownerCol := range g.Pc {

@@ -204,13 +204,6 @@ func PerRankBytes(a Algorithm, p Params) float64 {
 	return PerRankElements(a, p) * trace.BytesPerElement
 }
 
-// LowerBoundElements returns the paper's §6 parallel I/O lower bound per
-// rank: 2N³/(3P√M) + N(N−1)/(2P) elements.
-func LowerBoundElements(p Params) float64 {
-	n, pp := float64(p.N), float64(p.P)
-	return (2*n*n*n-6*n*n+4*n)/(3*pp*math.Sqrt(p.M)) + n*(n-1)/(2*pp)
-}
-
 // SecondBest returns the non-COnfLUX algorithm with the smallest modeled
 // volume at p, with its modeled total bytes — the comparison baseline of
 // Fig. 7 ("communication reduction vs. second-best algorithm").
@@ -228,11 +221,12 @@ func SecondBest(p Params) (Algorithm, float64) {
 	return best, bestV
 }
 
-// PredictedReduction returns the modeled COnfLUX communication reduction
-// versus the second-best implementation (Fig. 7 cell values).
-func PredictedReduction(p Params) float64 {
-	_, second := SecondBest(p)
-	return second / TotalBytes(COnfLUX, p)
+// PredictedReduction returns the second-best implementation and COnfLUX's
+// modeled communication reduction against it: Fig. 7's predicted cells, and
+// the paper's full-scale Summit prediction (2.1× at N=16,384, P=27,648).
+func PredictedReduction(p Params) (Algorithm, float64) {
+	algo, second := SecondBest(p)
+	return algo, second / TotalBytes(COnfLUX, p)
 }
 
 // Crossover2DvsCANDMC returns the smallest P (scanning powers of two times

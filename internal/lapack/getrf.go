@@ -156,41 +156,6 @@ func PermFromIpiv(ipiv []int, m int) []int {
 	return perm
 }
 
-// Getrs solves A·x = b given the in-place LU factors and ipiv from Getrf.
-// b is overwritten with the solution.
-func Getrs(lu *mat.Matrix, ipiv []int, b []float64) {
-	n := lu.Rows
-	if lu.Cols != n || len(b) != n {
-		panic("lapack: Getrs shape mismatch")
-	}
-	if lu.Phantom() {
-		return
-	}
-	for k, p := range ipiv {
-		if p != k {
-			b[k], b[p] = b[p], b[k]
-		}
-	}
-	// Forward solve L·y = Pb (unit diagonal).
-	for i := 0; i < n; i++ {
-		row := lu.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * b[k]
-		}
-		b[i] = s
-	}
-	// Back solve U·x = y.
-	for i := n - 1; i >= 0; i-- {
-		row := lu.Row(i)
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= row[k] * b[k]
-		}
-		b[i] = s / row[i]
-	}
-}
-
 // SplitLU extracts explicit L (m×n unit lower trapezoidal) and U (n×n upper)
 // factors from an in-place LU of an m×n matrix (m >= n).
 func SplitLU(lu *mat.Matrix) (l, u *mat.Matrix) {

@@ -162,28 +162,6 @@ func TestLaswpMatchesPermFromIpiv(t *testing.T) {
 	}
 }
 
-func TestGetrs(t *testing.T) {
-	n := 12
-	a := mat.RandomDiagDominant(n, 4)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i) - 3
-	}
-	b := make([]float64, n)
-	blas.Gemv(1, a, x, 0, b)
-	lu := a.Clone()
-	ipiv := make([]int, n)
-	if err := Getrf(lu, ipiv, 4); err != nil {
-		t.Fatal(err)
-	}
-	Getrs(lu, ipiv, b)
-	for i := range x {
-		if math.Abs(b[i]-x[i]) > 1e-9 {
-			t.Fatalf("solve mismatch at %d: %v vs %v", i, b[i], x[i])
-		}
-	}
-}
-
 func TestSelectCandidatesPicksLargeRows(t *testing.T) {
 	v := 2
 	rows := mat.New(5, v)

@@ -125,7 +125,7 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 	}
 	e.lPanel = make([]*mat.Matrix, len(e.myRows))
 	e.uPanel = make([]*mat.Matrix, len(e.myCols))
-	e.piv = make([]int, e.opt.NB)
+	e.piv = make([]int, min(e.opt.NB, e.opt.N)) // the widest tile: nb has no upper bound
 	dist.Scatter(e.c, 0, a, e.g, e.store)
 
 	n := e.opt.N

@@ -2,6 +2,8 @@ package lu2d
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,6 +124,25 @@ func runVolume(t *testing.T, n, p, nb int) *trace.Report {
 	return rep
 }
 
+// A block size past N is one tile of N columns, so the replay at nb = 2²⁰ is
+// nb = 64's to the byte, and nothing a rank allocates is sized by nb: one
+// nb-length buffer per rank would be 8 MB each.
+func TestBlockSizePastNSizedByN(t *testing.T) {
+	const n, p = 64, 4
+	want := runVolume(t, n, p, 64)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got := runVolume(t, n, p, 1<<20)
+	runtime.ReadMemStats(&after)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("nb=2^20 report differs from nb=64's:\n got %+v\nwant %+v", got, want)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("the nb=2^20 replay allocated %d bytes, want under 1 MB", b)
+	}
+}
+
 func TestVolumeModeMatchesNumericMode(t *testing.T) {
 	// The harness measures volume mode; its byte counts must be close to a
 	// numeric run with realistic (well-scattered) pivots. Volume mode draws
@@ -141,7 +162,7 @@ func TestVolumeModeMatchesNumericMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	repV := runVolume(t, n, p, nb)
-	nb1, vb := repN.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect), repV.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)
+	nb1, vb := repN.AlgorithmBytes(), repV.AlgorithmBytes()
 	ratio := float64(vb) / float64(nb1)
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("volume-mode %d vs numeric %d bytes (ratio %.3f)", vb, nb1, ratio)
@@ -154,8 +175,8 @@ func TestVolumeScalesAsModel(t *testing.T) {
 	n, nb := 256, 16
 	rep4 := runVolume(t, n, 4, nb)
 	rep16 := runVolume(t, n, 16, nb)
-	v4 := float64(rep4.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)) / 4
-	v16 := float64(rep16.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)) / 16
+	v4 := float64(rep4.AlgorithmBytes()) / 4
+	v16 := float64(rep16.AlgorithmBytes()) / 16
 	ratio := v4 / v16
 	if ratio < 1.5 || ratio > 2.6 {
 		t.Fatalf("per-rank strong scaling ratio %.2f, want ≈2 (N²/√P law)", ratio)
@@ -168,7 +189,7 @@ func TestVolumeNearModelPrediction(t *testing.T) {
 	// proportionally larger lower-order terms).
 	n, p, nb := 256, 16, 16
 	rep := runVolume(t, n, p, nb)
-	meas := float64(rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect))
+	meas := float64(rep.AlgorithmBytes())
 	model := costmodel.TotalBytes(costmodel.LibSci, costmodel.MaxMemoryParams(n, p))
 	ratio := meas / model
 	if ratio < 0.4 || ratio > 2.5 {

@@ -228,15 +228,6 @@ func (m *Matrix) Unpack(data []float64) {
 // Len returns the element count Rows*Cols.
 func (m *Matrix) Len() int { return m.Rows * m.Cols }
 
-// Eye returns the n×n identity.
-func Eye(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // MaxAbsDiff returns max |a(i,j)-b(i,j)|.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -251,18 +242,6 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 		}
 	}
 	return d
-}
-
-// NormFro returns the Frobenius norm.
-func NormFro(a *Matrix) float64 {
-	var s float64
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			v := a.At(i, j)
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // NormInf returns the max-row-sum norm.

@@ -1,14 +1,6 @@
 package plan
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// shardCount is the number of independent cache shards; keys hash across
-// them so concurrent distinct requests rarely contend on one mutex. Power
-// of two, sized for tens of thousands of entries.
-const shardCount = 64
+import "sync"
 
 // entry is one cache slot. done is closed exactly once, after which val/err
 // are immutable; an entry whose done is still open is an in-flight
@@ -28,54 +20,32 @@ func (e *entry) completed() bool {
 	}
 }
 
-// Cache is a sharded in-memory result cache with singleflight semantics:
-// for each key, at most one computation is ever in flight, and every
-// concurrent requester for that key shares its outcome. Successful results
-// are cached forever (they are pure functions of the key); failures are
-// never cached, so transient errors (cancellation, shedding) retry on the
-// next request.
+// Cache is an in-memory result cache with singleflight semantics: for each
+// key, at most one computation is ever in flight, and every concurrent
+// requester for that key shares its outcome. Successful results are cached
+// forever (they are pure functions of the key); failures are never cached,
+// so transient errors (cancellation, shedding) retry on the next request.
+// One mutex guards the map and the counters.
 //
-// Capacity is bounded by maxEntries; above it, completed entries are
-// evicted arbitrarily (map order) to make room. Arbitrary replacement is
+// Capacity is exactly maxEntries; at it, a completed entry is evicted
+// arbitrarily (map order) to make room. Arbitrary replacement is
 // deliberate: recomputation is cheap relative to serving-tier latency
 // budgets and the expected workload is heavily skewed, so anything smarter
 // buys little for the bookkeeping it costs.
 type Cache struct {
-	shards    [shardCount]cacheShard
-	maxPerSh  int
-	hits      atomic.Int64
-	misses    atomic.Int64
-	joined    atomic.Int64
-	evictions atomic.Int64
+	mu    sync.Mutex
+	m     map[string]*entry
+	max   int
+	stats CacheStats // the counters; Stats fills in Entries
 }
 
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*entry
-}
-
-// NewCache returns a cache bounded to roughly maxEntries completed results
-// (0 selects the 64k default).
+// NewCache returns a cache bounded to maxEntries completed results (0
+// selects the 64k default).
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 16
 	}
-	perShard := (maxEntries + shardCount - 1) / shardCount
-	c := &Cache{maxPerSh: perShard}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*entry)
-	}
-	return c
-}
-
-// fnv64a, inlined to keep key hashing allocation-free.
-func shardFor(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h % shardCount
+	return &Cache{m: make(map[string]*entry), max: maxEntries}
 }
 
 // begin is the singleflight entry point: it returns the entry for key and
@@ -84,29 +54,28 @@ func shardFor(key string) uint64 {
 // counted as hit (completed entry), joined (in-flight entry), or miss (new
 // entry, caller owns the computation).
 func (c *Cache) begin(key string) (e *entry, owner bool) {
-	sh := &c.shards[shardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
 		if e.completed() {
-			c.hits.Add(1)
+			c.stats.Hits++
 		} else {
-			c.joined.Add(1)
+			c.stats.Joined++
 		}
 		return e, false
 	}
-	c.misses.Add(1)
-	if len(sh.m) >= c.maxPerSh {
-		for k, old := range sh.m {
+	c.stats.Misses++
+	if len(c.m) >= c.max {
+		for k, old := range c.m {
 			if old.completed() {
-				delete(sh.m, k)
-				c.evictions.Add(1)
+				delete(c.m, k)
+				c.stats.Evictions++
 				break
 			}
 		}
 	}
 	e = &entry{done: make(chan struct{})}
-	sh.m[key] = e
+	c.m[key] = e
 	return e, true
 }
 
@@ -127,21 +96,19 @@ func (c *Cache) complete(key string, e *entry, val *Exact, err error) {
 // lookup returns key's entry, completed or in flight, without counting the
 // access.
 func (c *Cache) lookup(key string) (*entry, bool) {
-	sh := &c.shards[shardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
 	return e, ok
 }
 
 // remove deletes key's entry if it is still e.
 func (c *Cache) remove(key string, e *entry) {
-	sh := &c.shards[shardFor(key)]
-	sh.mu.Lock()
-	if sh.m[key] == e {
-		delete(sh.m, key)
+	c.mu.Lock()
+	if c.m[key] == e {
+		delete(c.m, key)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // Peek returns the completed cached value for key, if any, without joining
@@ -156,14 +123,9 @@ func (c *Cache) Peek(key string) (*Exact, bool) {
 
 // Len returns the number of resident entries (completed and in-flight).
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -177,11 +139,9 @@ type CacheStats struct {
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Joined:    c.joined.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	st.Entries = len(c.m)
+	return st
 }

@@ -62,22 +62,27 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheBounded: resident entries stay within the configured capacity
-// (rounded up to a whole entry per shard) under sustained distinct keys.
+// TestCacheBounded: capacity is exactly maxEntries under sustained distinct
+// keys — filling the cache evicts nothing, and each key past it evicts one
+// completed entry.
 func TestCacheBounded(t *testing.T) {
-	c := NewCache(shardCount) // one completed entry per shard
-	for i := 0; i < 1000; i++ {
+	const capacity, keys = 64, 1000
+	c := NewCache(capacity)
+	for i := 0; i < keys; i++ {
 		key := Request{Algorithm: "A", N: i + 1, P: 4}.Key()
 		e, owner := c.begin(key)
 		if !owner {
 			t.Fatalf("key %d: unexpected join", i)
 		}
 		c.complete(key, e, &Exact{TotalBytes: int64(i)}, nil)
+		if ev := c.Stats().Evictions; i < capacity && ev != 0 {
+			t.Fatalf("key %d: %d evictions before the cache was full", i, ev)
+		}
 	}
-	if n := c.Len(); n > shardCount {
-		t.Fatalf("cache grew to %d entries, capacity %d", n, shardCount)
+	if n := c.Len(); n != capacity {
+		t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
 	}
-	if ev := c.Stats().Evictions; ev == 0 {
-		t.Fatal("no evictions recorded despite overflow")
+	if ev := c.Stats().Evictions; ev != keys-capacity {
+		t.Fatalf("%d evictions, want %d", ev, keys-capacity)
 	}
 }

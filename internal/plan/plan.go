@@ -1,6 +1,6 @@
 // Package plan is the serving layer behind cmd/confluxd: it canonicalizes
 // planner requests into deterministic cache keys, runs the exact
-// simulations — the job bodies the public Session runs — behind a sharded
+// simulations — the job bodies the public Session runs — behind a
 // result cache with singleflight coalescing, answers the volume and solve
 // jobs from one factorize-plus-solve run, prices a recorded schedule under
 // the other machines it has served, and sheds load when the simulation pool

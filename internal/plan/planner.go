@@ -149,13 +149,14 @@ func simulate(ctx context.Context, req Request, others []Machine, both bool) (An
 		return nil, err
 	}
 	w := smpi.NewWorldMachine(job.World, false, m.alphaBeta())
+	w.Trace.SetTopology(tp)
 	if len(others) > 0 {
 		w.Trace.Record()
 	}
 	if both {
 		w.Trace.EnableMarks()
 	}
-	rep, err := smpi.Exec(ctx, smpi.Config{World: w, Topology: tp}, job.Body)
+	rep, err := smpi.Exec(ctx, smpi.Config{World: w}, job.Body)
 	if err != nil {
 		return nil, err
 	}

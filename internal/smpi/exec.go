@@ -57,18 +57,14 @@ func ResolveExecutor(e Executor) (Executor, error) {
 // Config describes one simulated run for Exec. The zero value is not
 // runnable (P must be positive unless World is set); every other field has
 // a useful zero: volume mode, default α-β machine, goroutine executor, no
-// deadline. A run on another machine passes World: NewWorldMachine(…).
+// deadline. A run on another machine or topology passes its own World:
+// NewWorldMachine(…), then World.Trace.SetTopology(…).
 type Config struct {
 	// P is the world size. Ignored when World is set.
 	P int
 	// Payload selects numeric mode (true) or volume mode (false, the
 	// default). Ignored when World is set.
 	Payload bool
-	// Topology, when non-nil, replaces the flat α-β machine cost with a
-	// per-pair topology model (internal/topo) on the run's timeline. It
-	// applies to caller-supplied Worlds too — the one Config field World
-	// does not override — so fault-scenario worlds compose with it.
-	Topology trace.Topology
 	// Executor picks the scheduling strategy; zero means ExecGoroutines.
 	Executor Executor
 	// Workers, for the event executor, is the concurrent-window width:
@@ -106,9 +102,6 @@ func Exec(ctx context.Context, cfg Config, fn RankFunc) (*trace.Report, error) {
 	w := cfg.World
 	if w == nil {
 		w = NewWorld(cfg.P, cfg.Payload)
-	}
-	if cfg.Topology != nil {
-		w.Trace.SetTopology(cfg.Topology)
 	}
 	ex, err := ResolveExecutor(cfg.Executor)
 	if err != nil {

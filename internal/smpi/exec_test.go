@@ -301,7 +301,8 @@ func TestAbortFaultedTopologyReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(p, true)
-	_, err = Exec(context.Background(), Config{World: w, Topology: tp, Executor: ExecEvents, Workers: p}, func(c *Comm) error {
+	w.Trace.SetTopology(tp)
+	_, err = Exec(context.Background(), Config{World: w, Executor: ExecEvents, Workers: p}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return fmt.Errorf("injected failure")
 		}
@@ -465,7 +466,6 @@ func TestBatchAbortPaths(t *testing.T) {
 		// FailSend is consulted once per booked message, in order: the third
 		// part of the first batch fails, so nothing of it is ever enqueued.
 		w := NewWorld(2, true)
-		w.Trace.ExcludeFromTiming("housekeeping")
 		var calls atomic.Int64
 		w.FailSend = func(from, to int, bytes int64) error {
 			if n := calls.Add(1); n == 3 {
@@ -475,7 +475,7 @@ func TestBatchAbortPaths(t *testing.T) {
 		}
 		cfg.World = w
 		_, err := Exec(context.Background(), cfg, func(c *Comm) error {
-			c.SetPhase("housekeeping")
+			c.SetPhase(trace.PhaseLayout)
 			parts := []int{4, 4, 6, 4}
 			if c.Rank() == 0 {
 				c.SendBatch(1, 0, parts, fill)
@@ -496,11 +496,10 @@ func TestBatchAbortPaths(t *testing.T) {
 		// batch it already took was recycled by the receive itself, the one
 		// parked on a tag nobody awaits is the sweep's.
 		w = NewWorld(3, true)
-		w.Trace.ExcludeFromTiming("housekeeping")
 		cfg.World = w
 		ctx, cancel := context.WithCancel(context.Background())
 		_, err = Exec(ctx, cfg, func(c *Comm) error {
-			c.SetPhase("housekeeping")
+			c.SetPhase(trace.PhaseLayout)
 			switch c.Rank() {
 			case 0:
 				c.RecvBatches([]int{1, 2}, 0, [][]int{{4, 4}, {4}}, func(i int, wire []float64) {
@@ -527,11 +526,10 @@ func TestBatchAbortPaths(t *testing.T) {
 		// sweep must return their wire buffers and nothing else — the part
 		// lists are the sender's.
 		w = NewWorld(3, true)
-		w.Trace.ExcludeFromTiming("housekeeping")
 		cfg.World = w
 		one := []int{5}
 		_, err = Exec(context.Background(), cfg, func(c *Comm) error {
-			c.SetPhase("housekeeping")
+			c.SetPhase(trace.PhaseLayout)
 			switch c.Rank() {
 			case 0:
 				c.SendBatch(2, 0, one, fill)

@@ -123,8 +123,9 @@ func FuzzSwapRows(f *testing.F) {
 		tp := faultedTopology(t, presets[int(ctl&3)%3], p)
 		exchange := func(x exchanges, cfg Config) outcome {
 			w := NewWorld(p, true)
+			w.Trace.SetTopology(tp)
 			w.Trace.Record()
-			cfg.World, cfg.Topology, cfg.Timeout = w, tp, testTimeout
+			cfg.World, cfg.Timeout = w, testTimeout
 			_, err := Exec(context.Background(), cfg, func(c *Comm) error {
 				me := c.Rank()
 				c.SetPhase(fmt.Sprintf("rank%d", me))

@@ -25,7 +25,7 @@
 // and recycle wire buffers (pool.go), and phantom messages carry none, so a
 // volume-mode delivery allocates nothing once the list has grown to the
 // mailbox's working depth. Raw Send/Recv callers (collectives carrying
-// metadata, RecvInts callers that retain the slice) keep ordinary Go
+// metadata, Recv callers that retain an int payload) keep ordinary Go
 // ownership.
 package smpi
 

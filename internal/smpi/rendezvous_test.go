@@ -105,10 +105,11 @@ type outcome struct {
 // runExchanges runs one communication-dense program of pivot searches and
 // row swaps — on the world communicator, on a sub-communicator whose rank 0
 // is not world rank 0, with ragged part lists, with either side arriving
-// first — on a world that records its schedule.
-func runExchanges(t *testing.T, x exchanges, p int, payload bool, cfg Config) outcome {
+// first — on a world that records its schedule under topology tp.
+func runExchanges(t *testing.T, x exchanges, p int, payload bool, tp trace.Topology, cfg Config) outcome {
 	t.Helper()
 	w := NewWorld(p, payload)
+	w.Trace.SetTopology(tp)
 	w.Trace.Record()
 	cfg.World = w
 	cfg.Timeout = testTimeout
@@ -188,11 +189,10 @@ func TestBookedExchangesMatchReference(t *testing.T) {
 			if !payload && p%4 != 1 {
 				continue // volume mode shares the schedule; spot-check it
 			}
-			want := runExchanges(t, reference, p, payload, Config{Topology: tp})
+			want := runExchanges(t, reference, p, payload, tp, Config{})
 			for _, cfg := range []Config{{}, {Executor: ExecEvents}, {Executor: ExecEvents, Workers: 2}, {Executor: ExecEvents, Workers: p}} {
-				cfg.Topology = tp
 				name := fmt.Sprintf("p=%d payload=%v %s", p, payload, abortConfigName(cfg))
-				got := runExchanges(t, booked, p, payload, cfg)
+				got := runExchanges(t, booked, p, payload, tp, cfg)
 				if want.tl.ScheduleBytes() == 0 && p > 1 {
 					t.Fatalf("%s: the reference recorded no schedule", name)
 				}

@@ -95,10 +95,6 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 		panic("smpi: world size must be positive")
 	}
 	w := &World{P: p, Payload: payload, Trace: trace.NewTimeline(p, m)}
-	// Housekeeping traffic is metered but untimed: the paper assumes the
-	// input is already distributed (§7.4), so neither the layout scatter
-	// nor the verification gather may dominate the simulated makespan.
-	w.Trace.ExcludeFromTiming(trace.PhaseLayout, trace.PhaseCollect)
 	w.boxes = make([]*mailbox, p)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox(i)
@@ -435,16 +431,6 @@ func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, unpack func(i in
 		}
 	}
 	c.w.Trace.RecordRecvBatch(me, int64(elems)*trace.BytesPerElement, phase)
-}
-
-// SendInts sends integer metadata (metered at 8 bytes per value).
-func (c *Comm) SendInts(to, tag int, ids []int) {
-	c.Send(to, tag, Msg{I: append([]int(nil), ids...), N: len(ids)})
-}
-
-// RecvInts receives integer metadata.
-func (c *Comm) RecvInts(from, tag int) []int {
-	return c.Recv(from, tag).I
 }
 
 const (

@@ -68,13 +68,13 @@ func TestVolumeCountingP2P(t *testing.T) {
 			c.SetPhase("a")
 			c.SendMat(1, 1, mat.New(4, 5)) // 20 elements
 			c.SetPhase("b")
-			c.SendInts(2, 2, []int{1, 2, 3}) // 3 elements
+			c.Send(2, 2, Msg{I: []int{1, 2, 3}, N: 3}) // 3 elements
 		}
 		if c.Rank() == 1 {
 			c.RecvMat(0, 1, mat.New(4, 5))
 		}
 		if c.Rank() == 2 {
-			c.RecvInts(0, 2)
+			c.Recv(0, 2)
 		}
 		return nil
 	})
@@ -100,9 +100,9 @@ func TestBatchBooksOneMessagePerPart(t *testing.T) {
 			c.SetPhase("work")
 			barrier(c) // timed traffic first, so the frozen clocks are not zero
 			if c.Rank() == 2 {
-				c.SendInts(1, 3, []int{1, 2, 3}) // and rank 1's runs ahead of rank 0's
+				c.Send(1, 3, Msg{I: []int{1, 2, 3}, N: 3}) // and rank 1's runs ahead of rank 0's
 			} else if c.Rank() == 1 {
-				c.RecvInts(2, 3)
+				c.Recv(2, 3)
 			}
 			c.SetPhase(trace.PhaseCollect)
 			if me := c.Rank(); me > 0 {

@@ -33,7 +33,6 @@ func TestPriceMatchesLiveRun(t *testing.T) {
 	run := func(mc machine, record bool) *Timeline {
 		tl := NewTimeline(p, mc.m)
 		tl.SetTopology(mc.tp)
-		tl.ExcludeFromTiming("layout")
 		if record {
 			tl.Record()
 		}

@@ -91,7 +91,6 @@ func TestShardedTimelineDeterministicUnderConcurrency(t *testing.T) {
 	m := DefaultMachine()
 
 	fixture := NewTimeline(p, m)
-	fixture.ExcludeFromTiming("layout")
 	fixture.Record()
 	runStressSchedule(fixture, p, rounds, false)
 	wantReport := fixture.Report()
@@ -101,7 +100,6 @@ func TestShardedTimelineDeterministicUnderConcurrency(t *testing.T) {
 
 	for rep := 0; rep < reps; rep++ {
 		tl := NewTimeline(p, m)
-		tl.ExcludeFromTiming("layout")
 		tl.Record()
 		runStressSchedule(tl, p, rounds, true)
 		if d := tl.ScheduleDiff(fixture); d != "" {

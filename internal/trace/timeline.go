@@ -65,8 +65,8 @@ type Topology interface {
 // rank originated under the label, and the busy time it accrued in it (send
 // and recv sides alike). A rank touches a handful of phases, so the stats
 // live in a small slice scanned linearly — one lookup per record where the
-// map-based layout paid three hashes plus the untimed-set probe (timed is
-// resolved once, when the label first appears on the shard).
+// map-based layout paid three hashes plus a probe of the untimed labels (timed
+// is resolved once, when the label first appears on the shard).
 type phaseStat struct {
 	name  string
 	timed bool
@@ -119,15 +119,15 @@ type shard struct {
 }
 
 // phase returns the index of the shard's stat for name, creating it on first
-// use (the only point the untimed set is consulted). Scanned newest-first:
-// traffic clusters in the phase set most recently.
-func (s *shard) phase(name string, untimed map[string]bool) int {
+// use (the only point timed is consulted). Scanned newest-first: traffic
+// clusters in the phase set most recently.
+func (s *shard) phase(name string) int {
 	for i := len(s.phases) - 1; i >= 0; i-- {
 		if s.phases[i].name == name {
 			return i
 		}
 	}
-	s.phases = append(s.phases, phaseStat{name: name, timed: !untimed[name]})
+	s.phases = append(s.phases, phaseStat{name: name, timed: timed(name)})
 	return len(s.phases) - 1
 }
 
@@ -201,7 +201,8 @@ func (s *shard) deliver(ps *phaseStat, sendTime, occ, d float64) {
 //	send  by r:  clock[r] += α + β·bytes          (injection, busy time)
 //	recv  by r:  clock[r]  = max(clock[r], sendTime)   (wait time)
 //	             clock[r] += α + β·bytes          (reception, busy time)
-//	self-sends advance nothing (memory moves).
+//	self-sends advance nothing (memory moves), and neither does traffic
+//	under PhaseLayout or PhaseCollect (metered for volume only).
 type Timeline struct {
 	p       int
 	machine Machine
@@ -211,13 +212,6 @@ type Timeline struct {
 	// topology model (SetTopology). Written only before the run starts,
 	// read without locks on the delivery hot path.
 	topo Topology
-
-	// untimed phases are metered for volume but advance no clocks — the
-	// paper's §7.4 assumption that the input "is already distributed in
-	// the block cyclic layout" applied to simulated time: the layout
-	// scatter and verification gather cost nothing. Written only before
-	// the run starts (ExcludeFromTiming), read without locks during it.
-	untimed map[string]bool
 
 	// record keeps every rank's timed operations for Price (Record). Set
 	// before the run starts.
@@ -231,11 +225,7 @@ type Timeline struct {
 
 // NewTimeline creates the timeline for p ranks under machine m.
 func NewTimeline(p int, m Machine) *Timeline {
-	return &Timeline{
-		p: p, machine: m,
-		shards:  make([]shard, p),
-		untimed: map[string]bool{},
-	}
+	return &Timeline{p: p, machine: m, shards: make([]shard, p)}
 }
 
 // Machine returns the α-β parameters the timeline advances clocks with.
@@ -257,19 +247,6 @@ func (t *Timeline) Topology() Topology { return t.topo }
 // reading it only while rank is parked: under the baton, or at the window
 // barrier.
 func (t *Timeline) Clock(rank int) float64 { return t.shards[rank].clock }
-
-// ExcludeFromTiming marks phases whose traffic is metered for volume but
-// advances no logical clocks. The runtime excludes PhaseLayout and
-// PhaseCollect by default, mirroring the volume accounting's AlgorithmBytes
-// exclusion: the paper assumes the input is already distributed, so the
-// housekeeping scatter/gather must not dominate the simulated makespan
-// either. Must be called before the run starts: the
-// set is read without synchronization on the delivery hot path.
-func (t *Timeline) ExcludeFromTiming(phases ...string) {
-	for _, ph := range phases {
-		t.untimed[ph] = true
-	}
-}
 
 // Stamp is what a timed send hands the receive that matches it: the
 // sender's clock after injection and, on a recording timeline, the send's
@@ -295,7 +272,7 @@ func (t *Timeline) Send(from, to int, bytes int64, phase string) Stamp {
 	s := &t.shards[from]
 	s.sent += bytes
 	s.msgs++
-	i := s.phase(phase, t.untimed)
+	i := s.phase(phase)
 	ps := &s.phases[i]
 	ps.bytes += bytes
 	ps.msgs++
@@ -326,7 +303,7 @@ func (t *Timeline) RecordRecv(from, to int, bytes int64, phase string, sendTime 
 func (t *Timeline) Recv(from, to int, bytes int64, phase string, st Stamp) {
 	s := &t.shards[to]
 	s.recv += bytes
-	i := s.phase(phase, t.untimed)
+	i := s.phase(phase)
 	if ps := &s.phases[i]; ps.timed {
 		occ, d := recvCost(t.machine, t.topo, from, to, bytes)
 		s.deliver(ps, st.Time, occ, d)
@@ -344,8 +321,8 @@ const errTimedBatch = "trace: batched booking in a timed phase"
 // call stands in for len(batch) of them bit for bit. Anywhere else the k-th
 // message's cost depends on the k−1 before it and the batch would have to
 // replay them; it panics instead.
-func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
-	ps := &s.phases[s.phase(name, untimed)]
+func (s *shard) untimedPhase(name string) *phaseStat {
+	ps := &s.phases[s.phase(name)]
 	if ps.timed {
 		panic(errTimedBatch)
 	}
@@ -354,11 +331,11 @@ func (s *shard) untimedPhase(name string, untimed map[string]bool) *phaseStat {
 
 // RecordSendBatch books len(bytes) messages sent by rank from, one per entry,
 // on its shard — the volume aggregates end up exactly where len(bytes)
-// RecordSend calls would leave them. phase must be excluded from timing (see
+// RecordSend calls would leave them. phase must be a housekeeping phase (see
 // untimedPhase), so no receiver needs a stamp.
 func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) {
 	s := &t.shards[from]
-	ps := s.untimedPhase(phase, t.untimed)
+	ps := s.untimedPhase(phase)
 	var total int64
 	for _, b := range bytes {
 		total += b
@@ -372,10 +349,10 @@ func (t *Timeline) RecordSendBatch(from int, bytes []int64, phase string) {
 // RecordRecvBatch completes batched deliveries of bytes in total on rank to:
 // the received bytes, which is all that a RecordRecv per message in an
 // untimed phase leaves. The messages may come from different senders; phase
-// (their common send-side label) must be excluded from timing.
+// (their common send-side label) must be a housekeeping phase.
 func (t *Timeline) RecordRecvBatch(to int, bytes int64, phase string) {
 	s := &t.shards[to]
-	s.untimedPhase(phase, t.untimed)
+	s.untimedPhase(phase)
 	s.recv += bytes
 }
 

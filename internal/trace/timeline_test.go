@@ -93,7 +93,6 @@ func TestReportParityWithEventReplay(t *testing.T) {
 
 func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	tl := NewTimeline(2, Machine{Alpha: 1, Beta: 1})
-	tl.ExcludeFromTiming("layout")
 	st := tl.RecordSend(0, 1, 100, "layout")
 	tl.RecordRecv(0, 1, 100, "layout", st)
 	r := tl.Report()
@@ -111,6 +110,31 @@ func TestUntimedPhasesMeterButDontAdvanceClocks(t *testing.T) {
 	}
 }
 
+// The housekeeping rule is the timeline's own: on a bare timeline, traffic
+// under PhaseLayout or PhaseCollect is metered and moves no clock, and every
+// other label moves both ends' clocks — "housekeeping" and labels that merely
+// contain a housekeeping one included.
+func TestOnlyHousekeepingPhasesAreUntimed(t *testing.T) {
+	for _, tc := range []struct {
+		phase string
+		timed bool
+	}{
+		{PhaseLayout, false}, {PhaseCollect, false},
+		{"housekeeping", true}, {"work", true}, {"solve.layout", true}, {"", true},
+	} {
+		tl := NewTimeline(2, Machine{Alpha: 1, Beta: 1})
+		tl.RecordRecv(0, 1, 8, tc.phase, tl.RecordSend(0, 1, 8, tc.phase))
+		r := tl.Report()
+		if r.ByPhase[tc.phase] != 8 || r.Msgs[0] != 1 {
+			t.Fatalf("%q: not metered: %v", tc.phase, r.ByPhase)
+		}
+		moved := r.Time.Clock[0] > 0 && r.Time.Clock[1] > 0
+		if moved != tc.timed || (r.Time.Makespan > 0) != tc.timed {
+			t.Fatalf("%q: clocks %v, makespan %v; want timed=%v", tc.phase, r.Time.Clock, r.Time.Makespan, tc.timed)
+		}
+	}
+}
+
 // A batched booking is k single bookings in one call: the same report, bit
 // for bit, with timed traffic before it so the frozen clocks are not simply
 // zero and deliveries from two senders.
@@ -118,7 +142,6 @@ func TestBatchBookingEqualsSingles(t *testing.T) {
 	sizes := []int64{128, 128, 8, 64}
 	build := func(batched bool) *Timeline {
 		tl := NewTimeline(3, Machine{Alpha: 1, Beta: 0.5})
-		tl.ExcludeFromTiming("collect")
 		tl.RecordRecv(1, 0, 16, "work", tl.RecordSend(1, 0, 16, "work"))
 		tl.RecordSend(2, 1, 100, "work")
 		if !batched {
@@ -148,7 +171,6 @@ func TestBatchBookingEqualsSingles(t *testing.T) {
 // usable.
 func TestBatchBookingInTimedPhasePanics(t *testing.T) {
 	tl := NewTimeline(2, DefaultMachine())
-	tl.ExcludeFromTiming("layout")
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -193,7 +215,6 @@ func TestMachineTime(t *testing.T) {
 
 func TestTimedMsgsExcludeUntimedPhases(t *testing.T) {
 	tl := NewTimeline(2, Machine{Alpha: 1, Beta: 0})
-	tl.ExcludeFromTiming("layout")
 	tl.RecordSend(0, 1, 8, "layout")
 	st := tl.RecordSend(0, 1, 8, "work")
 	tl.RecordRecv(0, 1, 8, "work", st)

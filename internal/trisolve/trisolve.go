@@ -44,7 +44,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Phase labels of the two timed solve phases (under the default Name).
+// Phase labels of the two timed solve phases.
 const (
 	PhaseFwd  = "solve.fwd"
 	PhaseBack = "solve.back"
@@ -56,7 +56,6 @@ var ErrSingular = errors.New("singular factor")
 
 // Options configures a distributed triangular solve.
 type Options struct {
-	Name string    // phase-label prefix (default "solve")
 	N    int       // global matrix dimension
 	NRHS int       // number of right-hand sides (columns of B)
 	V    int       // tile size
@@ -73,7 +72,7 @@ func DefaultOptions(n, p, nrhs int) Options {
 	if nrhs < 1 {
 		nrhs = 1
 	}
-	return Options{Name: "solve", N: n, NRHS: nrhs, V: v, Grid: grid.Square2D(p)}
+	return Options{N: n, NRHS: nrhs, V: v, Grid: grid.Square2D(p)}
 }
 
 // Result carries the solve output: in numeric mode, world rank 0 holds the
@@ -88,9 +87,6 @@ type Result struct {
 // selects volume mode, where the schedule and the metered bytes are
 // identical but no arithmetic happens.
 func Run(c *smpi.Comm, lu, b *mat.Matrix, opt Options) (*Result, error) {
-	if opt.Name == "" {
-		opt.Name = "solve"
-	}
 	if opt.Grid.Layers != 1 {
 		panic("trisolve: requires a 2D grid")
 	}
@@ -134,8 +130,8 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	// owner's grid column, and every member of a row (column) takes part in
 	// each of its steps, so the members advance the communicator's collective
 	// sequence — which gives each collective its tag — in lockstep.
-	e.rowComm = e.c.Sub(fmt.Sprintf("%s.row.%d", e.opt.Name, e.row), e.g.RowComm(e.row, 0))
-	e.colComm = e.c.Sub(fmt.Sprintf("%s.col.%d", e.opt.Name, e.col), e.g.ColComm(e.col, 0))
+	e.rowComm = e.c.Sub(fmt.Sprintf("solve.row.%d", e.row), e.g.RowComm(e.row, 0))
+	e.colComm = e.c.Sub(fmt.Sprintf("solve.col.%d", e.col), e.g.ColComm(e.col, 0))
 	e.myRows = e.bc.LocalTileRows(e.row, 0)
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
 	nt := e.bc.Tiles()
@@ -202,11 +198,11 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 // (upper=true, descending steps).
 func (e *engine) pass(upper bool) error {
 	nt := e.bc.Tiles()
-	suffix := "fwd"
 	if upper {
-		suffix = "back"
+		e.c.SetPhase(PhaseBack)
+	} else {
+		e.c.SetPhase(PhaseFwd)
 	}
-	e.c.SetPhase(e.opt.Name + "." + suffix)
 	// acc[j] holds −Σ A(j,k)·X(k) over the steps k this rank's grid column
 	// has already seen; it is reduced row-wise when j becomes the pivot.
 	acc := map[int]*mat.Matrix{}

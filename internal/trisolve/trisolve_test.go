@@ -166,7 +166,7 @@ func TestSolveHousekeepingExcluded(t *testing.T) {
 	if rep.ByPhase[trace.PhaseLayout] <= 0 || rep.ByPhase[trace.PhaseCollect] <= 0 {
 		t.Fatalf("housekeeping not metered: %v", rep.ByPhase)
 	}
-	algo := rep.AlgorithmBytes(trace.PhaseLayout, trace.PhaseCollect)
+	algo := rep.AlgorithmBytes()
 	if algo != rep.ByPhase[PhaseFwd]+rep.ByPhase[PhaseBack] {
 		t.Fatalf("algorithm bytes %d != fwd+back %d", algo, rep.ByPhase[PhaseFwd]+rep.ByPhase[PhaseBack])
 	}

@@ -403,12 +403,9 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 			return nil, publicErr(terr)
 		}
 	}
-	rep, err := smpi.Exec(ctx, smpi.Config{
-		World:    smpi.NewWorldMachine(world, payload, s.cfg.machine),
-		Topology: tp,
-		Executor: s.cfg.executor,
-		Workers:  s.cfg.workers,
-	}, fn)
+	w := smpi.NewWorldMachine(world, payload, s.cfg.machine)
+	w.Trace.SetTopology(tp)
+	rep, err := smpi.Exec(ctx, smpi.Config{World: w, Executor: s.cfg.executor, Workers: s.cfg.workers}, fn)
 	if err != nil {
 		return nil, publicErr(err)
 	}
