@@ -148,6 +148,21 @@ func TestFig7MeasuredAndPredicted(t *testing.T) {
 	}
 }
 
+func TestSummitPrediction(t *testing.T) {
+	// Paper: a full-scale Summit run (27,648 GPUs, one rank per GPU) —
+	// COnfLUX "expected to communicate 2.1 times less than SLATE".
+	res, err := paper.RunFig7(t.Context(), []int{16384}, []int{27648}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 1 || res.Cells[0].Measured {
+		t.Fatalf("want one predicted cell, got %+v", res.Cells)
+	}
+	if red := res.Cells[0].Reduction; red < 1.7 || red > 3.3 {
+		t.Fatalf("Summit reduction %v, paper ≈2.1", red)
+	}
+}
+
 // TestMaskingVsSwappingAblation pins the §7.3 ablation to the figures it gave
 // when masking and swapping were two engines (COnfLUX and CANDMC on CANDMC's
 // 2×2×2 grid at v = 4): one engine with the row policy flipped must reproduce
