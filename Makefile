@@ -48,6 +48,8 @@ test-purego:
 # equals the live one. The sixth feeds confluxd arbitrary query strings:
 # parsing never panics, and every request it accepts canonicalizes to a
 # fixed point with a stable cache key.
+# The seventh holds confluxd's /v1/plan appender to encoding/json: equal
+# bytes for any response, or both refuse it (a non-finite float).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGemmRows -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz FuzzPriceSchedule -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzPlanParams -fuzztime 10s ./cmd/confluxd
+	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 10s ./cmd/confluxd
 
 # The full suite, including the exhaustive lower-bound searches.
 test-full:

@@ -286,9 +286,10 @@ func BenchmarkFactorizeNumeric(b *testing.B) {
 // `go test -bench` (the gated host measurements are the benchmark module's
 // workloads, benchmark/ and BENCHMARK.json). Every benchmark reports
 // allocations per op, where a per-step loop over the grid shows first.
-// The paper-scale cases (N=16,384, P=1,024 — the §8 headline run, COnfLUX
-// and CANDMC) take 6–7 s each on a 2-core host, and LibSci at P=1,024 takes
-// a few seconds; all three are skipped under -short so smoke runs stay fast.
+// The paper-scale cases (N=16,384, P=1,024 — the §8 headline run) take
+// 3.6–4.1 s (COnfLUX) and 4.6 s (CANDMC) per op on a 2-core host, and LibSci
+// at P=1,024 takes a few seconds; all three are skipped under -short so
+// smoke runs stay fast.
 
 func benchFactorizeVolume(b *testing.B, algo costmodel.Algorithm, n, p int) {
 	b.ReportAllocs()

@@ -276,7 +276,7 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 	var algos []conflux.Algorithm
 	switch a := q.Get("algo"); a {
 	case "", "all":
-		algos = append(algos, costmodel.Algorithms...)
+		algos = costmodel.Algorithms // read only
 	default:
 		registered := false
 		for _, name := range conflux.Engines() {
@@ -314,7 +314,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, *herr)
 		return
 	}
-	resp := planResponse{Objective: objective}
+	resp := planResponse{Objective: objective, Candidates: make([]candidate, 0, len(algos))}
 	var shed *httpError
 	exactCount := 0
 	for _, a := range algos {
@@ -325,14 +325,14 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, httpError{http.StatusBadRequest, 0, err.Error()})
 			return
 		}
-		if resp.Candidates == nil {
+		if len(resp.Candidates) == 0 {
 			resp.Request = req // canonical view of the shared point
 		}
 		c := candidate{Algorithm: a, Key: req.Key()}
 		if m, ok := plan.ModelFor(req); ok {
 			c.Model = &m
 		}
-		exact, outcome, err := s.pl.Evaluate(r.Context(), req, wait)
+		exact, outcome, err := s.pl.EvaluateKeyed(r.Context(), req, c.Key, wait)
 		switch {
 		case err == nil:
 			c.Exact = exact
@@ -362,7 +362,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pickBest(&resp)
-	s.writeJSON(w, resp)
+	s.writePlan(w, &resp)
 }
 
 // pickBest selects the winner under the objective, preferring exact

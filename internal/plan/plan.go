@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	conflux "repro"
 	"repro/internal/costmodel"
@@ -146,45 +145,56 @@ func (r Request) Canonicalize() (Request, error) {
 // Key returns the deterministic cache key of the canonicalized request.
 // Floats are rendered in exact hexadecimal ('x'), so two machines differing
 // in the last ulp of β still miss each other — the cache can only ever be
-// exactly right or conservatively cold, never wrong.
+// exactly right or conservatively cold, never wrong. The key is appended
+// into one stack buffer and copied out once, because every warm /v1/plan
+// answer builds one per candidate.
 func (r Request) Key() string {
-	var b strings.Builder
-	b.Grow(128)
-	b.WriteString("plan/v1")
-	kv := func(k, v string) {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(v)
-	}
-	kv("job", string(r.Job))
-	kv("algo", string(r.Algorithm))
-	kv("n", strconv.Itoa(r.N))
-	kv("p", strconv.Itoa(r.P))
-	kv("m", strconv.FormatFloat(r.Memory, 'x', -1, 64))
-	kv("nb", strconv.Itoa(r.NB))
-	kv("alpha", strconv.FormatFloat(r.Alpha, 'x', -1, 64))
-	kv("beta", strconv.FormatFloat(r.Beta, 'x', -1, 64))
-	kv("sr", strconv.Itoa(r.SolveRanks))
-	kv("rhs", strconv.Itoa(r.RHS))
-	kv("ref", strconv.Itoa(r.RefineSweeps))
+	var buf [512]byte
+	b := append(buf[:0], "plan/v1"...)
+	b = appendStr(b, "|job=", string(r.Job))
+	b = appendStr(b, "|algo=", string(r.Algorithm))
+	b = appendInt(b, "|n=", r.N)
+	b = appendInt(b, "|p=", r.P)
+	b = appendHex(b, "|m=", r.Memory)
+	b = appendInt(b, "|nb=", r.NB)
+	b = appendHex(b, "|alpha=", r.Alpha)
+	b = appendHex(b, "|beta=", r.Beta)
+	b = appendInt(b, "|sr=", r.SolveRanks)
+	b = appendInt(b, "|rhs=", r.RHS)
+	b = appendInt(b, "|ref=", r.RefineSweeps)
 	// Topology + faults: preset name and shape as integers, per-tier
 	// machines in exact hex like α/β above. The zero spec renders a fixed
 	// short tail, so pre-topology and zero-topology requests share keys
 	// only with each other — never with a configured topology.
-	kv("topo", r.Topology.Preset)
-	kv("rpn", strconv.Itoa(r.Topology.RanksPerNode))
-	kv("npg", strconv.Itoa(r.Topology.NodesPerGroup))
-	kv("radix", strconv.Itoa(r.Topology.Radix))
-	kv("tia", strconv.FormatFloat(r.Topology.Intra.Alpha, 'x', -1, 64))
-	kv("tib", strconv.FormatFloat(r.Topology.Intra.Beta, 'x', -1, 64))
-	kv("tea", strconv.FormatFloat(r.Topology.Inter.Alpha, 'x', -1, 64))
-	kv("teb", strconv.FormatFloat(r.Topology.Inter.Beta, 'x', -1, 64))
-	kv("tga", strconv.FormatFloat(r.Topology.Global.Alpha, 'x', -1, 64))
-	kv("tgb", strconv.FormatFloat(r.Topology.Global.Beta, 'x', -1, 64))
-	kv("cont", strconv.Itoa(r.Topology.Contention))
-	kv("faults", r.Faults)
-	return b.String()
+	t := &r.Topology
+	b = appendStr(b, "|topo=", t.Preset)
+	b = appendInt(b, "|rpn=", t.RanksPerNode)
+	b = appendInt(b, "|npg=", t.NodesPerGroup)
+	b = appendInt(b, "|radix=", t.Radix)
+	b = appendHex(b, "|tia=", t.Intra.Alpha)
+	b = appendHex(b, "|tib=", t.Intra.Beta)
+	b = appendHex(b, "|tea=", t.Inter.Alpha)
+	b = appendHex(b, "|teb=", t.Inter.Beta)
+	b = appendHex(b, "|tga=", t.Global.Alpha)
+	b = appendHex(b, "|tgb=", t.Global.Beta)
+	b = appendInt(b, "|cont=", t.Contention)
+	b = appendStr(b, "|faults=", r.Faults)
+	return string(b)
+}
+
+// appendStr appends the key field "|name=" and v.
+func appendStr(b []byte, field, v string) []byte {
+	return append(append(b, field...), v...)
+}
+
+// appendInt appends the key field "|name=" and v in decimal.
+func appendInt(b []byte, field string, v int) []byte {
+	return strconv.AppendInt(append(b, field...), int64(v), 10)
+}
+
+// appendHex appends the key field "|name=" and v in exact hexadecimal.
+func appendHex(b []byte, field string, v float64) []byte {
+	return strconv.AppendFloat(append(b, field...), v, 'x', -1, 64)
 }
 
 // FromConfig derives the canonical request for running job at dimension n

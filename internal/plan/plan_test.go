@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -235,6 +236,42 @@ func TestKeyTopologyLevel(t *testing.T) {
 	}
 	if key(conflux.WithFaults(a)) != key(conflux.WithFaults(b)) {
 		t.Fatal("fault-plan entry order leaked into the key")
+	}
+}
+
+// keyPinned is a request that sets every key field to a value of its own.
+func keyPinned(t testing.TB) Request {
+	tp, err := conflux.TopologyPreset("dragonfly-contended")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Request{Algorithm: conflux.COnfLUX, N: 16384, P: 1024, Memory: 1.5e6 / 3, NB: 32,
+		Alpha: 1e-6, Beta: math.Nextafter(1e-10, 1), SolveRanks: 256, RHS: 8, RefineSweeps: 2,
+		Topology: tp, Faults: "straggler:3x2.5;link:0-1x4", Job: JobSolve}
+}
+
+// TestKeyString pins the key's text: every response carries it, and every
+// cached answer is filed under it.
+func TestKeyString(t *testing.T) {
+	for _, c := range []struct {
+		r    Request
+		want string
+	}{
+		{keyPinned(t), "plan/v1|job=solve|algo=COnfLUX|n=16384|p=1024|m=0x1.e848p+18|nb=32|alpha=0x1.0c6f7a0b5ed8dp-20|beta=0x1.b7cdfd9d7bdbcp-34|sr=256|rhs=8|ref=2|topo=dragonfly|rpn=4|npg=8|radix=0|tia=0x1.421f5f40d8376p-22|tib=0x1.5fd7fe1796495p-36|tea=0x1.5cf751db94e6bp-20|teb=0x1.b7cdfd9d7bdbbp-34|tga=0x1.6a634b28f33e5p-19|tgb=0x1.12e0be826d695p-29|cont=1|faults=straggler:3x2.5;link:0-1x4"},
+		{Request{}, "plan/v1|job=|algo=|n=0|p=0|m=0x0p+00|nb=0|alpha=0x0p+00|beta=0x0p+00|sr=0|rhs=0|ref=0|topo=|rpn=0|npg=0|radix=0|tia=0x0p+00|tib=0x0p+00|tea=0x0p+00|teb=0x0p+00|tga=0x0p+00|tgb=0x0p+00|cont=0|faults="},
+	} {
+		if got := c.r.Key(); got != c.want {
+			t.Errorf("key\n%q\nwant\n%q", got, c.want)
+		}
+	}
+}
+
+// BenchmarkKey times one key of a request with every field set.
+func BenchmarkKey(b *testing.B) {
+	r := keyPinned(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = r.Key()
 	}
 }
 

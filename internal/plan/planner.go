@@ -355,7 +355,14 @@ func (p *Planner) Evaluate(ctx context.Context, req Request, wait time.Duration)
 	if err != nil {
 		return nil, "", err
 	}
-	key := req.Key()
+	return p.EvaluateKeyed(ctx, req, req.Key(), wait)
+}
+
+// EvaluateKeyed is Evaluate for a request its caller has canonicalized and
+// keyed already: req is canonical and key is req.Key(). A caller that needs
+// the key itself, as cmd/confluxd does for every candidate it answers,
+// builds it once this way.
+func (p *Planner) EvaluateKeyed(ctx context.Context, req Request, key string, wait time.Duration) (*Exact, Outcome, error) {
 	e, owner := p.cache.begin(key)
 	if owner {
 		go p.compute(key, e, req)
