@@ -300,6 +300,69 @@ func TestConformanceGoldenDigests(t *testing.T) {
 	}
 }
 
+// solutionDigest is the FNV-64a hash of a distributed solve: every entry of
+// X's float64 bits, row-major, little-endian, then SolveBytes and the bits
+// of SolveTime.
+func solutionDigest(x *Matrix, res *Result) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < x.Rows; i++ {
+		for _, v := range x.Row(i) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	binary.LittleEndian.PutUint64(b[:], uint64(res.SolveBytes))
+	h.Write(b[:])
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(res.SolveTime))
+	h.Write(b[:])
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestConformanceSolutionDigests pins SolveMany's solution bits, with one
+// refinement sweep, on 8 right-hand sides: A = mat.Random(n, n, seed), B =
+// mat.Random(n, 8, seed+1). The first case is the numeric_solve benchmark's
+// shape. Every case passes through the packed micro-kernel — the factors at
+// v = 16, the refinement's residual A·X everywhere — and the AVX2+FMA
+// assembly and the portable kernel round differently, so each case records
+// one digest per kernel (blas.KernelISA()); `make test-purego` checks the
+// portable ones. amd64 only, as the factor digests.
+func TestConformanceSolutionDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("solution digests are recorded on amd64 (no fused multiply-add in compiled Go)")
+	}
+	for _, tc := range []struct {
+		algo    Algorithm
+		n, p    int
+		seed    uint64
+		long    bool
+		digests map[string]string // by blas.KernelISA()
+	}{
+		{COnfLUX, 1024, 16, 1, true, map[string]string{"avx2+fma": "26831f86fb323b8d", "generic": "15dbc14f6d1a3487"}},
+		{LibSci, 517, 12, 3, false, map[string]string{"avx2+fma": "bb175dc8716f7bcf", "generic": "cc7cd541dcf3ac76"}},
+		{CANDMC, 517, 8, 3, false, map[string]string{"avx2+fma": "cfdfb120d3e59366", "generic": "66b16fd9e8c380aa"}},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d/p=%d/seed=%d", tc.algo, tc.n, tc.p, tc.seed), func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("N=1024 digest skipped in -short mode")
+			}
+			want, ok := tc.digests[blas.KernelISA()]
+			if !ok {
+				t.Skipf("no digest recorded on the %s micro-kernel", blas.KernelISA())
+			}
+			t.Parallel()
+			s := mustNew(t, WithRanks(tc.p), WithAlgorithm(tc.algo), WithRefineSweeps(1))
+			x, res, err := s.SolveMany(t.Context(), mat.Random(tc.n, tc.n, tc.seed), mat.Random(tc.n, 8, tc.seed+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := solutionDigest(x, res); got != want {
+				t.Fatalf("digest %s, recorded %s", got, want)
+			}
+		})
+	}
+}
+
 // volumeDigest is the FNV-64a hash of a volume replay's report: the world
 // size, every rank's sent bytes, received bytes, message count and final
 // simulated clock, every phase's bytes and message count in label order, and
