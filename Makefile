@@ -24,10 +24,11 @@ test:
 # golden-digest test: the one digest that depends on the micro-kernel's
 # rounding (COnfLUX at v = 16) must skip on the portable kernel, and every
 # other recorded shape — Cholesky's plain-Go factors included — must still
-# match bit for bit.
+# match bit for bit. The solution digests record one value per kernel, so
+# the portable one is checked here.
 test-purego:
 	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux ./internal/trisolve
-	$(GO) test -tags purego -run 'TestConformanceGoldenDigests' .
+	$(GO) test -tags purego -run 'TestConformance(Golden|Solution)Digests' .
 
 # Ten seconds of coverage-guided fuzzing of the layout/collect round trip
 # (shape × grid × layer × payload mode against the closed-form volume), on
@@ -40,21 +41,25 @@ test-purego:
 # The fourth drives GemmRows across the streamed and packed paths and every
 # blocking edge: one call equals the same call one row at a time bit for bit
 # (a ragged tile writes back like a full one), and both stay within the
-# documented bound of GemmRef. The fifth prices a few recorded engine
-# schedules under fuzzed α, β, link and straggler factors: every clock is
-# nondecreasing in each cost, and scaling α and β by 2^k scales every clock
-# by exactly 2^k — in the report and in the marked report of the
-# factorize-plus-solve schedule, which priced under the recording machine
-# equals the live one. The sixth feeds confluxd arbitrary query strings:
+# documented bound of GemmRef. The fifth holds the streamed GEMM row — the
+# AVX2 vector stream on amd64 — to GemmRef's plain Go loop bit for bit (any
+# NaN matching any NaN): n across every 8-, 4- and single-column tail, a
+# strided B, and NaN, ±Inf and signed zeros in every operand. The sixth
+# prices a few recorded engine schedules under fuzzed α, β, link and
+# straggler factors: every clock is nondecreasing in each cost, and scaling
+# α and β by 2^k scales every clock by exactly 2^k — in the report and in
+# the marked report of the factorize-plus-solve schedule, which priced under
+# the recording machine equals the live one. The seventh feeds confluxd arbitrary query strings:
 # parsing never panics, and every request it accepts canonicalizes to a
 # fixed point with a stable cache key.
-# The seventh holds confluxd's /v1/plan appender to encoding/json: equal
+# The eighth holds confluxd's /v1/plan appender to encoding/json: equal
 # bytes for any response, or both refuse it (a non-finite float).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
 	$(GO) test -run '^$$' -fuzz FuzzSwapRows -fuzztime 10s ./internal/smpi
 	$(GO) test -run '^$$' -fuzz FuzzGemmRows -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz FuzzGemmAccum -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz FuzzPriceSchedule -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzPlanParams -fuzztime 10s ./cmd/confluxd
 	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 10s ./cmd/confluxd

@@ -472,6 +472,31 @@ func TestReplayAllocBudget(t *testing.T) {
 	}
 }
 
+// TestNumericSolveAllocBudget holds a small numeric factorize+solve —
+// SolveMany on COnfLUX at N=256, P=8, 8 right-hand sides, one refinement
+// sweep — to a heap-object ceiling. Measured bare after a warm-up run: 5,102
+// objects per call, 5,485 under -race (whose sync.Pool drops a random share
+// of returned buffers); 6,433 bare while smpi and blas each kept a pool whose
+// Put boxed a slice header per returned buffer. The ceiling, 5,900, sits
+// between.
+func TestNumericSolveAllocBudget(t *testing.T) {
+	const ceiling = 5900
+	s, err := conflux.New(conflux.WithRanks(8), conflux.WithRefineSweeps(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := conflux.RandomMatrix(256, 3), conflux.RandomMatrix(256, 4).View(0, 0, 256, 8)
+	solve := func() {
+		if _, _, err := s.SolveMany(t.Context(), a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(5, solve); allocs > ceiling {
+		t.Errorf("%.0f objects per SolveMany, ceiling %d", allocs, ceiling)
+	}
+}
+
 // replayMB is the heap bytes one CommVolume(n) replay of algo on p ranks
 // allocates, in MB, measured after a warm-up replay.
 func replayMB(t *testing.T, algo conflux.Algorithm, n, p int) float64 {

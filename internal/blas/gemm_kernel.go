@@ -41,7 +41,7 @@ func gemmBlocked(alpha float64, a, b, c *mat.Matrix, rows []int) {
 	for jcb := 0; jcb < n; jcb += nc {
 		nb := min(nc, n-jcb)
 		bStrips := (nb + nr - 1) / nr
-		bp := getPack(bStrips * nr * kc)
+		bp := mat.GetFloats(bStrips * nr * kc)
 		for pcb := 0; pcb < k; pcb += kc {
 			kb := min(kc, k-pcb)
 			packB(b.Data, b.Stride, pcb, jcb, kb, nb, bp[:bStrips*nr*kb])
@@ -49,7 +49,7 @@ func gemmBlocked(alpha float64, a, b, c *mat.Matrix, rows []int) {
 				macroBlock(alpha, a, c, rows, icb, jcb, min(mc, m-icb), nb, pcb, kb, bp)
 			}
 		}
-		putPack(bp)
+		mat.PutFloats(bp)
 	}
 }
 
@@ -58,7 +58,7 @@ func gemmBlocked(alpha float64, a, b, c *mat.Matrix, rows []int) {
 // rows (the identity when nil) assigns to A's rows icb.. — in place, one
 // micro-tile row at a time, so an indexed update never copies C.
 func macroBlock(alpha float64, a, c *mat.Matrix, rows []int, icb, jcb, mb, nb, pcb, kb int, bp []float64) {
-	ap := getPack(((mb + mr - 1) / mr) * mr * kb)
+	ap := mat.GetFloats(((mb + mr - 1) / mr) * mr * kb)
 	packA(a.Data, a.Stride, icb, pcb, mb, kb, ap)
 	// offs[i] locates the block's i-th C row; checking each row's last
 	// element here is what licenses the assembly's unchecked tile stores.
@@ -84,5 +84,5 @@ func macroBlock(alpha float64, a, c *mat.Matrix, rows []int, icb, jcb, mb, nb, p
 			}
 		}
 	}
-	putPack(ap)
+	mat.PutFloats(ap)
 }

@@ -2,11 +2,17 @@
 
 package blas
 
-// Implemented in kernel_amd64.s. The kernel keeps none of its pointers, which
-// is what lets macroBlock's row-offset table live on the stack.
+import "repro/internal/mat"
+
+// Implemented in kernel_amd64.s. The kernels keep none of their pointers,
+// which is what lets macroBlock's row-offset table live on the stack.
 //
 //go:noescape
 func micro6x8ASM(kb int, alpha float64, ap, bp, c *float64, offs *int)
+
+//go:noescape
+func streamRowASM(n, k int, alpha float64, a, b *float64, ldb int, c *float64)
+
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
@@ -44,6 +50,21 @@ func microKernel(kb int, alpha float64, ap, bp []float64, c []float64, offs []in
 		return
 	}
 	microGeneric(kb, alpha, ap, bp, c, offs, nr)
+}
+
+// streamRow computes crow += alpha·arow·B with the vector stream: each
+// 8-column chunk of the C row is held in registers across the whole k loop,
+// and its products and sums round one by one, in the Go loop's order, so the
+// bits are streamRowGo's (DESIGN.md §15). The assembly reads B rows unchecked:
+// checking the last row it reads licenses all of them.
+func streamRow(alpha float64, arow []float64, b *mat.Matrix, crow []float64) {
+	n, k := len(crow), len(arow)
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		streamRowGo(alpha, arow, b, crow)
+		return
+	}
+	_ = b.Row(k - 1)[:n]
+	streamRowASM(n, k, alpha, &arow[0], &b.Data[0], b.Stride, &crow[0])
 }
 
 // microEdge computes a ragged tile — the first nrb columns of len(offs) ≤ mr

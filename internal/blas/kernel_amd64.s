@@ -121,3 +121,98 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func streamRowASM(n, k int, alpha float64, a, b *float64, ldb int, c *float64)
+//
+// c[j] += (alpha·a[p])·b[p·ldb+j] for p = 0..k-1 in order, j = 0..n-1: the
+// streamed GEMM row of level3.go, with every product and every sum rounded
+// on its own (VMULSD, VMULPD, VADDPD; never a fused multiply-add), so each C
+// element sees exactly the operations, in exactly the order, of the Go loop.
+// The row is walked in 8-column chunks, then at most one 4-column chunk, then
+// single columns; each chunk of C stays in registers for the whole k loop and
+// is stored once. n, k >= 1.
+TEXT ·streamRowASM(SB), NOSPLIT, $0-56
+	MOVQ   n+0(FP), CX
+	MOVSD  alpha+16(FP), X15
+	MOVQ   a+24(FP), SI
+	MOVQ   b+32(FP), DI
+	MOVQ   ldb+40(FP), R11
+	SHLQ   $3, R11          // B row stride in bytes
+	MOVQ   c+48(FP), DX
+
+chunk8:
+	CMPQ CX, $8
+	JLT  chunk4
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	MOVQ    SI, R8          // a[0]
+	MOVQ    DI, R9          // b[0][chunk]
+	MOVQ    k+8(FP), BX
+
+loop8:
+	VMULSD       (R8), X15, X2 // alpha·a[p]
+	VBROADCASTSD X2, Y2
+	VMULPD       (R9), Y2, Y3
+	VADDPD       Y3, Y0, Y0
+	VMULPD       32(R9), Y2, Y4
+	VADDPD       Y4, Y1, Y1
+	ADDQ         $8, R8
+	ADDQ         R11, R9
+	DECQ         BX
+	JNZ          loop8
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JMP     chunk8
+
+chunk4:
+	CMPQ CX, $4
+	JLT  tail
+	VMOVUPD (DX), Y0
+	MOVQ    SI, R8
+	MOVQ    DI, R9
+	MOVQ    k+8(FP), BX
+
+loop4:
+	VMULSD       (R8), X15, X2
+	VBROADCASTSD X2, Y2
+	VMULPD       (R9), Y2, Y3
+	VADDPD       Y3, Y0, Y0
+	ADDQ         $8, R8
+	ADDQ         R11, R9
+	DECQ         BX
+	JNZ          loop4
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+tail:
+	TESTQ CX, CX
+	JZ    done
+
+col:
+	VMOVSD (DX), X0
+	MOVQ   SI, R8
+	MOVQ   DI, R9
+	MOVQ   k+8(FP), BX
+
+loop1:
+	VMULSD (R8), X15, X2
+	VMULSD (R9), X2, X3
+	VADDSD X3, X0, X0
+	ADDQ   $8, R8
+	ADDQ   R11, R9
+	DECQ   BX
+	JNZ    loop1
+	VMOVSD X0, (DX)
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    col
+
+done:
+	VZEROUPPER
+	RET

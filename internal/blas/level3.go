@@ -37,10 +37,11 @@ func Gemm(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 }
 
 // GemmRef is the straight-loop reference implementation of Gemm (the seed
-// i-k-j kernel's arithmetic, streamed by gemmAccum, with the beta/alpha
-// conventions above). It is the oracle for the blocked-kernel property suite
-// and the baseline the kernels benchmark measures speedup against; it never
-// dispatches to the blocked path.
+// i-k-j kernel's arithmetic, with the beta/alpha conventions above). It is
+// the oracle for the blocked-kernel property suite and for the vector stream,
+// and the baseline the kernels benchmark measures speedup against: it runs
+// the Go loop streamRowGo on every build, never the assembly or the blocked
+// path.
 func GemmRef(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic(fmt.Sprintf("blas: GemmRef shapes %dx%d * %dx%d -> %dx%d",
@@ -53,7 +54,9 @@ func GemmRef(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
 	if alpha == 0 {
 		return
 	}
-	gemmAccum(alpha, a, b, c)
+	for i := 0; i < a.Rows; i++ {
+		streamRowGo(alpha, a.Row(i), b, c.Row(i))
+	}
 }
 
 // scaleRows applies C = beta*C with beta == 0 meaning overwrite-with-zero
@@ -87,11 +90,13 @@ func gemmAccum(alpha float64, a, b *mat.Matrix, c *mat.Matrix) {
 	}
 }
 
-// streamRow computes crow += alpha·arow·B. Each element accumulates its
+// streamRowGo computes crow += alpha·arow·B. Each element accumulates its
 // partial products in increasing-k order, one rounding per product and per
 // sum — the i-k-j loop's order — while k is consumed four at a time, so the
 // C row is passed over once per four rank-1 terms instead of once per term.
-func streamRow(alpha float64, arow []float64, b *mat.Matrix, crow []float64) {
+// It is streamRow on builds without the vector stream, and GemmRef's loop on
+// all of them.
+func streamRowGo(alpha float64, arow []float64, b *mat.Matrix, crow []float64) {
 	n, k := len(crow), len(arow) // [:n] everywhere: one length for the compiler to prove
 	p := 0
 	for ; p+4 <= k; p += 4 {
@@ -171,18 +176,16 @@ func TrsmLowerLeft(l *mat.Matrix, b *mat.Matrix, unitDiag bool) {
 	trsmLowerLeftUnb(l, b, unitDiag)
 }
 
+// trsmLowerLeftUnb streams row i's update bi −= Σ_{k<i} l(i,k)·b(k), k
+// ascending, as one streamRow pass with alpha = −1: −1·l(i,k) is exact, and
+// adding a negated product rounds as subtracting it does, so every element
+// takes the bits of the loop bi[j] −= l(i,k)·b(k,j).
 func trsmLowerLeftUnb(l *mat.Matrix, b *mat.Matrix, unitDiag bool) {
 	n := l.Rows
 	for i := 0; i < n; i++ {
 		bi := b.Row(i)
 		li := l.Row(i)
-		for k := 0; k < i; k++ {
-			lik := li[k]
-			bk := b.Row(k)
-			for j := range bi {
-				bi[j] -= lik * bk[j]
-			}
-		}
+		streamRow(-1, li[:i], b, bi)
 		if !unitDiag {
 			inv := 1 / li[i]
 			for j := range bi {
@@ -211,18 +214,14 @@ func TrsmUpperLeft(u *mat.Matrix, b *mat.Matrix) {
 	trsmUpperLeftUnb(u, b)
 }
 
+// trsmUpperLeftUnb streams row i's update as trsmLowerLeftUnb does, over
+// the rows below it.
 func trsmUpperLeftUnb(u *mat.Matrix, b *mat.Matrix) {
 	n := u.Rows
 	for i := n - 1; i >= 0; i-- {
 		bi := b.Row(i)
 		ui := u.Row(i)
-		for k := i + 1; k < n; k++ {
-			uik := ui[k]
-			bk := b.Row(k)
-			for j := range bi {
-				bi[j] -= uik * bk[j]
-			}
-		}
+		streamRow(-1, ui[i+1:], b.View(i+1, 0, n-i-1, b.Cols), bi)
 		inv := 1 / ui[i]
 		for j := range bi {
 			bi[j] *= inv

@@ -1,10 +1,5 @@
 package blas
 
-import (
-	"math/bits"
-	"sync"
-)
-
 // Cache-blocking parameters of the level-3 kernels (DESIGN.md §15). The
 // micro-kernel computes an mr×nr register tile of C; the macro loops carve
 // A into mc×kc blocks (packed, L2-resident) and B into kc×nc blocks whose
@@ -19,57 +14,6 @@ const (
 	kc = 256  // depth of one packed block
 	nc = 2048 // cols of B packed per outer block (multiple of nr)
 )
-
-// Size-classed pools for packed-panel buffers, the same idiom as
-// internal/smpi's wire-buffer pools: classes are powers of two, a leased
-// slice has len == requested and cap == the class size, and Put files
-// off-class capacities under the class they can still serve. Packing
-// buffers are short-lived (one GEMM macro-block each) and their peak sizes
-// repeat across calls, which is exactly the sync.Pool sweet spot.
-const maxPackClass = 24 // 1<<24 floats = 128 MiB; larger buffers go to the GC
-
-var packPools [maxPackClass + 1]sync.Pool
-
-func packClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1)) // smallest c with 1<<c >= n
-}
-
-// getPack leases a length-n buffer. Contents are undefined: every element
-// the kernels read is written by the pack that follows (edge strips are
-// explicitly zero-padded).
-func getPack(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	c := packClass(n)
-	if c > maxPackClass {
-		return make([]float64, n)
-	}
-	if got := packPools[c].Get(); got != nil {
-		return (*got.(*[]float64))[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// putPack returns a packing buffer to its pool. The caller must not retain
-// the slice afterwards.
-func putPack(s []float64) {
-	if s == nil {
-		return
-	}
-	c := packClass(cap(s))
-	if 1<<c != cap(s) {
-		c--
-	}
-	if c < 0 || c > maxPackClass {
-		return
-	}
-	full := s[0:cap(s)]
-	packPools[c].Put(&full)
-}
 
 // packA copies the mb×kb block of a starting at (i0, p0) into dst as
 // mr-row strips: strip si holds rows [i0+si·mr, i0+si·mr+mr) in

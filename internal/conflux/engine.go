@@ -95,6 +95,8 @@ func (e *engine) run(a *mat.Matrix) (*Result, error) {
 			return nil, err
 		}
 	}
+	mat.PutFloats(e.slab) // the last step's panels have had their last reader
+	e.slab = nil
 	return e.collect(), nil
 }
 
@@ -251,11 +253,12 @@ func permuteRowsInPlace(m *mat.Matrix, perm []int) {
 // (phantom in volume mode) from the engine's slabs — one of matrix headers,
 // one of floats — which step rewinds on entry: a panel's last reader — the
 // step's solve or update, or the send that copies it onto the wire — is always
-// inside the step that made it, so a factorization allocates (and the runtime
-// zeroes and collects) its panels once instead of once per step, and a volume
-// replay, whose panels are headers only, allocates none. Contents are
-// undefined: every caller overwrites the whole panel, by a receive or a copy
-// per row, before anything reads it.
+// inside the step that made it, so a factorization leases its panels once
+// instead of allocating them once per step — the slab comes from mat's pool
+// and goes back when the last step ends — and a volume replay, whose panels
+// are headers only, allocates none. Contents are undefined: every caller
+// overwrites the whole panel, by a receive or a copy per row, before anything
+// reads it.
 func (e *engine) buffer(rows, cols int) *mat.Matrix {
 	if e.nhdr == len(e.hdrs) {
 		// Outgrown, like the slab: the step's earlier headers keep the old one.
@@ -270,7 +273,8 @@ func (e *engine) buffer(rows, cols int) *mat.Matrix {
 	n := rows * cols
 	if e.slab == nil || e.used+n > len(e.slab) {
 		// Outgrown: the step's earlier panels keep the old slab alive.
-		e.slab, e.used = make([]float64, max(2*len(e.slab), n)), 0
+		e.slab, e.used = mat.GetFloats(max(2*len(e.slab), n)), 0
+		e.slab = e.slab[:cap(e.slab)]
 	}
 	e.used += n
 	m.Data = e.slab[e.used-n : e.used : e.used]

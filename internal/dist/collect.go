@@ -62,15 +62,26 @@ func copyTiles(bc grid.BlockCyclic, row, col int, full *mat.Matrix, panel []floa
 	}
 }
 
+// packPanel leases grid position (row, col)'s panel and fills it from the
+// full matrix.
+func packPanel(bc grid.BlockCyclic, row, col int, full *mat.Matrix) []float64 {
+	panel := mat.GetFloats(localExtent(bc, row, bc.G.Pr) * localExtent(bc, col, bc.G.Pc))
+	copyTiles(bc, row, col, full, panel, true)
+	return panel
+}
+
 // Scatter distributes root's full matrix a into the block-cyclic stores of
 // the participating ranks: tile (ti, tj) goes to the rank at grid position
 // (OwnerRow(ti), OwnerCol(tj)) on the STORE's layer. It is a collective over
 // the root plus every rank of that layer; c must be the world communicator
 // (communicator ranks = grid ranks). a is consulted at root only and may be
 // nil or phantom — the sends then carry counts without payload, which is
-// exactly volume mode. Each owner's tiles travel as one batch, metered as one
-// message per tile, labeled trace.PhaseLayout so the harness can exclude them
-// from algorithm-attributed volume.
+// exactly volume mode, and the stores stay lazy. Each owner's tiles travel as
+// one batch, metered as one message per tile, labeled trace.PhaseLayout so
+// the harness can exclude them from algorithm-attributed volume. The batch's
+// wire buffer is laid out as the owner's panel, and the owner adopts it as
+// one; the root leases its own panel — both are wholly written by copyTiles,
+// so no store zeroes a panel it is about to overwrite.
 func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 	checkGrid(g, s)
 	prev := c.Phase()
@@ -78,8 +89,7 @@ func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 	c.SetPhase(trace.PhaseLayout)
 	if c.Rank() != root {
 		if lens := tileLens(s.bc, s.row, s.col); len(lens) > 0 {
-			s.touch()
-			c.RecvBatches([]int{root}, Tag, [][]int{lens}, func(_ int, wire []float64) { copy(s.panel.Data, wire) })
+			c.RecvBatches([]int{root}, Tag, [][]int{lens}, func(_ int, wire []float64) { s.adopt(wire) })
 		}
 		return
 	}
@@ -93,15 +103,15 @@ func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 			switch {
 			case len(lens) == 0:
 			case owner == root: // local placement, not network traffic
-				if s.touch(); numeric && s.payload {
-					copyTiles(s.bc, row, col, a, s.panel.Data, true)
+				if numeric && s.payload {
+					s.adopt(packPanel(s.bc, row, col, a))
 				}
 			default:
-				var pack func(wire []float64)
+				var wire []float64
 				if numeric {
-					pack = func(wire []float64) { copyTiles(s.bc, row, col, a, wire, true) }
+					wire = packPanel(s.bc, row, col, a)
 				}
-				c.SendBatch(owner, Tag, lens, pack)
+				c.SendBatch(owner, Tag, lens, wire)
 			}
 		}
 	}
@@ -113,7 +123,9 @@ func Scatter(c *smpi.Comm, root int, a *mat.Matrix, g grid.Grid, s *Store) {
 // owner, one metered message per tile. dst is consulted at root only; nil
 // (the non-root convention) or phantom dst still drains and meters every
 // message, so numeric and volume runs keep identical schedules. Traffic is
-// labeled trace.PhaseCollect.
+// labeled trace.PhaseCollect. Gather ends every participating store's life:
+// a sender hands its panel over as the batch's wire buffer, and the root
+// returns its own panel and every received one to the pool once copied out.
 func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 	checkGrid(g, s)
 	prev := c.Phase()
@@ -121,11 +133,8 @@ func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 	c.SetPhase(trace.PhaseCollect)
 	if c.Rank() != root {
 		if lens := tileLens(s.bc, s.row, s.col); len(lens) > 0 {
-			var pack func(wire []float64)
-			if s.touch(); s.payload {
-				pack = func(wire []float64) { copy(wire, s.panel.Data) }
-			}
-			c.SendBatch(root, Tag, lens, pack)
+			s.touch() // a store never written still sends its zeros
+			c.SendBatch(root, Tag, lens, s.take())
 		}
 		return
 	}
@@ -154,5 +163,7 @@ func Gather(c *smpi.Comm, root int, dst *mat.Matrix, g grid.Grid, s *Store) {
 			row, col, _ := g.Coords(froms[i])
 			copyTiles(s.bc, row, col, dst, wire, false)
 		}
+		mat.PutFloats(wire)
 	})
+	s.Release()
 }

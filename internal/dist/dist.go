@@ -32,18 +32,24 @@ import (
 // (Trailing). That is what lets the 2.5D engines apply a step's Schur update
 // as one kernel call and copy a panel row as one contiguous segment.
 //
-// The panel materializes lazily, zeroed, on the first tile or view
-// access of a numeric store — laziness is per store, so a store that is never
-// touched holds no payload memory — and a volume-mode store never
-// materializes: every view it hands out is phantom with the right shape. A
-// Store belongs to one rank (one goroutine) and is not safe for concurrent
-// use.
+// A numeric store's panel comes from one of two places. Scatter gives it one:
+// an owner adopts the wire buffer of its batch, and the root leases its own,
+// so each layout byte is written once. Any other store — an accumulator on a
+// layer above 0 — materializes its panel lazily, zeroed, on the first tile or
+// view access; laziness is per store, so a store that is never touched holds
+// no payload memory. A volume-mode store never materializes: every view it
+// hands out is phantom with the right shape. The panel leaves the store once,
+// for good: Gather hands a sender's panel over as the wire buffer and returns
+// the root's to the pool, and Release returns any store's to the pool. Any
+// later Tile, Trailing or LocalRow(s) call panics. A Store belongs to one rank
+// (one goroutine) and is not safe for concurrent use.
 type Store struct {
 	bc              grid.BlockCyclic
 	row, col, layer int
 	payload         bool
+	spent           bool // the panel has left the store (Gather, Release)
 
-	panel mat.Matrix // local rows × local cols; Data nil until first touch (always nil in volume mode)
+	panel mat.Matrix // local rows × local cols; Data nil until adopted or touched (always nil in volume mode)
 }
 
 // localCount returns how many indices in [0, tiles) map to grid position
@@ -91,10 +97,39 @@ func (s *Store) Owns(ti, tj int) bool {
 
 // touch materializes the panel of a numeric store on first access.
 func (s *Store) touch() {
+	s.live()
 	if s.payload && s.panel.Data == nil {
 		s.panel.Data = make([]float64, s.panel.Rows*s.panel.Cols)
 	}
 }
+
+// live panics once the panel has left the store: a lazy re-materialization
+// would hand the caller zeros where its data was.
+func (s *Store) live() {
+	if s.spent {
+		panic("dist: store used after its panel was handed over or released")
+	}
+}
+
+// adopt makes panel, which holds every element of the local matrix, the
+// store's panel.
+func (s *Store) adopt(panel []float64) {
+	s.live()
+	mat.PutFloats(s.panel.Data)
+	s.panel.Data = panel
+}
+
+// take ends the store's life and returns its panel (nil if it never had one).
+func (s *Store) take() []float64 {
+	s.live()
+	panel := s.panel.Data
+	s.panel.Data, s.spent = nil, true
+	return panel
+}
+
+// Release returns the panel to the pool (mat.PutFloats). The store must not
+// be used again: every later access panics.
+func (s *Store) Release() { mat.PutFloats(s.take()) }
 
 // Tile returns the local tile (ti, tj): a view of the panel (phantom in
 // volume mode), so writes through it are writes to the store. It panics if
@@ -126,6 +161,7 @@ func (s *Store) locate(ti, tj int) mat.Matrix {
 // LocalRow maps global row r to its row of the panel (and of every Trailing
 // view). It panics if r lies in a tile row of another grid row.
 func (s *Store) LocalRow(r int) int {
+	s.live()
 	ti := r / s.bc.V
 	if r < 0 || r >= s.bc.N || s.bc.OwnerRow(ti) != s.row {
 		panic(fmt.Sprintf("dist: row %d is not local to grid row %d", r, s.row))
@@ -215,5 +251,6 @@ func (s *Store) unstackRows(view *mat.Matrix, rows []int, stack *mat.Matrix) {
 }
 
 // Allocated returns the number of payload elements the store holds: 0 until
-// the first tile access, the whole local panel after (test hook).
+// Scatter or the first tile access gives it a panel, the whole local panel
+// after, 0 again once the panel has left (test hook).
 func (s *Store) Allocated() int { return len(s.panel.Data) }

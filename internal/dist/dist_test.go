@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -678,5 +679,62 @@ func TestNonZeroLayerIsZeroAccumulator(t *testing.T) {
 	s.Tile(0, 0).Add(2, 2, 7)
 	if got := s.Tile(0, 0).At(2, 2); got != 7 {
 		t.Fatalf("accumulator reads %v after Add, want 7", got)
+	}
+}
+
+// A panel leaves its store once, for good: after Gather — which hands a
+// sender's panel over as the wire buffer and returns the root's to the pool —
+// and after Release, every Tile, Trailing and LocalRows call panics instead of
+// lazily building a fresh zeroed panel that would read zeros where the data
+// was. Both payload modes, so a schedule bug shows in a volume replay too.
+func TestSpentStorePanics(t *testing.T) {
+	g := grid.Grid{Pr: 1, Pc: 2, Layers: 1, Total: 2}
+	bc := grid.BlockCyclic{G: g, V: 4, N: 8}
+	requireSpent := func(t *testing.T, s *dist.Store, col int, what string) {
+		t.Helper()
+		for name, use := range map[string]func(){
+			"Tile":      func() { s.Tile(0, col) }, // a tile the store owns
+			"Trailing":  func() { s.Trailing(0) },
+			"LocalRows": func() { s.LocalRows([]int{0}) },
+		} {
+			func() {
+				defer func() {
+					if msg, ok := recover().(string); !ok || !strings.Contains(msg, "used after its panel") {
+						t.Errorf("%s: %s on a spent store: panic %v, want the lifecycle panic", what, name, msg)
+					}
+				}()
+				use()
+			}()
+		}
+	}
+	for _, payload := range []bool{true, false} {
+		t.Run(modeName(payload), func(t *testing.T) {
+			s := dist.NewStore(bc, 0, 0, 0, payload)
+			s.Tile(0, 0).Set(1, 1, 3)
+			s.Release()
+			requireSpent(t, s, 0, "Release")
+
+			stores := make([]*dist.Store, g.Total)
+			_, err := smpi.Exec(context.Background(), smpi.Config{P: g.Total, Payload: payload}, func(c *smpi.Comm) error {
+				s := dist.NewStore(bc, 0, c.Rank(), 0, payload)
+				stores[c.Rank()] = s
+				var a *mat.Matrix
+				if c.Rank() == 0 && payload {
+					a = mat.Random(bc.N, bc.N, 5)
+				}
+				dist.Scatter(c, 0, a, g, s)
+				dist.Gather(c, 0, a, g, s)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, s := range stores {
+				if s.Allocated() != 0 {
+					t.Errorf("rank %d: the store still holds %d elements after Gather", r, s.Allocated())
+				}
+				requireSpent(t, s, r, fmt.Sprintf("Gather, rank %d", r))
+			}
+		})
 	}
 }

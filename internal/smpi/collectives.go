@@ -82,7 +82,7 @@ func (c *Comm) ReduceMatSum(root int, m *mat.Matrix) {
 			}
 			if msg.F != nil {
 				m.AddFrom(&mat.Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Cols, Data: msg.F})
-				putFloats(msg.F)
+				mat.PutFloats(msg.F)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mat"
 	"repro/internal/trace"
 )
 
@@ -253,7 +254,7 @@ func (w *World) reclaim() {
 		mb.mu.Lock()
 		for i := range mb.pend {
 			if m := &mb.pend[i].msg; m.pooled {
-				putFloats(m.F)
+				mat.PutFloats(m.F)
 				w.reclaimed.bufs++
 			}
 		}

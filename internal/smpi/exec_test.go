@@ -440,10 +440,12 @@ func settledGoroutines(baseline int) int {
 // sender-owned part list is left alone, mailboxes end empty and the
 // goroutines are gone.
 func TestBatchAbortPaths(t *testing.T) {
-	fill := func(wire []float64) {
+	fill := func(n int) []float64 {
+		wire := mat.GetFloats(n)
 		for i := range wire {
 			wire[i] = float64(i)
 		}
+		return wire
 	}
 	for _, cfg := range abortConfigs() {
 		name := abortConfigName(cfg)
@@ -478,7 +480,7 @@ func TestBatchAbortPaths(t *testing.T) {
 			c.SetPhase(trace.PhaseLayout)
 			parts := []int{4, 4, 6, 4}
 			if c.Rank() == 0 {
-				c.SendBatch(1, 0, parts, fill)
+				c.SendBatch(1, 0, parts, fill(18))
 				return nil
 			}
 			c.RecvBatches([]int{0}, 0, [][]int{parts}, func(int, []float64) {})
@@ -506,8 +508,8 @@ func TestBatchAbortPaths(t *testing.T) {
 					c.Send(2, 5, Msg{}) // past rank 1's batch, about to block on rank 2's
 				})
 			case 1:
-				c.SendBatch(0, 0, []int{4, 4}, fill)
-				c.SendBatch(0, 9, []int{4, 4}, fill) // stranded: tag 9 is never awaited
+				c.SendBatch(0, 0, []int{4, 4}, fill(8))
+				c.SendBatch(0, 9, []int{4, 4}, fill(8)) // stranded: tag 9 is never awaited
 				c.Recv(2, 7)
 			case 2:
 				c.Recv(0, 5)
@@ -532,8 +534,8 @@ func TestBatchAbortPaths(t *testing.T) {
 			c.SetPhase(trace.PhaseLayout)
 			switch c.Rank() {
 			case 0:
-				c.SendBatch(2, 0, one, fill)
-				c.SendBatch(2, 0, []int{4, 4}, fill)
+				c.SendBatch(2, 0, one, fill(5))
+				c.SendBatch(2, 0, []int{4, 4}, fill(8))
 				c.SendBatch(2, 0, []int{3}, nil) // count-only: no buffer to strand
 				return nil
 			case 1:
@@ -554,14 +556,14 @@ func TestBatchAbortPaths(t *testing.T) {
 }
 
 // A batch books k messages under one stamp, which is only exact where no
-// clock moves: in a timed phase SendBatch refuses before leasing or
-// enqueueing anything.
+// clock moves: in a timed phase SendBatch refuses before booking or
+// enqueueing anything, and the refused wire buffer is left to the GC.
 func TestSendBatchInTimedPhasePanics(t *testing.T) {
 	w := NewWorld(2, true)
 	_, err := Exec(context.Background(), Config{World: w}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.SetPhase("panel") // timed: only layout and collect are excluded
-			c.SendBatch(1, 0, []int{4, 4}, func([]float64) { t.Error("payload packed for a refused batch") })
+			c.SendBatch(1, 0, []int{4, 4}, make([]float64, 8))
 		}
 		return nil
 	})

@@ -20,9 +20,10 @@
 // broadcast made one wake-up in ten spurious.
 //
 // Payload ownership: a slice handed to Send belongs to the runtime until the
-// matching Recv returns it to the receiving rank; only SendMat/RecvMat and
-// SendBatch/RecvBatches — which pack on send and copy out on receive — lease
-// and recycle wire buffers (pool.go), and phantom messages carry none, so a
+// matching Recv returns it to the receiving rank; only SendMat/RecvMat —
+// which pack on send and copy out on receive — lease and recycle wire
+// buffers (mat.GetFloats), SendBatch/RecvBatches hand a pool-able buffer from
+// sender to receiver, and phantom messages carry none, so a
 // volume-mode delivery allocates nothing once the list has grown to the
 // mailbox's working depth. Raw Send/Recv callers (collectives carrying
 // metadata, Recv callers that retain an int payload) keep ordinary Go

@@ -18,10 +18,11 @@
 // primitive, moves many messages between one pair of ranks as one mailbox
 // entry and one wire buffer, but still books one message per part on the
 // timeline — legal only in phases excluded from timing, where that is exact.
-// Ownership of a batch: the wire buffer is a pool lease the runtime holds from
-// SendBatch until RecvBatches (or the abort sweep) recycles it, seen by the
-// caller only inside the pack/unpack callbacks; the part list stays the
-// sender's, read-only for everyone once sent. The booked exchange (SwapRows,
+// Ownership of a batch: the sender hands its wire buffer over to SendBatch,
+// the runtime holds it until RecvBatches hands it to the receiver's unpack
+// (or the abort sweep returns it to the pool), so a buffer can travel from a
+// sender's store to a receiver's store without a copy at either end; the part
+// list stays the sender's, read-only for everyone once sent. The booked exchange (SwapRows,
 // AllreduceMaxLoc; rendezvous.go) moves a whole ping-pong or butterfly as one
 // hand-off per participant: one rank books every message, each rank's records
 // in that rank's own program order, so it is exact in timed phases too.
@@ -113,14 +114,14 @@ func NewWorldMachine(p int, payload bool, m trace.Machine) *World {
 // metered element count (8 bytes each). The unexported fields carry the
 // sender's timeline stamp (send-completion clock, the send's index in a
 // recording timeline's schedule, and the phase label); Send overwrites them,
-// so callers never need to set them. pooled marks an F
-// leased from the runtime's pools (SendMat and SendBatch wire buffers): an
-// aborted run returns those — and only those — to their pools when it sweeps
-// undelivered messages, so caller-owned payloads handed to raw Send are
-// never aliased into the pool behind the caller.
+// so callers never need to set them. pooled marks an F the runtime owns
+// (SendMat's lease, a SendBatch hand-off): an aborted run returns those — and
+// only those — to the pool when it sweeps undelivered messages, so
+// caller-owned payloads handed to raw Send are never aliased into the pool
+// behind the caller.
 //
 // batch marks the one Msg a SendBatch enqueues for its whole part list: F is
-// the packed payload of every part (a pool lease, so pooled is set with it;
+// the packed payload of every part (handed over, so pooled is set with it;
 // nil in volume mode), I the per-part element counts and N their sum. The
 // part list stays the sender's — the runtime and the receiver only read it.
 type Msg struct {
@@ -344,7 +345,7 @@ func (c *Comm) SendMat(to, tag int, m *mat.Matrix) {
 		c.Send(to, tag, Msg{N: m.Len()})
 		return
 	}
-	c.Send(to, tag, Msg{F: m.PackInto(getFloats(m.Len())), N: m.Len(), pooled: true})
+	c.Send(to, tag, Msg{F: m.PackInto(mat.GetFloats(m.Len())), N: m.Len(), pooled: true})
 }
 
 // RecvMat receives into dst (shape must match the metered count) and
@@ -356,21 +357,23 @@ func (c *Comm) RecvMat(from, tag int, dst *mat.Matrix) {
 		panic(fmt.Sprintf("smpi: RecvMat expected %d elements, got %d", dst.Len(), msg.N))
 	}
 	dst.Unpack(msg.F)
-	putFloats(msg.F)
+	mat.PutFloats(msg.F)
 }
 
 // SendBatch sends len(parts) messages to communicator rank `to` as ONE
 // transport operation: parts[i] is the element count of the i-th message,
-// and pack — nil for a count-only (volume mode) batch — fills the single
-// wire buffer, sum(parts) long, that carries all their payloads in whatever
+// and wire — nil for a count-only (volume mode) batch — is the single
+// buffer, sum(parts) long, that carries all their payloads in whatever
 // layout sender and receiver agree on. The timeline still books one message
 // per part (World.FailSend is consulted once per part, in order, before
 // anything is booked), which is only exact where no clock moves: the current
 // phase must be excluded from timing, or the booking panics. Ownership: the
-// wire buffer is the runtime's from lease until the matching RecvBatches
-// recycles it (or the abort sweep does); parts stays the caller's and must
-// not be modified after the call.
-func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
+// caller hands wire over — a mat.GetFloats lease, or a buffer it is done
+// with (a store's panel) — and must not touch it again; the runtime holds it
+// until RecvBatches hands it on to the receiver, or the abort sweep returns
+// it to the pool. A batch refused before it is enqueued leaves wire to the
+// GC. parts stays the caller's and must not be modified after the call.
+func (c *Comm) SendBatch(to, tag int, parts []int, wire []float64) {
 	if to < 0 || to >= len(c.members) {
 		panic(fmt.Sprintf("smpi: SendBatch to rank %d of %d", to, len(c.members)))
 	}
@@ -378,7 +381,7 @@ func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
 	if dst == src {
 		panic("smpi: SendBatch to self")
 	}
-	msg := Msg{I: parts, batch: true, sendPhase: *c.phase}
+	msg := Msg{F: wire, I: parts, pooled: wire != nil, batch: true, sendPhase: *c.phase}
 	bytes := make([]int64, len(parts))
 	for i, n := range parts {
 		bytes[i] = int64(n) * trace.BytesPerElement
@@ -389,20 +392,19 @@ func (c *Comm) SendBatch(to, tag int, parts []int, pack func(wire []float64)) {
 			}
 		}
 	}
-	c.w.Trace.RecordSendBatch(src, bytes, msg.sendPhase)
-	if pack != nil {
-		msg.F, msg.pooled = getFloats(msg.N), true
-		pack(msg.F)
+	if wire != nil && len(wire) != msg.N {
+		panic(fmt.Sprintf("smpi: SendBatch wire buffer of %d elements for %d", len(wire), msg.N))
 	}
+	c.w.Trace.RecordSendBatch(src, bytes, msg.sendPhase)
 	c.w.boxes[dst].put(c.w, msgKey{src: src, comm: c.id, tag: tag}, msg)
 }
 
 // RecvBatches takes one SendBatch from each communicator rank of froms, in
 // that order, and then books the received bytes of every part. Batch i must
 // carry exactly the part list parts[i] — anything else panics, as RecvMat's
-// length check does — and, when it has a payload, is handed to unpack, after
-// which the wire buffer goes back to the pool (no reference may survive the
-// callback). Like the sends, the deliveries are legal only in a phase
+// length check does — and, when it has a payload, its wire buffer is handed to
+// unpack, which owns it from then on: it keeps it (a store adopts it as its
+// panel) or returns it with mat.PutFloats. Like the sends, the deliveries are legal only in a phase
 // excluded from timing, and all batches must have been sent under the same
 // one.
 func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, unpack func(i int, wire []float64)) {
@@ -427,7 +429,6 @@ func (c *Comm) RecvBatches(froms []int, tag int, parts [][]int, unpack func(i in
 		elems += msg.N
 		if msg.F != nil {
 			unpack(i, msg.F)
-			putFloats(msg.F)
 		}
 	}
 	c.w.Trace.RecordRecvBatch(me, int64(elems)*trace.BytesPerElement, phase)

@@ -107,22 +107,25 @@ func TestBatchBooksOneMessagePerPart(t *testing.T) {
 			c.SetPhase(trace.PhaseCollect)
 			if me := c.Rank(); me > 0 {
 				mine := parts[me-1]
-				pack := func(wire []float64) {
+				var wire []float64
+				if c.Payload() {
+					n := 0
+					for _, k := range mine {
+						n += k
+					}
+					wire = mat.GetFloats(n)
 					for i := range wire {
 						wire[i] = float64(100*me + i)
 					}
 				}
-				if !c.Payload() {
-					pack = nil
-				}
 				if batched {
-					c.SendBatch(0, 1, mine, pack)
+					c.SendBatch(0, 1, mine, wire)
 					return nil
 				}
 				off := 0
 				for _, n := range mine {
 					m := mat.NewPhantom(1, n)
-					if pack != nil {
+					if wire != nil {
 						m = mat.New(1, n)
 						for j := 0; j < n; j++ {
 							m.Set(0, j, float64(100*me+off+j))
@@ -182,7 +185,7 @@ func TestRecvBatchesPartListMismatchPanics(t *testing.T) {
 	_, err := Exec(context.Background(), Config{P: 2, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
 		c.SetPhase(trace.PhaseLayout)
 		if c.Rank() == 0 {
-			c.SendBatch(1, 0, []int{4, 4}, func([]float64) {})
+			c.SendBatch(1, 0, []int{4, 4}, make([]float64, 8))
 			return nil
 		}
 		c.RecvBatches([]int{0}, 0, [][]int{{4, 2, 2}}, func(int, []float64) {})

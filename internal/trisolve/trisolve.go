@@ -116,9 +116,13 @@ type engine struct {
 	row, col int
 	rowComm  *smpi.Comm // my grid row, for both passes' reductions
 	colComm  *smpi.Comm // my grid column, for both passes' broadcasts
-	myRows   []int      // my tile rows, ascending
+	myRows   []int      // my tile rows, ascending: tile row k sits at k / Pr
 	store    *dist.Store
-	bTiles   map[int]*mat.Matrix // right-hand-side blocks at diagonal owners
+	bTiles   []*mat.Matrix // by position in myRows: right-hand-side blocks at diagonal owners
+	// acc[pos(j)] holds −Σ A(j,k)·X(k) over the steps k of the current pass
+	// this rank's grid column has already seen; it is reduced row-wise, and
+	// cleared, when j becomes the pivot, so every pass leaves it all nil.
+	acc []*mat.Matrix
 }
 
 func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
@@ -133,6 +137,7 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	e.rowComm = e.c.Sub(fmt.Sprintf("solve.row.%d", e.row), e.g.RowComm(e.row, 0))
 	e.colComm = e.c.Sub(fmt.Sprintf("solve.col.%d", e.col), e.g.ColComm(e.col, 0))
 	e.myRows = e.bc.LocalTileRows(e.row, 0)
+	e.acc = make([]*mat.Matrix, len(e.myRows))
 	e.store = dist.NewStore(e.bc, e.row, e.col, 0, e.c.Payload())
 	nt := e.bc.Tiles()
 	// RHS tags [rhsTag, rhsTag+nt) and solution tags [rhsTag+nt, rhsTag+2nt)
@@ -148,6 +153,7 @@ func (e *engine) run(lu, b *mat.Matrix) (*Result, error) {
 	if err := e.pass(true); err != nil {
 		return nil, err
 	}
+	e.store.Release()
 	return e.gather(), nil
 }
 
@@ -159,7 +165,7 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 	defer e.c.SetPhase(prev)
 	e.c.SetPhase(trace.PhaseLayout)
 	nt := e.bc.Tiles()
-	e.bTiles = map[int]*mat.Matrix{}
+	e.bTiles = make([]*mat.Matrix, len(e.myRows))
 	if e.c.Rank() == 0 {
 		if b != nil && (b.Rows != e.opt.N || b.Cols != e.opt.NRHS) {
 			panic(fmt.Sprintf("trisolve: rhs %dx%d != %dx%d", b.Rows, b.Cols, e.opt.N, e.opt.NRHS))
@@ -177,7 +183,7 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 			} else {
 				t := e.store.NewBuffer(rows, e.opt.NRHS)
 				t.CopyFrom(src)
-				e.bTiles[k] = t
+				e.bTiles[e.pos(k)] = t
 			}
 		}
 		return
@@ -189,7 +195,7 @@ func (e *engine) scatterRHS(b *mat.Matrix) {
 		rows, _ := e.bc.TileDims(k, k)
 		t := e.store.NewBuffer(rows, e.opt.NRHS)
 		e.c.RecvMat(0, rhsTag+k, t)
-		e.bTiles[k] = t
+		e.bTiles[e.pos(k)] = t
 	}
 }
 
@@ -203,9 +209,6 @@ func (e *engine) pass(upper bool) error {
 	} else {
 		e.c.SetPhase(PhaseFwd)
 	}
-	// acc[j] holds −Σ A(j,k)·X(k) over the steps k this rank's grid column
-	// has already seen; it is reduced row-wise when j becomes the pivot.
-	acc := map[int]*mat.Matrix{}
 	for s := 0; s < nt; s++ {
 		k := s
 		if upper {
@@ -214,14 +217,14 @@ func (e *engine) pass(upper bool) error {
 		gr, gc := e.bc.OwnerRow(k), e.bc.OwnerCol(k)
 		rows, _ := e.bc.TileDims(k, k)
 		if e.row == gr {
-			m := acc[k]
+			m := e.acc[e.pos(k)]
 			if m == nil {
 				m = e.store.NewBuffer(rows, e.opt.NRHS)
 			}
-			delete(acc, k)
+			e.acc[e.pos(k)] = nil
 			e.rowComm.ReduceMatSum(gc, m)
 			if e.col == gc {
-				bk := e.bTiles[k]
+				bk := e.bTiles[e.pos(k)]
 				bk.AddFrom(m)
 				diag := e.store.Tile(k, k)
 				if upper {
@@ -237,15 +240,17 @@ func (e *engine) pass(upper bool) error {
 		if e.col == gc {
 			x := e.store.NewBuffer(rows, e.opt.NRHS)
 			if e.row == gr {
-				x.CopyFrom(e.bTiles[k])
+				x.CopyFrom(e.bTiles[e.pos(k)])
 			}
 			e.colComm.BcastMat(gr, x)
-			for _, tj := range e.remaining(k, upper) {
-				a := acc[tj]
+			lo, hi := e.remaining(k, upper)
+			for i := lo; i < hi; i++ {
+				tj := e.myRows[i]
+				a := e.acc[i]
 				if a == nil {
 					r2, _ := e.bc.TileDims(tj, tj)
 					a = e.store.NewBuffer(r2, e.opt.NRHS)
-					acc[tj] = a
+					e.acc[i] = a
 				}
 				blas.Gemm(-1, e.store.Tile(tj, k), x, 1, a)
 			}
@@ -254,15 +259,18 @@ func (e *engine) pass(upper bool) error {
 	return nil
 }
 
-// remaining lists this rank's tile rows still to be solved after step k:
-// below the diagonal on the forward pass, above it on the back pass.
-func (e *engine) remaining(k int, upper bool) []int {
+// pos is the position of tile row k, one of this rank's, in myRows.
+func (e *engine) pos(k int) int { return k / e.g.Pr }
+
+// remaining returns the span [lo, hi) of myRows still to be solved after
+// step k: below the diagonal on the forward pass, above it on the back pass.
+func (e *engine) remaining(k int, upper bool) (lo, hi int) {
 	if !upper {
 		i, _ := slices.BinarySearch(e.myRows, k+1)
-		return e.myRows[i:]
+		return i, len(e.myRows)
 	}
 	i, _ := slices.BinarySearch(e.myRows, k)
-	return e.myRows[:i]
+	return 0, i
 }
 
 // checkPivots rejects a zero U diagonal before dividing by it — the factors
@@ -289,7 +297,7 @@ func (e *engine) gather() *Result {
 	if e.c.Rank() != 0 {
 		for k := 0; k < nt; k++ {
 			if e.bc.Owner(k, k, 0) == e.c.Rank() {
-				e.c.SendMat(0, base+k, e.bTiles[k])
+				e.c.SendMat(0, base+k, e.bTiles[e.pos(k)])
 			}
 		}
 		return &Result{}
@@ -306,7 +314,7 @@ func (e *engine) gather() *Result {
 		if owner := e.bc.Owner(k, k, 0); owner != 0 {
 			e.c.RecvMat(owner, base+k, dst)
 		} else {
-			dst.CopyFrom(e.bTiles[k])
+			dst.CopyFrom(e.bTiles[e.pos(k)])
 		}
 	}
 	return &Result{X: x}
