@@ -15,8 +15,8 @@ import (
 //
 // A pool entry is the pointer to the buffer's first element: a pointer fits
 // in an interface without boxing, so a steady-state PutFloats allocates
-// nothing (a *[]float64 entry costs one slice-header allocation per Put), and
-// GetFloats rebuilds the slice from the class size. Pooling is
+// nothing (a *[]float64 entry would cost one slice-header allocation per
+// Put), and GetFloats rebuilds the slice from the class size. Pooling is
 // process-global: buffers carry no world identity, and a process typically
 // runs many worlds (sweeps, conformance matrices) whose peak demand this
 // amortizes.

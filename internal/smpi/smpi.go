@@ -22,10 +22,11 @@
 // the runtime holds it until RecvBatches hands it to the receiver's unpack
 // (or the abort sweep returns it to the pool), so a buffer can travel from a
 // sender's store to a receiver's store without a copy at either end; the part
-// list stays the sender's, read-only for everyone once sent. The booked exchange (SwapRows,
-// AllreduceMaxLoc; rendezvous.go) moves a whole ping-pong or butterfly as one
-// hand-off per participant: one rank books every message, each rank's records
-// in that rank's own program order, so it is exact in timed phases too.
+// list stays the sender's, read-only for everyone once sent. The booked
+// exchange (SwapRows, AllreduceMaxLoc; rendezvous.go) moves a whole ping-pong
+// or butterfly as one hand-off per participant: one rank books every message,
+// each rank's records in that rank's own program order, so it is exact in
+// timed phases too.
 package smpi
 
 import (
