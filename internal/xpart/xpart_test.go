@@ -1,7 +1,9 @@
 package xpart
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +15,35 @@ func close(a, b, rel float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// pin fails the test if got's bits differ from the recorded want. The
+// solver's results are pinned exactly so that a refactor of it provably
+// changes no bound. Only amd64 is checked: compiled Go fuses no
+// multiply-add there, but may on arm64, ppc64le and s390x, where the
+// tolerances of the closed-form checks are what holds.
+func pin(t *testing.T, name string, got float64, want uint64) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	if bits := math.Float64bits(got); bits != want {
+		t.Errorf("%s = %v (%#016x), recorded %v (%#016x)", name, got, bits, math.Float64frombits(want), want)
+	}
+}
+
+// pinBound pins X0, Rho, Q and every Xs entry of b.
+func pinBound(t *testing.T, name string, b Bound, x0, rho, q uint64, xs ...uint64) {
+	t.Helper()
+	pin(t, name+".X0", b.X0, x0)
+	pin(t, name+".Rho", b.Rho, rho)
+	pin(t, name+".Q", b.Q, q)
+	if len(b.Xs) != len(xs) {
+		t.Fatalf("%s.Xs = %v, recorded %d entries", name, b.Xs, len(xs))
+	}
+	for i, want := range xs {
+		pin(t, fmt.Sprintf("%s.Xs[%d]", name, i), b.Xs[i], want)
+	}
 }
 
 // §3.2 / classic MMM: ψ(X) = (X/3)^{3/2}, X0 = 3M, ρ = √M/2, Q = 2N³/√M.
@@ -37,6 +68,8 @@ func TestMMMClosedForm(t *testing.T) {
 	if !close(b.Q, 2*n*n*n/math.Sqrt(m), 0.02) {
 		t.Fatalf("Q=%v want %v", b.Q, MMMSequentialLowerBound(64, m))
 	}
+	pinBound(t, "MMM", b, 0x4072bfffe8f3c972, 0x401400000000001d, 0x40e9999999999974,
+		0x4023fffff3b5383f, 0x4023fffff3b5383f, 0x4023fffff3b5383f)
 }
 
 // §6 S1: ψ(X) = X−1 (K=1, I=X−1), but Lemma 6 caps ρ at 1 → Q = N(N−1)/2.
@@ -56,6 +89,8 @@ func TestLUS1ClosedForm(t *testing.T) {
 	if !close(b.Q, 32*31/2, 1e-9) {
 		t.Fatalf("Q=%v want %v", b.Q, 32*31/2)
 	}
+	pinBound(t, "S1", b, 0x412e847fffa5d83b, 0x3ff0000000000000, 0x407f000000000000,
+		0x3ff0000000000000, 0x412e847dffa5d841)
 }
 
 // §6 S2: same structure as MMM → ρ = √M/2, Q = 2|V_S2|/√M.
@@ -70,6 +105,8 @@ func TestLUS2ClosedForm(t *testing.T) {
 	if !close(b.Q, 2*float64(v2)/math.Sqrt(m), 0.02) {
 		t.Fatalf("Q=%v want %v", b.Q, 2*float64(v2)/math.Sqrt(m))
 	}
+	pinBound(t, "S2", b, 0x40680000367233ec, 0x401000000000003f, 0x40c170ffffffffbb,
+		0x402000001226114f, 0x402000001226114f, 0x402000001226114f)
 }
 
 // Full §6 pipeline vs the closed form 2N³−6N²+4N)/(3√M) + N(N−1)/2.
@@ -80,14 +117,16 @@ func TestLUDerivedMatchesClosedForm(t *testing.T) {
 	for _, tc := range []struct {
 		n, p int
 		m    float64
+		bits uint64 // the derived bound, recorded
 	}{
-		{64, 1, 64}, {128, 4, 256}, {256, 16, 1024},
+		{64, 1, 64, 0x40d6cdffffffffae}, {128, 4, 256, 0x40d7117fffffff88}, {256, 16, 1024, 0x40d7335fffffff95},
 	} {
 		derived := LUDerivedLowerBound(tc.n, tc.p, tc.m)
 		closed := LUParallelLowerBound(tc.n, tc.p, tc.m)
 		if !close(derived, closed, 0.03) {
 			t.Fatalf("n=%d p=%d m=%v: derived %v vs closed %v", tc.n, tc.p, tc.m, derived, closed)
 		}
+		pin(t, fmt.Sprintf("LUDerivedLowerBound(%d, %d, %v)", tc.n, tc.p, tc.m), derived, tc.bits)
 	}
 }
 
@@ -109,6 +148,10 @@ func TestFusedMMMExample(t *testing.T) {
 	if !close(qtot, want, 0.05) {
 		t.Fatalf("Q_tot=%v want %v", qtot, want)
 	}
+	pin(t, "Q_S", qs, 0x40bfffffffffff78)
+	pin(t, "Q_T", qt, 0x40bfffffffffff78)
+	pin(t, "Reuse(B)", reuse, 0x40bfffffe6c9e234)
+	pin(t, "Q_tot", qtot, 0x40c000000c9b0e5e)
 }
 
 // §4.2 example: dropping A's dominator term (ρ_S → ∞) gives Q = N³/M
@@ -127,6 +170,7 @@ func TestModifiedMMMExample(t *testing.T) {
 	if got > MMMSequentialLowerBound(n, m)/2 {
 		t.Fatalf("output reuse did not reduce the bound: %v", got)
 	}
+	pin(t, "ModifiedMMMBound", got, 0x40a47ae147ae146f)
 }
 
 // ψ(X0) for the fused-MMM statement: X0 = 2M with B's access size = M
@@ -142,9 +186,13 @@ func TestFusedMMMAccessSizes(t *testing.T) {
 	if !close(b.X0, 2*m, 0.05) {
 		t.Fatalf("X0=%v want %v", b.X0, 2*m)
 	}
-	if acc := s.AccessSizeAtOptimum(m, 1); !close(acc, m, 0.05) {
+	acc := s.AccessSizeAtOptimum(m, 1)
+	if !close(acc, m, 0.05) {
 		t.Fatalf("|B(R)|=%v want %v", acc, m)
 	}
+	pinBound(t, "fused S", b, 0x40590000048fef9d, 0x4048fffffffffffd, 0x40d3880000000002,
+		0x40490000048fef9b, 0x40490000048fef9b, 0x3ff0000000000000)
+	pin(t, "|B(R)|", acc, 0x40490000048fef9b)
 }
 
 func TestUnboundedStatement(t *testing.T) {
@@ -173,6 +221,7 @@ func TestCholeskyBound(t *testing.T) {
 	if got < 0.8*want || got > 1.5*want {
 		t.Fatalf("Cholesky bound %v, want ≈ %v", got, want)
 	}
+	pin(t, "CholeskyLowerBound", got, 0x40e4397fffffffb9)
 }
 
 func TestCOnfLUXOptimalityRatio(t *testing.T) {
@@ -221,6 +270,8 @@ func TestTensorContractionBound(t *testing.T) {
 	if tc2 < 1.8*tc || tc2 > 2.2*tc {
 		t.Fatalf("TC scaling: %v vs %v", tc2, tc)
 	}
+	pin(t, "TensorContractionBound(64, 8, 8)", tc, 0x40e9999999998e32)
+	pin(t, "TensorContractionBound(64, 16, 8)", tc2, 0x40f9999999998e32)
 }
 
 // Property: ψ is monotone in X and ρ-minimization never returns X0 <= M.
