@@ -18,12 +18,10 @@ import (
 // recomputation cost is not lower than loading").
 func LUStatementProblems(n int) (s1, s2 Problem) {
 	prog := daap.LUProgram()
-	nf := float64(n)
 	v1, v2 := daap.CountLUVertices(n)
 	s1 = FromStatement(prog.Statements[0], nil, float64(v1))
 	s1.RhoCap = 1
 	s2 = FromStatement(prog.Statements[1], map[int]float64{1: 1.0 / 1.0}, float64(v2))
-	_ = nf
 	return s1, s2
 }
 
@@ -70,12 +68,10 @@ func FusedMMMTotalBound(n int, m float64) (qs, qt, reuse, qtot float64) {
 	nf := float64(n)
 	s := FromStatement(prog.Statements[0], nil, nf*nf*nf)
 	t := FromStatement(prog.Statements[1], nil, nf*nf*nf)
-	qs = s.SequentialBound(m).Q
-	qt = t.SequentialBound(m).Q
+	bs, bt := s.SequentialBound(m), t.SequentialBound(m)
 	// B is input index 1 in both statements; term order follows input order.
-	reuse = ReuseBound(s, t, m, 1, 1)
-	qtot = qs + qt - reuse
-	return qs, qt, reuse, qtot
+	reuse = ReuseBound(bs, bt, 1, 1)
+	return bs.Q, bt.Q, reuse, bs.Q + bt.Q - reuse
 }
 
 // ModifiedMMMBound reproduces the §4.2 output-reuse example: statement S

@@ -14,6 +14,7 @@ package xpart
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/daap"
 )
@@ -78,10 +79,10 @@ func (p Problem) Psi(x float64) (float64, []float64) {
 	if p.Depth > 16 {
 		panic("xpart: depth too large for clamp-pattern enumeration")
 	}
+	xs := make([]float64, p.Depth)
 	bestPsi, bestXs := 0.0, []float64(nil)
 	for pattern := 0; pattern < 1<<p.Depth; pattern++ {
-		xs, ok := p.solvePattern(x, pattern)
-		if !ok {
+		if !p.solvePattern(x, pattern, xs) {
 			continue
 		}
 		psi := 1.0
@@ -89,30 +90,38 @@ func (p Problem) Psi(x float64) (float64, []float64) {
 			psi *= v
 		}
 		if psi > bestPsi {
-			bestPsi, bestXs = psi, xs
+			bestPsi, bestXs = psi, append(bestXs[:0], xs...)
 		}
 	}
 	return bestPsi, bestXs
+}
+
+// size evaluates the term at iteration ranges xs: scale · Π_{k∈vars} xs_k.
+func (term Term) size(xs []float64) float64 {
+	v := term.Scale
+	for _, k := range term.Vars {
+		v *= xs[k]
+	}
+	return v
 }
 
 // constraint evaluates Σ_j scale_j · Π_{k∈j} xs_k.
 func (p Problem) constraint(xs []float64) float64 {
 	total := 0.0
 	for _, term := range p.Terms {
-		v := term.Scale
-		for _, k := range term.Vars {
-			v *= xs[k]
-		}
-		total += v
+		total += term.size(xs)
 	}
 	return total
 }
 
 // solvePattern solves for the free variables (bit t of pattern clear) with
-// the clamped ones at 1. Returns the point and whether it is feasible.
-func (p Problem) solvePattern(x float64, pattern int) ([]float64, bool) {
-	xs := make([]float64, p.Depth)
-	free := make([]int, 0, p.Depth)
+// the clamped ones at 1, leaving the point in xs. Returns whether it is
+// feasible. Its scratch is sized for Psi's depth limit, so it stays on the
+// stack.
+func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
+	var freeBuf [16]int
+	var grown, ms [16]float64
+	free := freeBuf[:0]
 	for t := 0; t < p.Depth; t++ {
 		xs[t] = 1
 		if pattern&(1<<t) == 0 {
@@ -120,21 +129,21 @@ func (p Problem) solvePattern(x float64, pattern int) ([]float64, bool) {
 		}
 	}
 	if p.constraint(xs) > x*(1+1e-12) {
-		return nil, false // even the all-ones point violates the budget
+		return false // even the all-ones point violates the budget
 	}
 	if len(free) == 0 {
-		return xs, true
+		return true
 	}
 	// scaleToBoundary multiplies the free variables by a common s >= 1 so
 	// the constraint is active (monotone in s: bisection).
 	scaleToBoundary := func() {
 		lo, hi := 1.0, 2.0
 		grow := func(s float64) float64 {
-			tmp := append([]float64(nil), xs...)
+			copy(grown[:], xs)
 			for _, t := range free {
-				tmp[t] = math.Max(1, xs[t]*s)
+				grown[t] = math.Max(1, xs[t]*s)
 			}
-			return p.constraint(tmp)
+			return p.constraint(grown[:p.Depth])
 		}
 		for grow(hi) < x && hi < 1e30 {
 			hi *= 2
@@ -155,21 +164,9 @@ func (p Problem) solvePattern(x float64, pattern int) ([]float64, bool) {
 	marginal := func(t int) float64 {
 		total := 0.0
 		for _, term := range p.Terms {
-			uses := false
-			for _, k := range term.Vars {
-				if k == t {
-					uses = true
-					break
-				}
+			if slices.Contains(term.Vars, t) {
+				total += term.size(xs)
 			}
-			if !uses {
-				continue
-			}
-			v := term.Scale
-			for _, k := range term.Vars {
-				v *= xs[k]
-			}
-			total += v
 		}
 		return total
 	}
@@ -177,7 +174,6 @@ func (p Problem) solvePattern(x float64, pattern int) ([]float64, bool) {
 	for iter := 0; iter < 400; iter++ {
 		// Balance marginals geometrically, then restore the boundary.
 		logMean := 0.0
-		ms := make([]float64, len(free))
 		for i, t := range free {
 			ms[i] = marginal(t)
 			logMean += math.Log(ms[i])
@@ -196,7 +192,7 @@ func (p Problem) solvePattern(x float64, pattern int) ([]float64, bool) {
 			break
 		}
 	}
-	return xs, p.constraint(xs) <= x*(1+1e-9)
+	return p.constraint(xs) <= x*(1+1e-9)
 }
 
 // Rho returns the computational intensity ψ(X)/(X−M) at a given X (> M).
@@ -210,7 +206,9 @@ type Bound struct {
 	X0  float64   // argmin of ρ
 	Rho float64   // effective computational intensity (after Lemma 6 cap)
 	Q   float64   // the I/O lower bound |V|/ρ
+	Psi float64   // ψ(X0) = |V_max(X0)|
 	Xs  []float64 // maximizing iteration ranges at X0
+	p   Problem   // the statement bounded, whose terms AccessSize reads
 }
 
 // SequentialBound minimizes ρ(X) over X > M (Lemma 2 / Equations 4–5) by a
@@ -245,15 +243,16 @@ func (p Problem) SequentialBound(m float64) Bound {
 		}
 	}
 	x0 := math.Exp((a + b) / 2)
-	rho := p.Rho(x0, m)
+	psi, xs := p.Psi(x0)
+	rho := psi / (x0 - m)
 	if rho > bestR {
 		x0, rho = bestX, bestR
+		psi, xs = p.Psi(x0)
 	}
 	if p.RhoCap > 0 && rho > p.RhoCap {
 		rho = p.RhoCap
 	}
-	_, xs := p.Psi(x0)
-	return Bound{X0: x0, Rho: rho, Q: p.NumVertices / rho, Xs: xs}
+	return Bound{X0: x0, Rho: rho, Q: p.NumVertices / rho, Psi: psi, Xs: xs, p: p}
 }
 
 // ParallelBound applies Lemma 9: with P processors, at least one computes
@@ -262,32 +261,26 @@ func (p Problem) ParallelBound(m float64, procs int) float64 {
 	return p.SequentialBound(m).Q / float64(procs)
 }
 
-// AccessSizeAtOptimum returns |A_j(R_max)| at the optimum of ψ(X0) for the
-// term with the given index — the per-subcomputation access size used by the
-// reuse bound (Eq. 6).
-func (p Problem) AccessSizeAtOptimum(m float64, termIdx int) float64 {
-	b := p.SequentialBound(m)
+// AccessSize returns |A_j(R_max(X0))|, the size of term j's access at the
+// optimum — the per-subcomputation access size the reuse bound (Eq. 6)
+// reads.
+func (b Bound) AccessSize(term int) float64 {
 	if b.Xs == nil {
 		return math.Inf(1)
 	}
-	v := p.Terms[termIdx].Scale
-	for _, k := range p.Terms[termIdx].Vars {
-		v *= b.Xs[k]
-	}
-	return v
+	return b.p.Terms[term].size(b.Xs)
 }
 
-// ReuseBound implements Lemma 7 / Eq. (6) for an array shared by two
-// statements: Reuse(A) = min over the statements of
+// ReuseBound implements Lemma 7 / Eq. (6) for an array that term sTerm of
+// statement s and term tTerm of statement t both read, given the two
+// statements' bounds: Reuse(A) = min over the statements of
 // |A(R_max(X0))| · |V| / |V_max(X0)|.
-func ReuseBound(s, t Problem, m float64, sTerm, tTerm int) float64 {
-	r := func(p Problem, idx int) float64 {
-		b := p.SequentialBound(m)
-		psi, _ := p.Psi(b.X0)
-		if math.IsInf(psi, 1) {
+func ReuseBound(s, t Bound, sTerm, tTerm int) float64 {
+	r := func(b Bound, term int) float64 {
+		if math.IsInf(b.Psi, 1) {
 			return math.Inf(1)
 		}
-		return p.AccessSizeAtOptimum(m, idx) * p.NumVertices / psi
+		return b.AccessSize(term) * b.p.NumVertices / b.Psi
 	}
 	return math.Min(r(s, sTerm), r(t, tTerm))
 }

@@ -186,7 +186,7 @@ func TestFusedMMMAccessSizes(t *testing.T) {
 	if !close(b.X0, 2*m, 0.05) {
 		t.Fatalf("X0=%v want %v", b.X0, 2*m)
 	}
-	acc := s.AccessSizeAtOptimum(m, 1)
+	acc := b.AccessSize(1)
 	if !close(acc, m, 0.05) {
 		t.Fatalf("|B(R)|=%v want %v", acc, m)
 	}
@@ -299,5 +299,26 @@ func TestQuickParallelScaling(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Psi allocates per call, never per clamp pattern or solver step: the
+// coverage check, the point being solved and the best point, 3 in all. One
+// allocation per pattern would exceed the ceiling of 4 even at LU S1's four
+// patterns. When the boundary bisection copied the point on every step,
+// MMM's Psi(300) made 739 allocations and LU S1's Psi(100) 19,866.
+func TestPsiAllocs(t *testing.T) {
+	mmm := MMMProblem(64)
+	s1, _ := LUStatementProblems(32)
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		x    float64
+	}{
+		{"MMM", mmm, 300}, {"LU S1", s1, 100},
+	} {
+		if got := testing.AllocsPerRun(10, func() { tc.p.Psi(tc.x) }); got > 4 {
+			t.Errorf("%s: Psi(%v) made %v allocations, want at most 4", tc.name, tc.x, got)
+		}
 	}
 }
