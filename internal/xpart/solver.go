@@ -123,7 +123,7 @@ func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
 	var grown, ms [16]float64
 	free := freeBuf[:0]
 	for t := 0; t < p.Depth; t++ {
-		xs[t] = 1
+		xs[t], grown[t] = 1, 1 // grow rewrites only the free entries
 		if pattern&(1<<t) == 0 {
 			free = append(free, t)
 		}
@@ -139,9 +139,8 @@ func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
 	scaleToBoundary := func() {
 		lo, hi := 1.0, 2.0
 		grow := func(s float64) float64 {
-			copy(grown[:], xs)
 			for _, t := range free {
-				grown[t] = math.Max(1, xs[t]*s)
+				grown[t] = max(1, xs[t]*s)
 			}
 			return p.constraint(grown[:p.Depth])
 		}
@@ -158,7 +157,7 @@ func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
 		}
 		s := (lo + hi) / 2
 		for _, t := range free {
-			xs[t] = math.Max(1, xs[t]*s)
+			xs[t] = max(1, xs[t]*s)
 		}
 	}
 	marginal := func(t int) float64 {
@@ -182,7 +181,7 @@ func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
 		maxDev := 0.0
 		for i, t := range free {
 			adj := math.Exp(0.5 * (logMean - math.Log(ms[i])))
-			xs[t] = math.Max(1, xs[t]*adj)
+			xs[t] = max(1, xs[t]*adj)
 			if d := math.Abs(adj - 1); d > maxDev {
 				maxDev = d
 			}
@@ -215,7 +214,7 @@ type Bound struct {
 // coarse log-space scan followed by golden-section refinement, then applies
 // the Lemma 6 cap and returns Q ≥ |V|/ρ.
 func (p Problem) SequentialBound(m float64) Bound {
-	lo, hi := m*1.000001+1e-9, math.Max(1e4*m, 1e6)
+	lo, hi := m*1.000001+1e-9, max(1e4*m, 1e6)
 	bestX, bestR := hi, math.Inf(1)
 	const scan = 400
 	for i := 0; i <= scan; i++ {
@@ -225,8 +224,8 @@ func (p Problem) SequentialBound(m float64) Bound {
 		}
 	}
 	// Golden-section refinement around the scan minimum (log space).
-	gl := math.Max(lo, bestX/3)
-	gh := math.Min(hi, bestX*3)
+	gl := max(lo, bestX/3)
+	gh := min(hi, bestX*3)
 	phi := (math.Sqrt(5) - 1) / 2
 	a, b := math.Log(gl), math.Log(gh)
 	c, d := b-phi*(b-a), a+phi*(b-a)
@@ -282,5 +281,5 @@ func ReuseBound(s, t Bound, sTerm, tTerm int) float64 {
 		}
 		return b.AccessSize(term) * b.p.NumVertices / b.Psi
 	}
-	return math.Min(r(s, sTerm), r(t, tTerm))
+	return min(r(s, sTerm), r(t, tTerm))
 }
