@@ -10,7 +10,8 @@ all: ci
 build:
 	$(GO) build ./...
 
-# Fast gate: -short skips the exhaustive internal/xpart searches (~16s).
+# Fast gate: -short skips the exhaustive internal/xpart searches (~4 s plain
+# but ~49 s under -race on a 2-core host, go1.24.0, 2026-10-18).
 test:
 	$(GO) test -race -short ./...
 
@@ -64,7 +65,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlanParams -fuzztime 10s ./cmd/confluxd
 	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 10s ./cmd/confluxd
 
-# The full suite, including the exhaustive lower-bound searches.
+# The full suite, including the exhaustive lower-bound searches: the
+# tier-1 command, a blocking CI job (~26 s wall on a 2-core host).
 test-full:
 	$(GO) test ./...
 
@@ -116,8 +118,8 @@ cover:
 # allocs/op and B/op in the CI log, where a per-step loop over the whole grid
 # shows as a jump in objects, and state sized by N on every rank as a jump in
 # bytes, long before either shows in seconds. -short skips the three replay
-# benchmarks at P=1024: COnfLUX and CANDMC at paper scale (N=16384; 6 s and
-# 7 s on a 2-core host, 2026-10-01, 49 s and 42 s before the engines'
+# benchmarks at P=1024: COnfLUX and CANDMC at paper scale (N=16384; 3.6–4.1 s
+# and 4.6 s per op on a 2-core host, 49 s and 42 s before the engines'
 # per-step control flow was cut down to what a rank owns) and the 2D engine,
 # LibSci at N=4096 (1.4 s, 2026-10-17). Drop -short, or run
 # `go test -bench 'FactorizeVolume(Paper|LibSciP1024)' -benchtime=1x -benchmem -run='^$$' .`,

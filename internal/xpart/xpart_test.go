@@ -112,7 +112,7 @@ func TestLUS2ClosedForm(t *testing.T) {
 // Full §6 pipeline vs the closed form 2N³−6N²+4N)/(3√M) + N(N−1)/2.
 func TestLUDerivedMatchesClosedForm(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive §6 pipeline (~1.4s); run without -short")
+		t.Skip("exhaustive §6 pipeline (~0.7s, ~5.5s under -race); run without -short")
 	}
 	for _, tc := range []struct {
 		n, p int
@@ -133,7 +133,7 @@ func TestLUDerivedMatchesClosedForm(t *testing.T) {
 // §4.1 example: Q_S = Q_T = N³/M, Reuse(B) = N³/M, Q_tot = N³/M.
 func TestFusedMMMExample(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive reuse-bound search (~8s); run without -short")
+		t.Skip("exhaustive reuse-bound search (~1.2s, ~15s under -race); run without -short")
 	}
 	n, m := 64, 32.0
 	nf := float64(n)
@@ -158,7 +158,7 @@ func TestFusedMMMExample(t *testing.T) {
 // instead of 2N³/√M.
 func TestModifiedMMMExample(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive output-reuse search (~1.3s); run without -short")
+		t.Skip("exhaustive output-reuse search (~0.6s, ~7s under -race); run without -short")
 	}
 	n, m := 64, 100.0
 	nf := float64(n)
@@ -177,7 +177,7 @@ func TestModifiedMMMExample(t *testing.T) {
 // (K=1, I=J=M), reproducing the Reuse(B) pieces of §4.1.
 func TestFusedMMMAccessSizes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive access-size search (~2.6s); run without -short")
+		t.Skip("exhaustive access-size search (~0.6s, ~6.6s under -race); run without -short")
 	}
 	m := 50.0
 	prog := daap.FusedMMMProgram()
@@ -254,7 +254,7 @@ func TestLUSequentialMatchesOlivry(t *testing.T) {
 
 func TestTensorContractionBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive contraction-bound search (~2.3s); run without -short")
+		t.Skip("exhaustive contraction-bound search (~1.0s, ~14s under -race); run without -short")
 	}
 	// With K=L=√N the contraction is exactly MMM over a fused index of size
 	// N, so the bounds must coincide.
@@ -305,8 +305,7 @@ func TestQuickParallelScaling(t *testing.T) {
 // Psi allocates per call, never per clamp pattern or solver step: the
 // coverage check, the point being solved and the best point, 3 in all. One
 // allocation per pattern would exceed the ceiling of 4 even at LU S1's four
-// patterns. When the boundary bisection copied the point on every step,
-// MMM's Psi(300) made 739 allocations and LU S1's Psi(100) 19,866.
+// patterns; one per bisection step makes hundreds.
 func TestPsiAllocs(t *testing.T) {
 	mmm := MMMProblem(64)
 	s1, _ := LUStatementProblems(32)
