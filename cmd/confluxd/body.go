@@ -1,19 +1,24 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"repro/internal/plan"
 )
 
 // writePlan writes the /v1/plan answer: the bytes json.NewEncoder would write
 // for resp, appended in one pass without reflection. A non-finite float,
 // which encoding/json refuses, goes to writeJSON for its 500.
 // FuzzPlanBody and TestPlanBodiesUnchanged hold the two encoders equal.
-func (s *server) writePlan(w http.ResponseWriter, resp *planResponse) {
-	body, ok := appendPlanResponse(make([]byte, 0, 4096), resp)
+// memos[i] is the cache entry's memo of resp.Candidates[i] when that
+// candidate is a hit, nil otherwise.
+func (s *server) writePlan(w http.ResponseWriter, resp *planResponse, memos []*plan.Memo) {
+	body, ok := appendPlanResponse(make([]byte, 0, 4096), resp, memos...)
 	if !ok {
 		s.writeJSON(w, resp)
 		return
@@ -24,7 +29,9 @@ func (s *server) writePlan(w http.ResponseWriter, resp *planResponse) {
 
 // appendPlanResponse appends resp as encoding/json encodes it, trailing
 // newline included, and reports false where encoding/json returns an error.
-func appendPlanResponse(b []byte, resp *planResponse) ([]byte, bool) {
+// memos, if given, holds one element per candidate: a hit's entry memo, from
+// which that candidate is appended (see memoized), or nil.
+func appendPlanResponse(b []byte, resp *planResponse, memos ...*plan.Memo) ([]byte, bool) {
 	e := jsonAppender{b: b}
 	r := &resp.Request
 	e.text(`{"request":{"algorithm":`, string(r.Algorithm))
@@ -64,7 +71,11 @@ func appendPlanResponse(b []byte, resp *planResponse) ([]byte, bool) {
 			if i > 0 {
 				e.raw(`,`)
 			}
-			e.candidate(&resp.Candidates[i])
+			if i < len(memos) && memos[i] != nil {
+				e.memoized(&resp.Candidates[i], memos[i])
+			} else {
+				e.candidate(&resp.Candidates[i])
+			}
 		}
 		e.raw(`]`)
 	}
@@ -73,6 +84,26 @@ func appendPlanResponse(b []byte, resp *planResponse) ([]byte, bool) {
 	e.float(`,"value":`, resp.Best.Value)
 	e.raw("}}\n")
 	return e.b, !e.bad
+}
+
+// memoized appends a hit candidate as the bytes in its entry's memo. The
+// element depends on the entry alone (its algorithm, model tier and key follow
+// from the key, its exact tier is the entry's value), so the first hit encodes
+// it and stores a copy, and later hits append that copy and skip the float
+// formatting. An element holding a non-finite float is never stored: each hit
+// encodes it again and fails as encoding/json does.
+func (e *jsonAppender) memoized(c *candidate, memo *plan.Memo) {
+	if b := memo.Bytes(); b != nil {
+		e.b = append(e.b, b...)
+		return
+	}
+	start, bad := len(e.b), e.bad
+	e.bad = false
+	e.candidate(c)
+	if !e.bad {
+		memo.Set(bytes.Clone(e.b[start:]))
+	}
+	e.bad = e.bad || bad
 }
 
 // candidate appends one element of the candidates array.

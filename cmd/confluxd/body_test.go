@@ -175,11 +175,12 @@ func TestPlanBodiesUnchanged(t *testing.T) {
 // /v1/plan answer through the routes, the recorder and request included.
 // With encoding/json and a key built twice per candidate from eleven
 // formatted floats, a hit took 138 allocations (146 under -race); appended
-// in one pass with one key per candidate it takes 42 (49 under -race). The
-// ceiling is 42 + 25%. Four of the 42 are encoding/json quoting the stub's
-// grid strings, which hold HTML characters; real grid strings take none.
+// in one pass with one key per candidate it took 42 (49 under -race). With
+// each candidate appended from its cache entry's memo, which skips the model
+// tier and encoding/json's quoting of the stub's grid strings, it takes 30
+// (31 under -race). The ceiling is 30 + 25%.
 func TestPlanHitAllocs(t *testing.T) {
-	const ceiling = 52
+	const ceiling = 37
 	h := stubServer(t, 0, nil, nil).routes()
 	const path = "/v1/plan?n=128&p=16&topology=hier-contended"
 	if ex := serve(h, path); !strings.Contains(ex, " 200\n") {
@@ -202,16 +203,7 @@ func TestPlanHitAllocs(t *testing.T) {
 // simulated once to fill the cache and then asked in turn.
 func BenchmarkPlanHit(b *testing.B) {
 	h := newServer(b.Context(), defaultServerConfig()).routes()
-	var paths []string
-	for _, n := range []int{128, 256} {
-		for _, p := range []int{16, 64} {
-			for _, topo := range []string{"", "&topology=hier-contended", "&topology=dragonfly-contended"} {
-				for _, job := range []string{"volume", "solve"} {
-					paths = append(paths, fmt.Sprintf("/v1/plan?n=%d&p=%d&algo=all&job=%s&wait=60s%s", n, p, job, topo))
-				}
-			}
-		}
-	}
+	paths := planHotPaths()
 	for _, path := range paths {
 		if ex := serve(h, path); !strings.Contains(ex, " 200\n") {
 			b.Fatal(ex)

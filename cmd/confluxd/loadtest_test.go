@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,7 +19,9 @@ import (
 // hammer one plan point through the full HTTP stack and the cache must
 // collapse the burst to exactly one simulation (asserted via the
 // cache-stats endpoint), with every client receiving 200 and the same
-// exact answer, and no goroutines leaked once the burst drains.
+// exact answer, and no goroutines leaked once the burst drains. The first
+// hits race to fill the entry's memo, and every hit body must be the same
+// bytes.
 func TestConfluxdLoad(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, ts := testServer(t, nil, nil)
@@ -29,6 +32,7 @@ func TestConfluxdLoad(t *testing.T) {
 	var (
 		mu     sync.Mutex
 		exacts = map[string]int{} // serialized exact tier → count
+		hits   = map[string]int{} // body of a hit → count
 	)
 	rep := bench.RunLoad(t.Context(), clients, total, func(ctx context.Context, i int) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
@@ -54,6 +58,9 @@ func TestConfluxdLoad(t *testing.T) {
 		}
 		mu.Lock()
 		exacts[string(exact)]++
+		if bytes.Contains(body, []byte(`"exact_status":"hit"`)) {
+			hits[string(body)]++
+		}
 		mu.Unlock()
 		return nil
 	})
@@ -65,6 +72,9 @@ func TestConfluxdLoad(t *testing.T) {
 	}
 	if len(exacts) != 1 {
 		t.Fatalf("clients observed %d distinct exact payloads, want 1 (determinism + cache): %v", len(exacts), keysOf(exacts))
+	}
+	if len(hits) != 1 {
+		t.Fatalf("clients observed %d distinct hit bodies, want 1: %v", len(hits), keysOf(hits))
 	}
 
 	// The server's own stats must show the singleflight collapse: the whole

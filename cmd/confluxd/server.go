@@ -315,6 +315,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := planResponse{Objective: objective, Candidates: make([]candidate, 0, len(algos))}
+	var memoBuf [8]*plan.Memo
+	memos := memoBuf[:0] // memos[i]: Candidates[i]'s entry memo when a hit
 	var shed *httpError
 	exactCount := 0
 	for _, a := range algos {
@@ -329,10 +331,14 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			resp.Request = req // canonical view of the shared point
 		}
 		c := candidate{Algorithm: a, Key: req.Key()}
-		if m, ok := plan.ModelFor(req); ok {
-			c.Model = &m
+		exact, outcome, memo, err := s.pl.EvaluateKeyed(r.Context(), req, c.Key, wait)
+		// A hit whose memo is filled is written from the memo, model tier
+		// included.
+		if memo == nil || memo.Bytes() == nil {
+			if m, ok := plan.ModelFor(req); ok {
+				c.Model = &m
+			}
 		}
-		exact, outcome, err := s.pl.EvaluateKeyed(r.Context(), req, c.Key, wait)
 		switch {
 		case err == nil:
 			c.Exact = exact
@@ -354,6 +360,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Candidates = append(resp.Candidates, c)
+		memos = append(memos, memo)
 	}
 	// All candidates shed and nothing to serve → surface the typed
 	// overload answer. Partial sheds degrade to model-tier responses.
@@ -362,7 +369,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pickBest(&resp)
-	s.writePlan(w, &resp)
+	s.writePlan(w, &resp, memos)
 }
 
 // pickBest selects the winner under the objective, preferring exact

@@ -1,15 +1,42 @@
 package plan
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // entry is one cache slot. done is closed exactly once, after which val/err
 // are immutable; an entry whose done is still open is an in-flight
 // singleflight computation that later arrivals join instead of recomputing.
+// memo belongs to the entry: a recomputed key starts with an empty one.
 type entry struct {
 	done chan struct{}
 	val  *Exact
 	err  error
+	memo Memo
 }
+
+// Memo is a completed cache entry's one-shot slot for bytes a caller derives
+// from that entry alone, such as cmd/confluxd's encoding of its answer as a
+// hit. It holds nothing until the first Set and is never overwritten, so
+// every reader sees either nothing or the first bytes stored. It lives and
+// dies with its entry: eviction drops it, and the cache's capacity bounds
+// how many exist.
+type Memo struct{ b atomic.Pointer[[]byte] }
+
+// Bytes returns the stored bytes, or nil before the first Set. They must not
+// be modified.
+func (m *Memo) Bytes() []byte {
+	if p := m.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Set stores b unless bytes are stored already, in which case it does
+// nothing: of two racing first Sets, one wins. The caller must not modify b
+// afterwards.
+func (m *Memo) Set(b []byte) { m.b.CompareAndSwap(nil, &b) }
 
 func (e *entry) completed() bool {
 	select {
@@ -27,11 +54,14 @@ func (e *entry) completed() bool {
 // so transient errors (cancellation, shedding) retry on the next request.
 // One mutex guards the map and the counters.
 //
-// Capacity is exactly maxEntries; at it, a completed entry is evicted
-// arbitrarily (map order) to make room. Arbitrary replacement is
-// deliberate: recomputation is cheap relative to serving-tier latency
-// budgets and the expected workload is heavily skewed, so anything smarter
-// buys little for the bookkeeping it costs.
+// Capacity is maxEntries: at it, a miss evicts completed entries
+// arbitrarily (map order) until the new entry fits. In-flight entries are
+// never evicted, so while more than maxEntries computations are in flight
+// the map holds them all; the first miss after enough of them complete
+// brings it back to maxEntries. Arbitrary replacement is deliberate:
+// recomputation is cheap relative to serving-tier latency budgets and the
+// expected workload is heavily skewed, so anything smarter buys little for
+// the bookkeeping it costs.
 type Cache struct {
 	mu    sync.Mutex
 	m     map[string]*entry
@@ -65,13 +95,13 @@ func (c *Cache) begin(key string) (e *entry, owner bool) {
 		return e, false
 	}
 	c.stats.Misses++
-	if len(c.m) >= c.max {
-		for k, old := range c.m {
-			if old.completed() {
-				delete(c.m, k)
-				c.stats.Evictions++
-				break
-			}
+	for k, old := range c.m {
+		if len(c.m) < c.max {
+			break
+		}
+		if old.completed() {
+			delete(c.m, k)
+			c.stats.Evictions++
 		}
 	}
 	e = &entry{done: make(chan struct{})}

@@ -355,42 +355,45 @@ func (p *Planner) Evaluate(ctx context.Context, req Request, wait time.Duration)
 	if err != nil {
 		return nil, "", err
 	}
-	return p.EvaluateKeyed(ctx, req, req.Key(), wait)
+	x, outcome, _, err := p.EvaluateKeyed(ctx, req, req.Key(), wait)
+	return x, outcome, err
 }
 
 // EvaluateKeyed is Evaluate for a request its caller has canonicalized and
 // keyed already: req is canonical and key is req.Key(). A caller that needs
 // the key itself, as cmd/confluxd does for every candidate it answers,
-// builds it once this way.
-func (p *Planner) EvaluateKeyed(ctx context.Context, req Request, key string, wait time.Duration) (*Exact, Outcome, error) {
+// builds it once this way. On a hit it also returns the entry's Memo, which
+// the caller may fill with bytes that depend on the entry alone and read back
+// on the entry's later hits; on any other outcome the Memo is nil.
+func (p *Planner) EvaluateKeyed(ctx context.Context, req Request, key string, wait time.Duration) (*Exact, Outcome, *Memo, error) {
 	e, owner := p.cache.begin(key)
 	if owner {
 		go p.compute(key, e, req)
 	} else if e.completed() {
 		if e.err != nil {
-			return nil, "", e.err
+			return nil, "", nil, e.err
 		}
-		return e.val, OutcomeHit, nil
+		return e.val, OutcomeHit, &e.memo, nil
 	}
 	if wait <= 0 {
 		// Still report a completion that raced ahead of us.
 		if e.completed() && e.err == nil {
-			return e.val, OutcomeComputed, nil
+			return e.val, OutcomeComputed, nil, nil
 		}
-		return nil, OutcomePending, nil
+		return nil, OutcomePending, nil, nil
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
 	case <-e.done:
 		if e.err != nil {
-			return nil, "", e.err
+			return nil, "", nil, e.err
 		}
-		return e.val, OutcomeComputed, nil
+		return e.val, OutcomeComputed, nil, nil
 	case <-timer.C:
-		return nil, OutcomePending, nil
+		return nil, OutcomePending, nil, nil
 	case <-ctx.Done():
-		return nil, "", context.Cause(ctx)
+		return nil, "", nil, context.Cause(ctx)
 	}
 }
 

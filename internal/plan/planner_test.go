@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -498,5 +499,44 @@ func TestModelForCoversTable2(t *testing.T) {
 	r.Algorithm = conflux.Cholesky
 	if _, ok := ModelFor(r); ok {
 		t.Fatal("Cholesky has no Table 2 model; ModelFor must report false")
+	}
+}
+
+// TestEvaluateKeyedMemo: EvaluateKeyed hands out its entry's memo on hits
+// only, the same memo on every hit of one entry, and a fresh, empty memo once
+// the entry is evicted and its key computed again.
+func TestEvaluateKeyedMemo(t *testing.T) {
+	var runs atomic.Int64
+	pl := NewPlanner(t.Context(), Options{MaxInFlight: 1, MaxEntries: 1,
+		Runner: func(_ context.Context, req Request, _ []Machine) (Answers, error) {
+			return Answers{req.Job: {{TotalBytes: runs.Add(1)}}}, nil
+		}})
+	eval := func(req Request) (*Exact, Outcome, *Memo) {
+		t.Helper()
+		x, outcome, memo, err := pl.EvaluateKeyed(t.Context(), req, req.Key(), 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, outcome, memo
+	}
+	a, b := volumeReq(t, 64, 4), volumeReq(t, 96, 4)
+	if _, outcome, memo := eval(a); outcome != OutcomeComputed || memo != nil {
+		t.Fatalf("first request: %s with memo %p, want computed without one", outcome, memo)
+	}
+	_, outcome, m1 := eval(a)
+	if outcome != OutcomeHit || m1 == nil || m1.Bytes() != nil {
+		t.Fatalf("first hit: %s with memo %p, want a hit with an empty memo", outcome, m1)
+	}
+	m1.Set([]byte("first"))
+	if _, _, memo := eval(a); memo != m1 || string(memo.Bytes()) != "first" {
+		t.Fatalf("second hit got memo %p, want the entry's %p holding its bytes", memo, m1)
+	}
+	eval(b) // evicts a at capacity 1
+	x, outcome, memo := eval(a)
+	if outcome != OutcomeComputed || memo != nil || x.TotalBytes != 3 {
+		t.Fatalf("after eviction: %s, memo %p, run %d; want computed by the third run, no memo", outcome, memo, x.TotalBytes)
+	}
+	if _, _, m2 := eval(a); m2 == m1 || m2.Bytes() != nil {
+		t.Fatalf("recomputed entry's memo %p holds %q, want a new empty one", m2, m2.Bytes())
 	}
 }
