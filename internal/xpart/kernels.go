@@ -114,6 +114,11 @@ func CholeskyLowerBound(n int, m float64) float64 {
 // contracting over K·L terms. The numeric optimizer derives it directly
 // from the statement.
 func TensorContractionBound(n, k, l int, m float64) float64 {
+	return contractionProblem(n, k, l).SequentialBound(m).Q
+}
+
+// contractionProblem builds TensorContractionBound's statement problem.
+func contractionProblem(n, k, l int) Problem {
 	// Iteration variables: i=0, j=1, k=2, l=3.
 	s := daap.Statement{
 		Name:   "TC",
@@ -129,7 +134,7 @@ func TensorContractionBound(n, k, l int, m float64) float64 {
 		panic(err)
 	}
 	vertices := float64(n) * float64(n) * float64(k) * float64(l)
-	return FromStatement(s, nil, vertices).SequentialBound(m).Q
+	return FromStatement(s, nil, vertices)
 }
 
 // COnfLUXOverLowerBound returns the paper's headline optimality ratio: the

@@ -4,19 +4,26 @@
 // out-degree-one cap of Lemma 6, the input-reuse bound of Lemma 7 / Eq. (6),
 // the output-reuse corollary of §4.2, and the parallel bound of Lemma 9.
 //
-// ψ(X) is found numerically by multiplicative coordinate ascent on
+// ψ(X) is the optimum of the geometric program
 //
 //	max Π_t x_t   s.t.   Σ_j scale_j · Π_{k ∈ vars(φ_j)} x_k ≤ X,  x_t ≥ 1,
 //
-// which converges to the KKT point of problem (3); tests verify it against
+// which is convex in y = log x. Psi solves it by Newton's method and returns
+// a weighted AM–GM bound proven at the point it reached, so every bound
+// built on ψ is a lower bound however the iteration ended. Tests hold that
+// certificate within 1e-12 of the point's product and check it against
 // every closed form in the paper (MMM, LU S1/S2, the §4 examples).
 package xpart
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
+	"repro/internal/blas"
 	"repro/internal/daap"
+	"repro/internal/lapack"
+	"repro/internal/mat"
 )
 
 // Term is one dominator-set contribution: the distinct iteration variables
@@ -59,41 +66,66 @@ func FromStatement(s daap.Statement, scales map[int]float64, numVertices float64
 // and the statement contributes no dominator-based bound.
 //
 // By KKT complementarity the optimum has some subset of variables clamped
-// at the bound x_t = 1 and the free variables balancing their marginal
-// contributions (Σ_{j∋t} term_j equal across free t) on the active
-// constraint. Depth is small for DAAP kernels (≤3 in every paper example),
-// so all clamp patterns are enumerated and the free variables are solved by
-// a scale-and-balance iteration; the best feasible product wins.
+// at the bound x_t = 1. Depth is small for DAAP kernels (≤4 in every paper
+// example), so every clamp pattern is solved by Newton's method and the
+// best feasible point wins. The ψ returned is an upper bound proven at that
+// point, whatever the iteration reached, and it equals Π xs at the optimum.
 func (p Problem) Psi(x float64) (float64, []float64) {
-	covered := make([]bool, p.Depth)
+	var covered uint64
 	for _, term := range p.Terms {
 		for _, v := range term.Vars {
-			covered[v] = true
+			covered |= 1 << v
 		}
 	}
-	for t := 0; t < p.Depth; t++ {
-		if !covered[t] {
-			return math.Inf(1), nil
-		}
+	if covered != 1<<p.Depth-1 {
+		return math.Inf(1), nil
 	}
 	if p.Depth > 16 {
 		panic("xpart: depth too large for clamp-pattern enumeration")
 	}
-	xs := make([]float64, p.Depth)
-	bestPsi, bestXs := 0.0, []float64(nil)
-	for pattern := 0; pattern < 1<<p.Depth; pattern++ {
-		if !p.solvePattern(x, pattern, xs) {
+	// One scratch buffer: the Newton system and its right-hand side, the
+	// point y = log x and the last accepted one, the marginals c and the
+	// term shares w.
+	d, n := p.Depth, (p.Depth+1)*(p.Depth+2)
+	buf := make([]float64, n+3*d+len(p.Terms))
+	jac, rhs, y, y0 := buf[:n-d-1], buf[n-d-1:n], buf[n:][:d], buf[n+d:][:d]
+	c, w := buf[n+2*d:][:d], buf[n+3*d:]
+	logX, bestSum, xs := math.Log(x), math.Inf(-1), []float64(nil)
+	for pattern := 0; pattern < 1<<d; pattern++ {
+		if !p.newton(logX, pattern, y, y0, c, w, jac, rhs) {
 			continue
 		}
-		psi := 1.0
-		for _, v := range xs {
-			psi *= v
+		sum := 0.0
+		for _, v := range y {
+			sum += v
 		}
-		if psi > bestPsi {
-			bestPsi, bestXs = psi, append(bestXs[:0], xs...)
+		if sum > bestSum {
+			bestSum, xs = sum, append(xs[:0], y...)
 		}
 	}
-	return bestPsi, bestXs
+	if xs == nil {
+		return 0, nil // even x = 1 exceeds X
+	}
+	// The certificate is weighted AM–GM at the point's shares w. Every x ≥ 1
+	// within budget has X ≥ Σ_j s_j·Π_{k∈j} x_k ≥ Π_j (s_j·Π_{k∈j} x_k/w_j)^w_j,
+	// that is Σ_t c_t·log x_t ≤ log X − Σ_j w_j·log(s_j/w_j), and the left
+	// side is at least min_t c_t · log Π x because every log x_t ≥ 0. So it
+	// bounds ψ for any shares, and at the optimum's it is tight (KKT).
+	// Rounding may put the point's own product an ulp above it; the larger
+	// is still an upper bound.
+	p.shares(xs, c, w)
+	e := logX
+	for j, term := range p.Terms {
+		if w[j] > 0 {
+			e -= w[j] * math.Log(term.Scale/w[j])
+		}
+	}
+	prod := 1.0
+	for t, v := range xs {
+		xs[t] = math.Exp(v)
+		prod *= xs[t]
+	}
+	return max(math.Exp(e/slices.Min(c)), prod), xs
 }
 
 // size evaluates the term at iteration ranges xs: scale · Π_{k∈vars} xs_k.
@@ -105,93 +137,121 @@ func (term Term) size(xs []float64) float64 {
 	return v
 }
 
-// constraint evaluates Σ_j scale_j · Π_{k∈j} xs_k.
-func (p Problem) constraint(xs []float64) float64 {
+// shares sets w_j to term j's share of the constraint at y = log x and
+// c_t = Σ_{j∋t} w_j = ∂g/∂y_t, and returns g(y) = log Σ_j s_j·Π_{k∈j} x_k.
+func (p Problem) shares(y, c, w []float64) float64 {
 	total := 0.0
-	for _, term := range p.Terms {
-		total += term.size(xs)
+	for j, term := range p.Terms {
+		e := 0.0
+		for _, k := range term.Vars {
+			e += y[k]
+		}
+		w[j] = term.Scale * math.Exp(e)
+		total += w[j]
 	}
-	return total
+	clear(c)
+	for j, term := range p.Terms {
+		w[j] /= total
+		for _, k := range term.Vars {
+			c[k] += w[j]
+		}
+	}
+	return math.Log(total)
 }
 
-// solvePattern solves for the free variables (bit t of pattern clear) with
-// the clamped ones at 1, leaving the point in xs. Returns whether it is
-// feasible. Its scratch is sized for Psi's depth limit, so it stays on the
-// stack.
-func (p Problem) solvePattern(x float64, pattern int, xs []float64) bool {
-	var freeBuf [16]int
-	var grown, ms [16]float64
-	free := freeBuf[:0]
-	for t := 0; t < p.Depth; t++ {
-		xs[t], grown[t] = 1, 1 // grow rewrites only the free entries
-		if pattern&(1<<t) == 0 {
-			free = append(free, t)
+// newton solves problem (3) in y = log x with the variables of pattern
+// (bit t set) clamped at y_t = 0. At the KKT point of the convex program
+// max Σ y_t s.t. g(y) = log X every free t has the same marginal c_t = κ, so
+// Newton's method runs on r(y, κ) = (κ − c_t for free t, log X − g(y)),
+// whose Jacobian over (y, κ) is [∇²g, −1; cᵀ, 0] with
+// ∇²g = Σ_j w_j·a_j·a_jᵀ − c·cᵀ (a_j the term's incidence vector). A 1e-14
+// ridge on its diagonal keeps it solvable along directions g cannot see
+// (variables that only ever appear together). Newton starts inside the
+// budget with the free y_t equal and halves a step until ‖r‖ falls: a full
+// step on a small share can overshoot by orders of magnitude. It leaves the
+// point in y and reports whether it converged to a feasible one.
+func (p Problem) newton(logX float64, pattern int, y, y0, c, w, jac, rhs []float64) bool {
+	d := len(y)
+	clear(y)
+	g := p.shares(y, c, w)
+	if g > logX || pattern == 1<<d-1 {
+		return g <= logX // x = 1 exceeds X, or is the pattern's only point
+	}
+	free := func(t int) bool { return pattern&(1<<t) == 0 }
+	nFree := float64(d - bits.OnesCount(uint(pattern)))
+	for t := range y {
+		if free(t) {
+			y[t] = (logX - g) / nFree
 		}
 	}
-	if p.constraint(xs) > x*(1+1e-12) {
-		return false // even the all-ones point violates the budget
-	}
-	if len(free) == 0 {
-		return true
-	}
-	// scaleToBoundary multiplies the free variables by a common s >= 1 so
-	// the constraint is active (monotone in s: bisection).
-	scaleToBoundary := func() {
-		lo, hi := 1.0, 2.0
-		grow := func(s float64) float64 {
-			for _, t := range free {
-				grown[t] = max(1, xs[t]*s)
+	a := mat.Matrix{Rows: d + 1, Cols: d + 1, Stride: d + 1, Data: jac}
+	b := mat.Matrix{Rows: d + 1, Cols: 1, Stride: 1, Data: rhs}
+	var ipiv [17]int
+	kappa, kappa0, alpha, r0 := 1.0, 1.0, 1.0, math.Inf(1)
+	for range 200 {
+		// −r into rhs and ‖r‖² into r; clamped variables drop out of c.
+		rhs[d] = logX - p.shares(y, c, w)
+		r := rhs[d] * rhs[d]
+		for t := range y {
+			rhs[t] = kappa - c[t]
+			if !free(t) {
+				rhs[t], c[t] = 0, 0
 			}
-			return p.constraint(grown[:p.Depth])
+			r += rhs[t] * rhs[t]
 		}
-		for grow(hi) < x && hi < 1e30 {
-			hi *= 2
-		}
-		for i := 0; i < 200 && hi-lo > 1e-14*hi; i++ {
-			mid := (lo + hi) / 2
-			if grow(mid) < x {
-				lo = mid
-			} else {
-				hi = mid
+		if !(r <= (1-alpha/2)*r0) { // NaN too: a step that overflowed
+			if alpha /= 2; alpha < 1e-9 {
+				// No step reduces ‖r‖: converged if it is at rounding
+				// level, where an ill-conditioned system's steps stay large.
+				copy(y, y0)
+				return r0 <= 1e-20 && slices.Min(y) >= 0
 			}
-		}
-		s := (lo + hi) / 2
-		for _, t := range free {
-			xs[t] = max(1, xs[t]*s)
-		}
-	}
-	marginal := func(t int) float64 {
-		total := 0.0
-		for _, term := range p.Terms {
-			if slices.Contains(term.Vars, t) {
-				total += term.size(xs)
+			for t := range y {
+				y[t] = (y0[t] + y[t]) / 2
 			}
+			kappa = (kappa0 + kappa) / 2
+			continue
 		}
-		return total
-	}
-	scaleToBoundary()
-	for iter := 0; iter < 400; iter++ {
-		// Balance marginals geometrically, then restore the boundary.
-		logMean := 0.0
-		for i, t := range free {
-			ms[i] = marginal(t)
-			logMean += math.Log(ms[i])
-		}
-		logMean /= float64(len(free))
-		maxDev := 0.0
-		for i, t := range free {
-			adj := math.Exp(0.5 * (logMean - math.Log(ms[i])))
-			xs[t] = max(1, xs[t]*adj)
-			if d := math.Abs(adj - 1); d > maxDev {
-				maxDev = d
+		copy(y0, y)
+		kappa0, alpha, r0 = kappa, 1, r
+		clear(jac)
+		for j, term := range p.Terms {
+			for _, t := range term.Vars {
+				for _, u := range term.Vars {
+					if free(t) && free(u) {
+						jac[t*(d+1)+u] += w[j]
+					}
+				}
 			}
 		}
-		scaleToBoundary()
-		if maxDev < 1e-13 {
-			break
+		for t := range y {
+			if !free(t) {
+				jac[t*(d+2)] = 1 // y_t stays 0
+				continue
+			}
+			for u := range y {
+				jac[t*(d+1)+u] -= c[t] * c[u]
+			}
+			jac[t*(d+2)] += 1e-14
+			jac[t*(d+1)+d], jac[d*(d+1)+t] = -1, c[t]
+		}
+		if lapack.Getrf2(&a, ipiv[:d+1]) != nil {
+			return false
+		}
+		lapack.Laswp(&b, ipiv[:d+1])
+		blas.TrsmLowerLeft(&a, &b, true)
+		blas.TrsmUpperLeft(&a, &b)
+		step := 0.0
+		for t := range y {
+			step = max(step, math.Abs(rhs[t]))
+			y[t] += rhs[t]
+		}
+		kappa += rhs[d]
+		if step <= 1e-10 {
+			return slices.Min(y) >= 0
 		}
 	}
-	return p.constraint(xs) <= x*(1+1e-9)
+	return false
 }
 
 // Rho returns the computational intensity ψ(X)/(X−M) at a given X (> M).

@@ -111,9 +111,6 @@ func TestLUS2ClosedForm(t *testing.T) {
 
 // Full §6 pipeline vs the closed form 2N³−6N²+4N)/(3√M) + N(N−1)/2.
 func TestLUDerivedMatchesClosedForm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive §6 pipeline (~0.7s, ~5.5s under -race); run without -short")
-	}
 	for _, tc := range []struct {
 		n, p int
 		m    float64
@@ -132,9 +129,6 @@ func TestLUDerivedMatchesClosedForm(t *testing.T) {
 
 // §4.1 example: Q_S = Q_T = N³/M, Reuse(B) = N³/M, Q_tot = N³/M.
 func TestFusedMMMExample(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive reuse-bound search (~1.2s, ~15s under -race); run without -short")
-	}
 	n, m := 64, 32.0
 	nf := float64(n)
 	qs, qt, reuse, qtot := FusedMMMTotalBound(n, m)
@@ -157,9 +151,6 @@ func TestFusedMMMExample(t *testing.T) {
 // §4.2 example: dropping A's dominator term (ρ_S → ∞) gives Q = N³/M
 // instead of 2N³/√M.
 func TestModifiedMMMExample(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive output-reuse search (~0.6s, ~7s under -race); run without -short")
-	}
 	n, m := 64, 100.0
 	nf := float64(n)
 	got := ModifiedMMMBound(n, m)
@@ -176,9 +167,6 @@ func TestModifiedMMMExample(t *testing.T) {
 // ψ(X0) for the fused-MMM statement: X0 = 2M with B's access size = M
 // (K=1, I=J=M), reproducing the Reuse(B) pieces of §4.1.
 func TestFusedMMMAccessSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive access-size search (~0.6s, ~6.6s under -race); run without -short")
-	}
 	m := 50.0
 	prog := daap.FusedMMMProgram()
 	s := FromStatement(prog.Statements[0], nil, 1e6)
@@ -253,9 +241,6 @@ func TestLUSequentialMatchesOlivry(t *testing.T) {
 }
 
 func TestTensorContractionBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive contraction-bound search (~1.0s, ~14s under -race); run without -short")
-	}
 	// With K=L=√N the contraction is exactly MMM over a fused index of size
 	// N, so the bounds must coincide.
 	n, m := 64, 100.0
@@ -303,9 +288,9 @@ func TestQuickParallelScaling(t *testing.T) {
 }
 
 // Psi allocates per call, never per clamp pattern or solver step: the
-// coverage check, the point being solved and the best point, 3 in all. One
-// allocation per pattern would exceed the ceiling of 4 even at LU S1's four
-// patterns; one per bisection step makes hundreds.
+// scratch buffer and the best point, 2 in all. One allocation per pattern
+// would exceed the ceiling of 4 even at LU S1's four patterns; one per
+// Newton step makes dozens.
 func TestPsiAllocs(t *testing.T) {
 	mmm := MMMProblem(64)
 	s1, _ := LUStatementProblems(32)
