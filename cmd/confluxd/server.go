@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -355,7 +357,11 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			} else if errors.Is(err, context.Canceled) {
 				return // client went away
 			} else {
-				s.writeError(w, httpError{http.StatusInternalServerError, 0, err.Error()})
+				// A rank's panic carries its goroutine stack: that belongs
+				// in the server log, and only the first line in the body.
+				log.Printf("confluxd: %s: %v", r.URL.RequestURI(), err)
+				msg, _, _ := strings.Cut(err.Error(), "\n")
+				s.writeError(w, httpError{http.StatusInternalServerError, 0, msg})
 				return
 			}
 		}

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -106,6 +110,42 @@ func TestPlanUnknownAlgorithmListsEngines(t *testing.T) {
 	const want = `unknown algorithm "HPL" (registered: [CANDMC COnfLUX Cholesky LibSci SLATE])`
 	if e["error"] != want {
 		t.Fatalf("error %q\nwant  %q", e["error"], want)
+	}
+}
+
+// TestPlanRunnerErrorFirstLine: a failed simulation answers 500 with the
+// error's first line only. The rest (a rank's panic carries its goroutine
+// stack, with source paths) goes to the server log.
+func TestPlanRunnerErrorFirstLine(t *testing.T) {
+	runner := func(context.Context, plan.Request, []plan.Machine) (plan.Answers, error) {
+		return plan.Answers{}, errors.New("smpi: rank 0 panicked: boom\ngoroutine 7 [running]:\nrepro/internal/conflux.Run(...)")
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	_, ts := testServer(t, runner, nil)
+	status, _, body := get(t, ts.URL+"/v1/plan?n=64&p=4&algo=COnfLUX")
+	var e map[string]string
+	if err := json.Unmarshal(body, &e); status != http.StatusInternalServerError || err != nil {
+		t.Fatalf("status %d, body %s", status, body)
+	}
+	if !strings.HasSuffix(e["error"], "smpi: rank 0 panicked: boom") || strings.Contains(string(body), "goroutine ") {
+		t.Fatalf("body %s, want the error's first line only", body)
+	}
+	if !strings.Contains(logged.String(), "goroutine 7 [running]") {
+		t.Fatalf("server log %q lacks the full error", logged.String())
+	}
+}
+
+// TestPlanTinyN: n below the replication depth the rank count allows
+// (P = 8 and 27 give c = 2 and 3) answers 200 for every engine.
+func TestPlanTinyN(t *testing.T) {
+	_, ts := testServer(t, nil, nil)
+	for _, q := range []string{"n=1&p=8&algo=COnfLUX", "n=2&p=27&algo=all"} {
+		status, _, body := get(t, ts.URL+"/v1/plan?"+q)
+		if status != http.StatusOK || strings.Contains(string(body), "goroutine ") {
+			t.Fatalf("%s: status %d, body %s", q, status, body)
+		}
 	}
 }
 

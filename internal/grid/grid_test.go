@@ -175,6 +175,10 @@ func TestMaxReplication(t *testing.T) {
 	if c := MaxReplication(27, 1e12, 8); c != 3 {
 		t.Fatalf("c=%d want 3", c)
 	}
+	// Never more layers than rows: n = 2 at P = 27 would otherwise get 3.
+	if c := MaxReplication(27, 1e12, 2); c != 2 {
+		t.Fatalf("c=%d want 2", c)
+	}
 }
 
 // Property: Coords/Rank are mutually inverse for random valid grids.

@@ -78,15 +78,9 @@ func abs(x int) int {
 }
 
 // MaxReplication returns the paper's replication bound c = P·M/N², clamped
-// to [1, P^{1/3}] and to powers that keep at least one rank per layer.
+// to [1, P^{1/3}] and to at most N layers: the 2.5D engines block by v ≥ c
+// and v ≤ N, so an N below the depth has no blocking parameter.
 func MaxReplication(p int, m float64, n int) int {
 	c := int(float64(p) * m / float64(n) / float64(n))
-	cbrt := int(math.Cbrt(float64(p)))
-	if c > cbrt {
-		c = cbrt
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max(1, min(c, int(math.Cbrt(float64(p))), n))
 }

@@ -329,3 +329,38 @@ func TestSessionConfigResolved(t *testing.T) {
 		t.Fatalf("Config().Machine = %+v after WithFreeMachine, want zero", free.Config().Machine)
 	}
 }
+
+// TestTinyNAtDeepReplication runs every engine at n ≤ 2 on the rank counts
+// whose replication rule asked for more layers than rows (P ∈ {8, 16, 27,
+// 31} give c = 2 or 3). The 2.5D engines then had no blocking parameter
+// (v ≥ c and v ≤ n) and their ranks panicked.
+func TestTinyNAtDeepReplication(t *testing.T) {
+	for _, p := range []int{8, 16, 27, 31} {
+		for n := 1; n <= 2; n++ {
+			for _, algo := range Engines() {
+				s, err := New(WithRanks(p), WithAlgorithm(algo))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.CommVolume(t.Context(), n); err != nil {
+					t.Errorf("%s CommVolume(%d) at P=%d: %v", algo, n, p, err)
+				}
+				if algo == Cholesky {
+					if _, _, err := s.FactorizeSPD(t.Context(), testutil.SPD(n, 7)); err != nil {
+						t.Errorf("FactorizeSPD(%d) at P=%d: %v", n, p, err)
+					}
+					continue
+				}
+				a := RandomMatrix(n, 7)
+				res, err := s.Factorize(t.Context(), a)
+				if err != nil {
+					t.Errorf("%s Factorize(%d) at P=%d: %v", algo, n, p, err)
+					continue
+				}
+				if r := testutil.ResidualLUPerm(a, res.LU, res.Perm); r > 1e-12 {
+					t.Errorf("%s Factorize(%d) at P=%d: residual %v", algo, n, p, r)
+				}
+			}
+		}
+	}
+}
