@@ -3,15 +3,18 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-full fuzz-smoke vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest loc ci
+.PHONY: all build test test-purego test-full fuzz-smoke determinism vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest loc ci
 
 all: ci
 
 build:
 	$(GO) build ./...
 
-# Fast gate: -short skips the exhaustive internal/xpart searches (~4 s plain
-# but ~49 s under -race on a 2-core host, go1.24.0, 2026-10-18).
+# Fast gate: -short skips the long cases: the N = 1,024 and P = 256
+# conformance digests, the paper-scale numeric conformance run and a few
+# paper-scale checks in internal/bench and internal/conflux. internal/xpart
+# runs whole: ~0.5 s plain, ~4 s under -race on a 2-core host (go1.24.0,
+# 2026-10-19).
 test:
 	$(GO) test -race -short ./...
 
@@ -55,6 +58,9 @@ test-purego:
 # fixed point with a stable cache key.
 # The eighth holds confluxd's /v1/plan appender to encoding/json: equal
 # bytes for any response, or both refuse it (a non-finite float).
+# The ninth draws small lower-bound problems (depth ≤ 4, ≤ 4 terms of 1–3
+# variables, scales in [1/8, 8]) and a budget X: ψ(X) is certified within
+# 1e-12 of its own feasible point and bounds the product at a random one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScatterGather -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzMailboxMatching -fuzztime 10s ./internal/smpi
@@ -64,9 +70,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPriceSchedule -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz FuzzPlanParams -fuzztime 10s ./cmd/confluxd
 	$(GO) test -run '^$$' -fuzz FuzzPlanBody -fuzztime 10s ./cmd/confluxd
+	$(GO) test -run '^$$' -fuzz FuzzPsi -fuzztime 10s ./internal/xpart
 
-# The full suite, including the exhaustive lower-bound searches: the
-# tier-1 command, a blocking CI job (~26 s wall on a 2-core host).
+# Every digest test twice at GOMAXPROCS 1 and 4 (ROADMAP 9(e)): reports,
+# factors and solutions must not depend on how many threads run the ranks.
+# Never more than 4 CPUs, so it fits a shared CI host.
+determinism:
+	$(GO) test -count=2 -cpu 1,4 -run 'TestConformance(GoldenDigests|SolutionDigests|VolumeDigests|VolumeDigestsCholeskyAndSolve|PricedVolumeDigests|LUEngines|Cholesky)' .
+
+# The full suite, including the long cases -short skips: the tier-1
+# command, a blocking CI job (~27 s wall on a 2-core host).
 test-full:
 	$(GO) test ./...
 
@@ -175,4 +188,4 @@ loc:
 # values of root types (trace.Topology, conflux options) that a root change
 # can break without any root test noticing. conformance and loadtest run as
 # CI runs them: conformance's long cases skip under test's -short.
-ci: fmt-check vet build test fuzz-smoke test-purego conformance loadtest benchmark-check
+ci: fmt-check vet build test fuzz-smoke determinism test-purego conformance loadtest benchmark-check
