@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -121,8 +120,9 @@ func TestPlanRunnerErrorFirstLine(t *testing.T) {
 		return plan.Answers{}, errors.New("smpi: rank 0 panicked: boom\ngoroutine 7 [running]:\nrepro/internal/conflux.Run(...)")
 	}
 	var logged bytes.Buffer
+	prev := log.Writer()
 	log.SetOutput(&logged)
-	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	t.Cleanup(func() { log.SetOutput(prev) })
 	_, ts := testServer(t, runner, nil)
 	status, _, body := get(t, ts.URL+"/v1/plan?n=64&p=4&algo=COnfLUX")
 	var e map[string]string
