@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego test-full fuzz-smoke determinism vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest loc ci
+.PHONY: all build test test-purego test-full fuzz-smoke determinism vet fmt-check benchmark-check bench-smoke bench-json kernels conformance cover loadtest examples loc ci
 
 all: ci
 
@@ -177,6 +177,12 @@ kernels:
 loadtest:
 	$(GO) test -race -count=1 -run 'TestConfluxdLoad' -v ./cmd/confluxd
 
+# Every examples/ binary, run once: README's entry points, each of which
+# exits non-zero through log.Fatal when the public API under it fails. All
+# seven take ~0.5 s after the build on a 2-core host.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # Tracked non-test Go lines per package, outside the nested benchmark/
 # module, and their total: the counts ROADMAP's line-count gates cite.
 loc:
@@ -186,6 +192,7 @@ loc:
 
 # benchmark-check rides along because the nested benchmark module holds
 # values of root types (trace.Topology, conflux options) that a root change
-# can break without any root test noticing. conformance and loadtest run as
-# CI runs them: conformance's long cases skip under test's -short.
-ci: fmt-check vet build test fuzz-smoke determinism test-purego conformance loadtest benchmark-check
+# can break without any root test noticing; examples does the same for the
+# examples/ binaries. conformance and loadtest run as CI runs them:
+# conformance's long cases skip under test's -short.
+ci: fmt-check vet build test fuzz-smoke determinism test-purego conformance loadtest examples benchmark-check

@@ -127,48 +127,37 @@ type Result struct {
 	mu sync.Mutex
 
 	// sess is the session the factorization ran on; nil marks a
-	// hand-assembled Result, for which solves fall back to the local
-	// sequential substitution.
+	// hand-assembled Result, whose solves run on a one-rank session.
 	sess *Session
 }
 
-// SolveFactoredContext solves a·x = b using already-computed factors.
-// Results produced by Factorize delegate to the distributed solve (metered
-// into r.SolveVolume/SolveBytes/SolveTime); hand-assembled Results fall back
-// to a local sequential substitution. Either path reports an ErrSingular-
-// wrapped error on a singular factor (zero U diagonal) instead of producing
-// Inf/NaN. Cancellation of ctx aborts an in-flight distributed solve with
-// ErrCanceled.
+// SolveFactoredContext solves a·x = b using already-computed factors. The
+// solve runs distributed on the session Factorize recorded, or on a one-rank
+// session for a hand-assembled Result, and is metered into
+// r.SolveVolume/SolveBytes/SolveTime. A singular factor (zero U diagonal)
+// reports an ErrSingular-wrapped error instead of producing Inf/NaN.
+// Cancellation of ctx aborts the solve with ErrCanceled.
 func (r *Result) SolveFactoredContext(ctx context.Context, b []float64) ([]float64, error) {
 	n := len(r.Perm)
 	if len(b) != n {
 		return nil, fmt.Errorf("%w: rhs length %d != %d", ErrShape, len(b), n)
-	}
-	if r.LU == nil || r.LU.Phantom() {
-		return nil, fmt.Errorf("conflux: factors unavailable (volume-mode run?)")
-	}
-	if r.sess == nil {
-		return r.solveSequential(b)
 	}
 	bm := mat.FromSlice(n, 1, append([]float64(nil), b...))
 	x, err := r.SolveManyFactoredContext(ctx, bm)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = x.At(i, 0)
-	}
-	return out, nil
+	return x.Pack(), nil
 }
 
 // SolveManyFactoredContext solves a·X = B (B is n×nrhs) using already-
-// computed factors. For Results produced by Factorize the solve runs
-// distributed on the session's solve ranks under the recorded α-β machine;
-// the run's volume report replaces r.SolveVolume and its solve-phase bytes
-// and makespan accumulate into r.SolveBytes / r.SolveTime. Concurrent
-// solves on one Result are safe (the accounting is mutex-guarded);
-// cancellation of ctx aborts the simulation with ErrCanceled.
+// computed factors. The solve runs distributed on the solve ranks of the
+// session Factorize recorded (a one-rank session for a hand-assembled
+// Result), under that session's α-β machine; the run's volume report
+// replaces r.SolveVolume and its solve-phase bytes and makespan accumulate
+// into r.SolveBytes / r.SolveTime. Concurrent solves on one Result are safe
+// (the accounting is mutex-guarded); cancellation of ctx aborts the
+// simulation with ErrCanceled.
 func (r *Result) SolveManyFactoredContext(ctx context.Context, b *Matrix) (*Matrix, error) {
 	n := len(r.Perm)
 	if b == nil || b.Rows != n || b.Cols < 1 {
@@ -177,26 +166,12 @@ func (r *Result) SolveManyFactoredContext(ctx context.Context, b *Matrix) (*Matr
 	if r.LU == nil || r.LU.Phantom() {
 		return nil, fmt.Errorf("conflux: factors unavailable (volume-mode run?)")
 	}
-	if r.sess == nil {
-		x := mat.New(n, b.Cols)
-		col := make([]float64, n)
-		for j := 0; j < b.Cols; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.At(i, j)
-			}
-			xj, err := r.solveSequential(col)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < n; i++ {
-				x.Set(i, j, xj[i])
-			}
-		}
-		return x, nil
-	}
 	s := r.sess
+	if s == nil {
+		s, _ = New(WithRanks(1)) // cannot fail
+	}
 	pb := mat.PermuteRows(b, r.Perm)
-	opt := trisolve.DefaultOptions(n, s.cfg.solveRanks, b.Cols)
+	opt := trisolve.DefaultOptions(n, s.cfg.SolveRanks, b.Cols)
 	var x *Matrix
 	rep, err := s.run(ctx, opt.Grid.Total, true, func(c *smpi.Comm) error {
 		var lu, rhs *mat.Matrix
@@ -223,38 +198,6 @@ func (r *Result) SolveManyFactoredContext(ctx context.Context, b *Matrix) (*Matr
 	r.SolveBytes += rep.ByPhase[trisolve.PhaseFwd] + rep.ByPhase[trisolve.PhaseBack]
 	r.SolveTime += rep.Time.Makespan
 	r.mu.Unlock()
-	return x, nil
-}
-
-// solveSequential is the local O(n²) substitution used for hand-assembled
-// Results (no session to rebuild a simulated world from).
-func (r *Result) solveSequential(b []float64) ([]float64, error) {
-	n := len(r.Perm)
-	x := make([]float64, n)
-	for i, p := range r.Perm {
-		x[i] = b[p]
-	}
-	// Forward substitution L·y = Pb (unit diagonal).
-	for i := 0; i < n; i++ {
-		row := r.LU.Row(i)
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s
-	}
-	// Back substitution U·x = y.
-	for i := n - 1; i >= 0; i-- {
-		row := r.LU.Row(i)
-		if row[i] == 0 {
-			return nil, fmt.Errorf("%w: zero pivot on row %d", ErrSingular, i)
-		}
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s / row[i]
-	}
 	return x, nil
 }
 

@@ -23,7 +23,9 @@ func (s *server) writePlan(w http.ResponseWriter, resp *planResponse, memos []*p
 		s.writeJSON(w, resp)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 

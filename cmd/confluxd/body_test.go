@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -171,14 +172,39 @@ func TestPlanBodiesUnchanged(t *testing.T) {
 	}
 }
 
+// TestPlanContentLength: a /v1/plan answer over net/http's 2 KB chunking
+// buffer arrives whole with its Content-Length, computed and cached alike.
+func TestPlanContentLength(t *testing.T) {
+	ts := httptest.NewServer(stubServer(t, 0, nil, nil).routes())
+	t.Cleanup(ts.Close)
+	for range 2 {
+		resp, err := http.Get(ts.URL + "/v1/plan?n=128&p=16&topology=hier-contended")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) <= 2048 || bytes.Count(body, []byte(`"exact_status"`)) != 4 {
+			t.Fatalf("status %d, %d bytes: want a four-candidate 200 over 2 KB\n%s", resp.StatusCode, len(body), body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // TestPlanHitAllocs bounds the heap allocations of a warm four-candidate
 // /v1/plan answer through the routes, the recorder and request included.
 // With encoding/json and a key built twice per candidate from eleven
 // formatted floats, a hit took 138 allocations (146 under -race); appended
 // in one pass with one key per candidate it took 42 (49 under -race). With
 // each candidate appended from its cache entry's memo, which skips the model
-// tier and encoding/json's quoting of the stub's grid strings, it takes 30
-// (31 under -race). The ceiling is 30 + 25%.
+// tier and encoding/json's quoting of the stub's grid strings, it took 30
+// (31 under -race); the Content-Length header makes it 32 (33 under -race).
+// The ceiling is 30 + 25%.
 func TestPlanHitAllocs(t *testing.T) {
 	const ceiling = 37
 	h := stubServer(t, 0, nil, nil).routes()

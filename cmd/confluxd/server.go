@@ -10,13 +10,13 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	conflux "repro"
 	"repro/internal/costmodel"
 	"repro/internal/plan"
+	"repro/internal/smpi"
 )
 
 // serverConfig is the serving policy: pool sizes, shedding thresholds, and
@@ -357,11 +357,14 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			} else if errors.Is(err, context.Canceled) {
 				return // client went away
 			} else {
-				// A rank's panic carries its goroutine stack: that belongs
-				// in the server log, and only the first line in the body.
+				// A rank's panic keeps its goroutine stack out of the
+				// error text: the stack goes to the server log only.
 				log.Printf("confluxd: %s: %v", r.URL.RequestURI(), err)
-				msg, _, _ := strings.Cut(err.Error(), "\n")
-				s.writeError(w, httpError{http.StatusInternalServerError, 0, msg})
+				var pe *smpi.PanicError
+				if errors.As(err, &pe) {
+					log.Printf("confluxd: rank %d stack:\n%s", pe.Rank, pe.Stack)
+				}
+				s.writeError(w, httpError{http.StatusInternalServerError, 0, err.Error()})
 				return
 			}
 		}

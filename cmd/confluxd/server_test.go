@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -18,6 +17,7 @@ import (
 
 	conflux "repro"
 	"repro/internal/plan"
+	"repro/internal/smpi"
 )
 
 // testServer builds a server with fast serving policy and an optional
@@ -113,11 +113,12 @@ func TestPlanUnknownAlgorithmListsEngines(t *testing.T) {
 }
 
 // TestPlanRunnerErrorFirstLine: a failed simulation answers 500 with the
-// error's first line only. The rest (a rank's panic carries its goroutine
-// stack, with source paths) goes to the server log.
+// error's one line of text. A rank's panic keeps its goroutine stack, with
+// source paths, out of that text; the stack goes to the server log.
 func TestPlanRunnerErrorFirstLine(t *testing.T) {
 	runner := func(context.Context, plan.Request, []plan.Machine) (plan.Answers, error) {
-		return plan.Answers{}, errors.New("smpi: rank 0 panicked: boom\ngoroutine 7 [running]:\nrepro/internal/conflux.Run(...)")
+		return plan.Answers{}, &smpi.PanicError{Rank: 0, Value: "boom",
+			Stack: []byte("goroutine 7 [running]:\nrepro/internal/conflux.Run(...)")}
 	}
 	var logged bytes.Buffer
 	prev := log.Writer()

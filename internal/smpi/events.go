@@ -286,7 +286,7 @@ func (s *eventScheduler) rankMain(rank int, fn RankFunc) {
 	func() {
 		defer func() {
 			if rec := recover(); rec != nil {
-				err = panicError(rank, rec)
+				err = recovered(rank, rec)
 			}
 		}()
 		err = fn(WorldComm(s.w, rank))

@@ -199,7 +199,7 @@ func runGoroutines(w *World, fn RankFunc) []error {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
-					errs[rank] = panicError(rank, rec)
+					errs[rank] = recovered(rank, rec)
 					w.Abort()
 					return
 				}
@@ -214,17 +214,31 @@ func runGoroutines(w *World, fn RankFunc) []error {
 	return errs
 }
 
-// panicError converts a rank's recovered panic into its run error: ErrAborted
-// stays itself, any other error stays reachable through errors.Is.
-func panicError(rank int, rec any) error {
-	err, ok := rec.(error)
-	if !ok {
-		return fmt.Errorf("smpi: rank %d panicked: %v\n%s", rank, rec, debug.Stack())
-	}
-	if errors.Is(err, ErrAborted) {
+// PanicError is the run error of a rank that panicked. Its text names the
+// rank and the panic value; the rank's goroutine stack stays in Stack, for
+// logs. An error panic value stays reachable through errors.Is and errors.As.
+type PanicError struct {
+	Rank  int
+	Value any    // the recovered panic value
+	Stack []byte // debug.Stack() where the panic was recovered
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("smpi: rank %d panicked: %v", e.Rank, e.Value)
+}
+
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// recovered converts a rank's recovered panic into its run error: ErrAborted
+// stays itself, anything else becomes a *PanicError.
+func recovered(rank int, rec any) error {
+	if err, ok := rec.(error); ok && errors.Is(err, ErrAborted) {
 		return ErrAborted
 	}
-	return fmt.Errorf("smpi: rank %d panicked: %w\n%s", rank, err, debug.Stack())
+	return &PanicError{Rank: rank, Value: rec, Stack: debug.Stack()}
 }
 
 // firstRunError picks the run's error: the first non-ErrAborted rank error

@@ -394,15 +394,37 @@ func TestRankErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestRankPanicBecomesError: on either executor a rank's panic, with a plain
+// value or an error value, is a one-line *PanicError that carries the rank
+// and its stack, and an error value stays reachable through errors.Is. A
+// panic with ErrAborted unwinds as ErrAborted itself.
 func TestRankPanicBecomesError(t *testing.T) {
-	_, err := Exec(context.Background(), Config{P: 2, Payload: true, Timeout: testTimeout}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			panic("kaput")
+	errKaput := errors.New("kaput")
+	for _, ex := range []Executor{ExecGoroutines, ExecEvents} {
+		for _, v := range []any{"kaput", fmt.Errorf("wrapped: %w", errKaput)} {
+			_, err := Exec(context.Background(), Config{P: 2, Payload: true, Executor: ex, Timeout: testTimeout}, func(c *Comm) error {
+				if c.Rank() == 1 {
+					panic(v)
+				}
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Rank != 1 || !strings.Contains(string(pe.Stack), "goroutine ") {
+				t.Fatalf("%s, panic(%v): err = %#v, want a *PanicError of rank 1 with its stack", ex, v, err)
+			}
+			if msg := err.Error(); msg != "smpi: rank 1 panicked: "+fmt.Sprint(v) || strings.Contains(msg, "\n") {
+				t.Fatalf("%s: error text %q, want one line", ex, msg)
+			}
+			if _, isErr := v.(error); isErr != errors.Is(err, errKaput) {
+				t.Fatalf("%s, panic(%v): errors.Is(err, errKaput) = %v", ex, v, !isErr)
+			}
 		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "kaput") {
-		t.Fatalf("err = %v", err)
+		_, err := Exec(context.Background(), Config{P: 2, Executor: ex, Timeout: testTimeout}, func(c *Comm) error {
+			panic(ErrAborted)
+		})
+		if err != ErrAborted {
+			t.Fatalf("%s: panic(ErrAborted) ran to %v, want ErrAborted", ex, err)
+		}
 	}
 }
 

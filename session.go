@@ -12,7 +12,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/smpi"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Session is the entry point: a handle on one simulated machine
@@ -34,7 +33,7 @@ import (
 // own simulated world; the accumulated Stats are mutex-guarded. The one
 // shared mutable object is a Result — see its concurrency contract.
 type Session struct {
-	cfg sessionConfig
+	cfg Config
 	eng engine.Engine // resolved once by New; Lookup cannot fail afterwards
 
 	mu    sync.Mutex
@@ -59,44 +58,16 @@ type SessionStats struct {
 	Executor string
 }
 
-// sessionConfig is the resolved, immutable configuration of a Session.
-type sessionConfig struct {
-	ranks        int
-	memory       float64 // 0: paper's max-replication default, per n
-	algorithm    Algorithm
-	machine      Machine
-	machineSet   bool
-	solveRanks   int // 0: ranks
-	rhs          int
-	refineSweeps int
-	nb           int
-	timeout      time.Duration
-	executor     smpi.Executor
-	workers      int       // 0 = 1: serial event schedule
-	topology     topo.Spec // zero = plain machine path
-	faults       topo.FaultPlan
-}
-
-func defaultSessionConfig() sessionConfig {
-	return sessionConfig{
-		ranks:     4,
-		algorithm: COnfLUX,
-		rhs:       1,
-		timeout:   10 * time.Minute,
-		executor:  smpi.ExecGoroutines,
-	}
-}
-
 // Option configures a Session under construction (functional options).
-type Option func(*sessionConfig) error
+type Option func(*Config) error
 
 // WithRanks sets the number of simulated processors P (default 4).
 func WithRanks(p int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if p <= 0 {
 			return fmt.Errorf("conflux: WithRanks requires p > 0, got %d", p)
 		}
-		c.ranks = p
+		c.Ranks = p
 		return nil
 	}
 }
@@ -110,11 +81,11 @@ func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // per job from its matrix dimension; a negative or non-finite m is rejected
 // like every other out-of-range option value.
 func WithMemory(m float64) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if !finiteNonNeg(m) {
 			return fmt.Errorf("conflux: WithMemory requires finite m >= 0 (0 selects the paper default), got %v", m)
 		}
-		c.memory = m
+		c.Memory = m
 		return nil
 	}
 }
@@ -122,8 +93,8 @@ func WithMemory(m float64) Option {
 // WithAlgorithm selects the engine (default COnfLUX). The name must be one
 // of Engines(); New fails with ErrUnknownAlgorithm otherwise.
 func WithAlgorithm(a Algorithm) Option {
-	return func(c *sessionConfig) error {
-		c.algorithm = a
+	return func(c *Config) error {
+		c.Algorithm = a
 		return nil
 	}
 }
@@ -133,12 +104,11 @@ func WithAlgorithm(a Algorithm) Option {
 // default (option absent) is DefaultMachine(). A negative or non-finite α or
 // β is rejected: no report computed under one means anything.
 func WithMachine(m Machine) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if !finiteNonNeg(m.Alpha) || !finiteNonNeg(m.Beta) {
 			return fmt.Errorf("conflux: WithMachine requires finite alpha, beta >= 0, got %+v", m)
 		}
-		c.machine = m
-		c.machineSet = true
+		c.Machine = m
 		return nil
 	}
 }
@@ -151,11 +121,11 @@ func WithFreeMachine() Option { return WithMachine(Machine{}) }
 // triangular solve runs on (default: the factorization rank count). The
 // solve uses its own 2D grid, independent of the factorization grid.
 func WithSolveRanks(p int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if p <= 0 {
 			return fmt.Errorf("conflux: WithSolveRanks requires p > 0, got %d", p)
 		}
-		c.solveRanks = p
+		c.SolveRanks = p
 		return nil
 	}
 }
@@ -163,11 +133,11 @@ func WithSolveRanks(p int) Option {
 // WithRHS sets the right-hand-side count volume-mode solve replays
 // generate (default 1). Numeric solves infer the width from B.
 func WithRHS(nrhs int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if nrhs <= 0 {
 			return fmt.Errorf("conflux: WithRHS requires nrhs > 0, got %d", nrhs)
 		}
-		c.rhs = nrhs
+		c.RHS = nrhs
 		return nil
 	}
 }
@@ -176,11 +146,11 @@ func WithRHS(nrhs int) Option {
 // SolveMany: after the direct solve, up to k rounds of residual
 // recomputation and distributed re-solve (default 0: none).
 func WithRefineSweeps(k int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if k < 0 {
 			return fmt.Errorf("conflux: WithRefineSweeps requires k >= 0, got %d", k)
 		}
-		c.refineSweeps = k
+		c.RefineSweeps = k
 		return nil
 	}
 }
@@ -189,11 +159,11 @@ func WithRefineSweeps(k int) Option {
 // blocking parameter (LibSci; Table 2 lists it as a user choice). 0 selects
 // the engine default.
 func WithBlockSize(nb int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if nb < 0 {
 			return fmt.Errorf("conflux: WithBlockSize requires nb >= 0, got %d", nb)
 		}
-		c.nb = nb
+		c.BlockSize = nb
 		return nil
 	}
 }
@@ -207,12 +177,12 @@ func WithBlockSize(nb int) Option {
 // ErrUnknownExecutor. The choice is stamped on Stats().Executor,
 // Result.Executor, and VolumeReport.Executor.
 func WithExecutor(name string) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		e, err := smpi.ResolveExecutor(smpi.Executor(name))
 		if err != nil {
 			return publicErr(err)
 		}
-		c.executor = e
+		c.Executor = string(e)
 		return nil
 	}
 }
@@ -226,11 +196,11 @@ func WithExecutor(name string) Option {
 // and changes nothing observable. Widths above the world size are
 // clamped; the goroutine executor ignores the setting.
 func WithWorkers(n int) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if n < 1 {
 			return fmt.Errorf("conflux: WithWorkers requires n >= 1, got %d", n)
 		}
-		c.workers = n
+		c.Workers = n
 		return nil
 	}
 }
@@ -240,11 +210,11 @@ func WithWorkers(n int) Option {
 // it exists so a schedule bug surfaces as ErrCanceled instead of a
 // deadlock. Default 10 minutes; 0 disables it (rely on the context alone).
 func WithTimeout(d time.Duration) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if d < 0 {
 			return fmt.Errorf("conflux: WithTimeout requires d >= 0, got %v", d)
 		}
-		c.timeout = d
+		c.Timeout = d
 		return nil
 	}
 }
@@ -253,19 +223,24 @@ func WithTimeout(d time.Duration) Option {
 // and that the selected algorithm names an engine (otherwise the error wraps
 // ErrUnknownAlgorithm).
 func New(opts ...Option) (*Session, error) {
-	cfg := defaultSessionConfig()
+	cfg := Config{
+		Ranks:     4,
+		Algorithm: COnfLUX,
+		Machine:   DefaultMachine(),
+		RHS:       1,
+		Timeout:   10 * time.Minute,
+		Executor:  string(smpi.ExecGoroutines),
+		Workers:   1,
+	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	if !cfg.machineSet {
-		cfg.machine = DefaultMachine()
+	if cfg.SolveRanks == 0 {
+		cfg.SolveRanks = cfg.Ranks
 	}
-	if cfg.solveRanks <= 0 {
-		cfg.solveRanks = cfg.ranks
-	}
-	eng, err := engine.Lookup(cfg.algorithm)
+	eng, err := engine.Lookup(cfg.Algorithm)
 	if err != nil {
 		return nil, publicErr(err)
 	}
@@ -277,14 +252,14 @@ func New(opts ...Option) (*Session, error) {
 func Engines() []Algorithm { return engine.Names() }
 
 // Algorithm returns the engine the session dispatches to.
-func (s *Session) Algorithm() Algorithm { return s.cfg.algorithm }
+func (s *Session) Algorithm() Algorithm { return s.cfg.Algorithm }
 
 // Ranks returns the simulated world size P of the session's machine.
-func (s *Session) Ranks() int { return s.cfg.ranks }
+func (s *Session) Ranks() int { return s.cfg.Ranks }
 
 // Machine returns the α-β machine parameters the session's clocks advance
 // with.
-func (s *Session) Machine() Machine { return s.cfg.machine }
+func (s *Session) Machine() Machine { return s.cfg.Machine }
 
 // Stats returns the accumulated trace totals of every simulation this
 // session has completed so far.
@@ -351,32 +326,12 @@ type Config struct {
 
 // Config returns the session's resolved configuration — the canonical
 // parameter tuple its simulations are a pure function of.
-func (s *Session) Config() Config {
-	workers := s.cfg.workers
-	if workers < 1 {
-		workers = 1
-	}
-	return Config{
-		Ranks:        s.cfg.ranks,
-		Memory:       s.cfg.memory,
-		Algorithm:    s.cfg.algorithm,
-		Machine:      s.cfg.machine,
-		SolveRanks:   s.cfg.solveRanks,
-		RHS:          s.cfg.rhs,
-		RefineSweeps: s.cfg.refineSweeps,
-		BlockSize:    s.cfg.nb,
-		Topology:     s.cfg.topology,
-		Faults:       s.cfg.faults.Canonical(),
-		Timeout:      s.cfg.timeout,
-		Executor:     string(s.cfg.executor),
-		Workers:      workers,
-	}
-}
+func (s *Session) Config() Config { return s.cfg }
 
 // engineConfig is the per-run engine configuration derived from the
 // session.
 func (s *Session) engineConfig() engine.Config {
-	return engine.Config{Ranks: s.cfg.ranks, Memory: s.cfg.memory, NB: s.cfg.nb}
+	return engine.Config{Ranks: s.cfg.Ranks, Memory: s.cfg.Memory, NB: s.cfg.BlockSize}
 }
 
 // run executes one simulation on a fresh world of the given size under the
@@ -386,26 +341,27 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.cfg.timeout > 0 {
+	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.timeout,
-			fmt.Errorf("conflux: simulation exceeded the session safety timeout %v", s.cfg.timeout))
+		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.Timeout,
+			fmt.Errorf("conflux: simulation exceeded the session safety timeout %v", s.cfg.Timeout))
 		defer cancel()
 	}
 	// The topology is built per run: fault plans and fat-tree heights are
 	// sized to the world actually simulated (which can exceed Ranks when
-	// SolveRanks is larger).
-	var tp trace.Topology
-	if !s.cfg.topology.IsZero() || !s.cfg.faults.Empty() {
-		var terr error
-		tp, terr = topo.BuildFaulted(s.cfg.topology, s.cfg.machine, world, s.cfg.faults)
-		if terr != nil {
-			return nil, publicErr(terr)
-		}
+	// SolveRanks is larger). A zero Topology with no faults builds nil, the
+	// plain machine path.
+	fp, err := topo.ParseFaultPlan(s.cfg.Faults)
+	if err != nil {
+		return nil, publicErr(err)
 	}
-	w := smpi.NewWorldMachine(world, payload, s.cfg.machine)
+	tp, err := topo.BuildFaulted(s.cfg.Topology, s.cfg.Machine, world, fp)
+	if err != nil {
+		return nil, publicErr(err)
+	}
+	w := smpi.NewWorldMachine(world, payload, s.cfg.Machine)
 	w.Trace.SetTopology(tp)
-	rep, err := smpi.Exec(ctx, smpi.Config{World: w, Executor: s.cfg.executor, Workers: s.cfg.workers}, fn)
+	rep, err := smpi.Exec(ctx, smpi.Config{World: w, Executor: smpi.Executor(s.cfg.Executor), Workers: s.cfg.Workers}, fn)
 	if err != nil {
 		return nil, publicErr(err)
 	}
@@ -425,38 +381,50 @@ func (s *Session) Factorize(ctx context.Context, a *Matrix) (*Result, error) {
 	if a == nil || a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: Factorize requires a square matrix", ErrShape)
 	}
+	lu, perm, rep, err := s.factor(ctx, s.eng, a)
+	if err != nil {
+		return nil, err
+	}
+	if len(perm) != a.Rows {
+		return nil, fmt.Errorf("conflux: engine %q returned no pivot permutation; use FactorizeSPD for Cholesky", s.cfg.Algorithm)
+	}
+	return &Result{
+		LU:       lu,
+		Perm:     perm,
+		Volume:   rep,
+		Time:     rep.Time.Makespan,
+		CommTime: rep.Time.CritBusy(),
+		Executor: rep.Executor,
+		sess:     s,
+	}, nil
+}
+
+// factor is the rank body Factorize and FactorizeSPD share: rank 0 feeds a,
+// eng runs on the session's ranks, and rank 0 keeps the factor and pivot
+// permutation it gathered.
+func (s *Session) factor(ctx context.Context, eng engine.Engine, a *Matrix) (*Matrix, []int, *VolumeReport, error) {
 	n := a.Rows
 	cfg := s.engineConfig()
-	var out *Result
-	rep, err := s.run(ctx, s.cfg.ranks, true, func(c *smpi.Comm) error {
+	var lu *Matrix
+	var perm []int
+	rep, err := s.run(ctx, s.cfg.Ranks, true, func(c *smpi.Comm) error {
 		var in *Matrix
 		if c.Rank() == 0 {
 			in = a
 		}
-		lu, perm, err := s.eng.Run(c, in, n, cfg)
-		if err != nil {
-			return err
-		}
+		f, p, err := eng.Run(c, in, n, cfg)
 		if c.Rank() == 0 {
-			out = &Result{LU: lu, Perm: perm}
+			lu, perm = f, p
 		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if out == nil {
-		return nil, fmt.Errorf("conflux: no result gathered at rank 0")
+	if lu == nil {
+		return nil, nil, nil, fmt.Errorf("conflux: no factor gathered at rank 0")
 	}
-	if len(out.Perm) != n {
-		return nil, fmt.Errorf("conflux: engine %q returned no pivot permutation; use FactorizeSPD for Cholesky", s.cfg.algorithm)
-	}
-	out.Volume = rep
-	out.Time = rep.Time.Makespan
-	out.CommTime = rep.Time.CritBusy()
-	out.Executor = rep.Executor
-	out.sess = s
-	return out, nil
+	return lu, perm, rep, nil
 }
 
 // Solve factorizes a with the session engine and solves a·x = b, returning
@@ -471,11 +439,7 @@ func (s *Session) Solve(ctx context.Context, a *Matrix, b []float64) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(b))
-	for i := range out {
-		out[i] = x.At(i, 0)
-	}
-	return out, nil
+	return x.Pack(), nil
 }
 
 // SolveMany factorizes a and solves a·X = B for every column of B at once
@@ -497,7 +461,7 @@ func (s *Session) SolveMany(ctx context.Context, a, b *Matrix) (*Matrix, *Result
 		return nil, nil, err
 	}
 	normB := mat.NormInf(b)
-	for sweep := 0; sweep < s.cfg.refineSweeps; sweep++ {
+	for sweep := 0; sweep < s.cfg.RefineSweeps; sweep++ {
 		resid := b.Clone()
 		blas.Gemm(-1, a, x, 1, resid)
 		if mat.NormInf(resid) <= 1e-14*normB {
@@ -536,7 +500,7 @@ func (s *Session) CommVolumeSolve(ctx context.Context, n int) (*VolumeReport, er
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: CommVolumeSolve requires n > 0", ErrShape)
 	}
-	job := engine.SolveJob(s.eng, n, s.engineConfig(), s.cfg.solveRanks, s.cfg.rhs)
+	job := engine.SolveJob(s.eng, n, s.engineConfig(), s.cfg.SolveRanks, s.cfg.RHS)
 	return s.run(ctx, job.World, false, job.Body)
 }
 
@@ -550,32 +514,13 @@ func (s *Session) FactorizeSPD(ctx context.Context, a *Matrix) (*Matrix, *Volume
 	if a == nil || a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("%w: FactorizeSPD requires a square matrix", ErrShape)
 	}
-	n := a.Rows
 	eng, err := engine.Lookup(Cholesky)
 	if err != nil {
 		return nil, nil, publicErr(err)
 	}
-	cfg := s.engineConfig()
-	var l *Matrix
-	rep, err := s.run(ctx, s.cfg.ranks, true, func(c *smpi.Comm) error {
-		var in *Matrix
-		if c.Rank() == 0 {
-			in = a
-		}
-		lower, _, err := eng.Run(c, in, n, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			l = lower
-		}
-		return nil
-	})
+	l, _, rep, err := s.factor(ctx, eng, a)
 	if err != nil {
 		return nil, nil, err
-	}
-	if l == nil {
-		return nil, nil, fmt.Errorf("conflux: no factor gathered at rank 0")
 	}
 	return l, rep, nil
 }

@@ -3,13 +3,17 @@ package conflux
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/mat"
+	"repro/internal/smpi"
 	"repro/internal/testutil"
 )
 
@@ -115,8 +119,10 @@ func TestShapeErrorsTyped(t *testing.T) {
 	}
 }
 
-// TestSingularTyped: both solve paths (sequential fallback and the
-// distributed engine) wrap ErrSingular.
+// TestSingularTyped: a hand-assembled Result, which solves on a one-rank
+// session, and a Factorize result, which solves on its own session, both
+// wrap ErrSingular. Hand-assembled Results of nonsingular factors solve to
+// rounding level and meter the solve.
 func TestSingularTyped(t *testing.T) {
 	n := 8
 	lu := NewMatrix(n, n)
@@ -128,12 +134,42 @@ func TestSingularTyped(t *testing.T) {
 	lu.Set(5, 5, 0)
 	hand := &Result{LU: lu, Perm: perm}
 	if _, err := hand.SolveFactoredContext(t.Context(), make([]float64, n)); !errors.Is(err, ErrSingular) {
-		t.Fatalf("sequential path: %v", err)
+		t.Fatalf("hand-assembled: %v", err)
 	}
 
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 3, 17, 64} {
+		a := RandomMatrix(n, uint64(n))
+		res, err := s.Factorize(t.Context(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hand := &Result{LU: res.LU, Perm: res.Perm}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%5) - 1.5
+		}
+		x, err := hand.SolveFactoredContext(t.Context(), b)
+		if err != nil {
+			t.Fatalf("hand-assembled n=%d: %v", n, err)
+		}
+		resid, normB := 0.0, 0.0
+		for i := range b {
+			ri := b[i]
+			for j, xj := range x {
+				ri -= a.At(i, j) * xj
+			}
+			resid, normB = max(resid, math.Abs(ri)), max(normB, math.Abs(b[i]))
+		}
+		if resid > 1e-12*normB {
+			t.Fatalf("hand-assembled n=%d: residual %v, want <= 1e-12 * %v", n, resid, normB)
+		}
+		if hand.SolveVolume == nil {
+			t.Fatalf("hand-assembled n=%d: SolveVolume not set", n)
+		}
 	}
 	res, err := s.Factorize(t.Context(), RandomMatrix(32, 13))
 	if err != nil {
@@ -321,6 +357,26 @@ func TestSessionConfigResolved(t *testing.T) {
 	if cfg.Executor != "goroutines" || cfg.Workers != 1 {
 		t.Fatalf("Config() executor/workers = %q/%d, want goroutines/1", cfg.Executor, cfg.Workers)
 	}
+	// Every other option reads back unchanged; the fault plan as its
+	// canonical string.
+	faults := FaultPlan{Stragglers: []Straggler{{Rank: 3, Factor: 2}, {Rank: 1, Factor: 1.5}},
+		Links: []LinkFault{{FromNode: 0, ToNode: 1, Factor: 4}}}
+	preset, err := TopologyPreset("dragonfly-contended")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = New(WithRanks(9), WithMemory(1e5), WithBlockSize(16), WithRefineSweeps(2),
+		WithTimeout(time.Minute), WithWorkers(3), WithExecutor("events"),
+		WithTopologyPreset("dragonfly-contended"), WithFaults(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Ranks: 9, Memory: 1e5, Algorithm: COnfLUX, Machine: DefaultMachine(), SolveRanks: 9,
+		RHS: 1, RefineSweeps: 2, BlockSize: 16, Topology: preset, Faults: faults.Canonical(),
+		Timeout: time.Minute, Executor: "events", Workers: 3}
+	if got := s.Config(); got != want {
+		t.Fatalf("Config() = %+v\nwant       %+v", got, want)
+	}
 	free, err := New(WithFreeMachine())
 	if err != nil {
 		t.Fatal(err)
@@ -361,6 +417,41 @@ func TestTinyNAtDeepReplication(t *testing.T) {
 					t.Errorf("%s Factorize(%d) at P=%d: residual %v", algo, n, p, r)
 				}
 			}
+		}
+	}
+}
+
+// panicEngine is an engine whose rank 1 panics with v.
+type panicEngine struct {
+	engine.Engine
+	v any
+}
+
+func (e panicEngine) Run(c *smpi.Comm, in *Matrix, n int, cfg engine.Config) (*Matrix, []int, error) {
+	if c.Rank() == 1 {
+		panic(e.v)
+	}
+	return nil, nil, nil
+}
+
+// TestRankPanicOneLine: a rank that panics fails CommVolume with one line of
+// text, no goroutine stack in it, while errors.As still reaches the rank and
+// its stack, and an error panic value stays reachable through errors.Is.
+func TestRankPanicOneLine(t *testing.T) {
+	errBoom := errors.New("boom")
+	for _, v := range []any{"boom", fmt.Errorf("engine: %w", errBoom)} {
+		s := mustNew(t, WithRanks(2))
+		s.eng = panicEngine{s.eng, v}
+		_, err := s.CommVolume(t.Context(), 8)
+		var pe *smpi.PanicError
+		if !errors.As(err, &pe) || pe.Rank != 1 || !strings.Contains(string(pe.Stack), "goroutine ") {
+			t.Fatalf("panic(%v): err = %v, want a rank-1 smpi.PanicError with its stack", v, err)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine ") {
+			t.Fatalf("panic(%v): error text %q, want one line without a stack", v, msg)
+		}
+		if _, isErr := v.(error); isErr != errors.Is(err, errBoom) {
+			t.Fatalf("panic(%v): errors.Is(err, errBoom) = %v", v, !isErr)
 		}
 	}
 }

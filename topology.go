@@ -42,11 +42,11 @@ func TopologyPreset(name string) (Topology, error) { return topo.PresetSpec(name
 // deterministic across executors and event-window widths exactly like the
 // flat machine (DESIGN.md §14), so results remain cacheable by key.
 func WithTopology(t Topology) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("conflux: WithTopology: %w", err)
 		}
-		c.topology = t
+		c.Topology = t
 		return nil
 	}
 }
@@ -54,12 +54,12 @@ func WithTopology(t Topology) Option {
 // WithTopologyPreset is WithTopology(TopologyPreset(name)) with the
 // lookup error surfaced through New.
 func WithTopologyPreset(name string) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		t, err := topo.PresetSpec(name)
 		if err != nil {
 			return fmt.Errorf("conflux: WithTopologyPreset: %w", err)
 		}
-		c.topology = t
+		c.Topology = t
 		return nil
 	}
 }
@@ -69,11 +69,11 @@ func WithTopologyPreset(name string) Option {
 // top of the configured topology (or on the flat view of the session
 // machine when no topology is set).
 func WithFaults(f FaultPlan) Option {
-	return func(c *sessionConfig) error {
+	return func(c *Config) error {
 		if err := f.Validate(); err != nil {
 			return fmt.Errorf("conflux: WithFaults: %w", err)
 		}
-		c.faults = f
+		c.Faults = f.Canonical()
 		return nil
 	}
 }
