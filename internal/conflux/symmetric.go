@@ -65,7 +65,7 @@ func (e *engine) symmetricPanel(t int) {
 		var buf *mat.Matrix
 		if gr == e.row && e.layer == 0 && e.col == ownerCol {
 			buf = e.stackRows(t, w, e.active)
-			lapack.TrsmRightLowerT(e.a00, buf)
+			blas.TrsmUpperRight(e.transposed(e.a00), buf)
 			e.store.UnstackColumnRows(t, e.active, buf)
 		} else {
 			buf = e.buffer(rows, w)
@@ -97,6 +97,20 @@ func (e *engine) symmetricUpdate(t int) {
 			row[j] -= blas.Dot(l, e.a01.Row(j))
 		}
 	}
+}
+
+// transposed returns mᵀ as a step panel; in volume mode a phantom one, so
+// nothing is copied.
+func (e *engine) transposed(m *mat.Matrix) *mat.Matrix {
+	mt := e.buffer(m.Cols, m.Rows)
+	if e.store.Payload() {
+		for i := range m.Rows {
+			for j, x := range m.Row(i) {
+				mt.Data[j*mt.Stride+i] = x
+			}
+		}
+	}
+	return mt
 }
 
 // symmetricComms builds the symmetric policy's panel groups once, in
