@@ -85,7 +85,7 @@ type engine struct {
 	pivRows  [][]int     // pivIDs bucketed by owning grid row, factor order kept
 	pivPos   [][]int     // pivPos[gr][i]: index in pivIDs of pivRows[gr][i]
 	a10      *mat.Matrix // consumer copy: L10 rows for my grid row (the active ones)
-	a01      *mat.Matrix // consumer copy: U01 for my grid-column tile cols (symmetric: their L rows, U01ᵀ)
+	a01      *mat.Matrix // consumer copy: U01 for my grid-column tile cols (symmetric: their L rows, transposed)
 }
 
 func (e *engine) run(a *mat.Matrix) (*Result, error) {

@@ -13,13 +13,15 @@ import (
 // symmetricStep is step t of 2.5D Cholesky, after the shared reduceColumn:
 // POTRF of the diagonal block replaces the tournament, and the solved column
 // panel, sent to the rows and to the columns that consume it, replaces A01.
+// The step ends in the shared update: A11 −= L10·L10ᵀ over both triangles,
+// so later column reductions need no transpose.
 func (e *engine) symmetricStep(t int, stack *mat.Matrix) error {
 	if err := e.potrfA00(t, stack); err != nil {
 		return err
 	}
 	e.retirePivots(t)
 	e.symmetricPanel(t)
-	e.symmetricUpdate(t)
+	e.update(t)
 	return nil
 }
 
@@ -43,10 +45,12 @@ func (e *engine) potrfA00(t int, stack *mat.Matrix) error {
 }
 
 // symmetricPanel replaces steps 4–6. The layer-0 owners of tile column t
-// solve their active rows against L00ᵀ into final L values. Grid row gr's
-// part goes to the A10 group plus the assigned layer's grid column gr, which
-// takes it as A01ᵀ. A rank is in its grid row's and its grid column's group
-// (layers are square) and broadcasts in ascending gr order.
+// solve their active rows against L00ᵀ into final L values, with the LU
+// engines' TrsmUpperRight on a transposed copy of L00. Grid row gr's part
+// goes to the A10 group plus the assigned layer's grid column gr, which
+// transposes it into A01 = L10ᵀ, the update's right operand. A rank is in its
+// grid row's and its grid column's group (layers are square) and broadcasts
+// in ascending gr order.
 func (e *engine) symmetricPanel(t int) {
 	e.ac.SetPhase(e.phase.panelA10)
 	e.a10, e.a01 = nil, nil
@@ -77,24 +81,7 @@ func (e *engine) symmetricPanel(t int) {
 			e.a10 = buf
 		}
 		if e.layer == lstar && gr == e.col {
-			e.a01 = buf
-		}
-	}
-}
-
-// symmetricUpdate is the assigned layer's A11 −= L10·L10ᵀ over both
-// triangles, so later column reductions need no transpose: the active rows
-// of Trailing(t+1) against the grid column's part, whose rows are its columns.
-func (e *engine) symmetricUpdate(t int) {
-	e.ac.SetPhase(e.phase.update)
-	if !e.store.Payload() || e.layer != t%e.g.Layers || e.a01 == nil || e.a10 == nil {
-		return
-	}
-	trail := e.store.Trailing(t + 1)
-	for i, lr := range e.store.LocalRows(e.active) {
-		row, l := trail.Row(lr), e.a10.Row(i)
-		for j := range row {
-			row[j] -= blas.Dot(l, e.a01.Row(j))
+			e.a01 = e.transposed(buf)
 		}
 	}
 }
