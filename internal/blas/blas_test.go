@@ -24,13 +24,6 @@ func naiveGemm(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) *ma
 	return out
 }
 
-func TestDot(t *testing.T) {
-	x := []float64{1, 2, 3}
-	if d := Dot(x, x); d != 14 {
-		t.Fatalf("dot: %v", d)
-	}
-}
-
 func TestSwap(t *testing.T) {
 	x, y := []float64{1, 2}, []float64{3, 4}
 	Swap(x, y)

@@ -4,18 +4,6 @@
 // the same call graph as numeric runs without doing arithmetic.
 package blas
 
-// Dot returns xᵀy.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("blas: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
 // Swap exchanges x and y elementwise.
 func Swap(x, y []float64) {
 	if len(x) != len(y) {

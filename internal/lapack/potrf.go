@@ -44,25 +44,3 @@ func Potrf(a *mat.Matrix) error {
 	}
 	return nil
 }
-
-// TrsmRightLowerT solves X·L00ᵀ = B in place, L00 lower triangular: each row
-// of B becomes the corresponding row of the Cholesky panel factor L10.
-func TrsmRightLowerT(l00 *mat.Matrix, b *mat.Matrix) {
-	if l00.Rows != l00.Cols || l00.Rows != b.Cols {
-		panic("lapack: TrsmRightLowerT shape mismatch")
-	}
-	if l00.Phantom() || b.Phantom() {
-		return
-	}
-	n := l00.Rows
-	for i := 0; i < b.Rows; i++ {
-		row := b.Row(i)
-		for j := 0; j < n; j++ {
-			s := row[j]
-			for k := 0; k < j; k++ {
-				s -= row[k] * l00.At(j, k)
-			}
-			row[j] = s / l00.At(j, j)
-		}
-	}
-}

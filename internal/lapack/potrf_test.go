@@ -39,30 +39,6 @@ func TestPotrfNotPD(t *testing.T) {
 	}
 }
 
-func TestTrsmRightLowerT(t *testing.T) {
-	n := 6
-	l := testutil.SPD(n, 5)
-	if err := lapack.Potrf(l); err != nil {
-		t.Fatal(err)
-	}
-	// B = X·Lᵀ for known X; solve must recover X.
-	x := mat.Random(4, n, 9)
-	b := mat.New(4, n)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k <= j; k++ {
-				s += x.At(i, k) * l.At(j, k)
-			}
-			b.Set(i, j, s)
-		}
-	}
-	lapack.TrsmRightLowerT(l, b)
-	if d := mat.MaxAbsDiff(b, x); d > 1e-10 {
-		t.Fatalf("trsm diff %v", d)
-	}
-}
-
 // Property: lapack.Potrf(L·Lᵀ) recovers L for random lower-triangular L with
 // positive diagonal.
 func TestQuickPotrfRoundTrip(t *testing.T) {
