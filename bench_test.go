@@ -27,6 +27,7 @@ import (
 	"repro/internal/oocore"
 	"repro/internal/pebble"
 	"repro/internal/smpi"
+	"repro/internal/testutil"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/xpart"
@@ -210,6 +211,24 @@ func BenchmarkExtensionCholesky(b *testing.B) {
 	}
 	b.ReportMetric(float64(conflux.AlgorithmBytes(rep))/1e3, "KB")
 	b.ReportMetric(conflux.LowerBoundCholesky(256, 16, costMaxMem(256, 16))*8*16/1e3, "lower-KB")
+}
+
+// BenchmarkExtensionCholeskyNumeric times the numeric 2.5D Cholesky through
+// the public API: potrf, the panel solve and the shared Schur update on real
+// payloads, with allocations per op.
+func BenchmarkExtensionCholeskyNumeric(b *testing.B) {
+	a := testutil.SPD(1024, 7)
+	s, err := conflux.New(conflux.WithRanks(8), conflux.WithAlgorithm(conflux.Cholesky))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.FactorizeSPD(b.Context(), a); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkExtensionOutOfCore meters the sequential software-cache LU

@@ -38,6 +38,9 @@ func TestCholeskyNumericDistributed(t *testing.T) {
 		{64, 8, 2, 2},
 		{40, 8, 2, 2}, // ragged tiles
 		{48, 4, 3, 1}, // 3x3 layer
+		// v ≥ 16: the update runs on GemmRows' packed micro-kernel.
+		{96, 16, 2, 2},
+		{100, 32, 2, 2}, // ragged tiles
 	} {
 		a := testutil.SPD(tc.n, uint64(tc.n)*7+uint64(tc.cc))
 		res, _ := factorNumeric(t, a, choleskyCase(tc.n, tc.v, tc.pr, tc.cc))
