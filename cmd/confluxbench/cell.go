@@ -1,17 +1,21 @@
 package main
 
-// -cell mode: run a single Table-2 cell and print rows as they complete
-// (used by the EXPERIMENTS.md pipeline so paper-scale runs stream results).
+// -exp cell: measure a single (N, P) cell of Table 2, all four engines, and
+// print it in the table2 layout once every engine is done (for paper-scale
+// runs that take one cell per invocation).
 
 import (
 	"context"
-	"fmt"
+	"os"
 
 	"repro/internal/bench"
 )
 
-func runCell(ctx context.Context, h bench.Harness, n, p int) {
-	for _, row := range h.TableCell(ctx, n, p) {
-		fmt.Print(row)
+func runCell(ctx context.Context, h bench.Harness, n, p int) error {
+	res, err := h.RunTable2(ctx, []int{n}, []int{p})
+	if err != nil {
+		return err
 	}
+	res.Render(os.Stdout)
+	return nil
 }

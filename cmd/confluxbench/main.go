@@ -30,6 +30,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"syscall"
 
 	"repro/internal/bench"
@@ -85,8 +87,11 @@ func main() {
 	os.Exit(realMain())
 }
 
+// experiments are the -exp names: each run() below, cell, and all.
+var experiments = []string{"table2", "fig6a", "fig6b", "fig7", "ablation", "topology", "kernels", "solve", "sweep", "cell", "all"}
+
 func realMain() (code int) {
-	exp := flag.String("exp", "all", "experiment: table2 | fig6a | fig6b | fig7 | ablation | sweep | solve | topology | kernels | all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, " | "))
 	sc := flag.String("scale", "small", "scale preset: small | medium | paper")
 	cellN := flag.Int("cellN", 0, "with -exp cell: the N of a single Table-2 cell")
 	cellP := flag.Int("cellP", 0, "with -exp cell: the P of a single Table-2 cell")
@@ -99,6 +104,14 @@ func realMain() (code int) {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this path")
 	flag.Parse()
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s)\n", *exp, strings.Join(experiments, ", "))
+		return 2
+	}
+	if *exp == "cell" && (*cellN <= 0 || *cellP <= 0) {
+		fmt.Fprintf(os.Stderr, "-exp cell needs a positive -cellN and -cellP, got %d and %d\n", *cellN, *cellP)
+		return 2
+	}
 	h := bench.Harness{Machine: costmodel.Machine{Alpha: *alpha, Beta: *beta}, Workers: *workers}
 	if *cpuprofile != "" {
 		fh, err := os.Create(*cpuprofile)
@@ -150,7 +163,10 @@ func realMain() (code int) {
 		return nil
 	}
 	if *exp == "cell" {
-		runCell(ctx, h, *cellN, *cellP)
+		if err := runCell(ctx, h, *cellN, *cellP); err != nil {
+			fmt.Fprintf(os.Stderr, "cell: %v\n", err)
+			return 1
+		}
 		return 0
 	}
 	s, ok := scales[*sc]

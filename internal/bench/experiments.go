@@ -38,22 +38,6 @@ func (h Harness) RunTable2(ctx context.Context, ns, ps []int) (*Table2Result, er
 	return &Table2Result{Rows: rows}, nil
 }
 
-// TableCell measures one (N, P) cell of Table 2 and returns pre-rendered
-// rows — used to stream paper-scale results incrementally.
-func (h Harness) TableCell(ctx context.Context, n, p int) []string {
-	out := []string{fmt.Sprintf("Total comm. volume for N=%d, P=%d measured/modeled [GB] (prediction %%)\n", n, p)}
-	for _, algo := range costmodel.Algorithms {
-		m, err := h.Measure(ctx, algo, n, p, costmodel.MaxMemoryParams(n, p).M)
-		if err != nil {
-			out = append(out, fmt.Sprintf("  %-8s ERROR: %v\n", algo, err))
-			continue
-		}
-		out = append(out, fmt.Sprintf("  %-8s %8.3f / %8.3f (%5.1f%%)   sim %.4fs / pred %.4fs   grid %s\n",
-			m.Algo, m.MeasuredGB(), m.ModeledGB(), m.PredictionPct(), m.SimTime, m.PredTime, m.GridDesc))
-	}
-	return out
-}
-
 // Render writes the table in the paper's layout.
 func (t *Table2Result) Render(w io.Writer) {
 	groups := map[[2]int][]Measurement{}
