@@ -23,13 +23,14 @@ test:
 # the amd64 CI host too, full and ragged alike. The tag is test-only: no
 # shipped binary is built with it. ./internal/conflux runs the unit tests of
 # the three 2.5D engines, COnfLUX, CANDMC and Cholesky, which share its step
-# loop, on the portable kernel. internal/trisolve rides along because its tile
-# updates run on the streamed GEMM loop those packages share. So does the
-# golden-digest test: the one digest that depends on the micro-kernel's
+# loop and its GemmRows update, on the portable kernel (Cholesky's v = 16 and
+# 32 cases reach the packed path). internal/trisolve rides along because its
+# tile updates run on the streamed GEMM loop those packages share. So does
+# the golden-digest test: the one digest that depends on the micro-kernel's
 # rounding (COnfLUX at v = 16) must skip on the portable kernel, and every
-# other recorded shape — Cholesky's plain-Go factors included — must still
-# match bit for bit. The solution digests record one value per kernel, so
-# the portable one is checked here.
+# other recorded shape — Cholesky's, whose v < 16 keeps its update on the
+# streamed loop, included — must still match bit for bit. The solution
+# digests record one value per kernel, so the portable one is checked here.
 test-purego:
 	$(GO) test -tags purego ./internal/blas ./internal/lapack ./internal/conflux ./internal/trisolve
 	$(GO) test -tags purego -run 'TestConformance(Golden|Solution)Digests' .
