@@ -13,9 +13,9 @@ import (
 // symmetricStep is step t of 2.5D Cholesky, after the shared reduceColumn:
 // POTRF of the diagonal block replaces the tournament, and the solved column
 // panel, sent to the rows and to the columns that consume it, replaces A01.
-// The step ends in the shared update, A11 −= L10·L10ᵀ, over the whole
-// trailing view: no later step reads its strict upper triangle, but one
-// GemmRows call over every active row is the LU engines' call.
+// The step ends in the shared update, A11 −= L10·L10ᵀ, as one GemmRows call
+// over the whole trailing view, although no later step reads its strict
+// upper triangle.
 func (e *engine) symmetricStep(t int, stack *mat.Matrix) error {
 	if err := e.potrfA00(t, stack); err != nil {
 		return err
