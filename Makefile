@@ -180,9 +180,14 @@ loadtest:
 
 # Every examples/ binary, run once: README's entry points, each of which
 # exits non-zero through log.Fatal when the public API under it fails. All
-# seven take ~0.5 s after the build on a 2-core host.
+# seven take ~0.5 s after the build on a 2-core host. Then the two checking
+# commands: luverify factorizes one matrix on all four LU engines and exits 1
+# on a residual above 1e-9 (its rows are printed), and lubound prints each
+# kernel's bounds at its default point; together they take under 0.1 s.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+	@for f in "" -general; do echo "== cmd/luverify $$f"; $(GO) run ./cmd/luverify $$f || exit 1; done
+	@for k in lu mmm cholesky; do echo "== cmd/lubound -kernel $$k"; $(GO) run ./cmd/lubound -kernel $$k > /dev/null || exit 1; done
 
 # Tracked non-test Go lines per package, outside the nested benchmark/
 # module, and their total: the counts ROADMAP's line-count gates cite.

@@ -138,11 +138,7 @@ type Result struct {
 // reports an ErrSingular-wrapped error instead of producing Inf/NaN.
 // Cancellation of ctx aborts the solve with ErrCanceled.
 func (r *Result) SolveFactoredContext(ctx context.Context, b []float64) ([]float64, error) {
-	n := len(r.Perm)
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: rhs length %d != %d", ErrShape, len(b), n)
-	}
-	bm := mat.FromSlice(n, 1, append([]float64(nil), b...))
+	bm := mat.FromSlice(len(b), 1, append([]float64(nil), b...))
 	x, err := r.SolveManyFactoredContext(ctx, bm)
 	if err != nil {
 		return nil, err
@@ -159,12 +155,12 @@ func (r *Result) SolveFactoredContext(ctx context.Context, b []float64) ([]float
 // (the accounting is mutex-guarded); cancellation of ctx aborts the
 // simulation with ErrCanceled.
 func (r *Result) SolveManyFactoredContext(ctx context.Context, b *Matrix) (*Matrix, error) {
-	n := len(r.Perm)
-	if b == nil || b.Rows != n || b.Cols < 1 {
-		return nil, fmt.Errorf("%w: SolveManyFactored rhs shape mismatch", ErrShape)
-	}
 	if r.LU == nil || r.LU.Phantom() {
 		return nil, fmt.Errorf("conflux: factors unavailable (volume-mode run?)")
+	}
+	n := len(r.Perm)
+	if err := checkShape("SolveManyFactored", n, r.LU, b); err != nil {
+		return nil, err
 	}
 	s := r.sess
 	if s == nil {

@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +37,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/costmodel"
+	"repro/internal/trace"
 )
 
 type scale struct {
@@ -110,6 +112,10 @@ func realMain() (code int) {
 	}
 	if *exp == "cell" && (*cellN <= 0 || *cellP <= 0) {
 		fmt.Fprintf(os.Stderr, "-exp cell needs a positive -cellN and -cellP, got %d and %d\n", *cellN, *cellP)
+		return 2
+	}
+	if err := errors.Join(trace.CheckNonNegative("-alpha", *alpha), trace.CheckNonNegative("-beta", *beta)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	h := bench.Harness{Machine: costmodel.Machine{Alpha: *alpha, Beta: *beta}, Workers: *workers}

@@ -37,14 +37,17 @@ func confluxbench(t *testing.T, args ...string) (int, string, string) {
 	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
 
-// An unknown experiment and a non-positive cell are usage errors: exit 2,
-// nothing measured.
+// An unknown experiment, a non-positive cell and a negative or non-finite
+// machine parameter are usage errors: exit 2, nothing measured.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "tabel2"},
 		{"-exp", "cell", "-cellN", "0", "-cellP", "4"},
 		{"-exp", "cell", "-cellN", "64", "-cellP", "-1"},
 		{"-exp", "cell"},
+		{"-exp", "cell", "-cellN", "16", "-cellP", "4", "-alpha", "-1"},
+		{"-exp", "cell", "-cellN", "16", "-cellP", "4", "-beta", "NaN"},
+		{"-exp", "cell", "-cellN", "16", "-cellP", "4", "-alpha", "Inf"},
 	} {
 		code, stdout, stderr := confluxbench(t, args...)
 		if code != 2 || stdout != "" || stderr == "" {

@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -179,8 +179,11 @@ func (s *server) shedError(err error) (httpError, bool) {
 	return httpError{}, false
 }
 
-// parseParams decodes the query into a template request (algorithm left to
-// the caller), the candidate set, the objective, and the wait budget.
+// parseParams decodes the query into a canonical template request (its
+// algorithm the first candidate's; every candidate shares the rest), the
+// candidate set, the objective, and the wait budget. Ranges are
+// Canonicalize's to check; what stays here is parsing and the serving
+// limits.
 func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm, string, time.Duration, *httpError) {
 	q := r.URL.Query()
 	bad := func(format string, args ...any) (plan.Request, []conflux.Algorithm, string, time.Duration, *httpError) {
@@ -193,25 +196,19 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 		}
 		return strconv.Atoi(v)
 	}
-	// floatParam admits finite non-negative values only: ParseFloat accepts
-	// "NaN" and "Inf", and NaN passes any `x < 0` guard.
 	floatParam := func(name string, def float64) (float64, error) {
 		v := q.Get(name)
 		if v == "" {
 			return def, nil
 		}
-		x, err := strconv.ParseFloat(v, 64)
-		if err == nil && (!(x >= 0) || math.IsInf(x, 1)) {
-			err = strconv.ErrRange
-		}
-		return x, err
+		return strconv.ParseFloat(v, 64)
 	}
 	n, err := intParam("n", 0)
-	if err != nil || n <= 0 {
+	if err != nil {
 		return bad("parameter n (matrix dimension) is required and must be a positive integer")
 	}
 	p, err := intParam("p", 0)
-	if err != nil || p <= 0 {
+	if err != nil {
 		return bad("parameter p (rank count) is required and must be a positive integer")
 	}
 	if n > s.cfg.maxN || p > s.cfg.maxP {
@@ -220,31 +217,31 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 	def := conflux.DefaultMachine()
 	alpha, err := floatParam("alpha", def.Alpha)
 	if err != nil {
-		return bad("parameter alpha must be a finite non-negative float (seconds per message)")
+		return bad("parameter alpha must be a float (seconds per message)")
 	}
 	beta, err := floatParam("beta", def.Beta)
 	if err != nil {
-		return bad("parameter beta must be a finite non-negative float (seconds per byte)")
+		return bad("parameter beta must be a float (seconds per byte)")
 	}
 	memory, err := floatParam("memory", 0)
 	if err != nil {
-		return bad("parameter memory must be a finite non-negative float (elements per rank; 0 = paper default)")
+		return bad("parameter memory must be a float (elements per rank; 0 = paper default)")
 	}
 	nb, err := intParam("nb", 0)
-	if err != nil || nb < 0 {
-		return bad("parameter nb must be a non-negative integer (0 = engine default)")
+	if err != nil {
+		return bad("parameter nb must be an integer (0 = engine default)")
 	}
 	solveRanks, err := intParam("solve_ranks", 0)
-	if err != nil || solveRanks < 0 || solveRanks > s.cfg.maxP {
+	if err != nil || solveRanks > s.cfg.maxP {
 		return bad("parameter solve_ranks must be in [0, %d] (0 = p)", s.cfg.maxP)
 	}
 	rhs, err := intParam("rhs", 0)
-	if err != nil || rhs < 0 || rhs > 4096 {
+	if err != nil || rhs > 4096 {
 		return bad("parameter rhs must be in [0, 4096] (0 = 1)")
 	}
 	refine, err := intParam("refine", 0)
-	if err != nil || refine < 0 {
-		return bad("parameter refine must be a non-negative integer")
+	if err != nil {
+		return bad("parameter refine must be an integer")
 	}
 	var topology conflux.Topology
 	preset := q.Get("topology")
@@ -254,10 +251,6 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 			return bad("unknown topology preset %q (presets: %v)", preset, conflux.TopologyPresets())
 		}
 		topology = spec
-	}
-	job := plan.Job(q.Get("job"))
-	if !job.Valid() {
-		return bad("parameter job must be %q or %q", plan.JobVolume, plan.JobSolve)
 	}
 	objective := q.Get("objective")
 	switch objective {
@@ -280,28 +273,26 @@ func (s *server) parseParams(r *http.Request) (plan.Request, []conflux.Algorithm
 	case "", "all":
 		algos = costmodel.Algorithms // read only
 	default:
-		registered := false
-		for _, name := range conflux.Engines() {
-			if name == conflux.Algorithm(a) {
-				registered = true
-				break
-			}
-		}
-		if !registered {
+		if !slices.Contains(conflux.Engines(), conflux.Algorithm(a)) {
 			return bad("unknown algorithm %q (registered: %v)", a, conflux.Engines())
 		}
 		algos = []conflux.Algorithm{conflux.Algorithm(a)}
 	}
-	// Count the preset only now: a request rejected above is no request.
-	if preset != "" {
-		s.countTopology(preset)
-	}
-	req := plan.Request{
-		N: n, P: p, Memory: memory, NB: nb,
+	// The candidates differ in their algorithm alone, and every one of them
+	// names an engine, so one canonical template serves them all.
+	req, err := plan.Request{
+		Algorithm: algos[0], N: n, P: p, Memory: memory, NB: nb,
 		Alpha: alpha, Beta: beta,
 		SolveRanks: solveRanks, RHS: rhs, RefineSweeps: refine,
 		Topology: topology,
-		Job:      job,
+		Job:      plan.Job(q.Get("job")),
+	}.Canonicalize()
+	if err != nil {
+		return bad("%s", err)
+	}
+	// Count the preset only now: a request rejected above is no request.
+	if preset != "" {
+		s.countTopology(preset)
 	}
 	return req, algos, objective, wait, nil
 }
@@ -324,11 +315,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	for _, a := range algos {
 		req := template
 		req.Algorithm = a
-		req, err := req.Canonicalize()
-		if err != nil {
-			s.writeError(w, httpError{http.StatusBadRequest, 0, err.Error()})
-			return
-		}
 		if len(resp.Candidates) == 0 {
 			resp.Request = req // canonical view of the shared point
 		}

@@ -97,6 +97,35 @@ func TestPlanParamValidation(t *testing.T) {
 	}
 }
 
+// TestPlanRangeErrorsNameParameter: a value that parses but is out of range
+// is refused by plan.Request.Canonicalize, and the 400 carries its text,
+// which names the query parameter.
+func TestPlanRangeErrorsNameParameter(t *testing.T) {
+	srv, ts := testServer(t, nil, nil)
+	for query, param := range map[string]string{
+		"n=-4&p=4":                "n and p",
+		"n=64&p=0":                "n and p",
+		"n=64&p=4&alpha=-1":       "alpha",
+		"n=64&p=4&beta=NaN":       "beta",
+		"n=64&p=4&memory=Inf":     "memory",
+		"n=64&p=4&nb=-1":          "nb",
+		"n=64&p=4&solve_ranks=-1": "solve_ranks",
+		"n=64&p=4&rhs=-1":         "rhs",
+		"n=64&p=4&refine=-1":      "refine",
+		"n=64&p=4&job=fastest":    "job",
+	} {
+		status, _, body := get(t, ts.URL+"/v1/plan?"+query)
+		var e map[string]string
+		if err := json.Unmarshal(body, &e); status != http.StatusBadRequest || err != nil ||
+			!strings.HasPrefix(e["error"], "plan: ") || !strings.Contains(e["error"], param) {
+			t.Errorf("%s: status %d, body %s; want a 400 from Canonicalize naming %s", query, status, body, param)
+		}
+	}
+	if st := srv.pl.Stats(); st.Simulations != 0 {
+		t.Errorf("rejected queries admitted %d simulations", st.Simulations)
+	}
+}
+
 // TestPlanUnknownAlgorithmListsEngines pins the 400 body for an algorithm
 // outside the engine table: it names the query's value and lists the table.
 func TestPlanUnknownAlgorithmListsEngines(t *testing.T) {

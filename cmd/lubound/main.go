@@ -12,19 +12,30 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/costmodel"
+	"repro/internal/trace"
 	"repro/internal/xpart"
 )
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain runs the command and returns its exit code: 2 for a usage error.
+func realMain() int {
 	kernel := flag.String("kernel", "lu", "kernel: lu | mmm | cholesky")
 	n := flag.Int("n", 16384, "matrix dimension N")
 	p := flag.Int("p", 1024, "processors P")
 	m := flag.Float64("m", 0, "fast memory per processor in elements (default N²/P^(2/3))")
 	flag.Parse()
+	kernels := []string{"lu", "mmm", "cholesky"}
+	if !slices.Contains(kernels, *kernel) || *n <= 0 || *p <= 0 || trace.CheckNonNegative("-m", *m) != nil {
+		fmt.Fprintf(os.Stderr, "want -kernel lu|mmm|cholesky, positive -n and -p and a finite -m >= 0; got %q, %d, %d and %v\n",
+			*kernel, *n, *p, *m)
+		return 2
+	}
 	mem := *m
-	if mem <= 0 {
+	if mem == 0 {
 		mem = costmodel.MaxMemoryParams(*n, *p).M
 	}
 	fmt.Printf("kernel=%s N=%d P=%d M=%.0f elements\n\n", *kernel, *n, *p, mem)
@@ -50,8 +61,6 @@ func main() {
 		q := xpart.CholeskyLowerBound(*n, mem)
 		fmt.Printf("sequential lower bound (≈N³/(3√M)): %.4g\n", q)
 		fmt.Printf("parallel (P=%d): %.4g\n", *p, q/float64(*p))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown kernel %q\n", *kernel)
-		os.Exit(2)
 	}
+	return 0
 }

@@ -11,9 +11,8 @@ import (
 	"os"
 
 	repro "repro"
-	"repro/internal/blas"
-	"repro/internal/lapack"
 	"repro/internal/mat"
+	"repro/internal/testutil"
 )
 
 func main() {
@@ -40,7 +39,7 @@ func main() {
 			fail = true
 			continue
 		}
-		r := residual(a, res.LU, res.Perm)
+		r := testutil.ResidualLUPerm(a, res.LU, res.Perm)
 		status := "ok"
 		if r > tol {
 			status = "FAIL"
@@ -60,13 +59,4 @@ func factorize(a *mat.Matrix, p int, algo repro.Algorithm) (*repro.Result, error
 		return nil, err
 	}
 	return s.Factorize(context.Background(), a)
-}
-
-func residual(a, lu *mat.Matrix, perm []int) float64 {
-	n := a.Rows
-	l, u := lapack.SplitLU(lu)
-	prod := mat.New(n, n)
-	blas.Gemm(1, l, u, 0, prod)
-	pa := mat.PermuteRows(a, perm)
-	return mat.MaxAbsDiff(pa, prod) / (mat.NormInf(a)*float64(n) + 1)
 }

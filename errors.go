@@ -21,8 +21,11 @@ import (
 // errors.Is(err, context.Canceled) and context.DeadlineExceeded also hold
 // for canceled and timed-out runs respectively.
 var (
-	// ErrShape marks inputs with inconsistent dimensions: non-square A,
-	// a right-hand side whose length does not match, a non-positive n.
+	// ErrShape marks inputs with inconsistent dimensions: n < 1 (a 0×0 A
+	// included), non-square A, a right-hand side without n rows or without
+	// a column. Every Session job checks its shape before any world starts,
+	// on every engine alike, so a refused job runs nothing and
+	// Stats().Runs does not count it.
 	ErrShape = errors.New("conflux: shape mismatch")
 	// ErrSingular marks a factor with a zero U pivot: the solve of a
 	// singular system surfaces as this error, never as Inf/NaN in X.

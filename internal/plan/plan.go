@@ -21,12 +21,13 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	conflux "repro"
 	"repro/internal/costmodel"
+	"repro/internal/engine"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -42,9 +43,6 @@ const (
 	// (Session.CommVolumeSolve).
 	JobSolve Job = "solve"
 )
-
-// Valid reports whether j names a job ("" counts as JobVolume).
-func (j Job) Valid() bool { return j == "" || j == JobVolume || j == JobSolve }
 
 // KeyFields and ExcludedFields classify every leaf field of
 // conflux.Config for cache-key purposes. TestKeyCoversConfig asserts the
@@ -97,9 +95,8 @@ type Request struct {
 	RHS          int     `json:"rhs"`
 	RefineSweeps int     `json:"refine_sweeps"`
 	// Topology is the network-topology spec (zero = plain machine).
-	// Canonicalize does not deep-validate it — an unbuildable spec fails
-	// when the simulation builds it for its world, while the key stays a
-	// pure encoding (it can only ever miss, never alias).
+	// Canonicalize refuses a spec that does not validate, as
+	// conflux.WithTopology does; the key encodes it leaf by leaf.
 	Topology conflux.Topology `json:"topology,omitzero"`
 	// Faults is the canonical fault-plan encoding ("" = none).
 	Faults string `json:"faults,omitempty"`
@@ -108,23 +105,35 @@ type Request struct {
 
 // Canonicalize validates req and resolves every defaultable field to its
 // explicit value, so that all requests naming the same simulation produce
-// the same Key.
+// the same Key. It refuses what conflux.New refuses, by the same rules and
+// with an error naming the field, so no request it admits fails inside its
+// simulation for a bad parameter.
 func (r Request) Canonicalize() (Request, error) {
-	if r.Algorithm == "" {
-		return r, fmt.Errorf("plan: request has no algorithm")
+	if _, err := engine.Lookup(r.Algorithm); err != nil {
+		return r, fmt.Errorf("plan: algorithm: %w", err)
 	}
 	if r.N <= 0 || r.P <= 0 {
-		return r, fmt.Errorf("plan: request requires n > 0 and p > 0, got n=%d p=%d", r.N, r.P)
+		return r, fmt.Errorf("plan: n and p must be positive, got n=%d p=%d", r.N, r.P)
 	}
-	if r.Memory < 0 || r.NB < 0 || r.SolveRanks < 0 || r.RHS < 0 || r.RefineSweeps < 0 {
-		return r, fmt.Errorf("plan: negative parameter in request %+v", r)
+	if r.NB < 0 || r.SolveRanks < 0 || r.RHS < 0 || r.RefineSweeps < 0 {
+		return r, fmt.Errorf("plan: nb, solve_ranks, rhs and refine_sweeps must be non-negative, got %d, %d, %d and %d",
+			r.NB, r.SolveRanks, r.RHS, r.RefineSweeps)
 	}
-	for _, v := range []float64{r.Memory, r.Alpha, r.Beta} {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return r, fmt.Errorf("plan: memory, alpha and beta must be finite and non-negative in request %+v", r)
-		}
+	if err := errors.Join(trace.CheckNonNegative("memory", r.Memory),
+		trace.CheckNonNegative("alpha", r.Alpha), trace.CheckNonNegative("beta", r.Beta)); err != nil {
+		return r, fmt.Errorf("plan: %w", err)
 	}
-	if !r.Job.Valid() {
+	if err := r.Topology.Validate(); err != nil {
+		return r, fmt.Errorf("plan: topology: %w", err)
+	}
+	if _, err := topo.ParseFaultPlan(r.Faults); err != nil {
+		return r, fmt.Errorf("plan: faults: %w", err)
+	}
+	switch r.Job {
+	case "":
+		r.Job = JobVolume
+	case JobVolume, JobSolve:
+	default:
 		return r, fmt.Errorf("plan: unknown job %q (want %q or %q)", r.Job, JobVolume, JobSolve)
 	}
 	if r.Memory == 0 {
@@ -135,9 +144,6 @@ func (r Request) Canonicalize() (Request, error) {
 	}
 	if r.RHS == 0 {
 		r.RHS = 1
-	}
-	if r.Job == "" {
-		r.Job = JobVolume
 	}
 	return r, nil
 }
@@ -195,28 +201,6 @@ func appendInt(b []byte, field string, v int) []byte {
 // appendHex appends the key field "|name=" and v in exact hexadecimal.
 func appendHex(b []byte, field string, v float64) []byte {
 	return strconv.AppendFloat(append(b, field...), v, 'x', -1, 64)
-}
-
-// FromConfig derives the canonical request for running job at dimension n
-// on a session with the given resolved configuration. It consumes exactly
-// the KeyFields of cfg — the ExcludedFields are dropped here, which is the
-// code-level twin of the classification TestKeyCoversConfig enforces.
-func FromConfig(cfg conflux.Config, n int, job Job) (Request, error) {
-	return Request{
-		Algorithm:    cfg.Algorithm,
-		N:            n,
-		P:            cfg.Ranks,
-		Memory:       cfg.Memory,
-		NB:           cfg.BlockSize,
-		Alpha:        cfg.Machine.Alpha,
-		Beta:         cfg.Machine.Beta,
-		SolveRanks:   cfg.SolveRanks,
-		RHS:          cfg.RHS,
-		RefineSweeps: cfg.RefineSweeps,
-		Topology:     cfg.Topology,
-		Faults:       cfg.Faults,
-		Job:          job,
-	}.Canonicalize()
 }
 
 // pairs reports whether one live run answers r under both jobs: the

@@ -87,7 +87,40 @@ func baseConfig() conflux.Config {
 	}
 }
 
-// perturbField bumps the leaf at path in cfg by a type-appropriate delta.
+// fromConfig derives the canonical request for running job at dimension n
+// on a session with the given resolved configuration. It consumes exactly
+// the KeyFields of cfg — the ExcludedFields are dropped here, which is the
+// code-level twin of the classification TestKeyCoversConfig enforces.
+func fromConfig(cfg conflux.Config, n int, job Job) (Request, error) {
+	return Request{
+		Algorithm:    cfg.Algorithm,
+		N:            n,
+		P:            cfg.Ranks,
+		Memory:       cfg.Memory,
+		NB:           cfg.BlockSize,
+		Alpha:        cfg.Machine.Alpha,
+		Beta:         cfg.Machine.Beta,
+		SolveRanks:   cfg.SolveRanks,
+		RHS:          cfg.RHS,
+		RefineSweeps: cfg.RefineSweeps,
+		Topology:     cfg.Topology,
+		Faults:       cfg.Faults,
+		Job:          job,
+	}.Canonicalize()
+}
+
+// validMoves are the leaves whose type-appropriate bump Canonicalize
+// refuses (an unknown engine or family, Contention 2, a malformed fault
+// plan), each with another valid value to move to instead.
+var validMoves = map[string]any{
+	"Algorithm":           conflux.CANDMC,
+	"Topology.Preset":     "dragonfly",
+	"Topology.Contention": 0,
+	"Faults":              "L0:1:0x1p+03,S3:0x1p+02",
+}
+
+// perturbField moves the leaf at path in cfg to another valid value: a
+// type-appropriate delta, or its entry in validMoves.
 func perturbField(t *testing.T, cfg *conflux.Config, path string) {
 	t.Helper()
 	v := reflect.ValueOf(cfg).Elem()
@@ -96,6 +129,10 @@ func perturbField(t *testing.T, cfg *conflux.Config, path string) {
 		if !v.IsValid() {
 			t.Fatalf("no field %q in conflux.Config", path)
 		}
+	}
+	if x, ok := validMoves[path]; ok {
+		v.Set(reflect.ValueOf(x).Convert(v.Type()))
+		return
 	}
 	switch v.Kind() {
 	case reflect.Int, reflect.Int64:
@@ -115,14 +152,14 @@ func perturbField(t *testing.T, cfg *conflux.Config, path string) {
 // it unchanged (requests differing only in executor, workers, or timeout
 // HIT the same entry).
 func TestKeySensitivity(t *testing.T) {
-	base, err := FromConfig(baseConfig(), 256, JobVolume)
+	base, err := fromConfig(baseConfig(), 256, JobVolume)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range KeyFields {
 		cfg := baseConfig()
 		perturbField(t, &cfg, path)
-		req, err := FromConfig(cfg, 256, JobVolume)
+		req, err := fromConfig(cfg, 256, JobVolume)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -133,7 +170,7 @@ func TestKeySensitivity(t *testing.T) {
 	for _, path := range ExcludedFields {
 		cfg := baseConfig()
 		perturbField(t, &cfg, path)
-		req, err := FromConfig(cfg, 256, JobVolume)
+		req, err := fromConfig(cfg, 256, JobVolume)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -142,10 +179,10 @@ func TestKeySensitivity(t *testing.T) {
 		}
 	}
 	// N and Job are key ingredients beyond the config struct.
-	if r, _ := FromConfig(baseConfig(), 257, JobVolume); r.Key() == base.Key() {
+	if r, _ := fromConfig(baseConfig(), 257, JobVolume); r.Key() == base.Key() {
 		t.Error("changing n did not change the key")
 	}
-	if r, _ := FromConfig(baseConfig(), 256, JobSolve); r.Key() == base.Key() {
+	if r, _ := fromConfig(baseConfig(), 256, JobSolve); r.Key() == base.Key() {
 		t.Error("changing job did not change the key")
 	}
 }
@@ -163,11 +200,11 @@ func TestKeySessionLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := FromConfig(s1.Config(), 128, JobVolume)
+	r1, err := fromConfig(s1.Config(), 128, JobVolume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FromConfig(s2.Config(), 128, JobVolume)
+	r2, err := fromConfig(s2.Config(), 128, JobVolume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +217,7 @@ func TestKeySessionLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := FromConfig(s3.Config(), 128, JobVolume)
+	r3, err := fromConfig(s3.Config(), 128, JobVolume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +237,7 @@ func TestKeyTopologyLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := FromConfig(s.Config(), 128, JobVolume)
+		r, err := fromConfig(s.Config(), 128, JobVolume)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,5 +358,38 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 		if _, err := req.Canonicalize(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestCanonicalizeRefusesWhatNewRefuses: an engine name outside the table,
+// an unknown topology family, a NaN tier α and a malformed fault plan fail
+// Canonicalize with an error naming the field, and Planner.Evaluate returns
+// that error without simulating.
+func TestCanonicalizeRefusesWhatNewRefuses(t *testing.T) {
+	g := &gatedRunner{release: make(chan struct{})}
+	close(g.release)
+	pl := NewPlanner(t.Context(), Options{Runner: g.run})
+	nanTier, err := conflux.TopologyPreset("hier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanTier.Inter.Alpha = math.NaN()
+	for field, req := range map[string]Request{ // each error names its key
+		"algorithm": {Algorithm: "HPL", N: 64, P: 4},
+		"topology":  {Algorithm: conflux.COnfLUX, N: 64, P: 4, Topology: conflux.Topology{Preset: "torus"}},
+		"Inter":     {Algorithm: conflux.COnfLUX, N: 64, P: 4, Topology: nanTier},
+		"faults":    {Algorithm: conflux.COnfLUX, N: 64, P: 4, Faults: "garbage"},
+	} {
+		_, err := req.Canonicalize()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Canonicalize error %v does not name the field", field, err)
+			continue
+		}
+		if _, _, evalErr := pl.Evaluate(t.Context(), req, time.Second); evalErr == nil || evalErr.Error() != err.Error() {
+			t.Errorf("%s: Evaluate error %v, want %v", field, evalErr, err)
+		}
+	}
+	if st := pl.Stats(); st.Simulations != 0 || g.count() != 0 {
+		t.Fatalf("refused requests ran %d simulations (%d runner calls)", st.Simulations, g.count())
 	}
 }

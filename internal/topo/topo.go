@@ -32,8 +32,8 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/trace"
 )
@@ -95,10 +95,9 @@ func (s Spec) Validate() error {
 	if s.Contention != 0 && s.Contention != 1 {
 		return fmt.Errorf("topo: Contention must be 0 or 1, got %d", s.Contention)
 	}
-	for _, m := range []trace.Machine{s.Intra, s.Inter, s.Global} {
-		if m.Alpha < 0 || m.Beta < 0 || math.IsNaN(m.Alpha) || math.IsNaN(m.Beta) ||
-			math.IsInf(m.Alpha, 0) || math.IsInf(m.Beta, 0) {
-			return fmt.Errorf("topo: machine parameters must be finite and non-negative in %+v", s)
+	for i, m := range [...]trace.Machine{s.Intra, s.Inter, s.Global} {
+		if err := errors.Join(trace.CheckNonNegative("alpha", m.Alpha), trace.CheckNonNegative("beta", m.Beta)); err != nil {
+			return fmt.Errorf("topo: %s tier: %w", [...]string{"Intra", "Inter", "Global"}[i], err)
 		}
 	}
 	return nil

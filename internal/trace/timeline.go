@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -26,6 +27,16 @@ func DefaultMachine() Machine { return Machine{Alpha: 1e-6, Beta: 1e-10} }
 // route through it.
 func (m Machine) Time(bytes, msgs float64) float64 {
 	return msgs*m.Alpha + bytes*m.Beta
+}
+
+// CheckNonNegative is the one range rule on a simulation's real parameters
+// (α, β, the fast memory M, each topology tier's α and β): v must be finite
+// and ≥ 0, so NaN fails it too. The error names the parameter.
+func CheckNonNegative(name string, v float64) error {
+	if v >= 0 && !math.IsInf(v, 1) {
+		return nil
+	}
+	return fmt.Errorf("%s must be finite and non-negative, got %v", name, v)
 }
 
 // IsZero reports whether m is the zero Machine value. Callers that want a

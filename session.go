@@ -2,8 +2,8 @@ package conflux
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -12,6 +12,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/smpi"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // Session is the entry point: a handle on one simulated machine
@@ -72,18 +73,14 @@ func WithRanks(p int) Option {
 	}
 }
 
-// finiteNonNeg is the range check on float options; NaN fails it, which a
-// plain `v < 0` guard would let through.
-func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-
 // WithMemory sets the per-rank fast memory M in elements. WithMemory(0)
 // selects the paper's maximum-replication default M = N²/P^(2/3), resolved
 // per job from its matrix dimension; a negative or non-finite m is rejected
 // like every other out-of-range option value.
 func WithMemory(m float64) Option {
 	return func(c *Config) error {
-		if !finiteNonNeg(m) {
-			return fmt.Errorf("conflux: WithMemory requires finite m >= 0 (0 selects the paper default), got %v", m)
+		if err := trace.CheckNonNegative("m", m); err != nil {
+			return fmt.Errorf("conflux: WithMemory: %w (0 selects the paper default)", err)
 		}
 		c.Memory = m
 		return nil
@@ -105,8 +102,8 @@ func WithAlgorithm(a Algorithm) Option {
 // β is rejected: no report computed under one means anything.
 func WithMachine(m Machine) Option {
 	return func(c *Config) error {
-		if !finiteNonNeg(m.Alpha) || !finiteNonNeg(m.Beta) {
-			return fmt.Errorf("conflux: WithMachine requires finite alpha, beta >= 0, got %+v", m)
+		if err := errors.Join(trace.CheckNonNegative("alpha", m.Alpha), trace.CheckNonNegative("beta", m.Beta)); err != nil {
+			return fmt.Errorf("conflux: WithMachine: %w", err)
 		}
 		c.Machine = m
 		return nil
@@ -374,13 +371,32 @@ func (s *Session) run(ctx context.Context, world int, payload bool, fn smpi.Rank
 	return rep, nil
 }
 
+// checkShape is the one shape rule of every job, met before any world
+// starts: n ≥ 1, A (ab[0], when the job takes one) n×n, and B (ab[1], when
+// it solves) n rows by at least one column. A nil matrix fails it.
+func checkShape(job string, n int, ab ...*Matrix) error {
+	ok := n >= 1
+	for i, m := range ab {
+		ok = ok && m != nil && m.Rows == n && m.Cols >= 1 && (i > 0 || m.Cols == n)
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s needs n >= 1, an n×n A and an n-row B with at least one column", ErrShape, job)
+	}
+	return nil
+}
+
+// order is A's dimension n, or 0 for a nil A (which checkShape refuses).
+func order(a *Matrix) int {
+	if a == nil {
+		return 0
+	}
+	return a.Rows
+}
+
 // Factorize runs a distributed LU factorization of a (n×n) on the session
 // machine and returns the gathered factors. The input is not modified.
 // Cancellation of ctx aborts the simulation and returns ErrCanceled.
 func (s *Session) Factorize(ctx context.Context, a *Matrix) (*Result, error) {
-	if a == nil || a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: Factorize requires a square matrix", ErrShape)
-	}
 	lu, perm, rep, err := s.factor(ctx, s.eng, a)
 	if err != nil {
 		return nil, err
@@ -399,10 +415,13 @@ func (s *Session) Factorize(ctx context.Context, a *Matrix) (*Result, error) {
 	}, nil
 }
 
-// factor is the rank body Factorize and FactorizeSPD share: rank 0 feeds a,
-// eng runs on the session's ranks, and rank 0 keeps the factor and pivot
-// permutation it gathered.
+// factor is the rank body Factorize and FactorizeSPD share: a must pass
+// checkShape, rank 0 feeds it, eng runs on the session's ranks, and rank 0
+// keeps the factor and pivot permutation it gathered.
 func (s *Session) factor(ctx context.Context, eng engine.Engine, a *Matrix) (*Matrix, []int, *VolumeReport, error) {
+	if err := checkShape(string(eng.Name())+" factorization", order(a), a); err != nil {
+		return nil, nil, nil, err
+	}
 	n := a.Rows
 	cfg := s.engineConfig()
 	var lu *Matrix
@@ -431,9 +450,6 @@ func (s *Session) factor(ctx context.Context, eng engine.Engine, a *Matrix) (*Ma
 // x. The triangular solve runs distributed on the session's solve ranks,
 // with the configured rounds of iterative refinement.
 func (s *Session) Solve(ctx context.Context, a *Matrix, b []float64) ([]float64, error) {
-	if a == nil || a.Rows != a.Cols || len(b) != a.Rows {
-		return nil, fmt.Errorf("%w: Solve requires square A and len(b) == n", ErrShape)
-	}
 	bm := mat.FromSlice(len(b), 1, append([]float64(nil), b...))
 	x, _, err := s.SolveMany(ctx, a, bm)
 	if err != nil {
@@ -449,8 +465,8 @@ func (s *Session) Solve(ctx context.Context, a *Matrix, b []float64) ([]float64,
 // residual R = B − A·X and re-solves distributed for the correction,
 // stopping early once the residual is at rounding level.
 func (s *Session) SolveMany(ctx context.Context, a, b *Matrix) (*Matrix, *Result, error) {
-	if a == nil || a.Rows != a.Cols || b == nil || b.Rows != a.Rows {
-		return nil, nil, fmt.Errorf("%w: SolveMany requires square A and B with B.Rows == n", ErrShape)
+	if err := checkShape("SolveMany", order(a), a, b); err != nil {
+		return nil, nil, err
 	}
 	res, err := s.Factorize(ctx, a)
 	if err != nil {
@@ -481,8 +497,8 @@ func (s *Session) SolveMany(ctx context.Context, a, b *Matrix) (*Matrix, *Result
 // returns the report, including the simulated α-β time under the session
 // machine (rep.Time).
 func (s *Session) CommVolume(ctx context.Context, n int) (*VolumeReport, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: CommVolume requires n > 0", ErrShape)
+	if err := checkShape("CommVolume", n); err != nil {
+		return nil, err
 	}
 	job := engine.VolumeJob(s.eng, n, s.engineConfig())
 	return s.run(ctx, job.World, false, job.Body)
@@ -497,8 +513,8 @@ func (s *Session) CommVolume(ctx context.Context, n int) (*VolumeReport, error) 
 // end-to-end communication volume and simulated α-β time of a solver
 // workload can be read off one run.
 func (s *Session) CommVolumeSolve(ctx context.Context, n int) (*VolumeReport, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: CommVolumeSolve requires n > 0", ErrShape)
+	if err := checkShape("CommVolumeSolve", n); err != nil {
+		return nil, err
 	}
 	job := engine.SolveJob(s.eng, n, s.engineConfig(), s.cfg.SolveRanks, s.cfg.RHS)
 	return s.run(ctx, job.World, false, job.Body)
@@ -511,9 +527,6 @@ func (s *Session) CommVolumeSolve(ctx context.Context, n int) (*VolumeReport, er
 // configured LU algorithm. An input with a pivot that is not positive —
 // zero, negative or NaN — fails with ErrNotPositiveDefinite.
 func (s *Session) FactorizeSPD(ctx context.Context, a *Matrix) (*Matrix, *VolumeReport, error) {
-	if a == nil || a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("%w: FactorizeSPD requires a square matrix", ErrShape)
-	}
 	eng, err := engine.Lookup(Cholesky)
 	if err != nil {
 		return nil, nil, publicErr(err)

@@ -119,6 +119,55 @@ func TestShapeErrorsTyped(t *testing.T) {
 	}
 }
 
+// TestZeroShapeEveryJob: every job on every engine refuses n = 0 with
+// ErrShape before any world starts, so no run is counted.
+func TestZeroShapeEveryJob(t *testing.T) {
+	empty := NewMatrix(0, 0)
+	jobs := map[string]func(*Session) error{
+		"Factorize": func(s *Session) error { _, err := s.Factorize(t.Context(), empty); return err },
+		"FactorizeSPD": func(s *Session) error {
+			_, _, err := s.FactorizeSPD(t.Context(), empty)
+			return err
+		},
+		"Solve": func(s *Session) error { _, err := s.Solve(t.Context(), empty, nil); return err },
+		"SolveMany": func(s *Session) error {
+			_, _, err := s.SolveMany(t.Context(), empty, NewMatrix(0, 1))
+			return err
+		},
+		"CommVolume":      func(s *Session) error { _, err := s.CommVolume(t.Context(), 0); return err },
+		"CommVolumeSolve": func(s *Session) error { _, err := s.CommVolumeSolve(t.Context(), 0); return err },
+	}
+	for _, algo := range Engines() {
+		s, err := New(WithAlgorithm(algo), WithRanks(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, job := range jobs {
+			if err := job(s); !errors.Is(err, ErrShape) {
+				t.Errorf("%s %s at n=0: %v, want ErrShape", algo, name, err)
+			}
+		}
+		if runs := s.Stats().Runs; runs != 0 {
+			t.Errorf("%s: %d runs at n=0, want none", algo, runs)
+		}
+	}
+}
+
+// TestSolveManyZeroColumnsBeforeFactorize: a B with no columns fails
+// SolveMany with ErrShape before the factorization runs.
+func TestSolveManyZeroColumnsBeforeFactorize(t *testing.T) {
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.SolveMany(t.Context(), RandomMatrix(8, 1), NewMatrix(8, 0)); !errors.Is(err, ErrShape) {
+		t.Fatalf("SolveMany with a 0-column B: %v, want ErrShape", err)
+	}
+	if runs := s.Stats().Runs; runs != 0 {
+		t.Fatalf("SolveMany with a 0-column B ran %d simulations before refusing it", runs)
+	}
+}
+
 // TestSingularTyped: a hand-assembled Result, which solves on a one-rank
 // session, and a Factorize result, which solves on its own session, both
 // wrap ErrSingular. Hand-assembled Results of nonsingular factors solve to
